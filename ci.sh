@@ -62,6 +62,13 @@ go test ./...
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
 
+echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
+# The two decoders that read bytes another process chose. `go test` above
+# already replayed the committed seed corpus (internal/wire/testdata/fuzz);
+# this leg mutates from it. -fuzz takes one target a run.
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=5s ./internal/wire/
+go test -run '^$' -fuzz '^FuzzHandshake$' -fuzztime=5s ./internal/wire/
+
 echo "== lbbench scale smoke (time-boxed, determinism-diffed)"
 # A small scale run keeps the O(log n) maintenance path honest without
 # the full 1M-VS sweep. Each size runs the whole lifecycle — ring

@@ -96,8 +96,9 @@ type roundBody struct {
 }
 
 // roundState is one balancing round's soft state at this daemon. It is
-// rebuilt from scratch (and re-fed by retransmissions and re-issued
-// triggers) after a restart — only the transfer escrows are durable.
+// rebuilt from scratch after a restart, re-fed by the neighbours that
+// see the new incarnation (peerRestarted) — only the transfer escrows
+// are durable.
 type roundState struct {
 	r          uint64
 	lbi        *lbnode.LBICollect
@@ -157,6 +158,7 @@ type Daemon struct {
 	quitOnce sync.Once
 
 	cRounds, cHandoffs, cAborts, cApplies, cEscrows *metrics.Counter
+	cLBIExpired, cVSAExpired                        *metrics.Counter
 }
 
 // NewDaemon recovers state from the WAL (deriving the initial inventory
@@ -191,6 +193,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d.cAborts = reg.Counter("cluster.aborts")
 	d.cApplies = reg.Counter("cluster.applies")
 	d.cEscrows = reg.Counter("cluster.escrows")
+	d.cLBIExpired = reg.Counter("cluster.lbi_expired")
+	d.cVSAExpired = reg.Counter("cluster.vsa_expired")
 
 	if st.HasSnap {
 		d.capacity = st.Capacity
@@ -214,27 +218,9 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 	}
 
-	d.tr, err = wire.NewTransport(wire.Config{
-		Rank:        cfg.Rank,
-		Addrs:       spec.Addrs,
-		ClusterID:   spec.ClusterID,
-		Handler:     d.handle,
-		Request:     d.serveReq,
-		RetryBase:   spec.RetryBase,
-		RetryCap:    spec.RetryCap,
-		MaxAttempts: spec.MaxAttempts,
-		Seed:        spec.Seed,
-		Metrics:     d.reg,
-	})
-	if err != nil {
-		wal.Close()
-		return nil, err
-	}
-
 	if len(spec.HTTPAddrs) == spec.Procs {
 		ln, err := net.Listen("tcp", spec.HTTPAddrs[cfg.Rank])
 		if err != nil {
-			d.tr.Close()
 			wal.Close()
 			return nil, err
 		}
@@ -250,14 +236,48 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		go d.httpSrv.Serve(ln)
 	}
 
+	// The transport comes up last, so nothing after it can fail, and its
+	// goroutines call back into the daemon as soon as it listens: the lock
+	// keeps them out until d.tr is set and the escrows are resumed.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tr, err = wire.NewTransport(wire.Config{
+		Rank:          cfg.Rank,
+		Addrs:         spec.Addrs,
+		ClusterID:     spec.ClusterID,
+		Incarnation:   st.Incarnation,
+		Handler:       d.handle,
+		Request:       d.serveReq,
+		OnPeerRestart: d.peerRestarted,
+		RetryBase:     spec.RetryBase,
+		RetryCap:      spec.RetryCap,
+		MaxAttempts:   spec.MaxAttempts,
+		Seed:          spec.Seed,
+		Metrics:       d.reg,
+	})
+	if err != nil {
+		if d.httpSrv != nil {
+			d.httpSrv.Close()
+		}
+		wal.Close()
+		return nil, err
+	}
+
 	// Crash recovery: every open escrow resumes its unbounded commit.
 	// The receiver's applied-set absorbs re-deliveries, so resuming is
-	// always safe — this is the half of exactly-once the WAL buys.
-	d.mu.Lock()
+	// always safe — this is the half of exactly-once the WAL buys. The
+	// other half is the incarnation: the resumed commit is seq 1 of a new
+	// life, not a duplicate of the old life's seq 1.
 	for pair, pc := range d.pending {
 		d.sendCommit(pair, pc)
 	}
-	d.mu.Unlock()
+	// The handshake is the announcement: the KT neighbours learn the new
+	// incarnation now and re-send what the old process took with it,
+	// instead of finding out when their next message happens to redial.
+	if d.parent >= 0 {
+		d.tr.Announce(d.parent)
+	}
+	d.tr.Announce(d.children...)
 	return d, nil
 }
 
@@ -388,11 +408,16 @@ func (d *Daemon) serveReq(kind string, body json.RawMessage) (any, error) {
 
 // ---- peer messages ----
 
-func (d *Daemon) handle(m wire.Msg) {
+// handle runs one peer message and reports whether the transport may
+// acknowledge it. Only a commit can be refused: it is the one message
+// whose effect must be durable before the sender is told, because the
+// sender closes its escrow on the acknowledgement. A malformed body is
+// acknowledged — retransmitting it would not improve it.
+func (d *Daemon) handle(m wire.Msg) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return
+		return false
 	}
 	switch m.Kind {
 	case "start":
@@ -428,8 +453,25 @@ func (d *Daemon) handle(m wire.Msg) {
 	case "commit":
 		var b transferBody
 		if json.Unmarshal(m.Body, &b) == nil {
-			d.onCommit(b)
+			return d.onCommit(b)
 		}
+	}
+	return true
+}
+
+// peerRestarted is the transport's report that a new life of rank is up.
+// If rank is a KT neighbour it is re-fed the newest round: that is the
+// one somebody may be waiting on, an older one is soft state already
+// superseded. (Sends to rank that were still un-acked are the
+// transport's to retransmit, and it does so at once.)
+func (d *Daemon) peerRestarted(rank int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	if rs, ok := d.rounds[d.started]; ok {
+		d.refeed(rs, rank)
 	}
 }
 
@@ -449,12 +491,17 @@ func decodeLBI(b lbiBody) core.LBI {
 
 // startRound enters (or re-enters) round r. A re-entry — from a
 // re-issued supervisor trigger or a parent's re-forwarded start —
-// re-forwards the trigger down the tree and re-sends whatever this
-// daemon already produced upward, so restarted ancestors are re-fed.
-// All sends are idempotent at the receiver (epoch dedup per child).
+// re-feeds every neighbour, which re-enter and re-feed theirs in turn:
+// the backstop for a loss no restart event reported. All sends are
+// idempotent at the receiver (epoch dedup per child).
 func (d *Daemon) startRound(r uint64) {
 	if rs, ok := d.rounds[r]; ok {
-		d.refeed(rs)
+		for _, c := range d.children {
+			d.refeed(rs, c)
+		}
+		if d.parent >= 0 {
+			d.refeed(rs, d.parent)
+		}
 		return
 	}
 	if r > d.started {
@@ -495,20 +542,23 @@ func (d *Daemon) startRound(r uint64) {
 	}
 }
 
-func (d *Daemon) refeed(rs *roundState) {
-	for _, c := range d.children {
-		d.tr.Send(c, "start", rs.r, nil, wire.SendOpts{})
-	}
-	if rs.haveGlobal {
-		for _, c := range d.children {
-			d.tr.Send(c, "global", rs.r, encodeLBI(d.rank, rs.global), wire.SendOpts{})
+// refeed re-sends to one rank what this daemon has produced for it in
+// round rs: the trigger and the global tuple to a child, the LBI report
+// and the VSA lists to the parent, nothing to anyone else.
+func (d *Daemon) refeed(rs *roundState, rank int) {
+	switch {
+	case rank == d.parent:
+		if rs.lbiUp {
+			d.tr.Send(d.parent, "lbi", rs.r, encodeLBI(d.rank, rs.lbi.Aggregate()), wire.SendOpts{})
 		}
-	}
-	if rs.lbiUp && d.parent >= 0 {
-		d.tr.Send(d.parent, "lbi", rs.r, encodeLBI(d.rank, rs.lbi.Aggregate()), wire.SendOpts{})
-	}
-	if rs.vsaUp && d.parent >= 0 {
-		d.sendVSAUp(rs)
+		if rs.vsaUp {
+			d.sendVSAUp(rs)
+		}
+	case d.childIndex(rank) >= 0:
+		d.tr.Send(rank, "start", rs.r, nil, wire.SendOpts{})
+		if rs.haveGlobal {
+			d.tr.Send(rank, "global", rs.r, encodeLBI(d.rank, rs.global), wire.SendOpts{})
+		}
 	}
 }
 
@@ -523,6 +573,9 @@ func (d *Daemon) expireLBI(r uint64) {
 		return
 	}
 	if _, expired := rs.lbi.Expire(); expired {
+		if d.cLBIExpired != nil {
+			d.cLBIExpired.Inc()
+		}
 		d.lbiComplete(rs)
 	}
 }
@@ -543,9 +596,9 @@ func (d *Daemon) onLBI(r uint64, b lbiBody) {
 }
 
 // ensureRound returns the round state, creating it (as startRound does)
-// when a child's reply outruns the trigger — which happens when this
-// daemon restarted mid-round and the child's retransmissions arrive
-// before the supervisor re-issues the trigger.
+// when a reply outruns the trigger — which happens when this daemon
+// restarted mid-round and a neighbour's re-feed or retransmission is the
+// first it hears of the round.
 func (d *Daemon) ensureRound(r uint64) *roundState {
 	if rs, ok := d.rounds[r]; ok {
 		return rs
@@ -619,6 +672,9 @@ func (d *Daemon) expireVSA(r uint64) {
 		return
 	}
 	if _, expired := rs.vsa.Expire(); expired {
+		if d.cVSAExpired != nil {
+			d.cVSAExpired.Inc()
+		}
 		d.vsaComplete(rs)
 	}
 }
@@ -867,16 +923,19 @@ func (d *Daemon) settleDone(hs *handoffState) {
 
 // ---- two-phase transfer, light side ----
 
-func (d *Daemon) onCommit(b transferBody) {
+// onCommit applies one transfer and reports whether it is durably
+// applied, now or before — which is what the acknowledgement tells the
+// sender, who then closes the escrow.
+func (d *Daemon) onCommit(b transferBody) bool {
 	if d.applied[b.Pair] {
 		// Retransmission that crossed our restart (the transport's dedup
 		// window died with the old process); the WAL's applied-set is the
 		// durable second line of defense. The transport still acks it.
 		d.hook(b.Pair, "commit-dup")
-		return
+		return true
 	}
 	if err := d.wal.Append(walRec{T: "apply", Pair: b.Pair, ID: b.ID, Load: b.Load, Peer: b.From}); err != nil {
-		return
+		return false
 	}
 	d.store[b.ID] = b.Load
 	d.applied[b.Pair] = true
@@ -884,4 +943,5 @@ func (d *Daemon) onCommit(b transferBody) {
 		d.cApplies.Inc()
 	}
 	d.hook(b.Pair, "apply")
+	return true
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -95,9 +96,7 @@ func TestInProcessRound(t *testing.T) {
 		defer ds[r].Close()
 	}
 	for round := uint64(1); round <= 3; round++ {
-		if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: round}, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
+		triggerRound(t, spec, round)
 		sts := waitQuiesced(t, spec, round, 15*time.Second)
 		if err := CheckConservation(spec, sts); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -127,9 +126,7 @@ func TestDriftLedger(t *testing.T) {
 		ds[r] = startDaemon(t, spec, r, dir, nil)
 	}
 	for round := uint64(1); round <= 2; round++ {
-		if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: round}, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
+		triggerRound(t, spec, round)
 		sts := waitQuiesced(t, spec, round, 15*time.Second)
 		if err := CheckConservation(spec, sts); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -373,6 +370,35 @@ func TestHandoffCrashPhases(t *testing.T) {
 		waitCond(t, "escrow close", func() bool { return pendingCount(snd2) == 0 })
 	})
 
+	t.Run("receiver-wal-fails-at-commit", func(t *testing.T) {
+		// The receiver is up but cannot make the transfer durable. It
+		// must not acknowledge the commit: an acknowledged commit closes
+		// the sender's escrow, and the VS would be on neither rank. The
+		// unbounded commit keeps retrying until a receiver with a working
+		// log applies it.
+		spec := testSpec(t, 2, 26)
+		dir := t.TempDir()
+		rec := newPhaseRecorder("escrow", "commit-acked")
+		snd := startDaemon(t, spec, 0, dir, rec.hook)
+		defer snd.Close()
+		rcv := startDaemon(t, spec, 1, dir, nil)
+		rcv.wal.Close() // every append from here on fails
+
+		_, id := injectAssign(t, snd, 100, 1)
+		waitCh(t, rec.wait(t, "escrow"), "escrow")
+		waitCond(t, "commit retries", func() bool { return counter("wire.retries", snd) >= 3 })
+		if pendingCount(snd) != 1 || rec.count("commit-acked") != 0 {
+			t.Fatal("commit acknowledged by a receiver that could not log it")
+		}
+		rcv.Close()
+		rcv2 := startDaemon(t, spec, 1, dir, nil)
+		defer rcv2.Close()
+		waitCh(t, rec.wait(t, "commit-acked"), "commit ack")
+		if !storeHas(rcv2, id) || storeHas(snd, id) {
+			t.Fatal("VS not exactly at the receiver once its log worked")
+		}
+	})
+
 	t.Run("duplicate-commit-after-receiver-restart", func(t *testing.T) {
 		// The transfer completed, the receiver restarts (losing the
 		// transport's dedup window), and a stale retransmission of the
@@ -408,10 +434,34 @@ func TestHandoffCrashPhases(t *testing.T) {
 	})
 }
 
-// TestRoundSurvivesInteriorRestart: an interior daemon is killed
-// mid-round and restarted; the supervisor-style re-issued trigger
-// re-feeds the tree and the round completes with conservation intact.
-func TestRoundSurvivesInteriorRestart(t *testing.T) {
+// counter sums one counter over the daemons' registries (nil daemons,
+// closed and not yet restarted, are skipped).
+func counter(name string, ds ...*Daemon) int64 {
+	var n int64
+	for _, d := range ds {
+		if d == nil {
+			continue
+		}
+		if reg := d.Registry(); reg != nil {
+			n += reg.Snapshot().Counters[name]
+		}
+	}
+	return n
+}
+
+func triggerRound(t *testing.T, spec *Spec, r uint64) {
+	t.Helper()
+	if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: r}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testMidRoundRestart kills one rank, triggers round 2 while it is down
+// and restarts it mid-round. The trigger is sent once: the restarted
+// rank's handshakes tell its neighbours it is back, and their re-feed is
+// all that carries the round to it. The round must quiesce with
+// conservation intact and the victim must have taken part in it.
+func testMidRoundRestart(t *testing.T, victim int) {
 	spec := testSpec(t, 7, 31)
 	dir := t.TempDir()
 	ds := make([]*Daemon, spec.Procs)
@@ -427,25 +477,135 @@ func TestRoundSurvivesInteriorRestart(t *testing.T) {
 	}()
 
 	// Round 1 cleanly first, so there is state worth disturbing.
-	if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: 1}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	triggerRound(t, spec, 1)
 	waitQuiesced(t, spec, 1, 15*time.Second)
 
-	// Kill interior rank 1 (parent of 3 and 4), trigger round 2 while it
-	// is down, restart it, re-issue the trigger.
-	ds[1].Close()
-	if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: 2}, 2*time.Second); err != nil {
-		t.Fatal(err)
+	ds[victim].Close()
+	ds[victim] = nil
+	if victim == 0 {
+		// The root is where the trigger goes: it died just after
+		// forwarding it, and its children are mid-round with nobody to
+		// report to.
+		for _, c := range spec.Children(0) {
+			ds[c].handle(wire.Msg{Seq: 1000, Src: 0, Kind: "start", Round: 2})
+		}
+	} else {
+		triggerRound(t, spec, 2)
 	}
 	time.Sleep(300 * time.Millisecond)
-	ds[1] = startDaemon(t, spec, 1, dir, nil)
-	if _, err := wire.Call(spec.Addrs[0], spec.ClusterID, "round", roundBody{Round: 2}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	ds[victim] = startDaemon(t, spec, victim, dir, nil)
 	sts := waitQuiesced(t, spec, 2, 20*time.Second)
 	if err := CheckConservation(spec, sts); err != nil {
 		t.Fatal(err)
+	}
+	if sts[victim].Started != 2 {
+		t.Fatalf("restarted rank %d entered round %d, want 2", victim, sts[victim].Started)
+	}
+	if n := counter("wire.peer_restarts", ds...); n == 0 {
+		t.Fatal("no neighbour noticed the restart")
+	}
+}
+
+// TestRoundSurvivesInteriorRestart: rank 1, parent of 3 and 4, is down
+// when round 2 starts and comes back mid-round.
+func TestRoundSurvivesInteriorRestart(t *testing.T) { testMidRoundRestart(t, 1) }
+
+// TestRoundSurvivesRootRestart: the root dies holding round 2's trigger
+// and comes back with no memory of it; its children's re-fed LBI reports
+// are what start the round there.
+func TestRoundSurvivesRootRestart(t *testing.T) { testMidRoundRestart(t, 0) }
+
+// TestRoundAfterLeafRestartIsClean: the round after a leaf restart costs
+// a round, not two epoch timeouts. The restarted leaf numbers its
+// messages from 1 again; its parent, which stayed up, must not take its
+// fresh LBI and VSA replies for duplicates of the old life's.
+func TestRoundAfterLeafRestartIsClean(t *testing.T) {
+	spec := testSpec(t, 4, 41)
+	spec.EpochTimeout = 5 * time.Second
+	dir := t.TempDir()
+	ds := make([]*Daemon, spec.Procs)
+	for r := range ds {
+		ds[r] = startDaemon(t, spec, r, dir, nil)
+	}
+	defer func() {
+		for _, d := range ds {
+			d.Close()
+		}
+	}()
+	for round := uint64(1); round <= 3; round++ {
+		triggerRound(t, spec, round)
+		waitQuiesced(t, spec, round, 15*time.Second)
+	}
+	ds[3].Close()
+	ds[3] = startDaemon(t, spec, 3, dir, nil)
+
+	begin := time.Now()
+	triggerRound(t, spec, 4)
+	sts := waitQuiesced(t, spec, 4, 15*time.Second)
+	if took := time.Since(begin); took > time.Second {
+		t.Errorf("round after a leaf restart took %v, want < 1s", took)
+	}
+	if err := CheckConservation(spec, sts); err != nil {
+		t.Fatal(err)
+	}
+	if l, v := counter("cluster.lbi_expired", ds...), counter("cluster.vsa_expired", ds...); l != 0 || v != 0 {
+		t.Fatalf("collectors expired: lbi %d, vsa %d (wire.dups %d) — a live child's reply was dropped",
+			l, v, counter("wire.dups", ds...))
+	}
+	if n := counter("wire.peer_restarts", ds[1]); n != 1 {
+		t.Fatalf("rank 1 counted %d restarts of its child, want 1", n)
+	}
+}
+
+// TestSenderRestartOpenEscrowReceiverUp: a sender that restarts with an
+// open escrow resumes the commit as the first message of its new life.
+// The receiver stayed up and has seen the old life's first messages; if
+// it takes the resumed commit for one of those it acknowledges without
+// applying, the sender closes the escrow, and the VS is on neither rank.
+func TestSenderRestartOpenEscrowReceiverUp(t *testing.T) {
+	spec := testSpec(t, 2, 25)
+	dir := t.TempDir()
+	rec := newPhaseRecorder("commit-acked")
+	snd := startDaemon(t, spec, 0, dir, rec.hook)
+	rcv := startDaemon(t, spec, 1, dir, nil)
+	defer rcv.Close()
+
+	// One whole handoff: the receiver has now seen the sender's seq 1
+	// (prepare) and 2 (commit).
+	_, first := injectAssign(t, snd, 100, 1)
+	waitCh(t, rec.wait(t, "commit-acked"), "first handoff")
+	if !storeHas(rcv, first) {
+		t.Fatal("first handoff did not land")
+	}
+	snd.Close()
+
+	// The sender died between escrowing a second VS and sending its
+	// commit: the WAL holds the pend, nothing reached the wire.
+	var second ident.ID
+	for _, vs := range DeriveInventories(spec.Seed, spec.Procs, spec.VSPerNode)[0].VSs {
+		if vs.ID != first {
+			second = vs.ID
+			break
+		}
+	}
+	pair := pairID(2, second, 0, 1)
+	wal, _, err := OpenWAL(filepath.Join(dir, "lbd-0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(walRec{T: "pend", Pair: pair, ID: second, Load: 7, Peer: 1}); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	snd2 := startDaemon(t, spec, 0, dir, nil)
+	defer snd2.Close()
+	waitCond(t, "escrow close", func() bool { return pendingCount(snd2) == 0 })
+	if !storeHas(rcv, second) {
+		t.Fatalf("VS %s lost: escrow closed at the sender, never applied at the receiver", second)
+	}
+	if storeHas(snd2, second) {
+		t.Fatalf("VS %s on both ranks", second)
 	}
 }
 

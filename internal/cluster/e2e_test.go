@@ -95,6 +95,11 @@ func TestClusterChaosSmoke(t *testing.T) {
 	if report.Metrics == nil || report.Metrics.Counters["cluster.rounds"] == 0 {
 		t.Fatal("merged metrics missing round counters")
 	}
+	// The half-timeout re-issue is a backstop; a restarted daemon is
+	// re-fed by its neighbours the moment it reconnects.
+	if report.Reissues != 0 {
+		t.Fatalf("%d round triggers re-issued: a round waited for the supervisor, not for the restart", report.Reissues)
+	}
 }
 
 // TestClusterChaosE2E is the acceptance harness: an 8-process cluster

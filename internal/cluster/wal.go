@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // The write-ahead log makes the two-phase VST exactly-once across
-// SIGKILL. It is a JSON-lines file of four record types:
+// SIGKILL. It is a JSON-lines file of five record types:
 //
 //	snap   full daemon state: inventory, applied-transfer set, pending
 //	       escrows, drift bookkeeping. Written at first boot and after
@@ -27,6 +28,13 @@ import (
 //	       the transport's dedup window is empty) idempotent.
 //	done   sender-side completion: the commit was acknowledged, the
 //	       escrow is closed.
+//	boot   one per OpenWAL, written before anything else this life
+//	       appends. The count of them is the rank's incarnation number:
+//	       it survives SIGKILL, no snap resets it, and it is what lets a
+//	       peer tell this process's sequence numbers from its
+//	       predecessor's (see internal/wire). The applied-set above guards
+//	       a transfer against a receiver restart; the incarnation guards
+//	       it against a sender restart.
 //
 // Every append is flushed to the OS before the daemon acts on it, which
 // is exactly the durability the deployment needs: the fault model is
@@ -63,13 +71,16 @@ type PendingCommit struct {
 
 // WALState is the daemon state recovered by replay.
 type WALState struct {
-	HasSnap    bool
-	Capacity   float64
-	Store      map[ident.ID]float64
-	Applied    map[string]bool
-	Pending    map[string]PendingCommit
-	DriftRound uint64
-	DriftSum   float64
+	// Incarnation counts the times this log has been opened, this one
+	// included: 1 at first boot, one higher after every restart.
+	Incarnation uint64
+	HasSnap     bool
+	Capacity    float64
+	Store       map[ident.ID]float64
+	Applied     map[string]bool
+	Pending     map[string]PendingCommit
+	DriftRound  uint64
+	DriftSum    float64
 }
 
 // WAL is the append side of the log. Appends are serialized and flushed
@@ -111,11 +122,27 @@ func OpenWAL(path string) (*WAL, *WALState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("cluster: wal replay %s: %w", path, err)
 	}
-	return &WAL{f: f, w: bufio.NewWriter(f)}, st, nil
+	w := &WAL{f: f, w: bufio.NewWriter(f)}
+	// A torn tail has no newline; end it, or the first record of this
+	// life would be glued to it and lost to the next replay with it.
+	if end, err := f.Seek(0, io.SeekEnd); err == nil && end > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], end-1); err == nil && last[0] != '\n' {
+			w.w.WriteByte('\n')
+		}
+	}
+	st.Incarnation++
+	if err := w.Append(walRec{T: "boot"}); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("cluster: wal boot record %s: %w", path, err)
+	}
+	return w, st, nil
 }
 
 func (st *WALState) apply(rec walRec) {
 	switch rec.T {
+	case "boot":
+		st.Incarnation++
 	case "snap":
 		if rec.Snap == nil {
 			return

@@ -45,7 +45,25 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
+	// The first record appended after a torn tail must start its own
+	// line, or the next replay loses it with the tail — and one boot
+	// record a life makes the incarnation count up across all of it.
+	if st.Incarnation != 1 || st2.Incarnation != 2 {
+		t.Fatalf("incarnations %d then %d, want 1 then 2", st.Incarnation, st2.Incarnation)
+	}
+	if err := w2.Append(walRec{T: "apply", Pair: "after-torn", ID: 11, Load: 1, Peer: 3}); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	w3, st3, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	if st3.Incarnation != 3 || !st3.Applied["after-torn"] {
+		t.Fatalf("after a torn tail: incarnation %d, applied %v; want 3 and after-torn kept",
+			st3.Incarnation, st3.Applied)
+	}
 	if !st2.HasSnap || st2.Capacity != 500 {
 		t.Fatalf("snapshot not recovered: %+v", st2)
 	}

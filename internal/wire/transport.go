@@ -32,15 +32,29 @@ type Config struct {
 	// ClusterID guards against cross-cluster connections: handshakes
 	// with a different ID are refused.
 	ClusterID string
-	// Handler is called exactly once per accepted peer message
-	// (duplicates from retransmission are absorbed before it runs). It
-	// runs on a connection's read goroutine; the acknowledgement is sent
-	// after it returns, so a handler that has durably recorded its
-	// effect before returning gets at-least-once-with-dedup = exactly
-	//-once processing.
-	Handler func(m Msg)
+	// Incarnation says which life of Rank this process is: strictly
+	// higher after every restart, so peers can tell this process's
+	// sequence numbers from its predecessor's. Zero is a rank that never
+	// restarts (tests).
+	Incarnation uint64
+	// Handler is called once per accepted peer message (duplicates from
+	// retransmission are absorbed before it runs) and reports whether
+	// the message took effect. It runs on a connection's read goroutine;
+	// the acknowledgement is sent after it returns true, so a handler
+	// that has durably recorded its effect before returning gets
+	// at-least-once-with-dedup = exactly-once processing. After a false
+	// return nothing is acknowledged and nothing is remembered: the
+	// sender's retransmission runs the handler again.
+	Handler func(m Msg) bool
 	// Request serves one synchronous control request.
 	Request func(kind string, body json.RawMessage) (any, error)
+	// OnPeerRestart runs when the transport meets a life of a peer it
+	// has not met before — a known rank back with a higher incarnation,
+	// or a rank heard from for the first time. Either way nothing this
+	// transport sent has reached that process, so the owner re-sends
+	// whatever soft state the peer needs. It runs on a transport
+	// goroutine with no transport lock held.
+	OnPeerRestart func(rank int)
 
 	// RetryBase/RetryCap/MaxAttempts shape the per-message
 	// retransmission ladder; zero values take the defaults above.
@@ -72,14 +86,18 @@ type SendOpts struct {
 	OnFailed func()
 }
 
-// dedup is the per-sender duplicate-suppression window.
+// dedup is the duplicate-suppression window for one life of one sender:
+// inc is the highest incarnation of the rank met so far, in a Hello or a
+// HelloAck, and seen holds that incarnation's sequence numbers — false
+// while the handler runs, true once it reported success.
 type dedup struct {
+	inc  uint64
 	seen map[uint64]bool
 	max  uint64
 }
 
 func (d *dedup) mark(seq uint64) {
-	d.seen[seq] = true
+	d.seen[seq] = false
 	if seq > d.max {
 		d.max = seq
 	}
@@ -107,7 +125,8 @@ type Transport struct {
 	peers   map[int]*conn            // outbound, by rank
 	inbound map[*conn]bool           // accepted connections, severed on Close
 	pending map[uint64]chan struct{} // un-acked sends, by seq
-	seen    map[int]*dedup           // inbound dedup, by source rank
+	seen    map[int]*dedup           // what is known of each peer rank
+	kicks   map[int]chan struct{}    // closed when a new life of the rank is met
 	nextSeq uint64
 	closed  bool
 
@@ -118,6 +137,7 @@ type Transport struct {
 	wg   sync.WaitGroup
 
 	cSent, cRetries, cAcked, cFailed, cDups *metrics.Counter
+	cPeerRestarts, cStale                   *metrics.Counter
 }
 
 // NewTransport starts listening on cfg.Addrs[cfg.Rank] and returns the
@@ -149,6 +169,7 @@ func NewTransport(cfg Config) (*Transport, error) {
 		inbound: make(map[*conn]bool),
 		pending: make(map[uint64]chan struct{}),
 		seen:    make(map[int]*dedup),
+		kicks:   make(map[int]chan struct{}),
 		jitter:  rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Rank)<<20 ^ 0x77697265)),
 		stop:    make(chan struct{}),
 	}
@@ -158,6 +179,8 @@ func NewTransport(cfg Config) (*Transport, error) {
 		t.cAcked = reg.Counter("wire.acked")
 		t.cFailed = reg.Counter("wire.failed")
 		t.cDups = reg.Counter("wire.dups")
+		t.cPeerRestarts = reg.Counter("wire.peer_restarts")
+		t.cStale = reg.Counter("wire.stale_incarnation")
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -213,13 +236,33 @@ func (t *Transport) Send(dst int, kind string, round uint64, body any, opts Send
 	m := Msg{Seq: t.nextSeq, Src: t.cfg.Rank, Kind: kind, Round: round, Body: raw}
 	acked := make(chan struct{})
 	t.pending[m.Seq] = acked
+	t.wg.Add(1)
 	t.mu.Unlock()
 	if t.cSent != nil {
 		t.cSent.Inc()
 	}
-	t.wg.Add(1)
 	go t.retryLoop(dst, m, acked, opts)
 	return nil
+}
+
+// Announce dials each rank in the background, so that it learns this
+// process's incarnation from the handshake now instead of from whatever
+// message happens to be sent to it first. A rank that is down is
+// skipped: it announces itself when it comes up.
+func (t *Transport) Announce(ranks ...int) {
+	for _, dst := range ranks {
+		t.mu.Lock()
+		if t.closed || dst < 0 || dst >= len(t.cfg.Addrs) {
+			t.mu.Unlock()
+			continue
+		}
+		t.wg.Add(1)
+		t.mu.Unlock()
+		go func() {
+			defer t.wg.Done()
+			t.peerConn(dst)
+		}()
+	}
 }
 
 // retryLoop drives one message to acknowledgement (or failure).
@@ -227,7 +270,7 @@ func (t *Transport) retryLoop(dst int, m Msg, acked chan struct{}, opts SendOpts
 	defer t.wg.Done()
 	backoff := t.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
-		t.deliver(dst, m)
+		kick := t.deliver(dst, m)
 		wait := backoff + t.jitterFor(backoff)
 		timer := time.NewTimer(wait)
 		select {
@@ -243,7 +286,15 @@ func (t *Transport) retryLoop(dst int, m Msg, acked chan struct{}, opts SendOpts
 		case <-t.stop:
 			timer.Stop()
 			return
+		case <-kick:
+			// A new life of dst is up and has seen none of this: retransmit
+			// now and start the ladder, and its budget, over.
+			timer.Stop()
+			backoff, attempt = t.cfg.RetryBase, -1
 		case <-timer.C:
+			if backoff < t.cfg.RetryCap {
+				backoff = min(2*backoff, t.cfg.RetryCap)
+			}
 		}
 		if !opts.Unbounded && attempt+1 >= t.cfg.MaxAttempts {
 			t.mu.Lock()
@@ -260,12 +311,6 @@ func (t *Transport) retryLoop(dst int, m Msg, acked chan struct{}, opts SendOpts
 		if t.cRetries != nil {
 			t.cRetries.Inc()
 		}
-		if backoff < t.cfg.RetryCap {
-			backoff *= 2
-			if backoff > t.cfg.RetryCap {
-				backoff = t.cfg.RetryCap
-			}
-		}
 	}
 }
 
@@ -280,61 +325,126 @@ func (t *Transport) jitterFor(backoff time.Duration) time.Duration {
 }
 
 // deliver makes one best-effort attempt to put the message on the wire;
-// errors are swallowed (the retry timer is the recovery path).
-func (t *Transport) deliver(dst int, m Msg) {
-	c, err := t.peerConn(dst)
+// errors are swallowed (the retry timer is the recovery path). The
+// returned channel closes when a life of dst newer than the one this
+// attempt was addressed to is met.
+func (t *Transport) deliver(dst int, m Msg) <-chan struct{} {
+	c, kick, err := t.peerConn(dst)
 	if err != nil {
-		return
+		return kick
 	}
 	if err := c.writeFrame(frameMsg, m); err != nil {
 		t.dropPeer(dst, c)
 	}
+	return kick
 }
 
-// peerConn returns the cached outbound connection to dst, dialing and
-// handshaking a fresh one if needed.
-func (t *Transport) peerConn(dst int) (*conn, error) {
+// kickLocked returns the channel that the next new life of dst closes.
+func (t *Transport) kickLocked(dst int) chan struct{} {
+	ch := t.kicks[dst]
+	if ch == nil {
+		ch = make(chan struct{})
+		t.kicks[dst] = ch
+	}
+	return ch
+}
+
+// meetLocked records that rank's process is at incarnation inc, learned
+// from either side of a handshake. fresh: this life of rank is new to
+// us, so its duplicate window starts empty, the outbound connection to
+// its predecessor is dropped and every send waiting on rank is kicked;
+// the caller owes a peerRestarted call once the lock is released.
+// stale (and counted): a higher incarnation of rank is already known.
+func (t *Transport) meetLocked(rank int, inc uint64) (fresh, stale bool) {
+	d := t.seen[rank]
+	if d != nil && inc <= d.inc {
+		if inc < d.inc && t.cStale != nil {
+			t.cStale.Inc()
+		}
+		return false, inc < d.inc
+	}
+	if d != nil && t.cPeerRestarts != nil {
+		t.cPeerRestarts.Inc()
+	}
+	t.seen[rank] = &dedup{inc: inc, seen: make(map[uint64]bool)}
+	if c, ok := t.peers[rank]; ok {
+		delete(t.peers, rank)
+		c.close()
+	}
+	if ch, ok := t.kicks[rank]; ok {
+		delete(t.kicks, rank)
+		close(ch)
+	}
+	return true, false
+}
+
+func (t *Transport) peerRestarted(rank int) {
+	if t.cfg.OnPeerRestart != nil {
+		t.cfg.OnPeerRestart(rank)
+	}
+}
+
+// peerConn returns the outbound connection to dst, dialing and
+// handshaking a fresh one if none is cached, together with dst's kick
+// channel as it stood when that connection was known good — so a life of
+// dst met at any later moment, including during a failed dial, closes
+// the channel the caller holds.
+func (t *Transport) peerConn(dst int) (*conn, <-chan struct{}, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("wire: transport closed")
+		return nil, nil, fmt.Errorf("wire: transport closed")
 	}
+	kick := t.kickLocked(dst)
 	if c, ok := t.peers[dst]; ok {
 		t.mu.Unlock()
-		return c, nil
+		return c, kick, nil
 	}
 	addr := t.cfg.Addrs[dst]
 	t.mu.Unlock()
 
 	nc, err := net.DialTimeout("tcp", addr, t.cfg.WriteTimeout)
 	if err != nil {
-		return nil, err
+		return nil, kick, err
 	}
 	c := newConn(nc, t.cfg.WriteTimeout)
-	if _, err := handshakeDial(c, Hello{Version: Version, ClusterID: t.cfg.ClusterID, Rank: t.cfg.Rank, Role: "peer"}); err != nil {
+	ack, err := handshakeDial(c, Hello{Version: Version, ClusterID: t.cfg.ClusterID, Rank: t.cfg.Rank, Role: "peer", Incarnation: t.cfg.Incarnation})
+	if err != nil {
 		c.close()
-		return nil, err
+		return nil, kick, err
 	}
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		c.close()
-		return nil, fmt.Errorf("wire: transport closed")
+		return nil, nil, fmt.Errorf("wire: transport closed")
 	}
+	fresh, stale := t.meetLocked(dst, ack.Incarnation)
+	if stale {
+		t.mu.Unlock()
+		c.close()
+		return nil, kick, fmt.Errorf("wire: rank %d answered with stale incarnation %d", dst, ack.Incarnation)
+	}
+	// The write that follows goes to the life just met, so only a later
+	// one should kick it.
+	kick = t.kickLocked(dst)
 	if prev, ok := t.peers[dst]; ok {
 		// Lost a dial race; keep the established one.
 		t.mu.Unlock()
 		c.close()
-		return prev, nil
+		return prev, kick, nil
 	}
 	t.peers[dst] = c
+	t.wg.Add(1)
 	t.mu.Unlock()
 
 	// Outbound connections carry only acks back; drain them.
-	t.wg.Add(1)
 	go t.ackLoop(dst, c)
-	return c, nil
+	if fresh {
+		t.peerRestarted(dst)
+	}
+	return c, kick, nil
 }
 
 // dropPeer discards a failed outbound connection so the next attempt
@@ -391,7 +501,8 @@ func (t *Transport) acceptLoop() {
 
 // serveConn handshakes one inbound connection and dispatches its
 // frames. Version or cluster mismatches are answered with our own
-// HelloAck (so the dialer can diagnose) and a close.
+// HelloAck (so the dialer can diagnose) and a close; so is a peer whose
+// incarnation is lower than one already met.
 func (t *Transport) serveConn(nc net.Conn) {
 	defer t.wg.Done()
 	c := newConn(nc, t.cfg.WriteTimeout)
@@ -416,10 +527,28 @@ func (t *Transport) serveConn(nc net.Conn) {
 	if json.Unmarshal(body, &hello) != nil {
 		return
 	}
-	if err := c.writeFrame(frameHelloAck, HelloAck{Version: Version, Rank: t.cfg.Rank}); err != nil {
+	if err := c.writeFrame(frameHelloAck, HelloAck{Version: Version, Rank: t.cfg.Rank, Incarnation: t.cfg.Incarnation}); err != nil {
 		return
 	}
 	if hello.Version != Version || hello.ClusterID != t.cfg.ClusterID {
+		return
+	}
+	switch hello.Role {
+	case "ctl":
+	case "peer":
+		if hello.Rank < 0 || hello.Rank >= len(t.cfg.Addrs) {
+			return
+		}
+		t.mu.Lock()
+		fresh, stale := t.meetLocked(hello.Rank, hello.Incarnation)
+		t.mu.Unlock()
+		if stale {
+			return
+		}
+		if fresh {
+			t.peerRestarted(hello.Rank)
+		}
+	default:
 		return
 	}
 	for {
@@ -433,7 +562,11 @@ func (t *Transport) serveConn(nc net.Conn) {
 			if json.Unmarshal(body, &m) != nil {
 				continue
 			}
-			if t.accept(m) {
+			ack, stale := t.accept(m, hello.Incarnation)
+			if stale {
+				return
+			}
+			if ack {
 				c.writeFrame(frameAck, Ack{Seq: m.Seq})
 			}
 		case frameReq:
@@ -446,29 +579,45 @@ func (t *Transport) serveConn(nc net.Conn) {
 	}
 }
 
-// accept runs the dedup window and, for a first delivery, the handler.
-// It reports whether an ack should be sent (always: duplicates re-ack
-// so a sender whose first ack was lost goes quiet).
-func (t *Transport) accept(m Msg) bool {
+// accept runs the dedup window and, for a first delivery, the handler;
+// inc is the incarnation the connection announced in its Hello. ack: the
+// message has taken effect, now or at an earlier delivery (duplicates
+// re-ack so a sender whose first ack was lost goes quiet; a duplicate of
+// a message whose handler is still running, or failed, does not). stale:
+// the frame is from a life of the sender that a later one has replaced;
+// it is neither handled nor acknowledged.
+func (t *Transport) accept(m Msg, inc uint64) (ack, stale bool) {
 	t.mu.Lock()
 	d := t.seen[m.Src]
 	if d == nil {
-		d = &dedup{seen: make(map[uint64]bool)}
+		d = &dedup{inc: inc, seen: make(map[uint64]bool)}
 		t.seen[m.Src] = d
 	}
-	if d.seen[m.Seq] {
+	if inc < d.inc {
+		t.mu.Unlock()
+		if t.cStale != nil {
+			t.cStale.Inc()
+		}
+		return false, true
+	}
+	if handled, dup := d.seen[m.Seq]; dup {
 		t.mu.Unlock()
 		if t.cDups != nil {
 			t.cDups.Inc()
 		}
-		return true
+		return handled, false
 	}
 	d.mark(m.Seq)
 	t.mu.Unlock()
-	if t.cfg.Handler != nil {
-		t.cfg.Handler(m)
+	ok := t.cfg.Handler == nil || t.cfg.Handler(m)
+	t.mu.Lock()
+	if ok {
+		d.seen[m.Seq] = true
+	} else {
+		delete(d.seen, m.Seq)
 	}
-	return true
+	t.mu.Unlock()
+	return ok, false
 }
 
 // serveReq answers one control request.

@@ -19,11 +19,21 @@
 //
 // where length counts the kind byte plus the body. Every connection
 // opens with a versioned handshake: the dialer sends a Hello frame
-// (protocol version, cluster ID, rank, role), the acceptor answers with
-// a HelloAck carrying its own version; either side closes on a version
-// or cluster mismatch. Every write is guarded by a per-connection write
-// deadline, so a peer that stops draining its socket fails the writer
-// instead of wedging it.
+// (protocol version, cluster ID, rank, role, incarnation), the acceptor
+// answers with a HelloAck carrying its own version and incarnation;
+// either side closes on a version or cluster mismatch. Every write is
+// guarded by a per-connection write deadline, so a peer that stops
+// draining its socket fails the writer instead of wedging it.
+//
+// Incarnations. A process's sequence numbers start again at 1 when it
+// restarts, so a sequence number names a message only together with the
+// life of the rank that sent it. Each life has an incarnation number,
+// strictly increasing across restarts (the daemon counts its boots in
+// its WAL). The handshake carries it in both directions, so every frame
+// on a connection inherits it without carrying it: the receiver's
+// duplicate window belongs to one (rank, incarnation), is thrown away
+// when a higher incarnation of the rank shows up, and frames from a
+// lower one are neither handled nor acknowledged.
 package wire
 
 import (
@@ -40,7 +50,7 @@ import (
 // Version is the wire-protocol version exchanged in the handshake.
 // Bump it on any frame- or message-layout change; mismatched peers
 // refuse each other at handshake time instead of misparsing frames.
-const Version = 1
+const Version = 2
 
 // maxFrame bounds a frame's payload so a corrupt length prefix cannot
 // make a reader allocate unboundedly.
@@ -62,12 +72,16 @@ type Hello struct {
 	ClusterID string `json:"cluster_id"`
 	Rank      int    `json:"rank"` // -1 for a control client
 	Role      string `json:"role"` // "peer" or "ctl"
+	// Incarnation is which life of Rank is dialing; control clients
+	// send 0.
+	Incarnation uint64 `json:"incarnation"`
 }
 
 // HelloAck is the acceptor's handshake answer.
 type HelloAck struct {
-	Version int `json:"version"`
-	Rank    int `json:"rank"`
+	Version     int    `json:"version"`
+	Rank        int    `json:"rank"`
+	Incarnation uint64 `json:"incarnation"`
 }
 
 // Msg is one reliable peer message. Seq is a per-sender sequence number
