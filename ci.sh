@@ -7,12 +7,12 @@
 # ones (randcontract, nondeterminism, identcompare, metricsguard,
 # layercheck) and the dataflow ones (detflow, lockguard, hotalloc,
 # floatorder) — see DESIGN.md "Enforced invariants". The race pass
-# covers the packages that exercise real concurrency (livenet's
-# goroutine-per-subtree rounds, par's worker pools, sim's engine
-# contract, ktree's, daemon's and faults' goroutine-spawning tests,
-# lbnode — whose machines are single-goroutine by construction but
-# whose cross-executor equivalence test drives the concurrent livenet
-# rounds — protocol, whose opt-in parallel subtree stepper runs one
+# covers the packages that exercise real concurrency (par's worker
+# pools, sim's engine contract, ktree's, daemon's and faults'
+# goroutine-spawning tests, lbnode — whose machines are
+# single-goroutine by construction but whose jittered-delivery
+# equivalence test runs its cases as parallel subtests, each on its own
+# engine — protocol, whose opt-in parallel subtree stepper runs one
 # goroutine per root-child subtree, wire's reader/retry goroutines,
 # and cluster's in-process daemon tests; cluster's child-process e2e
 # tests skip themselves under -race via a build tag, since the race
@@ -22,7 +22,7 @@
 # The project binaries (lbvet, lbbench) are built exactly once into a
 # temp dir and reused by every later step — `go run` would rebuild
 # them on each invocation, and the smoke steps below invoke lbbench
-# four times.
+# six times.
 set -eu
 cd "$(dirname "$0")"
 
@@ -56,11 +56,23 @@ echo "== lbvet"
 echo "== go build"
 go build ./...
 
+echo "== no orphan packages"
+# Every internal package must be reachable from something that ships: a
+# command, the benchmark or an example. A package that only tests import
+# is dead weight the suite keeps alive.
+reachable=$(go list -deps ./cmd/... ./bench ./examples/...)
+orphans=$(go list ./internal/... | grep -vxF "$reachable" || true)
+if [ -n "$orphans" ]; then
+	echo "imported by no command, benchmark or example:" >&2
+	echo "$orphans" >&2
+	exit 1
+fi
+
 echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/livenet/ ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
+go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
 
 echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 # The two decoders that read bytes another process chose. `go test` above
@@ -95,18 +107,6 @@ rm -rf "$tmp1" "$tmp2"
 tmp1=
 tmp2=
 
-echo "== lbbench runtime smoke (time-boxed, executor-equivalence-gated)"
-# A small cross-executor round: the runtime benchmark runs the same
-# balancing round under the deterministic-sim driver (internal/protocol)
-# and the concurrent channel executor (internal/livenet) and fails hard
-# inside runRuntime if the transfer sets differ — the gate that caught
-# the intermediate-rendezvous divergence this smoke exists to keep
-# caught. 8k VSs keeps it under a second; 120 s means a hang.
-tmp1=$(mktemp -d)
-timeout 120 "$bin/lbbench" -bench runtime -runtimesizes 8000 -out "$tmp1"
-rm -rf "$tmp1"
-tmp1=
-
 echo "== lbbench fault smoke (time-boxed, determinism-diffed)"
 # A small drop-rate sweep plus partition recovery, run twice at the same
 # seed: the reports must match byte-for-byte once the two wall-clock
@@ -136,7 +136,7 @@ echo "== lbbench serve smoke (time-boxed, determinism-diffed)"
 # smoke gates determinism; BENCH_serve.json (committed, 1M requests)
 # gates the tail claim. serve needs no -race leg: it is single-goroutine
 # on the sim engine (the three variants parallelize via internal/par,
-# which has its own race pass; livenet never participates).
+# which has its own race pass).
 tmp1=$(mktemp -d)
 tmp2=$(mktemp -d)
 timeout 120 "$bin/lbbench" -bench serve -servesizes 128 -serverequests 20000 -out "$tmp1"

@@ -42,27 +42,24 @@ import (
 	"p2plb/internal/core"
 	"p2plb/internal/exp"
 	"p2plb/internal/ktree"
-	"p2plb/internal/livenet"
 	"p2plb/internal/metrics"
-	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
 	"p2plb/internal/topology"
 	"p2plb/internal/workload"
 )
 
 type benchConfig struct {
-	Seed         int64     `json:"seed"`
-	Nodes        int       `json:"nodes"`
-	Graphs       int       `json:"graphs,omitempty"`
-	Epsilon      float64   `json:"epsilon"`
-	ScaleSizes   []int     `json:"scale_sizes,omitempty"`
-	RuntimeSizes []int     `json:"runtime_sizes,omitempty"`
-	DropRates    []float64 `json:"drop_rates,omitempty"`
-	Procs        int       `json:"procs,omitempty"`
-	Rounds       int       `json:"rounds,omitempty"`
-	Kills        int       `json:"kills,omitempty"`
-	ServeSizes   []int     `json:"serve_sizes,omitempty"`
-	ServeReqs    int       `json:"serve_requests,omitempty"`
+	Seed       int64     `json:"seed"`
+	Nodes      int       `json:"nodes"`
+	Graphs     int       `json:"graphs,omitempty"`
+	Epsilon    float64   `json:"epsilon"`
+	ScaleSizes []int     `json:"scale_sizes,omitempty"`
+	DropRates  []float64 `json:"drop_rates,omitempty"`
+	Procs      int       `json:"procs,omitempty"`
+	Rounds     int       `json:"rounds,omitempty"`
+	Kills      int       `json:"kills,omitempty"`
+	ServeSizes []int     `json:"serve_sizes,omitempty"`
+	ServeReqs  int       `json:"serve_requests,omitempty"`
 }
 
 type benchReport struct {
@@ -80,9 +77,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "base RNG seed")
 		nodes      = flag.Int("nodes", 4096, "number of DHT nodes")
 		graphs     = flag.Int("graphs", 10, "topology instances for fig7")
-		bench      = flag.String("bench", "fig4,vsatime", "comma-separated benchmarks: fig4, fig7, vsatime, scale, faults, runtime, cluster, serve")
+		bench      = flag.String("bench", "fig4,vsatime", "comma-separated benchmarks: fig4, fig7, vsatime, scale, faults, cluster, serve")
 		scalesizes = flag.String("scalesizes", "64000,256000,1000000", "comma-separated virtual-server counts for the scale benchmark")
-		runsizes   = flag.String("runtimesizes", "64000,256000", "comma-separated virtual-server counts for the runtime benchmark")
 		faultnodes = flag.Int("faultnodes", 51200, "number of DHT nodes for the faults benchmark (51200 nodes = 256k VSs)")
 		procs      = flag.Int("procs", 8, "process count for the cluster benchmark")
 		crounds    = flag.Int("clusterrounds", 8, "balancing rounds for the cluster benchmark")
@@ -97,11 +93,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lbbench:", err)
 		os.Exit(1)
 	}
-	rtSizes, err := parseSizes(*runsizes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbbench:", err)
-		os.Exit(1)
-	}
 	svSizes, err := parseSizes(*servesizes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbbench:", err)
@@ -109,7 +100,7 @@ func main() {
 	}
 	opts := benchOpts{
 		out: *out, seed: *seed, nodes: *nodes, graphs: *graphs,
-		scaleSizes: sizes, runtimeSizes: rtSizes,
+		scaleSizes: sizes,
 		faultNodes: *faultnodes,
 		procs:      *procs, clusterRounds: *crounds, clusterKills: *ckills,
 		lbdBin:     *lbdBin,
@@ -134,7 +125,6 @@ type benchOpts struct {
 	nodes         int
 	graphs        int
 	scaleSizes    []int
-	runtimeSizes  []int
 	faultNodes    int
 	procs         int
 	clusterRounds int
@@ -162,7 +152,6 @@ func parseSizes(s string) ([]int, error) {
 
 func runBench(name string, o benchOpts) error {
 	out, seed, nodes, graphs := o.out, o.seed, o.nodes, o.graphs
-	scaleSizes, runtimeSizes := o.scaleSizes, o.runtimeSizes
 	reg := metrics.NewRegistry()
 	cfg := benchConfig{Seed: seed, Nodes: nodes, Epsilon: 0.05}
 	start := time.Now()
@@ -215,8 +204,8 @@ func runBench(name string, o benchOpts) error {
 		}
 		results = rows
 	case "scale":
-		cfg.ScaleSizes = scaleSizes
-		rows, err := runScale(seed, scaleSizes)
+		cfg.ScaleSizes = o.scaleSizes
+		rows, err := runScale(seed, o.scaleSizes)
 		if err != nil {
 			return err
 		}
@@ -240,13 +229,6 @@ func runBench(name string, o benchOpts) error {
 			"drop_sweep":         rows,
 			"partition_recovery": part,
 		}
-	case "runtime":
-		cfg.RuntimeSizes = runtimeSizes
-		rows, err := runRuntime(seed, runtimeSizes)
-		if err != nil {
-			return err
-		}
-		results = rows
 	case "cluster":
 		cfg.Nodes = 0
 		cfg.Procs = o.procs
@@ -268,7 +250,7 @@ func runBench(name string, o benchOpts) error {
 		}
 		results = rows
 	default:
-		return fmt.Errorf("unknown benchmark %q (want fig4, fig7, vsatime, scale, faults, runtime, cluster, serve)", name)
+		return fmt.Errorf("unknown benchmark %q (want fig4, fig7, vsatime, scale, faults, cluster, serve)", name)
 	}
 	wall := time.Since(start)
 
@@ -514,133 +496,4 @@ func runScale(seed int64, scaleSizes []int) ([]scaleRow, error) {
 			row.VServers, row.BuildMS, row.LoadMS, row.TreeMS, row.TreeNodes, row.TreeHeight, row.RoundMS, row.RepairMS, row.RepairChanges)
 	}
 	return rows, nil
-}
-
-// runtimeRow compares the two executors that drive the internal/lbnode
-// state machines over the same system: the deterministic-sim driver
-// (internal/protocol, every message an engine event) and the concurrent
-// channel executor (internal/livenet, goroutine per subtree). Each runs
-// one full balancing round on its own identically-seeded ring, since a
-// round mutates VS ownership.
-type runtimeRow struct {
-	VServers          int   `json:"vservers"`
-	Nodes             int   `json:"nodes"`
-	ProtocolMS        int64 `json:"protocol_round_ms"`
-	ProtocolTransfers int   `json:"protocol_transfers"`
-	LivenetMS         int64 `json:"livenet_round_ms"`
-	LivenetTransfers  int   `json:"livenet_transfers"`
-}
-
-// runtimeFixture builds the proximity-ignorant loaded ring and KT tree
-// the runtime benchmark rounds run over, 5 VSs per node as in runScale.
-func runtimeFixture(seed int64, vsCount int) (*chord.Ring, *ktree.Tree, error) {
-	const vsPerNode = 5
-	n := vsCount / vsPerNode
-	if n < 1 {
-		return nil, nil, fmt.Errorf("runtime size %d smaller than one node's %d VSs", vsCount, vsPerNode)
-	}
-	profile := workload.GnutellaProfile()
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	ring.BulkAddNodes(n, vsPerNode,
-		func(int) topology.NodeID { return -1 },
-		func(int) float64 { return profile.Sample(eng.Rand()) })
-	mu := float64(n) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
-	tree, err := ktree.New(ring, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := tree.Build(); err != nil {
-		return nil, nil, err
-	}
-	return ring, tree, nil
-}
-
-// runRuntime times one protocol round and one livenet round at each
-// requested virtual-server count. The numbers are not an apples-to-apples
-// horse race — the protocol executor also simulates per-message latency
-// bookkeeping — but their ratio pins the relative executor overhead, and
-// a jump in either is a regression in its driver, not the shared machines.
-func runRuntime(seed int64, sizes []int) ([]runtimeRow, error) {
-	coreCfg := core.Config{Epsilon: 0.05}
-	var rows []runtimeRow
-	for _, vsCount := range sizes {
-		ring, tree, err := runtimeFixture(seed, vsCount)
-		if err != nil {
-			return nil, err
-		}
-		row := runtimeRow{VServers: ring.NumVServers(), Nodes: len(ring.Nodes())}
-
-		r, err := protocol.NewRunner(ring, tree, protocol.Config{Core: coreCfg})
-		if err != nil {
-			return nil, err
-		}
-		var res *protocol.Result
-		var resErr error
-		start := time.Now()
-		if err := r.StartRound(func(out *protocol.Result, err error) { res, resErr = out, err }); err != nil {
-			return nil, err
-		}
-		ring.Engine().Run()
-		row.ProtocolMS = time.Since(start).Milliseconds()
-		if resErr != nil {
-			return nil, resErr
-		}
-		if res == nil {
-			return nil, fmt.Errorf("runtime %d VSs: protocol round never completed", vsCount)
-		}
-		row.ProtocolTransfers = len(res.Assignments)
-
-		// A fresh identically-seeded ring: the protocol round above has
-		// already moved VSs on the first one.
-		ring, tree, err = runtimeFixture(seed, vsCount)
-		if err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		lres, err := livenet.RunRound(ring, tree, coreCfg)
-		if err != nil {
-			return nil, err
-		}
-		row.LivenetMS = time.Since(start).Milliseconds()
-		row.LivenetTransfers = len(lres.Assignments)
-		if err := sameTransferSet(res.Assignments, lres.Assignments); err != nil {
-			return nil, fmt.Errorf("runtime %d VSs: executors diverged: %w", vsCount, err)
-		}
-
-		rows = append(rows, row)
-		fmt.Printf("lbbench: runtime %d VSs: protocol %d ms (%d transfers), livenet %d ms (%d transfers)\n",
-			row.VServers, row.ProtocolMS, row.ProtocolTransfers, row.LivenetMS, row.LivenetTransfers)
-	}
-	return rows, nil
-}
-
-// sameTransferSet verifies the two executors produced the identical
-// transfer set — same virtual servers, same endpoints, same loads —
-// with pairs identified by value (VS ID and node indices) so the check
-// works across the two independently built ring instances.
-func sameTransferSet(proto []core.Assignment, live []core.Pair) error {
-	if len(proto) != len(live) {
-		return fmt.Errorf("protocol moved %d VSs, livenet moved %d", len(proto), len(live))
-	}
-	seen := make(map[string]float64, len(proto))
-	for _, p := range proto {
-		seen[fmt.Sprintf("%v:%d->%d", p.VS.ID, p.From.Index, p.To.Index)] = p.Load
-	}
-	for _, p := range live {
-		k := fmt.Sprintf("%v:%d->%d", p.VS.ID, p.From.Index, p.To.Index)
-		load, ok := seen[k]
-		if !ok {
-			return fmt.Errorf("livenet pair %s has no protocol counterpart", k)
-		}
-		if load != p.Load {
-			return fmt.Errorf("pair %s: protocol moved %v load, livenet %v", k, load, p.Load)
-		}
-		delete(seen, k)
-	}
-	return nil
 }

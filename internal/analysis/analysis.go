@@ -40,8 +40,8 @@
 //     (internal/wire) must not import sim or protocol — it moves
 //     opaque frames below every executor, though its own goroutines
 //     are legitimate.
-//   - lockguard: guarded-field inference for the concurrent packages
-//     (livenet, daemon, metrics) — a struct field written under
+//   - lockguard: guarded-field inference for the packages that hold
+//     mutexes (wire, cluster, metrics) — a struct field written under
 //     mu.Lock() anywhere must be accessed under the same mutex
 //     everywhere, catching races -race only sees when the schedule
 //     cooperates.

@@ -26,10 +26,9 @@ type layerRule struct {
 //     per-node transitions — (state, incoming message) → (state′,
 //     outgoing actions) — so delivery, retransmission, virtual time,
 //     fault plans and goroutines all belong to the executors
-//     (internal/protocol over sim.Engine, internal/livenet over
-//     channels, internal/cluster over TCP). Importing sim, faults, par
-//     or wire — or spawning a goroutine — would silently re-entangle
-//     the layers.
+//     (internal/protocol over sim.Engine, internal/cluster over TCP).
+//     Importing sim, faults, par or wire — or spawning a goroutine —
+//     would silently re-entangle the layers.
 //   - internal/wire, the TCP transport, sits below every executor: it
 //     moves opaque frames and knows nothing of virtual time or round
 //     semantics. Importing sim or protocol would invert the stack and
@@ -42,7 +41,7 @@ var layerRules = []layerRule{
 		Pkg:       "internal/lbnode",
 		Forbidden: []string{"internal/sim", "internal/faults", "internal/par", "internal/wire"},
 		NoGo:      true,
-		Why:       "delivery, faults and concurrency belong to the executors (internal/protocol, internal/livenet, internal/cluster)",
+		Why:       "delivery, faults and concurrency belong to the executors (internal/protocol, internal/cluster)",
 	},
 	{
 		Pkg:       "internal/wire",

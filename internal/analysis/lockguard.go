@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// LockguardPkgs are the packages with real shared-memory concurrency,
-// matched by import-path suffix: the channel-based live network, the
-// serving daemon, and the metrics registry.
-var LockguardPkgs = []string{"internal/livenet", "internal/daemon", "internal/metrics"}
+// LockguardPkgs are the packages that hold mutexes, matched by
+// import-path suffix: the TCP transport, the deployed daemon and its
+// supervisor, and the metrics registry.
+var LockguardPkgs = []string{"internal/wire", "internal/cluster", "internal/metrics"}
 
 // Lockguard infers guarded fields and checks they stay guarded: a
 // struct field written under an exclusive s.mu.Lock() anywhere in the
@@ -18,6 +18,13 @@ var LockguardPkgs = []string{"internal/livenet", "internal/daemon", "internal/me
 // hold it (RLock suffices for the access side). This catches the races
 // -race only sees when the schedule cooperates: the one unlocked read
 // added months after the locked writer.
+//
+// A write through a variable the enclosing function itself bound to a
+// fresh composite literal — a constructor filling in the value it is
+// about to return — infers nothing: a lock held there orders the
+// value's publication (NewDaemon holds d.mu across starting the
+// transport whose callbacks take it), and a field never assigned again
+// is immutable to every later reader.
 //
 // Locked intervals are computed syntactically per function: a Lock/RLock
 // call opens one, the matching Unlock/RUnlock closes it, and a deferred
@@ -71,10 +78,12 @@ func runLockguard(pass *Pass) {
 	}
 
 	// Pass 1: guarded-field inference — fields written under an
-	// exclusive lock on their own struct's mutex.
+	// exclusive lock on their own struct's mutex, outside the function
+	// that constructed the value.
+	constructed := constructedLocals(pass)
 	guarded := make(map[fieldKey]lockKey)
 	forEachFieldAccess(pass, func(sel *ast.SelectorExpr, fk fieldKey, root types.Object, write bool) {
-		if !write {
+		if !write || constructed[root] {
 			return
 		}
 		for _, iv := range intervals {
@@ -105,6 +114,33 @@ func runLockguard(pass *Pass) {
 		}
 		pass.Reportf(sel.Sel.Pos(), "%s.%s is %s without holding %s: the field is written under that lock elsewhere in this package, so every access must hold it", fk.structType.Obj().Name(), fk.field, verb, mu)
 	})
+}
+
+// constructedLocals returns the variables defined as `x := T{...}` or
+// `x := &T{...}`: inside the defining function, x names a value that
+// function built.
+func constructedLocals(pass *Pass) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				rhs := ast.Unparen(as.Rhs[i])
+				if addr, ok := rhs.(*ast.UnaryExpr); ok && addr.Op == token.AND {
+					rhs = ast.Unparen(addr.X)
+				}
+				id, isIdent := lhs.(*ast.Ident)
+				if _, isLit := rhs.(*ast.CompositeLit); isIdent && isLit {
+					out[pass.Info.Defs[id]] = true
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // forEachFieldAccess visits every selector expression that reads or

@@ -100,3 +100,56 @@ func goodPeek(b *box) int {
 func badWrite(c *counter) {
 	c.n = 0 // want "counter.n is written without holding mu"
 }
+
+// conn is built by newConn, which holds mu while it fills in peer: the
+// lock there keeps callbacks out until the value is whole. peer is
+// never assigned again, so it is immutable, not guarded.
+type conn struct {
+	mu   sync.Mutex
+	peer string
+	seq  int
+}
+
+func newConn(peer string) *conn {
+	c := &conn{}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.peer = peer
+	c.seq = 1
+	return c
+}
+
+// goodPeer reads the constructor-only field lock-free.
+func (c *conn) goodPeer() string {
+	return c.peer
+}
+
+// next writes seq under the lock outside the constructor: seq is
+// guarded, whatever newConn did.
+func (c *conn) next() {
+	c.mu.Lock()
+	c.seq++
+	c.mu.Unlock()
+}
+
+func (c *conn) badSeq() int {
+	return c.seq // want "conn.seq is read without holding mu"
+}
+
+// slot is written through a local that fill did not construct — an
+// alias of a shared value — so the write infers the guard as usual.
+type slot struct {
+	mu sync.Mutex
+	v  int
+}
+
+func fill(t map[string]*slot, k string) {
+	s := t[k]
+	s.mu.Lock()
+	s.v = 1
+	s.mu.Unlock()
+}
+
+func (s *slot) badV() int {
+	return s.v // want "slot.v is read without holding mu"
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"p2plb/internal/chord"
 	"p2plb/internal/stats"
 )
 
@@ -116,9 +117,9 @@ func (b *Balancer) recordRound(res *Result) {
 // UnitLoads returns load/capacity for every alive node, in ring node
 // order — the y-axis of the paper's Figure 4 scatterplots. A node that
 // shed all its virtual servers contributes 0.
-func (b *Balancer) UnitLoads() []float64 {
+func UnitLoads(ring *chord.Ring) []float64 {
 	var out []float64
-	for _, n := range b.ring.Nodes() {
+	for _, n := range ring.Nodes() {
 		if !n.Alive {
 			continue
 		}
@@ -126,6 +127,13 @@ func (b *Balancer) UnitLoads() []float64 {
 	}
 	return out
 }
+
+// UnitLoadGini is the repo's one imbalance metric: the Gini coefficient
+// of UnitLoads(ring).
+func UnitLoadGini(ring *chord.Ring) float64 { return stats.Gini(UnitLoads(ring)) }
+
+// UnitLoads is UnitLoads over the balancer's ring.
+func (b *Balancer) UnitLoads() []float64 { return UnitLoads(b.ring) }
 
 // LoadByCapacityClass aggregates per-node loads grouped by node capacity
 // — the data behind Figures 5 and 6.

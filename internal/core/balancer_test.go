@@ -200,6 +200,26 @@ func TestUnitLoadsShape(t *testing.T) {
 	}
 }
 
+func TestUnitLoadGini(t *testing.T) {
+	ring := chord.NewRing(sim.NewEngine(1), chord.Config{})
+	a, _ := ring.AddNodeWithIDs(-1, 10, []ident.ID{100})
+	b, _ := ring.AddNodeWithIDs(-1, 10, []ident.ID{200})
+	a.VServers()[0].Load = 10
+	b.VServers()[0].Load = 10
+	if g := UnitLoadGini(ring); g != 0 {
+		t.Fatalf("equal loads should give Gini 0, got %v", g)
+	}
+	b.VServers()[0].Load = 0
+	if g := UnitLoadGini(ring); g <= 0.4 {
+		t.Fatalf("concentrated load should give high Gini, got %v", g)
+	}
+	// A departed node is outside the metric, not a zero inside it.
+	ring.RemoveNode(b)
+	if g := UnitLoadGini(ring); g != 0 {
+		t.Fatalf("one alive node should give Gini 0, got %v", g)
+	}
+}
+
 // topoFixture builds a ring embedded in a transit-stub underlay with a
 // proximity mapper, shared by the aware/ignorant comparisons.
 func topoFixture(t *testing.T, seed int64, nodes int) (*chord.Ring, *ktree.Tree, *proximity.Mapper) {

@@ -16,10 +16,10 @@ import (
 	"fmt"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/core"
 	"p2plb/internal/ktree"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
-	"p2plb/internal/stats"
 )
 
 // Config parameterizes the daemon.
@@ -163,17 +163,6 @@ func (d *Daemon) repaired() {
 	}
 }
 
-// unitLoadGini computes the Gini coefficient of per-node unit load.
-func (d *Daemon) unitLoadGini() float64 {
-	var units []float64
-	for _, n := range d.ring.Nodes() {
-		if n.Alive {
-			units = append(units, n.TotalLoad()/n.Capacity)
-		}
-	}
-	return stats.Gini(units)
-}
-
 func (d *Daemon) runRound() {
 	// Stop guard: a tick already sitting in the engine queue when Stop
 	// cancelled the interval still fires; it must not start a round (or
@@ -193,14 +182,14 @@ func (d *Daemon) runRound() {
 		return
 	}
 	d.repaired()
-	rec := RoundRecord{StartedAt: d.eng.Now(), GiniBefore: d.unitLoadGini()}
+	rec := RoundRecord{StartedAt: d.eng.Now(), GiniBefore: core.UnitLoadGini(d.ring)}
 	if reg := d.eng.Metrics(); reg != nil {
 		reg.Series("daemon.gini.before").Append(float64(rec.StartedAt), rec.GiniBefore)
 	}
 	err := d.runner.StartRound(func(res *protocol.Result, err error) {
 		rec.Result = res
 		rec.Err = err
-		rec.GiniAfter = d.unitLoadGini()
+		rec.GiniAfter = core.UnitLoadGini(d.ring)
 		d.history = append(d.history, rec)
 		if res != nil {
 			d.retries += res.Retries

@@ -3,13 +3,11 @@ package exp
 import (
 	"fmt"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/faults"
 	"p2plb/internal/par"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
-	"p2plb/internal/stats"
 )
 
 // FaultRow is one operating point of the graceful-degradation sweep:
@@ -35,18 +33,6 @@ type FaultRow struct {
 	// FinalGini is the per-node unit-load Gini after the last round —
 	// the imbalance side of the curve.
 	FinalGini float64 `json:"final_gini"`
-}
-
-// aliveUnitGini is the imbalance metric shared by the fault
-// experiments: Gini over per-node unit load of the living membership.
-func aliveUnitGini(ring *chord.Ring) float64 {
-	var units []float64
-	for _, n := range ring.AliveNodes() {
-		if n.Capacity > 0 {
-			units = append(units, n.TotalLoad()/n.Capacity)
-		}
-	}
-	return stats.Gini(units)
 }
 
 // runProtocolRound drives one message-level round to completion.
@@ -131,7 +117,7 @@ func faultRow(s Setup, rate float64, rounds int) (FaultRow, error) {
 		row.MeanRoundTime /= float64(row.Completed)
 	}
 	row.Dropped = in.Dropped()
-	row.FinalGini = aliveUnitGini(inst.Ring)
+	row.FinalGini = core.UnitLoadGini(inst.Ring)
 	return row, nil
 }
 
@@ -187,7 +173,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 	if _, err := runProtocolRound(rc, clean.Engine); err != nil {
 		return row, err
 	}
-	row.BaselineGini = aliveUnitGini(clean.Ring)
+	row.BaselineGini = core.UnitLoadGini(clean.Ring)
 
 	inst, err := Build(s)
 	if err != nil {
@@ -233,7 +219,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 		}
 	}
 	in.Detach()
-	row.GiniAtHeal = aliveUnitGini(inst.Ring)
+	row.GiniAtHeal = core.UnitLoadGini(inst.Ring)
 	healAt := inst.Engine.Now()
 	threshold := row.BaselineGini*1.25 + 1e-6
 	for i := 0; i < maxRecover; i++ {
@@ -248,7 +234,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 		if err := inst.Ring.CheckConservation(base); err != nil {
 			return row, fmt.Errorf("exp: recovery round %d: %w", i, err)
 		}
-		if g := aliveUnitGini(inst.Ring); g <= threshold {
+		if g := core.UnitLoadGini(inst.Ring); g <= threshold {
 			row.RoundsToRecover = i + 1
 			row.RecoveryTime = inst.Engine.Now() - healAt
 			row.RecoveredGini = g

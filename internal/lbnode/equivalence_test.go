@@ -1,21 +1,21 @@
 // Cross-executor equivalence: the same ring, seed and config run
-// through the closed-form reference (core.Balancer), the
-// deterministic-sim executor (internal/protocol) and the concurrent
-// executor (internal/livenet) must produce the identical pair set and
-// the same final unit-load Gini — all three now drive the lbnode state
-// machines (or, for the Balancer, the same core primitives beneath
-// them), so any divergence is an executor bug, not an algorithm fork.
+// through the closed-form reference (core.Balancer) and the
+// message-level driver (internal/protocol) must produce the identical
+// pair set and the same final unit-load Gini — the protocol driver
+// steps the lbnode state machines and the Balancer the same core
+// primitives beneath them, so any divergence is a driver bug, not an
+// algorithm fork.
 //
-// The three-way cases pin RendezvousThreshold to -1 (pairing only at
-// the root) because core.Balancer has no placement notion: root-only
+// The Balancer cases pin RendezvousThreshold to -1 (pairing only at the
+// root) because core.Balancer has no placement notion: root-only
 // pooling is the projection of the scheme that does not depend on entry
 // placement, so it is the strongest claim the closed-form reference can
-// join. Between the two message-driven executors the claim is stronger:
-// both consume the canonical placement pre-pass (lbnode.PlaceRound), so
-// WHERE each advertisement enters the tree — and therefore which
-// intermediate rendezvous point pools it — is identical by
-// construction, and TestIntermediateRendezvousEquivalence pins exact
-// transfer-set equality at the paper-default threshold too.
+// join. At the paper-default threshold the reference is the protocol
+// driver's own lossless run, and the claim is order-independence:
+// TestIntermediateRendezvousEquivalence reruns the round under
+// seed-derived delivery jitter, which shuffles arrival order, duplicate
+// suppression and ack races, and requires the exact transfer set and a
+// bit-identical global tuple every time.
 package lbnode_test
 
 import (
@@ -27,7 +27,6 @@ import (
 	"p2plb/internal/core"
 	"p2plb/internal/faults"
 	"p2plb/internal/ktree"
-	"p2plb/internal/livenet"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
 	"p2plb/internal/topology"
@@ -88,16 +87,16 @@ func runBalancer(t *testing.T, seed int64, nodes, vsPer int, cfg core.Config) ou
 	for _, a := range res.Assignments {
 		pairs[pairKey(a.VS, a.From, a.To)] = a.Load
 	}
-	return outcome{global: res.Global, pairs: pairs, unassigned: res.UnassignedOffers, gini: livenet.UnitLoadGini(ring)}
+	return outcome{global: res.Global, pairs: pairs, unassigned: res.UnassignedOffers, gini: core.UnitLoadGini(ring)}
 }
 
-func runProtocol(t *testing.T, seed int64, nodes, vsPer int, cfg core.Config, withEmptyFaultPlan bool) outcome {
+// runProtocol drives one message-level round to completion on a fresh
+// fixture from build, under plan (seeded planSeed) when it is non-nil.
+func runProtocol(t *testing.T, build func() (*chord.Ring, *ktree.Tree), cfg core.Config, plan *faults.Plan, planSeed int64) (outcome, *protocol.Result) {
 	t.Helper()
-	ring, tree := buildRing(t, seed, nodes, vsPer)
-	if withEmptyFaultPlan {
-		// An empty plan must be a byte-identical passthrough: same
-		// events, same RNG draws, same outcome.
-		in, err := faults.New(seed, faults.Plan{})
+	ring, tree := build()
+	if plan != nil {
+		in, err := faults.New(planSeed, *plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,37 +120,41 @@ func runProtocol(t *testing.T, seed int64, nodes, vsPer int, cfg core.Config, wi
 	if res == nil {
 		t.Fatal("protocol round never completed")
 	}
-	if res.TimedOutChildren != 0 || res.AbortedTransfers != 0 || res.Retries != 0 {
-		t.Fatalf("lossless round reported failures: %+v", res)
+	// A round that lost a subtree or a handoff could match the reference
+	// only by accident; no plan in this file may cause either.
+	if res.TimedOutChildren != 0 || res.AbortedTransfers != 0 {
+		t.Fatalf("round lost data: %d timed-out children, %d aborted transfers", res.TimedOutChildren, res.AbortedTransfers)
 	}
 	pairs := make(map[string]float64)
 	for _, a := range res.Assignments {
 		pairs[pairKey(a.VS, a.From, a.To)] = a.Load
 	}
-	return outcome{global: res.Global, pairs: pairs, unassigned: res.UnassignedOffers, gini: livenet.UnitLoadGini(ring)}
+	return outcome{global: res.Global, pairs: pairs, unassigned: res.UnassignedOffers, gini: core.UnitLoadGini(ring)}, res
 }
 
-func runLivenet(t *testing.T, seed int64, nodes, vsPer int, cfg core.Config) outcome {
+// runLossless is runProtocol with nothing injected: no plan (or, with
+// emptyPlan, an attached plan that must be a byte-identical
+// passthrough — same events, same RNG draws, same outcome).
+func runLossless(t *testing.T, seed int64, nodes, vsPer int, cfg core.Config, emptyPlan bool) outcome {
 	t.Helper()
-	ring, tree := buildRing(t, seed, nodes, vsPer)
-	res, err := livenet.RunRound(ring, tree, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var plan *faults.Plan
+	if emptyPlan {
+		plan = &faults.Plan{}
 	}
-	pairs := make(map[string]float64)
-	for _, p := range res.Assignments {
-		pairs[pairKey(p.VS, p.From, p.To)] = p.Load
+	out, res := runProtocol(t, func() (*chord.Ring, *ktree.Tree) { return buildRing(t, seed, nodes, vsPer) }, cfg, plan, seed)
+	if res.Retries != 0 {
+		t.Fatalf("lossless round retransmitted %d times", res.Retries)
 	}
-	return outcome{global: res.Global, pairs: pairs, unassigned: res.UnassignedOffers, gini: livenet.UnitLoadGini(ring)}
+	return out
 }
 
 // comparePairs requires the exact same pair set (same VS, same
-// endpoints, same load) from two executors.
+// endpoints, same load) from two runs.
 func comparePairs(t *testing.T, label string, ref, got outcome) {
 	t.Helper()
-	// L and C are converge-cast float sums: each executor's randomized
-	// report placement shapes the merge tree, so the totals agree only
-	// up to summation rounding. Lmin is a min — exact everywhere.
+	// L and C are converge-cast float sums: the Balancer's merge tree is
+	// not the placement's, so the totals agree only up to summation
+	// rounding. Lmin is a min — exact everywhere.
 	if d := math.Abs(got.global.L - ref.global.L); d > 1e-9*math.Abs(ref.global.L) {
 		t.Errorf("%s: global L %v, want %v", label, got.global.L, ref.global.L)
 	}
@@ -164,26 +167,36 @@ func comparePairs(t *testing.T, label string, ref, got outcome) {
 	if len(got.pairs) != len(ref.pairs) {
 		t.Errorf("%s: %d pairs, want %d", label, len(got.pairs), len(ref.pairs))
 	}
-	for k, load := range ref.pairs {
-		gl, ok := got.pairs[k]
-		if !ok {
-			t.Errorf("%s: missing pair %s", label, k)
-			continue
+	// One line a differing pair, but not thousands: a wholesale
+	// divergence would bury the label that reproduces it.
+	const maxShown = 5
+	diffs := 0
+	differ := func(format string, args ...any) {
+		t.Helper()
+		if diffs++; diffs <= maxShown {
+			t.Errorf(label+": "+format, args...)
 		}
-		if gl != load {
-			t.Errorf("%s: pair %s load %v, want %v", label, k, gl, load)
+	}
+	for k, load := range ref.pairs {
+		if gl, ok := got.pairs[k]; !ok {
+			differ("missing pair %s", k)
+		} else if gl != load {
+			differ("pair %s load %v, want %v", k, gl, load)
 		}
 	}
 	for k := range got.pairs {
 		if _, ok := ref.pairs[k]; !ok {
-			t.Errorf("%s: extra pair %s", label, k)
+			differ("extra pair %s", k)
 		}
+	}
+	if diffs > maxShown {
+		t.Errorf("%s: %d pairs differ in all", label, diffs)
 	}
 	if got.unassigned != ref.unassigned {
 		t.Errorf("%s: %d unassigned offers, want %d", label, got.unassigned, ref.unassigned)
 	}
 	// The final per-node loads are identical (same transfers applied),
-	// but executors apply them in different orders, so each node's VS
+	// but the runs apply them in different orders, so each node's VS
 	// slice — and hence the float summation order inside TotalLoad —
 	// can differ. Equality up to summation rounding is the exact claim.
 	if d := math.Abs(got.gini - ref.gini); d > 1e-9 {
@@ -209,19 +222,18 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 			if len(ref.pairs) == 0 {
 				t.Fatalf("fixture too tame: reference round paired nothing")
 			}
-			comparePairs(t, "protocol", ref, runProtocol(t, tc.seed, tc.nodes, tc.vsPer, cfg, false))
-			comparePairs(t, "protocol+empty-fault-plan", ref, runProtocol(t, tc.seed, tc.nodes, tc.vsPer, cfg, true))
-			comparePairs(t, "livenet", ref, runLivenet(t, tc.seed, tc.nodes, tc.vsPer, cfg))
+			comparePairs(t, "protocol", ref, runLossless(t, tc.seed, tc.nodes, tc.vsPer, cfg, false))
+			comparePairs(t, "protocol+empty-fault-plan", ref, runLossless(t, tc.seed, tc.nodes, tc.vsPer, cfg, true))
 		})
 	}
 }
 
-// buildBenchRing is the lbbench runtime-fixture shape (bulk-added
-// nodes, 5 VSs each, tight Gaussian): the shape where the pre-fix
-// executors diverged under intermediate rendezvous — at 8000 VSs and
-// the default threshold, 3656 of 3833 transfers differed between
-// protocol and livenet even though the counts happened to match.
-func buildBenchRing(t *testing.T, seed int64, vsCount int) (*chord.Ring, *ktree.Tree) {
+// buildBenchRing is the lbbench scale-fixture shape (bulk-added nodes,
+// 5 VSs each, tight Gaussian) over a K-nary tree: at 8000 VSs and the
+// default threshold nearly every transfer is decided at an interior
+// rendezvous point, so which entries pool where — and in what order
+// they arrived — is all that separates two runs.
+func buildBenchRing(t *testing.T, seed int64, vsCount, k int) (*chord.Ring, *ktree.Tree) {
 	t.Helper()
 	const vsPerNode = 5
 	n := vsCount / vsPerNode
@@ -236,7 +248,7 @@ func buildBenchRing(t *testing.T, seed int64, vsCount int) (*chord.Ring, *ktree.
 	for _, vs := range ring.VServers() {
 		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
 	}
-	tree, err := ktree.New(ring, 2)
+	tree, err := ktree.New(ring, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,61 +258,55 @@ func buildBenchRing(t *testing.T, seed int64, vsCount int) (*chord.Ring, *ktree.
 	return ring, tree
 }
 
-// TestIntermediateRendezvousEquivalence pins the fix for the
-// cross-executor transfer divergence: with intermediate rendezvous
-// enabled (threshold 0 → the paper default of 30), which entries pool
-// at which interior KT node is decided entirely by report placement.
-// Before the canonical placement pre-pass each executor drew placements
-// from its own RNG stream, so the transfer SETS diverged wholesale
-// while the counts coincidentally matched at this size (and stopped
-// matching at 256k). The claim here is exact set equality — same VSs,
-// same endpoints, same loads — plus a bit-identical global tuple (the
-// indexed LBICollect fold fixes the float parenthesization).
+// TestIntermediateRendezvousEquivalence is the order-independence
+// property of the merge and pairing rules, proved on the driver that
+// makes the figures: with intermediate rendezvous enabled (threshold 0
+// → the paper default of 30) the same ring is run losslessly and then
+// under seed-derived jitter plans. Jitter of 40 on a unit-latency ring
+// outruns every retransmission timer, so children's replies reach their
+// parent in shuffled order, originals race their own retransmissions
+// into the dedup window, and acks cross data — yet nothing is lost. The
+// claim is exact set equality — same VSs, same endpoints, same loads —
+// plus a bit-identical global tuple (LBICollect folds by child index,
+// PairList.Pair sorts before pairing). K = 8 is there for the LBI half:
+// most K = 2 nodes fold two replies, and a two-operand float sum
+// commutes, so an arrival-order fold goes unnoticed there; even at
+// K = 8 only a reordering near the root survives into the last ulp of
+// the global L, and ring seed 4 is a ring on which plan seed 7 produces
+// one.
 func TestIntermediateRendezvousEquivalence(t *testing.T) {
-	const seed, vsCount = 1, 8000
+	const vsCount = 8000
 	cfg := core.Config{Epsilon: 0.05} // RendezvousThreshold 0 → default 30
-
-	ring, tree := buildBenchRing(t, seed, vsCount)
-	r, err := protocol.NewRunner(ring, tree, protocol.Config{Core: cfg})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		k         int
+		ringSeed  int64
+		planSeeds []int64
+	}{
+		{2, 1, []int64{7, 14, 21}},
+		{2, 2, []int64{7, 14, 21}},
+		{8, 4, []int64{7}},
 	}
-	var res *protocol.Result
-	var resErr error
-	if err := r.StartRound(func(out *protocol.Result, err error) { res, resErr = out, err }); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("K%d-ring%d", tc.k, tc.ringSeed), func(t *testing.T) {
+			t.Parallel() // each run owns its engine, ring and tree
+			build := func() (*chord.Ring, *ktree.Tree) { return buildBenchRing(t, tc.ringSeed, vsCount, tc.k) }
+			ref, res := runProtocol(t, build, cfg, nil, 0)
+			if len(ref.pairs) == 0 || res.Retries != 0 {
+				t.Fatalf("reference round paired %d, retried %d", len(ref.pairs), res.Retries)
+			}
+			for _, planSeed := range tc.planSeeds {
+				label := fmt.Sprintf("plan seed %d", planSeed)
+				got, res := runProtocol(t, build, cfg, &faults.Plan{JitterMax: 40}, planSeed)
+				if res.Retries == 0 {
+					t.Errorf("%s: no retransmissions — the plan reordered nothing", label)
+				}
+				if got.global != ref.global {
+					t.Errorf("%s: global tuple %+v, want %+v", label, got.global, ref.global)
+				}
+				comparePairs(t, label, ref, got)
+			}
+		})
 	}
-	ring.Engine().Run()
-	if resErr != nil {
-		t.Fatal(resErr)
-	}
-	if res == nil {
-		t.Fatal("protocol round never completed")
-	}
-	proto := outcome{global: res.Global, pairs: make(map[string]float64), unassigned: res.UnassignedOffers, gini: livenet.UnitLoadGini(ring)}
-	for _, a := range res.Assignments {
-		proto.pairs[pairKey(a.VS, a.From, a.To)] = a.Load
-	}
-
-	ring2, tree2 := buildBenchRing(t, seed, vsCount)
-	lres, err := livenet.RunRound(ring2, tree2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := outcome{global: lres.Global, pairs: make(map[string]float64), unassigned: lres.UnassignedOffers, gini: livenet.UnitLoadGini(ring2)}
-	for _, p := range lres.Assignments {
-		live.pairs[pairKey(p.VS, p.From, p.To)] = p.Load
-	}
-
-	if len(proto.pairs) == 0 {
-		t.Fatal("fixture too tame: protocol round paired nothing")
-	}
-	// Exact global tuple, not tolerance: both executors fold the same
-	// placement through the same index-ordered merge tree.
-	if proto.global != live.global {
-		t.Errorf("global tuple diverged: protocol %+v, livenet %+v", proto.global, live.global)
-	}
-	comparePairs(t, "intermediate-rendezvous", proto, live)
 }
 
 // TestEmptyFaultPlanIsPassthrough pins the stronger protocol-level
@@ -308,8 +314,8 @@ func TestIntermediateRendezvousEquivalence(t *testing.T) {
 // two runs' outcomes match field for field, not just as pair sets.
 func TestEmptyFaultPlanIsPassthrough(t *testing.T) {
 	cfg := core.Config{Epsilon: 0.05, RendezvousThreshold: -1}
-	plain := runProtocol(t, 21, 128, 4, cfg, false)
-	faulty := runProtocol(t, 21, 128, 4, cfg, true)
+	plain := runLossless(t, 21, 128, 4, cfg, false)
+	faulty := runLossless(t, 21, 128, 4, cfg, true)
 	if plain.global != faulty.global || plain.unassigned != faulty.unassigned || plain.gini != faulty.gini {
 		t.Fatalf("empty plan diverged: %+v vs %+v", plain, faulty)
 	}

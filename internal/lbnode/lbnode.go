@@ -22,8 +22,8 @@
 //
 // Executors own everything else: internal/protocol drives these
 // machines through sim.Engine events (acks, retries, epoch timers,
-// fault injection are transport concerns), internal/livenet drives the
-// same machines over channels with one goroutine per subtree, and
+// fault injection are transport concerns), internal/cluster drives the
+// same machines over TCP with a WAL under the handoff, and
 // core.Balancer remains the closed-form sequential reference. Because
 // the machines are pure and single-threaded per node, an executor may
 // call them from any scheduling discipline; the lbvet layercheck

@@ -12,19 +12,7 @@ import (
 	"p2plb/internal/core"
 	"p2plb/internal/faults"
 	"p2plb/internal/sim"
-	"p2plb/internal/stats"
 )
-
-// nodeGini is the imbalance metric: Gini over per-node unit load.
-func nodeGini(ring *chord.Ring) float64 {
-	var units []float64
-	for _, n := range ring.AliveNodes() {
-		if n.Capacity > 0 {
-			units = append(units, n.TotalLoad()/n.Capacity)
-		}
-	}
-	return stats.Gini(units)
-}
 
 // runFaultyRound starts one round and drains the engine, tolerating
 // round errors (a deadline under heavy faults is legitimate) but always
@@ -284,7 +272,7 @@ func TestLossAndCrashesConvergeWithConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cleanGini := nodeGini(cleanRing)
+	cleanGini := core.UnitLoadGini(cleanRing)
 
 	// Faulty run: same fixture, 10% loss, crashes landing mid-round.
 	ring, tree := fixture(25, 128, 4)
@@ -327,7 +315,7 @@ func TestLossAndCrashesConvergeWithConservation(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no round completed under 10% loss")
 	}
-	faultyGini := nodeGini(ring)
+	faultyGini := core.UnitLoadGini(ring)
 	t.Logf("gini: clean=%.4f faulty=%.4f (completed %d/%d rounds, dropped=%d, crashes=%d)",
 		cleanGini, faultyGini, completed, rounds, in.Dropped(), in.Crashes())
 	if limit := 2 * cleanGini; faultyGini > limit {

@@ -5,7 +5,7 @@
 // The per-node protocol logic itself — LBI epoch merging, the
 // classification roster, VSA rendezvous pairing, the two-phase VST
 // handoff — lives in internal/lbnode as pure state machines shared with
-// the concurrent executor (internal/livenet). This package is the
+// the deployed daemon (internal/cluster). This package is the
 // deterministic-sim driver for those machines: it owns everything the
 // machines deliberately do not — delivery through sim.Engine (so a
 // fault plan can interfere), per-child epoch timers, sequence-numbered

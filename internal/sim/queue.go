@@ -29,7 +29,7 @@ import "math/bits"
 //     the life of the run (the old eventHeap.Pop leaked its tail).
 //
 // The wheel itself is allocated lazily on first push: engines that only
-// seed RNGs (livenet fixtures) never pay for it.
+// seed RNGs (the closed-form Balancer's rings) never pay for it.
 const (
 	wheelBits = 16
 	wheelSize = 1 << wheelBits // ticks covered by the near wheel

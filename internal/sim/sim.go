@@ -5,10 +5,7 @@
 // message-level rounds (which drive the runtime-agnostic state machines
 // of internal/lbnode) all run as events on it, with delivery, loss and
 // retransmission expressed through Deliver and an optional
-// MessageFilter. The concurrent executor (internal/livenet) runs the
-// same lbnode machines without the engine — it has no virtual clock and
-// no fault layer; the engine's only role there is seeding the ring
-// builder's RNG.
+// MessageFilter.
 //
 // Virtual time is measured in the same latency units as topology
 // distances (an intradomain underlay hop is 1 unit). Events with equal
@@ -101,8 +98,8 @@ func (e *Engine) Now() Time { return e.q.now }
 //
 // The returned *rand.Rand is NOT safe for concurrent use, like the
 // engine itself: an engine and everything hanging off it belong to one
-// goroutine. Code that fans work out across goroutines (livenet's
-// parallel sweeps, exp's multi-trial runs) must either consume all
+// goroutine. Code that fans work out across goroutines (protocol's
+// parallel subtrees, exp's multi-trial runs) must either consume all
 // randomness sequentially before the fan-out or give each worker its
 // own engine/RNG seeded from the parent — never share this one.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
