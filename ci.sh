@@ -4,11 +4,10 @@
 # Order matters: cheap static checks first (gofmt, vet, lbvet) so
 # formatting, vet or invariant findings surface before the minutes-long
 # test run. lbvet runs the project-specific analyzers — the syntactic
-# ones (randcontract, nondeterminism, identcompare, metricsguard,
-# layercheck) and the dataflow ones (detflow, lockguard, hotalloc,
-# floatorder) — see DESIGN.md "Enforced invariants". The race pass
-# covers the packages that exercise real concurrency (par's worker
-# pools, sim's engine contract, ktree's, daemon's and faults'
+# ones (randcontract, nondeterminism, identcompare, layercheck) and the
+# dataflow ones (detflow, lockguard, hotalloc, floatorder) — see
+# DESIGN.md "Enforced invariants". The race pass covers the packages
+# that exercise real concurrency (par's worker pools, sim's engine contract, ktree's, daemon's and faults'
 # goroutine-spawning tests, lbnode — whose machines are
 # single-goroutine by construction but whose jittered-delivery
 # equivalence test runs its cases as parallel subtests, each on its own
@@ -19,18 +18,14 @@
 # runtime doesn't cross exec). The rest of the tree is
 # single-goroutine by design.
 #
-# The project binaries (lbvet, lbbench) are built exactly once into a
-# temp dir and reused by every later step — `go run` would rebuild
-# them on each invocation, and the smoke steps below invoke lbbench
-# six times.
+# Same-seed determinism of the fault, serve and scale sweeps is a test
+# (internal/exp TestSweepsDeterministic), so `go test ./...` below gates
+# it; nothing here launches an experiment binary.
 set -eu
 cd "$(dirname "$0")"
 
 bin=$(mktemp -d)
-tmp1=
-tmp2=
-cleanup() { rm -rf "$bin" ${tmp1:+"$tmp1"} ${tmp2:+"$tmp2"}; }
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$bin"' EXIT INT TERM
 
 echo "== gofmt -s"
 unformatted=$(gofmt -s -l .)
@@ -43,9 +38,8 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== go build (tools)"
+echo "== go build (lbvet)"
 go build -o "$bin/lbvet" ./cmd/lbvet
-go build -o "$bin/lbbench" ./cmd/lbbench
 
 echo "== lbvet"
 # The JSON gate: machine-readable findings on stdout, nonzero exit on
@@ -80,76 +74,6 @@ echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 # this leg mutates from it. -fuzz takes one target a run.
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=5s ./internal/wire/
 go test -run '^$' -fuzz '^FuzzHandshake$' -fuzztime=5s ./internal/wire/
-
-echo "== lbbench scale smoke (time-boxed, determinism-diffed)"
-# A small scale run keeps the O(log n) maintenance path honest without
-# the full 1M-VS sweep. Each size runs the whole lifecycle — ring
-# build, tree build, a full balancing round, ~1% node churn, an
-# incremental Repair, and CheckInvariants on the repaired tree — and
-# fails hard if the compressed tree regresses in shape (height >
-# 2·log2(V) or more than 5 KT nodes per VS). The timeout catches
-# accidental re-quadratization (the 20k run takes well under a second —
-# 120 s means something is badly wrong). Run twice at the same seed:
-# the reports must match byte-for-byte once the wall-clock fields
-# (unix_time and the *_ms phase timings) are stripped, gating the
-# whole lifecycle's seed-determinism.
-tmp1=$(mktemp -d)
-tmp2=$(mktemp -d)
-timeout 120 "$bin/lbbench" -bench scale -scalesizes 20000 -out "$tmp1"
-timeout 120 "$bin/lbbench" -bench scale -scalesizes 20000 -out "$tmp2"
-grep -vE '"unix_time"|"[a-z_]*_ms"' "$tmp1/BENCH_scale.json" > "$tmp1/stripped"
-grep -vE '"unix_time"|"[a-z_]*_ms"' "$tmp2/BENCH_scale.json" > "$tmp2/stripped"
-if ! diff "$tmp1/stripped" "$tmp2/stripped"; then
-	echo "scale lifecycle is nondeterministic across identical runs" >&2
-	exit 1
-fi
-rm -rf "$tmp1" "$tmp2"
-tmp1=
-tmp2=
-
-echo "== lbbench fault smoke (time-boxed, determinism-diffed)"
-# A small drop-rate sweep plus partition recovery, run twice at the same
-# seed: the reports must match byte-for-byte once the two wall-clock
-# fields are stripped. This gates the fault path's (seed, plan)
-# determinism, not just its correctness.
-tmp1=$(mktemp -d)
-tmp2=$(mktemp -d)
-timeout 120 "$bin/lbbench" -bench faults -faultnodes 128 -out "$tmp1"
-timeout 120 "$bin/lbbench" -bench faults -faultnodes 128 -out "$tmp2"
-grep -v '"unix_time"\|"wall_ms"' "$tmp1/BENCH_faults.json" > "$tmp1/stripped"
-grep -v '"unix_time"\|"wall_ms"' "$tmp2/BENCH_faults.json" > "$tmp2/stripped"
-if ! diff "$tmp1/stripped" "$tmp2/stripped"; then
-	echo "fault sweep is nondeterministic across identical runs" >&2
-	exit 1
-fi
-rm -rf "$tmp1" "$tmp2"
-tmp1=
-tmp2=
-
-echo "== lbbench serve smoke (time-boxed, determinism-diffed)"
-# A small serving run — 3 variants (balancer on/off/nocache) over the
-# same Zipf request plan — run twice at the same seed: the reports must
-# match byte-for-byte once the wall-clock fields are stripped. The
-# per-request latency checksums inside the report make this diff pin
-# the raw latency streams, not just the summaries. The tail-contrast
-# acceptance gate inside lbbench only arms at >= 100k requests, so this
-# smoke gates determinism; BENCH_serve.json (committed, 1M requests)
-# gates the tail claim. serve needs no -race leg: it is single-goroutine
-# on the sim engine (the three variants parallelize via internal/par,
-# which has its own race pass).
-tmp1=$(mktemp -d)
-tmp2=$(mktemp -d)
-timeout 120 "$bin/lbbench" -bench serve -servesizes 128 -serverequests 20000 -out "$tmp1"
-timeout 120 "$bin/lbbench" -bench serve -servesizes 128 -serverequests 20000 -out "$tmp2"
-grep -vE '"unix_time"|"[a-z_]*_ms"' "$tmp1/BENCH_serve.json" > "$tmp1/stripped"
-grep -vE '"unix_time"|"[a-z_]*_ms"' "$tmp2/BENCH_serve.json" > "$tmp2/stripped"
-if ! diff "$tmp1/stripped" "$tmp2/stripped"; then
-	echo "serving layer is nondeterministic across identical runs" >&2
-	exit 1
-fi
-rm -rf "$tmp1" "$tmp2"
-tmp1=
-tmp2=
 
 echo "== cluster chaos smoke (4 processes, time-boxed)"
 # A real multi-process run: four lbd daemons over TCP, one SIGKILL

@@ -1,4 +1,5 @@
-// Command lbsim regenerates the paper's figures.
+// Command lbsim regenerates the paper's figures and runs every
+// experiment EXPERIMENTS.md reports.
 //
 // Usage:
 //
@@ -13,8 +14,13 @@
 //	lbsim -fig churn      # robustness vs membership churn rate
 //	lbsim -fig faults     # graceful degradation under message loss + partition recovery
 //	lbsim -fig serve      # tail latency serving 1M Zipf requests, balancer on/off
+//	lbsim -fig scale      # whole lifecycle at 64k / 256k / 1M virtual servers
+//	lbsim -fig chaos      # 8 lbd processes over TCP, 8 rounds, 3 SIGKILLs
+//	                      # (builds cmd/lbd: run it from inside the module)
 //
 // Common flags: -seed, -nodes, -graphs (figs 7/8), -eps, -csv FILE.
+// -nodes defaults to the paper's 4096; faults defaults to 512 and scale
+// to its three committed sizes, and both honour an explicit -nodes.
 // Observability: -metrics FILE dumps a metrics snapshot (JSON, or CSV
 // with a .csv suffix) of counters, histograms and series recorded
 // during the run; -cpuprofile/-memprofile write pprof profiles.
@@ -27,13 +33,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"text/tabwriter"
+	"time"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/cluster"
 	"p2plb/internal/core"
 	"p2plb/internal/exp"
 	"p2plb/internal/metrics"
@@ -44,9 +54,9 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "", "figure to regenerate: 4, 5, 6, 7, 8, vsatime, cfs, rao, churn, faults, serve")
+		fig        = flag.String("fig", "", "figure to regenerate: 4, 5, 6, 7, 8, vsatime, cfs, rao, churn, faults, serve, scale, chaos")
 		seed       = flag.Int64("seed", 1, "base RNG seed")
-		nodes      = flag.Int("nodes", 4096, "number of DHT nodes")
+		nodes      = flag.Int("nodes", 4096, "number of DHT nodes (faults: 512, scale: 12800, 51200 and 200000, unless given)")
 		graphs     = flag.Int("graphs", 10, "topology instances for figs 7/8 (paper: 10)")
 		eps        = flag.Float64("eps", 0.05, "target slack epsilon (0 is honoured: zero slack)")
 		csvOut     = flag.String("csv", "", "also write raw series to this CSV file")
@@ -72,13 +82,24 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	nodesGiven := false
+	flag.Visit(func(f *flag.Flag) { nodesGiven = nodesGiven || f.Name == "nodes" })
 	var reg *metrics.Registry
 	if *metricsOut != "" {
 		reg = metrics.NewRegistry()
 	}
-	err := run(*fig, *seed, *nodes, *graphs, *eps, *csvOut, reg)
-	if err == nil && reg != nil {
-		err = reg.Snapshot().WriteFile(*metricsOut)
+	var snap metrics.Snapshot
+	var err error
+	if *fig == "chaos" {
+		// The daemons are other processes: their merged /metrics scrape
+		// is the snapshot, not this process's registry.
+		snap, err = chaos(*seed)
+	} else {
+		err = run(*fig, *seed, *nodes, nodesGiven, *graphs, *eps, *csvOut, reg)
+		snap = reg.Snapshot()
+	}
+	if err == nil && *metricsOut != "" {
+		err = snap.WriteFile(*metricsOut)
 	}
 	if err == nil && *memProf != "" {
 		err = writeHeapProfile(*memProf)
@@ -99,7 +120,10 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(fig string, seed int64, nodes, graphs int, eps float64, csvOut string, reg *metrics.Registry) error {
+// run dispatches one in-process figure. nodesGiven says -nodes was on
+// the command line: the figures whose default size is not the paper's
+// 4096 use their own default without it and the given value with it.
+func run(fig string, seed int64, nodes int, nodesGiven bool, graphs int, eps float64, csvOut string, reg *metrics.Registry) error {
 	switch fig {
 	case "4":
 		return fig4(seed, nodes, eps, csvOut, reg)
@@ -120,9 +144,18 @@ func run(fig string, seed int64, nodes, graphs int, eps float64, csvOut string, 
 	case "churn":
 		return churnSensitivity(seed, nodes)
 	case "faults":
+		if !nodesGiven {
+			nodes = 512 // message-level rounds with retransmission; 51200 is the committed sweep
+		}
 		return faultTolerance(seed, nodes)
 	case "serve":
 		return figServe(seed, nodes, csvOut, reg)
+	case "scale":
+		sizes := exp.ScaleSizes
+		if nodesGiven {
+			sizes = []int{nodes}
+		}
+		return scale(seed, sizes)
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
@@ -144,35 +177,107 @@ func figServe(seed int64, nodes int, csvOut string, reg *metrics.Registry) error
 	fmt.Printf("Serving layer — tail latency under load balancing, N=%d, %d requests @ %.1f/tick (%.0f%% of ideal throughput)\n",
 		nodes, s.Requests, rows[0].Rate, 100*s.Utilization)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "  variant\thops\thit%\tlookup p50/p99\tservice p50\tservice p99\tservice p999\trounds\ttransfers")
+	fmt.Fprintln(w, "  variant\thops\thit%\tlookup p50/p99\tservice p50\tservice p99\tservice p999\tservice max\trounds\ttransfers")
 	for _, r := range rows {
 		hitPct := 0.0
 		if looked := r.CacheHits + r.CacheMisses; looked > 0 {
 			hitPct = 100 * float64(r.CacheHits) / float64(looked)
 		}
-		fmt.Fprintf(w, "  %s\t%.2f\t%.1f\t%.0f/%.0f\t%.0f\t%.0f\t%.0f\t%d\t%d\n",
+		fmt.Fprintf(w, "  %s\t%.2f\t%.1f\t%.0f/%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%d\t%d\n",
 			r.Variant, r.MeanHops, hitPct,
 			r.Lookup.P50, r.Lookup.P99,
-			r.Service.P50, r.Service.P99, r.Service.P999,
+			r.Service.P50, r.Service.P99, r.Service.P999, r.Service.Max,
 			r.Rounds, r.Transfers)
 	}
 	w.Flush()
 	if csvOut != "" {
 		out := [][]string{{"variant", "mean_hops", "cache_hits", "cache_misses",
-			"lookup_p50", "lookup_p99", "service_p50", "service_p99", "service_p999",
+			"lookup_p50", "lookup_p99", "service_p50", "service_p99", "service_p999", "service_max",
 			"rounds", "transfers"}}
 		for _, r := range rows {
 			out = append(out, []string{
 				r.Variant, fmtF(r.MeanHops),
 				strconv.FormatInt(r.CacheHits, 10), strconv.FormatInt(r.CacheMisses, 10),
 				fmtF(r.Lookup.P50), fmtF(r.Lookup.P99),
-				fmtF(r.Service.P50), fmtF(r.Service.P99), fmtF(r.Service.P999),
+				fmtF(r.Service.P50), fmtF(r.Service.P99), fmtF(r.Service.P999), fmtF(r.Service.Max),
 				strconv.Itoa(r.Rounds), strconv.Itoa(r.Transfers),
 			})
 		}
-		return writeCSV(csvOut, out)
+		if err := writeCSV(csvOut, out); err != nil {
+			return err
+		}
 	}
-	return nil
+	// The acceptance gate of the experiment: a run whose balancer does
+	// not beat the baseline tail fails, after its table is printed.
+	return exp.CheckServeRows(rows)
+}
+
+// scale runs the whole-lifecycle scaling experiment (EXPERIMENTS.md
+// "Scaling") at each node count and prints per-phase wall times beside
+// the seed-determined tree shape and round outcome.
+func scale(seed int64, sizes []int) error {
+	epoch := time.Now()
+	rows, err := exp.ScaleSweep(seed, sizes, func() int64 { return int64(time.Since(epoch)) })
+	if err != nil {
+		return err
+	}
+	fmt.Println("Scaling — ring build, loads, KT build, one round, 1% churn + Repair; 5 VSs per node")
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "  nodes\tVSs\tring ms\tloads ms\ttree ms\tKT nodes\theight\tround ms\theavy before\theavy after\trepair ms\trepair changes")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			r.Nodes, r.VServers, r.BuildMS, r.LoadMS, r.TreeMS, r.TreeNodes, r.TreeHeight,
+			r.RoundMS, r.HeavyBefore, r.HeavyAfter, r.RepairMS, r.RepairChanges)
+	}
+	return w.Flush()
+}
+
+// The committed crash-tolerance run (EXPERIMENTS.md "Crash tolerance").
+const (
+	chaosProcs  = 8
+	chaosRounds = 8
+	chaosKills  = 3
+)
+
+// chaos drives the multi-process chaos harness: lbd daemons (built from
+// this module into a temp dir) over real TCP, SIGKILLs mid-round,
+// supervisor restarts, conservation audited after every settled round.
+// The returned snapshot is the union of every daemon's /metrics
+// endpoint (kills, restarts, wire retries, WAL replays), scraped just
+// before teardown.
+func chaos(seed int64) (metrics.Snapshot, error) {
+	dir, err := os.MkdirTemp("", "lbsim-chaos")
+	if err != nil {
+		return metrics.Snapshot{}, err
+	}
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "lbd")
+	if out, err := exec.Command("go", "build", "-o", bin, "p2plb/cmd/lbd").CombinedOutput(); err != nil {
+		return metrics.Snapshot{}, fmt.Errorf("building lbd: %v\n%s", err, out)
+	}
+	rep, err := cluster.RunChaos(cluster.ChaosConfig{
+		Bin:     bin,
+		DataDir: filepath.Join(dir, "data"),
+		Seed:    seed,
+		Procs:   chaosProcs,
+		Rounds:  chaosRounds,
+		Kills:   chaosKills,
+	})
+	if err != nil {
+		return metrics.Snapshot{}, err
+	}
+	fmt.Printf("Crash tolerance — %d lbd processes over loopback TCP, %d rounds, %d SIGKILLs\n",
+		rep.Procs, len(rep.Rounds), rep.Kills)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "  round\tkills\tsettle ms\tgini")
+	for _, r := range rep.Rounds {
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%.4f\n", r.Round, r.Kills, r.SettleMS, r.Gini)
+	}
+	w.Flush()
+	fmt.Printf("  gini %.4f -> %.4f (kill-free baseline %.4f); %d restarts, %d re-issued rounds\n",
+		rep.InitialGini, rep.FinalGini, rep.BaselineGini, rep.Restarts, rep.Reissues)
+	fmt.Println("  (load and virtual servers conserved after every settled round)")
+	return *rep.Metrics, nil
 }
 
 func setupWith(seed int64, nodes int, eps float64) exp.Setup {
@@ -463,18 +568,12 @@ func churnSensitivity(seed int64, nodes int) error {
 	return nil
 }
 
-// faultSweepRates is the drop-rate grid both lbsim and lbbench run.
-var faultSweepRates = []float64{0, 0.05, 0.10, 0.20, 0.30}
-
 // faultTolerance reports graceful degradation under uniform message
 // loss, then partition recovery — the fault-injection experiment.
 func faultTolerance(seed int64, nodes int) error {
-	if nodes > 512 {
-		nodes = 512 // message-level rounds with retransmission; keep tractable
-	}
 	const rounds = 6
 	fmt.Printf("Fault tolerance — %d message-level rounds per drop rate, N=%d\n", rounds, nodes)
-	rows, err := exp.FaultSweep(seed, nodes, faultSweepRates, rounds)
+	rows, err := exp.FaultSweep(seed, nodes, exp.FaultRates, rounds)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,8 @@
 // Command lbvet runs the project's static-analysis suite: the
 // machine-checked invariants of internal/analysis — the syntactic
-// analyzers (randcontract, nondeterminism, identcompare, metricsguard,
-// layercheck) and the dataflow ones (detflow, lockguard, hotalloc,
-// floatorder) — over every package in the module, including test
-// files. It prints findings as file:line:col (or a JSON array with
+// analyzers (randcontract, nondeterminism, identcompare, layercheck)
+// and the dataflow ones (detflow, lockguard, hotalloc, floatorder) —
+// over every package in the module, including test files. It prints findings as file:line:col (or a JSON array with
 // -json) and exits nonzero when any survive the //lbvet:ignore
 // annotations, so ci.sh can gate on it between vet and build.
 //

@@ -31,8 +31,6 @@
 //   - identcompare: no raw </>/- arithmetic on ident.ID outside
 //     internal/ident — it silently breaks at the 2^32 ring wrap; use
 //     Dist/Between/Region instead.
-//   - metricsguard: metric registry calls on hot paths stay behind the
-//     nil-registry guard pattern established by the metrics layer.
 //   - layercheck: the layer boundaries, as a rule table. The
 //     runtime-agnostic protocol core (internal/lbnode) must not import
 //     sim, faults, par or wire, and must not spawn goroutines —
@@ -205,7 +203,6 @@ func All() []*Analyzer {
 		Nondeterminism,
 		Detflow,
 		IdentCompare,
-		MetricsGuard,
 		Layercheck,
 		Lockguard,
 		Hotalloc,

@@ -83,7 +83,6 @@ func TestRandContractGolden(t *testing.T)   { runGolden(t, RandContract) }
 func TestNondeterminismGolden(t *testing.T) { runGolden(t, Nondeterminism) }
 func TestDetflowGolden(t *testing.T)        { runGolden(t, Detflow) }
 func TestIdentCompareGolden(t *testing.T)   { runGolden(t, IdentCompare) }
-func TestMetricsGuardGolden(t *testing.T)   { runGolden(t, MetricsGuard) }
 func TestLayercheckGolden(t *testing.T)     { runGolden(t, Layercheck) }
 func TestLockguardGolden(t *testing.T)      { runGolden(t, Lockguard) }
 func TestHotallocGolden(t *testing.T)       { runGolden(t, Hotalloc) }

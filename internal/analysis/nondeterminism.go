@@ -25,10 +25,11 @@ var DeterministicPkgs = []string{
 // would creep) into the deterministic packages:
 //
 //   - wall-clock reads (time.Now, time.Since) — virtual time comes from
-//     sim.Engine.Now. Wall-clock metric spans outside the simulation
-//     (cmd/lbbench) live outside these packages; a deliberate wall-clock
-//     read inside them must carry a //lbvet:ignore nondeterminism
-//     annotation, which is the explicit allowlist.
+//     sim.Engine.Now. Wall-clock timing of a simulation (cmd/lbsim's
+//     -fig scale, bench/) lives outside these packages and is handed in
+//     as a clock; a deliberate wall-clock read inside them must carry
+//     a //lbvet:ignore nondeterminism annotation, which is the explicit
+//     allowlist.
 //   - the global math/rand source (rand.Intn, rand.Shuffle, …) — all
 //     randomness must flow from a seeded *rand.Rand (rand.New is fine).
 //   - results fed from unordered map iteration: appending to a slice

@@ -657,9 +657,6 @@ func (r *Ring) lookupStep(origin *Node, cur *VServer, key ident.ID, hops int, co
 func (r *Ring) observeLookup(hops int, cost sim.Time) {
 	if r.mLookupHops == nil {
 		reg := r.eng.Metrics()
-		if reg == nil {
-			return
-		}
 		r.mLookupHops = reg.Histogram("chord.lookup.hops")
 		r.mLookupLat = reg.Histogram("chord.lookup.latency")
 	}

@@ -58,8 +58,8 @@ type RoundResult struct {
 	SettleMS int64   `json:"settle_ms"`
 }
 
-// ChaosReport is the experiment's outcome, shaped for lbbench's
-// results field.
+// ChaosReport is the experiment's outcome (`lbsim -fig chaos` prints
+// it).
 type ChaosReport struct {
 	Procs        int                `json:"procs"`
 	Rounds       []RoundResult      `json:"rounds"`

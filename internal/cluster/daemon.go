@@ -227,9 +227,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if reg := d.reg; reg != nil {
-				reg.Snapshot().WriteJSON(w)
-			}
+			d.reg.Snapshot().WriteJSON(w)
 		})
 		d.httpLn = ln
 		d.httpSrv = &http.Server{Handler: mux}

@@ -93,9 +93,6 @@ func (b *Balancer) RunRound() (*Result, error) {
 // units, pairing outcomes, and moved load.
 func (b *Balancer) recordRound(res *Result) {
 	reg := b.ring.Engine().Metrics()
-	if reg == nil {
-		return
-	}
 	reg.Counter("core.rounds").Inc()
 	reg.Histogram("core.phase.lbi_aggregate").Observe(int64(res.TimeLBIAggregate))
 	reg.Histogram("core.phase.lbi_disseminate").Observe(int64(res.TimeLBIDisseminate - res.TimeLBIAggregate))

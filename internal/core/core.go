@@ -235,15 +235,8 @@ func (b *Balancer) Ring() *chord.Ring { return b.ring }
 // ring-less Balancer (ClassifyNode's standalone path) or when the
 // engine has no metrics registry.
 func (b *Balancer) observeSubsetCost(ops int64) {
-	if b.mSubsetCost == nil {
-		if b.ring == nil {
-			return
-		}
-		reg := b.ring.Engine().Metrics()
-		if reg == nil {
-			return
-		}
-		b.mSubsetCost = reg.Histogram("core.subset.cost")
+	if b.mSubsetCost == nil && b.ring != nil {
+		b.mSubsetCost = b.ring.Engine().Metrics().Histogram("core.subset.cost")
 	}
 	b.mSubsetCost.Observe(ops)
 }

@@ -105,9 +105,7 @@ func (d *Daemon) Start() error {
 			}
 			if _, err := d.tree.Repair(); err == nil {
 				d.repairs++
-				if reg := d.eng.Metrics(); reg != nil {
-					reg.Counter("daemon.repairs").Inc()
-				}
+				d.eng.Metrics().Counter("daemon.repairs").Inc()
 				d.repaired()
 			}
 		})
@@ -142,9 +140,7 @@ func (d *Daemon) Retries() int { return d.retries }
 // invisible in -metrics snapshots, plus the start of the repair-latency
 // window when this is the first failure since the last good repair.
 func (d *Daemon) roundFailed() {
-	if reg := d.eng.Metrics(); reg != nil {
-		reg.Counter("daemon.rounds_failed").Inc()
-	}
+	d.eng.Metrics().Counter("daemon.rounds_failed").Inc()
 	if !d.failedPending {
 		d.failedPending = true
 		d.failedSince = d.eng.Now()
@@ -158,9 +154,7 @@ func (d *Daemon) repaired() {
 		return
 	}
 	d.failedPending = false
-	if reg := d.eng.Metrics(); reg != nil {
-		reg.Histogram("daemon.repair.latency").Observe(int64(d.eng.Now() - d.failedSince))
-	}
+	d.eng.Metrics().Histogram("daemon.repair.latency").Observe(int64(d.eng.Now() - d.failedSince))
 }
 
 func (d *Daemon) runRound() {
@@ -183,28 +177,21 @@ func (d *Daemon) runRound() {
 	}
 	d.repaired()
 	rec := RoundRecord{StartedAt: d.eng.Now(), GiniBefore: core.UnitLoadGini(d.ring)}
-	if reg := d.eng.Metrics(); reg != nil {
-		reg.Series("daemon.gini.before").Append(float64(rec.StartedAt), rec.GiniBefore)
-	}
+	d.eng.Metrics().Series("daemon.gini.before").Append(float64(rec.StartedAt), rec.GiniBefore)
 	err := d.runner.StartRound(func(res *protocol.Result, err error) {
 		rec.Result = res
 		rec.Err = err
 		rec.GiniAfter = core.UnitLoadGini(d.ring)
 		d.history = append(d.history, rec)
+		reg := d.eng.Metrics()
+		reg.Counter("daemon.rounds").Inc()
+		reg.Series("daemon.gini.after").Append(float64(d.eng.Now()), rec.GiniAfter)
 		if res != nil {
 			d.retries += res.Retries
-		}
-		if reg := d.eng.Metrics(); reg != nil {
-			reg.Counter("daemon.rounds").Inc()
-			if err != nil {
-				reg.Counter("daemon.round_errors").Inc()
-			}
-			if res != nil {
-				reg.Counter("daemon.retries").Add(int64(res.Retries))
-			}
-			reg.Series("daemon.gini.after").Append(float64(d.eng.Now()), rec.GiniAfter)
+			reg.Counter("daemon.retries").Add(int64(res.Retries))
 		}
 		if err != nil {
+			reg.Counter("daemon.round_errors").Inc()
 			d.roundFailed()
 		}
 	})

@@ -10,6 +10,10 @@ import (
 	"p2plb/internal/sim"
 )
 
+// FaultRates is the drop-rate grid of the committed fault-tolerance
+// table (EXPERIMENTS.md "Fault tolerance").
+var FaultRates = []float64{0, 0.05, 0.10, 0.20, 0.30}
+
 // FaultRow is one operating point of the graceful-degradation sweep:
 // `rounds` message-level balancing rounds under a uniform message drop
 // rate, with chord.CheckConservation asserted after every round.

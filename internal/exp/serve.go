@@ -211,3 +211,36 @@ func serveRow(s ServeSetup, v serveVariant) (ServeRow, error) {
 		Report:   rep,
 	}, nil
 }
+
+// serveGateRequests is the plan size from which CheckServeRows asserts:
+// below it (smoke runs) the tail is too noisy to gate on.
+const serveGateRequests = 100_000
+
+// CheckServeRows enforces the two claims the serving experiment exists
+// to pin, across one ring size's three variants: interleaved balancing
+// strictly improves the service tail (p99 and p999) over the
+// balancer-off baseline on the same plan, and the hot-path lookup cache
+// cuts mean overlay hops against the uncached variant.
+func CheckServeRows(rows []ServeRow) error {
+	byName := map[string]ServeRow{}
+	for _, r := range rows {
+		byName[r.Variant] = r
+	}
+	off, on, nocache := byName["balancer-off"], byName["balancer-on"], byName["balancer-on-nocache"]
+	if off.Report == nil || on.Report == nil || nocache.Report == nil {
+		return fmt.Errorf("exp: missing variant in serve sweep output")
+	}
+	if on.Requests < serveGateRequests {
+		return nil
+	}
+	if on.Service.P99 >= off.Service.P99 {
+		return fmt.Errorf("exp: balancer-on service p99 %.0f not below balancer-off %.0f", on.Service.P99, off.Service.P99)
+	}
+	if on.Service.P999 >= off.Service.P999 {
+		return fmt.Errorf("exp: balancer-on service p999 %.0f not below balancer-off %.0f", on.Service.P999, off.Service.P999)
+	}
+	if on.MeanHops >= nocache.MeanHops {
+		return fmt.Errorf("exp: cached mean hops %.3f not below uncached %.3f", on.MeanHops, nocache.MeanHops)
+	}
+	return nil
+}

@@ -208,10 +208,8 @@ func (in *Injector) Attach(ring *chord.Ring) error {
 	in.ring = ring
 	in.eng = ring.Engine()
 	in.eng.SetFilter(in)
-	if reg := in.eng.Metrics(); reg != nil {
-		in.mDropped = reg.Counter("faults.dropped")
-		in.mDuplicated = reg.Counter("faults.duplicated")
-	}
+	in.mDropped = in.eng.Metrics().Counter("faults.dropped")
+	in.mDuplicated = in.eng.Metrics().Counter("faults.duplicated")
 	for _, c := range in.plan.Crashes {
 		c := c
 		delay := c.At - in.eng.Now()
@@ -261,9 +259,7 @@ func (in *Injector) Deliveries(kind string, src, dst int, now, cost sim.Time) []
 	if rate := rateFor(in.plan.Duplicate, in.plan.DuplicateByKind, kind); rate > 0 && in.dup.Float64() < rate {
 		copies = 2
 		in.duplicated++
-		if in.mDuplicated != nil {
-			in.mDuplicated.Inc()
-		}
+		in.mDuplicated.Inc()
 	}
 	out := in.scratch[:0]
 	for i := 0; i < copies; i++ {
@@ -278,9 +274,7 @@ func (in *Injector) Deliveries(kind string, src, dst int, now, cost sim.Time) []
 
 func (in *Injector) countDrop() {
 	in.dropped++
-	if in.mDropped != nil {
-		in.mDropped.Inc()
-	}
+	in.mDropped.Inc()
 }
 
 // cut reports whether an active partition separates src and dst.
@@ -319,9 +313,7 @@ func (in *Injector) crash(c Crash) {
 	underlay, capacity, numVS := n.Underlay, n.Capacity, len(n.VServers())
 	in.ring.RemoveNode(n)
 	in.crashed++
-	if reg := in.eng.Metrics(); reg != nil {
-		reg.Counter("faults.crashes").Inc()
-	}
+	in.eng.Metrics().Counter("faults.crashes").Inc()
 	if c.Restart == 0 {
 		return
 	}
@@ -354,9 +346,7 @@ func (in *Injector) restart(underlay topology.NodeID, capacity float64, numVS in
 		panic(fmt.Sprintf("faults: restart join failed: %v", err))
 	}
 	in.restarted++
-	if reg := in.eng.Metrics(); reg != nil {
-		reg.Counter("faults.restarts").Inc()
-	}
+	in.eng.Metrics().Counter("faults.restarts").Inc()
 }
 
 // DomainCut computes the partition side created by the failure of one

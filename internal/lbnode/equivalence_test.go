@@ -228,7 +228,7 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 	}
 }
 
-// buildBenchRing is the lbbench scale-fixture shape (bulk-added nodes,
+// buildBenchRing is the exp.ScaleSweep fixture shape (bulk-added nodes,
 // 5 VSs each, tight Gaussian) over a K-nary tree: at 8000 VSs and the
 // default threshold nearly every transfer is decided at an interior
 // rendezvous point, so which entries pool where — and in what order

@@ -22,8 +22,14 @@
 //	daemon.gini.{before,after} (series over virtual time)
 //
 // Durations recorded by simulation code are in virtual-time units;
-// wall-clock spans (cmd/lbbench) are in nanoseconds. The unit is part
-// of the metric's contract, not encoded in the snapshot.
+// wall-clock spans (the bench/ program) are in nanoseconds. The unit is
+// part of the metric's contract, not encoded in the snapshot.
+//
+// Instrumentation is optional without a branch at the call site: a nil
+// *Registry hands out nil metrics, and every method on a nil metric is
+// a no-op that reads as zero. `reg.Counter("x").Inc()` is therefore
+// always safe; only code that would do real work just to feed a metric
+// (build a name, walk a ring) needs its own `reg != nil` test.
 package metrics
 
 import (
@@ -40,13 +46,22 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n may be any sign; counters conventionally only grow).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // FloatCounter accumulates a float64 total (moved load, shed load —
 // quantities that are not integers). The zero value is ready to use;
@@ -57,6 +72,9 @@ type FloatCounter struct {
 
 // Add accumulates v.
 func (f *FloatCounter) Add(v float64) {
+	if f == nil {
+		return
+	}
 	for {
 		old := f.bits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -68,6 +86,9 @@ func (f *FloatCounter) Add(v float64) {
 
 // Value returns the accumulated total.
 func (f *FloatCounter) Value() float64 {
+	if f == nil {
+		return 0
+	}
 	return math.Float64frombits(f.bits.Load())
 }
 
@@ -123,6 +144,9 @@ func BucketHi(i int) int64 {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
@@ -141,14 +165,24 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
 
 // Mean returns the mean observation (0 when empty).
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -170,6 +204,9 @@ type Series struct {
 
 // Append records a point.
 func (s *Series) Append(t, v float64) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	s.pts = append(s.pts, Point{T: t, V: v})
 	s.mu.Unlock()
@@ -177,6 +214,9 @@ func (s *Series) Append(t, v float64) {
 
 // Points returns a copy of the recorded points.
 func (s *Series) Points() []Point {
+	if s == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Point(nil), s.pts...)
@@ -188,7 +228,7 @@ func (s *Series) Points() []Point {
 type Clock func() int64
 
 // Span measures one phase: StartSpan captures the clock, End observes
-// the elapsed duration into the histogram.
+// the elapsed duration into the histogram. The zero Span ends as 0.
 type Span struct {
 	h     *Histogram
 	clock Clock
@@ -202,6 +242,9 @@ func StartSpan(h *Histogram, clock Clock) Span {
 
 // End observes the elapsed duration and returns it.
 func (s Span) End() int64 {
+	if s.clock == nil {
+		return 0
+	}
 	d := s.clock() - s.start
 	s.h.Observe(d)
 	return d
@@ -209,6 +252,8 @@ func (s Span) End() int64 {
 
 // Registry is a named collection of metrics. Lookups are get-or-create
 // and safe for concurrent use; each metric kind has its own namespace.
+// A nil *Registry is the disabled registry: lookups return nil metrics
+// (themselves no-ops) and Snapshot is empty.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -229,6 +274,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	c := r.counters[name]
 	r.mu.RUnlock()
@@ -246,6 +294,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Float returns the named float counter, creating it on first use.
 func (r *Registry) Float(name string) *FloatCounter {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	f := r.floats[name]
 	r.mu.RUnlock()
@@ -263,6 +314,9 @@ func (r *Registry) Float(name string) *FloatCounter {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -280,6 +334,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Series returns the named series, creating it on first use.
 func (r *Registry) Series(name string) *Series {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	s := r.series[name]
 	r.mu.RUnlock()

@@ -219,3 +219,55 @@ func TestBucketBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestNilRegistryIsNoOp drives every exported method through a nil
+// *Registry and the nil metrics it hands out: instrumentation needs no
+// `if reg != nil` at the call site.
+func TestNilRegistryIsNoOp(t *testing.T) {
+	var reg *Registry
+	c, f, h, s := reg.Counter("c"), reg.Float("f"), reg.Histogram("h"), reg.Series("s")
+	if c != nil || f != nil || h != nil || s != nil {
+		t.Fatalf("nil registry created metrics: %v %v %v %v", c, f, h, s)
+	}
+	c.Inc()
+	c.Add(5)
+	f.Add(2.5)
+	h.Observe(7)
+	s.Append(1, 2)
+	if c.Value() != 0 || f.Value() != 0 {
+		t.Errorf("nil counters read %d / %v, want 0", c.Value(), f.Value())
+	}
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
+		t.Errorf("nil histogram read count %d sum %d mean %v, want 0", h.Count(), h.Sum(), h.Mean())
+	}
+	if pts := s.Points(); pts != nil {
+		t.Errorf("nil series has points %v", pts)
+	}
+
+	// A span against the nil registry still measures; only the
+	// observation is dropped. The zero Span has no clock and ends as 0.
+	now := int64(100)
+	sp := reg.Span("phase", func() int64 { return now })
+	now = 130
+	if d := sp.End(); d != 30 {
+		t.Errorf("nil-registry span = %d, want 30", d)
+	}
+	if d := StartSpan(nil, func() int64 { return now }).End(); d != 0 {
+		t.Errorf("nil-histogram span = %d, want 0", d)
+	}
+	if d := (Span{}).End(); d != 0 {
+		t.Errorf("zero span = %d, want 0", d)
+	}
+
+	snap := reg.Snapshot()
+	if len(snap.Counters)+len(snap.Floats)+len(snap.Histograms)+len(snap.Series) != 0 {
+		t.Errorf("nil registry snapshot not empty: %+v", snap)
+	}
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadJSON(&buf); err != nil || !reflect.DeepEqual(back, snap) {
+		t.Errorf("empty snapshot round trip: %+v, %v", back, err)
+	}
+}

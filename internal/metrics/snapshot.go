@@ -114,8 +114,7 @@ func (h HistogramSnapshot) merge(o HistogramSnapshot) HistogramSnapshot {
 }
 
 // Snapshot is a point-in-time copy of a Registry's contents, suitable
-// for JSON/CSV export, merging across runs, and diffing across PRs (the
-// BENCH_*.json trajectory).
+// for JSON/CSV export, merging across runs, and diffing across PRs.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Floats     map[string]float64           `json:"floats,omitempty"`
@@ -125,6 +124,9 @@ type Snapshot struct {
 
 // Snapshot freezes the registry's current contents.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{

@@ -82,11 +82,6 @@ type Config struct {
 	// default of 5000 time units per level. It only affects rounds in
 	// which something actually failed.
 	ChildTimeout sim.Time
-	// PrefixRouting publishes proximity-aware advertisements with
-	// Pastry-style prefix routing instead of Chord finger routing —
-	// the §4.3 claim that the scheme adapts to other DHTs. It changes
-	// only lookup paths, never outcomes.
-	PrefixRouting bool
 	// MaxRetries bounds how often a reliable message (converge-cast
 	// replies, dissemination, pairing notifications, the two-phase
 	// handoff) is retransmitted when its ack does not arrive. The
@@ -393,9 +388,6 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 // produce (timed-out child epochs, aborted transfers).
 func (r *Runner) recordRound(res *Result, err error) {
 	reg := r.eng.Metrics()
-	if reg == nil {
-		return
-	}
 	reg.Counter("protocol.rounds").Inc()
 	if err != nil {
 		reg.Counter("protocol.round_errors").Inc()
@@ -909,11 +901,7 @@ func (rd *round) classifyAndPublish(node *chord.Node) {
 		// Routed publication: the advertisement travels through the
 		// overlay to the key's owner.
 		rd.publishing++
-		lookup := rd.r.ring.Lookup
-		if rd.r.cfg.PrefixRouting {
-			lookup = rd.r.ring.PrefixLookup
-		}
-		lookup(node, key, func(res chord.LookupResult) {
+		rd.r.ring.Lookup(node, key, func(res chord.LookupResult) {
 			eng.CountMessage(MsgPublish, 1)
 			rd.deposit(res.VS, st, group)
 			if t := rd.r.eng.Now() - rd.start; t > rd.res.TimePublish {

@@ -347,84 +347,75 @@ func TestRepeatedRoundsConverge(t *testing.T) {
 	}
 }
 
-func TestAwareRoundWithPrefixRouting(t *testing.T) {
-	// The proximity-aware round over a transit-stub underlay, once with
-	// Chord finger routing and once with Pastry-style prefix routing:
-	// identical balancing outcome, different lookup paths.
-	build := func() (*chord.Ring, *ktree.Tree, core.Config) {
-		g, err := topology.Generate(topology.Params{
-			TransitDomains:        3,
-			TransitNodesPerDomain: 2,
-			StubsPerTransitNode:   3,
-			StubDomainSizeMean:    30,
-			TransitEdgeProb:       0.6,
-			TransitDomainEdgeProb: 0.5,
-			StubEdgeProb:          0.42,
-			Seed:                  55,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat := topology.NewDistancesMetric(g, topology.LatencyMetric)
-		eng := sim.NewEngine(55)
-		ring := chord.NewRing(eng, chord.Config{Latency: chord.TopologyLatency(lat)})
-		profile := workload.GnutellaProfile()
-		underlays := g.SampleStubNodes(eng.Rand(), 256)
-		for i := 0; i < 256; i++ {
-			ring.AddNode(underlays[i], profile.Sample(eng.Rand()), 5)
-		}
-		mu := 256.0 * 100
-		model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-		for _, vs := range ring.VServers() {
-			vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-		}
-		tree, err := ktree.New(ring, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Build(); err != nil {
-			t.Fatal(err)
-		}
-		lm, err := proximity.ChooseSpread(g, lat, rand.New(rand.NewSource(55)), proximity.DefaultLandmarkCount)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapper, err := proximity.NewMapper(lm, proximity.DefaultBitsPerDimension)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ring, tree, core.Config{Mode: core.ProximityAware, Epsilon: 0.05, Mapper: mapper}
+func TestAwareRoundRoutedPublication(t *testing.T) {
+	// The proximity-aware round over a transit-stub underlay: every
+	// advertisement is published through a routed overlay lookup, and
+	// the round still leaves no heavy node.
+	g, err := topology.Generate(topology.Params{
+		TransitDomains:        3,
+		TransitNodesPerDomain: 2,
+		StubsPerTransitNode:   3,
+		StubDomainSizeMean:    30,
+		TransitEdgeProb:       0.6,
+		TransitDomainEdgeProb: 0.5,
+		StubEdgeProb:          0.42,
+		Seed:                  55,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	results := map[bool]*Result{}
-	for _, prefix := range []bool{false, true} {
-		ring, tree, coreCfg := build()
-		r, err := NewRunner(ring, tree, Config{Core: coreCfg, PrefixRouting: prefix})
+	lat := topology.NewDistancesMetric(g, topology.LatencyMetric)
+	eng := sim.NewEngine(55)
+	ring := chord.NewRing(eng, chord.Config{Latency: chord.TopologyLatency(lat)})
+	profile := workload.GnutellaProfile()
+	underlays := g.SampleStubNodes(eng.Rand(), 256)
+	for i := 0; i < 256; i++ {
+		ring.AddNode(underlays[i], profile.Sample(eng.Rand()), 5)
+	}
+	mu := 256.0 * 100
+	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
+	for _, vs := range ring.VServers() {
+		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
+	}
+	tree, err := ktree.New(ring, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	lm, err := proximity.ChooseSpread(g, lat, rand.New(rand.NewSource(55)), proximity.DefaultLandmarkCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper, err := proximity.NewMapper(lm, proximity.DefaultBitsPerDimension)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(ring, tree, Config{Core: core.Config{Mode: core.ProximityAware, Epsilon: 0.05, Mapper: mapper}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out *Result
+	if err := r.StartRound(func(res *Result, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out *Result
-		if err := r.StartRound(func(res *Result, err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = res
-		}); err != nil {
-			t.Fatal(err)
-		}
-		ring.Engine().Run()
-		results[prefix] = out
-		if prefix && ring.Engine().MessageCount(chord.MsgPrefixHop) == 0 {
-			t.Error("prefix routing produced no prefix hops")
-		}
-		if !prefix && ring.Engine().MessageCount(chord.MsgPrefixHop) != 0 {
-			t.Error("finger routing produced prefix hops")
-		}
+		out = res
+	}); err != nil {
+		t.Fatal(err)
 	}
-	a, b := results[false], results[true]
-	if a.HeavyAfter != 0 || b.HeavyAfter != 0 {
-		t.Errorf("rounds left heavy nodes: %d / %d", a.HeavyAfter, b.HeavyAfter)
+	eng.Run()
+	if out == nil {
+		t.Fatal("round never completed")
 	}
-	if a.Global != b.Global || a.HeavyBefore != b.HeavyBefore {
-		t.Error("routing scheme changed classification — it must not")
+	if out.HeavyBefore == 0 || out.HeavyAfter != 0 {
+		t.Errorf("heavy %d -> %d, want some -> 0", out.HeavyBefore, out.HeavyAfter)
+	}
+	if eng.MessageCount(MsgPublish) == 0 || eng.MessageCount(chord.MsgLookupHop) == 0 {
+		t.Error("aware round published nothing through the overlay")
+	}
+	if out.TimePublish <= out.TimeLBIDisseminate {
+		t.Errorf("publish finished at %d, not after dissemination at %d", out.TimePublish, out.TimeLBIDisseminate)
 	}
 }

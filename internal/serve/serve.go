@@ -701,11 +701,7 @@ func (s *Server) maybeFinish() {
 // registry, if one is attached.
 func (s *Server) observeService(d float64) {
 	if s.mService == nil {
-		reg := s.eng.Metrics()
-		if reg == nil {
-			return
-		}
-		s.mService = reg.Histogram("serve.service.latency")
+		s.mService = s.eng.Metrics().Histogram("serve.service.latency")
 	}
 	s.mService.Observe(int64(d))
 }

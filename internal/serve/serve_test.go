@@ -62,7 +62,7 @@ func build(t *testing.T, seed int64, cfg Config, balanced bool) *fixture {
 
 // Two runs of the same plan at the same seed must produce identical
 // reports down to the raw latency-stream checksum — the determinism
-// contract behind the committed BENCH_serve.json and the ci.sh smoke.
+// contract behind EXPERIMENTS.md "Tail latency" and exp's sweep test.
 func TestServeDeterministic(t *testing.T) {
 	run := func() *Report {
 		f := build(t, 1, Config{Plan: testPlan(), Work: 100}, true)

@@ -318,6 +318,8 @@ func (e *Engine) CountMessage(kind string, cost Time) {
 	}
 	s.count++
 	s.cost += int64(cost)
+	// Not a nil-safety guard (nil metrics are no-ops): without a registry
+	// this skips a map lookup per message and the name concatenation.
 	if e.reg != nil {
 		mc, ok := e.mMsg[kind]
 		if !ok {
@@ -346,7 +348,7 @@ func (e *Engine) CountMessageN(kind string, n int64, total Time) {
 	}
 	s.count += n
 	s.cost += int64(total)
-	if e.reg != nil {
+	if e.reg != nil { // as in CountMessage: skips real work, not a nil check
 		mc, ok := e.mMsg[kind]
 		if !ok {
 			mc = msgCounters{

@@ -173,15 +173,14 @@ func NewTransport(cfg Config) (*Transport, error) {
 		jitter:  rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Rank)<<20 ^ 0x77697265)),
 		stop:    make(chan struct{}),
 	}
-	if reg := cfg.Metrics; reg != nil {
-		t.cSent = reg.Counter("wire.sent")
-		t.cRetries = reg.Counter("wire.retries")
-		t.cAcked = reg.Counter("wire.acked")
-		t.cFailed = reg.Counter("wire.failed")
-		t.cDups = reg.Counter("wire.dups")
-		t.cPeerRestarts = reg.Counter("wire.peer_restarts")
-		t.cStale = reg.Counter("wire.stale_incarnation")
-	}
+	reg := cfg.Metrics
+	t.cSent = reg.Counter("wire.sent")
+	t.cRetries = reg.Counter("wire.retries")
+	t.cAcked = reg.Counter("wire.acked")
+	t.cFailed = reg.Counter("wire.failed")
+	t.cDups = reg.Counter("wire.dups")
+	t.cPeerRestarts = reg.Counter("wire.peer_restarts")
+	t.cStale = reg.Counter("wire.stale_incarnation")
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -238,9 +237,7 @@ func (t *Transport) Send(dst int, kind string, round uint64, body any, opts Send
 	t.pending[m.Seq] = acked
 	t.wg.Add(1)
 	t.mu.Unlock()
-	if t.cSent != nil {
-		t.cSent.Inc()
-	}
+	t.cSent.Inc()
 	go t.retryLoop(dst, m, acked, opts)
 	return nil
 }
@@ -276,9 +273,7 @@ func (t *Transport) retryLoop(dst int, m Msg, acked chan struct{}, opts SendOpts
 		select {
 		case <-acked:
 			timer.Stop()
-			if t.cAcked != nil {
-				t.cAcked.Inc()
-			}
+			t.cAcked.Inc()
 			if opts.OnAcked != nil {
 				opts.OnAcked()
 			}
@@ -300,17 +295,13 @@ func (t *Transport) retryLoop(dst int, m Msg, acked chan struct{}, opts SendOpts
 			t.mu.Lock()
 			delete(t.pending, m.Seq)
 			t.mu.Unlock()
-			if t.cFailed != nil {
-				t.cFailed.Inc()
-			}
+			t.cFailed.Inc()
 			if opts.OnFailed != nil {
 				opts.OnFailed()
 			}
 			return
 		}
-		if t.cRetries != nil {
-			t.cRetries.Inc()
-		}
+		t.cRetries.Inc()
 	}
 }
 
@@ -358,12 +349,12 @@ func (t *Transport) kickLocked(dst int) chan struct{} {
 func (t *Transport) meetLocked(rank int, inc uint64) (fresh, stale bool) {
 	d := t.seen[rank]
 	if d != nil && inc <= d.inc {
-		if inc < d.inc && t.cStale != nil {
+		if inc < d.inc {
 			t.cStale.Inc()
 		}
 		return false, inc < d.inc
 	}
-	if d != nil && t.cPeerRestarts != nil {
+	if d != nil {
 		t.cPeerRestarts.Inc()
 	}
 	t.seen[rank] = &dedup{inc: inc, seen: make(map[uint64]bool)}
@@ -595,16 +586,12 @@ func (t *Transport) accept(m Msg, inc uint64) (ack, stale bool) {
 	}
 	if inc < d.inc {
 		t.mu.Unlock()
-		if t.cStale != nil {
-			t.cStale.Inc()
-		}
+		t.cStale.Inc()
 		return false, true
 	}
 	if handled, dup := d.seen[m.Seq]; dup {
 		t.mu.Unlock()
-		if t.cDups != nil {
-			t.cDups.Inc()
-		}
+		t.cDups.Inc()
 		return handled, false
 	}
 	d.mark(m.Seq)
