@@ -227,6 +227,17 @@ func (r *Ring) VServers() []*VServer { return r.vss }
 // NumVServers returns the number of live virtual servers.
 func (r *Ring) NumVServers() int { return len(r.vss) }
 
+// NumVServersIn returns the number of live virtual servers whose
+// identifier lies in reg: two binary searches, no caches written, so it
+// is safe to call from parallel tree-build workers.
+func (r *Ring) NumVServersIn(reg ident.Region) int {
+	lo, hi := r.searchID(reg.Start), r.searchID(reg.End())
+	if uint64(uint32(reg.Start))+reg.Width >= ident.SpaceSize {
+		return len(r.vss) - lo + hi // reg runs through the top of the space
+	}
+	return hi - lo
+}
+
 // AddNode creates a physical node hosting numVS virtual servers with
 // identifiers drawn from the engine RNG, and joins them to the ring.
 func (r *Ring) AddNode(underlay topology.NodeID, capacity float64, numVS int) *Node {

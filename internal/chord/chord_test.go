@@ -69,6 +69,37 @@ func TestSuccessorOwnership(t *testing.T) {
 	}
 }
 
+// TestNumVServersIn checks the two-binary-search count against a scan,
+// on regions that wrap, end at the top of the space, are empty or full.
+func TestNumVServersIn(t *testing.T) {
+	r := newTestRing(t, 5, 24, 4)
+	rng := rand.New(rand.NewSource(5))
+	regions := []ident.Region{
+		ident.Full(),
+		{Start: 12345, Width: 0},
+		{Start: 0, Width: 1 << 31},
+		{Start: 1 << 31, Width: 1 << 31}, // ends exactly at the top
+		{Start: ident.ID(1<<32 - 10), Width: 20},
+	}
+	for i := 0; i < 200; i++ {
+		regions = append(regions, ident.Region{Start: ident.ID(rng.Uint32()), Width: uint64(rng.Int63n(int64(ident.SpaceSize) + 1))})
+	}
+	for _, vs := range r.VServers() {
+		regions = append(regions, r.RegionOf(vs), ident.Region{Start: vs.ID, Width: 1})
+	}
+	for _, reg := range regions {
+		want := 0
+		for _, vs := range r.VServers() {
+			if reg.Contains(vs.ID) {
+				want++
+			}
+		}
+		if got := r.NumVServersIn(reg); got != want {
+			t.Fatalf("NumVServersIn(%v) = %d, a scan counts %d", reg, got, want)
+		}
+	}
+}
+
 func TestSuccessorEmptyRing(t *testing.T) {
 	r := NewRing(sim.NewEngine(1), Config{})
 	if r.Successor(42) != nil {

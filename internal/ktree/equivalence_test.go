@@ -1,7 +1,10 @@
 package ktree
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"p2plb/internal/chord"
@@ -151,4 +154,88 @@ func TestRepairJournalOverflowRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireTreesEqual(t, tree, fresh)
+}
+
+// churnTrace builds a 96-node ring, runs six churn-and-Repair cycles on
+// procs cores with subtree tasks forced on, and records after each cycle
+// everything that must not depend on the core count: the tree in Walk
+// order, every virtual server's leaf list in stored order (the protocol
+// draws leaves[rng.Intn(len)] from it), the plant and heartbeat tallies
+// — and which *Node each place in the tree got, as a serial number given
+// to every pointer when first seen, so the free list's hand-out order is
+// pinned too. recycled counts nodes planted on a pointer seen before.
+func churnTrace(t *testing.T, procs int) (trace []string, recycled int) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	eng := sim.NewEngine(3)
+	ring := chord.NewRing(eng, chord.Config{})
+	for i := 0; i < 96; i++ {
+		ring.AddNode(-1, 100, 4)
+	}
+	tree, err := New(ring, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.taskDepth = 3
+	if err := tree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	serial := map[*Node]int{}
+	for cycle := 0; cycle < 6; cycle++ {
+		inTree := map[*Node]bool{}
+		tree.Walk(func(n *Node) {
+			inTree[n] = true
+			if _, seen := serial[n]; !seen {
+				serial[n] = len(serial)
+			}
+		})
+		for _, n := range ring.AliveNodes()[:6] {
+			ring.RemoveNode(n)
+		}
+		for i := 0; i < 6; i++ {
+			ring.AddNode(-1, 100, 4)
+		}
+		if _, err := tree.Repair(); err != nil {
+			t.Fatal(err)
+		}
+		tree.CheckInvariants()
+		var sb strings.Builder
+		tree.Walk(func(n *Node) {
+			id, seen := serial[n]
+			if !seen {
+				id = len(serial)
+				serial[n] = id
+			} else if !inTree[n] {
+				recycled++
+			}
+			fmt.Fprintf(&sb, "%v@%s#%d ", n.Region, n.Host.ID, id)
+		})
+		for _, vs := range ring.VServers() {
+			fmt.Fprintf(&sb, "|%s:", vs.ID)
+			for _, l := range tree.LeavesOf(vs) {
+				fmt.Fprintf(&sb, "%s,", l.Region.Start)
+			}
+		}
+		fmt.Fprintf(&sb, "|plant=%d/%d hb=%d/%d", eng.MessageCount(MsgPlant), eng.MessageCost(MsgPlant),
+			eng.MessageCount(MsgHeartbeat), eng.MessageCost(MsgHeartbeat))
+		trace = append(trace, sb.String())
+	}
+	return trace, recycled
+}
+
+// TestRepairIndependentOfCoreCount: with recycling active, one core and
+// four produce the same tree, the same leaf-list order, the same
+// message tallies, and hand the same discarded node to the same place.
+func TestRepairIndependentOfCoreCount(t *testing.T) {
+	one, recycled := churnTrace(t, 1)
+	four, _ := churnTrace(t, 4)
+	for cycle := range one {
+		if one[cycle] != four[cycle] {
+			t.Fatalf("cycle %d differs between GOMAXPROCS 1 and 4:\n 1: %.400s\n 4: %.400s", cycle, one[cycle], four[cycle])
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no node was planted on a recycled pointer; the test covers no recycling")
+	}
+	t.Logf("%d nodes planted on recycled pointers over 6 cycles", recycled)
 }

@@ -9,8 +9,8 @@
 // hosting virtual server's region is a leaf; otherwise the region is
 // split into K near-equal parts and the partitioning recurses — with two
 // compressions that keep the materialized tree near log_K(N) deep and
-// ~2 nodes per virtual server instead of the ~22/VS a naive dyadic
-// recursion produces:
+// ~4.3 nodes per virtual server (2.0 of them internal) instead of the
+// ~22/VS a naive dyadic recursion produces:
 //
 //   - Chain collapse (path compression): when a split leaves exactly one
 //     part that still straddles an ownership boundary, no intermediate KT
@@ -30,9 +30,38 @@
 // protocols rely on ("it is guaranteed that a KT leaf node will be
 // planted in each virtual server").
 //
-// Nodes are bump-allocated from chunked arenas (pointer-stable arrays of
-// Node plus shared child-pointer blocks), so building a million-VS tree
-// performs thousands of allocations instead of millions.
+// Memory. The tree costs what it holds. Nodes and child-pointer slices
+// are bump-allocated from arenas — pointer-stable blocks of Node and of
+// child slots, one arena per builder — and a block is sized for what it
+// is about to hold: a fresh subtree's first block from the number of
+// virtual servers in its region (two binary searches on the ring, 4.5
+// nodes and as many child slots per VS), any other first block a handful
+// of nodes, every later block a quarter of what the arena has allocated
+// so far. Whatever of its last block a builder leaves unused goes on the
+// tree's free list. Repair rewrites a node's child slice in place
+// whenever the new child count fits its capacity, and the nodes and
+// child slices a pass discards go on the free list too, from which later
+// passes plant before they touch an arena; so under steady churn the
+// heap is flat, and what a Repair allocates is proportional to what it
+// changes, not to the tree. The free list never shrinks short of a full
+// Build (which drops it with the old tree): a ring that halves keeps the
+// nodes it shed for the ring that grows back.
+//
+// Stale holders. A *Node is valid for as long as the node is in the
+// tree. A holder that keeps one across a Repair — a protocol round in
+// flight while the daemon's periodic Repair runs — may find it discarded
+// (no longer reachable from Root or LeavesOf). A discarded node, its
+// child slice and its discarded descendants stay exactly as that pass
+// left them until the next pass that finds the ring changed begins; from
+// then on the pointer may be handed out again as a different node
+// anywhere in the tree. So following discarded nodes across one Repair
+// reads a consistent, if outdated, subtree; across two it may read a
+// live node somewhere else, and whoever may hold nodes that long must
+// take them again from Root or LeavesOf. A surviving node's Host and Children change under
+// its holders, as they always have. The test-only switch in
+// internal/poison blanks nodes the moment they become reusable, which
+// turns a too-long hold into a crash; TestNoReaderOfDiscardedNodes runs
+// a round across a Repair under it.
 //
 // The tree is soft state, maintained incrementally: the tree subscribes
 // to its ring as a chord.Listener and records the identifier arcs whose
@@ -60,10 +89,12 @@ package ktree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ident"
+	"p2plb/internal/ktree/internal/poison"
 	"p2plb/internal/par"
 	"p2plb/internal/sim"
 )
@@ -79,13 +110,23 @@ const (
 // a whole-tree repair.
 const maxPendingArcs = 1 << 16
 
-// nodeChunk and childChunk size the arena blocks: nodes and
-// child-pointer slots are carved from blocks this large, so allocation
-// count is ~N/4096 instead of ~N.
+// Arena block sizes, in nodes and in child-pointer slots. An arena's
+// first block is minNodeBlock nodes, or the one child slice asked for,
+// unless its builder sized it from the virtual servers it is about to
+// cover (nodesPerVS); every later block is a quarter of what the arena
+// has allocated so far — the last block, the only one that can be partly
+// unused, is at most a fifth of the arena — up to nodeChunk/childChunk.
 const (
-	nodeChunk  = 4096
-	childChunk = 8192
+	minNodeBlock = 8
+	nodeChunk    = 4096
+	childChunk   = 8192
 )
+
+// nodesPerVS sizes a fresh subtree's first arena block: a region
+// holding v virtual servers decomposes into about 4.3·v KT nodes (2.0
+// internal), 4.1–4.7 across the subtree tasks of a 10k-VS ring, and as
+// many child slots less one.
+func nodesPerVS(v int) int { return v*9/2 + 1 }
 
 // Node is one KT node.
 type Node struct {
@@ -120,6 +161,13 @@ type Tree struct {
 	// whole tree.
 	pending  []ident.Region
 	overflow bool
+
+	// free holds what earlier Repair passes discarded; a pass draws from
+	// it before touching an arena. What the latest pass discarded waits
+	// in heldNodes/heldKids and joins free when the next pass begins.
+	free      freeList
+	heldNodes []*Node
+	heldKids  [][]*Node
 }
 
 // New returns an unbuilt tree of branching factor k (k >= 2) over ring.
@@ -266,7 +314,8 @@ func (t *Tree) Build() error {
 	}
 	t.pending, t.overflow = nil, false
 	t.root = nil
-	t.leavesByVS = make(map[*chord.VServer][]*Node)
+	t.free, t.heldNodes, t.heldKids = freeList{}, nil, nil
+	t.leavesByVS = make(map[*chord.VServer][]*Node, t.ring.NumVServers())
 	t.numNodes, t.numLeaves = 0, 0
 	t.depthCount = t.depthCount[:0]
 
@@ -309,6 +358,7 @@ func (t *Tree) Repair() (changes int, err error) {
 	if dirty.empty() {
 		return 0, nil
 	}
+	t.release()
 	b := t.newBuilder(dirty)
 	full := ident.Full()
 	if host := t.coveredBy(full); host != nil {
@@ -398,6 +448,27 @@ func (d *dirtySet) overlapsLinear(lo, hi uint64) bool {
 	return i < len(d.lo) && d.lo[i] < hi
 }
 
+// count returns how many dirty intervals r overlaps (none for a nil set:
+// a full rebuild has no free list to share out).
+func (d *dirtySet) count(r ident.Region) int {
+	if d == nil || r.IsEmpty() {
+		return 0
+	}
+	lo := uint64(uint32(r.Start))
+	hi := lo + r.Width
+	n := 0
+	if hi > ident.SpaceSize {
+		n = d.countLinear(0, hi-ident.SpaceSize)
+		hi = ident.SpaceSize
+	}
+	return n + d.countLinear(lo, hi)
+}
+
+func (d *dirtySet) countLinear(lo, hi uint64) int {
+	first := sort.Search(len(d.hi), func(i int) bool { return d.hi[i] > lo })
+	return sort.Search(len(d.lo), func(i int) bool { return d.lo[i] >= hi }) - first
+}
+
 // overlaps reports whether the region shares an identifier with any
 // dirty interval. A nil set (full rebuild) is treated as all-dirty.
 //
@@ -418,43 +489,111 @@ func (d *dirtySet) overlaps(r ident.Region) bool {
 }
 
 // ---------------------------------------------------------------------
-// Arenas
+// Arenas and the free list
 
-// arena bump-allocates nodes and child-pointer slices from chunked
-// blocks. Chunks never move, so *Node pointers are stable for the
-// lifetime of the tree. Each builder (serial phase or parallel worker)
-// owns one arena, so allocation takes no locks.
+// arena bump-allocates nodes and child-pointer slices from blocks.
+// Blocks never move, so *Node pointers are stable for the lifetime of
+// the tree. Each builder (serial phase or parallel worker) owns one
+// arena, so allocation takes no locks.
 type arena struct {
-	nodes []Node
-	used  int
-	kids  []*Node
-	kused int
+	nodes []Node  // unused rest of the current node block
+	kids  []*Node // unused rest of the current child-slot block
+
+	// Size of the next block when a builder set it (a fresh subtree's
+	// estimate); otherwise a quarter of nodeTotal/kidTotal, the slots
+	// allocated so far.
+	nodeNext, kidNext   int
+	nodeTotal, kidTotal int
 }
 
-func (a *arena) node() *Node {
-	if a.used == len(a.nodes) {
-		a.nodes = make([]Node, nodeChunk)
-		a.used = 0
+// blockSize returns the size of an arena's next block: want when the
+// builder sized it, else a quarter of what the arena has allocated, at
+// most chunk — and never below need.
+func blockSize(want, total, chunk, need int) int {
+	if want == 0 {
+		want = min(total/4, chunk)
 	}
-	n := &a.nodes[a.used]
-	a.used++
+	return max(want, need)
+}
+
+//lbvet:hotpath
+func (a *arena) node() *Node {
+	if len(a.nodes) == 0 {
+		//lbvet:ignore hotalloc cold block refill: an arena refills O(log nodes) times, each block at least a quarter of everything before it
+		a.nodes = make([]Node, blockSize(a.nodeNext, a.nodeTotal, nodeChunk, minNodeBlock))
+		a.nodeTotal += len(a.nodes)
+		a.nodeNext = 0
+	}
+	n := &a.nodes[0]
+	a.nodes = a.nodes[1:]
 	return n
 }
 
 // childSlice carves a zero-length slice with capacity n from the
 // current child block.
+//
+//lbvet:hotpath
 func (a *arena) childSlice(n int) []*Node {
-	if a.kused+n > len(a.kids) {
-		size := childChunk
-		if n > size {
-			size = n
-		}
-		a.kids = make([]*Node, size)
-		a.kused = 0
+	if len(a.kids) < n {
+		//lbvet:ignore hotalloc cold block refill: an arena refills O(log slots) times, each block at least a quarter of everything before it
+		a.kids = make([]*Node, blockSize(a.kidNext, a.kidTotal, childChunk, n))
+		a.kidTotal += len(a.kids)
+		a.kidNext = 0
 	}
-	s := a.kids[a.kused : a.kused : a.kused+n]
-	a.kused += n
+	s := a.kids[:0:n]
+	a.kids = a.kids[n:]
 	return s
+}
+
+// freeList is what Repair passes discarded and later passes reuse: whole
+// nodes, and child slices by capacity. A pass only takes from it; what
+// the pass itself discards is held back until the next pass begins
+// (release), so a discarded node stays exactly as it was across one
+// Repair (see the package comment on stale holders).
+type freeList struct {
+	nodes []*Node
+	kids  [][][]*Node // kids[c] holds child slices of capacity c
+}
+
+// put adds a discarded child slice to its capacity class.
+func (f *freeList) put(s []*Node) {
+	for len(f.kids) <= cap(s) {
+		f.kids = append(f.kids, nil)
+	}
+	f.kids[cap(s)] = append(f.kids[cap(s)], s[:0])
+}
+
+// share returns the run of a free-list stack that builder idx may take
+// from. The runs are contiguous, in builder order, and as long as the
+// builders' weights (cum holds their prefix sums), so what a parallel
+// task is handed depends on its position in task order and never on
+// scheduling. The serial builder is alone (cum is {0, 1}) and sees the
+// whole stack.
+func share[E any](stack []E, idx int, cum []int) []E {
+	total := cum[len(cum)-1]
+	return stack[len(stack)*cum[idx]/total : len(stack)*cum[idx+1]/total]
+}
+
+// settleStack removes from a stack what each builder took, from the end
+// of its share, keeping the rest in order.
+func settleStack[E any](stack []E, cum []int, took func(idx int) int) []E {
+	w := 0
+	for idx := 0; idx < len(cum)-1; idx++ {
+		s := share(stack, idx, cum)
+		w += copy(stack[w:], s[:len(s)-took(idx)])
+	}
+	clear(stack[w:])
+	return stack[:w]
+}
+
+// settle removes from every stack what a pass's builders took; took
+// holds one row per builder (nodes, then child slices by capacity).
+func (f *freeList) settle(cum []int, took []int) {
+	classes := len(took) / (len(cum) - 1)
+	f.nodes = settleStack(f.nodes, cum, func(idx int) int { return took[idx*classes] })
+	for c := 1; c < classes; c++ {
+		f.kids[c] = settleStack(f.kids[c], cum, func(idx int) int { return took[idx*classes+c] })
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -491,6 +630,15 @@ type builder struct {
 	ar    arena
 	dirty *dirtySet // nil during Build (nothing can be reused)
 
+	// This builder's share of the tree's free list (see share) and how
+	// much of it is gone: took[0] counts nodes, took[c] child slices of
+	// capacity c (no child slice is shorter than two). freeNodes is
+	// what is left of its share of the nodes.
+	idx       int
+	cum       []int
+	took      []int
+	freeNodes []*Node
+
 	// tasks is non-nil only on the serial builder: subtrees rooted at
 	// taskDepth are deferred here instead of recursed into.
 	tasks []task
@@ -505,27 +653,59 @@ type builder struct {
 	depthDelta  []int
 
 	events     []leafEvent
-	removed    []*Node
+	removed    []*Node       // leaves to unregister from leavesByVS
+	freedNodes []*Node       // discarded nodes and unused arena nodes, bound for the free list
+	freedKids  [][]*Node     // child slices of discarded or outgrown nodes, likewise
 	taskLeaves [][]leafEvent // per-task leaf events, filled by runTasks
 
-	// Depth-indexed scratch for decompose, so steady-state decomposition
-	// allocates nothing.
+	// Depth-indexed scratch for decompose and materialize, so
+	// steady-state decomposition allocates nothing.
 	bufs  [][]piece
+	olds  [][]*Node
 	parts []ident.Region
 	hosts []*chord.VServer
-	left  []piece
-	mid   []piece
 	right []piece
 }
 
 func (t *Tree) newBuilder(dirty *dirtySet) *builder {
-	b := &builder{t: t, dirty: dirty}
+	b := &builder{t: t, dirty: dirty, cum: []int{0, 1}, freeNodes: t.free.nodes}
+	b.took = make([]int, max(1, len(t.free.kids)))
 	b.tasks = make([]task, 0, 16)
 	return b
 }
 
-func (b *builder) workerClone() *builder {
-	return &builder{t: b.t, dirty: b.dirty}
+// workerClone returns the builder for task idx; took is its row of the
+// pass's tally.
+func (b *builder) workerClone(idx int, cum, took []int) *builder {
+	return &builder{t: b.t, dirty: b.dirty, idx: idx, cum: cum, took: took, freeNodes: share(b.t.free.nodes, idx, cum)}
+}
+
+// node returns a blank node: one an earlier pass discarded if this
+// builder's share of the free list has any left, else a new one.
+func (b *builder) node() *Node {
+	last := len(b.freeNodes) - 1
+	if last < 0 {
+		return b.ar.node()
+	}
+	n := b.freeNodes[last]
+	b.freeNodes = b.freeNodes[:last]
+	b.took[0]++
+	*n = Node{}
+	return n
+}
+
+// childSlice returns an empty child slice of capacity at least n. One
+// from the free list has exactly n and may still hold what its last
+// owner left there; materialize fills every slot.
+func (b *builder) childSlice(n int) []*Node {
+	if n < len(b.took) {
+		s := share(b.t.free.kids[n], b.idx, b.cum)
+		if b.took[n] < len(s) {
+			b.took[n]++
+			return s[len(s)-b.took[n]]
+		}
+	}
+	return b.ar.childSlice(n)
 }
 
 func (b *builder) bumpDepth(d, delta int) {
@@ -536,7 +716,7 @@ func (b *builder) bumpDepth(d, delta int) {
 }
 
 func (b *builder) newLeaf(r ident.Region, host *chord.VServer, parent *Node) *Node {
-	n := b.ar.node()
+	n := b.node()
 	n.Region, n.Key, n.Host, n.Parent = r, r.Center(), host, parent
 	if parent != nil {
 		n.Depth = parent.Depth + 1
@@ -551,7 +731,7 @@ func (b *builder) newLeaf(r ident.Region, host *chord.VServer, parent *Node) *No
 }
 
 func (b *builder) newInternal(r ident.Region, parent *Node) *Node {
-	n := b.ar.node()
+	n := b.node()
 	n.Region, n.Key, n.Parent = r, r.Center(), parent
 	n.Host = b.t.owner(n.Key)
 	if parent != nil {
@@ -569,16 +749,26 @@ func (b *builder) removeLeaf(n *Node) {
 	b.removed = append(b.removed, n)
 }
 
-// discardSubtree prunes an entire old subtree: every node counts as one
-// change and leaves unregister from leavesByVS.
-func (b *builder) discardSubtree(n *Node) {
+// discard prunes one old node: it counts as one change, a leaf
+// unregisters from leavesByVS, and the node and its child slice are
+// bound for the free list. The node itself is left as it is.
+func (b *builder) discard(n *Node) {
 	b.changes++
 	b.nodesDelta--
 	b.bumpDepth(n.Depth, -1)
+	b.freedNodes = append(b.freedNodes, n)
 	if n.IsLeaf() {
 		b.removeLeaf(n)
-		return
+	} else {
+		b.freedKids = append(b.freedKids, n.Children)
 	}
+}
+
+// discardSubtree prunes an entire old subtree.
+//
+//lbvet:hotpath
+func (b *builder) discardSubtree(n *Node) {
+	b.discard(n)
 	for _, c := range n.Children {
 		b.discardSubtree(c)
 	}
@@ -619,6 +809,20 @@ func (b *builder) heartbeat(parent, child *Node) {
 	b.hbCost += b.t.heartbeatCost(parent, child)
 }
 
+// scratch makes the depth-indexed buffers reach lvl and the per-split
+// ones hold k entries; after a builder's first few calls it does
+// nothing.
+func (b *builder) scratch(lvl int) {
+	for len(b.bufs) <= lvl {
+		b.bufs = append(b.bufs, nil)
+		b.olds = append(b.olds, nil)
+	}
+	if k := b.t.k; len(b.parts) < k {
+		b.parts = make([]ident.Region, k)
+		b.hosts = make([]*chord.VServer, k)
+	}
+}
+
 // decompose computes the compressed child decomposition of a
 // non-covered region: K-way splits descend directly through
 // single-straddler levels (chain collapse), covered parts become leaf
@@ -626,16 +830,15 @@ func (b *builder) heartbeat(parent, child *Node) {
 // clockwise and has at least two elements. The returned slice is
 // per-recursion-level scratch, valid until the next decompose at the
 // same level.
+//
+//lbvet:hotpath
 func (b *builder) decompose(R ident.Region, lvl int) []piece {
+	b.scratch(lvl)
 	k := b.t.k
-	if cap(b.parts) < k {
-		b.parts = make([]ident.Region, k)
-		b.hosts = make([]*chord.VServer, k)
-	}
-	left, mid, right := b.left[:0], b.mid[:0], b.right[:0]
+	out, right := b.bufs[lvl][:0], b.right[:0]
 	cur := R
 	for {
-		parts := splitInto(cur, k, b.parts[:k])
+		parts := splitInto(cur, k, b.parts)
 		ncIdx, ncCount := -1, 0
 		for i, p := range parts {
 			if p.IsEmpty() {
@@ -648,61 +851,55 @@ func (b *builder) decompose(R ident.Region, lvl int) []piece {
 				ncIdx = i
 			}
 		}
+		// Chain collapse: a single straddling part materializes no KT
+		// node — descend into it, keeping the covered side-parts as
+		// leaves of the node being decomposed. The parts clockwise-after
+		// it wait on a stack (outer levels lie clockwise-after inner
+		// ones), pushed reversed and unwound reversed below.
+		last := k
 		if ncCount == 1 {
-			// Chain collapse: no KT node materializes for the single
-			// straddling part — descend into it, keeping the covered
-			// side-parts as leaves of the node being decomposed. The
-			// right side is a stack (outer levels lie clockwise-after
-			// inner ones), so it is pushed reversed and unwound by the
-			// reversed append below.
-			for i := 0; i < ncIdx; i++ {
-				if !parts[i].IsEmpty() {
-					left = append(left, piece{region: parts[i], host: b.hosts[i]})
-				}
-			}
+			last = ncIdx
 			for i := k - 1; i > ncIdx; i-- {
 				if !parts[i].IsEmpty() {
+					//lbvet:ignore hotalloc builder scratch: reaches its high-water mark within a builder's first calls, then only reused
 					right = append(right, piece{region: parts[i], host: b.hosts[i]})
 				}
 			}
-			cur = parts[ncIdx]
-			continue
 		}
-		for i, p := range parts {
-			if p.IsEmpty() {
-				continue
+		for i := 0; i < last; i++ {
+			if !parts[i].IsEmpty() {
+				out = emit(out, piece{region: parts[i], host: b.hosts[i]})
 			}
-			mid = append(mid, piece{region: p, host: b.hosts[i]})
 		}
-		break
+		if ncCount != 1 {
+			break
+		}
+		cur = parts[ncIdx]
 	}
-	b.left, b.mid, b.right = left, mid, right
-
-	for len(b.bufs) <= lvl {
-		b.bufs = append(b.bufs, nil)
-	}
-	out := b.bufs[lvl][:0]
-	out = append(out, left...)
-	out = append(out, mid...)
 	for i := len(right) - 1; i >= 0; i-- {
-		out = append(out, right[i])
+		out = emit(out, right[i])
 	}
-	// Merge adjacent same-host leaves (internal pieces have nil hosts
-	// and never merge). Pieces tile R, so neighbors are adjacent arcs.
-	w := 0
-	for _, p := range out {
-		if w > 0 && p.host != nil && out[w-1].host == p.host {
-			out[w-1].region.Width += p.region.Width
-			continue
-		}
-		out[w] = p
-		w++
-	}
-	b.bufs[lvl] = out
-	return out[:w]
+	b.bufs[lvl], b.right = out, right
+	return out
 }
 
-// splitInto is Region.Split into a caller-provided buffer.
+// emit appends p to a clockwise run of pieces, merging it into the last
+// one when both are leaves of one host (internal pieces have nil hosts
+// and never merge; the run tiles a region, so neighbors are adjacent).
+//
+//lbvet:hotpath
+func emit(out []piece, p piece) []piece {
+	if n := len(out); n > 0 && p.host != nil && out[n-1].host == p.host {
+		out[n-1].region.Width += p.region.Width
+		return out
+	}
+	//lbvet:ignore hotalloc builder scratch: reaches its high-water mark within a builder's first calls, then only reused
+	return append(out, p)
+}
+
+// splitInto is Region.Split into a caller-provided buffer of k entries.
+//
+//lbvet:hotpath
 func splitInto(r ident.Region, k int, out []ident.Region) []ident.Region {
 	base := r.Width / uint64(k)
 	rem := r.Width % uint64(k)
@@ -715,7 +912,7 @@ func splitInto(r ident.Region, k int, out []ident.Region) []ident.Region {
 		out[i] = ident.Region{Start: start, Width: w}
 		start = start.Add(w)
 	}
-	return out
+	return out[:k]
 }
 
 // materialize builds n's child list from pieces, reusing old children
@@ -723,11 +920,20 @@ func splitInto(r ident.Region, k int, out []ident.Region) []ident.Region {
 // internal child with identical region (spliced back whole if its
 // region is clean, repaired in place if dirty). Old children with no
 // surviving counterpart are discarded. Reuse matches by region start in
-// a single merge scan — both lists tile n.Region clockwise.
+// a single merge scan — both lists tile n.Region clockwise. The new list
+// is written over the old one when it fits its capacity; the scan reads
+// a copy, because its write index can overtake its read index.
 func (b *builder) materialize(n *Node, pieces []piece, lvl int) {
-	old := n.Children
+	old := append(b.olds[lvl][:0], n.Children...)
+	b.olds[lvl] = old
+	kids := n.Children[:0]
+	if len(pieces) > cap(kids) {
+		kids = b.childSlice(len(pieces))
+		if n.Children != nil {
+			b.freedKids = append(b.freedKids, n.Children)
+		}
+	}
 	base := n.Region.Start
-	kids := b.ar.childSlice(len(pieces))
 	j := 0
 	for _, p := range pieces {
 		off := base.Dist(p.region.Start)
@@ -768,22 +974,46 @@ func (b *builder) materialize(n *Node, pieces []piece, lvl int) {
 	for ; j < len(old); j++ {
 		b.discardSubtree(old[j])
 	}
+	if len(kids) < len(old) {
+		clear(kids[len(kids):len(old)]) // written in place and shorter: drop the old tail
+	}
 	n.Children = kids
 }
 
 // runTasks executes the deferred subtree tasks across cores and merges
 // each worker's tallies into the serial builder in task order, so the
-// result is independent of scheduling and worker count.
+// result is independent of scheduling and worker count. The free list
+// is settled the same way: first for what the serial phase took, then —
+// shared out among the tasks by how many dirty arcs each must reconcile,
+// the best cheap guess at what it will plant — for what the tasks took.
 func (t *Tree) runTasks(b *builder) {
+	b.releaseArena()
+	t.free.settle(b.cum, b.took)
+	b.taskLeaves = nil
 	if len(b.tasks) == 0 {
-		b.taskLeaves = nil
 		return
 	}
-	workers := par.Map(b.tasks, 0, func(tk task) *builder {
-		wb := b.workerClone()
+	classes, of := len(b.took), len(b.tasks)
+	took := make([]int, classes*of)
+	cum := make([]int, of+1)
+	for i, tk := range b.tasks {
+		cum[i+1] = cum[i] + 1 + b.dirty.count(tk.node.Region)
+	}
+	workers := make([]*builder, of)
+	par.For(of, 0, func(idx int) {
+		tk := b.tasks[idx]
+		wb := b.workerClone(idx, cum, took[idx*classes:(idx+1)*classes])
+		if tk.fresh {
+			// A new subtree: size the arena from the virtual servers it
+			// covers, so its one block is mostly filled.
+			wb.ar.nodeNext = nodesPerVS(t.ring.NumVServersIn(tk.node.Region))
+			wb.ar.kidNext = wb.ar.nodeNext
+		}
 		wb.process(tk.node, tk.fresh, 0)
-		return wb
+		wb.releaseArena()
+		workers[idx] = wb
 	})
+	t.free.settle(cum, took)
 	b.taskLeaves = make([][]leafEvent, len(workers))
 	for i, wb := range workers {
 		b.plants += wb.plants
@@ -798,13 +1028,33 @@ func (t *Tree) runTasks(b *builder) {
 			}
 		}
 		b.removed = append(b.removed, wb.removed...)
+		b.freedNodes = append(b.freedNodes, wb.freedNodes...)
+		b.freedKids = append(b.freedKids, wb.freedKids...)
 		b.taskLeaves[i] = wb.events
 	}
 }
 
+// releaseArena hands what a finished builder's arena did not use to the
+// free list — the nodes one by one, the child slots as pairs, the size
+// most in demand — so no block is ever partly lost.
+func (b *builder) releaseArena() {
+	for i := range b.ar.nodes {
+		b.freedNodes = append(b.freedNodes, &b.ar.nodes[i])
+	}
+	for len(b.ar.kids) >= 2 {
+		n := 2
+		if len(b.ar.kids) == 3 {
+			n = 3
+		}
+		b.freedKids = append(b.freedKids, b.ar.childSlice(n))
+	}
+	b.ar = arena{}
+}
+
 // apply commits a finished pass: engine message tallies, node/leaf
 // counters, and the leavesByVS updates (removals first, then additions
-// in clockwise DFS order). It returns the pass's change count.
+// in clockwise DFS order); what the pass discarded is held for the next
+// pass to release. It returns the pass's change count.
 func (t *Tree) apply(b *builder) int {
 	eng := t.ring.Engine()
 	if b.plants > 0 {
@@ -837,16 +1087,34 @@ func (t *Tree) apply(b *builder) int {
 		}
 	}
 	add(b.events)
+	t.heldNodes, t.heldKids = b.freedNodes, b.freedKids
 	return b.changes
 }
 
+// release puts what the previous pass discarded on the free list; until
+// now those nodes and child slices were exactly as that pass left them.
+func (t *Tree) release() {
+	for _, s := range t.heldKids {
+		if poison.Freed {
+			clear(s[:cap(s)])
+		}
+		t.free.put(s)
+	}
+	if poison.Freed {
+		for _, n := range t.heldNodes {
+			*n = Node{}
+		}
+	}
+	t.free.nodes = append(t.free.nodes, t.heldNodes...)
+	t.heldNodes, t.heldKids = nil, nil
+}
+
+// unregisterLeaf removes n from its host's leaf list, leaving no
+// reference to it in the list's backing array.
 func (t *Tree) unregisterLeaf(n *Node) {
 	leaves := t.leavesByVS[n.Host]
-	for i, l := range leaves {
-		if l == n {
-			leaves = append(leaves[:i], leaves[i+1:]...)
-			break
-		}
+	if i := slices.Index(leaves, n); i >= 0 {
+		leaves = slices.Delete(leaves, i, i+1)
 	}
 	if len(leaves) == 0 {
 		delete(t.leavesByVS, n.Host)

@@ -2,6 +2,7 @@ package ktree
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"p2plb/internal/chord"
@@ -167,6 +168,27 @@ func TestRepairAfterNodeRemoval(t *testing.T) {
 	if fresh.NumNodes() != tree.NumNodes() || fresh.NumLeaves() != tree.NumLeaves() {
 		t.Errorf("repaired tree shape %d/%d differs from fresh build %d/%d",
 			tree.NumNodes(), tree.NumLeaves(), fresh.NumNodes(), fresh.NumLeaves())
+	}
+	// Unregistering a leaf must not leave it behind in the vacated tail
+	// slot of its host's list, where it would pin its whole arena block.
+	// A join takes leaves from the virtual server it splits and gives it
+	// none back, so some list loses its last element.
+	for i := 0; i < 8; i++ {
+		ring.AddNode(-1, 100, 4)
+	}
+	if _, err := tree.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	tree.CheckInvariants()
+	live := map[*Node]bool{}
+	tree.Walk(func(n *Node) { live[n] = true })
+	for _, vs := range ring.VServers() {
+		leaves := tree.LeavesOf(vs)
+		for _, l := range leaves[:cap(leaves)] {
+			if l != nil && !live[l] {
+				t.Fatalf("leavesByVS backing array of VS %s still holds discarded leaf %v", vs.ID, l.Region)
+			}
+		}
 	}
 }
 
@@ -390,6 +412,7 @@ func TestTreeSizeReasonable(t *testing.T) {
 func BenchmarkBuild256x5K2(b *testing.B) {
 	ring := buildRing(1, 256, 5)
 	tree, _ := New(ring, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tree.Build(); err != nil {
@@ -406,4 +429,31 @@ func BenchmarkRepairStable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tree.Repair()
 	}
+}
+
+// BenchmarkRepairChurn1pct times the Repair that matters: the one after
+// 1% of a 6,400-node ring left and as many joined (the churn itself runs
+// off the clock).
+func BenchmarkRepairChurn1pct(b *testing.B) {
+	ring := buildRing(1, 6400, 5)
+	tree, _ := New(ring, 2)
+	tree.Build()
+	b.ReportAllocs()
+	var changes int
+	var alloc uint64
+	var m0, m1 runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		replaceOnePercent(ring)
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		changes += mustRepair(b, tree)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		alloc += m1.TotalAlloc - m0.TotalAlloc
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(changes)/float64(b.N), "changes/op")
+	b.ReportMetric(float64(alloc)/float64(changes), "B/change")
 }
