@@ -11,8 +11,8 @@
 # goroutine-spawning tests, lbnode — whose machines are
 # single-goroutine by construction but whose jittered-delivery
 # equivalence test runs its cases as parallel subtests, each on its own
-# engine — protocol, whose opt-in parallel subtree stepper runs one
-# goroutine per root-child subtree, wire's reader/retry goroutines,
+# engine — protocol, whose rounds fork one goroutine per root-child
+# subtree whenever the lookahead is safe, wire's reader/retry goroutines,
 # and cluster's in-process daemon tests; cluster's child-process e2e
 # tests skip themselves under -race via a build tag, since the race
 # runtime doesn't cross exec). The rest of the tree is
@@ -67,6 +67,10 @@ go test ./...
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
+# The forked subtree phases are the state several goroutines reach on
+# every default round; run their tests (and the crash and RunUntil
+# scenarios that must stay sequential) ten times over.
+go test -race -count=10 -run 'Parallel|Crash|RunUntil' ./internal/protocol/
 
 echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 # The two decoders that read bytes another process chose. `go test` above

@@ -1,4 +1,4 @@
-// Conservative parallel execution of the root's child subtrees.
+// Forked execution of the root's child subtrees.
 //
 // On a lossless network the LBI and VSA converge-casts have a strict
 // locality property: until a subtree's aggregate reaches the root,
@@ -6,67 +6,101 @@
 // on the root↔child edge. The subtrees share no protocol state — the
 // per-leaf inboxes, the per-node collect machines and the sequence
 // space partition cleanly — so each subtree's phase can be simulated
-// to completion on its own engine (the conservative lookahead: the
-// whole phase, justified because no event outside the subtree can
-// target it mid-phase).
+// to completion on its own engine, ahead of the root's clock (the
+// conservative lookahead: the whole phase).
 //
-// Each worker gets a goroutine and a fresh sim.Engine whose seed is
-// derived from the root engine's seed and the child index WITHOUT
-// consuming the root RNG — a draw would shift every later draw (lazy
-// advertisement placement, subset strategies) and break equivalence
-// with the sequential executor. The collect walks themselves consume
-// no randomness; the derived seed exists so that any future stray
-// draw diverges loudly per worker instead of silently corrupting the
-// shared stream.
+// That lookahead is sound only while nothing outside the round can
+// touch the world before the phase ends, so each collect phase decides
+// at the root's first down-arrival and forks only when all of these
+// hold:
 //
-// The root drives the phase exactly like the sequential walk: it
-// sends the real MsgCollectDown/MsgVSADown exchanges on its own
-// engine, and the down-arrival event joins the worker (blocking the
-// root goroutine in real time, never in virtual time). The join then
-// replays the subtree's externally visible effects at their reported
-// virtual offsets:
+//   - the engine has no MessageFilter (a filter decides drops and
+//     delays per message, and its state couples the subtrees);
+//   - the engine is draining in Run (sim.Engine.Draining), so no caller
+//     can change the world between two events — under Step or RunUntil
+//     it can;
+//   - every event pending on the root engine is one the round itself
+//     scheduled: its deadline, the root's epoch timer and the phase's
+//     other downs still in flight. A foreign event — a ticker, a
+//     scheduled crash — could fire mid-phase.
+//
+// Otherwise the phase runs the sequential walk, event for event. The
+// rule reads only simulation state, never GOMAXPROCS or timing.
+//
+// A fork runs every root child's phase at once, one goroutine per
+// child on that child's worker engine, and the deciding event returns
+// only when all of them have finished: no worker ever runs beside a
+// root event. A round keeps one worker engine and sub-round per root
+// child for both phases. Worker seeds derive from the root engine's
+// seed and the child index WITHOUT consuming the root RNG — a draw
+// would shift every later draw (lazy advertisement placement, subset
+// strategies) and break equivalence with the sequential walk. The
+// collect walks themselves consume no randomness; the derived seed
+// exists so that any future stray draw diverges loudly per worker
+// instead of silently corrupting the shared stream.
+//
+// The root drives the phase exactly like the sequential walk: it sends
+// the real MsgCollectDown/MsgVSADown exchanges on its own engine, and
+// each child's down-arrival joins that child's worker, replaying the
+// subtree's externally visible effects at their offsets from the
+// phase's start on the worker:
 //
 //   - the child's reply exchange (MsgReportUp/MsgVSAUp) is issued at
-//     the child's virtual completion time;
-//   - rendezvous pairings emitted inside the subtree are re-run on
-//     the root engine at their emission times (handoffs mutate the
-//     shared ring, so they must execute under the root's clock);
-//   - per-kind message tallies and failure counters merge in child
-//     order (pure sums, so the merge order is immaterial to the
-//     totals).
+//     the child's completion time;
+//   - rendezvous pairings emitted inside the subtree are re-run on the
+//     root engine at their emission times (handoffs mutate the shared
+//     ring, so they must execute under the root's clock);
+//   - the worker's executed events and message tallies fold into the
+//     root engine (sim.Engine.Absorb) and its failure counters into the
+//     round's result.
 //
-// Equivalence with the sequential run: the global tuple, the message
-// totals and the transfer set are identical. The only representational
-// difference is the order of same-instant events (sequence numbers are
-// allocated per engine), which the index-buffered root machines fold
-// away — TestParallelSubtreesEquivalence pins all of this.
+// Equivalence with the sequential walk: the global tuple, the census,
+// the message tallies, the transfer sequence and every node's VS order
+// are identical; Executed counts one extra event per live root child
+// per forked phase (the replayed reply) and one per replayed pairing.
+// TestParallelSubtreesEquivalence pins all of this.
 package protocol
 
 import (
+	"sync"
+
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
-	"p2plb/internal/lbnode"
 	"p2plb/internal/sim"
 )
 
+// neverFork makes every phase take the sequential walk. Tests set it
+// to obtain the reference a forked run must reproduce; nothing else
+// does.
+var neverFork bool
+
+// forkState is a collect phase's fork decision.
+type forkState uint8
+
+const (
+	forkUndecided forkState = iota
+	forkOn
+	forkOff
+)
+
 // timedPair is a rendezvous pairing recorded inside a worker, stamped
-// with the worker-virtual time it was emitted at.
+// with its offset from the phase's start on the worker engine.
 type timedPair struct {
 	at sim.Time
 	n  *ktree.Node
 	p  core.Pair
 }
 
-// subWorker is one root-child subtree phase running on its own engine.
-// The goroutine writes the result fields and closes done; the root
-// reads them only after <-done (the channel is the happens-before
-// edge).
+// subWorker is one root-child subtree's worker for the whole round. Its
+// goroutine writes the phase outcome; the root reads it only after the
+// fork's WaitGroup (the happens-before edge).
 type subWorker struct {
-	done  chan struct{}
 	eng   *sim.Engine
-	res   *Result
+	sub   *round
+	res   Result
+	start sim.Time       // the current phase's start on eng
 	ok    bool           // the child completed its epoch (false: dead subtree, never replies)
-	dur   sim.Time       // worker-virtual time of the child's completion
+	dur   sim.Time       // the child's completion, from start
 	agg   core.LBI       // LBI phase result
 	left  *core.PairList // VSA phase result: the unpaired remainder
 	pairs []timedPair    // VSA phase: deferred rendezvous pairings
@@ -81,175 +115,137 @@ func deriveSeed(base int64, child int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// subRound builds the worker-local round shim: same ring, tree, config
-// and shared (read-only during the phase) inboxes, but its own engine,
-// sequence space, dedup set and result counters.
-func (rd *round) subRound(eng *sim.Engine, res *Result) *round {
-	return &round{
-		r:          &Runner{ring: rd.r.ring, tree: rd.r.tree, cfg: rd.r.cfg, eng: eng},
+// newWorker builds a worker: same ring, tree, config and (read-only
+// during a phase) inboxes as the round, but its own engine, sequence
+// space, dedup set and result counters. A worker never forks again.
+func (rd *round) newWorker(seed int64) *subWorker {
+	w := &subWorker{eng: sim.NewEngine(seed)}
+	w.sub = &round{
+		r:          &Runner{ring: rd.r.ring, tree: rd.r.tree, cfg: rd.r.cfg, eng: w.eng},
 		timeout:    rd.timeout,
 		lbiInbox:   rd.lbiInbox,
 		vsaInbox:   rd.vsaInbox,
-		global:     rd.global,
 		maxRetries: rd.maxRetries,
-		res:        res,
+		res:        &w.res,
+		worker:     w,
+		lbiFork:    forkOff,
+		vsaFork:    forkOff,
 	}
+	w.sub.onLBIRoot = w.lbiDone
+	return w
 }
 
-// mergeWorker folds a finished worker's message tallies and failure
-// counters into the root round.
-func (rd *round) mergeWorker(w *subWorker) {
-	eng := rd.r.eng
-	for _, kind := range w.eng.MessageKinds() {
-		eng.CountMessageN(kind, w.eng.MessageCount(kind), sim.Time(w.eng.MessageCost(kind)))
+func (w *subWorker) lbiDone(agg core.LBI) {
+	w.ok, w.agg, w.dur = true, agg, w.eng.Now()-w.start
+}
+
+func (w *subWorker) vsaDone(left *core.PairList) {
+	w.ok, w.left, w.dur = true, left, w.eng.Now()-w.start
+}
+
+func startLBIWorker(w *subWorker, c *ktree.Node) { w.sub.startLBI(c, nil) }
+
+func startVSAWorker(w *subWorker, c *ktree.Node) { w.sub.startVSANode(c, false, nil, w.vsaDone) }
+
+// forked reports whether a collect phase, whose decision is *state,
+// runs on the workers; root is the walk's root and start begins one
+// child's epoch on its worker. The phase's first root-child
+// down-arrival decides, and a fork runs every child's phase to
+// completion before it returns.
+func (rd *round) forked(state *forkState, root *ktree.Node, start func(*subWorker, *ktree.Node)) bool {
+	if *state == forkUndecided {
+		*state = forkOff
+		if rd.lookaheadSafe(len(root.Children)) {
+			*state = forkOn
+			rd.runWorkers(root, start)
+		}
 	}
+	return *state == forkOn
+}
+
+// lookaheadSafe is the fork rule of the file comment, evaluated inside
+// the phase's first root-child down-arrival: apart from the round's
+// deadline and the root's epoch timer, only the phase's other downs may
+// be pending.
+func (rd *round) lookaheadSafe(children int) bool {
+	eng := rd.r.eng
+	return !neverFork && eng.Filter() == nil && eng.Draining() && eng.Pending() == 2+children-1
+}
+
+// runWorkers simulates every root child's phase on its worker, in
+// parallel, and waits for all of them.
+func (rd *round) runWorkers(root *ktree.Node, start func(*subWorker, *ktree.Node)) {
+	if rd.workers == nil {
+		rd.workers = make([]*subWorker, len(root.Children))
+		for ci := range rd.workers {
+			rd.workers[ci] = rd.newWorker(deriveSeed(rd.r.eng.Seed(), ci))
+		}
+	}
+	var wg sync.WaitGroup
+	for ci, c := range root.Children {
+		w := rd.workers[ci]
+		w.sub.global = rd.global
+		w.start, w.ok, w.pairs = w.eng.Now(), false, w.pairs[:0]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start(w, c)
+			w.eng.Run()
+		}()
+	}
+	wg.Wait()
+}
+
+// absorb folds root child ci's finished phase into the round — events
+// and message tallies into the root engine, failure counters into the
+// result — and clears them on the worker for its next phase.
+func (rd *round) absorb(ci int) *subWorker {
+	w := rd.workers[ci]
+	rd.r.eng.Absorb(w.eng)
 	rd.res.Retries += w.res.Retries
 	rd.res.TimedOutChildren += w.res.TimedOutChildren
-	rd.res.NodesClassified += w.res.NodesClassified
-}
-
-// startLBIPar is startLBI for the root with one worker per child
-// subtree. The root's own machine, epoch timer and down/up exchanges
-// are identical to the sequential walk; only what happens between the
-// down-arrival and the up-reply moves onto worker engines.
-func (rd *round) startLBIPar(n *ktree.Node) {
-	owner := n.Host.Owner
-	if !owner.Alive {
-		return
-	}
-	col := lbnode.MakeLBICollect(rd.lbiInbox[n], len(n.Children))
-	if col.Done() {
-		rd.lbiComplete(nil, col.Aggregate())
-		return
-	}
-	nd := slabAlloc(&rd.lbiNodes)
-	nd.rd, nd.n, nd.ni, nd.col, nd.parent = rd, n, owner.Index, col, nil
-	nd.expireEv.nd = nd
-	base := rd.r.eng.Seed()
-	for ci, c := range n.Children {
-		e := slabAlloc(&rd.lbiEdges)
-		e.nd, e.c, e.ci, e.chi = nd, c, ci, hostIdx(c)
-		e.edge = rd.r.tree.EdgeLatency(c)
-		e.up.e = e
-		w := rd.spawnLBIWorker(c, deriveSeed(base, ci))
-		rd.reliableEv(MsgCollectDown, nd.ni, e.chi, e.edge, &lbiJoin{e: e, w: w})
-	}
-	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
-}
-
-// spawnLBIWorker simulates c's whole LBI epoch on a derived-seed
-// engine.
-func (rd *round) spawnLBIWorker(c *ktree.Node, seed int64) *subWorker {
-	w := &subWorker{done: make(chan struct{}), eng: sim.NewEngine(seed), res: &Result{}}
-	go func() {
-		defer close(w.done)
-		sub := rd.subRound(w.eng, w.res)
-		sub.onLBIRoot = func(agg core.LBI) {
-			w.ok, w.agg, w.dur = true, agg, w.eng.Now()
-		}
-		sub.startLBI(c, nil)
-		w.eng.Run()
-	}()
+	w.res = Result{}
 	return w
 }
 
-// lbiJoin handles the down-arrival at a parallel child: wait for the
-// worker, then replay the reply at the child's completion offset. A
-// dead subtree still acks the pull (as in the sequential walk, where
-// aliveness gates the walk, not the transport) and simply never
-// replies, leaving the root's epoch timer to expire.
-type lbiJoin struct {
-	e *lbiEdge
-	w *subWorker
-}
-
-func (j *lbiJoin) HandleMsg() bool {
-	w := j.w
-	<-w.done
-	rd := j.e.nd.rd
-	rd.mergeWorker(w)
+// joinLBI runs at a forked child's down-arrival: the reply leaves at
+// the child's completion offset. A dead subtree still acks the pull (as
+// in the sequential walk, where aliveness gates the walk, not the
+// transport) and simply never replies, leaving the root's epoch timer
+// to expire.
+func (rd *round) joinLBI(e *lbiEdge) {
+	w := rd.absorb(e.ci)
 	if !w.ok {
-		return true
+		return
 	}
-	e, agg := j.e, w.agg
+	agg := w.agg
 	rd.r.eng.Schedule(w.dur, func() { rd.lbiComplete(e, agg) })
-	return true
 }
 
-func (j *lbiJoin) SettleMsg(bool) {}
-
-// startVSAPar mirrors startLBIPar for the VSA converge-cast. The root
-// runs its own rendezvous step (isRoot pairing) on the root engine via
-// the ordinary finishVSA path; subtree rendezvous pairings were
-// deferred by the workers and replay on the root engine.
-func (rd *round) startVSAPar(n *ktree.Node, cb func(*core.PairList)) {
-	owner := n.Host.Owner
-	if !owner.Alive {
-		return
-	}
-	col := lbnode.MakeVSACollect(rd.vsaInbox[n], len(n.Children))
-	if col.Done() {
-		rd.finishVSA(n, true, &col, nil, cb)
-		return
-	}
-	nd := slabAlloc(&rd.vsaNodes)
-	nd.rd, nd.n, nd.ni, nd.isRoot, nd.col = rd, n, owner.Index, true, col
-	nd.rootCb = cb
-	nd.expireEv.nd = nd
-	base := rd.r.eng.Seed()
-	for ci, c := range n.Children {
-		e := slabAlloc(&rd.vsaEdges)
-		e.nd, e.c, e.chi = nd, c, hostIdx(c)
-		e.edge = rd.r.tree.EdgeLatency(c)
-		e.up.e = e
-		w := rd.spawnVSAWorker(c, deriveSeed(base, ci))
-		rd.reliableEv(MsgVSADown, nd.ni, e.chi, e.edge, &vsaJoin{e: e, w: w})
-	}
-	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
-}
-
-// spawnVSAWorker simulates c's whole VSA epoch on a derived-seed
-// engine, recording rendezvous pairings instead of executing them.
-func (rd *round) spawnVSAWorker(c *ktree.Node, seed int64) *subWorker {
-	w := &subWorker{done: make(chan struct{}), eng: sim.NewEngine(seed), res: &Result{}}
-	go func() {
-		defer close(w.done)
-		sub := rd.subRound(w.eng, w.res)
-		sub.deferPairs = &w.pairs
-		sub.startVSANode(c, false, nil, func(left *core.PairList) {
-			w.ok, w.left, w.dur = true, left, w.eng.Now()
-		})
-		w.eng.Run()
-	}()
-	return w
-}
-
-// vsaJoin: as lbiJoin, plus the deferred-pairing replay. Pairings are
-// scheduled before the reply so that a pairing and the reply landing
-// on the same instant keep their worker-side emission order.
-type vsaJoin struct {
-	e *vsaEdge
-	w *subWorker
-}
-
-func (j *vsaJoin) HandleMsg() bool {
-	w := j.w
-	<-w.done
-	rd := j.e.nd.rd
-	rd.mergeWorker(w)
+// joinVSA is joinLBI plus the deferred-pairing replay. Pairings are
+// scheduled before the reply so that a pairing and the reply landing on
+// the same instant keep their worker-side emission order.
+func (rd *round) joinVSA(e *vsaEdge) {
+	w := rd.absorb(childIndex(e.nd.n, e.c))
 	if !w.ok {
-		return true
+		return
 	}
 	for _, tp := range w.pairs {
-		tp := tp
 		rd.r.eng.Schedule(tp.at, func() { rd.emitPair(tp.n, tp.p) })
 	}
-	e, left := j.e, w.left
+	left := w.left
 	rd.r.eng.Schedule(w.dur, func() {
 		e.sub = left
 		rd.reliableEv(MsgVSAUp, e.chi, e.nd.ni, e.edge, &e.up)
 	})
-	return true
 }
 
-func (j *vsaJoin) SettleMsg(bool) {}
+// childIndex returns c's position among n's children.
+func childIndex(n, c *ktree.Node) int {
+	for i, x := range n.Children {
+		if x == c {
+			return i
+		}
+	}
+	panic("protocol: joined a node that is not a root child")
+}

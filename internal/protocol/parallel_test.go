@@ -2,122 +2,315 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
+	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/faults"
+	"p2plb/internal/ident"
+	"p2plb/internal/ktree"
+	"p2plb/internal/sim"
+	"p2plb/internal/topology"
+	"p2plb/internal/workload"
 )
 
-// assignmentKeys renders a result's transfer set order-insensitively:
-// same-instant commits may fold in a different order under parallel
-// subtree execution (sequence numbers are per-engine), so the set —
-// not the slice order — is the invariant.
-func assignmentKeys(res *Result) []string {
-	keys := make([]string, len(res.Assignments))
-	for i, a := range res.Assignments {
-		keys[i] = fmt.Sprintf("%v:%d->%d:%.17g:%d:%d", a.VS.ID, a.From.Index, a.To.Index, a.Load, a.Hops, a.AssignedAt)
-	}
-	sort.Strings(keys)
-	return keys
+// fingerprint is outcome plus the engine's executed-event count, which
+// tells the sequential walk from a forked run with the same outcome.
+func fingerprint(res *Result, err error, eng *sim.Engine) string {
+	return fmt.Sprintf("%s events=%d", outcome(res, err, eng), eng.Executed())
 }
 
-// TestParallelSubtreesEquivalence pins the parallel stepper's
-// contract: a round with ParallelSubtrees produces the same global
-// tuple, the same census, the same per-kind message tallies and the
-// same transfer set as the sequential round on an identical fixture.
+// outcome renders everything a round leaves behind that the fork
+// decision could move: the global tuple, the census, the failure
+// counters, the phase ticks, the ordered transfer list (hashed), the
+// engine's message total and clock, and the round's error.
+func outcome(res *Result, err error, eng *sim.Engine) string {
+	tail := fmt.Sprintf("msgs=%d now=%d err=%v", eng.TotalMessages(), eng.Now(), err)
+	if res == nil {
+		return tail
+	}
+	h := fnv.New64a()
+	for _, a := range res.Assignments {
+		fmt.Fprintf(h, "%v:%d->%d:%x:%d:%d;", a.VS.ID, a.From.Index, a.To.Index, math.Float64bits(a.Load), a.Hops, a.AssignedAt)
+	}
+	return fmt.Sprintf("global=%v/%v/%v census=%d/%d/%d->%d/%d/%d classified=%d timedOut=%d aborted=%d retries=%d ticks=%d/%d/%d/%d/%d transfers=%d:%016x %s",
+		res.Global.L, res.Global.C, res.Global.Lmin,
+		res.HeavyBefore, res.LightBefore, res.NeutralBefore, res.HeavyAfter, res.LightAfter, res.NeutralAfter,
+		res.NodesClassified, res.TimedOutChildren, res.AbortedTransfers, res.Retries,
+		res.TimeLBIAggregate, res.TimeLBIDisseminate, res.TimePublish, res.TimeVSAComplete, res.TimeVSTComplete,
+		len(res.Assignments), h.Sum64(), tail)
+}
+
+// forkReplays is how many events a forked run adds to the sequential
+// walk: per forked phase one replayed reply per root child, plus one
+// replayed emission per pairing made below the root.
+func forkReplays(res *Result, rootChildren, phases int) uint64 {
+	n := phases * rootChildren
+	if res != nil {
+		for _, a := range res.Assignments {
+			if a.Depth > 0 {
+				n++
+			}
+		}
+	}
+	return uint64(n)
+}
+
+// crashLast removes the n highest-indexed alive nodes, sparing the
+// root's host.
+func crashLast(ring *chord.Ring, tree *ktree.Tree, n int) {
+	alive := ring.AliveNodes()
+	for i := 0; i < n; i++ {
+		if victim := alive[len(alive)-1-i]; victim != tree.Root().Host.Owner {
+			ring.RemoveNode(victim)
+		}
+	}
+}
+
+// sequentially runs f with forking disabled: the reference walk.
+func sequentially(f func()) {
+	neverFork = true
+	defer func() { neverFork = false }()
+	f()
+}
+
+// blockMapper is a proximity-aware key mapper for unit-latency rings:
+// nodes fall into cells of 16 consecutive underlay positions, and each
+// cell publishes under its own key.
+type blockMapper struct{}
+
+func (blockMapper) Key(n topology.NodeID) ident.ID { return ident.ID(uint32(n/16) * 0x9E3779B9) }
+
+// forkFixture is a bulk-built loaded ring and K-nary tree whose nodes
+// sit at distinct underlay positions (for blockMapper).
+func forkFixture(seed int64, nodes, k int) (*chord.Ring, *ktree.Tree) {
+	eng := sim.NewEngine(seed)
+	ring := chord.NewRing(eng, chord.Config{})
+	profile := workload.GnutellaProfile()
+	ring.BulkAddNodes(nodes, 5,
+		func(i int) topology.NodeID { return topology.NodeID(i) },
+		func(int) float64 { return profile.Sample(eng.Rand()) })
+	mu := float64(nodes) * 100
+	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
+	for _, vs := range ring.VServers() {
+		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
+	}
+	tree, err := ktree.New(ring, k)
+	if err != nil {
+		panic(err)
+	}
+	if err := tree.Build(); err != nil {
+		panic(err)
+	}
+	return ring, tree
+}
+
+// hostedOrder renders every node's virtual-server list in order.
+func hostedOrder(ring *chord.Ring) string {
+	h := fnv.New64a()
+	for _, n := range ring.Nodes() {
+		for _, vs := range n.VServers() {
+			fmt.Fprintf(h, "%v,", vs.ID)
+		}
+		fmt.Fprint(h, ";")
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestParallelSubtreesEquivalence is the proof of the forked path: on
+// identical fixtures, a forked round and the sequential walk leave the
+// same world — global tuple, census, phase ticks, per-kind message
+// tallies, the transfer list in order, and every node's VS order —
+// and the forked engine executes exactly one extra event per root
+// child per phase (the replayed reply) plus one per pairing made below
+// the root (the replayed emission).
 func TestParallelSubtreesEquivalence(t *testing.T) {
-	// Threshold 0 (the default, 30) exercises rendezvous pairing deep
-	// inside the worker subtrees — the deferred-replay path; -1 defers
-	// all pairing to the root. "mode" below is the threshold.
-	for _, mode := range []int{0, -1} {
-		cfgCore := core.Config{Epsilon: 0.05, RendezvousThreshold: mode}
+	sizes := []int{512, 6400}
+	if testing.Short() || raceEnabled {
+		sizes = sizes[:1]
+	}
+	for _, nodes := range sizes {
+		for _, k := range []int{2, 8} {
+			for _, threshold := range []int{0, -1} {
+				for _, mode := range []core.Mode{core.ProximityIgnorant, core.ProximityAware} {
+					name := fmt.Sprintf("n%d-K%d-threshold%d-%v", nodes, k, threshold, mode)
+					t.Run(name, func(t *testing.T) {
+						cfg := Config{Core: core.Config{Epsilon: 0.05, RendezvousThreshold: threshold, Mode: mode}}
+						if mode == core.ProximityAware {
+							cfg.Core.Mapper = blockMapper{}
+						}
+						ringS, treeS := forkFixture(3, nodes, k)
+						rootChildren := len(treeS.Root().Children)
+						var seq *Result
+						sequentially(func() { seq = runOneRound(t, ringS, treeS, cfg) })
+						ringF, treeF := forkFixture(3, nodes, k)
+						forked := runOneRound(t, ringF, treeF, cfg)
+						compareRounds(t, seq, forked, ringS, ringF)
 
-		ringS, treeS := fixture(7, 512, 5)
-		seq := runOneRound(t, ringS, treeS, Config{Core: cfgCore})
-
-		ringP, treeP := fixture(7, 512, 5)
-		par := runOneRound(t, ringP, treeP, Config{Core: cfgCore, ParallelSubtrees: true})
-
-		if seq.Global != par.Global {
-			t.Fatalf("threshold %d: global diverged: sequential %+v parallel %+v", mode, seq.Global, par.Global)
-		}
-		if seq.HeavyBefore != par.HeavyBefore || seq.LightBefore != par.LightBefore ||
-			seq.HeavyAfter != par.HeavyAfter || seq.NodesClassified != par.NodesClassified {
-			t.Fatalf("mode %v: census diverged: sequential %+v parallel %+v", mode, seq, par)
-		}
-		if seq.MovedLoad != par.MovedLoad || seq.UnassignedOffers != par.UnassignedOffers {
-			t.Fatalf("mode %v: moved=%v/%v unassigned=%d/%d", mode,
-				seq.MovedLoad, par.MovedLoad, seq.UnassignedOffers, par.UnassignedOffers)
-		}
-		sk, pk := assignmentKeys(seq), assignmentKeys(par)
-		if len(sk) != len(pk) {
-			t.Fatalf("mode %v: %d vs %d transfers", mode, len(sk), len(pk))
-		}
-		for i := range sk {
-			if sk[i] != pk[i] {
-				t.Fatalf("mode %v: transfer sets diverge at %d:\n  sequential %s\n  parallel   %s", mode, i, sk[i], pk[i])
+						extra := forkReplays(seq, rootChildren, 2)
+						if s, f := ringS.Engine().Executed(), ringF.Engine().Executed(); f != s+extra {
+							t.Errorf("forked executed %d events, want sequential %d + %d replays", f, s, extra)
+						}
+						if seq.TimedOutChildren != 0 || seq.Retries != 0 || len(seq.Assignments) == 0 {
+							t.Fatalf("fixture not a clean balancing round: %d timed out, %d retries, %d transfers",
+								seq.TimedOutChildren, seq.Retries, len(seq.Assignments))
+						}
+						ringF.CheckInvariants()
+						treeF.CheckInvariants()
+					})
+				}
 			}
 		}
-		for _, kind := range ringS.Engine().MessageKinds() {
-			if c, p := ringS.Engine().MessageCount(kind), ringP.Engine().MessageCount(kind); c != p {
-				t.Errorf("mode %v: %s count %d (sequential) vs %d (parallel)", mode, kind, c, p)
-			}
-			if c, p := ringS.Engine().MessageCost(kind), ringP.Engine().MessageCost(kind); c != p {
-				t.Errorf("mode %v: %s cost %d (sequential) vs %d (parallel)", mode, kind, c, p)
-			}
-		}
-		if seq.TimedOutChildren != 0 || par.TimedOutChildren != 0 || seq.Retries != 0 || par.Retries != 0 {
-			t.Fatalf("mode %v: lossless round saw timeouts/retries", mode)
-		}
-		ringP.CheckInvariants()
-		treeP.CheckInvariants()
 	}
 }
 
-// TestParallelSubtreesDeterministic: two parallel runs on identical
-// fixtures are identical in every observable, including assignment
-// ORDER — goroutine scheduling must not leak into outcomes.
+// compareRounds requires two rounds on identically built rings to be
+// indistinguishable.
+func compareRounds(t *testing.T, seq, forked *Result, ringS, ringF *chord.Ring) {
+	t.Helper()
+	engS, engF := ringS.Engine(), ringF.Engine()
+	if s, f := outcome(seq, nil, engS), outcome(forked, nil, engF); s != f {
+		t.Errorf("outcome diverged:\n  sequential %s\n  forked     %s", s, f)
+	}
+	if seq.MovedLoad != forked.MovedLoad || seq.UnassignedOffers != forked.UnassignedOffers || seq.UnassignedLoad != forked.UnassignedLoad {
+		t.Errorf("moved %v/%v, unassigned %d/%d (%v/%v)", seq.MovedLoad, forked.MovedLoad,
+			seq.UnassignedOffers, forked.UnassignedOffers, seq.UnassignedLoad, forked.UnassignedLoad)
+	}
+	for i := 0; i < len(seq.Assignments) && i < len(forked.Assignments); i++ {
+		if a, b := seq.Assignments[i], forked.Assignments[i]; a.Depth != b.Depth {
+			t.Errorf("assignment %d: rendezvous depth %d vs %d", i, a.Depth, b.Depth)
+			break
+		}
+	}
+	if s, f := hostedOrder(ringS), hostedOrder(ringF); s != f {
+		t.Errorf("per-node VS order diverged")
+	}
+	kinds := engS.MessageKinds()
+	if fmt.Sprint(kinds) != fmt.Sprint(engF.MessageKinds()) {
+		t.Errorf("message kinds %v vs %v", kinds, engF.MessageKinds())
+	}
+	for _, kind := range kinds {
+		if s, f := engS.MessageCount(kind), engF.MessageCount(kind); s != f {
+			t.Errorf("%s count %d (sequential) vs %d (forked)", kind, s, f)
+		}
+		if s, f := engS.MessageCost(kind), engF.MessageCost(kind); s != f {
+			t.Errorf("%s cost %d (sequential) vs %d (forked)", kind, s, f)
+		}
+	}
+}
+
+// TestParallelSubtreesDeterministic: forked runs on identical fixtures
+// agree in every observable at any core count — goroutine scheduling
+// must not leak into outcomes.
 func TestParallelSubtreesDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ring, tree := fixture(11, 384, 5)
-		return runOneRound(t, ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ParallelSubtrees: true})
+		res := runOneRound(t, ring, tree, Config{Core: core.Config{Epsilon: 0.05}})
+		return fingerprint(res, nil, ring.Engine()) + " hosted=" + hostedOrder(ring)
 	}
-	a, b := run(), run()
-	if a.Global != b.Global || a.MovedLoad != b.MovedLoad || len(a.Assignments) != len(b.Assignments) {
-		t.Fatalf("parallel runs diverged: %+v vs %+v", a.Global, b.Global)
-	}
-	for i := range a.Assignments {
-		x, y := a.Assignments[i], b.Assignments[i]
-		if x.VS.ID != y.VS.ID || x.From.Index != y.From.Index || x.To.Index != y.To.Index || x.AssignedAt != y.AssignedAt {
-			t.Fatalf("assignment %d diverged across identical parallel runs", i)
+	ref := run(1)
+	for _, procs := range []int{1, 4, 4} {
+		if got := run(procs); got != ref {
+			t.Fatalf("GOMAXPROCS %d diverged:\n  %s\n  %s", procs, got, ref)
 		}
 	}
 }
 
-// TestParallelSubtreesRejectsFaultFilter: the conservative lookahead
-// assumes subtree isolation, which a fault filter's shared state
-// breaks — the combination must be refused up front.
-func TestParallelSubtreesRejectsFaultFilter(t *testing.T) {
-	ring, tree := fixture(13, 64, 5)
+// TestParallelSubtreesSequentialWithFilter: a filter couples the
+// subtrees, so a round under one takes the sequential walk, event for
+// event.
+func TestParallelSubtreesSequentialWithFilter(t *testing.T) {
+	run := func() string {
+		ring, tree := fixture(13, 64, 5)
+		in, err := faults.New(1, faults.Plan{Drop: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Attach(ring); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, roundErr := runFaultyRound(t, r)
+		return fingerprint(res, roundErr, ring.Engine())
+	}
+	var ref string
+	sequentially(func() { ref = run() })
+	if got := run(); got != ref {
+		t.Fatalf("filtered round left the sequential walk:\n  got  %s\n  want %s", got, ref)
+	}
+}
+
+// checkPinned compares a round against the outcome the sequential walk
+// produced before forking became the default, and the engine's event
+// count against that walk's plus the replays of the phases that forked.
+func checkPinned(t *testing.T, res *Result, err error, eng *sim.Engine, want string, wantEvents uint64) {
+	t.Helper()
+	if got := outcome(res, err, eng); got != want {
+		t.Errorf("outcome moved:\n  got  %s\n  want %s", got, want)
+	}
+	if got := eng.Executed(); got != wantEvents {
+		t.Errorf("executed %d events, want %d", got, wantEvents)
+	}
+}
+
+// TestParallelSubtreesSequentialUnderRunUntil: a caller stepping the
+// engine with RunUntil may change the world between events — here it
+// crashes 8 nodes at tick 22, mid-LBI — so the LBI phase must not
+// simulate ahead. The VSA phase starts inside the later Run with
+// nothing else pending, so it forks.
+func TestParallelSubtreesSequentialUnderRunUntil(t *testing.T) {
+	ring, tree := fixture(21, 256, 4)
 	eng := ring.Engine()
-	in, err := faults.New(1, faults.Plan{Drop: 0.1})
+	rootChildren := len(tree.Root().Children)
+	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ChildTimeout: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Attach(ring); err != nil {
+	var out *Result
+	var outErr error
+	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err }); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ParallelSubtrees: true})
+	eng.RunUntil(eng.Now() + 22)
+	crashLast(ring, tree, 8)
+	eng.Run()
+	checkPinned(t, out, outErr, eng,
+		"global=25165.403553673223/14290/0 census=180/68/0->71/177/0 classified=248 timedOut=62 aborted=0 retries=0 ticks=2044/2068/0/8086/8094 transfers=333:26972a3665121289 msgs=45969 now=8096 err=<nil>",
+		40940+forkReplays(out, rootChildren, 1))
+}
+
+// TestParallelSubtreesSequentialWithTicker: a periodic event pending on
+// the engine (here a churn ticker crashing a node every 20 ticks, three
+// times) is foreign to the round, so every phase takes the sequential
+// walk, event for event.
+func TestParallelSubtreesSequentialWithTicker(t *testing.T) {
+	ring, tree := fixture(14, 128, 4)
+	eng := ring.Engine()
+	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ChildTimeout: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.StartRound(func(*Result, error) {}); err == nil {
-		t.Fatal("StartRound accepted ParallelSubtrees with a fault filter installed")
-	}
-	in.Detach()
-	if err := r.StartRound(func(*Result, error) {}); err != nil {
-		t.Fatalf("filter removed, round still refused: %v", err)
+	crashes := 0
+	stop := eng.Every(20, func() {
+		if crashes < 3 {
+			crashes++
+			crashLast(ring, tree, 1)
+		}
+	})
+	var out *Result
+	var outErr error
+	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err; stop() }); err != nil {
+		t.Fatal(err)
 	}
 	eng.Run()
+	checkPinned(t, out, outErr, eng,
+		"global=12792.536231905786/9767/0 census=88/36/0->31/94/0 classified=124 timedOut=16 aborted=0 retries=0 ticks=2536/2560/0/9068/9076 transfers=164:34ca1ab5a9393508 msgs=20799 now=9078 err=<nil>",
+		18773)
 }

@@ -21,6 +21,12 @@
 // the remainder — the fault-tolerance behaviour §3.1-3.4 argue for and
 // defer to future work to evaluate.
 //
+// When nothing but the round can act on the engine — no fault filter,
+// no foreign pending event, the engine draining in Run — the LBI and
+// VSA converge-casts simulate the root's child subtrees on separate
+// engines in parallel and replay their results on the root's clock,
+// with the same outcome as the sequential walk (parallel.go).
+//
 // All three executions share the classification and pairing rules
 // through lbnode and core's exported primitives, so on a static ring
 // they produce equivalent balancing outcomes.
@@ -90,19 +96,6 @@ type Config struct {
 	// 5; lossless runs never retransmit, so the knob only matters under
 	// a fault plan.
 	MaxRetries int
-	// ParallelSubtrees runs the LBI and VSA converge-casts of the
-	// root's child subtrees on parallel worker engines (one goroutine
-	// and one derived-seed sim.Engine per root child), exploiting that
-	// on a lossless network the subtrees exchange no messages until
-	// the root merge. The lookahead is conservative: each worker
-	// simulates its whole subtree phase in isolation and the root
-	// replays the subtree's externally visible effects (the reply, the
-	// rendezvous pairings, the message tallies) at their reported
-	// virtual times, so results are equivalent to a sequential run —
-	// see parallel.go for the exact contract. Incompatible with a
-	// fault filter (a filter's state couples the subtrees);
-	// StartRound rejects the combination.
-	ParallelSubtrees bool
 }
 
 // defaultChildTimeout is the per-level slack used when Config leaves
@@ -247,9 +240,14 @@ type round struct {
 
 	onLBIRoot func(core.LBI)
 
-	// Non-nil only on a parallel subtree worker: emitPair records
-	// instead of executing (see parallel.go).
-	deferPairs *[]timedPair
+	// Subtree forking (parallel.go). On the round itself: each collect
+	// phase's decision and one worker per root child, made at the
+	// round's first fork. On a worker's sub-round, worker is set —
+	// emitPair records instead of executing — and both phases are
+	// forkOff.
+	lbiFork, vsaFork forkState
+	workers          []*subWorker
+	worker           *subWorker
 
 	res    *Result
 	finish func(*Result, error)
@@ -310,9 +308,6 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 		if err := r.tree.Build(); err != nil {
 			return err
 		}
-	}
-	if r.cfg.ParallelSubtrees && r.eng.Filter() != nil {
-		return fmt.Errorf("protocol: ParallelSubtrees is incompatible with a fault filter (filter state couples the subtrees)")
 	}
 	// Same contract as core.Balancer.RunRound: a configured LoadSource
 	// snapshots its current view into vs.Load before the LBI sweep reads
@@ -680,13 +675,10 @@ func (rd *round) leafFor(vs *chord.VServer) *ktree.Node {
 // give up on silent children after the timeout. cb receives the root
 // aggregate; the walk itself runs on slab-pooled lbiNode/lbiEdge
 // objects, one per live tree node and edge, so an epoch costs no
-// per-message closures.
+// per-message closures. The root's child subtrees may run forked (see
+// parallel.go).
 func (rd *round) collectLBI(n *ktree.Node, cb func(core.LBI)) {
 	rd.onLBIRoot = cb
-	if rd.r.cfg.ParallelSubtrees {
-		rd.startLBIPar(n)
-		return
-	}
 	rd.startLBI(n, nil)
 }
 
@@ -773,12 +765,18 @@ func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
 
 type lbiDown struct{ e *lbiEdge }
 
-// HandleMsg: the downward pull reached the child — start its epoch.
+// HandleMsg: the downward pull reached the child — start its epoch, or
+// at a root child of a forked phase, replay its worker's.
 //
 //lbvet:hotpath
 func (d *lbiDown) HandleMsg() bool {
 	e := d.e
-	e.nd.rd.startLBI(e.c, e)
+	rd := e.nd.rd
+	if e.nd.parent == nil && rd.forked(&rd.lbiFork, e.nd.n, startLBIWorker) {
+		rd.joinLBI(e)
+		return true
+	}
+	rd.startLBI(e.c, e)
 	return true
 }
 
@@ -960,12 +958,9 @@ func (rd *round) startVSA() {
 // collectVSA is the bottom-up VSA sweep, one lbnode.VSACollect epoch
 // per node: children reply with their unpaired lists; rendezvous points
 // (threshold reached, or the root) pair and notify, and everything
-// unpaired flows upward.
+// unpaired flows upward. The root's child subtrees may run forked (see
+// parallel.go).
 func (rd *round) collectVSA(n *ktree.Node, isRoot bool, cb func(*core.PairList)) {
-	if rd.r.cfg.ParallelSubtrees {
-		rd.startVSAPar(n, cb)
-		return
-	}
 	rd.startVSANode(n, isRoot, nil, cb)
 }
 
@@ -1052,7 +1047,12 @@ type vsaDown struct{ e *vsaEdge }
 //lbvet:hotpath
 func (d *vsaDown) HandleMsg() bool {
 	e := d.e
-	e.nd.rd.startVSANode(e.c, false, e, nil)
+	rd := e.nd.rd
+	if e.nd.parent == nil && rd.forked(&rd.vsaFork, e.nd.n, startVSAWorker) {
+		rd.joinVSA(e)
+		return true
+	}
+	rd.startVSANode(e.c, false, e, nil)
 	return true
 }
 
@@ -1088,11 +1088,11 @@ func (x *vsaExpire) RunEvent() {
 // transfer); the light endpoint's copy is informational — the prepare
 // phase re-validates the receiver — so it rides an unreliable send.
 func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
-	if rd.deferPairs != nil {
-		// Parallel worker: pairing side effects (handoffs mutate the
-		// shared ring) are recorded with their virtual emission time
-		// and replayed on the root engine at the join.
-		*rd.deferPairs = append(*rd.deferPairs, timedPair{at: rd.r.eng.Now(), n: rendezvous, p: p})
+	if w := rd.worker; w != nil {
+		// Forked subtree: pairing side effects (handoffs mutate the
+		// shared ring) are recorded at their offset into the phase and
+		// replayed on the root engine at the join.
+		w.pairs = append(w.pairs, timedPair{at: rd.r.eng.Now() - w.start, n: rendezvous, p: p})
 		return
 	}
 	eng := rd.r.eng

@@ -181,6 +181,7 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 	// completes with partial data.
 	ring, tree := fixture(8, 128, 4)
 	eng := ring.Engine()
+	rootChildren := len(tree.Root().Children)
 	r, err := NewRunner(ring, tree, Config{
 		Core:         core.Config{Epsilon: 0.05},
 		ChildTimeout: 500,
@@ -219,6 +220,12 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 	if !out.Global.Valid() {
 		t.Error("global tuple should still be valid")
 	}
+	// The sequential walk's outcome. The crash at tick 1 lands before
+	// the first root child's pull arrives (tick 2), so both phases fork
+	// on the already-crashed world and add only their replays.
+	checkPinned(t, out, outErr, eng,
+		"global=5424.619065576759/2690/0 census=74/30/0->44/68/0 classified=104 timedOut=80 aborted=0 retries=0 ticks=6008/6032/0/12044/12052 transfers=92:7fae609ef08dafcd msgs=13232 now=12054 err=<nil>",
+		10269+forkReplays(out, rootChildren, 2))
 	ring.CheckInvariants()
 	// After repair, a fresh round completes cleanly.
 	if _, err := tree.Repair(); err != nil {
@@ -264,6 +271,12 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 	}
 	t.Logf("aborted=%d timedOut=%d assignments=%d heavyAfter=%d",
 		out.AbortedTransfers, out.TimedOutChildren, len(out.Assignments), out.HeavyAfter)
+	// The sequential walk's outcome, event for event: the strike is
+	// pending from the start, so neither phase forks. (This fixture's
+	// round finishes at tick 140, before the strike.)
+	checkPinned(t, out, nil, eng,
+		"global=12820.597897377087/11189/0.21364739607996913 census=94/34/0->0/113/15 classified=128 timedOut=0 aborted=0 retries=0 ticks=52/72/0/132/140 transfers=281:abdf8699e466da45 msgs=26080 now=150 err=<nil>",
+		23888)
 	for _, a := range out.Assignments {
 		if a.VS.Owner != a.To {
 			t.Error("completed assignment whose VS is not at its destination")
@@ -275,6 +288,7 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 func TestRootDeathFailsRoundByDeadline(t *testing.T) {
 	ring, tree := fixture(10, 64, 4)
 	eng := ring.Engine()
+	rootChildren := len(tree.Root().Children)
 	r, _ := NewRunner(ring, tree, Config{
 		Core:         core.Config{Epsilon: 0.05},
 		ChildTimeout: 100,
@@ -295,6 +309,11 @@ func TestRootDeathFailsRoundByDeadline(t *testing.T) {
 	if roundErr == nil {
 		t.Fatal("expected a deadline error after root death")
 	}
+	// The sequential walk's outcome. The LBI phase forks after the
+	// crash at tick 1; the dead root never starts a VSA phase.
+	checkPinned(t, nil, roundErr, eng,
+		"msgs=5371 now=11200 err=protocol: round deadline exceeded (root unreachable?)",
+		4268+forkReplays(nil, rootChildren, 1))
 }
 
 func TestOnlyOneActiveRound(t *testing.T) {

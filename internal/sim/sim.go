@@ -36,6 +36,7 @@ type Engine struct {
 	rng      *rand.Rand
 	msgStats map[string]*msgStat
 	executed uint64
+	draining bool // inside Run (see Draining)
 
 	// Optional metrics sink. Per-kind counters are cached (one map
 	// lookup per message) so the per-message hot path never takes the
@@ -278,10 +279,22 @@ func (e *Engine) Step() bool {
 // queue never drains; use RunUntil instead.
 func (e *Engine) Run() uint64 {
 	start := e.executed
+	prev := e.draining
+	e.draining = true
+	defer func() { e.draining = prev }()
 	for e.Step() {
 	}
 	return e.executed - start
 }
+
+// Draining reports whether the engine is inside Run. Run returns only
+// once the queue is empty, so while it drains no code outside the
+// events themselves can run between two events; Step and RunUntil hand
+// control back to their caller and report false. Code that simulates
+// ahead of the clock (protocol's forked subtree phases) needs this:
+// under Step or RunUntil the caller may change the world at any
+// virtual instant.
+func (e *Engine) Draining() bool { return e.draining }
 
 // RunUntil executes events with timestamps <= deadline, then sets the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
@@ -302,8 +315,25 @@ func (e *Engine) RunUntil(deadline Time) {
 // counted).
 func (e *Engine) Pending() int { return e.q.pending }
 
-// Executed returns the total number of events executed so far.
+// Executed returns the total number of events executed so far,
+// including those folded in from side engines by Absorb.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Absorb folds a side engine's executed-event count and message
+// tallies into e, as if its events had run here, and zeroes them on w,
+// so a side engine reused for later work never reports an event twice.
+// Fan-out layers (protocol's forked subtree phases) call it when a
+// worker engine has finished, on the goroutine that owns e. Side
+// engines run without a filter; drop counts are not carried over.
+func (e *Engine) Absorb(w *Engine) {
+	e.executed += w.executed
+	w.executed = 0
+	for _, kind := range w.MessageKinds() {
+		s := w.msgStats[kind]
+		e.CountMessageN(kind, s.count, Time(s.cost))
+	}
+	clear(w.msgStats)
+}
 
 // CountMessage records one protocol message of the given kind with the
 // given delivery cost (latency units). Protocol code calls this once per

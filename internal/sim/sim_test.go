@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -196,6 +197,53 @@ func TestExecutedCounter(t *testing.T) {
 	e.Run()
 	if e.Executed() != 10 {
 		t.Fatalf("Executed = %d", e.Executed())
+	}
+}
+
+// TestAbsorb: a side engine's events and message tallies land on the
+// root exactly once, however often the side engine is reused.
+func TestAbsorb(t *testing.T) {
+	root, side := NewEngine(1), NewEngine(2)
+	root.CountMessage("pull", 2)
+	for round := 1; round <= 2; round++ {
+		side.Deliver("pull", 0, 1, 3, func() {})
+		side.Deliver("reply", 1, 0, 4, func() {})
+		side.Run()
+		root.Absorb(side)
+		if side.Executed() != 0 || side.TotalMessages() != 0 {
+			t.Fatalf("round %d: side engine kept %d events, %d messages", round, side.Executed(), side.TotalMessages())
+		}
+		if got, want := root.Executed(), uint64(2*round); got != want {
+			t.Fatalf("round %d: root Executed = %d, want %d", round, got, want)
+		}
+	}
+	if root.MessageCount("pull") != 3 || root.MessageCost("pull") != 8 ||
+		root.MessageCount("reply") != 2 || root.MessageCost("reply") != 8 {
+		t.Fatalf("tallies: pull %d/%d reply %d/%d", root.MessageCount("pull"), root.MessageCost("pull"),
+			root.MessageCount("reply"), root.MessageCost("reply"))
+	}
+}
+
+// TestDraining: only Run drains; Step and RunUntil return to their
+// caller between events, and a nested Run restores the outer state.
+func TestDraining(t *testing.T) {
+	e := NewEngine(1)
+	var seen []bool
+	probe := func() { seen = append(seen, e.Draining()) }
+	e.Schedule(1, probe)
+	e.Step()
+	e.Schedule(1, probe)
+	e.RunUntil(e.Now() + 1)
+	e.Schedule(1, probe)
+	e.Schedule(2, func() {
+		e.Schedule(1, probe)
+		e.Run() // nested: drains the probe, then the outer Run resumes
+		probe()
+	})
+	e.Run()
+	want := []bool{false, false, true, true, true}
+	if fmt.Sprint(seen) != fmt.Sprint(want) || e.Draining() {
+		t.Fatalf("Draining inside events = %v (after Run %v), want %v", seen, e.Draining(), want)
 	}
 }
 
