@@ -79,6 +79,12 @@ echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=5s ./internal/wire/
 go test -run '^$' -fuzz '^FuzzHandshake$' -fuzztime=5s ./internal/wire/
 
+echo "== go test -fuzz (event queue against a reference heap, 5 s)"
+# Byte scripts of schedule/After/Cancel/Step/RunUntil, mutated from the
+# seed corpus in internal/sim/testdata/fuzz: the timer wheel's chunked
+# buckets must fire in the reference heap's (at, seq) order.
+go test -run '^$' -fuzz '^FuzzQueueVsReference$' -fuzztime=5s ./internal/sim/
+
 echo "== cluster chaos smoke (4 processes, time-boxed)"
 # A real multi-process run: four lbd daemons over TCP, one SIGKILL
 # mid-round, supervisor restart, conservation + settle gates inside the

@@ -6,12 +6,17 @@ import "math/bits"
 // the integer virtual clock, replacing the original container/heap of
 // boxed closures:
 //
-//   - Events with at < now+wheelSize land in per-tick buckets — plain
-//     []event arenas appended in Schedule order, so the (at, seq)
-//     firing order of the old heap degenerates to FIFO within a bucket
-//     and costs O(1) per push with no interface boxing and no sift.
-//     Same-(dst, tick) Deliver callbacks therefore coalesce into one
-//     contiguous bucket run instead of paying one heap op each.
+//   - Events with at < now+wheelSize land in per-tick buckets, appended
+//     in Schedule order, so the (at, seq) firing order of the old heap
+//     degenerates to FIFO within a bucket and costs O(1) per push with
+//     no interface boxing and no sift. Same-(dst, tick) Deliver
+//     callbacks therefore coalesce into one contiguous bucket run
+//     instead of paying one heap op each.
+//   - A bucket is a FIFO list of fixed-size chunks borrowed from one
+//     per-queue free list and returned as they drain, so what the wheel
+//     holds follows the peak number of pending events, not the sum of
+//     every tick's high-water mark. The free list refills in blocks and
+//     never shrinks.
 //   - Events at or beyond the wheel horizon park in a far min-heap
 //     (manual, concrete-typed) ordered by (at, seq). Every clock
 //     advance eagerly migrates far events that entered the horizon
@@ -21,12 +26,19 @@ import "math/bits"
 //     bucket order remains globally seq-ordered per tick.
 //   - Cancelable timers (After/Cancel) live in a slot arena with
 //     generation counters. A parked far timer is removed from the heap
-//     eagerly on cancel (the arena tracks its heap index); a bucketed
-//     timer is released in place and its event skipped as stale at pop
-//     time via the generation check.
-//   - Every vacated slot — bucket cursor advances, far-heap tail after
-//     a pop or removal — is zeroed so dead closures are not pinned for
-//     the life of the run (the old eventHeap.Pop leaked its tail).
+//     eagerly on cancel (the arena tracks its heap index). A bucketed
+//     timer's slot records its tick, and each bucket counts its live
+//     events: the Cancel (or pop) that takes a bucket's count to zero
+//     returns its chunks to the free list at once. Canceled events in
+//     a bucket that still holds live ones stay in place and are skipped
+//     as stale at pop time via the generation check. Protocol epoch and
+//     rto timers are nearly all canceled, many of them ticks ahead, so
+//     this is what keeps their buckets from pinning chunks until their
+//     tick comes round.
+//   - Every vacated slot — bucket cursor advances, released buckets,
+//     far-heap tail after a pop or removal — is zeroed so dead closures
+//     are not pinned for the life of the run (the old eventHeap.Pop
+//     leaked its tail), and a chunk on the free list is all zero.
 //
 // The wheel itself is allocated lazily on first push: engines that only
 // seed RNGs (the closed-form Balancer's rings) never pay for it.
@@ -34,6 +46,19 @@ const (
 	wheelBits = 16
 	wheelSize = 1 << wheelBits // ticks covered by the near wheel
 	wheelMask = wheelSize - 1
+)
+
+// chunkEvents sizes a chunk: 64 events, 3 KB. Every occupied tick holds
+// at least one chunk, and every engine that queues anything holds one
+// block of chunkBlock chunks (192 KB at 64), so the size is kept small.
+// Its cost is the hop a pop makes into a bucket's next chunk, which is
+// rarely adjacent in memory: BenchmarkStep, whose ticks hold tens of
+// thousands of events, pops in 23 ns at 64, 21 ns at 256 and 20 ns when
+// each tick's chunks happen to be adjacent (2-vCPU Xeon, go1.24).
+// Schedule, AfterCancel and Deliver do not move between 32 and 256.
+const (
+	chunkEvents = 64
+	chunkBlock  = 64
 )
 
 // event is one scheduled callback slot. Plain events carry a closure in
@@ -60,17 +85,29 @@ func (e *event) fire() {
 	e.ev.RunEvent()
 }
 
-// bucket holds all queued events of one tick, in seq order. next is the
-// read cursor; slots behind it are zeroed.
+// chunk is a fixed run of bucket slots; next links a bucket's chunks
+// in FIFO order, or the free list. A chunk on the free list is zero
+// over all of evs.
+type chunk struct {
+	evs  [chunkEvents]event
+	next *chunk
+}
+
+// bucket holds the queued events of one tick, in seq order: the next to
+// pop is head.evs[rd], the next push goes to tail.evs[wr], and slots
+// before rd are zeroed. live counts the events not canceled. A bucket
+// holds chunks, and its occupancy bit is set, exactly while live > 0.
 type bucket struct {
-	evs  []event
-	next int
+	head, tail *chunk
+	rd, wr     int32
+	live       int32
 }
 
 // timerSlot is one arena entry backing a cancelable timer.
 type timerSlot struct {
 	fn      func()
 	ev      Eventer
+	at      Time // firing time, which names the bucket while the timer is on the wheel
 	gen     uint32
 	armed   bool
 	heapIdx int32 // position in the far heap while parked there, else -1
@@ -84,18 +121,10 @@ type eventQueue struct {
 	seq     uint64
 	pending int // live (unfired, uncanceled) events
 
-	buckets  []bucket // wheelSize ticks, lazily allocated
-	occ      []uint64 // occupancy bitmap, one bit per bucket
-	occSum   []uint64 // summary bitmap, one bit per occ word
-	nearPhys int      // events physically parked in buckets (incl. stale)
-
-	// spares recycles drained buckets' arrays. A run's events typically
-	// span fewer ticks than the wheel covers, so each bucket index is
-	// touched once and capacity retained in place would never be reused;
-	// draining instead donates the (fully zeroed) array forward to
-	// whichever bucket outgrows its capacity next. Pool entries are
-	// always zero over their full capacity.
-	spares [][]event
+	buckets []bucket // wheelSize ticks, lazily allocated
+	occ     []uint64 // occupancy bitmap, one bit per bucket
+	occSum  []uint64 // summary bitmap, one bit per occ word
+	free    *chunk   // LIFO free list of zeroed chunks
 
 	far []event // min-heap by (at, seq); never holds canceled timers
 
@@ -132,95 +161,96 @@ func (q *eventQueue) push(at Time, fn func(), obj Eventer, slot int32, gen uint3
 func (q *eventQueue) pushNear(ev event) {
 	idx := int(ev.at) & wheelMask
 	b := &q.buckets[idx]
-	if len(b.evs) == cap(b.evs) {
-		q.grow(b)
+	if b.live == 0 {
+		c := q.getChunk()
+		b.head, b.tail = c, c
+		q.occ[idx>>6] |= 1 << uint(idx&63)
+		q.occSum[idx>>12] |= 1 << uint((idx>>6)&63)
+	} else if b.wr == chunkEvents {
+		c := q.getChunk()
+		b.tail.next = c
+		b.tail = c
+		b.wr = 0
 	}
-	n := len(b.evs)
-	b.evs = b.evs[:n+1]
-	b.evs[n] = ev
-	q.nearPhys++
-	q.occ[idx>>6] |= 1 << uint(idx&63)
-	q.occSum[idx>>12] |= 1 << uint((idx>>6)&63)
+	b.tail.evs[b.wr] = ev
+	b.wr++
+	b.live++
 }
 
-// spareMin is the smallest array worth pooling; maxSpares bounds the
-// pool so a pathological burst cannot pin unbounded memory.
-const (
-	spareMin  = 64
-	maxSpares = 64
-)
-
-// grow is the cold half of pushNear: bucket capacity doubles off the
-// hot path so the push itself never calls append. A recycled spare
-// array (the largest that fits) is preferred over a fresh allocation —
-// hot ticks move forward through the wheel, so the arrays drained
-// behind the clock serve the buckets filling ahead of it. The outgrown
-// array is discarded (it holds live copies, so it is not zero and must
-// not enter the pool); the drain path donates the final array instead.
-func (q *eventQueue) grow(b *bucket) {
-	need := cap(b.evs) * 2
-	if need < 8 {
-		need = 8
-	}
-	best := -1
-	if need >= spareMin {
-		// Best fit: the smallest pooled array that suffices, so big
-		// arrays stay available for the buckets that actually need
-		// them. Small grows below spareMin never consult the pool.
-		for i, sp := range q.spares {
-			if cap(sp) >= need && (best < 0 || cap(sp) < cap(q.spares[best])) {
-				best = i
-			}
-		}
-	}
-	if best >= 0 {
-		evs := q.spares[best][:len(b.evs)]
-		n := len(q.spares) - 1
-		q.spares[best] = q.spares[n]
-		q.spares[n] = nil
-		q.spares = q.spares[:n]
-		copy(evs, b.evs)
-		b.evs = evs
-		return
-	}
-	evs := make([]event, len(b.evs), need)
-	copy(evs, b.evs)
-	b.evs = evs
-}
-
-// donate is the cold drain path of consumeFront: the bucket's array —
-// fully zeroed, every slot was consumed — moves into the spare pool.
-func (q *eventQueue) donate(b *bucket) {
-	q.spares = append(q.spares, b.evs[:0])
-	b.evs = nil
-}
-
-// consumeFront vacates the bucket's cursor slot (zeroing it) and
-// recycles the bucket when it drains: large arrays are donated to the
-// spare pool, small ones keep their capacity in place.
+// getChunk takes a zeroed chunk off the free list.
 //
 //lbvet:hotpath
-func (q *eventQueue) consumeFront(b *bucket, idx int) {
-	b.evs[b.next] = event{}
-	b.next++
-	q.nearPhys--
-	if b.next == len(b.evs) {
-		if cap(b.evs) >= spareMin && len(q.spares) < maxSpares {
-			q.donate(b)
-		} else {
-			b.evs = b.evs[:0]
-		}
-		b.next = 0
-		w := idx >> 6
-		q.occ[w] &^= 1 << uint(idx&63)
-		if q.occ[w] == 0 {
-			q.occSum[w>>6] &^= 1 << uint(w&63)
-		}
+func (q *eventQueue) getChunk() *chunk {
+	if q.free == nil {
+		q.refill()
+	}
+	c := q.free
+	q.free = c.next
+	c.next = nil
+	return c
+}
+
+// putChunk returns a chunk, already zero over evs, to the free list.
+//
+//lbvet:hotpath
+func (q *eventQueue) putChunk(c *chunk) {
+	c.next = q.free
+	q.free = c
+}
+
+// refill is the cold half of getChunk: one allocation of chunkBlock
+// chunks, threaded onto the empty free list.
+func (q *eventQueue) refill() {
+	blk := make([]chunk, chunkBlock)
+	for i := range blk[:chunkBlock-1] {
+		blk[i].next = &blk[i+1]
+	}
+	q.free = &blk[0]
+}
+
+// consumeFront vacates the bucket's read slot (zeroing it) and returns
+// the head chunk to the free list once the cursor leaves it. The bucket
+// keeps a live event behind the cursor, so it never drains here;
+// release empties it.
+//
+//lbvet:hotpath
+func (q *eventQueue) consumeFront(b *bucket) {
+	c := b.head
+	c.evs[b.rd] = event{}
+	b.rd++
+	if b.rd == chunkEvents {
+		b.head = c.next
+		b.rd = 0
+		q.putChunk(c)
+	}
+}
+
+// release empties a bucket whose live count reached zero: the used
+// range of its chunks is zeroed (whatever is left holds only canceled
+// timers), every chunk goes back to the free list and its occupancy
+// bits are cleared.
+//
+//lbvet:hotpath
+func (q *eventQueue) release(b *bucket, idx int) {
+	c, lo := b.head, b.rd
+	for c != b.tail {
+		next := c.next
+		clear(c.evs[lo:])
+		q.putChunk(c)
+		c, lo = next, 0
+	}
+	clear(c.evs[lo:b.wr])
+	q.putChunk(c)
+	*b = bucket{}
+	w := idx >> 6
+	q.occ[w] &^= 1 << uint(idx&63)
+	if q.occ[w] == 0 {
+		q.occSum[w>>6] &^= 1 << uint(w&63)
 	}
 }
 
 // nearTick returns the earliest occupied tick in [now, now+wheelSize).
-// The caller guarantees nearPhys > 0.
+// The caller guarantees some bucket is occupied.
 //
 //lbvet:hotpath
 func (q *eventQueue) nearTick() Time {
@@ -262,23 +292,25 @@ func (q *eventQueue) scanWords(lo, hi int) (int, bool) {
 }
 
 // peek returns the firing time of the next live event without advancing
-// the clock. Stale (canceled-timer) events at the front of the wheel are
-// physically discarded on the way; the far heap never holds stale
-// entries, so when the wheel is empty its top is the answer directly.
+// the clock. Stale (canceled-timer) events ahead of it in its bucket are
+// physically discarded on the way; an occupied bucket always holds a
+// live event, and the far heap never holds stale entries, so when the
+// wheel is empty its top is the answer directly.
 //
 //lbvet:hotpath
 func (q *eventQueue) peek() (Time, bool) {
-	for q.nearPhys > 0 {
+	if q.pending > len(q.far) { // the wheel holds a live event
 		t := q.nearTick()
-		idx := int(t) & wheelMask
-		b := &q.buckets[idx]
-		ev := &b.evs[b.next]
-		if ev.slot >= 0 {
-			s := &q.timers[ev.slot]
-			if !s.armed || s.gen != ev.gen {
-				q.consumeFront(b, idx)
-				continue
+		b := &q.buckets[int(t)&wheelMask]
+		for {
+			ev := &b.head.evs[b.rd]
+			if ev.slot < 0 {
+				break
 			}
+			if s := &q.timers[ev.slot]; s.armed && s.gen == ev.gen {
+				break
+			}
+			q.consumeFront(b)
 		}
 		return t, true
 	}
@@ -303,8 +335,12 @@ func (q *eventQueue) pop() (event, bool) {
 	}
 	idx := int(t) & wheelMask
 	b := &q.buckets[idx]
-	ev := b.evs[b.next]
-	q.consumeFront(b, idx)
+	ev := b.head.evs[b.rd]
+	if b.live--; b.live == 0 {
+		q.release(b, idx)
+	} else {
+		q.consumeFront(b)
+	}
 	if ev.slot >= 0 {
 		s := &q.timers[ev.slot]
 		ev.fn, ev.ev = s.fn, s.ev
@@ -312,6 +348,27 @@ func (q *eventQueue) pop() (event, bool) {
 	}
 	q.pending--
 	return ev, true
+}
+
+// cancel removes an armed timer's event from the queue: eagerly from the
+// far heap, or by its bucket's live count — the cancel that takes the
+// count to zero releases the bucket, others leave a stale event behind
+// for pop to skip.
+//
+//lbvet:hotpath
+func (q *eventQueue) cancel(slot int32) {
+	s := &q.timers[slot]
+	if s.heapIdx >= 0 {
+		q.farRemove(int(s.heapIdx))
+	} else {
+		idx := int(s.at) & wheelMask
+		b := &q.buckets[idx]
+		if b.live--; b.live == 0 {
+			q.release(b, idx)
+		}
+	}
+	q.releaseTimer(slot)
+	q.pending--
 }
 
 // advanceTo moves the clock to t (monotonically) and migrates every far
@@ -429,8 +486,8 @@ func (q *eventQueue) farRemove(i int) {
 }
 
 // allocTimer arms a fresh arena slot holding the callback (closure or
-// object form) and returns its index.
-func (q *eventQueue) allocTimer(fn func(), ev Eventer) int32 {
+// object form) due at at, and returns its index.
+func (q *eventQueue) allocTimer(at Time, fn func(), ev Eventer) int32 {
 	slot := q.freeTimer - 1
 	if slot >= 0 {
 		q.freeTimer = q.timers[slot].free
@@ -441,6 +498,7 @@ func (q *eventQueue) allocTimer(fn func(), ev Eventer) int32 {
 	s := &q.timers[slot]
 	s.fn = fn
 	s.ev = ev
+	s.at = at
 	s.armed = true
 	s.heapIdx = -1
 	return slot

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -37,15 +39,25 @@ func (h *refQueue) Pop() interface{} {
 	return x
 }
 
-// popLive removes and returns the next non-canceled event.
-func (h *refQueue) popLive() (refEvent, bool) {
+// peekLive discards canceled events at the top and returns the next
+// live one without removing it.
+func (h *refQueue) peekLive() (refEvent, bool) {
 	for h.Len() > 0 {
-		ev := heap.Pop(h).(refEvent)
-		if ev.canceled == nil || !*ev.canceled {
+		if ev := (*h)[0]; ev.canceled == nil || !*ev.canceled {
 			return ev, true
 		}
+		heap.Pop(h)
 	}
 	return refEvent{}, false
+}
+
+// popLive removes and returns the next non-canceled event.
+func (h *refQueue) popLive() (refEvent, bool) {
+	ev, ok := h.peekLive()
+	if ok {
+		heap.Pop(h)
+	}
+	return ev, ok
 }
 
 func (h *refQueue) liveLen() int {
@@ -58,117 +70,265 @@ func (h *refQueue) liveLen() int {
 	return n
 }
 
-// TestQueuePropertyVsReferenceHeap drives the wheel/far-heap queue and
-// the reference heap with identical random schedule/cancel/step
-// sequences and asserts identical firing order — including FIFO order
-// among equal timestamps — identical firing times, and agreeing Cancel
-// outcomes. Delays are drawn across three regimes (same-tick, in-wheel,
-// beyond the wheel horizon) so migration and the far heap are exercised.
-func TestQueuePropertyVsReferenceHeap(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		r := rand.New(rand.NewSource(int64(1000 + trial)))
-		e := NewEngine(1)
-		ref := &refQueue{}
-		var refSeq uint64
-		nextID := 0
-		var got []int // ids in engine firing order
+// firing is one callback run: which event, at what virtual time.
+type firing struct {
+	id int
+	at Time
+}
 
-		type liveTimer struct {
-			timer           Timer
-			canceled, fired *bool
-		}
-		var timers []liveTimer
+// armedTimer is a timer the harness may still cancel.
+type armedTimer struct {
+	timer           Timer
+	canceled, fired *bool
+}
 
-		schedule := func() {
-			var delay Time
-			switch r.Intn(3) {
-			case 0:
-				delay = Time(r.Intn(4)) // same/near tick: FIFO ties
-			case 1:
-				delay = Time(r.Intn(wheelSize - 1)) // in the wheel
-			default:
-				delay = Time(r.Intn(3*wheelSize) + wheelSize) // far heap
-			}
-			id := nextID
-			nextID++
-			refSeq++
-			if r.Intn(2) == 0 {
-				canceled, fired := false, false
-				tm := e.After(delay, func() { got = append(got, id); fired = true })
-				heap.Push(ref, refEvent{at: e.Now() + delay, seq: refSeq, id: id, canceled: &canceled})
-				timers = append(timers, liveTimer{timer: tm, canceled: &canceled, fired: &fired})
-			} else {
-				e.Schedule(delay, func() { got = append(got, id) })
-				heap.Push(ref, refEvent{at: e.Now() + delay, seq: refSeq, id: id})
-			}
-		}
+// queueHarness drives an engine and the reference heap through the same
+// operations and fails at the first disagreement in firing order
+// (including FIFO order among equal timestamps), firing time, Cancel
+// outcome or Pending.
+type queueHarness struct {
+	tb     testing.TB
+	e      *Engine
+	ref    refQueue
+	refSeq uint64
+	nextID int
+	got    []firing // engine firings, in order
+	timers []armedTimer
+}
 
-		cancel := func() {
-			if len(timers) == 0 {
-				return
-			}
-			i := r.Intn(len(timers))
-			lt := timers[i]
-			wantOK := !*lt.canceled && !*lt.fired
-			*lt.canceled = true
-			if gotOK := e.Cancel(lt.timer); gotOK != wantOK {
-				t.Fatalf("trial %d: Cancel = %v, reference says %v", trial, gotOK, wantOK)
-			}
-			timers[i] = timers[len(timers)-1]
-			timers = timers[:len(timers)-1]
-		}
+func newQueueHarness(tb testing.TB) *queueHarness {
+	return &queueHarness{tb: tb, e: NewEngine(1)}
+}
 
-		step := func() {
-			before := len(got)
-			ok := e.Step()
-			want, wantOK := ref.popLive()
-			if ok != wantOK {
-				t.Fatalf("trial %d: Step = %v, reference %v", trial, ok, wantOK)
-			}
-			if !ok {
-				return
-			}
-			// Timer callbacks fired by Step appended exactly one id.
-			if len(got) != before+1 || got[len(got)-1] != want.id {
-				t.Fatalf("trial %d: fired id %v, reference expects %d", trial, got[before:], want.id)
-			}
-			if e.Now() != want.at {
-				t.Fatalf("trial %d: fired at %d, reference expects %d", trial, e.Now(), want.at)
-			}
-		}
+// schedule enqueues one event delay ticks ahead, as a cancelable timer
+// or a plain event.
+func (h *queueHarness) schedule(delay Time, timer bool) {
+	id := h.nextID
+	h.nextID++
+	h.refSeq++
+	ev := refEvent{at: h.e.Now() + delay, seq: h.refSeq, id: id}
+	if timer {
+		canceled, fired := false, false
+		tm := h.e.After(delay, func() { h.got = append(h.got, firing{id, h.e.Now()}); fired = true })
+		ev.canceled = &canceled
+		h.timers = append(h.timers, armedTimer{timer: tm, canceled: &canceled, fired: &fired})
+	} else {
+		h.e.Schedule(delay, func() { h.got = append(h.got, firing{id, h.e.Now()}) })
+	}
+	heap.Push(&h.ref, ev)
+}
 
-		for op := 0; op < 3000; op++ {
-			switch x := r.Intn(10); {
-			case x < 5:
-				schedule()
-			case x < 6:
-				cancel()
-			default:
-				step()
-			}
-			if e.Pending() != ref.liveLen() {
-				t.Fatalf("trial %d: Pending = %d, reference %d", trial, e.Pending(), ref.liveLen())
-			}
-		}
-		// Drain both completely.
-		for {
-			want, wantOK := ref.popLive()
-			if !wantOK {
-				break
-			}
-			before := len(got)
-			if !e.Step() {
-				t.Fatalf("trial %d: engine drained early, reference still has id %d", trial, want.id)
-			}
-			if got[before] != want.id || e.Now() != want.at {
-				t.Fatalf("trial %d: drain fired id %d at %d, want id %d at %d",
-					trial, got[before], e.Now(), want.id, want.at)
-			}
-		}
-		if e.Step() {
-			t.Fatalf("trial %d: engine has events after reference drained", trial)
+// cancel cancels timers[i] and forgets it; fired timers stay listed
+// until canceled, so Cancel's false answer is checked too.
+func (h *queueHarness) cancel(i int) {
+	lt := h.timers[i]
+	want := !*lt.canceled && !*lt.fired
+	*lt.canceled = true
+	if got := h.e.Cancel(lt.timer); got != want {
+		h.tb.Fatalf("Cancel = %v, reference says %v", got, want)
+	}
+	h.timers[i] = h.timers[len(h.timers)-1]
+	h.timers = h.timers[:len(h.timers)-1]
+}
+
+// expect checks that the engine fired exactly want since got[from].
+func (h *queueHarness) expect(from int, want []firing) {
+	got := h.got[from:]
+	if len(got) != len(want) {
+		h.tb.Fatalf("fired %v, reference expects %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			h.tb.Fatalf("firing %d: %+v, reference expects %+v", i, got[i], want[i])
 		}
 	}
+}
+
+func (h *queueHarness) step() {
+	from := len(h.got)
+	ok := h.e.Step()
+	want, wantOK := h.ref.popLive()
+	if ok != wantOK {
+		h.tb.Fatalf("Step = %v, reference %v", ok, wantOK)
+	}
+	if ok {
+		h.expect(from, []firing{{want.id, want.at}})
+	}
+}
+
+func (h *queueHarness) runUntil(deadline Time) {
+	from, now := len(h.got), h.e.Now()
+	h.e.RunUntil(deadline)
+	var want []firing
+	for {
+		ev, ok := h.ref.peekLive()
+		if !ok || ev.at > deadline {
+			break
+		}
+		heap.Pop(&h.ref)
+		want = append(want, firing{ev.id, ev.at})
+	}
+	h.expect(from, want)
+	if h.e.Now() != max(now, deadline) {
+		h.tb.Fatalf("RunUntil(%d) from %d left the clock at %d", deadline, now, h.e.Now())
+	}
+}
+
+func (h *queueHarness) checkPending() {
+	if got, want := h.e.Pending(), h.ref.liveLen(); got != want {
+		h.tb.Fatalf("Pending = %d, reference %d", got, want)
+	}
+}
+
+// drain steps both queues until the reference is empty, then checks the
+// engine is empty too.
+func (h *queueHarness) drain() {
+	for {
+		if _, ok := h.ref.peekLive(); !ok {
+			break
+		}
+		h.step()
+	}
+	if h.e.Step() {
+		h.tb.Fatalf("engine has events after reference drained")
+	}
+}
+
+// TestQueuePropertyVsReferenceHeap drives the wheel/far-heap queue and
+// the reference heap with identical random schedule/cancel/step
+// sequences. Delays are drawn across three regimes (same-tick, in-wheel,
+// beyond the wheel horizon) so migration and the far heap are exercised.
+// Two compound operations reach the chunked buckets: a burst of more
+// than a chunk of events at one tick, interleaved with cancels and
+// steps, so chunk boundaries are crossed in push and pop; and arming
+// timers at one tick, canceling all of them and scheduling there again,
+// so a released bucket is re-occupied in seq order.
+func TestQueuePropertyVsReferenceHeap(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		t.Run(fmt.Sprintf("seed%d", 1000+trial), func(t *testing.T) { queueProperty(t, int64(1000+trial)) })
+	}
+}
+
+func queueProperty(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	h := newQueueHarness(t)
+
+	delay := func() Time {
+		switch r.Intn(3) {
+		case 0:
+			return Time(r.Intn(4)) // same/near tick: FIFO ties
+		case 1:
+			return Time(r.Intn(wheelSize - 1)) // in the wheel
+		default:
+			return Time(r.Intn(3*wheelSize) + wheelSize) // far heap
+		}
+	}
+	cancelRandom := func() {
+		if len(h.timers) > 0 {
+			h.cancel(r.Intn(len(h.timers)))
+		}
+	}
+	// delayTo is the delay that lands on tick at, or now once the
+	// clock has passed it.
+	delayTo := func(at Time) Time { return max(at-h.e.Now(), 0) }
+
+	burst := func() {
+		at := h.e.Now() + Time(r.Intn(3))
+		for i := chunkEvents + r.Intn(2*chunkEvents); i > 0; i-- {
+			h.schedule(delayTo(at), r.Intn(2) == 0)
+			switch r.Intn(8) {
+			case 0:
+				cancelRandom()
+			case 1:
+				h.step()
+			}
+		}
+	}
+	reoccupy := func() {
+		at := h.e.Now() + delay()
+		n := 1 + r.Intn(2*chunkEvents)
+		for i := 0; i < n; i++ {
+			h.schedule(delayTo(at), true)
+		}
+		// The n timers are the tail of h.timers; cancel them in
+		// random order, swap-removing within the tail.
+		for k := n; k > 0; k-- {
+			h.cancel(len(h.timers) - 1 - r.Intn(k))
+		}
+		for i := 1 + r.Intn(chunkEvents); i > 0; i-- {
+			h.schedule(delayTo(at), r.Intn(2) == 0)
+		}
+	}
+
+	for op := 0; op < 3000; op++ {
+		switch x := r.Intn(100); {
+		case x < 40:
+			h.schedule(delay(), r.Intn(2) == 0)
+		case x < 50:
+			cancelRandom()
+		case x < 51:
+			burst()
+		case x < 52:
+			reoccupy()
+		default:
+			h.step()
+		}
+		h.checkPending()
+	}
+	h.drain()
+}
+
+// FuzzQueueVsReference decodes data into a script of schedule, After,
+// Cancel, Step and RunUntil operations and plays it against the queue
+// and the reference heap (see queueHarness for what must agree). Each
+// operation is one byte, op = b%5 with a repeat count 1+b/5%32 for the
+// schedulers, followed by its operands: two bytes of delay for the
+// schedulers and RunUntil, one byte of timer index for Cancel.
+func FuzzQueueVsReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := newQueueHarness(t)
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// delay covers the same regimes as the property test: the low
+		// two bits pick near ties, the wheel or the far heap.
+		delay := func() Time {
+			v := Time(next())<<8 | Time(next())
+			switch v & 3 {
+			case 0, 1:
+				return v >> 2 & 3
+			case 2:
+				return v
+			default:
+				return wheelSize + 3*v
+			}
+		}
+		for len(data) > 0 {
+			b := next()
+			switch op, n := b%5, 1+int(b/5%32); op {
+			case 0, 1:
+				d := delay()
+				for i := 0; i < n; i++ {
+					h.schedule(d, op == 1)
+				}
+			case 2:
+				if i := int(next()); len(h.timers) > 0 {
+					h.cancel(i % len(h.timers))
+				}
+			case 3:
+				h.step()
+			case 4:
+				h.runUntil(h.e.Now() + delay())
+			}
+			h.checkPending()
+		}
+		h.drain()
+	})
 }
 
 // TestFarMigrationPreservesSeqOrder pins the tie-break across the
@@ -194,14 +354,17 @@ func TestFarMigrationPreservesSeqOrder(t *testing.T) {
 
 // TestQueueZeroesVacatedSlots is the white-box half of the old
 // eventHeap.Pop leak fix: after events fire (or timers are canceled),
-// every vacated bucket slot, far-heap slot and timer-arena slot must be
-// zeroed so dead closures are not pinned for the life of the run.
+// every bucket is empty, every slot of every free chunk, every vacated
+// far-heap slot and every timer-arena slot is zeroed, so dead closures
+// are not pinned for the life of the run.
 func TestQueueZeroesVacatedSlots(t *testing.T) {
 	e := NewEngine(1)
-	// Near events, several per tick, plus far events and canceled
-	// timers in both regions.
+	// Near events, several per tick and more than a chunk at tick 2,
+	// plus far events and canceled timers in both regions — including a
+	// bucket released at Cancel and one whose canceled timer is skipped
+	// as stale.
 	var obj nopEventer
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 3*chunkEvents; i++ {
 		e.Schedule(Time(i%7), func() {})
 		e.Schedule(Time(wheelSize+i), func() {})
 		e.ScheduleEv(Time(i%5), &obj)
@@ -209,30 +372,47 @@ func TestQueueZeroesVacatedSlots(t *testing.T) {
 	nearT := e.After(3, func() {})
 	farT := e.After(wheelSize+5000, func() {})
 	nearTE := e.AfterEv(4, &obj)
+	var alone [chunkEvents + 1]Timer
+	for i := range alone {
+		alone[i] = e.After(100, func() {})
+	}
 	e.Cancel(nearT)
 	e.Cancel(farT)
 	e.Cancel(nearTE)
+	for _, tm := range alone {
+		e.Cancel(tm)
+	}
 	e.Run()
 
 	q := &e.q
 	for i := range q.buckets {
-		b := &q.buckets[i]
-		if len(b.evs) != 0 || b.next != 0 {
-			t.Fatalf("bucket %d not recycled: len=%d next=%d", i, len(b.evs), b.next)
+		if b := q.buckets[i]; b != (bucket{}) {
+			t.Fatalf("bucket %d not empty: %+v", i, b)
 		}
-		full := b.evs[:cap(b.evs)]
-		for j := range full {
-			if full[j].fn != nil || full[j].ev != nil || full[j].at != 0 || full[j].seq != 0 || full[j].slot != 0 {
-				t.Fatalf("bucket %d slot %d not zeroed: %+v", i, j, full[j])
+	}
+	for w := range q.occ {
+		if q.occ[w] != 0 {
+			t.Fatalf("occupancy word %d still set: %#x", w, q.occ[w])
+		}
+	}
+	free := 0
+	for c := q.free; c != nil; c = c.next {
+		for j := range c.evs {
+			if !zeroEvent(&c.evs[j]) {
+				t.Fatalf("free chunk %d slot %d not zeroed: %+v", free, j, c.evs[j])
 			}
 		}
+		free++
+	}
+	if free == 0 || free%chunkBlock != 0 {
+		t.Fatalf("free list holds %d chunks, want every chunk of its %d-chunk blocks", free, chunkBlock)
 	}
 	if len(q.far) != 0 {
 		t.Fatalf("far heap not drained: %d", len(q.far))
 	}
 	farFull := q.far[:cap(q.far)]
 	for j := range farFull {
-		if farFull[j].fn != nil || farFull[j].ev != nil || farFull[j].at != 0 || farFull[j].seq != 0 {
+		if !zeroEvent(&farFull[j]) {
 			t.Fatalf("far slot %d not zeroed: %+v", j, farFull[j])
 		}
 	}
@@ -242,6 +422,103 @@ func TestQueueZeroesVacatedSlots(t *testing.T) {
 			t.Fatalf("timer slot %d still armed/pinning: %+v", i, s)
 		}
 	}
+}
+
+// zeroEvent reports whether ev is the zero event.
+func zeroEvent(ev *event) bool {
+	return ev.at == 0 && ev.seq == 0 && ev.fn == nil && ev.ev == nil && ev.slot == 0 && ev.gen == 0
+}
+
+// chunksHeld counts the chunks a queue holds, free or in a bucket, and
+// the buckets that are occupied.
+func chunksHeld(q *eventQueue) (held, occupied int) {
+	for c := q.free; c != nil; c = c.next {
+		held++
+	}
+	for i := range q.buckets {
+		if q.buckets[i].head != nil {
+			occupied++
+		}
+		for c := q.buckets[i].head; c != nil; c = c.next {
+			held++
+		}
+	}
+	return held, occupied
+}
+
+// liveHeap returns the bytes reachable after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestWheelHoldsWhatIsPending: the serve pattern costs what is pending,
+// not what was ever armed. Each cycle a round arms a wave of epoch
+// timers across future ticks, messages flow, every timer is canceled
+// long before it is due, and the clock steps on by less than the
+// timers' reach. A periodic ticker keeps a live event ahead of the
+// clock, as serve's round tick does, so nothing drains the wheel
+// between cycles. The live heap at cycle 20 is where cycle 2 left it,
+// and the chunks the queue holds are bounded by the peak of pending
+// events: one partial chunk per occupied bucket, rounded up to whole
+// refill blocks.
+func TestWheelHoldsWhatIsPending(t *testing.T) {
+	const (
+		cycles  = 20
+		timers  = 20000 // epoch timers armed per cycle
+		ticks   = 20    // distinct ticks they land on
+		timeout = 2500  // spacing of those ticks
+		msgs    = 2000  // messages delivered per cycle
+		advance = 1000  // clock step per cycle
+	)
+	e := NewEngine(1)
+	fn := func() {}
+	var obj nopEventer
+	wave := make([]Timer, timers)
+	stop := e.Every(advance/10, fn)
+	defer stop()
+	var peakPending, peakOccupied int
+	var at2, at20 uint64
+	for cycle := 1; cycle <= cycles; cycle++ {
+		for i := range wave {
+			wave[i] = e.AfterEv(Time(timeout*(1+i%ticks)), &obj)
+		}
+		for i := 0; i < msgs; i++ {
+			e.Deliver("msg", 0, 1, Time(1+i%50), fn)
+		}
+		_, occupied := chunksHeld(&e.q)
+		peakPending = max(peakPending, e.Pending())
+		peakOccupied = max(peakOccupied, occupied)
+		for _, tm := range wave {
+			if !e.Cancel(tm) {
+				t.Fatalf("cycle %d: an armed epoch timer did not cancel", cycle)
+			}
+		}
+		e.RunUntil(e.Now() + advance)
+		switch cycle {
+		case 2:
+			at2 = liveHeap()
+		case cycles:
+			at20 = liveHeap()
+		}
+	}
+	if obj.fired != 0 {
+		t.Fatalf("%d canceled timers fired", obj.fired)
+	}
+	t.Logf("live heap %.2f MB after cycle 2, %.2f MB after cycle %d", float64(at2)/(1<<20), float64(at20)/(1<<20), cycles)
+	if float64(at20) > 1.05*float64(at2) {
+		t.Errorf("live heap grew from %d to %d bytes over cycles 2–%d, more than 5%%", at2, at20, cycles)
+	}
+	held, _ := chunksHeld(&e.q)
+	need := (peakPending+chunkEvents-1)/chunkEvents + peakOccupied
+	bound := (need + chunkBlock - 1) / chunkBlock * chunkBlock
+	t.Logf("%d chunks held for a peak of %d pending events in %d occupied buckets (bound %d)", held, peakPending, peakOccupied, bound)
+	if held > bound {
+		t.Errorf("queue holds %d chunks, bound %d", held, bound)
+	}
+	runtime.KeepAlive(e)
 }
 
 // nopEventer is a trivial sim.Eventer for scheduling-path tests.
@@ -443,4 +720,29 @@ func BenchmarkDeliver(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkCanceledEpochTimers is the serve pattern, per op one epoch
+// timer armed ticks ahead and one message delivered. Every 1024 ops the
+// wave of timers is canceled and the clock steps on by less than their
+// reach, as periodic rounds do, with a ticker keeping a live event
+// ahead of the clock.
+func BenchmarkCanceledEpochTimers(b *testing.B) {
+	const wave = 1024
+	e := NewEngine(1)
+	fn := func() {}
+	defer e.Every(100, fn)()
+	var timers [wave]Timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timers[i%wave] = e.After(Time(5000*(1+i%8)), fn)
+		e.Deliver("bench", 0, 1, Time(i%8), fn)
+		if i%wave == wave-1 {
+			for _, tm := range timers {
+				e.Cancel(tm)
+			}
+			e.RunUntil(e.Now() + 500)
+		}
+	}
 }

@@ -186,9 +186,10 @@ func (e *Engine) After(delay Time, fn func()) Timer {
 		//lbvet:ignore hotalloc panic guard, never taken on correct runs
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	slot := e.q.allocTimer(fn, nil)
+	at := e.q.now + delay
+	slot := e.q.allocTimer(at, fn, nil)
 	gen := e.q.timers[slot].gen
-	e.q.push(e.q.now+delay, nil, nil, slot, gen)
+	e.q.push(at, nil, nil, slot, gen)
 	if e.queueDepth != nil {
 		e.queueDepth.Observe(int64(e.q.pending))
 	}
@@ -203,9 +204,10 @@ func (e *Engine) AfterEv(delay Time, ev Eventer) Timer {
 		//lbvet:ignore hotalloc panic guard, never taken on correct runs
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	slot := e.q.allocTimer(nil, ev)
+	at := e.q.now + delay
+	slot := e.q.allocTimer(at, nil, ev)
 	gen := e.q.timers[slot].gen
-	e.q.push(e.q.now+delay, nil, nil, slot, gen)
+	e.q.push(at, nil, nil, slot, gen)
 	if e.queueDepth != nil {
 		e.queueDepth.Observe(int64(e.q.pending))
 	}
@@ -214,9 +216,12 @@ func (e *Engine) AfterEv(delay Time, ev Eventer) Timer {
 
 // Cancel revokes a timer scheduled with After. It reports whether the
 // timer was still pending: false means it already fired, was already
-// canceled, or the handle is zero. Canceling is idempotent and cheap —
-// the callback is released immediately, never fires, and the queue slot
-// is reclaimed.
+// canceled, or the handle is zero. Canceling is idempotent and cheap:
+// the callback is released immediately and never fires. A timer parked
+// beyond the wheel horizon leaves the far heap at once. A timer on the
+// wheel leaves its event in its tick's bucket, skipped at pop, until
+// that bucket holds no live event; the Cancel or pop that takes it
+// there returns the whole bucket's storage to the queue's free list.
 //
 //lbvet:hotpath
 func (e *Engine) Cancel(t Timer) bool {
@@ -228,11 +233,7 @@ func (e *Engine) Cancel(t Timer) bool {
 	if !s.armed || s.gen != t.gen {
 		return false
 	}
-	if s.heapIdx >= 0 {
-		e.q.farRemove(int(s.heapIdx))
-	}
-	e.q.releaseTimer(slot)
-	e.q.pending--
+	e.q.cancel(slot)
 	return true
 }
 
