@@ -144,38 +144,21 @@ func (r *Ring) OnRing(vs *VServer) bool { return r.onRing(vs) }
 // costs a single overlay hop to the cached owner, validated on arrival
 // (stale arrivals keep routing from where they landed, charging their
 // hops). A miss runs the normal routed lookup and teaches the cache the
-// result. A nil cache is exactly Lookup.
+// result. A nil cache is exactly Lookup. Hit and miss ride Lookup's
+// pooled hop, so a hit allocates nothing on a warm ring.
+//
+//lbvet:hotpath
 func (r *Ring) CachedLookup(c *LookupCache, from *Node, key ident.ID, cb func(LookupResult)) {
 	if c == nil {
 		r.Lookup(from, key, cb)
 		return
 	}
 	if vs, ok := c.get(from, key); ok {
-		hop := r.cfg.Latency(from, vs.Owner) + r.cfg.MinHopLatency
-		r.eng.CountMessage(MsgLookupHop, hop)
-		r.eng.Schedule(hop, func() {
-			if r.onRing(vs) && r.RegionOf(vs).Contains(key) {
-				c.hits++
-				r.observeLookup(1, hop)
-				cb(LookupResult{VS: vs, Hops: 1, Cost: hop})
-				return
-			}
-			// Stale arrival: the entry outlived its usefulness between
-			// our version check and the hop landing (or a join shrank
-			// the region). Forget it and keep routing.
-			c.stale++
-			c.invalidate(from, key)
-			start := vs
-			if !r.onRing(vs) {
-				start = r.Successor(key)
-			}
-			r.lookupStep(from, start, key, 1, hop, cb)
-		})
+		h := r.newHop(from, key, c, cb)
+		h.kind = hopCached
+		r.sendHop(h, from, vs)
 		return
 	}
 	c.misses++
-	r.Lookup(from, key, func(res LookupResult) {
-		c.put(from, key, res.VS)
-		cb(res)
-	})
+	r.lookup(from, key, c, cb)
 }

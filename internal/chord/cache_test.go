@@ -140,7 +140,10 @@ func TestCachedLookupStaleArrivalReroutes(t *testing.T) {
 
 // The cached and uncached lookups must agree with the ground-truth
 // Successor at delivery time through a long randomized interleaving of
-// lookups, VS transfers and node churn.
+// lookups, VS transfers and node churn. A third of the callbacks start
+// a nested lookup, cached or routed, which may reuse the pooled hop the
+// callback's own lookup just released; after every event the pool must
+// hold exactly one hop per lookup in flight and none twice.
 func TestCachedLookupEquivalenceUnderChurn(t *testing.T) {
 	eng, ring := cacheRing(4, 32)
 	cache := NewLookupCache(ring, 64)
@@ -153,26 +156,37 @@ func TestCachedLookupEquivalenceUnderChurn(t *testing.T) {
 	}
 
 	const steps = 600
-	checked := 0
+	issued, checked, nested := 0, 0, 0
+	var lookup func(depth int)
+	lookup = func(depth int) {
+		nodes := ring.AliveNodes()
+		from := nodes[rng.Intn(len(nodes))]
+		key := keys[rng.Intn(len(keys))]
+		c := cache
+		if depth > 0 && rng.Intn(2) == 0 {
+			c = nil // a routed lookup from inside a callback
+		}
+		issued++
+		ring.CachedLookup(c, from, key, func(res LookupResult) {
+			checked++
+			if !ring.OnRing(res.VS) {
+				t.Errorf("delivered VS %v is not on the ring", res.VS.ID)
+			}
+			if want := ring.Successor(key); res.VS != want {
+				t.Errorf("resolved %v, ground truth %v", res.VS.ID, want.ID)
+			}
+			if res.Hops < 1 || res.Cost < sim.Time(res.Hops) {
+				t.Errorf("implausible result: hops=%d cost=%d", res.Hops, res.Cost)
+			}
+			if depth < 3 && rng.Intn(3) == 0 {
+				nested++
+				lookup(depth + 1)
+			}
+		})
+	}
 	for step := 0; step < steps; step++ {
 		at := sim.Time(step * 3)
-		eng.Schedule(at, func() {
-			nodes := ring.AliveNodes()
-			from := nodes[rng.Intn(len(nodes))]
-			key := keys[rng.Intn(len(keys))]
-			ring.CachedLookup(cache, from, key, func(res LookupResult) {
-				checked++
-				if !ring.OnRing(res.VS) {
-					t.Errorf("delivered VS %v is not on the ring", res.VS.ID)
-				}
-				if want := ring.Successor(key); res.VS != want {
-					t.Errorf("resolved %v, ground truth %v", res.VS.ID, want.ID)
-				}
-				if res.Hops < 1 || res.Cost < sim.Time(res.Hops) {
-					t.Errorf("implausible result: hops=%d cost=%d", res.Hops, res.Cost)
-				}
-			})
-		})
+		eng.Schedule(at, func() { lookup(0) })
 		// Transfers racing in-flight lookups (same tick, after issue).
 		if step%5 == 4 {
 			eng.Schedule(at, func() {
@@ -192,9 +206,26 @@ func TestCachedLookupEquivalenceUnderChurn(t *testing.T) {
 			})
 		}
 	}
-	eng.Run()
-	if checked != steps {
-		t.Fatalf("completed %d lookups, want %d", checked, steps)
+	for eng.Step() {
+		if ring.hopsOut != issued-checked {
+			t.Fatalf("%d hops handed out for %d lookups in flight", ring.hopsOut, issued-checked)
+		}
+		for i, h := range ring.hopFree {
+			if h.cb != nil {
+				t.Fatalf("free hop %d still holds a lookup for key %s", i, h.key)
+			}
+			for _, g := range ring.hopFree[:i] {
+				if g == h {
+					t.Fatalf("hop %d is on the free list twice", i)
+				}
+			}
+		}
+	}
+	if checked != issued || issued != steps+nested {
+		t.Fatalf("completed %d of %d lookups (%d top-level, %d nested)", checked, issued, steps, nested)
+	}
+	if nested < steps/10 {
+		t.Fatalf("only %d nested lookups", nested)
 	}
 	hits, misses, _ := cache.Stats()
 	if hits == 0 || misses == 0 {

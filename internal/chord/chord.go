@@ -12,17 +12,21 @@
 //
 // The simulator keeps a globally consistent ring (sorted VS list) and
 // models the *cost* of distributed operation explicitly: lookups are
-// routed hop by hop through on-demand finger tables, every protocol
-// message is counted on the sim.Engine, and each overlay hop is charged
-// the underlay latency between the hosting physical nodes. Membership
-// churn (join/leave/crash) updates the ring instantly and fires listener
-// callbacks; the soft-state repair the paper relies on lives in the
-// K-nary tree layer above.
+// routed hop by hop through finger tables read off the sorted ring when
+// probed (from the farthest finger that can still precede the key, not
+// from the top), every protocol message is counted on the sim.Engine,
+// and each overlay hop is charged the underlay latency between the
+// hosting physical nodes. A lookup in flight is one pooled event object
+// that each hop re-schedules, so a warm ring routes without allocating.
+// Membership churn (join/leave/crash) updates the ring instantly and
+// fires listener callbacks; the soft-state repair the paper relies on
+// lives in the K-nary tree layer above.
 package chord
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -173,6 +177,12 @@ type Ring struct {
 	// is guaranteed to be on the ring with a correct ringPos; everything
 	// else revalidates lazily (see pos).
 	epoch uint64
+
+	// hopFree holds the lookups that finished, for the next ones to
+	// reuse; hopsOut counts those handed out and not yet delivered, one
+	// per lookup in flight.
+	hopFree []*lookupHop
+	hopsOut int
 
 	// Cached lookup metrics (filled on first completed lookup once the
 	// engine carries a registry).
@@ -576,15 +586,28 @@ func (r *Ring) RegionOf(vs *VServer) ident.Region {
 
 // closestPreceding returns the live VS reachable from cur's finger table
 // that most closely precedes key, or nil when cur's immediate successor
-// already owns key. Fingers are computed on demand from the consistent
-// ring: finger k of cur is Successor(cur.ID + 2^k).
+// already owns key. Finger k of cur is Successor(cur.ID + 2^k), read off
+// the consistent ring when probed.
+//
+// The scan starts at the highest finger whose target lies strictly
+// before key: with d the clockwise distance from cur to key (2^32 when
+// key == cur), that is k = bits.Len64(d−1)−1. A finger with 2^k ≥ d
+// targets a point at or past key, and its successor lies clockwise in
+// [target, cur], never in (cur, key), so skipping it returns what the
+// full 32-finger scan returns.
+//
+//lbvet:hotpath
 func (r *Ring) closestPreceding(cur *VServer, key ident.ID) *VServer {
 	// If key is in (cur, successor(cur)], routing terminates.
 	succ := r.vss[(r.pos(cur)+1)%len(r.vss)]
 	if key.Between(cur.ID, succ.ID) {
 		return nil
 	}
-	for k := ident.Bits - 1; k >= 0; k-- {
+	d := cur.ID.Dist(key)
+	if d == 0 {
+		d = ident.SpaceSize
+	}
+	for k := bits.Len64(d-1) - 1; k >= 0; k-- {
 		f := r.Successor(cur.ID.Add(uint64(1) << uint(k)))
 		if f == cur {
 			continue
@@ -609,6 +632,12 @@ type LookupResult struct {
 // Each overlay hop costs the underlay latency between consecutive
 // hosting nodes (plus MinHopLatency) and is counted as a message.
 func (r *Ring) Lookup(from *Node, key ident.ID, cb func(LookupResult)) {
+	r.lookup(from, key, nil, cb)
+}
+
+// lookup is Lookup that, when learn is non-nil, records the resolved
+// owner in learn before the callback runs (CachedLookup's miss path).
+func (r *Ring) lookup(from *Node, key ident.ID, learn *LookupCache, cb func(LookupResult)) {
 	if len(r.vss) == 0 {
 		panic("chord: lookup on empty ring")
 	}
@@ -621,45 +650,138 @@ func (r *Ring) Lookup(from *Node, key ident.ID, cb func(LookupResult)) {
 		// region start; charge one hop to enter the ring.
 		cur = r.Successor(ident.ID(r.eng.Rand().Uint32()))
 	}
-	r.lookupStep(from, cur, key, 0, 0, cb)
+	r.lookupStep(r.newHop(from, key, learn, cb), cur)
 }
 
-func (r *Ring) lookupStep(origin *Node, cur *VServer, key ident.ID, hops int, cost sim.Time, cb func(LookupResult)) {
-	next := r.closestPreceding(cur, key)
-	if next == nil {
-		succ := r.vss[(r.pos(cur)+1)%len(r.vss)]
-		hop := r.cfg.Latency(cur.Owner, succ.Owner) + r.cfg.MinHopLatency
-		r.eng.CountMessage(MsgLookupHop, hop)
-		r.eng.Schedule(hop, func() {
-			// The owner may have left while the final hop was in flight;
-			// re-route to the then-current owner instead of delivering a
-			// departed VS.
-			if !r.onRing(succ) {
-				r.lookupStep(origin, r.Successor(key), key, hops+1, cost+hop, cb)
-				return
-			}
-			// A join may have split succ's region in flight so it no
-			// longer owns the key; succ forwards rather than answering.
-			if !r.RegionOf(succ).Contains(key) {
-				r.lookupStep(origin, succ, key, hops+1, cost+hop, cb)
-				return
-			}
-			r.observeLookup(hops+1, cost+hop)
-			cb(LookupResult{VS: succ, Hops: hops + 1, Cost: cost + hop})
-		})
-		return
+// hopKind says what a lookup hop in flight is addressed to, and so what
+// its arrival checks.
+type hopKind uint8
+
+const (
+	hopForward hopKind = iota // cur's closest preceding finger
+	hopFinal                  // cur's successor, which owned the key at send
+	hopCached                 // a cached owner, straight from the origin
+)
+
+// lookupHop is one lookup in flight: the sim.Eventer that each of its
+// overlay hops re-schedules. Hops come from the ring's free list and go
+// back to it before the callback runs, so a warm ring routes without
+// allocating and a callback may start the next lookup.
+type lookupHop struct {
+	r      *Ring
+	origin *Node
+	key    ident.ID
+	kind   hopKind
+	to     *VServer // where the hop in flight lands
+	hops   int      // overlay hops sent, including the one in flight
+	cost   sim.Time // latency charged, including the hop in flight
+	// cache is the LookupCache this lookup reports to: a hopCached hop
+	// counts its hit or stale arrival there, and any other hop teaches
+	// it the owner on delivery. nil once there is nothing left to report.
+	cache *LookupCache
+	cb    func(LookupResult)
+}
+
+// newHop takes a lookup from the free list, or makes one.
+func (r *Ring) newHop(origin *Node, key ident.ID, c *LookupCache, cb func(LookupResult)) *lookupHop {
+	var h *lookupHop
+	if n := len(r.hopFree); n > 0 {
+		h = r.hopFree[n-1]
+		r.hopFree = r.hopFree[:n-1]
+	} else {
+		h = new(lookupHop)
 	}
-	hop := r.cfg.Latency(cur.Owner, next.Owner) + r.cfg.MinHopLatency
+	*h = lookupHop{r: r, origin: origin, key: key, cache: c, cb: cb}
+	r.hopsOut++
+	return h
+}
+
+// lookupStep sends h's next hop from cur: to the closest preceding
+// finger, or to cur's successor when that owns the key.
+//
+//lbvet:hotpath
+func (r *Ring) lookupStep(h *lookupHop, cur *VServer) {
+	next := r.closestPreceding(cur, h.key)
+	h.kind = hopForward
+	if next == nil {
+		next = r.vss[(r.pos(cur)+1)%len(r.vss)]
+		h.kind = hopFinal
+	}
+	r.sendHop(h, cur.Owner, next)
+}
+
+// sendHop charges and schedules one overlay hop of h from the physical
+// node from to the virtual server to.
+//
+//lbvet:hotpath
+func (r *Ring) sendHop(h *lookupHop, from *Node, to *VServer) {
+	hop := r.cfg.Latency(from, to.Owner) + r.cfg.MinHopLatency
 	r.eng.CountMessage(MsgLookupHop, hop)
-	r.eng.Schedule(hop, func() {
-		// Membership may have changed while the message was in flight;
-		// restart from the ring's current view if next left the ring.
-		if !r.onRing(next) {
-			r.lookupStep(origin, r.Successor(key), key, hops+1, cost+hop, cb)
+	h.to = to
+	h.hops++
+	h.cost += hop
+	r.eng.ScheduleEv(hop, h)
+}
+
+// RunEvent lands the hop in flight and either delivers the result or
+// sends the next hop. Membership may have changed while the hop
+// travelled: a departed target restarts routing from the ring's current
+// owner of the key, and a target whose region a join split forwards.
+//
+//lbvet:hotpath
+func (h *lookupHop) RunEvent() {
+	r := h.r
+	switch h.kind {
+	case hopCached:
+		if r.onRing(h.to) && r.RegionOf(h.to).Contains(h.key) {
+			h.cache.hits++
+			h.cache = nil // a hit has nothing to teach
+			r.deliver(h)
 			return
 		}
-		r.lookupStep(origin, next, key, hops+1, cost+hop, cb)
-	})
+		// Stale arrival: the entry outlived its usefulness between the
+		// version check and the hop landing (or a join shrank the
+		// region). Forget it and keep routing from where the hop landed.
+		h.cache.stale++
+		h.cache.invalidate(h.origin, h.key)
+		h.cache = nil
+		start := h.to
+		if !r.onRing(start) {
+			start = r.Successor(h.key)
+		}
+		r.lookupStep(h, start)
+	case hopFinal:
+		switch {
+		case !r.onRing(h.to):
+			r.lookupStep(h, r.Successor(h.key))
+		case !r.RegionOf(h.to).Contains(h.key):
+			r.lookupStep(h, h.to)
+		default:
+			r.deliver(h)
+		}
+	default:
+		if !r.onRing(h.to) {
+			r.lookupStep(h, r.Successor(h.key))
+			return
+		}
+		r.lookupStep(h, h.to)
+	}
+}
+
+// deliver completes h at its current target: it records the metrics,
+// returns h to the free list, teaches h's cache the owner, and runs the
+// callback last.
+func (r *Ring) deliver(h *lookupHop) {
+	res := LookupResult{VS: h.to, Hops: h.hops, Cost: h.cost}
+	origin, key, learn, cb := h.origin, h.key, h.cache, h.cb
+	r.observeLookup(res.Hops, res.Cost)
+	*h = lookupHop{}
+	r.hopFree = append(r.hopFree, h)
+	r.hopsOut--
+	if learn != nil {
+		learn.put(origin, key, res.VS)
+	}
+	cb(res)
 }
 
 // observeLookup records a completed routed lookup's hop count and

@@ -413,6 +413,143 @@ func BenchmarkRoutedLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkRoutedLookupCached is BenchmarkRoutedLookup through a warm
+// LookupCache: every lookup is a validated single-hop hit.
+func BenchmarkRoutedLookupCached(b *testing.B) {
+	eng := sim.NewEngine(1)
+	r := NewRing(eng, Config{})
+	for j := 0; j < 1024; j++ {
+		r.AddNode(-1, 100, 5)
+	}
+	cache := NewLookupCache(r, 128)
+	nodes := r.AliveNodes()
+	rng := rand.New(rand.NewSource(2))
+	keys := make([]ident.ID, 64)
+	for i := range keys {
+		keys[i] = ident.ID(rng.Uint32())
+	}
+	for _, n := range nodes[:64] {
+		for _, key := range keys {
+			r.CachedLookup(cache, n, key, func(LookupResult) {})
+		}
+	}
+	eng.Run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.CachedLookup(cache, nodes[rng.Intn(64)], keys[rng.Intn(len(keys))], func(LookupResult) {})
+		eng.Run()
+	}
+}
+
+// fullScanPreceding is closestPreceding probing all 32 fingers, from
+// the farthest down: the reference for where the scan starts.
+func fullScanPreceding(r *Ring, cur *VServer, key ident.ID) *VServer {
+	succ := r.vss[(r.pos(cur)+1)%len(r.vss)]
+	if key.Between(cur.ID, succ.ID) {
+		return nil
+	}
+	for k := ident.Bits - 1; k >= 0; k-- {
+		f := r.Successor(cur.ID.Add(uint64(1) << uint(k)))
+		if f == cur {
+			continue
+		}
+		if f.ID != key && f.ID.Between(cur.ID, key) {
+			return f
+		}
+	}
+	return succ
+}
+
+// TestClosestPrecedingMatchesFullScan holds the finger scan that starts
+// at the first finger short of the key to the one that probes all 32,
+// from every virtual server of rings of 1 to 5,000, on random keys and
+// on the edges: the key at cur, just past it, at cur's predecessor and
+// at either side of the 0 / 2^32−1 seam.
+func TestClosestPrecedingMatchesFullScan(t *testing.T) {
+	const top = ident.ID(math.MaxUint32)
+	rings := []*Ring{}
+	for _, ids := range [][]ident.ID{
+		{ident.ID(math.MaxUint32 - 3)},
+		{5, top},
+		{0, 1 << 31, ident.ID(math.MaxUint32 - 1)},
+	} {
+		r := NewRing(sim.NewEngine(1), Config{})
+		if _, err := r.AddNodeWithIDs(-1, 10, ids); err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, r)
+	}
+	rings = append(rings, newTestRing(t, 13, 16, 4), newTestRing(t, 14, 1000, 5))
+	rng := rand.New(rand.NewSource(15))
+	for _, r := range rings {
+		keysPer := 24
+		if r.NumVServers() > 1000 {
+			keysPer = 4
+		}
+		for _, cur := range r.VServers() {
+			keys := []ident.ID{cur.ID, cur.ID.Add(1), r.Predecessor(cur).ID, 0, top, cur.ID.Add(1 << 31)}
+			for i := 0; i < keysPer; i++ {
+				keys = append(keys, ident.ID(rng.Uint32()))
+			}
+			for _, key := range keys {
+				if got, want := r.closestPreceding(cur, key), fullScanPreceding(r, cur, key); got != want {
+					t.Fatalf("%d VSs, cur %s, key %s: closestPreceding %v, full scan %v", r.NumVServers(), cur.ID, key, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmLookupsAllocateNothing guards the pooled hop: once the free
+// list and the event queue are warm, a routed lookup on a static ring
+// and a cached hit allocate nothing.
+func TestWarmLookupsAllocateNothing(t *testing.T) {
+	r := newTestRing(t, 16, 256, 4)
+	eng := r.Engine()
+	cache := NewLookupCache(r, 64)
+	nodes := r.AliveNodes()
+	rng := rand.New(rand.NewSource(17))
+	keys := make([]ident.ID, 32)
+	for i := range keys {
+		keys[i] = ident.ID(rng.Uint32())
+	}
+	var got *VServer
+	cb := func(res LookupResult) { got = res.VS }
+	origin := nodes[3]
+	for _, key := range keys {
+		r.CachedLookup(cache, origin, key, cb) // misses: warm the cache
+		eng.Run()
+	}
+	i := 0
+	next := func() (*Node, ident.ID) {
+		i++
+		return nodes[i%len(nodes)], keys[i%len(keys)]
+	}
+	routed := testing.AllocsPerRun(200, func() {
+		from, key := next()
+		r.Lookup(from, key, cb)
+		eng.Run()
+		if got != r.Successor(key) {
+			t.Fatalf("lookup(%s) = %s", key, got.ID)
+		}
+	})
+	hits0, _, _ := cache.Stats()
+	cached := testing.AllocsPerRun(200, func() {
+		_, key := next()
+		r.CachedLookup(cache, origin, key, cb)
+		eng.Run()
+		if got != r.Successor(key) {
+			t.Fatalf("cached lookup(%s) = %s", key, got.ID)
+		}
+	})
+	if hits, _, _ := cache.Stats(); hits-hits0 != 201 {
+		t.Fatalf("%d of 201 cached lookups hit", hits-hits0)
+	}
+	if routed != 0 || cached != 0 {
+		t.Fatalf("warm lookups allocate: routed %v, cached hit %v a lookup", routed, cached)
+	}
+}
+
 func TestTopologyLatencyModel(t *testing.T) {
 	g, err := topology.Generate(topology.Params{
 		TransitDomains:        2,

@@ -230,8 +230,9 @@ func NewBalancer(ring *chord.Ring, tree *ktree.Tree, cfg Config) (*Balancer, err
 // Ring returns the balancer's ring.
 func (b *Balancer) Ring() *chord.Ring { return b.ring }
 
-// observeSubsetCost records the candidate-evaluation count of one
-// shed-subset selection as core.subset.cost. It is a no-op on a
+// observeSubsetCost records the work of one shed-subset selection as
+// core.subset.cost: the search nodes the exact search visited, or the
+// candidates greedy evaluated. It is a no-op on a
 // ring-less Balancer (ClassifyNode's standalone path) or when the
 // engine has no metrics registry.
 func (b *Balancer) observeSubsetCost(ops int64) {

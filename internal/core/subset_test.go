@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -169,6 +170,103 @@ func TestSubsetOrderedByDescendingLoad(t *testing.T) {
 	}
 }
 
+// enumerateSubset is the reference exactSubset: every mask in ascending
+// order, each total folded over its members in ascending index order,
+// the first least (total, count) kept.
+func enumerateSubset(sorted []*chord.VServer, excess float64) []*chord.VServer {
+	n := len(sorted)
+	bestSum, bestMask, bestCount := -1.0, uint32(0), n+1
+	for mask := uint32(1); mask < 1<<uint(n); mask++ {
+		var sum float64
+		count := 0
+		for i := 0; i < n; i++ {
+			if mask>>uint(i)&1 == 1 {
+				sum += sorted[i].Load
+				count++
+			}
+		}
+		if sum < excess {
+			continue
+		}
+		if bestSum < 0 || sum < bestSum || (sum == bestSum && count < bestCount) {
+			bestSum, bestMask, bestCount = sum, mask, count
+		}
+	}
+	if bestSum < 0 {
+		return sorted
+	}
+	var out []*chord.VServer
+	for i := 0; i < n; i++ {
+		if bestMask>>uint(i)&1 == 1 {
+			out = append(out, sorted[i])
+		}
+	}
+	return out
+}
+
+// TestExactSubsetMatchesEnumeration holds the pruned search to the
+// subset full enumeration picks, element by element, for n = 1…16 on
+// integer, fractional and zero loads (so ties in total and count are
+// common) and excesses from a sliver to more than the total.
+func TestExactSubsetMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	cases := 0
+	for n := 1; n <= exactLimit; n++ {
+		trials := 2000
+		if n > 10 {
+			trials >>= uint(n - 10) // the reference costs n·2^n a case
+		}
+		for trial := 0; trial < trials; trial++ {
+			loads := make([]float64, n)
+			var total float64
+			for i := range loads {
+				switch trial % 3 {
+				case 0: // small integers: many equal totals
+					loads[i] = float64(rng.Intn(6))
+				case 1: // fractions: fold order shows in the last ulp
+					loads[i] = float64(rng.Intn(40)) / 10
+				default: // reals with zeros mixed in
+					if rng.Intn(4) > 0 {
+						loads[i] = rng.Float64() * 100
+					}
+				}
+				total += loads[i]
+			}
+			excess := rng.Float64() * total * 1.1
+			switch trial % 7 {
+			case 0:
+				excess = total // everything, up to the fold
+			case 1:
+				excess = math.Nextafter(0, 1)
+			case 2, 3: // whole numbers: some subsets cover it exactly
+				excess = math.Ceil(excess)
+			}
+			if excess <= 0 {
+				continue
+			}
+			vss := mkVSs(loads...)
+			sorted := sortedByLoad(vss)
+			want := enumerateSubset(sorted, excess)
+			got, ops := exactSubset(sorted, excess)
+			cases++
+			if len(got) != len(want) {
+				t.Fatalf("n=%d loads=%v excess=%v: search shed %v, enumeration %v", n, loads, excess, loadsOf(got), loadsOf(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d loads=%v excess=%v: search shed %v, enumeration %v", n, loads, excess, loadsOf(got), loadsOf(want))
+				}
+			}
+			if limit := int64(1)<<uint(n+1) - 1; ops > limit {
+				t.Fatalf("n=%d: visited %d search nodes, more than the %d of a full include/exclude tree", n, ops, limit)
+			}
+		}
+	}
+	if cases < 20000 {
+		t.Fatalf("only %d cases ran", cases)
+	}
+}
+
 func BenchmarkExactSubset12(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	loads := make([]float64, 12)
@@ -179,6 +277,21 @@ func BenchmarkExactSubset12(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shed(vss, 150, SubsetExact)
+	}
+}
+
+// BenchmarkExactSubset16 is the largest shed SubsetAuto solves exactly:
+// a capacity-rich node holding 16 virtual servers, shedding about half.
+func BenchmarkExactSubset16(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	loads := make([]float64, exactLimit)
+	for i := range loads {
+		loads[i] = rng.Float64() * 100
+	}
+	vss := mkVSs(loads...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shed(vss, 400, SubsetExact)
 	}
 }
 

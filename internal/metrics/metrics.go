@@ -17,7 +17,8 @@
 //	msg.<kind>.{count,cost}   sim.Engine per-message-kind accounting
 //	sim.queue.depth           event-queue depth at schedule time
 //	chord.lookup.{hops,latency}
-//	core.phase.*, core.pairs.*, core.moved_load, core.subset.cost
+//	core.phase.*, core.pairs.*, core.moved_load,
+//	core.subset.cost          shed-subset search nodes visited (greedy: candidates)
 //	protocol.phase.*, protocol.{timeouts,aborted_transfers}
 //	daemon.gini.{before,after} (series over virtual time)
 //
