@@ -40,13 +40,13 @@
 // instead of silently corrupting the shared stream.
 //
 // The root drives the phase exactly like the sequential walk: it sends
-// the real MsgCollectDown/MsgVSADown exchanges on its own engine, and
+// the real MsgCollectDown/MsgVSADown messages on its own engine, and
 // each child's down-arrival joins that child's worker, replaying the
 // subtree's externally visible effects at their offsets from the
 // phase's start on the worker:
 //
-//   - the child's reply exchange (MsgReportUp/MsgVSAUp) is issued at
-//     the child's completion time;
+//   - the child's reply (MsgReportUp/MsgVSAUp) is sent at the child's
+//     completion time;
 //   - rendezvous pairings emitted inside the subtree are re-run on the
 //     root engine at their emission times (handoffs mutate the shared
 //     ring, so they must execute under the root's clock);
@@ -236,7 +236,7 @@ func (rd *round) joinVSA(e *vsaEdge) {
 	left := w.left
 	rd.r.eng.Schedule(w.dur, func() {
 		e.sub = left
-		rd.reliableEv(MsgVSAUp, e.chi, e.nd.ni, e.edge, &e.up)
+		rd.walkSend(MsgVSAUp, e.chi, e.nd.ni, e.edge, &e.up, &e.up)
 	})
 }
 

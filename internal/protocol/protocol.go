@@ -32,17 +32,21 @@
 // they produce equivalent balancing outcomes.
 //
 // Every message is sent through sim.Engine.Deliver, so a fault plan
-// (internal/faults) can drop, duplicate or delay it. The flows that
-// must survive that are hardened: converge-cast replies, dissemination
-// copies and pairing notifications carry sequence-numbered acks with
-// bounded, exponentially backed-off retransmission and receiver-side
-// dedup (exactly-once handler execution), and the virtual-server
-// transfer is a two-phase prepare/commit handoff whose commit applies
-// ring.Transfer exactly once — a VS is never lost and never
-// double-hosted no matter where a drop, duplicate or crash lands
-// (chord.Ring.CheckConservation is the executable statement of that
-// guarantee). The per-level epoch timeouts remain the backstop for what
-// retransmission cannot fix: dead or partitioned subtrees.
+// (internal/faults) can drop, duplicate or delay it. Under a filter,
+// every reliable message — converge-cast pulls and replies,
+// dissemination copies, pairing notifications and the handoff phases —
+// rides a reliable exchange: a sequence number, bounded, exponentially
+// backed-off retransmission, receiver-side dedup (exactly-once handler
+// execution) and a sequence-numbered ack. On a lossless engine only
+// the handoff phases, whose receivers can refuse a message, keep the
+// exchange; a tree-walk message arrives exactly once and its role acks
+// it directly (see walkSend). The virtual-server transfer is a
+// two-phase prepare/commit handoff whose commit applies ring.Transfer
+// exactly once — a VS is never lost and never double-hosted no matter
+// where a drop, duplicate or crash lands (chord.Ring.CheckConservation
+// is the executable statement of that guarantee). The per-level epoch
+// timeouts remain the backstop for what retransmission cannot fix:
+// dead or partitioned subtrees.
 package protocol
 
 import (
@@ -220,7 +224,6 @@ type round struct {
 	nextSeq    uint64
 	seen       seqSet
 	maxRetries int
-	exFree     []*exchange // settled exchanges recycled by reliable()
 
 	deadline sim.Timer // round-failure backstop, canceled on completion
 
@@ -426,9 +429,10 @@ func (rd *round) epochWindow(n *ktree.Node) sim.Time {
 func hostIdx(n *ktree.Node) int { return n.Host.Owner.Index }
 
 // rhandler is the callback pair of one reliable exchange, implemented
-// on pooled per-edge walk objects so a reliable send costs no closure
-// allocations. reliableEv delivers with at-least-once retransmission
-// and receiver-side dedup — together, exactly-once handler execution:
+// on the slab-allocated walk objects and on handoffs so a reliable send
+// costs no closure allocations. reliableEv delivers with at-least-once
+// retransmission and receiver-side dedup — together, exactly-once
+// handler execution:
 //
 //   - each copy that arrives offers the message to HandleMsg; the
 //     first accepted copy marks the sequence number seen, so
@@ -451,7 +455,7 @@ type rhandler interface {
 	SettleMsg(ok bool)
 }
 
-// reliableEv is reliable with an object callback pair.
+// reliableEv sends one message through a fresh reliable exchange.
 //
 //lbvet:hotpath
 func (rd *round) reliableEv(kind string, src, dst int, cost sim.Time, h rhandler) {
@@ -462,38 +466,20 @@ func (rd *round) reliableEv(kind string, src, dst int, cost sim.Time, h rhandler
 
 //lbvet:hotpath
 func (rd *round) newExchange(kind string, src, dst int, cost sim.Time) *exchange {
-	var ex *exchange
-	if n := len(rd.exFree); n > 0 {
-		ex = rd.exFree[n-1]
-		rd.exFree[n-1] = nil
-		rd.exFree = rd.exFree[:n-1]
-		ex.kind, ex.ackKind = kind, ackKindOf(kind)
-		ex.src, ex.dst, ex.cost = src, dst, cost
-		ex.seq = rd.nextSeq
-		ex.attemptsLeft = rd.maxRetries + 1
-		ex.backoff = 2*cost + 2
-		ex.settled = false
-		ex.rto = sim.Timer{}
-	} else {
-		//lbvet:ignore hotalloc pool miss: one exchange object per peak-concurrency slot, recycled for the rest of the round
-		ex = &exchange{
-			rd: rd, kind: kind, ackKind: ackKindOf(kind),
-			src: src, dst: dst, cost: cost,
-			seq:          rd.nextSeq,
-			attemptsLeft: rd.maxRetries + 1,
-			backoff:      2*cost + 2,
-		}
-		// Wire the three embedded event adapters once per exchange
-		// object: interior pointers into the exchange itself, reused
-		// across retransmissions, duplicate arrivals and (through the
-		// pool) later exchanges, so the steady-state cost is zero
-		// allocations instead of a fresh closure per attempt — at 256k
-		// VSs the per-attempt closures were the round's dominant
-		// garbage.
-		ex.arriveEv.ex = ex
-		ex.ackEv.ex = ex
-		ex.rtoEv.ex = ex
+	//lbvet:ignore hotalloc one exchange per reliable message: a lossless round sends only its handoff phases through here (three per pairing), and under a filter late copies may still hold an exchange, so none is reused
+	ex := &exchange{
+		rd: rd, kind: kind, ackKind: ackKindOf(kind),
+		src: src, dst: dst, cost: cost,
+		seq:          rd.nextSeq,
+		attemptsLeft: rd.maxRetries + 1,
+		backoff:      2*cost + 2,
 	}
+	// Wire the three embedded event adapters once: interior pointers
+	// into the exchange itself, reused across retransmissions and
+	// duplicate arrivals instead of a fresh closure per attempt.
+	ex.arriveEv.ex = ex
+	ex.ackEv.ex = ex
+	ex.rtoEv.ex = ex
 	rd.nextSeq++
 	return ex
 }
@@ -563,9 +549,7 @@ type rtoEv struct{ ex *exchange }
 func (r *rtoEv) RunEvent() { r.ex.onRTO() }
 
 // resolve settles the exchange exactly once. The pending retransmission
-// timer is revoked instead of firing into a dead check — on a lossless
-// network no rto timer ever fires, which at scale was a third of a
-// round's event volume.
+// timer is revoked instead of firing into a dead check.
 func (ex *exchange) resolve(ok bool) {
 	if ex.settled {
 		return
@@ -573,17 +557,6 @@ func (ex *exchange) resolve(ok bool) {
 	ex.settled = true
 	ex.rd.r.eng.Cancel(ex.rto)
 	ex.h.SettleMsg(ok)
-	// Without a fault filter the exchange is provably unreferenced once
-	// it settles — every copy transmits exactly once and is consumed on
-	// arrival before the rto window closes (backoff > cost), the queue
-	// consumed the event that invoked this very callback before running
-	// it, and Cancel released the rto slot — so it recycles into the
-	// round's pool. With a filter, duplicate or delayed copies may still
-	// hold the callbacks; those exchanges are left to the GC.
-	if ex.rd.r.eng.Filter() == nil {
-		ex.h = nil
-		ex.rd.exFree = append(ex.rd.exFree, ex)
-	}
 }
 
 // send transmits one copy and arms the retransmission timer. On a
@@ -648,6 +621,54 @@ func (ex *exchange) onRTO() {
 	ex.rto = sim.Timer{}
 	ex.send()
 }
+
+// walkSend sends one tree-walk message: an LBI or VSA pull or reply,
+// or a dissemination copy. h is the role under a filter and arrive the
+// same role as the arrival event on a lossless engine, passed twice so
+// neither path converts one interface to another. Without a
+// MessageFilter, DeliverEv sends exactly one copy with no extra delay
+// and no walk handler ever refuses a message, so an exchange's dedup,
+// retransmission timer and settle step could never act: the message is
+// delivered straight to its role, which runs its handler and sends its
+// own ack (same kind plus MsgAckSuffix, reverse direction, same cost).
+// Both paths push the same events at the same instants, so event order,
+// message tallies and the outcome are the same
+// (TestLosslessDeliveryMatchesExchange).
+//
+//lbvet:hotpath
+func (rd *round) walkSend(kind string, src, dst int, cost sim.Time, h rhandler, arrive sim.Eventer) {
+	eng := rd.r.eng
+	if eng.Filter() != nil {
+		rd.reliableEv(kind, src, dst, cost, h)
+		return
+	}
+	if rd.finished {
+		return
+	}
+	eng.DeliverEv(kind, src, dst, cost, arrive)
+}
+
+// walkArrive is a walk message's arrival on the direct path: nothing
+// once the round has finished, else the role's handler and then its ack.
+//
+//lbvet:hotpath
+func (rd *round) walkArrive(h rhandler, ackKind string, src, dst int, cost sim.Time, ack sim.Eventer) {
+	if rd.finished {
+		return
+	}
+	h.HandleMsg()
+	rd.r.eng.DeliverEv(ackKind, src, dst, cost, ack)
+}
+
+// inertAck is the arrival of a collect pull's or reply's ack on the
+// direct path: the exchange's settle step does nothing for either, so
+// the ack is only a counted message and an event. collectAck is the
+// one instance every such ack schedules.
+type inertAck struct{}
+
+func (*inertAck) RunEvent() {}
+
+var collectAck inertAck
 
 // leafFor returns the single leaf a virtual server reports through this
 // round, or nil for a VS the tree does not know yet: a virtual server
@@ -739,11 +760,11 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 		e.nd, e.c, e.ci, e.chi = nd, c, ci, hostIdx(c)
 		e.edge = rd.r.tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
-		// Both directions are acked and retransmitted: a lost pull would
-		// silence the child's whole subtree, compounding per level, so
-		// the epoch timeout is reserved for genuinely dead subtrees.
-		// The reply merges exactly once (receiver dedup).
-		rd.reliableEv(MsgCollectDown, ni, e.chi, e.edge, &e.down)
+		// Under a filter both directions are acked and retransmitted: a
+		// lost pull would silence the child's whole subtree, compounding
+		// per level, so the epoch timeout is reserved for genuinely dead
+		// subtrees. The reply merges exactly once (receiver dedup).
+		rd.walkSend(MsgCollectDown, ni, e.chi, e.edge, &e.down, &e.down)
 	}
 	// The epoch timer is canceled the moment the last child replies —
 	// on a healthy tree no epoch timer ever fires.
@@ -757,7 +778,7 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
 	if parent != nil {
 		parent.sub = agg
-		rd.reliableEv(MsgReportUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
+		rd.walkSend(MsgReportUp, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
 		return
 	}
 	rd.onLBIRoot(agg)
@@ -782,6 +803,14 @@ func (d *lbiDown) HandleMsg() bool {
 
 func (d *lbiDown) SettleMsg(bool) {}
 
+// RunEvent is the pull's arrival on a lossless engine (see walkSend).
+//
+//lbvet:hotpath
+func (d *lbiDown) RunEvent() {
+	e := d.e
+	e.nd.rd.walkArrive(d, MsgCollectDown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &collectAck)
+}
+
 type lbiUp struct{ e *lbiEdge }
 
 // HandleMsg: the child subtree's aggregate reached the parent. A reply
@@ -802,6 +831,14 @@ func (u *lbiUp) HandleMsg() bool {
 }
 
 func (u *lbiUp) SettleMsg(bool) {}
+
+// RunEvent is the reply's arrival on a lossless engine (see walkSend).
+//
+//lbvet:hotpath
+func (u *lbiUp) RunEvent() {
+	e := u.e
+	e.nd.rd.walkArrive(u, MsgReportUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &collectAck)
+}
 
 // lbiExpire fires the epoch timeout: give up on the silent children
 // and report what arrived.
@@ -845,17 +882,24 @@ func (rd *round) dispWalk(n *ktree.Node) {
 	for _, c := range n.Children {
 		e := slabAlloc(&rd.dispEdges)
 		e.rd, e.c = rd, c
+		e.src, e.dst, e.cost = ni, hostIdx(c), rd.r.tree.EdgeLatency(c)
+		e.ack.e = e
 		rd.publishing++
-		rd.reliableEv(MsgDisperse, ni, hostIdx(c), rd.r.tree.EdgeLatency(c), e)
+		rd.walkSend(MsgDisperse, e.src, e.dst, e.cost, e, e)
 	}
 }
 
 // dispEdge is one downward dissemination hop: the arriving copy
 // continues the walk below c; settling (acked or drained) releases the
-// publishing guard.
+// publishing guard. Under a filter the exchange settles it; on a
+// lossless engine the copy's own ack, delivered back to the sender,
+// does (see walkSend).
 type dispEdge struct {
-	rd *round
-	c  *ktree.Node
+	rd       *round
+	c        *ktree.Node
+	src, dst int
+	cost     sim.Time
+	ack      dispAck
 }
 
 //lbvet:hotpath
@@ -865,6 +909,21 @@ func (e *dispEdge) HandleMsg() bool {
 }
 
 func (e *dispEdge) SettleMsg(bool) { e.rd.publishDone() }
+
+// RunEvent is the copy's arrival on a lossless engine.
+//
+//lbvet:hotpath
+func (e *dispEdge) RunEvent() {
+	e.rd.walkArrive(e, MsgDisperse+MsgAckSuffix, e.dst, e.src, e.cost, &e.ack)
+}
+
+// dispAck is the ack's arrival back at the sender on a lossless
+// engine: the settle step the exchange would have run, at the same
+// tick.
+type dispAck struct{ e *dispEdge }
+
+//lbvet:hotpath
+func (a *dispAck) RunEvent() { a.e.rd.publishDone() }
 
 // classifyAndPublish runs classification on a node the first time the
 // global tuple reaches it (the roster machine absorbs duplicates), and
@@ -1018,7 +1077,7 @@ func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb fu
 		e.nd, e.c, e.chi = nd, c, hostIdx(c)
 		e.edge = rd.r.tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
-		rd.reliableEv(MsgVSADown, ni, e.chi, e.edge, &e.down)
+		rd.walkSend(MsgVSADown, ni, e.chi, e.edge, &e.down, &e.down)
 	}
 	// As in collectLBI: the last reply revokes the epoch timer.
 	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
@@ -1036,7 +1095,7 @@ func (rd *round) finishVSA(n *ktree.Node, isRoot bool, col *lbnode.VSACollect, p
 	left := col.Lists()
 	if parent != nil {
 		parent.sub = left
-		rd.reliableEv(MsgVSAUp, parent.chi, parent.nd.ni, parent.edge, &parent.up)
+		rd.walkSend(MsgVSAUp, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
 		return
 	}
 	cb(left)
@@ -1058,6 +1117,14 @@ func (d *vsaDown) HandleMsg() bool {
 
 func (d *vsaDown) SettleMsg(bool) {}
 
+// RunEvent is the pull's arrival on a lossless engine (see walkSend).
+//
+//lbvet:hotpath
+func (d *vsaDown) RunEvent() {
+	e := d.e
+	e.nd.rd.walkArrive(d, MsgVSADown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &collectAck)
+}
+
 type vsaUp struct{ e *vsaEdge }
 
 //lbvet:hotpath
@@ -1072,6 +1139,14 @@ func (u *vsaUp) HandleMsg() bool {
 }
 
 func (u *vsaUp) SettleMsg(bool) {}
+
+// RunEvent is the reply's arrival on a lossless engine (see walkSend).
+//
+//lbvet:hotpath
+func (u *vsaUp) RunEvent() {
+	e := u.e
+	e.nd.rd.walkArrive(u, MsgVSAUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &collectAck)
+}
 
 type vsaExpire struct{ nd *vsaNode }
 
