@@ -12,8 +12,10 @@
 # single-goroutine by construction but whose jittered-delivery
 # equivalence test runs its cases as parallel subtests, each on its own
 # engine — protocol, whose rounds fork one goroutine per root-child
-# subtree whenever the lookahead is safe, wire's reader/retry goroutines,
-# and cluster's in-process daemon tests; cluster's child-process e2e
+# subtree whenever the lookahead is safe, serve, whose interleaved rounds
+# fork the same way beside the request traffic on a membership-frozen
+# ring, wire's reader/retry goroutines, and cluster's in-process daemon
+# tests; cluster's child-process e2e
 # tests skip themselves under -race via a build tag, since the race
 # runtime doesn't cross exec). The rest of the tree is
 # single-goroutine by design.
@@ -71,7 +73,7 @@ echo "== go test -bench (one iteration each)"
 go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/wire/ ./internal/cluster/
+go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
 # The forked subtree phases are the state several goroutines reach on
 # every default round; run their tests (and the crash and RunUntil
 # scenarios that must stay sequential) ten times over.

@@ -178,6 +178,10 @@ type Ring struct {
 	// else revalidates lazily (see pos).
 	epoch uint64
 
+	// frozen counts the FreezeMembership calls not yet thawed; while it
+	// is positive every membership change panics.
+	frozen int
+
 	// hopFree holds the lookups that finished, for the next ones to
 	// reuse; hopsOut counts those handed out and not yet delivered, one
 	// per lookup in flight.
@@ -248,9 +252,36 @@ func (r *Ring) NumVServersIn(reg ident.Region) int {
 	return hi - lo
 }
 
+// FreezeMembership forbids membership change until the returned thaw
+// runs: while frozen, AddNode, AddNodeWithIDs, BulkAddNodes, RemoveNode
+// and RemoveVServer panic. Transfers, lookups and Successor work as
+// before. Freezes nest — the ring thaws when every thaw has run — and
+// a thaw called twice counts once.
+func (r *Ring) FreezeMembership() (thaw func()) {
+	r.frozen++
+	thawed := false
+	return func() {
+		if !thawed {
+			thawed = true
+			r.frozen--
+		}
+	}
+}
+
+// MembershipFrozen reports whether a FreezeMembership is in force.
+func (r *Ring) MembershipFrozen() bool { return r.frozen > 0 }
+
+// mustBeThawed panics if op would change a frozen ring's membership.
+func (r *Ring) mustBeThawed(op string) {
+	if r.frozen > 0 {
+		panic("chord: " + op + " on a ring whose membership is frozen")
+	}
+}
+
 // AddNode creates a physical node hosting numVS virtual servers with
 // identifiers drawn from the engine RNG, and joins them to the ring.
 func (r *Ring) AddNode(underlay topology.NodeID, capacity float64, numVS int) *Node {
+	r.mustBeThawed("AddNode")
 	n := &Node{
 		Index:    len(r.nodes),
 		Underlay: underlay,
@@ -267,6 +298,7 @@ func (r *Ring) AddNode(underlay topology.NodeID, capacity float64, numVS int) *N
 // AddNodeWithIDs is AddNode with caller-chosen VS identifiers (tests and
 // deterministic scenarios). Duplicate identifiers are rejected.
 func (r *Ring) AddNodeWithIDs(underlay topology.NodeID, capacity float64, ids []ident.ID) (*Node, error) {
+	r.mustBeThawed("AddNodeWithIDs")
 	for _, id := range ids {
 		if _, ok := r.findVS(id); ok {
 			return nil, fmt.Errorf("chord: duplicate VS id %s", id)
@@ -399,6 +431,7 @@ func (r *Ring) addVS(n *Node, id ident.ID) *VServer {
 // RNG, so a bulk-built ring is identical to an incrementally built one
 // at the same seed.
 func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.NodeID, capacity func(i int) float64) []*Node {
+	r.mustBeThawed("BulkAddNodes")
 	used := make(map[ident.ID]struct{}, len(r.vss)+count*numVS)
 	for _, vs := range r.vss {
 		used[vs.ID] = struct{}{}
@@ -486,6 +519,7 @@ func (r *Ring) drawFreeID(used map[ident.ID]struct{}) ident.ID {
 // and load are absorbed by its ring successor, mirroring how the
 // successor takes over the keys of a failed participant.
 func (r *Ring) RemoveNode(n *Node) {
+	r.mustBeThawed("RemoveNode")
 	if !n.Alive {
 		return
 	}
@@ -518,6 +552,7 @@ func (r *Ring) removeVS(vs *VServer) {
 // absorbed by its ring successor (which may live on a different node —
 // the mechanism behind load thrashing).
 func (r *Ring) RemoveVServer(vs *VServer) {
+	r.mustBeThawed("RemoveVServer")
 	owner := vs.Owner
 	for i, v := range owner.vservers {
 		if v == vs {

@@ -3,6 +3,7 @@ package chord
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"p2plb/internal/ident"
@@ -235,6 +236,75 @@ func TestTransferKeepsRing(t *testing.T) {
 	}
 	// Self transfer is a no-op.
 	r.Transfer(vs, to)
+	r.CheckInvariants()
+}
+
+// mustPanic requires f to panic with a message naming op.
+func mustPanic(t *testing.T, op string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, op+" on a ring whose membership is frozen") {
+			t.Errorf("%s on a frozen ring: panic %q, want one naming %s", op, msg, op)
+		}
+	}()
+	f()
+}
+
+// TestFreezeMembership: every membership change panics on a frozen
+// ring — a VS-less node's removal too — while transfers and lookups
+// still work; a thaw counts once, and nested freezes need every thaw.
+func TestFreezeMembership(t *testing.T) {
+	r := newTestRing(t, 9, 8, 3)
+	empty, err := r.AddNodeWithIDs(-1, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thaw := r.FreezeMembership()
+	if !r.MembershipFrozen() {
+		t.Fatal("ring not frozen after FreezeMembership")
+	}
+	nodes := r.AliveNodes()
+	mustPanic(t, "AddNode", func() { r.AddNode(-1, 10, 2) })
+	mustPanic(t, "AddNodeWithIDs", func() { _, _ = r.AddNodeWithIDs(-1, 10, []ident.ID{7}) })
+	mustPanic(t, "BulkAddNodes", func() {
+		r.BulkAddNodes(2, 2, func(int) topology.NodeID { return -1 }, func(int) float64 { return 10 })
+	})
+	mustPanic(t, "RemoveNode", func() { r.RemoveNode(nodes[0]) })
+	mustPanic(t, "RemoveNode", func() { r.RemoveNode(empty) })
+	mustPanic(t, "RemoveVServer", func() { r.RemoveVServer(nodes[1].VServers()[0]) })
+	if !empty.Alive || len(r.AliveNodes()) != 9 || r.NumVServers() != 24 {
+		t.Fatalf("a refused change left a trace: empty alive %v, %d nodes, %d VSs",
+			empty.Alive, len(r.AliveNodes()), r.NumVServers())
+	}
+	r.CheckInvariants()
+
+	vs := nodes[0].VServers()[0]
+	r.Transfer(vs, nodes[1])
+	if vs.Owner != nodes[1] {
+		t.Fatal("Transfer on a frozen ring did not re-home the VS")
+	}
+	var got *VServer
+	r.Lookup(nodes[2], vs.ID, func(res LookupResult) { got = res.VS })
+	r.Engine().Run()
+	if want := r.Successor(vs.ID); got != want {
+		t.Fatalf("Lookup on a frozen ring landed on %v, want %v", got, want)
+	}
+
+	inner := r.FreezeMembership()
+	thaw()
+	thaw() // a second call is a no-op, not a second thaw
+	if !r.MembershipFrozen() {
+		t.Fatal("outer thaw (twice) released a nested freeze")
+	}
+	mustPanic(t, "RemoveNode", func() { r.RemoveNode(empty) })
+	inner()
+	if r.MembershipFrozen() {
+		t.Fatal("ring still frozen after every thaw")
+	}
+	r.RemoveNode(empty)
+	r.AddNode(-1, 10, 2)
 	r.CheckInvariants()
 }
 

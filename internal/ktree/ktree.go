@@ -307,8 +307,18 @@ func (t *Tree) coveredBy(r ident.Region) *chord.VServer {
 }
 
 // Build constructs the tree from scratch against the current ring state.
-// Each planted node is charged one MsgPlant message.
+// Each planted node is charged one MsgPlant message. Rebuilding a built
+// tree over a ring whose membership is frozen panics: a frozen ring
+// promises readers mid-round that the tree under them stays put. Repair
+// stays legal; a frozen ring's joins and leaves journal nothing for it.
 func (t *Tree) Build() error {
+	if t.root != nil && t.ring.MembershipFrozen() {
+		panic("ktree: Build of a built tree over a ring whose membership is frozen")
+	}
+	return t.build()
+}
+
+func (t *Tree) build() error {
 	if t.ring.NumVServers() == 0 {
 		return fmt.Errorf("ktree: cannot build over an empty ring")
 	}
@@ -348,7 +358,7 @@ func (t *Tree) Repair() (changes int, err error) {
 		return 0, fmt.Errorf("ktree: cannot repair over an empty ring")
 	}
 	if t.root == nil || t.overflow {
-		if err := t.Build(); err != nil {
+		if err := t.build(); err != nil {
 			return 0, err
 		}
 		return t.numNodes, nil

@@ -145,6 +145,30 @@ func TestRepairNoChangeIsStable(t *testing.T) {
 	}
 }
 
+// TestBuildOverFrozenRing: a first Build and a Repair are legal on a
+// ring whose membership is frozen; rebuilding a built tree panics.
+func TestBuildOverFrozenRing(t *testing.T) {
+	ring := buildRing(8, 32, 4)
+	thaw := ring.FreezeMembership()
+	tree := buildTree(t, ring, 2)
+	if changes, err := tree.Repair(); err != nil || changes != 0 {
+		t.Fatalf("Repair on a frozen ring: %d changes, %v", changes, err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Build of a built tree over a frozen ring did not panic")
+			}
+		}()
+		_ = tree.Build()
+	}()
+	thaw()
+	if err := tree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	tree.CheckInvariants()
+}
+
 func TestRepairAfterNodeRemoval(t *testing.T) {
 	ring := buildRing(9, 32, 4)
 	tree := buildTree(t, ring, 2)

@@ -20,9 +20,16 @@
 //     can change the world between two events — under Step or RunUntil
 //     it can;
 //   - every event pending on the root engine is one the round itself
-//     scheduled: its deadline, the root's epoch timer and the phase's
-//     other downs still in flight. A foreign event — a ticker, a
-//     scheduled crash — could fire mid-phase.
+//     scheduled — its deadline, the root's epoch timer and the phase's
+//     other downs still in flight — or the ring's membership is frozen
+//     (chord.Ring.FreezeMembership). A foreign event — a ticker, a
+//     scheduled crash — could otherwise fire mid-phase and change what
+//     the walk reads. On a frozen ring it cannot: a collect walk reads
+//     the tree's shape, Host.Owner, Alive, Index, underlay latency and
+//     the round's own inboxes, and with joins and leaves forbidden only
+//     the round's own handoffs change any of them (the tree's repair
+//     journal fills only from joins and leaves). This is how a served
+//     ring's rounds fork beside the request traffic pending on the root.
 //
 // Otherwise the phase runs the sequential walk, event for event. The
 // rule reads only simulation state, never GOMAXPROCS or timing.
@@ -30,7 +37,8 @@
 // A fork runs every root child's phase at once, one goroutine per
 // child on that child's worker engine, and the deciding event returns
 // only when all of them have finished: no worker ever runs beside a
-// root event. A round keeps one worker engine and sub-round per root
+// root event. Foreign events pending on the root (a served ring's
+// requests) wait for the join and keep their simulated times. A round keeps one worker engine and sub-round per root
 // child for both phases. Worker seeds derive from the root engine's
 // seed and the child index WITHOUT consuming the root RNG — a draw
 // would shift every later draw (lazy advertisement placement, subset
@@ -58,7 +66,14 @@
 // the message tallies, the transfer sequence and every node's VS order
 // are identical; Executed counts one extra event per live root child
 // per forked phase (the replayed reply) and one per replayed pairing.
-// TestParallelSubtreesEquivalence pins all of this.
+// TestParallelSubtreesEquivalence pins all of this, and
+// TestParallelSubtreesBesideTraffic pins it beside a lookup a tick.
+//
+// One tie is new beside traffic: a replayed pairing is scheduled at the
+// join, so within its tick it runs after a foreign event scheduled
+// earlier for the same tick that, in the sequential walk, it preceded.
+// That differs only if a request reading the moved VS's owner lands on
+// the handoff's commit tick through a chain of same-tick events.
 package protocol
 
 import (
@@ -166,10 +181,12 @@ func (rd *round) forked(state *forkState, root *ktree.Node, start func(*subWorke
 // lookaheadSafe is the fork rule of the file comment, evaluated inside
 // the phase's first root-child down-arrival: apart from the round's
 // deadline and the root's epoch timer, only the phase's other downs may
-// be pending.
+// be pending — unless the ring's membership is frozen, when nothing
+// else pending can change what the phase reads.
 func (rd *round) lookaheadSafe(children int) bool {
 	eng := rd.r.eng
-	return !neverFork && eng.Filter() == nil && eng.Draining() && eng.Pending() == 2+children-1
+	return !neverFork && eng.Filter() == nil && eng.Draining() &&
+		(eng.Pending() == 2+children-1 || rd.r.ring.MembershipFrozen())
 }
 
 // runWorkers simulates every root child's phase on its worker, in

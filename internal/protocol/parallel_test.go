@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -313,4 +314,92 @@ func TestParallelSubtreesSequentialWithTicker(t *testing.T) {
 	checkPinned(t, out, outErr, eng,
 		"global=12792.536231905786/9767/0 census=88/36/0->31/94/0 classified=124 timedOut=16 aborted=0 retries=0 ticks=2536/2560/0/9068/9076 transfers=164:34ca1ab5a9393508 msgs=20799 now=9078 err=<nil>",
 		18773)
+}
+
+// TestParallelSubtreesBesideTraffic: on a ring whose membership is
+// frozen, foreign events pending on the root — here one cached lookup a
+// tick, plain closures, for the whole round — no longer keep a collect
+// phase sequential. The forked round leaves the world the sequential
+// walk leaves, every lookup lands as it did there (VS, hops, cost and
+// the owner's index at landing), and the engine executes the
+// sequential count plus the replays. Unfrozen, the same traffic keeps
+// the exact-count rule: the sequential walk, event for event.
+func TestParallelSubtreesBesideTraffic(t *testing.T) {
+	for _, k := range []int{2, 8} {
+		for _, mode := range []core.Mode{core.ProximityIgnorant, core.ProximityAware} {
+			t.Run(fmt.Sprintf("K%d-%v", k, mode), func(t *testing.T) {
+				cfg := Config{Core: core.Config{Epsilon: 0.05, Mode: mode}}
+				if mode == core.ProximityAware {
+					cfg.Core.Mapper = blockMapper{}
+				}
+				run := func(frozen bool) (*Result, *chord.Ring, []string, int) {
+					ring, tree := forkFixture(3, 512, k)
+					if frozen {
+						defer ring.FreezeMembership()()
+					}
+					eng := ring.Engine()
+					cache := chord.NewLookupCache(ring, 0)
+					nodes := ring.AliveNodes()
+					rng := rand.New(rand.NewSource(int64(k)))
+					var landed []string
+					stop := eng.Every(1, func() {
+						from, key := nodes[rng.Intn(len(nodes))], ident.ID(rng.Uint32())
+						ring.CachedLookup(cache, from, key, func(res chord.LookupResult) {
+							landed = append(landed, fmt.Sprintf("at=%d vs=%v hops=%d cost=%d owner=%d",
+								eng.Now(), res.VS.ID, res.Hops, res.Cost, res.VS.Owner.Index))
+						})
+					})
+					r, err := NewRunner(ring, tree, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out *Result
+					if err := r.StartRound(func(res *Result, err error) {
+						if err != nil {
+							t.Error(err)
+						}
+						out = res
+						stop()
+					}); err != nil {
+						t.Fatal(err)
+					}
+					eng.Run()
+					if out == nil {
+						t.Fatal("round never completed")
+					}
+					ring.CheckInvariants()
+					return out, ring, landed, len(tree.Root().Children)
+				}
+				var seq *Result
+				var ringS *chord.Ring
+				var landedS []string
+				sequentially(func() { seq, ringS, landedS, _ = run(true) })
+				forked, ringF, landedF, rootChildren := run(true)
+				compareRounds(t, seq, forked, ringS, ringF)
+				if len(landedS) < 50 || len(seq.Assignments) == 0 {
+					t.Fatalf("fixture too quiet: %d lookups, %d transfers", len(landedS), len(seq.Assignments))
+				}
+				if len(landedS) != len(landedF) {
+					t.Fatalf("%d lookups landed (sequential) vs %d (forked)", len(landedS), len(landedF))
+				}
+				for i := range landedS {
+					if landedS[i] != landedF[i] {
+						t.Fatalf("lookup %d diverged:\n  sequential %s\n  forked     %s", i, landedS[i], landedF[i])
+					}
+				}
+				extra := forkReplays(seq, rootChildren, 2)
+				if s, f := ringS.Engine().Executed(), ringF.Engine().Executed(); f != s+extra {
+					t.Errorf("forked executed %d events, want sequential %d + %d replays", f, s, extra)
+				}
+
+				_, ringU, landedU, _ := run(false)
+				if s, u := ringS.Engine().Executed(), ringU.Engine().Executed(); u != s {
+					t.Errorf("unfrozen ring executed %d events, want the sequential %d", u, s)
+				}
+				if fmt.Sprint(landedU) != fmt.Sprint(landedS) {
+					t.Error("unfrozen lookups diverged from the sequential walk's")
+				}
+			})
+		}
+	}
 }

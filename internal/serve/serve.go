@@ -297,7 +297,10 @@ func (s *Server) Refresh(ring *chord.Ring) {
 func (s *Server) Name() string { return "observed-ewma" }
 
 // Run replays the whole plan on the engine and reports. It may be
-// called once.
+// called once. The ring's membership is frozen while the engine runs
+// (chord.Ring.FreezeMembership): a join or leave mid-plan panics, and
+// interleaved rounds may fork their collect phases beside the request
+// traffic.
 func (s *Server) Run() (*Report, error) {
 	if s.started {
 		return nil, fmt.Errorf("serve: server already ran")
@@ -323,6 +326,8 @@ func (s *Server) Run() (*Report, error) {
 	if s.runner != nil && s.cfg.RoundInterval > 0 {
 		s.cancels = append(s.cancels, s.eng.Every(s.cfg.RoundInterval, s.roundTick))
 	}
+	thaw := s.ring.FreezeMembership()
+	defer thaw()
 	s.eng.Run()
 	if s.roundErr != nil {
 		return nil, s.roundErr
@@ -491,9 +496,9 @@ func (s *Server) writeSet(obj int, reps []*chord.VServer, served *chord.VServer)
 // the Zipf head unservable by any placement.)
 //
 // The busy slice is sized to the ring's maximum node index at New;
-// the serving layer does not support membership change mid-plan (it
-// would invalidate the latency accounting), so no growth path exists
-// here.
+// the serving layer forbids membership change mid-plan (it would
+// invalidate the latency accounting, and Run freezes the ring's
+// membership to enforce it), so no growth path exists here.
 //
 //lbvet:hotpath
 func (s *Server) enqueue(node *chord.Node, now float64, work float64) float64 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"p2plb/internal/chord"
@@ -112,6 +113,32 @@ func TestServeInterleavesBalancerRounds(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no load observed after 8000 requests")
+	}
+	f.ring.CheckInvariants()
+}
+
+// Serving forbids membership change mid-plan: a crash scheduled inside
+// Run panics with the ring's freeze message, and the same removal
+// succeeds once Run has returned.
+func TestServeFreezesMembership(t *testing.T) {
+	f := build(t, 1, Config{Plan: testPlan(), Work: 100}, true)
+	victim := f.ring.AliveNodes()[7]
+	f.eng.Schedule(200, func() { f.ring.RemoveNode(victim) })
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "RemoveNode on a ring whose membership is frozen") {
+				t.Fatalf("RemoveNode mid-Run: panic %q, want the freeze message", msg)
+			}
+		}()
+		_, _ = f.srv.Run()
+	}()
+	if f.ring.MembershipFrozen() {
+		t.Fatal("ring still frozen after Run returned")
+	}
+	f.ring.RemoveNode(victim)
+	if victim.Alive {
+		t.Fatal("RemoveNode after Run left the node alive")
 	}
 	f.ring.CheckInvariants()
 }
