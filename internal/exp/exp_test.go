@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"p2plb/internal/core"
@@ -290,6 +291,16 @@ func TestChurnSensitivity(t *testing.T) {
 	if rows[1].MeanHeavyAfter > rows[1].MeanHeavyBefore/2 {
 		t.Errorf("rounds not absorbing churn: %v -> %v heavy",
 			rows[1].MeanHeavyBefore, rows[1].MeanHeavyAfter)
+	}
+	// The exact rows, so that a change to how the sweep schedules its
+	// rounds is checked against the scheduler it replaces, not only
+	// against itself.
+	want := []ChurnRow{
+		{Churn: 0, Rounds: 5},
+		{Churn: 4, Rounds: 5, MeanHeavyBefore: 18.5, MovedPerRound: 491.0636617984857},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("churn rows moved:\n got %+v\nwant %+v", rows, want)
 	}
 }
 
