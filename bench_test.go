@@ -12,7 +12,6 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
 	"p2plb/internal/exp"
 	"p2plb/internal/ktree"
 	"p2plb/internal/objects"
@@ -470,9 +469,9 @@ func TestRingBuildSubQuadratic(t *testing.T) {
 	}
 }
 
-// BenchmarkDriftMaintenance runs the daemon over an object-backed
-// drifting workload (10% churn per round, 8 rounds) and reports the
-// steady-state imbalance containment.
+// BenchmarkDriftMaintenance runs periodic rounds (protocol.Every) over
+// an object-backed drifting workload (10% churn per round, 8 rounds)
+// and reports the steady-state imbalance containment.
 func BenchmarkDriftMaintenance(b *testing.B) {
 	var giniPre, giniPost float64
 	for i := 0; i < b.N; i++ {
@@ -495,28 +494,32 @@ func BenchmarkDriftMaintenance(b *testing.B) {
 		if err := tree.Build(); err != nil {
 			b.Fatal(err)
 		}
-		d, err := daemon.New(ring, tree, daemon.Config{
-			RoundInterval: 5000,
-			Protocol:      protocol.Config{Core: core.Config{Epsilon: 0.05}},
-			BeforeRound: func() {
-				if err := store.Drift(rng, 10_000, loadFn); err != nil {
-					b.Fatal(err)
-				}
-			},
-		})
+		runner, err := protocol.NewRunner(ring, tree, protocol.Config{Core: core.Config{Epsilon: 0.05}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		d.Start()
-		eng.RunUntil(40_000)
-		d.Stop()
-		eng.Run()
-		sum := d.Summarize()
-		if sum.Failed > 0 {
-			b.Fatalf("%d rounds failed", sum.Failed)
+		var before, sumPre, sumPost float64
+		ok := 0
+		drift := func() bool {
+			if err := store.Drift(rng, 10_000, loadFn); err != nil {
+				b.Fatal(err)
+			}
+			before = core.UnitLoadGini(ring)
+			return true
 		}
-		giniPre += sum.MeanGiniPre
-		giniPost += sum.MeanGiniPost
+		stop := protocol.Every(eng, 5000, runner.StartRound, drift, func(_ *protocol.Result, err error) {
+			if err != nil {
+				b.Fatalf("round failed: %v", err)
+			}
+			ok++
+			sumPre += before
+			sumPost += core.UnitLoadGini(ring)
+		})
+		eng.RunUntil(40_000)
+		stop()
+		eng.Run()
+		giniPre += sumPre / float64(ok)
+		giniPost += sumPost / float64(ok)
 	}
 	n := float64(b.N)
 	b.ReportMetric(giniPre/n, "meanGiniPre")

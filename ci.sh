@@ -7,7 +7,7 @@
 # ones (randcontract, nondeterminism, identcompare, layercheck) and the
 # dataflow ones (detflow, lockguard, hotalloc, floatorder) — see
 # DESIGN.md "Enforced invariants". The race pass covers the packages
-# that exercise real concurrency (par's worker pools, sim's engine contract, ktree's, daemon's and faults'
+# that exercise real concurrency (par's worker pools, sim's engine contract, ktree's and faults'
 # goroutine-spawning tests, lbnode — whose machines are
 # single-goroutine by construction but whose jittered-delivery
 # equivalence test runs its cases as parallel subtests, each on its own
@@ -73,7 +73,7 @@ echo "== go test -bench (one iteration each)"
 go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/daemon/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
+go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
 # The forked subtree phases are the state several goroutines reach on
 # every default round; run their tests (and the crash and RunUntil
 # scenarios that must stay sequential) ten times over.

@@ -2,9 +2,9 @@
 // object-backed workload. Objects are hashed into the identifier space
 // (a virtual server's load is the sum of its objects' loads — the
 // paper's own justification for the Gaussian model), 10% of the object
-// population churns between rounds, and the daemon periodically runs
-// full message-level balancing rounds while keeping the K-nary tree
-// repaired.
+// population churns between rounds, and protocol.Every periodically
+// runs full message-level balancing rounds, each of which starts on a
+// repaired K-nary tree.
 //
 //	go run ./examples/storage
 package main
@@ -16,7 +16,6 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
 	"p2plb/internal/ktree"
 	"p2plb/internal/objects"
 	"p2plb/internal/protocol"
@@ -50,40 +49,42 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d, err := daemon.New(ring, tree, daemon.Config{
-		RoundInterval:  5_000,
-		RepairInterval: 1_000,
-		Protocol:       protocol.Config{Core: core.Config{Epsilon: 0.05}},
-		BeforeRound: func() {
-			// Workload drift between rounds: 10% of objects churn.
-			if err := store.Drift(rng, 10_000, loadFn); err != nil {
-				log.Fatal(err)
-			}
-		},
-	})
+	runner, err := protocol.NewRunner(ring, tree, protocol.Config{Core: core.Config{Epsilon: 0.05}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := d.Start(); err != nil {
-		log.Fatal(err)
+	fmt.Println("\n round  t(start)  Gini before  Gini after  moved load  transfers")
+	var started sim.Time
+	var giniBefore, sumPre, sumPost, moved float64
+	rounds, failed := 0, 0
+	drift := func() bool {
+		// Workload drift between rounds: 10% of objects churn.
+		if err := store.Drift(rng, 10_000, loadFn); err != nil {
+			log.Fatal(err)
+		}
+		started, giniBefore = eng.Now(), core.UnitLoadGini(ring)
+		return true
 	}
+	report := func(res *protocol.Result, err error) {
+		rounds++
+		if err != nil {
+			failed++
+			fmt.Printf("%6d  %8d  round failed: %v\n", rounds, started, err)
+			return
+		}
+		giniAfter := core.UnitLoadGini(ring)
+		sumPre, sumPost, moved = sumPre+giniBefore, sumPost+giniAfter, moved+res.MovedLoad
+		fmt.Printf("%6d  %8d  %11.3f  %10.3f  %10.0f  %9d\n",
+			rounds, started, giniBefore, giniAfter, res.MovedLoad, len(res.Assignments))
+	}
+	stop := protocol.Every(eng, 5_000, runner.StartRound, drift, report)
 	eng.RunUntil(60_000)
-	d.Stop()
+	stop()
 	eng.Run()
 
-	fmt.Println("\n round  t(start)  Gini before  Gini after  moved load  transfers")
-	for i, rec := range d.History() {
-		if rec.Err != nil {
-			fmt.Printf("%6d  %8d  round failed: %v\n", i+1, rec.StartedAt, rec.Err)
-			continue
-		}
-		fmt.Printf("%6d  %8d  %11.3f  %10.3f  %10.0f  %9d\n",
-			i+1, rec.StartedAt, rec.GiniBefore, rec.GiniAfter,
-			rec.Result.MovedLoad, len(rec.Result.Assignments))
-	}
-	sum := d.Summarize()
+	ok := float64(rounds - failed)
 	fmt.Printf("\n%d rounds (%d failed), %.0f load moved in total; mean Gini %.3f -> %.3f\n",
-		sum.Rounds, sum.Failed, sum.TotalMoved, sum.MeanGiniPre, sum.MeanGiniPost)
+		rounds, failed, moved, sumPre/ok, sumPost/ok)
 	if err := store.CheckLoads(1e-6); err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2plb/internal/core"
-	"p2plb/internal/daemon"
 	"p2plb/internal/par"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
@@ -44,10 +43,9 @@ func ChurnSensitivity(seed int64, nodes int, rates []int, rounds int) ([]ChurnRo
 // including topology-backed ones (joiners then take real stub underlay
 // positions). For each rate it runs `rounds` message-level rounds on a
 // fresh system where `rate` random nodes crash and `rate` join right
-// before every round; crashes are visible to the round itself only
-// through the tree's stale state (repair runs before each round, so the
+// before every round; each round repairs the tree as it starts, so the
 // stress is on loads and membership, with the in-round crash path
-// covered separately by the protocol tests). Rates run in parallel —
+// covered separately by the protocol tests. Rates run in parallel —
 // each builds its own engine from the setup seed, so rows are
 // independent of scheduling.
 func ChurnSensitivitySetup(s Setup, rates []int, rounds int) ([]ChurnRow, error) {
@@ -82,8 +80,8 @@ func churnRow(s Setup, rate, rounds int) (ChurnRow, error) {
 	}
 	// Rounds on a topology-backed instance pay real underlay latencies
 	// on every message, so they need a much wider beat to finish before
-	// the next one starts (overlap would surface as spurious "round
-	// already active" failures, not as churn behaviour). Anything above
+	// the next one starts (a tick that lands mid-round is skipped, and
+	// the row would count fewer rounds than asked). Anything above
 	// the protocol's hard round deadline — 8 epoch windows of
 	// ChildTimeout·(height+1), with ChildTimeout defaulting to 5000 —
 	// guarantees a tick never lands mid-round.
@@ -91,63 +89,59 @@ func churnRow(s Setup, rate, rounds int) (ChurnRow, error) {
 	if inst.Graph != nil {
 		interval = sim.Time(9 * 5000 * (inst.Tree.Height() + 2))
 	}
-	d, err := daemon.New(inst.Ring, inst.Tree, daemon.Config{
-		RoundInterval: interval,
-		Protocol:      protocol.Config{Core: core.Config{Epsilon: inst.Setup.Epsilon}},
-		BeforeRound: func() {
-			// One membership snapshot per round with swap-remove
-			// sampling: uniform over the round's initial membership and
-			// O(rate) instead of re-materializing AliveNodes() (O(n))
-			// after every crash.
-			alive := inst.Ring.AliveNodes()
-			for i := 0; i < rate && len(alive) > 0; i++ {
-				j := inst.Engine.Rand().Intn(len(alive))
-				inst.Ring.RemoveNode(alive[j])
-				alive[j] = alive[len(alive)-1]
-				alive = alive[:len(alive)-1]
-			}
-			for i := 0; i < rate; i++ {
-				u := topology.NodeID(-1)
-				if len(stubs) > 0 {
-					u = stubs[inst.Engine.Rand().Intn(len(stubs))]
-				}
-				// Fresh nodes arrive with freshly loaded regions: the
-				// ring redistributed the dead nodes' loads to ring
-				// successors; joiners start with whatever falls into
-				// their new regions (zero until objects/loads move),
-				// which is exactly the imbalance the next round fixes.
-				inst.Ring.AddNode(u, profile.Sample(inst.Engine.Rand()), vsPerNode)
-			}
-		},
-	})
+	r, err := protocol.NewRunner(inst.Ring, inst.Tree, protocol.Config{Core: core.Config{Epsilon: inst.Setup.Epsilon}})
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	if err := d.Start(); err != nil {
-		return ChurnRow{}, err
+	churn := func() bool {
+		// One membership snapshot per round with swap-remove sampling:
+		// uniform over the round's initial membership and O(rate)
+		// instead of re-materializing AliveNodes() (O(n)) after every
+		// crash.
+		alive := inst.Ring.AliveNodes()
+		for i := 0; i < rate && len(alive) > 0; i++ {
+			j := inst.Engine.Rand().Intn(len(alive))
+			inst.Ring.RemoveNode(alive[j])
+			alive[j] = alive[len(alive)-1]
+			alive = alive[:len(alive)-1]
+		}
+		for i := 0; i < rate; i++ {
+			u := topology.NodeID(-1)
+			if len(stubs) > 0 {
+				u = stubs[inst.Engine.Rand().Intn(len(stubs))]
+			}
+			// Fresh nodes arrive with freshly loaded regions: the ring
+			// redistributed the dead nodes' loads to ring successors;
+			// joiners start with whatever falls into their new regions
+			// (zero until objects/loads move), which is exactly the
+			// imbalance the next round fixes.
+			inst.Ring.AddNode(u, profile.Sample(inst.Engine.Rand()), vsPerNode)
+		}
+		return true
 	}
-	inst.Engine.RunUntil(interval*sim.Time(rounds) + interval/2)
-	d.Stop()
-	inst.Engine.Run()
-
 	row := ChurnRow{Churn: rate}
 	steady := 0
-	for i, rec := range d.History() {
+	record := func(res *protocol.Result, err error) {
 		row.Rounds++
-		if rec.Err != nil {
+		if err != nil {
 			row.Failed++
-			continue
+			return
 		}
-		row.TimedOutChildren += rec.Result.TimedOutChildren
-		row.AbortedTransfers += rec.Result.AbortedTransfers
-		if i == 0 {
-			continue
+		row.TimedOutChildren += res.TimedOutChildren
+		row.AbortedTransfers += res.AbortedTransfers
+		if row.Rounds == 1 {
+			return
 		}
 		steady++
-		row.MeanHeavyBefore += float64(rec.Result.HeavyBefore)
-		row.MeanHeavyAfter += float64(rec.Result.HeavyAfter)
-		row.MovedPerRound += rec.Result.MovedLoad
+		row.MeanHeavyBefore += float64(res.HeavyBefore)
+		row.MeanHeavyAfter += float64(res.HeavyAfter)
+		row.MovedPerRound += res.MovedLoad
 	}
+	stop := protocol.Every(inst.Engine, interval, r.StartRound, churn, record)
+	inst.Engine.RunUntil(interval*sim.Time(rounds) + interval/2)
+	stop()
+	inst.Engine.Run()
+
 	if steady > 0 {
 		row.MeanHeavyBefore /= float64(steady)
 		row.MeanHeavyAfter /= float64(steady)

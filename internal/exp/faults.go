@@ -103,9 +103,6 @@ func faultRow(s Setup, rate float64, rounds int) (FaultRow, error) {
 		out, roundErr := runProtocolRound(r, inst.Engine)
 		if roundErr != nil {
 			row.Failed++
-			if _, err := inst.Tree.Repair(); err != nil {
-				return row, err
-			}
 		} else {
 			row.Completed++
 			row.Retries += out.Retries
@@ -212,9 +209,6 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 		row.PartitionRounds++
 		if roundErr != nil {
 			row.FailedDuring++
-			if _, err := inst.Tree.Repair(); err != nil {
-				return row, err
-			}
 		} else {
 			row.Retries += out.Retries
 		}
@@ -229,9 +223,6 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 	for i := 0; i < maxRecover; i++ {
 		out, roundErr := runProtocolRound(r, inst.Engine)
 		if roundErr != nil {
-			if _, err := inst.Tree.Repair(); err != nil {
-				return row, err
-			}
 			continue
 		}
 		row.Retries += out.Retries

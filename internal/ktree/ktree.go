@@ -49,7 +49,7 @@
 //
 // Stale holders. A *Node is valid for as long as the node is in the
 // tree. A holder that keeps one across a Repair — a protocol round in
-// flight while the daemon's periodic Repair runs — may find it discarded
+// flight while something else repairs the tree — may find it discarded
 // (no longer reachable from Root or LeavesOf). A discarded node, its
 // child slice and its discarded descendants stay exactly as that pass
 // left them until the next pass that finds the ring changed begins; from

@@ -19,8 +19,7 @@
 //	chord.lookup.{hops,latency}
 //	core.phase.*, core.pairs.*, core.moved_load,
 //	core.subset.cost          shed-subset search nodes visited (greedy: candidates)
-//	protocol.phase.*, protocol.{timeouts,aborted_transfers}
-//	daemon.gini.{before,after} (series over virtual time)
+//	protocol.phase.*, protocol.{rounds,round_errors,retries,timeouts,aborted_transfers}
 //
 // Durations recorded by simulation code are in virtual-time units;
 // wall-clock spans (the bench/ program) are in nanoseconds. The unit is
@@ -196,8 +195,8 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// Series is an append-only time series (virtual time → value), used for
-// slow-changing observables like the daemon's imbalance over time.
+// Series is an append-only time series (virtual time → value), for
+// slow-changing observables such as imbalance over time.
 type Series struct {
 	mu  sync.Mutex
 	pts []Point

@@ -123,12 +123,11 @@ type Runner struct {
 }
 
 // roundScratch holds the per-round maps (and the report slices inside
-// lbiInbox) that steady-state drivers — the daemon, churn sweeps —
-// would otherwise reallocate every round. A round hands its scratch
-// back only when it finished clean: after a timeout or an aborted
-// transfer, stale epoch events may still read the maps (and a late VSA
-// reply can even mutate its PairList), so such rounds drop the scratch
-// instead of recycling it.
+// lbiInbox) that periodic rounds (Every) would otherwise reallocate
+// every round. A round hands its scratch back only when it finished
+// clean: after a timeout or an aborted transfer, stale epoch events may
+// still read the maps (and a late VSA reply can even mutate its
+// PairList), so such rounds drop the scratch instead of recycling it.
 type roundScratch struct {
 	lbiInbox map[*ktree.Node][]core.LBI
 	states   map[*chord.Node]*core.NodeState
@@ -299,7 +298,10 @@ func (rd *round) done(res *Result, err error) {
 
 // StartRound begins one asynchronous load-balancing round; done fires
 // on the engine when the round (including all transfers) completes.
-// Only one round may be active at a time.
+// Only one round may be active at a time. The round's first step
+// repairs the tree, so a caller that changed membership since the last
+// round need not; a round that completes repairs it again, as its last
+// step, for what changed while it ran.
 func (r *Runner) StartRound(done func(*Result, error)) error {
 	if r.roundActive {
 		return fmt.Errorf("protocol: round already active")
@@ -307,10 +309,11 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	if r.ring.NumVServers() == 0 {
 		return fmt.Errorf("protocol: ring has no virtual servers")
 	}
-	if r.tree.Root() == nil {
-		if err := r.tree.Build(); err != nil {
-			return err
-		}
+	// The round starts on a tree consistent with the ring: Repair
+	// builds an unbuilt tree, replants what membership changes since
+	// the last pass left stale, and on a quiescent ring is free.
+	if _, err := r.tree.Repair(); err != nil {
+		return err
 	}
 	// Same contract as core.Balancer.RunRound: a configured LoadSource
 	// snapshots its current view into vs.Load before the LBI sweep reads

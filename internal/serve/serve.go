@@ -198,11 +198,10 @@ type Server struct {
 	hopSum     int64
 	lastFinish float64
 
-	roundActive bool
-	roundErr    error
-	rounds      int
-	transfers   int
-	movedLoad   float64
+	roundErr  error
+	rounds    int
+	transfers int
+	movedLoad float64
 
 	mService *metrics.Histogram
 }
@@ -324,7 +323,7 @@ func (s *Server) Run() (*Report, error) {
 		s.cancels = append(s.cancels, s.eng.Every(s.cfg.PromoteEvery, s.promoteTick))
 	}
 	if s.runner != nil && s.cfg.RoundInterval > 0 {
-		s.cancels = append(s.cancels, s.eng.Every(s.cfg.RoundInterval, s.roundTick))
+		s.cancels = append(s.cancels, protocol.Every(s.eng, s.cfg.RoundInterval, s.runner.StartRound, s.roundDue, s.roundDone))
 	}
 	thaw := s.ring.FreezeMembership()
 	defer thaw()
@@ -666,27 +665,19 @@ func (s *Server) replicaSet(owner *chord.VServer, want int) []*chord.VServer {
 	return out
 }
 
-// roundTick starts a balancing round unless one is in flight or the
-// plan has drained.
-func (s *Server) roundTick() {
-	if s.runner == nil || s.roundActive || s.planDone || s.roundErr != nil {
-		return
-	}
-	s.roundActive = true
-	err := s.runner.StartRound(func(res *protocol.Result, err error) {
-		s.roundActive = false
-		if err != nil {
-			s.roundErr = err
-			return
-		}
-		s.rounds++
-		s.transfers += len(res.Assignments)
-		s.movedLoad += res.MovedLoad
-	})
+// roundDue reports whether a round tick should start a round: not
+// once the plan has drained or a round has failed.
+func (s *Server) roundDue() bool { return !s.planDone && s.roundErr == nil }
+
+// roundDone records one interleaved round's outcome.
+func (s *Server) roundDone(res *protocol.Result, err error) {
 	if err != nil {
 		s.roundErr = err
-		s.roundActive = false
+		return
 	}
+	s.rounds++
+	s.transfers += len(res.Assignments)
+	s.movedLoad += res.MovedLoad
 }
 
 // maybeFinish cancels the periodic tickers once the plan has drained
