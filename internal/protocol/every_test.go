@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"p2plb/internal/chord"
@@ -345,8 +346,13 @@ func countedRounds(t *testing.T, plan faults.Plan, killRootAt int) (rounds, fail
 // checkCounters requires each named registry counter to hold want.
 func checkCounters(t *testing.T, reg *metrics.Registry, want map[string]int64) {
 	t.Helper()
-	for name, w := range want {
-		if got := reg.Counter(name).Value(); got != w {
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got, w := reg.Counter(name).Value(), want[name]; got != w {
 			t.Errorf("%s = %d, want %d", name, got, w)
 		}
 	}
