@@ -78,13 +78,10 @@ func main() {
 		repaired += changes
 	})
 
-	// Load balancing: one full round every 2000 units.
+	// Load balancing: one full round every 2000 units. A round repairs
+	// the tree as its first step, so it sees a consistent tree.
 	rounds := 0
 	cancelLB := eng.Every(2000, func() {
-		// Repair first so the round sees a consistent tree.
-		if _, err := tree.Repair(); err != nil {
-			log.Fatal(err)
-		}
 		res, err := balancer.RunRound()
 		if err != nil {
 			log.Fatal(err)

@@ -641,11 +641,9 @@ func (d *Daemon) onGlobal(r uint64, b lbiBody) {
 }
 
 func (d *Daemon) startVSA(rs *roundState) {
-	st := lbnode.Classify(d.standaloneNode(), rs.global, d.spec.Epsilon, core.SubsetAuto)
+	st := core.ClassifyNode(d.standaloneNode(), rs.global, d.spec.Epsilon, core.SubsetAuto)
 	pl := &core.PairList{}
-	if st != nil {
-		lbnode.DepositVSA(pl, st, 0)
-	}
+	pl.Deposit(st, 0)
 	rs.vsa = lbnode.NewVSACollect(pl, len(d.children))
 	buf := rs.vsaBuf
 	rs.vsaBuf = nil

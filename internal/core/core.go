@@ -173,13 +173,6 @@ type Config struct {
 // threshold.
 const DefaultRendezvousThreshold = 30
 
-func (c Config) threshold() int {
-	if c.RendezvousThreshold == 0 {
-		return DefaultRendezvousThreshold
-	}
-	return c.RendezvousThreshold
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Epsilon < 0 {
@@ -232,11 +225,10 @@ func (b *Balancer) Ring() *chord.Ring { return b.ring }
 
 // observeSubsetCost records the work of one shed-subset selection as
 // core.subset.cost: the search nodes the exact search visited, or the
-// candidates greedy evaluated. It is a no-op on a
-// ring-less Balancer (ClassifyNode's standalone path) or when the
-// engine has no metrics registry.
+// candidates greedy evaluated. It is a no-op when the engine has no
+// metrics registry.
 func (b *Balancer) observeSubsetCost(ops int64) {
-	if b.mSubsetCost == nil && b.ring != nil {
+	if b.mSubsetCost == nil {
 		b.mSubsetCost = b.ring.Engine().Metrics().Histogram("core.subset.cost")
 	}
 	b.mSubsetCost.Observe(ops)

@@ -7,6 +7,7 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ident"
+	"p2plb/internal/sim"
 )
 
 // buildPairList constructs a PairList from raw deficit/load values.
@@ -176,5 +177,69 @@ func TestClassifyNodeExported(t *testing.T) {
 	st := ClassifyNode(n, global, 0, SubsetAuto)
 	if st.Class != Light || st.Deficit != 10 {
 		t.Fatalf("VS-less node should be maximally light: %+v", st)
+	}
+}
+
+func TestDepositVSA(t *testing.T) {
+	heavy := &chord.Node{Index: 0, Alive: true}
+	offers := []*chord.VServer{
+		{Owner: heavy, Load: 3},
+		{Owner: heavy, Load: 4},
+	}
+	pl := &PairList{}
+	pl.Deposit(&NodeState{Node: heavy, Class: Heavy, Offers: offers}, 0)
+	if pl.Offers() != 2 || pl.OfferLoad() != 7 {
+		t.Fatalf("heavy deposit: %d offers, load %.1f; want 2, 7", pl.Offers(), pl.OfferLoad())
+	}
+	light := &chord.Node{Index: 1, Alive: true}
+	pl.Deposit(&NodeState{Node: light, Class: Light, Deficit: 5}, 0)
+	if pl.Lights() != 1 {
+		t.Fatalf("light deposit: %d lights, want 1", pl.Lights())
+	}
+	pl.Deposit(&NodeState{Node: light, Class: Neutral}, 0)
+	if pl.Size() != 3 {
+		t.Fatalf("neutral deposit changed the list: size %d, want 3", pl.Size())
+	}
+}
+
+// TestCensus checks the census against ClassifyNode node by node: same
+// rule, dead nodes skipped, and the shed-subset strategy cannot change
+// a class.
+func TestCensus(t *testing.T) {
+	global := LBI{L: 100, C: 100, Lmin: 1, ok: true} // fair share 1 per unit capacity
+	ring := chord.NewRing(sim.NewEngine(1), chord.Config{})
+	next := ident.ID(1)
+	mk := func(capacity float64, loads ...float64) *chord.Node {
+		ids := make([]ident.ID, len(loads))
+		for i := range ids {
+			ids[i], next = next, next+1000
+		}
+		n, err := ring.AddNodeWithIDs(-1, capacity, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, vs := range n.VServers() {
+			vs.Load = loads[i]
+		}
+		return n
+	}
+	nodes := []*chord.Node{
+		mk(10, 30),                  // heavy
+		mk(10, 5),                   // light: deficit 5
+		mk(10, 9.5),                 // neutral: deficit 0.5 < Lmin
+		{Capacity: 10, Alive: true}, // light: no virtual servers
+		mk(10, 2, 2),                // light
+	}
+	nodes = append(nodes, &chord.Node{Capacity: 10}) // dead: not counted
+	h, l, n := Census(nodes, global, 0)
+	if h != 1 || l != 3 || n != 1 {
+		t.Fatalf("Census = %d/%d/%d, want 1/3/1", h, l, n)
+	}
+	var want [3]int
+	for _, nd := range nodes[:5] {
+		want[ClassifyNode(nd, global, 0, SubsetExact).Class]++
+	}
+	if want != [3]int{n, h, l} {
+		t.Errorf("ClassifyNode tallies %v, Census %d/%d/%d", want, n, h, l)
 	}
 }

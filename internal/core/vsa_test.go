@@ -184,15 +184,38 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestThresholdDefault pins the rendezvous rule's threshold
+// convention: zero means DefaultRendezvousThreshold, a positive value
+// is taken as given, and a negative one pairs only at the root.
 func TestThresholdDefault(t *testing.T) {
-	if (Config{}).threshold() != DefaultRendezvousThreshold {
-		t.Error("zero threshold should default to 30")
+	// entries returns a list of n offers and n fitting lights: 2n
+	// entries, every one pairable.
+	entries := func(n int) *PairList {
+		pl := &PairList{}
+		for i := 0; i < n; i++ {
+			pl.AddOffer(&chord.VServer{ID: ident.ID(i), Load: 4}, mkNode(100+i), 0)
+			pl.AddLight(5, mkNode(i), 0)
+		}
+		return pl
 	}
-	if (Config{RendezvousThreshold: 5}).threshold() != 5 {
-		t.Error("explicit threshold ignored")
+	half := DefaultRendezvousThreshold / 2
+	if pairs := entries(half-1).Rendezvous(false, 0, 0.1); pairs != nil {
+		t.Errorf("zero threshold paired %d entries, below the default %d", 2*(half-1), DefaultRendezvousThreshold)
 	}
-	if (Config{RendezvousThreshold: -1}).threshold() != -1 {
-		t.Error("negative (root-only) threshold ignored")
+	if pairs := entries(half).Rendezvous(false, 0, 0.1); len(pairs) != half {
+		t.Errorf("zero threshold paired %d at the default size, want %d", len(pairs), half)
+	}
+	if pairs := entries(3).Rendezvous(false, 5, 0.1); len(pairs) != 3 {
+		t.Errorf("explicit threshold 5 paired %d of 6 entries, want 3", len(pairs))
+	}
+	if pairs := entries(half).Rendezvous(false, -1, 0.1); pairs != nil {
+		t.Error("negative (root-only) threshold paired below the root")
+	}
+	if pairs := entries(1).Rendezvous(true, -1, 0.1); len(pairs) != 1 {
+		t.Error("the root did not pair under a negative threshold")
+	}
+	if pairs := (&PairList{}).Rendezvous(true, 0, 0.1); pairs != nil {
+		t.Error("an empty root list paired")
 	}
 }
 

@@ -11,12 +11,12 @@ import "p2plb/internal/core"
 // stops retransmitting).
 //
 // Buffering instead of merging on arrival is what makes the aggregate
-// executor-independent: LBI merging adds floats, so the parenthesization
+// order-independent: LBI merging adds floats, so the parenthesization
 // matters in the last ulp. Aggregate folds locals first, then children
 // in child-index order, no matter in which order the replies physically
-// arrived — the sim executor (replies land in message order) and the
-// concurrent executor (replies land in completion order) produce the
-// bit-identical global tuple.
+// arrived — so a message-level round under any delivery order and
+// core.Balancer's closed-form fold (which merges in the same order)
+// produce the bit-identical global tuple.
 type LBICollect struct {
 	local   core.LBI
 	subs    []core.LBI
@@ -158,20 +158,11 @@ func (c *VSACollect) Expire() (timedOut int, expired bool) {
 // Done reports whether the epoch has closed.
 func (c *VSACollect) Done() bool { return c.closed }
 
-// Rendezvous runs the §3.4 rendezvous rule on the closed epoch's list:
-// a node pairs when it holds any entries and is the root, or its
-// combined list length reaches the threshold (zero means the paper's
-// default of 30; negative disables intermediate rendezvous so pairing
-// happens only at the root). It returns the emitted pairings; unpaired
+// Rendezvous runs core.PairList.Rendezvous, the §3.4 rendezvous rule,
+// on the closed epoch's list. It returns the emitted pairings; unpaired
 // entries stay held for the parent.
 func (c *VSACollect) Rendezvous(isRoot bool, threshold int, lmin float64) []core.Pair {
-	if threshold == 0 {
-		threshold = core.DefaultRendezvousThreshold
-	}
-	if c.lists.Size() > 0 && (isRoot || (threshold > 0 && c.lists.Size() >= threshold)) {
-		return c.lists.Pair(lmin)
-	}
-	return nil
+	return c.lists.Rendezvous(isRoot, threshold, lmin)
 }
 
 // Lists returns the list of entries still held (after Rendezvous: the

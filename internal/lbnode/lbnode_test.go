@@ -277,36 +277,3 @@ func TestHandoffMidFlightFailures(t *testing.T) {
 		t.Fatalf("commit failure = %v, want OpAbort", op)
 	}
 }
-
-func TestDepositVSA(t *testing.T) {
-	heavy := &chord.Node{Index: 0, Alive: true}
-	offers := []*chord.VServer{
-		{Owner: heavy, Load: 3},
-		{Owner: heavy, Load: 4},
-	}
-	pl := &core.PairList{}
-	lbnode.DepositVSA(pl, &core.NodeState{Node: heavy, Class: core.Heavy, Offers: offers}, 0)
-	if pl.Offers() != 2 || pl.OfferLoad() != 7 {
-		t.Fatalf("heavy deposit: %d offers, load %.1f; want 2, 7", pl.Offers(), pl.OfferLoad())
-	}
-	light := &chord.Node{Index: 1, Alive: true}
-	lbnode.DepositVSA(pl, &core.NodeState{Node: light, Class: core.Light, Deficit: 5}, 0)
-	if pl.Lights() != 1 {
-		t.Fatalf("light deposit: %d lights, want 1", pl.Lights())
-	}
-	lbnode.DepositVSA(pl, &core.NodeState{Node: light, Class: core.Neutral}, 0)
-	if pl.Size() != 3 {
-		t.Fatalf("neutral deposit changed the list: size %d, want 3", pl.Size())
-	}
-}
-
-func TestTally(t *testing.T) {
-	states := []*core.NodeState{
-		{Class: core.Heavy}, {Class: core.Light}, {Class: core.Light},
-		{Class: core.Neutral}, nil,
-	}
-	h, l, n := lbnode.Tally(states)
-	if h != 1 || l != 2 || n != 1 {
-		t.Fatalf("Tally = %d/%d/%d, want 1/2/1", h, l, n)
-	}
-}

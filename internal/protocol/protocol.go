@@ -205,11 +205,10 @@ type round struct {
 
 	lbiInbox map[*ktree.Node][]core.LBI
 	global   core.LBI
-	place    *lbnode.Placement // canonical randomized placement, drawn before any event
+	place    *core.Placement // the round's randomized placement, drawn before any event
 
 	roster     *lbnode.Roster // dissemination endpoint state (over scratch's states map)
 	vsaInbox   map[*ktree.Node]*core.PairList
-	leafOfVS   map[*chord.VServer]*ktree.Node
 	publishing int // outstanding routed publications
 
 	// Reliable-delivery state. seen is the receiver-side dedup set: a
@@ -338,7 +337,6 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 		lbiInbox:   sc.lbiInbox,
 		roster:     lbnode.NewRoster(sc.states),
 		vsaInbox:   sc.vsaInbox,
-		leafOfVS:   sc.leafOfVS,
 		maxRetries: retries,
 		res: &Result{Result: core.Result{
 			Mode:        r.cfg.Core.Mode,
@@ -363,10 +361,12 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	rd.deadline = r.eng.After(8*rd.epochWindow(r.tree.Root()), func() {
 		rd.done(nil, fmt.Errorf("protocol: round deadline exceeded (root unreachable?)"))
 	})
-	// Draw the round's canonical placement before the first event: the
-	// concurrent executor consumes the identical RNG sequence, so both
-	// executors deposit identical per-leaf inboxes (see lbnode.PlaceRound).
-	rd.place = lbnode.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.leafOfVS)
+	// Draw the round's placement before the first event, so where each
+	// report and advertisement enters the tree does not depend on
+	// delivery order. core.Balancer.RunRound draws the same placement
+	// from the same RNG state, which is why the two pair identically
+	// (see core.PlaceRound).
+	rd.place = core.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.leafOfVS)
 	rd.place.DepositReports(rd.lbiInbox)
 	rd.collectLBI(r.tree.Root(), func(global core.LBI) {
 		if !global.Valid() {
@@ -673,26 +673,6 @@ func (*inertAck) RunEvent() {}
 
 var collectAck inertAck
 
-// leafFor returns the single leaf a virtual server reports through this
-// round, or nil for a VS the tree does not know yet: a virtual server
-// that joined since the last repair (a restarted node rejoining
-// mid-round) has no leaves until Repair plants them, so its reports
-// simply sit out the round — the soft-state behaviour, not an error.
-// The cache is shared with the placement pre-pass, so lazy draws (the
-// routed proximity-aware publication path, whose target VS is only
-// known once the lookup lands) never contradict a placed report.
-func (rd *round) leafFor(vs *chord.VServer) *ktree.Node {
-	if leaf, ok := rd.leafOfVS[vs]; ok {
-		return leaf
-	}
-	var leaf *ktree.Node
-	if leaves := rd.r.tree.LeavesOf(vs); len(leaves) > 0 {
-		leaf = leaves[rd.r.eng.Rand().Intn(len(leaves))]
-	}
-	rd.leafOfVS[vs] = leaf
-	return leaf
-}
-
 // collectLBI pulls <L, C, Lmin> from n's subtree, driving one
 // lbnode.LBICollect epoch per node: leaves answer from their inbox;
 // internal nodes query children, merge replies through the machine, and
@@ -977,9 +957,13 @@ func (rd *round) cfg() core.Config { return rd.r.cfg.Core }
 // deposit stores a node's VSA entries at the given virtual server's
 // reporting leaf.
 func (rd *round) deposit(vs *chord.VServer, st *core.NodeState, group uint64) {
-	leaf := rd.leafFor(vs)
+	// The placement's per-VS cache: a lazy draw never contradicts a
+	// placed report. A virtual server that joined since the last repair
+	// (a restarted node rejoining mid-round) has no leaves until Repair
+	// plants them, so the advertisement waits for the next round.
+	leaf := rd.place.LeafOf(vs, rd.r.eng.Rand())
 	if leaf == nil {
-		return // fresh joiner: the advertisement waits for the next round
+		return
 	}
 	rd.depositAt(leaf, st, group)
 }
@@ -991,7 +975,7 @@ func (rd *round) depositAt(leaf *ktree.Node, st *core.NodeState, group uint64) {
 		pl = &core.PairList{}
 		rd.vsaInbox[leaf] = pl
 	}
-	lbnode.DepositVSA(pl, st, group)
+	pl.Deposit(st, group)
 }
 
 // publishDone decrements the outstanding-publication counter; at zero,
@@ -1321,7 +1305,7 @@ func (rd *round) maybeFinish() {
 		return
 	}
 	rd.res.HeavyAfter, rd.res.LightAfter, rd.res.NeutralAfter =
-		lbnode.Census(rd.r.ring.Nodes(), rd.global, rd.cfg().Epsilon, rd.cfg().Subset)
+		core.Census(rd.r.ring.Nodes(), rd.global, rd.cfg().Epsilon)
 	if _, err := rd.r.tree.Repair(); err != nil {
 		rd.done(nil, err)
 		return
