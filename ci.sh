@@ -70,7 +70,7 @@ go test ./...
 echo "== go test -bench (one iteration each)"
 # Benchmarks are compiled and run by nothing above; one iteration each
 # makes a benchmark that no longer builds or panics fail here.
-go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
+go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/

@@ -5,6 +5,7 @@ import (
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ktree"
+	"p2plb/internal/sim"
 	"p2plb/internal/stats"
 )
 
@@ -43,12 +44,12 @@ func (b *Balancer) RunRound() (*Result, error) {
 
 	// Phase 4: VST — apply transfers, charge their cost, record the
 	// moved-load-by-distance distribution.
-	eng := b.ring.Engine()
+	var transferCost sim.Time
 	for i := range res.Assignments {
 		a := &res.Assignments[i]
 		a.Hops = b.transferCost(a.From, a.To)
 		cost := b.ring.Latency(a.From, a.To) + 1
-		eng.CountMessage(MsgVSTTransfer, cost)
+		transferCost += cost
 		b.ring.Transfer(a.VS, a.To)
 		res.MovedLoad += a.Load
 		res.MovedByHops.Add(a.Hops, a.Load)
@@ -56,6 +57,7 @@ func (b *Balancer) RunRound() (*Result, error) {
 			res.TimeVSTComplete = done
 		}
 	}
+	b.ring.Engine().CountMessageN(MsgVSTTransfer, int64(len(res.Assignments)), transferCost)
 	if res.TimeVSTComplete < vsa.completeTime {
 		res.TimeVSTComplete = vsa.completeTime
 	}

@@ -35,45 +35,41 @@ type lbiOutcome struct {
 // each KT node merges its own reports, then its children's tuples in
 // child order, and forwards one report to its parent — followed by a
 // top-down dissemination of the global tuple. One message per tree edge
-// in each direction; completion times follow the slowest root-to-leaf
-// chain.
+// in each direction. Dissemination starts when aggregation completes
+// and ends at the leaf whose root path is slowest, so the one bottom-up
+// pass computes both: the converge-cast's completion and the deepest
+// root-to-leaf latency. Both kinds are counted in bulk once the pass is
+// over.
 func (b *Balancer) aggregateLBI(inbox map[*ktree.Node][]LBI) lbiOutcome {
-	eng := b.ring.Engine()
-	var up func(n *ktree.Node) (LBI, sim.Time)
-	up = func(n *ktree.Node) (LBI, sim.Time) {
-		var agg LBI
-		var ready sim.Time
-		for _, r := range inbox[n] {
-			agg = agg.Merge(r)
+	var edges int64
+	var edgeCost sim.Time
+	var up func(n *ktree.Node) (agg LBI, ready, deepest sim.Time)
+	up = func(n *ktree.Node) (agg LBI, ready, deepest sim.Time) {
+		if n.IsLeaf() { // placement deposits only at leaves
+			for _, r := range inbox[n] {
+				agg = agg.Merge(r)
+			}
 		}
 		for _, c := range n.Children {
-			childAgg, childReady := up(c)
+			childAgg, childReady, childDeepest := up(c)
 			edge := b.tree.EdgeLatency(c)
-			eng.CountMessage(MsgLBIReport, edge)
+			edges++
+			edgeCost += edge
 			agg = agg.Merge(childAgg)
 			if t := childReady + edge; t > ready {
 				ready = t
 			}
-		}
-		return agg, ready
-	}
-	global, aggTime := up(b.tree.Root())
-
-	var down func(n *ktree.Node, t sim.Time) sim.Time
-	down = func(n *ktree.Node, t sim.Time) sim.Time {
-		last := t
-		for _, c := range n.Children {
-			edge := b.tree.EdgeLatency(c)
-			eng.CountMessage(MsgLBIDisperse, edge)
-			if end := down(c, t+edge); end > last {
-				last = end
+			if d := childDeepest + edge; d > deepest {
+				deepest = d
 			}
 		}
-		return last
+		return agg, ready, deepest
 	}
-	dispTime := down(b.tree.Root(), aggTime)
-
-	return lbiOutcome{global: global, aggregateTime: aggTime, disperseTime: dispTime}
+	global, aggTime, deepest := up(b.tree.Root())
+	eng := b.ring.Engine()
+	eng.CountMessageN(MsgLBIReport, edges, edgeCost)
+	eng.CountMessageN(MsgLBIDisperse, edges, edgeCost)
+	return lbiOutcome{global: global, aggregateTime: aggTime, disperseTime: aggTime + deepest}
 }
 
 // ClassifyNode classifies one node against the global tuple (§3.3):

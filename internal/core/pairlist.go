@@ -131,12 +131,20 @@ func (p *PairList) Rendezvous(isRoot bool, threshold int, lmin float64) []Pair {
 // preferring the nearest cell (§4.2). Unpaired entries remain held for
 // propagation to the parent.
 func (p *PairList) Pair(lmin float64) []Pair {
-	p.lists.sort()
-	pairs := p.lists.pairLocal(lmin)
-	pairs = append(pairs, p.lists.pairAll(lmin)...)
-	out := make([]Pair, len(pairs))
-	for i, pr := range pairs {
-		out[i] = Pair{VS: pr.offer.vs, From: pr.offer.node, To: pr.to, Load: pr.offer.load}
+	v := &p.lists
+	// Every pair consumes one offer, and nothing pairs without a light.
+	n := len(v.offers)
+	if len(v.lights) == 0 {
+		n = 0
 	}
-	return out
+	out := make([]Pair, 0, n)
+	if v.oneCell() {
+		// Within one cell the local pass is the pooled rule, and it
+		// leaves nothing a second pass could pair: an offer was left
+		// only when no deficit fit it, and deficits only shrink.
+		v.sort()
+		return v.pairAll(lmin, out)
+	}
+	out = v.pairLocal(lmin, out)
+	return v.pairAll(lmin, out)
 }

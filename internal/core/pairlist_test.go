@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,5 +244,105 @@ func TestCensus(t *testing.T) {
 	}
 	if want != [3]int{n, h, l} {
 		t.Errorf("ClassifyNode tallies %v, Census %d/%d/%d", want, n, h, l)
+	}
+}
+
+// randomEntries draws one rendezvous point's advertisements: 1–4 cells
+// (cell 0 in about half the draws), integral deficits and loads from a
+// narrow range so that ties are common and residuals land at, below and
+// above lmin. Light i is node nextLight+i, so indexes stay unique
+// across the calls of one trial.
+func randomEntries(rng *rand.Rand, nextLight, nextOffer int) ([]lightEntry, []offerEntry) {
+	cells := make([]uint64, 1+rng.Intn(4))
+	for i := range cells {
+		cells[i] = uint64(rng.Intn(64))
+	}
+	if rng.Intn(2) == 0 {
+		cells[0] = 0
+	}
+	lights := make([]lightEntry, rng.Intn(12))
+	for i := range lights {
+		lights[i] = lightEntry{
+			deficit: float64(1 + rng.Intn(12)),
+			node:    &chord.Node{Index: nextLight + i, Alive: true},
+			group:   cells[rng.Intn(len(cells))],
+		}
+	}
+	offers := make([]offerEntry, rng.Intn(12))
+	for i := range offers {
+		load := float64(1 + rng.Intn(8))
+		offers[i] = offerEntry{
+			load:  load,
+			vs:    &chord.VServer{ID: ident.ID(nextOffer + i), Load: load},
+			node:  &chord.Node{Index: 100000 + rng.Intn(16), Alive: true},
+			group: cells[rng.Intn(len(cells))],
+		}
+	}
+	return lights, offers
+}
+
+// TestPairMatchesReference holds PairList.Pair to the reference rule
+// (pairref_test.go): the same pairs in the same order and the same
+// leftover lists, on random lists and again on a parent that merges
+// two children's leftovers with entries of its own — lists that hold
+// residual deficits from an earlier pairing.
+func TestPairMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 3000; trial++ {
+		lmin := float64(rng.Intn(4))
+		var pl PairList
+		var ref refLists
+		nextLight, nextOffer := 0, 0
+		for level := 0; level < 3; level++ {
+			lights, offers := randomEntries(rng, nextLight, nextOffer)
+			nextLight += len(lights)
+			nextOffer += len(offers)
+			pl.lists.lights = append(pl.lists.lights, lights...)
+			pl.lists.offers = append(pl.lists.offers, offers...)
+			ref.lights = append(ref.lights, lights...)
+			ref.offers = append(ref.offers, offers...)
+			got, want := pl.Pair(lmin), ref.refPair(lmin)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d level %d: pairs differ\ngot  %s\nwant %s", trial, level, pairsString(got), pairsString(want))
+			}
+			if !slices.Equal(pl.lists.lights, ref.lights) || !slices.Equal(pl.lists.offers, ref.offers) {
+				t.Fatalf("trial %d level %d: leftovers differ\ngot  %v %v\nwant %v %v",
+					trial, level, pl.lists.lights, pl.lists.offers, ref.lights, ref.offers)
+			}
+		}
+	}
+}
+
+// pairsString renders pairs as vs:from->to(load).
+func pairsString(ps []Pair) string {
+	var sb strings.Builder
+	for _, p := range ps {
+		fmt.Fprintf(&sb, " %d:%d->%d(%g)", p.VS.ID, p.From.Index, p.To.Index, p.Load)
+	}
+	return sb.String()
+}
+
+// TestPairOneCellAllocatesOnlyResult: pairing a list whose entries
+// share one cell allocates nothing but the returned pairs.
+func TestPairOneCellAllocatesOnlyResult(t *testing.T) {
+	for _, cell := range []uint64{0, 7} {
+		var lights []lightEntry
+		var offers []offerEntry
+		for i := 0; i < 64; i++ {
+			lights = append(lights, lightEntry{deficit: float64(1 + i%13), node: mkNode(i), group: cell})
+			load := float64(1 + i%5)
+			offers = append(offers, offerEntry{load: load, vs: &chord.VServer{ID: ident.ID(i), Load: load}, node: mkNode(1000 + i), group: cell})
+		}
+		var pl PairList
+		allocs := testing.AllocsPerRun(50, func() {
+			pl.lists.lights = append(pl.lists.lights[:0], lights...)
+			pl.lists.offers = append(pl.lists.offers[:0], offers...)
+			if len(pl.Pair(1)) == 0 {
+				t.Fatal("nothing paired")
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("cell %d: Pair made %v allocations, want 1 (the returned pairs)", cell, allocs)
+		}
 	}
 }

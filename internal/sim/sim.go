@@ -366,9 +366,10 @@ func (e *Engine) CountMessage(kind string, cost Time) {
 }
 
 // CountMessageN records n messages of kind with combined cost total, as
-// if CountMessage had been called n times. Bulk layers (the K-nary
-// tree's sharded build) accumulate per-worker tallies and commit them
-// through here in one deterministic step.
+// if CountMessage had been called n times. Bulk layers accumulate
+// tallies and commit them through here in one deterministic step: the
+// K-nary tree's sharded build (per worker), the closed-form round in
+// core (per phase) and Absorb (per side engine).
 func (e *Engine) CountMessageN(kind string, n int64, total Time) {
 	if n <= 0 {
 		return
