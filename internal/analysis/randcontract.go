@@ -11,12 +11,13 @@ import (
 // list) of a `go` statement, or a worker callback handed to
 // internal/par — neither the engine RNG nor any *math/rand.Rand
 // captured from the enclosing scope may be touched. The same contract
-// covers *faults.Injector: its drop/duplicate/jitter streams are plain
-// *rand.Rand values behind method calls, so a shared injector consulted
-// from a worker is the engine-RNG race wearing a different type. The
-// sanctioned pattern is a per-worker engine/RNG/injector seeded from
-// the parent before the fan-out, which the analyzer recognises: a
-// value declared inside the concurrent region is fine.
+// covers *faults.Injector: its drop/duplicate counters and its restart
+// *rand.Rand are unsynchronised state behind method calls, so a shared
+// injector consulted from a worker is the engine-RNG race wearing a
+// different type. The sanctioned pattern is a per-worker
+// engine/RNG/injector (or injector Fork) made by the parent or inside
+// the fan-out, which the analyzer recognises: a value declared inside
+// the concurrent region is fine.
 var RandContract = &Analyzer{
 	Name: "randcontract",
 	Doc:  "flag sim.Engine.Rand, captured *rand.Rand and captured *faults.Injector use inside go statements and par worker callbacks",
@@ -66,9 +67,9 @@ func checkEngineRandCall(pass *Pass, call *ast.CallExpr, regions []concurrentReg
 }
 
 // checkInjectorCall flags method calls on a *faults.Injector captured
-// from outside the concurrent region: the injector's fault streams draw
-// from plain *rand.Rand values and its counters are unsynchronised, so
-// sharing one across workers races exactly like sharing the engine RNG.
+// from outside the concurrent region: the injector's counters and
+// restart stream are unsynchronised, so sharing one across workers
+// races exactly like sharing the engine RNG.
 func checkInjectorCall(pass *Pass, call *ast.CallExpr, regions []concurrentRegion, reported map[token.Pos]bool) {
 	fn := calleeFunc(pass.Info, call)
 	if !methodOnType(fn, "internal/faults", "Injector") {
@@ -86,7 +87,7 @@ func checkInjectorCall(pass *Pass, call *ast.CallExpr, regions []concurrentRegio
 		return // per-trial injector: the sanctioned pattern
 	}
 	reported[call.Pos()] = true
-	pass.Reportf(call.Pos(), "%s.%s() on a captured *faults.Injector inside a %s: fault streams are single-goroutine; build one injector per trial engine inside the fan-out", exprString(sel.X), fn.Name(), region.kind)
+	pass.Reportf(call.Pos(), "%s.%s() on a captured *faults.Injector inside a %s: an injector is single-goroutine; build one injector per trial engine inside the fan-out", exprString(sel.X), fn.Name(), region.kind)
 }
 
 // checkCapturedRand flags reads of *math/rand.Rand values that are

@@ -40,10 +40,10 @@ func (h *holder) badField(xs []float64) {
 }
 
 // badFaults consults a shared fault injector from par workers: the
-// injector's drop/jitter streams are single-goroutine RNGs.
+// injector's counters and restart stream are single-goroutine state.
 func badFaults(in *faults.Injector, xs []float64) {
 	par.For(len(xs), 0, func(i int) {
-		if len(in.Deliveries("k", 0, 1, 0, 1)) > 0 { // want "captured *faults.Injector"
+		if len(in.Deliveries("k", uint64(i), 0, 1, 0, 1)) > 0 { // want "captured *faults.Injector"
 			xs[i] = 1
 		}
 	})
@@ -64,7 +64,7 @@ func goodFaults(seed int64, xs []float64) {
 		if err != nil {
 			return
 		}
-		if len(in.Deliveries("k", 0, 1, 0, 1)) > 0 {
+		if len(in.Deliveries("k", uint64(i), 0, 1, 0, 1)) > 0 {
 			xs[i] = 1
 		}
 	})

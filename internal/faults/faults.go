@@ -4,16 +4,24 @@
 // crash/restart plans and underlay partitions, all as a pure function of
 // (seed, Plan).
 //
-// Determinism is the load-bearing property. Every fault family draws
-// from its own derived-seed RNG stream (drop decisions, duplication
-// decisions, latency jitter, restart identifier draws), so a given
-// (seed, Plan) replays byte-identically, and none of the streams touch
-// the engine RNG: attaching an Injector with an empty Plan perturbs
-// nothing — the run stays byte-identical to one without a fault layer,
-// composing with the ring's BulkAddNodes determinism. The injector, like
-// the engine it filters, is single-goroutine: multi-trial sweeps build
-// one injector per trial engine (the randcontract analyzer enforces
-// this, exactly as it does for Engine.Rand).
+// Determinism is the load-bearing property. A message's fate is a pure
+// function of its identity: the drop decision, the duplication decision
+// and each copy's jitter are splitmix64 hashes of (fault-class seed,
+// message key, copy), where the class seeds derive from (seed, class
+// name) and the key is the sender's identity for the message
+// (sim.MessageFilter; internal/protocol builds it from the round, the
+// kind, the tree edge or handoff, and the attempt). No decision depends
+// on how many messages were offered before it, or in what order, so a
+// subtree simulated on its own engine draws the fates the sequential
+// walk draws (Fork). Partition windows are functions of time, and
+// restart identifiers come from the injector's one RNG stream; neither
+// touches the engine RNG, so attaching an Injector with an empty Plan
+// perturbs nothing — the run stays byte-identical to one without a
+// fault layer. The injector, like the engine it filters, is
+// single-goroutine: multi-trial sweeps build one injector per trial
+// engine, and forked phases give each worker its own Fork (the
+// randcontract analyzer enforces this, exactly as it does for
+// Engine.Rand).
 //
 // What can be injected:
 //
@@ -34,6 +42,7 @@ package faults
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"p2plb/internal/chord"
@@ -137,34 +146,53 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// deriveSeed derives an independent RNG stream seed from the base seed
-// and a stream tag (FNV-1a over the tag, mixed with the seed), so each
-// fault family replays identically regardless of how often the others
-// draw.
-func deriveSeed(seed int64, stream string) int64 {
+// deriveSeed derives an independent seed from the base seed and a
+// fault-class tag (FNV-1a over the tag, mixed with the seed), so each
+// fault class decides independently of the others.
+func deriveSeed(seed int64, class string) int64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	h := uint64(fnvOffset)
-	for i := 0; i < len(stream); i++ {
-		h ^= uint64(stream[i])
+	for i := 0; i < len(class); i++ {
+		h ^= uint64(class[i])
 		h *= fnvPrime
 	}
 	return int64(uint64(seed)*0x9E3779B97F4A7C15 ^ h)
 }
 
+// mix64 is the splitmix64 finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// fate hashes (class seed, message key, copy) to 64 uniform bits.
+func fate(class, key, copy uint64) uint64 {
+	return mix64(class ^ mix64(key+copy*0x9E3779B97F4A7C15))
+}
+
+// below reports whether the hash, read as a uniform draw from [0, 1),
+// falls below rate.
+func below(h uint64, rate float64) bool {
+	return float64(h>>11)*0x1p-53 < rate
+}
+
 // Injector implements sim.MessageFilter for one engine. Like the engine
 // it filters, it is single-goroutine; per-trial sweeps create one per
-// trial.
+// trial, and each forked worker engine gets its own Fork.
 type Injector struct {
 	plan Plan
 	ring *chord.Ring
 	eng  *sim.Engine
 
-	drop, dup, jitter, ids *rand.Rand
-	sides                  []map[int]bool
-	scratch                [2]sim.Time
+	// Seeds of the three keyed fault classes.
+	dropSeed, dupSeed, jitterSeed uint64
+	ids                           *rand.Rand // restart identifiers
+	sides                         []map[int]bool
+	scratch                       [2]sim.Time
 
 	dropped    int64
 	duplicated int64
@@ -182,11 +210,11 @@ func New(seed int64, plan Plan) (*Injector, error) {
 		return nil, err
 	}
 	in := &Injector{
-		plan:   plan,
-		drop:   rand.New(rand.NewSource(deriveSeed(seed, "drop"))),
-		dup:    rand.New(rand.NewSource(deriveSeed(seed, "duplicate"))),
-		jitter: rand.New(rand.NewSource(deriveSeed(seed, "jitter"))),
-		ids:    rand.New(rand.NewSource(deriveSeed(seed, "restart-ids"))),
+		plan:       plan,
+		dropSeed:   uint64(deriveSeed(seed, "drop")),
+		dupSeed:    uint64(deriveSeed(seed, "duplicate")),
+		jitterSeed: uint64(deriveSeed(seed, "jitter")),
+		ids:        rand.New(rand.NewSource(deriveSeed(seed, "restart-ids"))),
 	}
 	for _, w := range plan.Partitions {
 		side := make(map[int]bool, len(w.Side))
@@ -230,10 +258,11 @@ func (in *Injector) Detach() {
 }
 
 // Dropped returns how many messages the injector dropped (loss and
-// partition cuts combined).
+// partition cuts combined), its joined forks' included.
 func (in *Injector) Dropped() int64 { return in.dropped }
 
-// Duplicated returns how many messages were delivered twice.
+// Duplicated returns how many messages were delivered twice, its joined
+// forks' included.
 func (in *Injector) Duplicated() int64 { return in.duplicated }
 
 // Crashes returns how many scheduled crashes have executed.
@@ -242,21 +271,22 @@ func (in *Injector) Crashes() int { return in.crashed }
 // Restarts returns how many crashed nodes have rejoined.
 func (in *Injector) Restarts() int { return in.restarted }
 
-// Deliveries implements sim.MessageFilter: partition cuts first (no
-// randomness), then one drop draw, one duplication draw (only when the
-// kind has a nonzero rate — rates of zero consume nothing, keeping an
-// empty plan's streams untouched), then one jitter draw per copy.
-func (in *Injector) Deliveries(kind string, src, dst int, now, cost sim.Time) []sim.Time {
+// Deliveries implements sim.MessageFilter: partition cuts first (a
+// function of time), then the keyed drop decision, the keyed
+// duplication decision (each only when the kind has a nonzero rate)
+// and one keyed jitter per copy. The same (kind, key) always meets the
+// same fate, whatever was offered before it.
+func (in *Injector) Deliveries(kind string, key uint64, src, dst int, now, cost sim.Time) []sim.Time {
 	if in.cut(src, dst, now) {
 		in.countDrop()
 		return nil
 	}
-	if rate := rateFor(in.plan.Drop, in.plan.DropByKind, kind); rate > 0 && in.drop.Float64() < rate {
+	if rate := rateFor(in.plan.Drop, in.plan.DropByKind, kind); rate > 0 && below(fate(in.dropSeed, key, 0), rate) {
 		in.countDrop()
 		return nil
 	}
 	copies := 1
-	if rate := rateFor(in.plan.Duplicate, in.plan.DuplicateByKind, kind); rate > 0 && in.dup.Float64() < rate {
+	if rate := rateFor(in.plan.Duplicate, in.plan.DuplicateByKind, kind); rate > 0 && below(fate(in.dupSeed, key, 0), rate) {
 		copies = 2
 		in.duplicated++
 		in.mDuplicated.Inc()
@@ -265,11 +295,34 @@ func (in *Injector) Deliveries(kind string, src, dst int, now, cost sim.Time) []
 	for i := 0; i < copies; i++ {
 		var extra sim.Time
 		if in.plan.JitterMax > 0 {
-			extra = sim.Time(in.jitter.Int63n(int64(in.plan.JitterMax) + 1))
+			hi, _ := bits.Mul64(fate(in.jitterSeed, key, uint64(i)), uint64(in.plan.JitterMax)+1)
+			extra = sim.Time(hi)
 		}
 		out = append(out, extra)
 	}
 	return out
+}
+
+// Fork implements sim.ForkFilter: a private injector with the same
+// keyed fates and zeroed counters, for a worker engine. Plans with
+// partitions (functions of absolute time) or crashes (which change the
+// ring) get none, so the rounds they filter stay on one engine.
+func (in *Injector) Fork() sim.MessageFilter {
+	if len(in.plan.Partitions) > 0 || len(in.plan.Crashes) > 0 {
+		return nil
+	}
+	return &Injector{plan: in.plan, dropSeed: in.dropSeed, dupSeed: in.dupSeed, jitterSeed: in.jitterSeed}
+}
+
+// Join implements sim.ForkFilter: a fork's drop and duplication counts
+// move into the injector and its metrics.
+func (in *Injector) Join(fork sim.MessageFilter) {
+	f := fork.(*Injector)
+	in.dropped += f.dropped
+	in.mDropped.Add(f.dropped)
+	in.duplicated += f.duplicated
+	in.mDuplicated.Add(f.duplicated)
+	f.dropped, f.duplicated = 0, 0
 }
 
 func (in *Injector) countDrop() {

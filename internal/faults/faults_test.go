@@ -1,10 +1,14 @@
 package faults
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/metrics"
 	"p2plb/internal/sim"
 	"p2plb/internal/topology"
 )
@@ -39,8 +43,9 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-// TestDeterminism replays an identical offer sequence through two
-// injectors with the same (seed, plan) and requires identical fates.
+// TestDeterminism replays an identical offer sequence, one key per
+// offer, through two injectors with the same (seed, plan) and requires
+// identical fates.
 func TestDeterminism(t *testing.T) {
 	plan := Plan{
 		Drop:       0.2,
@@ -60,7 +65,7 @@ func TestDeterminism(t *testing.T) {
 			if i%3 == 0 {
 				kind = "b"
 			}
-			out := in.Deliveries(kind, i%10, (i+1)%10, sim.Time(i), 5)
+			out := in.Deliveries(kind, uint64(i), i%10, (i+1)%10, sim.Time(i), 5)
 			counts = append(counts, len(out))
 			extras = append(extras, append([]sim.Time(nil), out...)...)
 		}
@@ -79,6 +84,129 @@ func TestDeterminism(t *testing.T) {
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatalf("extra %d: %d vs %d", i, e1[i], e2[i])
+		}
+	}
+}
+
+// TestKeyedFates: a message's fate is a function of its key alone.
+// Offering 10^5 distinct keys in order and in a shuffled order, at
+// other times and between other endpoints, gives every key the same
+// copies and jitter; the realized drop and duplication rates fall within
+// four standard errors of the plan; jitter stays in [0, JitterMax] and
+// reaches both ends; and an empty plan passes every key through as one
+// undelayed copy.
+func TestKeyedFates(t *testing.T) {
+	const n = 100_000
+	plan := Plan{Drop: 0.2, Duplicate: 0.1, JitterMax: 40}
+	offer := func(in *Injector, order []int) []string {
+		fates := make([]string, n)
+		for pos, k := range order {
+			fates[k] = fmt.Sprint(in.Deliveries("k", uint64(k), pos%7, (pos+3)%7, sim.Time(pos), 2))
+		}
+		return fates
+	}
+	inOrder := make([]int, n)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	shuffled := rand.New(rand.NewSource(1)).Perm(n)
+	a, err := New(11, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(11, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, fb := offer(a, inOrder), offer(b, shuffled)
+	for k := range fa {
+		if fa[k] != fb[k] {
+			t.Fatalf("key %d: %s in order, %s shuffled", k, fa[k], fb[k])
+		}
+	}
+	if a.Dropped() != b.Dropped() || a.Duplicated() != b.Duplicated() {
+		t.Fatalf("counters depend on order: %d/%d vs %d/%d", a.Dropped(), a.Duplicated(), b.Dropped(), b.Duplicated())
+	}
+
+	within := func(what string, got, trials int64, p float64) {
+		t.Helper()
+		rate := float64(got) / float64(trials)
+		if sigma := math.Sqrt(p * (1 - p) / float64(trials)); math.Abs(rate-p) > 4*sigma {
+			t.Errorf("%s rate %.4f over %d, want %.2f ± %.4f", what, rate, trials, p, 4*sigma)
+		}
+	}
+	within("drop", a.Dropped(), n, plan.Drop)
+	within("duplication", a.Duplicated(), n-a.Dropped(), plan.Duplicate)
+
+	var lo, hi bool
+	for k := 0; k < n; k++ {
+		for _, extra := range a.Deliveries("k", uint64(k), 0, 1, 0, 2) {
+			if extra < 0 || extra > plan.JitterMax {
+				t.Fatalf("key %d: jitter %d outside [0, %d]", k, extra, plan.JitterMax)
+			}
+			lo = lo || extra == 0
+			hi = hi || extra == plan.JitterMax
+		}
+	}
+	if !lo || !hi {
+		t.Errorf("jitter never reached 0 (%v) or %d (%v)", lo, plan.JitterMax, hi)
+	}
+
+	empty, err := New(11, Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		if out := empty.Deliveries("k", uint64(k), 0, 1, sim.Time(k), 2); len(out) != 1 || out[0] != 0 {
+			t.Fatalf("empty plan: key %d delivered as %v", k, out)
+		}
+	}
+}
+
+// TestForkJoin: a fork decides every key as its parent does, and Join
+// moves the fork's drop and duplication counts into the parent and its
+// metrics. Plans with partitions or crashes do not fork.
+func TestForkJoin(t *testing.T) {
+	eng := sim.NewEngine(3)
+	ring := chord.NewRing(eng, chord.Config{})
+	ring.AddNode(-1, 100, 2)
+	reg := metrics.NewRegistry()
+	eng.SetMetrics(reg)
+	in, err := New(3, Plan{Drop: 0.3, Duplicate: 0.2, JitterMax: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Attach(ring); err != nil {
+		t.Fatal(err)
+	}
+	fork := in.Fork().(*Injector)
+	for k := uint64(0); k < 1000; k++ {
+		if a, b := fmt.Sprint(fork.Deliveries("k", k, 0, 1, 0, 1)), fmt.Sprint(in.Deliveries("k", k, 0, 1, 5, 1)); a != b {
+			t.Fatalf("key %d: fork %s, parent %s", k, a, b)
+		}
+	}
+	dropped, duplicated := fork.Dropped(), fork.Duplicated()
+	if dropped == 0 || duplicated == 0 {
+		t.Fatalf("fixture too clean: %d dropped, %d duplicated", dropped, duplicated)
+	}
+	in.Join(fork)
+	if in.Dropped() != 2*dropped || in.Duplicated() != 2*duplicated || fork.Dropped() != 0 || fork.Duplicated() != 0 {
+		t.Fatalf("after Join: parent %d/%d, fork %d/%d, want parent %d/%d and an empty fork",
+			in.Dropped(), in.Duplicated(), fork.Dropped(), fork.Duplicated(), 2*dropped, 2*duplicated)
+	}
+	if got := reg.Counter("faults.dropped").Value(); got != 2*dropped {
+		t.Fatalf("faults.dropped = %d, want %d", got, 2*dropped)
+	}
+	for _, p := range []Plan{
+		{Drop: 0.1, Partitions: []Partition{{From: 0, Until: 10, Side: []int{0}}}},
+		{Drop: 0.1, Crashes: []Crash{{At: 5, Node: 0}}},
+	} {
+		in, err := New(3, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Fork() != nil {
+			t.Fatalf("plan %+v forked", p)
 		}
 	}
 }
@@ -105,7 +233,7 @@ func TestEmptyPlanPassthrough(t *testing.T) {
 		var delivered int64
 		for i := 0; i < 50; i++ {
 			i := i
-			eng.Deliver("k", i%4, (i+1)%4, sim.Time(1+i%5), func() { delivered++ })
+			eng.Deliver("k", uint64(i), i%4, (i+1)%4, sim.Time(1+i%5), func() { delivered++ })
 		}
 		eng.Run()
 		return eng, delivered
@@ -137,7 +265,7 @@ func TestDropRateAndAccounting(t *testing.T) {
 	const offers = 20000
 	delivered := 0
 	for i := 0; i < offers; i++ {
-		if len(in.Deliveries("k", 0, 1, 0, 1)) > 0 {
+		if len(in.Deliveries("k", uint64(i), 0, 1, 0, 1)) > 0 {
 			delivered++
 		}
 	}
@@ -156,10 +284,10 @@ func TestDropByKindOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if len(in.Deliveries("doomed", 0, 1, 0, 1)) != 0 {
+		if len(in.Deliveries("doomed", uint64(i), 0, 1, 0, 1)) != 0 {
 			t.Fatal("kind with rate 1 survived")
 		}
-		if len(in.Deliveries("fine", 0, 1, 0, 1)) != 1 {
+		if len(in.Deliveries("fine", uint64(i), 0, 1, 0, 1)) != 1 {
 			t.Fatal("kind with base rate 0 was dropped or duplicated")
 		}
 	}
@@ -172,7 +300,7 @@ func TestDuplicationAndJitter(t *testing.T) {
 	}
 	sawNonzero := false
 	for i := 0; i < 500; i++ {
-		out := in.Deliveries("k", 0, 1, 0, 1)
+		out := in.Deliveries("k", uint64(i), 0, 1, 0, 1)
 		if len(out) != 2 {
 			t.Fatalf("Duplicate=1 produced %d copies", len(out))
 		}
@@ -213,7 +341,7 @@ func TestPartitionWindow(t *testing.T) {
 		{0, sim.NoNode, 15, 1}, // no dst identity: passes
 	}
 	for i, c := range cases {
-		if got := len(in.Deliveries("k", c.src, c.dst, c.now, 1)); got != c.want {
+		if got := len(in.Deliveries("k", uint64(i), c.src, c.dst, c.now, 1)); got != c.want {
 			t.Errorf("case %d (%d->%d at %d): %d copies, want %d", i, c.src, c.dst, c.now, got, c.want)
 		}
 	}
@@ -337,7 +465,7 @@ func TestInjectorPerTrialRace(t *testing.T) {
 				return
 			}
 			for i := 0; i < 200; i++ {
-				eng.Deliver("k", i%3, (i+1)%3, 2, func() {})
+				eng.Deliver("k", uint64(i), i%3, (i+1)%3, 2, func() {})
 			}
 			eng.Run()
 		}()

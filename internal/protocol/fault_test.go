@@ -118,7 +118,7 @@ type prepareKiller struct {
 	victim     *chord.Node
 }
 
-func (f *prepareKiller) Deliveries(kind string, src, dst int, now, cost sim.Time) []sim.Time {
+func (f *prepareKiller) Deliveries(kind string, key uint64, src, dst int, now, cost sim.Time) []sim.Time {
 	if kind == MsgPrepare && !f.killed {
 		f.killed = true
 		idx := dst

@@ -18,7 +18,9 @@ type transparentFilter struct{}
 
 var oneCopy = []sim.Time{0}
 
-func (transparentFilter) Deliveries(string, int, int, sim.Time, sim.Time) []sim.Time { return oneCopy }
+func (transparentFilter) Deliveries(string, uint64, int, int, sim.Time, sim.Time) []sim.Time {
+	return oneCopy
+}
 
 // tallies renders every per-kind message count and cost.
 func tallies(eng *sim.Engine) string {

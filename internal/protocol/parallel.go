@@ -1,35 +1,42 @@
 // Forked execution of the root's child subtrees.
 //
-// On a lossless network the LBI and VSA converge-casts have a strict
-// locality property: until a subtree's aggregate reaches the root,
-// every message either stays inside one root-child subtree or travels
-// on the root↔child edge. The subtrees share no protocol state — the
-// per-leaf inboxes, the per-node collect machines and the sequence
-// space partition cleanly — so each subtree's phase can be simulated
-// to completion on its own engine, ahead of the root's clock (the
-// conservative lookahead: the whole phase).
+// The LBI and VSA converge-casts have a strict locality property: until
+// a subtree's aggregate reaches the root, every message either stays
+// inside one root-child subtree or travels on the root↔child edge. The
+// subtrees share no protocol state — the per-leaf inboxes, the per-node
+// collect machines and the sequence space partition cleanly — and under
+// a fault filter whose decisions are keyed by message (sim.ForkFilter;
+// faults.Injector without partitions or crashes) a message meets the
+// same fate whichever engine sends it. So each subtree's phase can be
+// simulated to completion on its own engine, ahead of the root's clock
+// (the conservative lookahead: the whole phase).
 //
 // That lookahead is sound only while nothing outside the round can
 // touch the world before the phase ends, so each collect phase decides
 // at the root's first down-arrival and forks only when all of these
 // hold:
 //
-//   - the engine has no MessageFilter (a filter decides drops and
-//     delays per message, and its state couples the subtrees);
+//   - the engine has no filter, or its filter is a sim.ForkFilter that
+//     gives every worker engine a private instance (Fork returns nil
+//     for plans with partitions, which depend on absolute time, or
+//     crashes, which change the ring);
 //   - the engine is draining in Run (sim.Engine.Draining), so no caller
 //     can change the world between two events — under Step or RunUntil
 //     it can;
 //   - every event pending on the root engine is one the round itself
-//     scheduled — its deadline, the root's epoch timer and the phase's
-//     other downs still in flight — or the ring's membership is frozen
-//     (chord.Ring.FreezeMembership). A foreign event — a ticker, a
-//     scheduled crash — could otherwise fire mid-phase and change what
-//     the walk reads. On a frozen ring it cannot: a collect walk reads
-//     the tree's shape, Host.Owner, Alive, Index, underlay latency and
-//     the round's own inboxes, and with joins and leaves forbidden only
-//     the round's own handoffs change any of them (the tree's repair
-//     journal fills only from joins and leaves). This is how a served
-//     ring's rounds fork beside the request traffic pending on the root.
+//     scheduled (round.own counts them: message copies, timers and
+//     replays; on a lossless engine that is its deadline, the root's
+//     epoch timer and the phase's other downs, and under loss also
+//     retransmission timers and late copies of earlier phases) — or the
+//     ring's membership is frozen (chord.Ring.FreezeMembership). A
+//     foreign event — a ticker, a scheduled crash — could otherwise fire
+//     mid-phase and change what the walk reads. On a frozen ring it
+//     cannot: a collect walk reads the tree's shape, Host.Owner, Alive,
+//     Index, underlay latency and the round's own inboxes, and with
+//     joins and leaves forbidden only the round's own handoffs change
+//     any of them (the tree's repair journal fills only from joins and
+//     leaves). This is how a served ring's rounds fork beside the
+//     request traffic pending on the root.
 //
 // Otherwise the phase runs the sequential walk, event for event. The
 // rule reads only simulation state, never GOMAXPROCS or timing.
@@ -38,14 +45,15 @@
 // child on that child's worker engine, and the deciding event returns
 // only when all of them have finished: no worker ever runs beside a
 // root event. Foreign events pending on the root (a served ring's
-// requests) wait for the join and keep their simulated times. A round keeps one worker engine and sub-round per root
-// child for both phases. Worker seeds derive from the root engine's
-// seed and the child index WITHOUT consuming the root RNG — a draw
-// would shift every later draw (lazy advertisement placement, subset
-// strategies) and break equivalence with the sequential walk. The
-// collect walks themselves consume no randomness; the derived seed
-// exists so that any future stray draw diverges loudly per worker
-// instead of silently corrupting the shared stream.
+// requests) wait for the join and keep their simulated times. A round
+// keeps one worker engine and sub-round per root child for both
+// phases. Worker seeds derive from the root engine's seed and the
+// child index WITHOUT consuming the root RNG — a draw would shift every
+// later draw (lazy advertisement placement, subset strategies) and
+// break equivalence with the sequential walk. The collect walks
+// themselves consume no randomness; the derived seed exists so that
+// any future stray draw diverges loudly per worker instead of silently
+// corrupting the shared stream.
 //
 // The root drives the phase exactly like the sequential walk: it sends
 // the real MsgCollectDown/MsgVSADown messages on its own engine, and
@@ -58,16 +66,23 @@
 //   - rendezvous pairings emitted inside the subtree are re-run on the
 //     root engine at their emission times (handoffs mutate the shared
 //     ring, so they must execute under the root's clock);
-//   - the worker's executed events and message tallies fold into the
-//     root engine (sim.Engine.Absorb) and its failure counters into the
-//     round's result.
+//   - the worker's executed events, message tallies and drops fold into
+//     the root engine and its filter (sim.Engine.Absorb) and its failure
+//     counters into the round's result.
 //
-// Equivalence with the sequential walk: the global tuple, the census,
-// the message tallies, the transfer sequence and every node's VS order
-// are identical; Executed counts one extra event per live root child
-// per forked phase (the replayed reply) and one per replayed pairing.
-// TestParallelSubtreesEquivalence pins all of this, and
-// TestParallelSubtreesBesideTraffic pins it beside a lookup a tick.
+// Equivalence with the sequential walk: on a lossless engine the global
+// tuple, the census, the message tallies, the transfer sequence and
+// every node's VS order are identical; Executed counts one extra event
+// per live root child per forked phase (the replayed reply) and one per
+// replayed pairing. TestParallelSubtreesEquivalence pins all of this,
+// and TestParallelSubtreesBesideTraffic pins it beside a lookup a tick.
+// Under loss two things differ, and TestParallelSubtreesEquivalenceUnderLoss
+// bounds both. Transfers commit at the same ticks, but replayed pairings
+// are scheduled at the join, so the order within a tick may differ. And
+// a worker cannot know when the round will finish, so it handles, acks
+// and retransmits the late copies the sequential walk drops once the
+// round has finished (round.late): the forked round may count more
+// retries, messages and drops on the collect phases' kinds, never fewer.
 //
 // One tie is new beside traffic: a replayed pairing is scheduled at the
 // join, so within its tick it runs after a foreign event scheduled
@@ -122,21 +137,21 @@ type subWorker struct {
 }
 
 // deriveSeed mixes a per-child worker seed out of the root engine's
-// seed (splitmix64 finalizer) without touching the root RNG.
+// seed (splitmix64) without touching the root RNG.
 func deriveSeed(base int64, child int) int64 {
-	z := uint64(base) + uint64(child+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
+	return int64(mix64(uint64(base) + uint64(child+1)*0x9E3779B97F4A7C15))
 }
 
-// newWorker builds a worker: same ring, tree, config and (read-only
-// during a phase) inboxes as the round, but its own engine, sequence
-// space, dedup set and result counters. A worker never forks again.
-func (rd *round) newWorker(seed int64) *subWorker {
+// newWorker builds a worker: same ring, tree, config, round ordinal and
+// (read-only during a phase) inboxes as the round, but its own engine,
+// filter instance, sequence space, dedup set and result counters. A
+// worker never forks again.
+func (rd *round) newWorker(seed int64, filter sim.MessageFilter) *subWorker {
 	w := &subWorker{eng: sim.NewEngine(seed)}
+	w.eng.SetFilter(filter)
 	w.sub = &round{
 		r:          &Runner{ring: rd.r.ring, tree: rd.r.tree, cfg: rd.r.cfg, eng: w.eng},
+		ord:        rd.ord,
 		timeout:    rd.timeout,
 		lbiInbox:   rd.lbiInbox,
 		vsaInbox:   rd.vsaInbox,
@@ -147,6 +162,7 @@ func (rd *round) newWorker(seed int64) *subWorker {
 		vsaFork:    forkOff,
 	}
 	w.sub.onLBIRoot = w.lbiDone
+	w.sub.collectAck.rd = w.sub
 	return w
 }
 
@@ -170,8 +186,9 @@ func startVSAWorker(w *subWorker, c *ktree.Node) { w.sub.startVSANode(c, false, 
 func (rd *round) forked(state *forkState, root *ktree.Node, start func(*subWorker, *ktree.Node)) bool {
 	if *state == forkUndecided {
 		*state = forkOff
-		if rd.lookaheadSafe(len(root.Children)) {
+		if rd.lookaheadSafe() && rd.makeWorkers(len(root.Children)) {
 			*state = forkOn
+			rd.r.forks++
 			rd.runWorkers(root, start)
 		}
 	}
@@ -179,25 +196,44 @@ func (rd *round) forked(state *forkState, root *ktree.Node, start func(*subWorke
 }
 
 // lookaheadSafe is the fork rule of the file comment, evaluated inside
-// the phase's first root-child down-arrival: apart from the round's
-// deadline and the root's epoch timer, only the phase's other downs may
-// be pending — unless the ring's membership is frozen, when nothing
-// else pending can change what the phase reads.
-func (rd *round) lookaheadSafe(children int) bool {
+// the phase's first root-child down-arrival: every event pending on the
+// engine is the round's own (own) — unless the ring's membership is
+// frozen, when nothing else pending can change what the phase reads.
+func (rd *round) lookaheadSafe() bool {
 	eng := rd.r.eng
-	return !neverFork && eng.Filter() == nil && eng.Draining() &&
-		(eng.Pending() == 2+children-1 || rd.r.ring.MembershipFrozen())
+	return !neverFork && eng.Draining() &&
+		(eng.Pending() == rd.own || rd.r.ring.MembershipFrozen())
+}
+
+// makeWorkers gives the round one worker per root child, once, each
+// with its own instance of the engine's filter. It reports false, and
+// makes none, when the engine's filter cannot fork (sim.ForkFilter).
+func (rd *round) makeWorkers(children int) bool {
+	if rd.workers != nil {
+		return true
+	}
+	filters := make([]sim.MessageFilter, children)
+	if f := rd.r.eng.Filter(); f != nil {
+		ff, ok := f.(sim.ForkFilter)
+		if !ok {
+			return false
+		}
+		for ci := range filters {
+			if filters[ci] = ff.Fork(); filters[ci] == nil {
+				return false
+			}
+		}
+	}
+	rd.workers = make([]*subWorker, children)
+	for ci := range rd.workers {
+		rd.workers[ci] = rd.newWorker(deriveSeed(rd.r.eng.Seed(), ci), filters[ci])
+	}
+	return true
 }
 
 // runWorkers simulates every root child's phase on its worker, in
 // parallel, and waits for all of them.
 func (rd *round) runWorkers(root *ktree.Node, start func(*subWorker, *ktree.Node)) {
-	if rd.workers == nil {
-		rd.workers = make([]*subWorker, len(root.Children))
-		for ci := range rd.workers {
-			rd.workers[ci] = rd.newWorker(deriveSeed(rd.r.eng.Seed(), ci))
-		}
-	}
 	var wg sync.WaitGroup
 	for ci, c := range root.Children {
 		w := rd.workers[ci]
@@ -213,9 +249,10 @@ func (rd *round) runWorkers(root *ktree.Node, start func(*subWorker, *ktree.Node
 	wg.Wait()
 }
 
-// absorb folds root child ci's finished phase into the round — events
-// and message tallies into the root engine, failure counters into the
-// result — and clears them on the worker for its next phase.
+// absorb folds root child ci's finished phase into the round — events,
+// message tallies and drops into the root engine and its filter,
+// failure counters into the result — and clears them on the worker for
+// its next phase.
 func (rd *round) absorb(ci int) *subWorker {
 	w := rd.workers[ci]
 	rd.r.eng.Absorb(w.eng)
@@ -236,7 +273,10 @@ func (rd *round) joinLBI(e *lbiEdge) {
 		return
 	}
 	agg := w.agg
-	rd.r.eng.Schedule(w.dur, func() { rd.lbiComplete(e, agg) })
+	rd.schedule(w.dur, func() {
+		rd.own--
+		rd.lbiComplete(e, agg)
+	})
 }
 
 // joinVSA is joinLBI plus the deferred-pairing replay. Pairings are
@@ -248,12 +288,16 @@ func (rd *round) joinVSA(e *vsaEdge) {
 		return
 	}
 	for _, tp := range w.pairs {
-		rd.r.eng.Schedule(tp.at, func() { rd.emitPair(tp.n, tp.p) })
+		rd.schedule(tp.at, func() {
+			rd.own--
+			rd.emitPair(tp.n, tp.p)
+		})
 	}
 	left := w.left
-	rd.r.eng.Schedule(w.dur, func() {
+	rd.schedule(w.dur, func() {
+		rd.own--
 		e.sub = left
-		rd.walkSend(MsgVSAUp, e.chi, e.nd.ni, e.edge, &e.up, &e.up)
+		rd.walkSend(MsgVSAUp, e.c, e.chi, e.nd.ni, e.edge, &e.up, &e.up)
 	})
 }
 

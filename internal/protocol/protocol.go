@@ -21,11 +21,13 @@
 // the remainder — the fault-tolerance behaviour §3.1-3.4 argue for and
 // defer to future work to evaluate.
 //
-// When nothing but the round can act on the engine — no fault filter,
-// no foreign pending event, the engine draining in Run — the LBI and
-// VSA converge-casts simulate the root's child subtrees on separate
-// engines in parallel and replay their results on the root's clock,
-// with the same outcome as the sequential walk (parallel.go).
+// When nothing but the round can act on the engine — no foreign pending
+// event, the engine draining in Run, and no filter or one whose fates
+// are keyed by message — the LBI and VSA converge-casts simulate the
+// root's child subtrees on separate engines in parallel and replay their
+// results on the root's clock, with the same outcome as the sequential
+// walk (parallel.go). Every message carries a key naming it (msgKey), so
+// a keyed fault filter gives it the same fate on either engine.
 //
 // All three executions share the classification and pairing rules
 // through lbnode and core's exported primitives, so on a static ring
@@ -120,6 +122,11 @@ type Runner struct {
 
 	roundActive bool
 	scratch     *roundScratch
+	rounds      uint64 // rounds started: the round ordinal in message keys
+
+	// Read by tests: collect phases that forked, and copies or
+	// retransmissions a finished round dropped (see late).
+	forks, lateDrops int
 }
 
 // roundScratch holds the per-round maps (and the report slices inside
@@ -200,8 +207,15 @@ type Result struct {
 // round carries one round's mutable state.
 type round struct {
 	r       *Runner
+	ord     uint64 // the Runner's round ordinal (see msgKey)
 	timeout sim.Time
 	start   sim.Time
+
+	// own counts the events this round has pending on its engine:
+	// message copies, timers and replays. Every schedule adds what it
+	// queued and every firing or successful Cancel takes one away, so
+	// the fork rule can tell the round's events from foreign ones.
+	own int
 
 	lbiInbox map[*ktree.Node][]core.LBI
 	global   core.LBI
@@ -239,7 +253,8 @@ type round struct {
 	vsaEdges  []vsaEdge
 	dispEdges []dispEdge
 
-	onLBIRoot func(core.LBI)
+	onLBIRoot  func(core.LBI)
+	collectAck inertAck
 
 	// Subtree forking (parallel.go). On the round itself: each collect
 	// phase's decision and one worker per root child, made at the
@@ -291,8 +306,40 @@ func (rd *round) done(res *Result, err error) {
 		return
 	}
 	rd.finished = true
-	rd.r.eng.Cancel(rd.deadline)
+	rd.cancel(rd.deadline)
 	rd.finish(res, err)
+}
+
+// after arms a timer for the round, counted in own.
+//
+//lbvet:hotpath
+func (rd *round) after(delay sim.Time, ev sim.Eventer) sim.Timer {
+	rd.own++
+	return rd.r.eng.AfterEv(delay, ev)
+}
+
+// schedule queues a replay or other round event, counted in own. fn
+// must start with rd.own--.
+func (rd *round) schedule(delay sim.Time, fn func()) {
+	rd.own++
+	rd.r.eng.Schedule(delay, fn)
+}
+
+// cancel revokes one of the round's timers.
+//
+//lbvet:hotpath
+func (rd *round) cancel(t sim.Timer) {
+	if rd.r.eng.Cancel(t) {
+		rd.own--
+	}
+}
+
+// deliver sends one message copy set for the round, counting the
+// copies the filter let through in own.
+//
+//lbvet:hotpath
+func (rd *round) deliver(kind string, key uint64, src, dst int, cost sim.Time, ev sim.Eventer) {
+	rd.own += rd.r.eng.DeliverEv(kind, key, src, dst, cost, ev)
 }
 
 // StartRound begins one asynchronous load-balancing round; done fires
@@ -321,6 +368,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 		r.cfg.Core.Loads.Refresh(r.ring)
 	}
 	r.roundActive = true
+	r.rounds++
 	timeout := r.cfg.ChildTimeout
 	if timeout == 0 {
 		timeout = defaultChildTimeout
@@ -332,6 +380,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	sc := r.takeScratch()
 	rd := &round{
 		r:          r,
+		ord:        r.rounds,
 		timeout:    timeout,
 		start:      r.eng.Now(),
 		lbiInbox:   sc.lbiInbox,
@@ -358,7 +407,10 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// Hard deadline: if the root itself dies mid-round the epoch can
 	// never complete; fail the round so the caller can repair and retry.
 	// A completing round cancels it so the engine drains immediately.
+	rd.collectAck.rd = rd
+	rd.own++
 	rd.deadline = r.eng.After(8*rd.epochWindow(r.tree.Root()), func() {
+		rd.own--
 		rd.done(nil, fmt.Errorf("protocol: round deadline exceeded (root unreachable?)"))
 	})
 	// Draw the round's placement before the first event, so where each
@@ -431,6 +483,67 @@ func (rd *round) epochWindow(n *ktree.Node) sim.Time {
 // endpoint identity the fault layer partitions on.
 func hostIdx(n *ktree.Node) int { return n.Host.Owner.Index }
 
+// msgKey is a message's identity for the fault layer, which decides its
+// fate from the key alone (sim.MessageFilter). The key must name the
+// message the same way in the sequential walk and in a forked subtree,
+// so it is built from what the message is, not from when or where it
+// was sent: the Runner's round ordinal, the kind, and a and b. For a
+// tree-walk message a is the tree node its edge leads to (nodeKey; a KT
+// node's Region is unique in the tree) and b is 0. For a handoff phase
+// a is the sender's index and b the virtual server it moves with the
+// receiver's index (handoffKey); the rendezvous point's notifications
+// name their sender by its KT node instead, because its host may move
+// on the tick they leave and a forked round replays pairings in another
+// order within that tick. An exchange then adds the attempt number of a
+// data copy or the ordinal of an ack (see exchange.key).
+//
+// Two things stay out. Absolute time and engine sequence numbers: a
+// forked round's root clock stops earlier, so the next round would
+// start at another tick. And per-(src, dst) ordinals: one physical node
+// hosts KT nodes in several root-child subtrees, so such an ordinal
+// counts differently in a forked walk.
+func msgKey(ord uint64, kind string, a, b uint64) uint64 {
+	return mix64(mix64(mix64(ord*0x9E3779B97F4A7C15+kindCode(kind))^a) ^ b)
+}
+
+// nodeKey names the tree edge that leads to n.
+func nodeKey(n *ktree.Node) uint64 { return uint64(n.Region.Start)<<32 ^ n.Region.Width }
+
+// handoffKey names a handoff phase's message by the virtual server it
+// moves and the receiver's index.
+func handoffKey(p core.Pair, dst int) uint64 { return uint64(p.VS.ID)<<32 | uint64(uint32(dst)) }
+
+// kindCode numbers the message kinds for msgKey without hashing the
+// kind's string on every send.
+func kindCode(kind string) uint64 {
+	switch kind {
+	case MsgCollectDown:
+		return 1
+	case MsgReportUp:
+		return 2
+	case MsgDisperse:
+		return 3
+	case MsgVSADown:
+		return 4
+	case MsgVSAUp:
+		return 5
+	case MsgAssign:
+		return 6
+	case MsgPrepare:
+		return 7
+	case MsgTransfer:
+		return 8
+	}
+	panic("protocol: no key code for message kind " + kind)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
 // rhandler is the callback pair of one reliable exchange, implemented
 // on the slab-allocated walk objects and on handoffs so a reliable send
 // costs no closure allocations. reliableEv delivers with at-least-once
@@ -458,20 +571,21 @@ type rhandler interface {
 	SettleMsg(ok bool)
 }
 
-// reliableEv sends one message through a fresh reliable exchange.
+// reliableEv sends one message through a fresh reliable exchange; a and
+// b name it as in msgKey.
 //
 //lbvet:hotpath
-func (rd *round) reliableEv(kind string, src, dst int, cost sim.Time, h rhandler) {
-	ex := rd.newExchange(kind, src, dst, cost)
+func (rd *round) reliableEv(kind string, a, b uint64, src, dst int, cost sim.Time, h rhandler) {
+	ex := rd.newExchange(kind, msgKey(rd.ord, kind, a, b), src, dst, cost)
 	ex.h = h
 	ex.send()
 }
 
 //lbvet:hotpath
-func (rd *round) newExchange(kind string, src, dst int, cost sim.Time) *exchange {
+func (rd *round) newExchange(kind string, key uint64, src, dst int, cost sim.Time) *exchange {
 	//lbvet:ignore hotalloc one exchange per reliable message: a lossless round sends only its handoff phases through here (three per pairing), and under a filter late copies may still hold an exchange, so none is reused
 	ex := &exchange{
-		rd: rd, kind: kind, ackKind: ackKindOf(kind),
+		rd: rd, kind: kind, ackKind: ackKindOf(kind), key: key,
 		src: src, dst: dst, cost: cost,
 		seq:          rd.nextSeq,
 		attemptsLeft: rd.maxRetries + 1,
@@ -518,6 +632,9 @@ type exchange struct {
 	rd           *round
 	kind         string
 	ackKind      string
+	key          uint64 // msgKey; attempt a sends key+2a, the j-th ack key+2j+1
+	attempt      uint64 // data copies sent so far, less one
+	acks         uint64 // acks sent so far
 	src, dst     int
 	cost         sim.Time
 	seq          uint64
@@ -539,17 +656,26 @@ type exchange struct {
 type arriveEv struct{ ex *exchange }
 
 //lbvet:hotpath
-func (a *arriveEv) RunEvent() { a.ex.arrive() }
+func (a *arriveEv) RunEvent() {
+	a.ex.rd.own--
+	a.ex.arrive()
+}
 
 type ackEv struct{ ex *exchange }
 
 //lbvet:hotpath
-func (a *ackEv) RunEvent() { a.ex.resolve(true) }
+func (a *ackEv) RunEvent() {
+	a.ex.rd.own--
+	a.ex.resolve(true)
+}
 
 type rtoEv struct{ ex *exchange }
 
 //lbvet:hotpath
-func (r *rtoEv) RunEvent() { r.ex.onRTO() }
+func (r *rtoEv) RunEvent() {
+	r.ex.rd.own--
+	r.ex.onRTO()
+}
 
 // resolve settles the exchange exactly once. The pending retransmission
 // timer is revoked instead of firing into a dead check.
@@ -558,7 +684,7 @@ func (ex *exchange) resolve(ok bool) {
 		return
 	}
 	ex.settled = true
-	ex.rd.r.eng.Cancel(ex.rto)
+	ex.rd.cancel(ex.rto)
 	ex.h.SettleMsg(ok)
 }
 
@@ -572,10 +698,10 @@ func (ex *exchange) send() {
 	if ex.settled || ex.rd.finished {
 		return
 	}
-	eng := ex.rd.r.eng
-	eng.DeliverEv(ex.kind, ex.src, ex.dst, ex.cost, &ex.arriveEv)
-	if eng.Filter() != nil {
-		ex.rto = eng.AfterEv(ex.backoff, &ex.rtoEv)
+	rd := ex.rd
+	rd.deliver(ex.kind, ex.key+2*ex.attempt, ex.src, ex.dst, ex.cost, &ex.arriveEv)
+	if rd.r.eng.Filter() != nil {
+		ex.rto = rd.after(ex.backoff, &ex.rtoEv)
 	}
 }
 
@@ -585,6 +711,7 @@ func (ex *exchange) send() {
 func (ex *exchange) arrive() {
 	rd := ex.rd
 	if rd.finished {
+		rd.late()
 		return
 	}
 	if !rd.seen.has(ex.seq) {
@@ -595,21 +722,26 @@ func (ex *exchange) arrive() {
 			// fired: this copy left at now-cost, so the window closes
 			// backoff-cost from now. The doubling ladder is unchanged —
 			// onRTO retransmits at exactly the eager schedule's times.
-			if ex.rto.Zero() && ex.rd.r.eng.Filter() == nil {
-				ex.rto = ex.rd.r.eng.AfterEv(ex.backoff-ex.cost, &ex.rtoEv)
+			if ex.rto.Zero() && rd.r.eng.Filter() == nil {
+				ex.rto = rd.after(ex.backoff-ex.cost, &ex.rtoEv)
 			}
 			return
 		}
 		rd.seen.add(ex.seq)
 	}
-	rd.r.eng.DeliverEv(ex.ackKind, ex.dst, ex.src, ex.cost, &ex.ackEv)
+	rd.deliver(ex.ackKind, ex.key+2*ex.acks+1, ex.dst, ex.src, ex.cost, &ex.ackEv)
+	ex.acks++
 }
 
 // onRTO fires when no ack arrived within the backoff window:
 // retransmit with a doubled window, or settle failed once the attempts
 // are spent.
 func (ex *exchange) onRTO() {
-	if ex.settled || ex.rd.finished {
+	if ex.settled {
+		return
+	}
+	if ex.rd.finished {
+		ex.rd.late()
 		return
 	}
 	if ex.attemptsLeft <= 1 {
@@ -618,6 +750,7 @@ func (ex *exchange) onRTO() {
 	}
 	ex.rd.res.Retries++
 	ex.attemptsLeft--
+	ex.attempt++
 	ex.backoff *= 2
 	// This handle was just consumed by firing; clear it so a lossless
 	// retransmission's refusal can arm a fresh one (see arrive).
@@ -625,30 +758,36 @@ func (ex *exchange) onRTO() {
 	ex.send()
 }
 
-// walkSend sends one tree-walk message: an LBI or VSA pull or reply,
-// or a dissemination copy. h is the role under a filter and arrive the
-// same role as the arrival event on a lossless engine, passed twice so
-// neither path converts one interface to another. Without a
-// MessageFilter, DeliverEv sends exactly one copy with no extra delay
-// and no walk handler ever refuses a message, so an exchange's dedup,
-// retransmission timer and settle step could never act: the message is
-// delivered straight to its role, which runs its handler and sends its
-// own ack (same kind plus MsgAckSuffix, reverse direction, same cost).
-// Both paths push the same events at the same instants, so event order,
-// message tallies and the outcome are the same
-// (TestLosslessDeliveryMatchesExchange).
+// late records a copy or retransmission the round dropped because it
+// had already finished. A forked subtree's worker cannot know when the
+// round finishes, so it handles, acks and retransmits these: they are
+// the only messages in which a forked round differs from the
+// sequential walk (TestParallelSubtreesEquivalenceUnderLoss).
+func (rd *round) late() { rd.r.lateDrops++ }
+
+// walkSend sends one tree-walk message on the edge that leads to the
+// tree node to: an LBI or VSA pull or reply, or a dissemination copy.
+// h is the role under a filter and arrive the same role as the arrival
+// event on a lossless engine, passed twice so neither path converts one
+// interface to another. Without a MessageFilter, DeliverEv sends
+// exactly one copy with no extra delay and no walk handler ever refuses
+// a message, so an exchange's dedup, retransmission timer and settle
+// step could never act: the message is delivered straight to its role,
+// which runs its handler and sends its own ack (same kind plus
+// MsgAckSuffix, reverse direction, same cost). Both paths push the same
+// events at the same instants, so event order, message tallies and the
+// outcome are the same (TestLosslessDeliveryMatchesExchange).
 //
 //lbvet:hotpath
-func (rd *round) walkSend(kind string, src, dst int, cost sim.Time, h rhandler, arrive sim.Eventer) {
-	eng := rd.r.eng
-	if eng.Filter() != nil {
-		rd.reliableEv(kind, src, dst, cost, h)
+func (rd *round) walkSend(kind string, to *ktree.Node, src, dst int, cost sim.Time, h rhandler, arrive sim.Eventer) {
+	if rd.r.eng.Filter() != nil {
+		rd.reliableEv(kind, nodeKey(to), 0, src, dst, cost, h)
 		return
 	}
 	if rd.finished {
 		return
 	}
-	eng.DeliverEv(kind, src, dst, cost, arrive)
+	rd.deliver(kind, 0, src, dst, cost, arrive)
 }
 
 // walkArrive is a walk message's arrival on the direct path: nothing
@@ -656,22 +795,21 @@ func (rd *round) walkSend(kind string, src, dst int, cost sim.Time, h rhandler, 
 //
 //lbvet:hotpath
 func (rd *round) walkArrive(h rhandler, ackKind string, src, dst int, cost sim.Time, ack sim.Eventer) {
+	rd.own--
 	if rd.finished {
 		return
 	}
 	h.HandleMsg()
-	rd.r.eng.DeliverEv(ackKind, src, dst, cost, ack)
+	rd.deliver(ackKind, 0, src, dst, cost, ack)
 }
 
 // inertAck is the arrival of a collect pull's or reply's ack on the
 // direct path: the exchange's settle step does nothing for either, so
-// the ack is only a counted message and an event. collectAck is the
-// one instance every such ack schedules.
-type inertAck struct{}
+// the ack is only a counted message and an event. The round's
+// collectAck is the one instance every such ack schedules.
+type inertAck struct{ rd *round }
 
-func (*inertAck) RunEvent() {}
-
-var collectAck inertAck
+func (a *inertAck) RunEvent() { a.rd.own-- }
 
 // collectLBI pulls <L, C, Lmin> from n's subtree, driving one
 // lbnode.LBICollect epoch per node: leaves answer from their inbox;
@@ -747,11 +885,11 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 		// lost pull would silence the child's whole subtree, compounding
 		// per level, so the epoch timeout is reserved for genuinely dead
 		// subtrees. The reply merges exactly once (receiver dedup).
-		rd.walkSend(MsgCollectDown, ni, e.chi, e.edge, &e.down, &e.down)
+		rd.walkSend(MsgCollectDown, c, ni, e.chi, e.edge, &e.down, &e.down)
 	}
 	// The epoch timer is canceled the moment the last child replies —
 	// on a healthy tree no epoch timer ever fires.
-	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
+	nd.expire = rd.after(rd.epochWindow(n), &nd.expireEv)
 }
 
 // lbiComplete routes a finished subtree's aggregate: up the parent
@@ -761,7 +899,7 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
 	if parent != nil {
 		parent.sub = agg
-		rd.walkSend(MsgReportUp, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
+		rd.walkSend(MsgReportUp, parent.c, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
 		return
 	}
 	rd.onLBIRoot(agg)
@@ -791,7 +929,8 @@ func (d *lbiDown) SettleMsg(bool) {}
 //lbvet:hotpath
 func (d *lbiDown) RunEvent() {
 	e := d.e
-	e.nd.rd.walkArrive(d, MsgCollectDown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &collectAck)
+	rd := e.nd.rd
+	rd.walkArrive(d, MsgCollectDown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &rd.collectAck)
 }
 
 type lbiUp struct{ e *lbiEdge }
@@ -807,7 +946,7 @@ func (u *lbiUp) HandleMsg() bool {
 	e := u.e
 	nd := e.nd
 	if nd.col.ChildReply(e.ci, e.sub) {
-		nd.rd.r.eng.Cancel(nd.expire)
+		nd.rd.cancel(nd.expire)
 		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
 	}
 	return true
@@ -820,7 +959,8 @@ func (u *lbiUp) SettleMsg(bool) {}
 //lbvet:hotpath
 func (u *lbiUp) RunEvent() {
 	e := u.e
-	e.nd.rd.walkArrive(u, MsgReportUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &collectAck)
+	rd := e.nd.rd
+	rd.walkArrive(u, MsgReportUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &rd.collectAck)
 }
 
 // lbiExpire fires the epoch timeout: give up on the silent children
@@ -829,6 +969,7 @@ type lbiExpire struct{ nd *lbiNode }
 
 func (x *lbiExpire) RunEvent() {
 	nd := x.nd
+	nd.rd.own--
 	if timedOut, expired := nd.col.Expire(); expired {
 		nd.rd.res.TimedOutChildren += timedOut
 		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
@@ -868,7 +1009,7 @@ func (rd *round) dispWalk(n *ktree.Node) {
 		e.src, e.dst, e.cost = ni, hostIdx(c), rd.r.tree.EdgeLatency(c)
 		e.ack.e = e
 		rd.publishing++
-		rd.walkSend(MsgDisperse, e.src, e.dst, e.cost, e, e)
+		rd.walkSend(MsgDisperse, c, e.src, e.dst, e.cost, e, e)
 	}
 }
 
@@ -906,7 +1047,10 @@ func (e *dispEdge) RunEvent() {
 type dispAck struct{ e *dispEdge }
 
 //lbvet:hotpath
-func (a *dispAck) RunEvent() { a.e.rd.publishDone() }
+func (a *dispAck) RunEvent() {
+	a.e.rd.own--
+	a.e.rd.publishDone()
+}
 
 // classifyAndPublish runs classification on a node the first time the
 // global tuple reaches it (the roster machine absorbs duplicates), and
@@ -1064,10 +1208,10 @@ func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb fu
 		e.nd, e.c, e.chi = nd, c, hostIdx(c)
 		e.edge = rd.r.tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
-		rd.walkSend(MsgVSADown, ni, e.chi, e.edge, &e.down, &e.down)
+		rd.walkSend(MsgVSADown, c, ni, e.chi, e.edge, &e.down, &e.down)
 	}
 	// As in collectLBI: the last reply revokes the epoch timer.
-	nd.expire = rd.r.eng.AfterEv(rd.epochWindow(n), &nd.expireEv)
+	nd.expire = rd.after(rd.epochWindow(n), &nd.expireEv)
 }
 
 // finishVSA closes n's epoch: rendezvous-pair what this subtree can,
@@ -1082,7 +1226,7 @@ func (rd *round) finishVSA(n *ktree.Node, isRoot bool, col *lbnode.VSACollect, p
 	left := col.Lists()
 	if parent != nil {
 		parent.sub = left
-		rd.walkSend(MsgVSAUp, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
+		rd.walkSend(MsgVSAUp, parent.c, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
 		return
 	}
 	cb(left)
@@ -1109,7 +1253,8 @@ func (d *vsaDown) SettleMsg(bool) {}
 //lbvet:hotpath
 func (d *vsaDown) RunEvent() {
 	e := d.e
-	e.nd.rd.walkArrive(d, MsgVSADown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &collectAck)
+	rd := e.nd.rd
+	rd.walkArrive(d, MsgVSADown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &rd.collectAck)
 }
 
 type vsaUp struct{ e *vsaEdge }
@@ -1119,7 +1264,7 @@ func (u *vsaUp) HandleMsg() bool {
 	e := u.e
 	nd := e.nd
 	if nd.col.ChildReply(e.sub) {
-		nd.rd.r.eng.Cancel(nd.expire)
+		nd.rd.cancel(nd.expire)
 		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
 	}
 	return true
@@ -1132,13 +1277,15 @@ func (u *vsaUp) SettleMsg(bool) {}
 //lbvet:hotpath
 func (u *vsaUp) RunEvent() {
 	e := u.e
-	e.nd.rd.walkArrive(u, MsgVSAUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &collectAck)
+	rd := e.nd.rd
+	rd.walkArrive(u, MsgVSAUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &rd.collectAck)
 }
 
 type vsaExpire struct{ nd *vsaNode }
 
 func (x *vsaExpire) RunEvent() {
 	nd := x.nd
+	nd.rd.own--
 	if timedOut, expired := nd.col.Expire(); expired {
 		nd.rd.res.TimedOutChildren += timedOut
 		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
@@ -1163,9 +1310,10 @@ func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
 	costTo := rd.r.ring.Latency(host, p.To) + 1
 	rd.outstandingTransfers++
 	h := &handoff{rd: rd, rendezvous: rendezvous, m: lbnode.NewHandoff(p), assignedAt: eng.Now() - rd.start}
-	h.assign.h, h.prep.h, h.commitH.h = h, h, h
-	eng.Deliver(MsgAssign, host.Index, p.To.Index, costTo, func() {})
-	rd.reliableEv(MsgAssign, host.Index, p.From.Index, costFrom, &h.assign)
+	h.assign.h, h.prep.h, h.commitH.h, h.notice.h = h, h, h, h
+	from := nodeKey(rendezvous)
+	rd.deliver(MsgAssign, msgKey(rd.ord, MsgAssign, from, handoffKey(p, p.To.Index)), host.Index, p.To.Index, costTo, &h.notice)
+	rd.reliableEv(MsgAssign, from, handoffKey(p, p.From.Index), host.Index, p.From.Index, costFrom, &h.assign)
 }
 
 // handoff drives one lbnode.Handoff machine — the two-phase
@@ -1186,7 +1334,14 @@ type handoff struct {
 	assign  assignH
 	prep    prepareH
 	commitH commitH
+	notice  noticeEv // the light endpoint's informational copy
 }
+
+// noticeEv is the light endpoint's assignment copy arriving: nothing
+// acts on it (the prepare phase re-validates the receiver).
+type noticeEv struct{ h *handoff }
+
+func (n *noticeEv) RunEvent() { n.h.rd.own-- }
 
 // assignH: the rendezvous→heavy assignment message.
 type assignH struct{ h *handoff }
@@ -1257,13 +1412,13 @@ func (h *handoff) apply(op lbnode.HandoffOp) {
 func (h *handoff) prepare() {
 	p := h.m.Pair
 	h.cost = h.rd.r.ring.Latency(p.From, p.To) + 1
-	h.rd.reliableEv(MsgPrepare, p.From.Index, p.To.Index, h.cost, &h.prep)
+	h.rd.reliableEv(MsgPrepare, uint64(p.From.Index), handoffKey(p, p.To.Index), p.From.Index, p.To.Index, h.cost, &h.prep)
 }
 
 // commit ships the VS once the reservation is acknowledged.
 func (h *handoff) commit() {
 	p := h.m.Pair
-	h.rd.reliableEv(MsgTransfer, p.From.Index, p.To.Index, h.cost, &h.commitH)
+	h.rd.reliableEv(MsgTransfer, uint64(p.From.Index), handoffKey(p, p.To.Index), p.From.Index, p.To.Index, h.cost, &h.commitH)
 }
 
 // complete applies the transfer at the receiver on the commit copy the

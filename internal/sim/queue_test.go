@@ -486,7 +486,7 @@ func TestWheelHoldsWhatIsPending(t *testing.T) {
 			wave[i] = e.AfterEv(Time(timeout*(1+i%ticks)), &obj)
 		}
 		for i := 0; i < msgs; i++ {
-			e.Deliver("msg", 0, 1, Time(1+i%50), fn)
+			e.Deliver("msg", 0, 0, 1, Time(1+i%50), fn)
 		}
 		_, occupied := chunksHeld(&e.q)
 		peakPending = max(peakPending, e.Pending())
@@ -630,8 +630,8 @@ func TestCancelFarTimer(t *testing.T) {
 func TestResetMessageStatsClearsDropped(t *testing.T) {
 	e := NewEngine(1)
 	e.SetFilter(&recordingFilter{script: map[string][]Time{"drop": nil}})
-	e.Deliver("drop", 0, 1, 2, func() {})
-	e.Deliver("drop", 0, 1, 2, func() {})
+	e.Deliver("drop", 0, 0, 1, 2, func() {})
+	e.Deliver("drop", 0, 0, 1, 2, func() {})
 	if e.DroppedTotal() != 2 || e.DroppedCount("drop") != 2 {
 		t.Fatalf("pre-reset drops = %d/%d", e.DroppedTotal(), e.DroppedCount("drop"))
 	}
@@ -641,7 +641,7 @@ func TestResetMessageStatsClearsDropped(t *testing.T) {
 			e.DroppedTotal(), e.DroppedCount("drop"))
 	}
 	// Accounting keeps working after the reset.
-	e.Deliver("drop", 0, 1, 2, func() {})
+	e.Deliver("drop", 0, 0, 1, 2, func() {})
 	if e.DroppedTotal() != 1 {
 		t.Fatalf("post-reset drops = %d, want 1", e.DroppedTotal())
 	}
@@ -714,7 +714,7 @@ func BenchmarkDeliver(b *testing.B) {
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Deliver("bench", 0, 1, Time(i%8), fn)
+		e.Deliver("bench", 0, 0, 1, Time(i%8), fn)
 		if i%1024 == 1023 {
 			e.Run()
 		}
@@ -737,7 +737,7 @@ func BenchmarkCanceledEpochTimers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		timers[i%wave] = e.After(Time(5000*(1+i%8)), fn)
-		e.Deliver("bench", 0, 1, Time(i%8), fn)
+		e.Deliver("bench", 0, 0, 1, Time(i%8), fn)
 		if i%wave == wave-1 {
 			for _, tm := range timers {
 				e.Cancel(tm)

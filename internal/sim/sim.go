@@ -69,11 +69,30 @@ const NoNode = -1
 
 // A MessageFilter decides the fate of every message offered to Deliver:
 // it returns the extra latency of each transmitted copy (empty means the
-// message is dropped; a reliable network returns one zero entry). The
-// engine owns the filter — implementations follow the engine's
+// message is dropped; a reliable network returns one zero entry). key is
+// the message's identity, chosen by the sender: two offers with the same
+// kind and key are the same message, and a filter that decides by key
+// alone gives a message the same fate whenever and wherever it is sent.
+// The engine owns the filter — implementations follow the engine's
 // single-goroutine contract, like Rand.
 type MessageFilter interface {
-	Deliveries(kind string, src, dst int, now, cost Time) []Time
+	Deliveries(kind string, key uint64, src, dst int, now, cost Time) []Time
+}
+
+// A ForkFilter is a MessageFilter that side engines can carry. Fan-out
+// layers (protocol's forked subtree phases) give each worker engine the
+// filter's Fork and fold it back through Absorb, which calls Join.
+type ForkFilter interface {
+	MessageFilter
+	// Fork returns a private instance for a side engine that decides
+	// every message exactly as the receiver would, or nil when the
+	// filter's decisions depend on more than the message (absolute
+	// time, the ring's membership) and a side engine cannot reproduce
+	// them.
+	Fork() MessageFilter
+	// Join folds a forked instance's counters into the receiver and
+	// zeroes them on the fork.
+	Join(fork MessageFilter)
 }
 
 // NewEngine returns an engine at time 0 with a deterministic RNG.
@@ -320,12 +339,13 @@ func (e *Engine) Pending() int { return e.q.pending }
 // including those folded in from side engines by Absorb.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Absorb folds a side engine's executed-event count and message
-// tallies into e, as if its events had run here, and zeroes them on w,
-// so a side engine reused for later work never reports an event twice.
-// Fan-out layers (protocol's forked subtree phases) call it when a
-// worker engine has finished, on the goroutine that owns e. Side
-// engines run without a filter; drop counts are not carried over.
+// Absorb folds a side engine's executed-event count, message tallies
+// and per-kind drop counts into e, as if its events had run here, and
+// zeroes them on w, so a side engine reused for later work never
+// reports an event twice. When e's filter is a ForkFilter and w carries
+// a filter (its Fork), the filter's own counters fold back through
+// Join. Fan-out layers (protocol's forked subtree phases) call it when
+// a worker engine has finished, on the goroutine that owns e.
 func (e *Engine) Absorb(w *Engine) {
 	e.executed += w.executed
 	w.executed = 0
@@ -334,6 +354,13 @@ func (e *Engine) Absorb(w *Engine) {
 		e.CountMessageN(kind, s.count, Time(s.cost))
 	}
 	clear(w.msgStats)
+	for kind, n := range w.dropped {
+		e.countDrops(kind, n)
+	}
+	clear(w.dropped)
+	if ff, ok := e.filter.(ForkFilter); ok && w.filter != nil {
+		ff.Join(w.filter)
+	}
 }
 
 // CountMessage records one protocol message of the given kind with the
@@ -402,32 +429,28 @@ func (e *Engine) SetFilter(f MessageFilter) { e.filter = f }
 // Filter returns the installed message filter (nil when none).
 func (e *Engine) Filter() MessageFilter { return e.filter }
 
-// Deliver transmits one protocol message of the given kind from node
-// src to node dst (physical-node indexes, NoNode when inapplicable):
-// each transmitted copy is counted like CountMessage and its callback
-// scheduled after cost plus the copy's extra latency. Without a filter
-// exactly one copy is sent with no extra latency, so fault-free runs
-// stay deterministic down to the event sequence. With a filter, the
-// filter decides: no copies means the message is dropped (counted per
-// kind in DroppedCount, fn never runs), several copies model
-// duplication, extra latency models jitter. Delivery, loss and retry
-// are executor concerns — the lbnode state machines this transports
-// messages for never see the engine.
+// Deliver transmits one protocol message of the given kind and key from
+// node src to node dst (physical-node indexes, NoNode when
+// inapplicable): each transmitted copy is counted like CountMessage and
+// its callback scheduled after cost plus the copy's extra latency.
+// Without a filter exactly one copy is sent with no extra latency and
+// the key is unused, so fault-free runs stay deterministic down to the
+// event sequence. With a filter, the filter decides: no copies means the
+// message is dropped (counted per kind in DroppedCount, fn never runs),
+// several copies model duplication, extra latency models jitter.
+// Delivery, loss and retry are executor concerns — the lbnode state
+// machines this transports messages for never see the engine.
 //
 //lbvet:hotpath
-func (e *Engine) Deliver(kind string, src, dst int, cost Time, fn func()) {
+func (e *Engine) Deliver(kind string, key uint64, src, dst int, cost Time, fn func()) {
 	if e.filter == nil {
 		e.CountMessage(kind, cost)
 		e.Schedule(cost, fn)
 		return
 	}
-	copies := e.filter.Deliveries(kind, src, dst, e.q.now, cost)
+	copies := e.filter.Deliveries(kind, key, src, dst, e.q.now, cost)
 	if len(copies) == 0 {
-		if e.dropped == nil {
-			//lbvet:ignore hotalloc lazy once-per-engine init on the drop path, only reached under fault plans
-			e.dropped = make(map[string]int64)
-		}
-		e.dropped[kind]++
+		e.countDrops(kind, 1)
 		return
 	}
 	for _, extra := range copies {
@@ -440,23 +463,21 @@ func (e *Engine) Deliver(kind string, src, dst int, cost Time, fn func()) {
 }
 
 // DeliverEv is Deliver for an Eventer callback: same counting, fault
-// filtering and latency semantics, object-form scheduling.
+// filtering and latency semantics, object-form scheduling. It returns
+// how many copies it scheduled, so a caller can count its own pending
+// events.
 //
 //lbvet:hotpath
-func (e *Engine) DeliverEv(kind string, src, dst int, cost Time, ev Eventer) {
+func (e *Engine) DeliverEv(kind string, key uint64, src, dst int, cost Time, ev Eventer) int {
 	if e.filter == nil {
 		e.CountMessage(kind, cost)
 		e.ScheduleEv(cost, ev)
-		return
+		return 1
 	}
-	copies := e.filter.Deliveries(kind, src, dst, e.q.now, cost)
+	copies := e.filter.Deliveries(kind, key, src, dst, e.q.now, cost)
 	if len(copies) == 0 {
-		if e.dropped == nil {
-			//lbvet:ignore hotalloc lazy once-per-engine init on the drop path, only reached under fault plans
-			e.dropped = make(map[string]int64)
-		}
-		e.dropped[kind]++
-		return
+		e.countDrops(kind, 1)
+		return 0
 	}
 	for _, extra := range copies {
 		if extra < 0 {
@@ -465,6 +486,15 @@ func (e *Engine) DeliverEv(kind string, src, dst int, cost Time, ev Eventer) {
 		e.CountMessage(kind, cost+extra)
 		e.ScheduleEv(cost+extra, ev)
 	}
+	return len(copies)
+}
+
+// countDrops records n dropped messages of kind.
+func (e *Engine) countDrops(kind string, n int64) {
+	if e.dropped == nil {
+		e.dropped = make(map[string]int64)
+	}
+	e.dropped[kind] += n
 }
 
 // DroppedCount returns how many messages of kind the filter dropped.

@@ -206,8 +206,8 @@ func TestAbsorb(t *testing.T) {
 	root, side := NewEngine(1), NewEngine(2)
 	root.CountMessage("pull", 2)
 	for round := 1; round <= 2; round++ {
-		side.Deliver("pull", 0, 1, 3, func() {})
-		side.Deliver("reply", 1, 0, 4, func() {})
+		side.Deliver("pull", 0, 0, 1, 3, func() {})
+		side.Deliver("reply", 0, 1, 0, 4, func() {})
 		side.Run()
 		root.Absorb(side)
 		if side.Executed() != 0 || side.TotalMessages() != 0 {
@@ -221,6 +221,62 @@ func TestAbsorb(t *testing.T) {
 		root.MessageCount("reply") != 2 || root.MessageCost("reply") != 8 {
 		t.Fatalf("tallies: pull %d/%d reply %d/%d", root.MessageCount("pull"), root.MessageCost("pull"),
 			root.MessageCount("reply"), root.MessageCost("reply"))
+	}
+}
+
+// dropFilter drops every message of one kind and counts what it
+// dropped; it forks into instances that count on their own.
+type dropFilter struct {
+	kind    string
+	dropped int64
+}
+
+func (f *dropFilter) Deliveries(kind string, key uint64, src, dst int, now, cost Time) []Time {
+	if kind == f.kind {
+		f.dropped++
+		return nil
+	}
+	return []Time{0}
+}
+
+func (f *dropFilter) Fork() MessageFilter { return &dropFilter{kind: f.kind} }
+
+func (f *dropFilter) Join(fork MessageFilter) {
+	w := fork.(*dropFilter)
+	f.dropped += w.dropped
+	w.dropped = 0
+}
+
+// TestAbsorbFoldsDrops: a filtered side engine's per-kind drop counts
+// land on the parent exactly once and are zeroed on the side engine, and
+// the parent's ForkFilter takes back its fork's counters through Join.
+func TestAbsorbFoldsDrops(t *testing.T) {
+	root, side := NewEngine(1), NewEngine(2)
+	parent := &dropFilter{kind: "lost"}
+	root.SetFilter(parent)
+	fork := parent.Fork().(*dropFilter)
+	side.SetFilter(fork)
+	root.Deliver("lost", 1, 0, 1, 2, func() {})
+	for round := int64(1); round <= 2; round++ {
+		side.Deliver("lost", 2, 0, 1, 3, func() {})
+		side.Deliver("lost", 3, 1, 0, 3, func() {})
+		side.Deliver("kept", 4, 0, 1, 3, func() {})
+		side.Run()
+		root.Absorb(side)
+		if side.DroppedTotal() != 0 || side.DroppedCount("lost") != 0 || fork.dropped != 0 {
+			t.Fatalf("round %d: side engine kept %d drops (%d of kind), fork %d",
+				round, side.DroppedTotal(), side.DroppedCount("lost"), fork.dropped)
+		}
+		want := 1 + 2*round
+		if root.DroppedCount("lost") != want || root.DroppedTotal() != want || root.DroppedCount("kept") != 0 {
+			t.Fatalf("round %d: root drops %d of kind, %d total, want %d", round, root.DroppedCount("lost"), root.DroppedTotal(), want)
+		}
+		if parent.dropped != want {
+			t.Fatalf("round %d: parent filter counted %d drops, want %d", round, parent.dropped, want)
+		}
+	}
+	if root.MessageCount("kept") != 2 {
+		t.Fatalf("kept messages: %d, want 2", root.MessageCount("kept"))
 	}
 }
 
@@ -271,7 +327,7 @@ type recordingFilter struct {
 	offers []string
 }
 
-func (f *recordingFilter) Deliveries(kind string, src, dst int, now, cost Time) []Time {
+func (f *recordingFilter) Deliveries(kind string, key uint64, src, dst int, now, cost Time) []Time {
 	f.offers = append(f.offers, kind)
 	if copies, ok := f.script[kind]; ok {
 		return copies
@@ -288,7 +344,7 @@ func TestDeliverWithoutFilterMatchesCountPlusSchedule(t *testing.T) {
 		i := i
 		a.CountMessage("k", Time(3+i))
 		a.Schedule(Time(3+i), func() { orderA = append(orderA, i) })
-		b.Deliver("k", 0, 1, Time(3+i), func() { orderB = append(orderB, i) })
+		b.Deliver("k", 0, 0, 1, Time(3+i), func() { orderB = append(orderB, i) })
 	}
 	a.Run()
 	b.Run()
@@ -320,7 +376,7 @@ func TestDeliverDropDupJitter(t *testing.T) {
 	at := map[string]Time{}
 	for _, k := range []string{"drop", "dup", "jit", "clean"} {
 		k := k
-		e.Deliver(k, 0, 1, 2, func() { ran[k]++; at[k] = e.Now() })
+		e.Deliver(k, 0, 0, 1, 2, func() { ran[k]++; at[k] = e.Now() })
 	}
 	e.Run()
 	if ran["drop"] != 0 || e.DroppedCount("drop") != 1 || e.MessageCount("drop") != 0 {
@@ -347,7 +403,7 @@ func TestDeliverNegativeExtraClamped(t *testing.T) {
 	e := NewEngine(1)
 	e.SetFilter(&recordingFilter{script: map[string][]Time{"k": {-5}}})
 	var fired Time = -1
-	e.Deliver("k", 0, 1, 4, func() { fired = e.Now() })
+	e.Deliver("k", 0, 0, 1, 4, func() { fired = e.Now() })
 	e.Run()
 	if fired != 4 {
 		t.Fatalf("negative extra latency must clamp to 0: fired at %d", fired)
