@@ -11,7 +11,8 @@
 # goroutine-spawning tests, lbnode — whose machines are
 # single-goroutine by construction but whose jittered-delivery
 # equivalence test runs its cases as parallel subtests, each on its own
-# engine — protocol, whose rounds fork one goroutine per root-child
+# engine — core, whose oracle round forks its sweeps per root child
+# (a targeted leg below), protocol, whose rounds fork one goroutine per root-child
 # subtree whenever the lookahead is safe, serve, whose interleaved rounds
 # fork the same way beside the request traffic on a membership-frozen
 # ring, wire's reader/retry goroutines, and cluster's in-process daemon
@@ -78,6 +79,11 @@ go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/fault
 # every default round; run their tests (and the crash and RunUntil
 # scenarios that must stay sequential) ten times over.
 go test -race -count=10 -run 'Parallel|Crash|RunUntil' ./internal/protocol/
+# core's oracle round forks its LBI and VSA sweeps and its classification
+# onto goroutines. The whole package takes about 14 s under -race, so run
+# the tests that drive the forked round: the sweep reference, the
+# placement under churn and the small RunRound cases.
+go test -race -run 'TestSweepsMatchReference|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$|TestPlacementAfterMembershipChange' ./internal/core/
 
 echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 # The two decoders that read bytes another process chose. `go test` above

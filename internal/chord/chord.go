@@ -38,7 +38,9 @@ import (
 
 // VServer is a virtual server: one ring participant.
 type VServer struct {
-	ID    ident.ID
+	ID ident.ID
+	// slot is the dense handle the ring assigned at join (see Slot).
+	slot  int32
 	Owner *Node   // hosting physical node; changes on transfer
 	Load  float64 // current load attributed to this VS's region
 
@@ -50,6 +52,14 @@ type VServer struct {
 	ringPos  int
 	posEpoch uint64
 }
+
+// Slot returns the dense handle the ring gave vs when it joined: an
+// index below Ring.NumSlots, unique among the live virtual servers, for
+// per-VS arrays in place of pointer-keyed maps. A leave returns the
+// slot and the next join takes it, so an array indexed by slot must
+// store which VServer it describes and check it on read. A virtual
+// server that never joined a ring (NewStandaloneNode) has slot 0.
+func (vs *VServer) Slot() int { return int(vs.slot) }
 
 // Node is a physical DHT node.
 type Node struct {
@@ -178,6 +188,11 @@ type Ring struct {
 	// else revalidates lazily (see pos).
 	epoch uint64
 
+	// numSlots is the high-water mark of VServer slots; freeSlots holds
+	// the slots departed virtual servers returned, the latest last.
+	numSlots  int
+	freeSlots []int32
+
 	// frozen counts the FreezeMembership calls not yet thawed; while it
 	// is positive every membership change panics.
 	frozen int
@@ -240,6 +255,24 @@ func (r *Ring) VServers() []*VServer { return r.vss }
 
 // NumVServers returns the number of live virtual servers.
 func (r *Ring) NumVServers() int { return len(r.vss) }
+
+// NumSlots returns the number of VServer slots the ring has handed out:
+// every live virtual server's Slot is below it. It is the peak live
+// count, since a join reuses a freed slot before it opens a new one, and
+// it sizes per-slot arrays.
+func (r *Ring) NumSlots() int { return r.numSlots }
+
+// takeSlot gives a joining vs its slot: the one most recently freed,
+// or a new one at the high-water mark.
+func (r *Ring) takeSlot(vs *VServer) {
+	if n := len(r.freeSlots); n > 0 {
+		vs.slot = r.freeSlots[n-1]
+		r.freeSlots = r.freeSlots[:n-1]
+		return
+	}
+	vs.slot = int32(r.numSlots)
+	r.numSlots++
+}
 
 // NumVServersIn returns the number of live virtual servers whose
 // identifier lies in reg: two binary searches, no caches written, so it
@@ -407,6 +440,7 @@ func (r *Ring) onRing(vs *VServer) bool {
 
 func (r *Ring) addVS(n *Node, id ident.ID) *VServer {
 	vs := &VServer{ID: id, Owner: n}
+	r.takeSlot(vs)
 	pos := r.searchID(id)
 	r.vss = append(r.vss, nil)
 	copy(r.vss[pos+1:], r.vss[pos:])
@@ -451,6 +485,7 @@ func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.Node
 		nodes = append(nodes, n)
 		for v := 0; v < numVS; v++ {
 			vs := &VServer{ID: r.drawFreeID(used), Owner: n}
+			r.takeSlot(vs)
 			used[vs.ID] = struct{}{}
 			n.vservers = append(n.vservers, vs)
 			fresh = append(fresh, vs)
@@ -536,6 +571,7 @@ func (r *Ring) removeVS(vs *VServer) {
 	r.vss = append(r.vss[:pos], r.vss[pos+1:]...)
 	r.epoch++
 	vs.posEpoch = 0 // departed: every future pos query must fail
+	r.freeSlots = append(r.freeSlots, vs.slot)
 	// The successor absorbs the departed region's load.
 	if len(r.vss) > 0 && vs.Load > 0 {
 		succ := r.vss[pos%len(r.vss)]
@@ -837,11 +873,23 @@ func (r *Ring) observeLookup(hops int, cost sim.Time) {
 func (r *Ring) LookupSync(key ident.ID) *VServer { return r.Successor(key) }
 
 // CheckInvariants verifies internal consistency (tests): ring order,
-// position indexes, owner back-links, and that regions partition the
-// circle. It panics on violation.
+// position indexes, owner back-links, that regions partition the
+// circle, and that live and free slots partition [0, NumSlots). It
+// panics on violation.
 func (r *Ring) CheckInvariants() {
 	var total uint64
+	held := make([]bool, r.numSlots)
+	for _, s := range r.freeSlots {
+		if int(s) >= r.numSlots || held[s] {
+			panic(fmt.Sprintf("chord: free slot %d out of range or listed twice", s))
+		}
+		held[s] = true
+	}
 	for i, vs := range r.vss {
+		if s := vs.Slot(); s >= r.numSlots || held[s] {
+			panic(fmt.Sprintf("chord: vs %s holds slot %d, out of range or not its own", vs.ID, s))
+		}
+		held[vs.slot] = true
 		if vs.posEpoch == r.epoch && vs.ringPos != i {
 			panic(fmt.Sprintf("chord: vs %s caches current-epoch ringPos %d != %d", vs.ID, vs.ringPos, i))
 		}
@@ -871,6 +919,9 @@ func (r *Ring) CheckInvariants() {
 	}
 	if len(r.vss) > 0 && total != ident.SpaceSize {
 		panic(fmt.Sprintf("chord: regions cover %d of %d", total, ident.SpaceSize))
+	}
+	if len(r.vss)+len(r.freeSlots) != r.numSlots {
+		panic(fmt.Sprintf("chord: %d live and %d free slots, want %d", len(r.vss), len(r.freeSlots), r.numSlots))
 	}
 }
 

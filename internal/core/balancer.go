@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"p2plb/internal/chord"
-	"p2plb/internal/ktree"
+	"p2plb/internal/par"
 	"p2plb/internal/sim"
 	"p2plb/internal/stats"
 )
@@ -90,9 +90,7 @@ func (b *Balancer) classifyPhase(res *Result) (*Placement, lbiOutcome, []*NodeSt
 	}
 	res.TreeHeight = b.tree.Height()
 	place := PlaceRound(b.ring, b.tree, b.ring.Engine().Rand(), nil)
-	inbox := make(map[*ktree.Node][]LBI)
-	place.DepositReports(inbox)
-	lbi := b.aggregateLBI(inbox)
+	lbi := b.aggregateLBI(place)
 	if !lbi.global.Valid() {
 		return nil, lbi, nil, fmt.Errorf("core: no node reported LBI")
 	}
@@ -100,13 +98,22 @@ func (b *Balancer) classifyPhase(res *Result) (*Placement, lbiOutcome, []*NodeSt
 	res.TimeLBIAggregate = lbi.aggregateTime
 	res.TimeLBIDisseminate = lbi.disperseTime
 
-	// Classification, and shed-subset selection on heavy nodes.
+	// Classification, and shed-subset selection on heavy nodes. Each
+	// node's is its own, so chunks of nodes classify in parallel into
+	// one block of states; the subset-cost histogram is fed afterwards,
+	// in node order.
+	block := make([]NodeState, len(place.Nodes))
 	states := make([]*NodeState, len(place.Nodes))
-	for i, n := range place.Nodes {
-		var ops int64
-		states[i], ops = classifyNode(n, lbi.global, b.cfg.Epsilon, b.cfg.Subset)
-		if states[i].Class == Heavy {
-			b.observeSubsetCost(ops)
+	ops := make([]int64, len(place.Nodes))
+	par.ForChunked(len(place.Nodes), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			states[i] = &block[i]
+			ops[i] = classifyNode(states[i], place.Nodes[i], lbi.global, b.cfg.Epsilon, b.cfg.Subset)
+		}
+	})
+	for i, st := range states {
+		if st.Class == Heavy {
+			b.observeSubsetCost(ops[i])
 		}
 	}
 	res.HeavyBefore, res.LightBefore, res.NeutralBefore = Census(place.Nodes, lbi.global, b.cfg.Epsilon)

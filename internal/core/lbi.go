@@ -27,49 +27,106 @@ type lbiOutcome struct {
 	disperseTime  sim.Time // dissemination completion at the last leaf
 }
 
+// lbiInbox returns the placement's node reports as a sorted inbox:
+// LBILeaf[i] receives the report of Nodes[i], deposited in ring order.
+// The report itself, NodeLBI(Nodes[i]), is read when the fold reaches
+// the leaf.
+func lbiInbox(place *Placement, root *ktree.Node) []deposit {
+	in := make([]deposit, 0, len(place.Nodes))
+	for i, leaf := range place.LBILeaf {
+		if leaf != nil {
+			in = append(in, deposit{off: leafOffset(root, leaf), i: int32(i)})
+		}
+	}
+	sortDeposits(in)
+	return in
+}
+
+// lbiSub is one subtree's converge-cast result: its aggregate tuple,
+// when the aggregate is ready at the subtree's root, and the slowest
+// latency from that root down to a leaf.
+type lbiSub struct {
+	agg            LBI
+	ready, deepest sim.Time
+}
+
+// lbiWalk folds one part of the LBI converge-cast: the tree edges it
+// crossed, and the deposits it has yet to reach.
+type lbiWalk struct {
+	b        *Balancer
+	root     *ktree.Node
+	nodes    []*chord.Node // the placed nodes the deposits index
+	in       []deposit
+	edges    int64
+	edgeCost sim.Time
+}
+
+// up folds n's subtree: each KT node merges its own reports, then its
+// children's tuples in child order. kids, when non-nil, holds the
+// children's results already folded (the root step after the fork);
+// otherwise up recurses into them.
+func (w *lbiWalk) up(n *ktree.Node, kids []lbiSub) lbiSub {
+	var s lbiSub
+	if n.IsLeaf() { // placement deposits only at leaves
+		for _, d := range leafRun(&w.in, w.root, n) {
+			s.agg = s.agg.Merge(NodeLBI(w.nodes[d.i]))
+		}
+	}
+	for i, c := range n.Children {
+		var k lbiSub
+		if kids != nil {
+			k = kids[i]
+		} else {
+			k = w.up(c, nil)
+		}
+		edge := w.b.tree.EdgeLatency(c)
+		w.edges++
+		w.edgeCost += edge
+		s.agg = s.agg.Merge(k.agg)
+		if t := k.ready + edge; t > s.ready {
+			s.ready = t
+		}
+		if d := k.deepest + edge; d > s.deepest {
+			s.deepest = d
+		}
+	}
+	return s
+}
+
 // aggregateLBI runs the LBI aggregation and dissemination over the tree.
 //
-// inbox holds the node reports the round's placement deposited at each
-// KT leaf (both the report and the deposit are local, cost-free
-// interactions). The tree then performs a bottom-up converge-cast —
-// each KT node merges its own reports, then its children's tuples in
-// child order, and forwards one report to its parent — followed by a
-// top-down dissemination of the global tuple. One message per tree edge
-// in each direction. Dissemination starts when aggregation completes
-// and ends at the leaf whose root path is slowest, so the one bottom-up
-// pass computes both: the converge-cast's completion and the deepest
-// root-to-leaf latency. Both kinds are counted in bulk once the pass is
-// over.
-func (b *Balancer) aggregateLBI(inbox map[*ktree.Node][]LBI) lbiOutcome {
-	var edges int64
-	var edgeCost sim.Time
-	var up func(n *ktree.Node) (agg LBI, ready, deepest sim.Time)
-	up = func(n *ktree.Node) (agg LBI, ready, deepest sim.Time) {
-		if n.IsLeaf() { // placement deposits only at leaves
-			for _, r := range inbox[n] {
-				agg = agg.Merge(r)
-			}
-		}
-		for _, c := range n.Children {
-			childAgg, childReady, childDeepest := up(c)
-			edge := b.tree.EdgeLatency(c)
-			edges++
-			edgeCost += edge
-			agg = agg.Merge(childAgg)
-			if t := childReady + edge; t > ready {
-				ready = t
-			}
-			if d := childDeepest + edge; d > deepest {
-				deepest = d
-			}
-		}
-		return agg, ready, deepest
+// The round's placement deposits each node's report at a KT leaf (both
+// the report and the deposit are local, cost-free interactions). The
+// tree then performs a bottom-up converge-cast — each KT node merges
+// its own reports, then its children's tuples in child order, and
+// forwards one report to its parent — followed by a top-down
+// dissemination of the global tuple. One message per tree edge in each
+// direction. Dissemination starts when aggregation completes and ends
+// at the leaf whose root path is slowest, so the one bottom-up pass
+// computes both: the converge-cast's completion and the deepest
+// root-to-leaf latency. The pass forks at the root (see forkRoot), and
+// both kinds are counted in bulk once it is over.
+func (b *Balancer) aggregateLBI(place *Placement) lbiOutcome {
+	root := b.tree.Root()
+	kids := make([]lbiSub, len(root.Children))
+	walks := make([]lbiWalk, len(root.Children))
+	top := lbiWalk{b: b, root: root, nodes: place.Nodes}
+	top.in = forkRoot(root, lbiInbox(place, root), func(i int, run []deposit) {
+		w := &walks[i]
+		*w = lbiWalk{b: b, root: root, nodes: place.Nodes, in: run}
+		kids[i] = w.up(root.Children[i], nil)
+		mustBeConsumed(w.in)
+	})
+	for i := range walks {
+		top.edges += walks[i].edges
+		top.edgeCost += walks[i].edgeCost
 	}
-	global, aggTime, deepest := up(b.tree.Root())
+	global := top.up(root, kids)
+	mustBeConsumed(top.in)
 	eng := b.ring.Engine()
-	eng.CountMessageN(MsgLBIReport, edges, edgeCost)
-	eng.CountMessageN(MsgLBIDisperse, edges, edgeCost)
-	return lbiOutcome{global: global, aggregateTime: aggTime, disperseTime: aggTime + deepest}
+	eng.CountMessageN(MsgLBIReport, top.edges, top.edgeCost)
+	eng.CountMessageN(MsgLBIDisperse, top.edges, top.edgeCost)
+	return lbiOutcome{global: global.agg, aggregateTime: global.ready, disperseTime: global.ready + global.deepest}
 }
 
 // ClassifyNode classifies one node against the global tuple (§3.3):
@@ -77,15 +134,16 @@ func (b *Balancer) aggregateLBI(inbox map[*ktree.Node][]LBI) lbiOutcome {
 // neutral otherwise. A heavy node also selects the subset of virtual
 // servers it sheds (§3.4) with the given strategy.
 func ClassifyNode(n *chord.Node, global LBI, epsilon float64, strategy SubsetStrategy) *NodeState {
-	st, _ := classifyNode(n, global, epsilon, strategy)
+	st := new(NodeState)
+	classifyNode(st, n, global, epsilon, strategy)
 	return st
 }
 
-// classifyNode is ClassifyNode that also returns the shed-subset
-// search's work (0 unless the node is heavy), for the Balancer's
-// core.subset.cost histogram.
-func classifyNode(n *chord.Node, global LBI, epsilon float64, strategy SubsetStrategy) (*NodeState, int64) {
-	st := &NodeState{Node: n, Load: n.TotalLoad()}
+// classifyNode is ClassifyNode into a caller's NodeState; it returns
+// the shed-subset search's work (0 unless the node is heavy), for the
+// Balancer's core.subset.cost histogram.
+func classifyNode(st *NodeState, n *chord.Node, global LBI, epsilon float64, strategy SubsetStrategy) int64 {
+	*st = NodeState{Node: n, Load: n.TotalLoad()}
 	var ops int64
 	st.Class, st.Target = classOf(st.Load, n.Capacity, global, epsilon)
 	switch st.Class {
@@ -94,7 +152,7 @@ func classifyNode(n *chord.Node, global LBI, epsilon float64, strategy SubsetStr
 	case Light:
 		st.Deficit = st.Target - st.Load
 	}
-	return st, ops
+	return ops
 }
 
 // classOf is the §3.3 rule on its own: the class of a node carrying

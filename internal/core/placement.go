@@ -21,6 +21,13 @@ import (
 // non-neutral ones: at placement time classification hasn't happened
 // yet (it needs the global tuple), and skipping neutral nodes would
 // make the draw sequence depend on execution order.
+//
+// Per-node and per-VS state is held in slices indexed by the ring's
+// dense handles — chord.Node.Index and chord.VServer.Slot — sized when
+// the placement is drawn. A node or virtual server that joins later
+// falls past their ends (or, for a VS, into a slot whose entry names
+// another VServer) and sits the round out, as one that joined since
+// the last repair does.
 type Placement struct {
 	// Nodes lists the alive nodes in ring order.
 	Nodes []*chord.Node
@@ -28,32 +35,46 @@ type Placement struct {
 	// lands. nil means the chosen virtual server has no leaf yet (a
 	// fresh joiner between repairs) and the node sits the round out.
 	LBILeaf []*ktree.Node
-	// VSALeaf is where each alive node's advertisement lands if it
-	// turns out heavy or light. Nodes whose chosen VS has no leaf are
-	// absent.
-	VSALeaf map[*chord.Node]*ktree.Node
+	// VSALeaf is indexed by chord.Node.Index: where each alive node's
+	// advertisement lands if it turns out heavy or light. It is nil for
+	// dead nodes and for nodes whose chosen VS has no leaf; nodes that
+	// joined after the placement lie past its end.
+	VSALeaf []*ktree.Node
 
-	tree   *ktree.Tree
-	leafOf map[*chord.VServer]*ktree.Node
+	tree *ktree.Tree
+	// leafOf is the per-VS leaf cache, indexed by chord.VServer.Slot.
+	// An entry answers only for the VServer it names: a slot a leave
+	// freed and a join reused mid-round starts undrawn.
+	leafOf []vsLeaf
+}
+
+// vsLeaf is one leafOf entry: the leaf vs reports through this round
+// (nil when vs has none).
+type vsLeaf struct {
+	vs   *chord.VServer
+	leaf *ktree.Node
 }
 
 // PlaceRound draws the round's placement from rng: for every alive
 // node, in ring order, a random virtual server and a random leaf of
-// that server — first the LBI pass, then the VSA pass. leafOf is the
-// per-VS leaf cache to fill (it may carry capacity from a recycled
-// round but must be empty; nil allocates one).
-func PlaceRound(ring *chord.Ring, tree *ktree.Tree, rng *rand.Rand, leafOf map[*chord.VServer]*ktree.Node) *Placement {
-	if leafOf == nil {
-		leafOf = make(map[*chord.VServer]*ktree.Node)
+// that server — first the LBI pass, then the VSA pass. reuse is an
+// earlier round's placement whose slices the new one takes over (nil
+// allocates); no reader of reuse may remain.
+func PlaceRound(ring *chord.Ring, tree *ktree.Tree, rng *rand.Rand, reuse *Placement) *Placement {
+	p := reuse
+	if p == nil {
+		p = &Placement{}
 	}
-	p := &Placement{tree: tree, leafOf: leafOf}
+	p.tree = tree
+	p.Nodes = p.Nodes[:0]
 	for _, n := range ring.Nodes() {
 		if n.Alive {
 			p.Nodes = append(p.Nodes, n)
 		}
 	}
-	p.LBILeaf = make([]*ktree.Node, len(p.Nodes))
-	p.VSALeaf = make(map[*chord.Node]*ktree.Node, len(p.Nodes))
+	p.LBILeaf = zeroed(p.LBILeaf, len(p.Nodes))
+	p.VSALeaf = zeroed(p.VSALeaf, len(ring.Nodes()))
+	p.leafOf = zeroed(p.leafOf, ring.NumSlots())
 	draw := func(n *chord.Node) *ktree.Node {
 		vs := n.RandomVS(rng)
 		if vs == nil {
@@ -68,11 +89,20 @@ func PlaceRound(ring *chord.Ring, tree *ktree.Tree, rng *rand.Rand, leafOf map[*
 		p.LBILeaf[i] = draw(n)
 	}
 	for _, n := range p.Nodes {
-		if leaf := draw(n); leaf != nil {
-			p.VSALeaf[n] = leaf
-		}
+		p.VSALeaf[n.Index] = draw(n)
 	}
 	return p
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // LeafOf returns the single leaf vs reports through this round,
@@ -82,25 +112,19 @@ func PlaceRound(ring *chord.Ring, tree *ktree.Tree, rng *rand.Rand, leafOf map[*
 // target VS is known only once the publication lands) go through the
 // same cache as the placement's, so a VS never reports through two
 // leaves. nil means vs has no leaf yet — it joined since the last
-// repair — and what would enter the tree there sits the round out.
+// repair, or since the placement — and what would enter the tree there
+// sits the round out.
 func (p *Placement) LeafOf(vs *chord.VServer, rng *rand.Rand) *ktree.Node {
-	leaf, ok := p.leafOf[vs]
-	if !ok {
+	s := vs.Slot()
+	if s >= len(p.leafOf) {
+		return nil // joined since the placement, so unplanted
+	}
+	e := &p.leafOf[s]
+	if e.vs != vs {
+		*e = vsLeaf{vs: vs}
 		if leaves := p.tree.LeavesOf(vs); len(leaves) > 0 {
-			leaf = leaves[rng.Intn(len(leaves))]
-		}
-		p.leafOf[vs] = leaf
-	}
-	return leaf
-}
-
-// DepositReports fills inbox with each placed node's LBI report —
-// LBILeaf[i] receives NodeLBI(Nodes[i]) in ring order, the exact
-// sequence both drivers aggregate.
-func (p *Placement) DepositReports(inbox map[*ktree.Node][]LBI) {
-	for i, n := range p.Nodes {
-		if leaf := p.LBILeaf[i]; leaf != nil {
-			inbox[leaf] = append(inbox[leaf], NodeLBI(n))
+			e.leaf = leaves[rng.Intn(len(leaves))]
 		}
 	}
+	return e.leaf
 }

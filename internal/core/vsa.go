@@ -209,79 +209,150 @@ type vsaOutcome struct {
 	completeTime sim.Time
 }
 
+// vsaSub is one subtree's sweep result: its unpaired entries and when
+// they are ready at the subtree's root.
+type vsaSub struct {
+	lists PairList
+	ready sim.Time
+}
+
+// vsaWalk folds one part of the VSA sweep: the pairings it emitted in
+// post-order, its message tallies, and the deposits it has yet to
+// reach.
+type vsaWalk struct {
+	b          *Balancer
+	root       *ktree.Node
+	states     []*NodeState // the classified nodes the deposits index
+	in         []deposit
+	start      sim.Time // when every advertisement is at its leaf
+	lmin       float64
+	assigned   []Assignment
+	reports    int64
+	reportCost sim.Time
+	assigns    int64
+	assignCost sim.Time
+}
+
+// up folds n's subtree: each KT node merges its own deposits, then its
+// children's unpaired lists in child order, and pairs by
+// PairList.Rendezvous. kids, when non-nil, holds the children's results
+// already folded (the root step after the fork); otherwise up recurses
+// into them.
+func (w *vsaWalk) up(n *ktree.Node, kids []vsaSub) vsaSub {
+	var lists PairList
+	ready := w.start
+	if n.IsLeaf() { // placement deposits only at leaves
+		for _, d := range leafRun(&w.in, w.root, n) {
+			lists.Deposit(w.states[d.i], d.group)
+		}
+	}
+	for i, c := range n.Children {
+		var k vsaSub
+		if kids != nil {
+			k = kids[i]
+		} else {
+			k = w.up(c, nil)
+		}
+		// Every child sends one (possibly empty) epoch report; empty
+		// reports still synchronize the converge-cast.
+		edge := w.b.tree.EdgeLatency(c)
+		w.reports++
+		w.reportCost += edge
+		if t := k.ready + edge; t > ready {
+			ready = t
+		}
+		if lists.Size() == 0 {
+			lists = k.lists // nothing to copy into: take the child's list over
+		} else {
+			lists.Merge(&k.lists)
+		}
+	}
+	ring := w.b.ring
+	for _, p := range lists.Rendezvous(n.Parent == nil, w.b.cfg.RendezvousThreshold, w.lmin) {
+		// Rendezvous notifies both endpoints directly.
+		w.assigns += 2
+		w.assignCost += ring.Latency(n.Host.Owner, p.From) + 1 + ring.Latency(n.Host.Owner, p.To) + 1
+		w.assigned = append(w.assigned, Assignment{
+			VS:         p.VS,
+			From:       p.From,
+			To:         p.To,
+			Load:       p.Load,
+			AssignedAt: ready,
+			Depth:      n.Depth,
+		})
+	}
+	return vsaSub{lists: lists, ready: ready}
+}
+
 // runVSA performs the virtual server assignment sweep. states is the
 // classification of place.Nodes; start is the virtual time at which
 // nodes know their class (end of LBI dissemination). Each KT node
 // merges its own inbox, then its children's unpaired lists, and pairs
 // by PairList.Rendezvous — the rule lbnode.VSACollect applies in the
-// message-level driver.
+// message-level driver. The sweep forks at the root (see forkRoot):
+// the root step takes the children's pairings in child order, which is
+// the order the post-order walk emits them in, and appends its own.
 func (b *Balancer) runVSA(place *Placement, states []*NodeState, global LBI, start sim.Time) vsaOutcome {
-	inbox, publishEnd := b.buildVSAInboxes(place, states, start)
-
-	var out vsaOutcome
-	out.publishTime = publishEnd
-
-	var reports, assigns int64
-	var reportCost, assignCost sim.Time
-	var up func(n *ktree.Node) (PairList, sim.Time)
-	up = func(n *ktree.Node) (PairList, sim.Time) {
-		var lists PairList
-		ready := publishEnd
-		if n.IsLeaf() { // placement deposits only at leaves
-			if in := inbox[n]; in != nil {
-				lists = *in
-			}
+	root := b.tree.Root()
+	in, publishEnd := b.vsaInbox(place, states, start)
+	walk := func(run []deposit) vsaWalk {
+		// Every pairing consumes an offer, so the run's offers bound
+		// the walk's pairings.
+		offers := 0
+		for _, d := range run {
+			offers += len(states[d.i].Offers)
 		}
-		for _, c := range n.Children {
-			childLists, childReady := up(c)
-			// Every child sends one (possibly empty) epoch report; empty
-			// reports still synchronize the converge-cast.
-			edge := b.tree.EdgeLatency(c)
-			reports++
-			reportCost += edge
-			if t := childReady + edge; t > ready {
-				ready = t
-			}
-			if lists.Size() == 0 {
-				lists = childLists // nothing to copy into: take the child's list over
-			} else {
-				lists.Merge(&childLists)
-			}
-		}
-		for _, p := range lists.Rendezvous(n.Parent == nil, b.cfg.RendezvousThreshold, global.Lmin) {
-			// Rendezvous notifies both endpoints directly.
-			assigns += 2
-			assignCost += b.ring.Latency(n.Host.Owner, p.From) + 1 + b.ring.Latency(n.Host.Owner, p.To) + 1
-			out.assignments = append(out.assignments, Assignment{
-				VS:         p.VS,
-				From:       p.From,
-				To:         p.To,
-				Load:       p.Load,
-				AssignedAt: ready,
-				Depth:      n.Depth,
-			})
-		}
-		return lists, ready
+		return vsaWalk{b: b, root: root, states: states, in: run, start: publishEnd, lmin: global.Lmin,
+			assigned: make([]Assignment, 0, offers)}
 	}
-	out.left, out.completeTime = up(b.tree.Root())
+	kids := make([]vsaSub, len(root.Children))
+	walks := make([]vsaWalk, len(root.Children))
+	rest := forkRoot(root, in, func(i int, run []deposit) {
+		w := &walks[i]
+		*w = walk(run)
+		kids[i] = w.up(root.Children[i], nil)
+		mustBeConsumed(w.in)
+	})
+	top := walk(rest)
+	total := cap(top.assigned)
+	for i := range walks {
+		total += len(walks[i].assigned) + kids[i].lists.Offers()
+	}
+	top.assigned = make([]Assignment, 0, total)
+	for i := range walks {
+		w := &walks[i]
+		top.assigned = append(top.assigned, w.assigned...)
+		top.reports += w.reports
+		top.reportCost += w.reportCost
+		top.assigns += w.assigns
+		top.assignCost += w.assignCost
+	}
+	last := top.up(root, kids)
+	mustBeConsumed(top.in)
 	eng := b.ring.Engine()
-	eng.CountMessageN(MsgVSAReport, reports, reportCost)
-	eng.CountMessageN(MsgVSAAssign, assigns, assignCost)
-	return out
+	eng.CountMessageN(MsgVSAReport, top.reports, top.reportCost)
+	eng.CountMessageN(MsgVSAAssign, top.assigns, top.assignCost)
+	return vsaOutcome{
+		assignments:  top.assigned,
+		left:         last.lists,
+		publishTime:  publishEnd,
+		completeTime: last.ready,
+	}
 }
 
-// buildVSAInboxes deposits each heavy/light node's VSA information at
-// the KT leaf where it enters the tree, per the configured mode. It
-// returns the per-leaf inboxes and the virtual time at which the
+// vsaInbox deposits each heavy/light node's VSA information at the KT
+// leaf where it enters the tree, per the configured mode, and returns
+// the deposits as a sorted inbox with the virtual time at which the
 // slowest publish finished (equal to start in ignorant mode, which
 // publishes nothing).
-func (b *Balancer) buildVSAInboxes(place *Placement, states []*NodeState, start sim.Time) (map[*ktree.Node]*PairList, sim.Time) {
+func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Time) ([]deposit, sim.Time) {
 	eng := b.ring.Engine()
-	inbox := make(map[*ktree.Node]*PairList)
+	root := b.tree.Root()
+	in := make([]deposit, 0, len(states))
 	publishEnd := start
 	var publishes int64
 	var publishCost sim.Time
-	for _, st := range states {
+	for i, st := range states {
 		if st.Class == Neutral {
 			continue
 		}
@@ -293,7 +364,7 @@ func (b *Balancer) buildVSAInboxes(place *Placement, states []*NodeState, start 
 			// virtual servers, drawn by the placement: its position in
 			// the sweep is its random location in the identifier space
 			// (§3.4 footnote).
-			leaf = place.VSALeaf[st.Node]
+			leaf = place.VSALeaf[st.Node.Index]
 		case ProximityAware:
 			// The node publishes its VSA information into the DHT under
 			// its Hilbert-number key (§4.3): one put message routed in
@@ -317,13 +388,9 @@ func (b *Balancer) buildVSAInboxes(place *Placement, states []*NodeState, start 
 		if leaf == nil {
 			continue // fresh joiner: no leaf until the next repair
 		}
-		pl := inbox[leaf]
-		if pl == nil {
-			pl = &PairList{}
-			inbox[leaf] = pl
-		}
-		pl.Deposit(st, group)
+		in = append(in, deposit{off: leafOffset(root, leaf), i: int32(i), group: group})
 	}
 	eng.CountMessageN(MsgVSAPublish, publishes, publishCost)
-	return inbox, publishEnd
+	sortDeposits(in)
+	return in, publishEnd
 }

@@ -162,16 +162,9 @@ func deriveSeed(seed int64, class string) int64 {
 	return int64(uint64(seed)*0x9E3779B97F4A7C15 ^ h)
 }
 
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // fate hashes (class seed, message key, copy) to 64 uniform bits.
 func fate(class, key, copy uint64) uint64 {
-	return mix64(class ^ mix64(key+copy*0x9E3779B97F4A7C15))
+	return sim.Mix64(class ^ sim.Mix64(key+copy*0x9E3779B97F4A7C15))
 }
 
 // below reports whether the hash, read as a uniform draw from [0, 1),

@@ -1,12 +1,11 @@
 // Package metrics is the simulator's observability substrate: named
-// counters, power-of-two-bucket histograms, append-only time series and
-// span timers, collected in a Registry and exported as JSON or CSV
+// counters, float counters, power-of-two-bucket histograms and span
+// timers, collected in a Registry and exported as JSON or CSV
 // snapshots.
 //
 // Every primitive is safe for concurrent use (atomic operations on the
-// hot paths, a mutex only on series appends and registry misses), and
-// the hot-path cost of an increment or observation is a handful of
-// atomic adds — cheap enough to leave enabled inside the discrete-event
+// hot paths, a mutex only on registry misses), and the hot-path cost
+// of an increment or observation is a handful of atomic adds — cheap enough to leave enabled inside the discrete-event
 // engine's message loop. Call sites that fire per simulated message
 // cache the metric pointer instead of going through the registry map
 // each time; the registry's get-or-create is for once-per-round and
@@ -189,39 +188,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Point is one sample of a time series.
-type Point struct {
-	T float64 `json:"t"`
-	V float64 `json:"v"`
-}
-
-// Series is an append-only time series (virtual time → value), for
-// slow-changing observables such as imbalance over time.
-type Series struct {
-	mu  sync.Mutex
-	pts []Point
-}
-
-// Append records a point.
-func (s *Series) Append(t, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.pts = append(s.pts, Point{T: t, V: v})
-	s.mu.Unlock()
-}
-
-// Points returns a copy of the recorded points.
-func (s *Series) Points() []Point {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Point(nil), s.pts...)
-}
-
 // Clock supplies the current time for a Span, in whatever unit the
 // caller measures (virtual-time units inside the simulator, nanoseconds
 // for wall-clock benchmarking).
@@ -259,7 +225,6 @@ type Registry struct {
 	counters map[string]*Counter
 	floats   map[string]*FloatCounter
 	hists    map[string]*Histogram
-	series   map[string]*Series
 }
 
 // NewRegistry returns an empty registry.
@@ -268,7 +233,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		floats:   make(map[string]*FloatCounter),
 		hists:    make(map[string]*Histogram),
-		series:   make(map[string]*Series),
 	}
 }
 
@@ -330,26 +294,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Series returns the named series, creating it on first use.
-func (r *Registry) Series(name string) *Series {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	s := r.series[name]
-	r.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s = r.series[name]; s == nil {
-		s = &Series{}
-		r.series[name] = s
-	}
-	return s
 }
 
 // Span starts a phase span against the named histogram.

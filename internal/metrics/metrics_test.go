@@ -116,8 +116,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 9, 80} {
 		h.Observe(v)
 	}
-	reg.Series("gini").Append(10, 0.41)
-	reg.Series("gini").Append(20, 0.12)
 
 	snap := reg.Snapshot()
 	var buf bytes.Buffer
@@ -146,8 +144,6 @@ func TestSnapshotMerge(t *testing.T) {
 	for _, v := range []int64{5, 100} {
 		b.Histogram("h").Observe(v)
 	}
-	a.Series("s").Append(2, 20)
-	b.Series("s").Append(1, 10)
 
 	snap := a.Snapshot()
 	snap.Merge(b.Snapshot())
@@ -166,23 +162,18 @@ func TestSnapshotMerge(t *testing.T) {
 			t.Errorf("merged buckets not sorted: %+v", h.Buckets)
 		}
 	}
-	s := snap.Series["s"]
-	if len(s) != 2 || s[0].T != 1 || s[1].T != 2 {
-		t.Errorf("merged series = %v", s)
-	}
 }
 
 func TestSnapshotCSV(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("msgs").Add(5)
 	reg.Histogram("hops").Observe(3)
-	reg.Series("gini").Append(1, 0.5)
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"kind,name,field,value", "counter,msgs,value,5", "histogram,hops,count,1", "series,gini,1,0.5"} {
+	for _, want := range []string{"kind,name,field,value", "counter,msgs,value,5", "histogram,hops,count,1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("CSV missing %q:\n%s", want, out)
 		}
@@ -225,23 +216,19 @@ func TestBucketBounds(t *testing.T) {
 // `if reg != nil` at the call site.
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var reg *Registry
-	c, f, h, s := reg.Counter("c"), reg.Float("f"), reg.Histogram("h"), reg.Series("s")
-	if c != nil || f != nil || h != nil || s != nil {
-		t.Fatalf("nil registry created metrics: %v %v %v %v", c, f, h, s)
+	c, f, h := reg.Counter("c"), reg.Float("f"), reg.Histogram("h")
+	if c != nil || f != nil || h != nil {
+		t.Fatalf("nil registry created metrics: %v %v %v", c, f, h)
 	}
 	c.Inc()
 	c.Add(5)
 	f.Add(2.5)
 	h.Observe(7)
-	s.Append(1, 2)
 	if c.Value() != 0 || f.Value() != 0 {
 		t.Errorf("nil counters read %d / %v, want 0", c.Value(), f.Value())
 	}
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Errorf("nil histogram read count %d sum %d mean %v, want 0", h.Count(), h.Sum(), h.Mean())
-	}
-	if pts := s.Points(); pts != nil {
-		t.Errorf("nil series has points %v", pts)
 	}
 
 	// A span against the nil registry still measures; only the
@@ -260,7 +247,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if len(snap.Counters)+len(snap.Floats)+len(snap.Histograms)+len(snap.Series) != 0 {
+	if len(snap.Counters)+len(snap.Floats)+len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
 	}
 	var buf bytes.Buffer

@@ -119,7 +119,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Floats     map[string]float64           `json:"floats,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string][]Point           `json:"series,omitempty"`
 }
 
 // Snapshot freezes the registry's current contents.
@@ -133,7 +132,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64, len(r.counters)),
 		Floats:     make(map[string]float64, len(r.floats)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-		Series:     make(map[string][]Point, len(r.series)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -143,9 +141,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = snapshotHistogram(h)
-	}
-	for name, ser := range r.series {
-		s.Series[name] = ser.Points()
 	}
 	return s
 }
@@ -168,7 +163,7 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 }
 
 // Merge folds another snapshot into s: counters and floats add,
-// histograms combine, series concatenate (sorted by time).
+// and histograms combine.
 func (s *Snapshot) Merge(o Snapshot) {
 	if s.Counters == nil {
 		s.Counters = make(map[string]int64)
@@ -188,14 +183,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	for k, v := range o.Histograms {
 		s.Histograms[k] = s.Histograms[k].merge(v)
 	}
-	if s.Series == nil {
-		s.Series = make(map[string][]Point)
-	}
-	for k, pts := range o.Series {
-		merged := append(append([]Point(nil), s.Series[k]...), pts...)
-		sort.SliceStable(merged, func(i, j int) bool { return merged[i].T < merged[j].T })
-		s.Series[k] = merged
-	}
 }
 
 // WriteJSON writes the snapshot as indented JSON.
@@ -214,7 +201,7 @@ func ReadJSON(r io.Reader) (Snapshot, error) {
 
 // WriteCSV writes the snapshot as flat rows: kind,name,field,value.
 // Histograms expand to count/sum/min/max/mean rows plus one row per
-// bucket; series to one row per point (field is the timestamp).
+// bucket.
 func (s Snapshot) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"kind", "name", "field", "value"}); err != nil {
@@ -241,11 +228,6 @@ func (s Snapshot) WriteCSV(w io.Writer) error {
 				lo = "-inf"
 			}
 			cw.Write([]string{"histogram", name, "bucket<" + lo + ">", fmtInt(b.Count)})
-		}
-	}
-	for _, name := range sortedKeys(s.Series) {
-		for _, p := range s.Series[name] {
-			cw.Write([]string{"series", name, fmtFloat(p.T), fmtFloat(p.V)})
 		}
 	}
 	cw.Flush()

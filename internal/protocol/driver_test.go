@@ -50,7 +50,8 @@ func TestEpochWindowEdgeCases(t *testing.T) {
 // modest inbox map is retained key-by-key with its report slices
 // truncated in place, while a map dominated by retired KT-node keys
 // (tree repair retires nodes between rounds) is dropped for a fresh one
-// rather than dragging dead buckets along forever.
+// rather than dragging dead buckets along forever. The last round's
+// placement stays on the scratch for the next PlaceRound to take over.
 func TestScratchReuseAndShrink(t *testing.T) {
 	ring, tree := fixture(32, 48, 3)
 	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}})
@@ -59,13 +60,15 @@ func TestScratchReuseAndShrink(t *testing.T) {
 	}
 
 	// Seed a recycled scratch the way a clean round leaves one: populated
-	// maps, report slices still holding last round's entries.
+	// maps, report slices still holding last round's entries, and last
+	// round's placement.
 	n1, n2 := &ktree.Node{}, &ktree.Node{}
+	place := core.PlaceRound(ring, tree, ring.Engine().Rand(), nil)
 	sc := &roundScratch{
 		lbiInbox: map[*ktree.Node][]core.LBI{n1: make([]core.LBI, 3, 8), n2: make([]core.LBI, 1)},
 		states:   map[*chord.Node]*core.NodeState{ring.Nodes()[0]: {}},
 		vsaInbox: map[*ktree.Node]*core.PairList{n1: {}},
-		leafOfVS: map[*chord.VServer]*ktree.Node{ring.VServers()[0]: n1},
+		place:    place,
 	}
 	r.scratch = sc
 
@@ -83,9 +86,17 @@ func TestScratchReuseAndShrink(t *testing.T) {
 		t.Errorf("reuse path must truncate report slices in place: len %d cap %d, want len 0 cap >= 8",
 			len(got.lbiInbox[n1]), cap(got.lbiInbox[n1]))
 	}
-	if len(got.states) != 0 || len(got.vsaInbox) != 0 || len(got.leafOfVS) != 0 {
-		t.Errorf("reuse path must clear states/vsaInbox/leafOfVS: %d/%d/%d entries left",
-			len(got.states), len(got.vsaInbox), len(got.leafOfVS))
+	if len(got.states) != 0 || len(got.vsaInbox) != 0 {
+		t.Errorf("reuse path must clear states/vsaInbox: %d/%d entries left",
+			len(got.states), len(got.vsaInbox))
+	}
+	if got.place != place {
+		t.Error("reuse path must keep last round's placement for PlaceRound to recycle")
+	}
+	nodes, lbiLeaf := &place.Nodes[0], &place.LBILeaf[0]
+	if again := core.PlaceRound(ring, tree, ring.Engine().Rand(), got.place); again != place ||
+		&again.Nodes[0] != nodes || &again.LBILeaf[0] != lbiLeaf {
+		t.Error("PlaceRound over a recycled placement must reuse its slices")
 	}
 
 	// Shrink path: flood the inbox with retired keys past the 2·N+16
@@ -105,7 +116,10 @@ func TestScratchReuseAndShrink(t *testing.T) {
 	// A runner with no recycled scratch allocates a complete fresh set.
 	r.scratch = nil
 	blank := r.takeScratch()
-	if blank == nil || blank.lbiInbox == nil || blank.states == nil || blank.vsaInbox == nil || blank.leafOfVS == nil {
+	if blank == nil || blank.lbiInbox == nil || blank.states == nil || blank.vsaInbox == nil {
 		t.Fatal("cold takeScratch must allocate every map")
+	}
+	if blank.place != nil {
+		t.Fatal("cold takeScratch has no placement to recycle")
 	}
 }

@@ -139,7 +139,7 @@ type subWorker struct {
 // deriveSeed mixes a per-child worker seed out of the root engine's
 // seed (splitmix64) without touching the root RNG.
 func deriveSeed(base int64, child int) int64 {
-	return int64(mix64(uint64(base) + uint64(child+1)*0x9E3779B97F4A7C15))
+	return int64(sim.Mix64(uint64(base) + uint64(child+1)*0x9E3779B97F4A7C15))
 }
 
 // newWorker builds a worker: same ring, tree, config, round ordinal and

@@ -130,8 +130,9 @@ type Runner struct {
 }
 
 // roundScratch holds the per-round maps (and the report slices inside
-// lbiInbox) that periodic rounds (Every) would otherwise reallocate
-// every round. A round hands its scratch back only when it finished
+// lbiInbox), and the placement whose slices the next PlaceRound takes
+// over, that periodic rounds (Every) would otherwise reallocate every
+// round. A round hands its scratch back only when it finished
 // clean: after a timeout or an aborted transfer, stale epoch events may
 // still read the maps (and a late VSA reply can even mutate its
 // PairList), so such rounds drop the scratch instead of recycling it.
@@ -139,7 +140,7 @@ type roundScratch struct {
 	lbiInbox map[*ktree.Node][]core.LBI
 	states   map[*chord.Node]*core.NodeState
 	vsaInbox map[*ktree.Node]*core.PairList
-	leafOfVS map[*chord.VServer]*ktree.Node
+	place    *core.Placement // nil until a round has drawn one
 }
 
 // takeScratch returns a cleared scratch for the next round, reusing the
@@ -152,7 +153,6 @@ func (r *Runner) takeScratch() *roundScratch {
 			lbiInbox: make(map[*ktree.Node][]core.LBI),
 			states:   make(map[*chord.Node]*core.NodeState),
 			vsaInbox: make(map[*ktree.Node]*core.PairList),
-			leafOfVS: make(map[*chord.VServer]*ktree.Node),
 		}
 	}
 	// Tree repair retires KT nodes between rounds; once dead keys
@@ -166,7 +166,6 @@ func (r *Runner) takeScratch() *roundScratch {
 	}
 	clear(sc.states)
 	clear(sc.vsaInbox)
-	clear(sc.leafOfVS)
 	return sc
 }
 
@@ -418,8 +417,15 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// delivery order. core.Balancer.RunRound draws the same placement
 	// from the same RNG state, which is why the two pair identically
 	// (see core.PlaceRound).
-	rd.place = core.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.leafOfVS)
-	rd.place.DepositReports(rd.lbiInbox)
+	rd.place = core.PlaceRound(r.ring, r.tree, r.eng.Rand(), sc.place)
+	sc.place = rd.place
+	// Each placed node's report waits at its leaf, in ring order: the
+	// sequence both drivers aggregate.
+	for i, n := range rd.place.Nodes {
+		if leaf := rd.place.LBILeaf[i]; leaf != nil {
+			rd.lbiInbox[leaf] = append(rd.lbiInbox[leaf], core.NodeLBI(n))
+		}
+	}
 	rd.collectLBI(r.tree.Root(), func(global core.LBI) {
 		if !global.Valid() {
 			rd.done(nil, fmt.Errorf("protocol: no node reported LBI"))
@@ -503,7 +509,7 @@ func hostIdx(n *ktree.Node) int { return n.Host.Owner.Index }
 // hosts KT nodes in several root-child subtrees, so such an ordinal
 // counts differently in a forked walk.
 func msgKey(ord uint64, kind string, a, b uint64) uint64 {
-	return mix64(mix64(mix64(ord*0x9E3779B97F4A7C15+kindCode(kind))^a) ^ b)
+	return sim.Mix64(sim.Mix64(sim.Mix64(ord*0x9E3779B97F4A7C15+kindCode(kind))^a) ^ b)
 }
 
 // nodeKey names the tree edge that leads to n.
@@ -535,13 +541,6 @@ func kindCode(kind string) uint64 {
 		return 8
 	}
 	panic("protocol: no key code for message kind " + kind)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }
 
 // rhandler is the callback pair of one reliable exchange, implemented
@@ -1073,8 +1072,10 @@ func (rd *round) classifyAndPublish(node *chord.Node) {
 		// The advertisement leaf was drawn in the placement pre-pass —
 		// not here at event time — so it does not depend on the order in
 		// which the global tuple reaches the nodes.
-		if leaf, ok := rd.place.VSALeaf[node]; ok {
-			rd.depositAt(leaf, st, 0)
+		// A node that joined after the placement lies past VSALeaf's
+		// end and sits the round out.
+		if i := node.Index; i < len(rd.place.VSALeaf) && rd.place.VSALeaf[i] != nil {
+			rd.depositAt(rd.place.VSALeaf[i], st, 0)
 		}
 	case core.ProximityAware:
 		key := rd.cfg().Mapper.Key(node.Underlay)

@@ -79,6 +79,16 @@ type MessageFilter interface {
 	Deliveries(kind string, key uint64, src, dst int, now, cost Time) []Time
 }
 
+// Mix64 is the splitmix64 finalizer: a bijective 64-bit mixer whose
+// output bits each depend on every input bit. Keyed filters hash a
+// message's key through it, and senders build their keys with it, so
+// both sides of the MessageFilter contract share one definition.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
 // A ForkFilter is a MessageFilter that side engines can carry. Fan-out
 // layers (protocol's forked subtree phases) give each worker engine the
 // filter's Fork and fold it back through Absorb, which calls Join.
