@@ -30,8 +30,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
-	go test -race -run 'TestSweepsMatchReference|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$$|TestPlacementAfterMembershipChange' ./internal/core/
+	./ci.sh race
 
 fmt:
 	gofmt -s -w .

@@ -21,11 +21,33 @@
 # runtime doesn't cross exec). The rest of the tree is
 # single-goroutine by design.
 #
+# `./ci.sh race` runs the race pass alone (`make race`).
+#
 # Same-seed determinism of the fault, serve and scale sweeps is a test
 # (internal/exp TestSweepsDeterministic), so `go test ./...` below gates
 # it; nothing here launches an experiment binary.
 set -eu
 cd "$(dirname "$0")"
+
+# race_legs is the race pass, shared with `make race` (`./ci.sh race`).
+race_legs() {
+	echo "== go test -race (concurrent packages)"
+	go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
+	# The forked subtree phases are the state several goroutines reach on
+	# every default round; run their tests (and the crash and RunUntil
+	# scenarios that must stay sequential) ten times over.
+	go test -race -count=10 -run 'Parallel|Crash|RunUntil' ./internal/protocol/
+	# core's oracle round forks its LBI and VSA sweeps and its
+	# classification onto goroutines. The whole package takes about 14 s
+	# under -race, so run the tests that drive the forked round: the sweep
+	# reference, the placement under churn and the small RunRound cases.
+	go test -race -run 'TestSweepsMatchReference|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$|TestPlacementAfterMembershipChange' ./internal/core/
+}
+
+if [ "${1:-}" = race ]; then
+	race_legs
+	exit 0
+fi
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT INT TERM
@@ -73,17 +95,7 @@ echo "== go test -bench (one iteration each)"
 # makes a benchmark that no longer builds or panics fail here.
 go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
 
-echo "== go test -race (concurrent packages)"
-go test -race ./internal/par/ ./internal/sim/ ./internal/ktree/ ./internal/faults/ ./internal/lbnode/ ./internal/protocol/ ./internal/serve/ ./internal/wire/ ./internal/cluster/
-# The forked subtree phases are the state several goroutines reach on
-# every default round; run their tests (and the crash and RunUntil
-# scenarios that must stay sequential) ten times over.
-go test -race -count=10 -run 'Parallel|Crash|RunUntil' ./internal/protocol/
-# core's oracle round forks its LBI and VSA sweeps and its classification
-# onto goroutines. The whole package takes about 14 s under -race, so run
-# the tests that drive the forked round: the sweep reference, the
-# placement under churn and the small RunRound cases.
-go test -race -run 'TestSweepsMatchReference|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$|TestPlacementAfterMembershipChange' ./internal/core/
+race_legs
 
 echo "== go test -fuzz (wire frame reader and handshake, 5 s each)"
 # The two decoders that read bytes another process chose. `go test` above

@@ -20,7 +20,8 @@ type Pair struct {
 
 // PairList is the pair of sorted lists a rendezvous KT node maintains
 // (§3.4): light-node deficits and offered virtual servers. The zero
-// value is an empty list.
+// value is an empty list, and so is a nil *PairList to Size, Offers,
+// OfferLoad, Entries and Rendezvous.
 type PairList struct {
 	lists vsaLists
 }
@@ -58,17 +59,30 @@ func (p *PairList) Merge(o *PairList) { p.lists.merge(o.lists) }
 
 // Size returns the combined length of the two lists (the rendezvous
 // threshold quantity).
-func (p *PairList) Size() int { return p.lists.size() }
+func (p *PairList) Size() int {
+	if p == nil {
+		return 0
+	}
+	return p.lists.size()
+}
 
 // Lights returns the number of light entries currently held.
 func (p *PairList) Lights() int { return len(p.lists.lights) }
 
 // Offers returns the number of offered virtual servers currently held.
-func (p *PairList) Offers() int { return len(p.lists.offers) }
+func (p *PairList) Offers() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.lists.offers)
+}
 
 // OfferLoad sums the loads of the held offers.
 func (p *PairList) OfferLoad() float64 {
 	var s float64
+	if p == nil {
+		return s
+	}
 	for _, o := range p.lists.offers {
 		s += o.load
 	}
@@ -94,6 +108,9 @@ type OfferEntry struct {
 // payload a wire executor ships to the parent KT node. The list itself
 // is not consumed.
 func (p *PairList) Entries() ([]LightEntry, []OfferEntry) {
+	if p == nil {
+		return nil, nil
+	}
 	lights := make([]LightEntry, len(p.lists.lights))
 	for i, l := range p.lists.lights {
 		lights[i] = LightEntry{Deficit: l.deficit, Node: l.node, Group: l.group}

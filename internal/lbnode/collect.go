@@ -18,12 +18,47 @@ import "p2plb/internal/core"
 // core.Balancer's closed-form fold (which merges in the same order)
 // produce the bit-identical global tuple.
 type LBICollect struct {
-	local   core.LBI
-	subs    []core.LBI
-	got     []bool
+	epoch
+	local core.LBI
+	subs  []childLBI
+}
+
+// childLBI is one child subtree's buffered reply and whether it arrived.
+type childLBI struct {
+	agg core.LBI
+	got bool
+}
+
+// epoch is the close-once bookkeeping both collectors share: how many
+// children have yet to reply, and whether the epoch has closed.
+type epoch struct {
 	pending int
 	closed  bool
 }
+
+func openEpoch(children int) epoch { return epoch{pending: children, closed: children == 0} }
+
+// replied counts one child's reply, closing the epoch at the last; it
+// reports whether this reply closed it.
+func (e *epoch) replied() bool {
+	e.pending--
+	e.closed = e.pending == 0
+	return e.closed
+}
+
+// Expire closes a still-open epoch with partial data, returning how
+// many children never replied. An already-closed epoch reports
+// (0, false) — the timer lost the race and must not act.
+func (e *epoch) Expire() (timedOut int, expired bool) {
+	if e.closed {
+		return 0, false
+	}
+	e.closed = true
+	return e.pending, true
+}
+
+// Done reports whether the epoch has closed.
+func (e *epoch) Done() bool { return e.closed }
 
 // NewLBICollect starts an epoch over the node's deposited reports and
 // the number of child subtrees it will query. With no children (a leaf,
@@ -39,15 +74,12 @@ func NewLBICollect(reports []core.LBI, children int) *LBICollect {
 // completes immediately, on the caller's stack) instead of a separate
 // heap allocation per tree node.
 func MakeLBICollect(reports []core.LBI, children int) LBICollect {
-	c := LBICollect{pending: children}
+	c := LBICollect{epoch: openEpoch(children)}
 	for _, rep := range reports {
 		c.local = c.local.Merge(rep)
 	}
 	if children > 0 {
-		c.subs = make([]core.LBI, children)
-		c.got = make([]bool, children)
-	} else {
-		c.closed = true
+		c.subs = make([]childLBI, children)
 	}
 	return c
 }
@@ -57,41 +89,21 @@ func MakeLBICollect(reports []core.LBI, children int) LBICollect {
 // the epoch closed, or a duplicate for an index already answered, is
 // absorbed and returns false.
 func (c *LBICollect) ChildReply(idx int, sub core.LBI) bool {
-	if c.closed || c.got[idx] {
+	if c.closed || c.subs[idx].got {
 		return false
 	}
-	c.subs[idx] = sub
-	c.got[idx] = true
-	c.pending--
-	if c.pending == 0 {
-		c.closed = true
-		return true
-	}
-	return false
+	c.subs[idx] = childLBI{agg: sub, got: true}
+	return c.replied()
 }
-
-// Expire closes a still-open epoch with partial data, returning how
-// many children never replied. An already-closed epoch reports
-// (0, false) — the timer lost the race and must not act.
-func (c *LBICollect) Expire() (timedOut int, expired bool) {
-	if c.closed {
-		return 0, false
-	}
-	c.closed = true
-	return c.pending, true
-}
-
-// Done reports whether the epoch has closed.
-func (c *LBICollect) Done() bool { return c.closed }
 
 // Aggregate folds the merged LBI gathered so far — locals first, then
 // the buffered child replies in child-index order (missing children,
 // after an expiry, are skipped). Meaningful once the epoch closed.
 func (c *LBICollect) Aggregate() core.LBI {
 	agg := c.local
-	for i, sub := range c.subs {
-		if c.got[i] {
-			agg = agg.Merge(sub)
+	for _, sub := range c.subs {
+		if sub.got {
+			agg = agg.Merge(sub.agg)
 		}
 	}
 	return agg
@@ -102,16 +114,22 @@ func (c *LBICollect) Aggregate() core.LBI {
 // merge as they arrive, and the epoch closes exactly once. After the
 // close the node may act as a rendezvous point (Rendezvous) and hands
 // whatever remains unpaired to its parent (Lists).
+//
+// The machine holds a list only once it is handed one: a node with no
+// deposits takes over the first child list that arrives rather than
+// copying it into a fresh one, so most leaves allocate nothing.
 type VSACollect struct {
-	lists   *core.PairList
-	pending int
-	closed  bool
+	epoch
+	lists *core.PairList
 }
 
 // NewVSACollect starts an epoch over the node's deposited advertisement
-// list (nil means none) and the number of child subtrees it will query.
-// The inbox PairList is consumed: pairing and upward propagation mutate
-// it in place.
+// list and the number of child subtrees it will query. The machine owns
+// every list it is handed, the inbox and each child's: pairing and
+// upward propagation mutate them in place, and a child's list may
+// become the one the machine holds. A nil inbox is a node with no
+// deposits, and until a child hands it a list the machine holds nil,
+// which reads as empty (see core.PairList).
 func NewVSACollect(inbox *core.PairList, children int) *VSACollect {
 	c := MakeVSACollect(inbox, children)
 	return &c
@@ -119,44 +137,24 @@ func NewVSACollect(inbox *core.PairList, children int) *VSACollect {
 
 // MakeVSACollect is NewVSACollect in value form — see MakeLBICollect.
 func MakeVSACollect(inbox *core.PairList, children int) VSACollect {
-	if inbox == nil {
-		inbox = &core.PairList{}
-	}
-	c := VSACollect{lists: inbox, pending: children}
-	if c.pending == 0 {
-		c.closed = true
-	}
-	return c
+	return VSACollect{epoch: openEpoch(children), lists: inbox}
 }
 
 // ChildReply merges one child subtree's unpaired list (which is consumed
-// — §3.4's upward flow). It returns true when this reply completes the
-// epoch; a reply after the close is absorbed and returns false.
+// — §3.4's upward flow; nil is an empty list). It returns true when this
+// reply completes the epoch; a reply after the close is absorbed and
+// returns false.
 func (c *VSACollect) ChildReply(sub *core.PairList) bool {
 	if c.closed {
 		return false
 	}
-	c.lists.Merge(sub)
-	c.pending--
-	if c.pending == 0 {
-		c.closed = true
-		return true
+	if c.lists == nil {
+		c.lists = sub
+	} else if sub != nil {
+		c.lists.Merge(sub)
 	}
-	return false
+	return c.replied()
 }
-
-// Expire closes a still-open epoch with partial data, returning how
-// many children never replied; (0, false) if already closed.
-func (c *VSACollect) Expire() (timedOut int, expired bool) {
-	if c.closed {
-		return 0, false
-	}
-	c.closed = true
-	return c.pending, true
-}
-
-// Done reports whether the epoch has closed.
-func (c *VSACollect) Done() bool { return c.closed }
 
 // Rendezvous runs core.PairList.Rendezvous, the §3.4 rendezvous rule,
 // on the closed epoch's list. It returns the emitted pairings; unpaired
@@ -166,5 +164,6 @@ func (c *VSACollect) Rendezvous(isRoot bool, threshold int, lmin float64) []core
 }
 
 // Lists returns the list of entries still held (after Rendezvous: the
-// unpaired remainder that flows to the parent).
+// unpaired remainder that flows to the parent); nil when neither the
+// inbox nor any child handed the epoch a list.
 func (c *VSACollect) Lists() *core.PairList { return c.lists }

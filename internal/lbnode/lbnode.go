@@ -27,7 +27,8 @@
 // through sim.Engine events (acks, retries, epoch timers, fault
 // injection are transport concerns), internal/cluster drives the same
 // machines over TCP with a WAL under the handoff, and core.Balancer runs
-// the same rules as a closed-form sequential fold. Because the machines
+// the same rules as a closed-form fold, one goroutine per root child
+// merged at the root in child order. Because the machines
 // are pure and single-threaded per node, a driver may call them from
 // any scheduling discipline; the lbvet layercheck analyzer enforces
 // that this package never imports sim, faults or par and never spawns

@@ -155,6 +155,62 @@ func TestVSACollectEpoch(t *testing.T) {
 	}
 }
 
+// TestVSACollectHoldsOnlyWhatArrives: a node with no deposits holds no
+// list of its own. It takes over the first child list that arrives,
+// merges later ones into it, and an epoch that never held an entry
+// reports a nil list that reads as empty and never pairs.
+func TestVSACollectHoldsOnlyWhatArrives(t *testing.T) {
+	heavy := &chord.Node{Index: 0, Alive: true}
+	light := &chord.Node{Index: 1, Alive: true}
+	first := &core.PairList{}
+	first.AddOffer(&chord.VServer{Owner: heavy, Load: 2}, heavy, 0)
+	col := lbnode.NewVSACollect(nil, 4)
+	if col.ChildReply(nil) {
+		t.Fatal("first of four replies completed the epoch")
+	}
+	if col.Lists() != nil {
+		t.Fatal("an empty child reply gave the epoch a list")
+	}
+	col.ChildReply(first)
+	if col.Lists() != first {
+		t.Fatal("the first child list was copied, not taken over")
+	}
+	second := &core.PairList{}
+	second.AddLight(3, light, 0)
+	col.ChildReply(second)
+	if !col.ChildReply(nil) {
+		t.Fatal("last reply did not complete the epoch")
+	}
+	if held := col.Lists(); held != first || held.Size() != 2 || held.Offers() != 1 || held.OfferLoad() != 2 {
+		t.Fatalf("after a second reply the epoch holds %d entries in %p, want 2 in %p", held.Size(), held, first)
+	}
+	if pairs := col.Rendezvous(true, 0, 0.1); len(pairs) != 1 || pairs[0].From != heavy || pairs[0].To != light {
+		t.Fatalf("the root paired %v, want the offer moved heavy → light", pairs)
+	}
+	if col.Lists().Size() != 1 {
+		t.Fatalf("after pairing the epoch holds %d entries, want the residual deficit", col.Lists().Size())
+	}
+
+	empty := lbnode.NewVSACollect(nil, 2)
+	empty.ChildReply(nil)
+	if !empty.ChildReply(nil) {
+		t.Fatal("last empty reply did not complete the epoch")
+	}
+	left := empty.Lists()
+	if left != nil {
+		t.Fatalf("an epoch that held nothing reports %d entries", left.Size())
+	}
+	if left.Size() != 0 || left.Offers() != 0 || left.OfferLoad() != 0 {
+		t.Fatal("a nil list does not read as empty")
+	}
+	if lights, offers := left.Entries(); lights != nil || offers != nil {
+		t.Fatal("a nil list has entries")
+	}
+	if pairs := empty.Rendezvous(true, 0, 0.1); pairs != nil {
+		t.Fatal("empty root epoch paired")
+	}
+}
+
 func TestRosterClassifiesOnce(t *testing.T) {
 	global := lbi(10, 50, 50) // L=100 C=10 Lmin=50
 	n := &chord.Node{Alive: true, Capacity: 1}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,4 +138,41 @@ func BenchmarkLosslessRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/round")
+}
+
+// TestLosslessRoundAllocations pins what one sequential lossless round
+// allocates at BenchmarkLosslessRound's shape. The collect walk keeps
+// each phase's machine in its own slab, a VSA collector holds a list
+// only once it has entries, and an LBI collector keeps its replies and
+// their arrival flags in one slice: about 66k allocations a round. The
+// bound sits between that and the 137k the round took when each phase
+// had its own walk and every collector allocated a list.
+func TestLosslessRoundAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	const maxAllocs = 100_000
+	ring, tree := forkFixture(1, 2048, 2)
+	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roundErr error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sequentially(func() {
+		if err := r.StartRound(func(_ *Result, err error) { roundErr = err }); err != nil {
+			t.Fatal(err)
+		}
+		ring.Engine().Run()
+	})
+	runtime.ReadMemStats(&after)
+	if roundErr != nil {
+		t.Fatal(roundErr)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("one round: %d allocations, %.1f MB", allocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+	if allocs >= maxAllocs {
+		t.Fatalf("one lossless round made %d allocations, want fewer than %d", allocs, maxAllocs)
+	}
 }

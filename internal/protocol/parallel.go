@@ -56,19 +56,21 @@
 // corrupting the shared stream.
 //
 // The root drives the phase exactly like the sequential walk: it sends
-// the real MsgCollectDown/MsgVSADown messages on its own engine, and
-// each child's down-arrival joins that child's worker, replaying the
-// subtree's externally visible effects at their offsets from the
-// phase's start on the worker:
+// the phase's real pulls (MsgCollectDown or MsgVSADown) on its own
+// engine, and each child's down-arrival runs the one join for either
+// phase. The join replays the subtree's externally visible effects at
+// their offsets from the phase's start on the worker:
 //
-//   - the child's reply (MsgReportUp/MsgVSAUp) is sent at the child's
-//     completion time;
-//   - rendezvous pairings emitted inside the subtree are re-run on the
-//     root engine at their emission times (handoffs mutate the shared
-//     ring, so they must execute under the root's clock);
 //   - the worker's executed events, message tallies and drops fold into
 //     the root engine and its filter (sim.Engine.Absorb) and its failure
-//     counters into the round's result.
+//     counters into the round's result;
+//   - rendezvous pairings emitted inside the subtree are re-run on the
+//     root engine at their emission times (handoffs mutate the shared
+//     ring, so they must execute under the root's clock); an LBI phase
+//     replays none, since it emits none and every phase starts its
+//     workers with an empty record;
+//   - the child's reply (MsgReportUp or MsgVSAUp) is sent at the child's
+//     completion time.
 //
 // Equivalence with the sequential walk: on a lossless engine the global
 // tuple, the census, the message tallies, the transfer sequence and
@@ -128,12 +130,11 @@ type subWorker struct {
 	eng   *sim.Engine
 	sub   *round
 	res   Result
-	start sim.Time       // the current phase's start on eng
-	ok    bool           // the child completed its epoch (false: dead subtree, never replies)
-	dur   sim.Time       // the child's completion, from start
-	agg   core.LBI       // LBI phase result
-	left  *core.PairList // VSA phase result: the unpaired remainder
-	pairs []timedPair    // VSA phase: deferred rendezvous pairings
+	start sim.Time    // the current phase's start on eng
+	ok    bool        // the child completed its epoch (false: dead subtree, never replies)
+	dur   sim.Time    // the child's completion, from start
+	out   reply       // the child's reply
+	pairs []timedPair // deferred rendezvous pairings (none in the LBI phase)
 }
 
 // deriveSeed mixes a per-child worker seed out of the root engine's
@@ -158,38 +159,28 @@ func (rd *round) newWorker(seed int64, filter sim.MessageFilter) *subWorker {
 		maxRetries: rd.maxRetries,
 		res:        &w.res,
 		worker:     w,
-		lbiFork:    forkOff,
-		vsaFork:    forkOff,
+		fork:       [2]forkState{forkOff, forkOff},
 	}
-	w.sub.onLBIRoot = w.lbiDone
+	w.sub.onRoot = w.done
 	w.sub.collectAck.rd = w.sub
 	return w
 }
 
-func (w *subWorker) lbiDone(agg core.LBI) {
-	w.ok, w.agg, w.dur = true, agg, w.eng.Now()-w.start
+func (w *subWorker) done(out reply) {
+	w.ok, w.out, w.dur = true, out, w.eng.Now()-w.start
 }
 
-func (w *subWorker) vsaDone(left *core.PairList) {
-	w.ok, w.left, w.dur = true, left, w.eng.Now()-w.start
-}
-
-func startLBIWorker(w *subWorker, c *ktree.Node) { w.sub.startLBI(c, nil) }
-
-func startVSAWorker(w *subWorker, c *ktree.Node) { w.sub.startVSANode(c, false, nil, w.vsaDone) }
-
-// forked reports whether a collect phase, whose decision is *state,
-// runs on the workers; root is the walk's root and start begins one
-// child's epoch on its worker. The phase's first root-child
-// down-arrival decides, and a fork runs every child's phase to
-// completion before it returns.
-func (rd *round) forked(state *forkState, root *ktree.Node, start func(*subWorker, *ktree.Node)) bool {
+// forked reports whether collect phase ph runs on the workers; root is
+// the walk's root. The phase's first root-child down-arrival decides,
+// and a fork runs every child's phase to completion before it returns.
+func (rd *round) forked(ph phase, root *ktree.Node) bool {
+	state := &rd.fork[ph]
 	if *state == forkUndecided {
 		*state = forkOff
 		if rd.lookaheadSafe() && rd.makeWorkers(len(root.Children)) {
 			*state = forkOn
 			rd.r.forks++
-			rd.runWorkers(root, start)
+			rd.runWorkers(ph, root)
 		}
 	}
 	return *state == forkOn
@@ -231,9 +222,9 @@ func (rd *round) makeWorkers(children int) bool {
 	return true
 }
 
-// runWorkers simulates every root child's phase on its worker, in
+// runWorkers simulates every root child's phase ph on its worker, in
 // parallel, and waits for all of them.
-func (rd *round) runWorkers(root *ktree.Node, start func(*subWorker, *ktree.Node)) {
+func (rd *round) runWorkers(ph phase, root *ktree.Node) {
 	var wg sync.WaitGroup
 	for ci, c := range root.Children {
 		w := rd.workers[ci]
@@ -242,7 +233,7 @@ func (rd *round) runWorkers(root *ktree.Node, start func(*subWorker, *ktree.Node
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			start(w, c)
+			w.sub.startCollect(ph, c, nil)
 			w.eng.Run()
 		}()
 	}
@@ -262,28 +253,16 @@ func (rd *round) absorb(ci int) *subWorker {
 	return w
 }
 
-// joinLBI runs at a forked child's down-arrival: the reply leaves at
-// the child's completion offset. A dead subtree still acks the pull (as
-// in the sequential walk, where aliveness gates the walk, not the
-// transport) and simply never replies, leaving the root's epoch timer
-// to expire.
-func (rd *round) joinLBI(e *lbiEdge) {
+// join runs at a forked child's down-arrival on edge e. The subtree's
+// pairings replay at their emission offsets, and its reply leaves at
+// the child's completion offset. Pairings are scheduled before the
+// reply so that a pairing and the reply landing on the same instant
+// keep their worker-side emission order. A dead subtree still acks the
+// pull (as in the sequential walk, where aliveness gates the walk, not
+// the transport) and simply never replies, leaving the root's epoch
+// timer to expire.
+func (rd *round) join(e *colEdge) {
 	w := rd.absorb(e.ci)
-	if !w.ok {
-		return
-	}
-	agg := w.agg
-	rd.schedule(w.dur, func() {
-		rd.own--
-		rd.lbiComplete(e, agg)
-	})
-}
-
-// joinVSA is joinLBI plus the deferred-pairing replay. Pairings are
-// scheduled before the reply so that a pairing and the reply landing on
-// the same instant keep their worker-side emission order.
-func (rd *round) joinVSA(e *vsaEdge) {
-	w := rd.absorb(childIndex(e.nd.n, e.c))
 	if !w.ok {
 		return
 	}
@@ -293,20 +272,9 @@ func (rd *round) joinVSA(e *vsaEdge) {
 			rd.emitPair(tp.n, tp.p)
 		})
 	}
-	left := w.left
+	out := w.out
 	rd.schedule(w.dur, func() {
 		rd.own--
-		e.sub = left
-		rd.walkSend(MsgVSAUp, e.c, e.chi, e.nd.ni, e.edge, &e.up, &e.up)
+		rd.sendUp(e, out)
 	})
-}
-
-// childIndex returns c's position among n's children.
-func childIndex(n, c *ktree.Node) int {
-	for i, x := range n.Children {
-		if x == c {
-			return i
-		}
-	}
-	panic("protocol: joined a node that is not a root child")
 }

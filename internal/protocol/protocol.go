@@ -242,17 +242,18 @@ type round struct {
 	vsaDone              bool
 	finished             bool
 
-	// Chunked slabs for the tree-walk objects (lbiNode, lbiEdge, …):
-	// the walks allocate one object per live tree node/edge per phase,
-	// and a slab turns those into one heap allocation per slabChunk
-	// objects. The backing arrays die with the round.
-	lbiNodes  []lbiNode
-	lbiEdges  []lbiEdge
-	vsaNodes  []vsaNode
-	vsaEdges  []vsaEdge
+	// Chunked slabs for the tree-walk objects (colNode, colEdge, …) and
+	// each phase's machines: the walks allocate one object per live tree
+	// node/edge per phase, and a slab turns those into one heap
+	// allocation per slabChunk objects. The backing arrays die with the
+	// round.
+	colNodes  []colNode
+	colEdges  []colEdge
+	lbiCols   []lbnode.LBICollect
+	vsaCols   []lbnode.VSACollect
 	dispEdges []dispEdge
 
-	onLBIRoot  func(core.LBI)
+	onRoot     func(reply) // the current collect phase's continuation
 	collectAck inertAck
 
 	// Subtree forking (parallel.go). On the round itself: each collect
@@ -260,9 +261,9 @@ type round struct {
 	// round's first fork. On a worker's sub-round, worker is set —
 	// emitPair records instead of executing — and both phases are
 	// forkOff.
-	lbiFork, vsaFork forkState
-	workers          []*subWorker
-	worker           *subWorker
+	fork    [2]forkState // by phase
+	workers []*subWorker
+	worker  *subWorker
 
 	res    *Result
 	finish func(*Result, error)
@@ -397,6 +398,10 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 			// timeouts, aborts and retransmissions all mean stale epoch
 			// events or late copies may still reference the maps.
 			if err == nil && res.TimedOutChildren == 0 && res.AbortedTransfers == 0 && res.Retries == 0 {
+				// The sweep merged each subtree's entries into lists its
+				// leaves' inboxes still point at; let them go now rather
+				// than at the next round.
+				clear(sc.vsaInbox)
 				r.scratch = sc
 			}
 			r.recordRound(res, err)
@@ -426,7 +431,8 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 			rd.lbiInbox[leaf] = append(rd.lbiInbox[leaf], core.NodeLBI(n))
 		}
 	}
-	rd.collectLBI(r.tree.Root(), func(global core.LBI) {
+	rd.collect(phaseLBI, func(out reply) {
+		global := out.agg
 		if !global.Valid() {
 			rd.done(nil, fmt.Errorf("protocol: no node reported LBI"))
 			return
@@ -465,13 +471,6 @@ func (r *Runner) recordRound(res *Result, err error) {
 	reg.Counter("protocol.pairs.assigned").Add(int64(len(res.Assignments)))
 	reg.Counter("protocol.pairs.unassigned").Add(int64(res.UnassignedOffers))
 	reg.Float("protocol.moved_load").Add(res.MovedLoad)
-}
-
-// alive reports whether the KT node is currently operational (its
-// hosting virtual server's owner is alive). Crashed hosts silently drop
-// epoch messages; Repair replants them between rounds.
-func (rd *round) alive(n *ktree.Node) bool {
-	return n.Host.Owner.Alive
 }
 
 // epochWindow returns how long the KT node n waits for its children's
@@ -810,53 +809,87 @@ type inertAck struct{ rd *round }
 
 func (a *inertAck) RunEvent() { a.rd.own-- }
 
-// collectLBI pulls <L, C, Lmin> from n's subtree, driving one
-// lbnode.LBICollect epoch per node: leaves answer from their inbox;
-// internal nodes query children, merge replies through the machine, and
-// give up on silent children after the timeout. cb receives the root
-// aggregate; the walk itself runs on slab-pooled lbiNode/lbiEdge
-// objects, one per live tree node and edge, so an epoch costs no
-// per-message closures. The root's child subtrees may run forked (see
-// parallel.go).
-func (rd *round) collectLBI(n *ktree.Node, cb func(core.LBI)) {
-	rd.onLBIRoot = cb
-	rd.startLBI(n, nil)
+// phase names one of the round's two collect converge-casts, the LBI
+// aggregation (§3.2) and the VSA sweep (§3.4). Both are the same
+// bottom-up pull over the KT tree; the phase picks the lbnode machine a
+// node opens over which inbox, what its reply carries and the message
+// kinds.
+type phase uint8
+
+const (
+	phaseLBI phase = iota
+	phaseVSA
+)
+
+// walkKinds are each phase's message kinds: the pull, the reply and
+// their acks.
+var walkKinds = [...]struct{ pull, pullAck, reply, replyAck string }{
+	phaseLBI: {MsgCollectDown, MsgCollectDown + MsgAckSuffix, MsgReportUp, MsgReportUp + MsgAckSuffix},
+	phaseVSA: {MsgVSADown, MsgVSADown + MsgAckSuffix, MsgVSAUp, MsgVSAUp + MsgAckSuffix},
 }
 
-// lbiNode drives one internal node's LBI epoch: the collect machine,
-// the epoch timer, and the link to the parent edge the aggregate
-// reports through (nil at the root).
-type lbiNode struct {
+// reply is what a closed epoch sends up its parent edge: the subtree's
+// LBI aggregate, or the VSA entries it left unpaired.
+type reply struct {
+	agg  core.LBI
+	list *core.PairList
+}
+
+// collector is what the walk asks of either phase's machine
+// (lbnode.LBICollect, lbnode.VSACollect) without telling them apart.
+type collector interface {
+	Expire() (timedOut int, expired bool)
+}
+
+// collect runs phase ph's converge-cast from the tree's root, one
+// lbnode epoch per node: leaves answer from their inbox; internal nodes
+// pull their children, feed the replies to their machine, and give up
+// on silent children after the timeout. cb receives the root's reply.
+// The walk runs on slab-pooled colNode/colEdge objects, one per live
+// tree node and edge, so an epoch costs no per-message closures. The
+// root's child subtrees may run forked (see parallel.go).
+func (rd *round) collect(ph phase, cb func(reply)) {
+	rd.onRoot = cb
+	rd.startCollect(ph, rd.r.tree.Root(), nil)
+}
+
+// colNode drives one internal node's epoch: the phase's machine, the
+// epoch timer, and the parent edge its reply leaves on (nil at the
+// walk's root).
+type colNode struct {
 	rd       *round
 	n        *ktree.Node
 	ni       int
-	col      lbnode.LBICollect
-	parent   *lbiEdge
+	ph       phase
+	col      collector
+	parent   *colEdge
 	expire   sim.Timer
-	expireEv lbiExpire
+	expireEv colExpire
 }
 
-// lbiEdge is one parent→child link of the epoch: the target of the
-// downward pull, the buffer for the child subtree's aggregate, and the
-// two reliable-exchange handler roles (pull arriving at the child,
-// report arriving back at the parent) as embedded adapters.
-type lbiEdge struct {
-	nd   *lbiNode // parent's machine
+// colEdge is one parent→child link of an epoch: the target of the
+// downward pull, the buffer for the child subtree's reply, and the two
+// reliable-exchange handler roles (pull arriving at the child, reply
+// arriving back at the parent) as embedded adapters.
+type colEdge struct {
+	nd   *colNode // parent's
 	c    *ktree.Node
 	ci   int
 	chi  int
 	edge sim.Time
-	sub  core.LBI
-	down lbiDown
-	up   lbiUp
+	sub  reply
+	down colDown
+	up   colUp
 }
 
-// startLBI begins n's epoch; parent is the edge the subtree aggregate
-// reports through, nil at the root. A leaf (or a childless machine)
-// completes synchronously on the caller's stack — no walk objects.
+// startCollect begins n's epoch of phase ph; parent is the edge its
+// reply leaves on, nil at the walk's root. A childless node completes
+// synchronously on the caller's stack — no walk objects. An internal
+// node's machine moves into its phase's slab, so neither phase's walk
+// objects carry the other's machine.
 //
 //lbvet:hotpath
-func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
+func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
 	// One chase through Host.Owner serves the aliveness check and the
 	// endpoint index; the parent's edge already resolved ours.
 	owner := n.Host.Owner
@@ -867,111 +900,153 @@ func (rd *round) startLBI(n *ktree.Node, parent *lbiEdge) {
 	if parent != nil {
 		ni = parent.chi
 	}
-	col := lbnode.MakeLBICollect(rd.lbiInbox[n], len(n.Children))
-	if col.Done() {
-		rd.lbiComplete(parent, col.Aggregate())
-		return
+	k := len(n.Children)
+	var col collector
+	if ph == phaseLBI {
+		m := lbnode.MakeLBICollect(rd.lbiInbox[n], k)
+		if k == 0 {
+			rd.report(n, &m, parent)
+			return
+		}
+		p := slabAlloc(&rd.lbiCols)
+		*p = m
+		col = p
+	} else {
+		m := lbnode.MakeVSACollect(rd.vsaInbox[n], k)
+		if k == 0 {
+			rd.report(n, &m, parent)
+			return
+		}
+		p := slabAlloc(&rd.vsaCols)
+		*p = m
+		col = p
 	}
-	nd := slabAlloc(&rd.lbiNodes)
-	nd.rd, nd.n, nd.ni, nd.col, nd.parent = rd, n, ni, col, parent
+	nd := slabAlloc(&rd.colNodes)
+	nd.rd, nd.n, nd.ni, nd.ph, nd.col, nd.parent = rd, n, ni, ph, col, parent
 	nd.expireEv.nd = nd
 	for ci, c := range n.Children {
-		e := slabAlloc(&rd.lbiEdges)
+		e := slabAlloc(&rd.colEdges)
 		e.nd, e.c, e.ci, e.chi = nd, c, ci, hostIdx(c)
 		e.edge = rd.r.tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
 		// Under a filter both directions are acked and retransmitted: a
 		// lost pull would silence the child's whole subtree, compounding
 		// per level, so the epoch timeout is reserved for genuinely dead
-		// subtrees. The reply merges exactly once (receiver dedup).
-		rd.walkSend(MsgCollectDown, c, ni, e.chi, e.edge, &e.down, &e.down)
+		// subtrees. The reply is fed exactly once (receiver dedup).
+		rd.walkSend(walkKinds[ph].pull, c, ni, e.chi, e.edge, &e.down, &e.down)
 	}
 	// The epoch timer is canceled the moment the last child replies —
 	// on a healthy tree no epoch timer ever fires.
 	nd.expire = rd.after(rd.epochWindow(n), &nd.expireEv)
 }
 
-// lbiComplete routes a finished subtree's aggregate: up the parent
-// edge, or into the round's continuation at the root.
+// report routes n's closed epoch: up the parent edge, or into the
+// round's continuation at the walk's root. An LBI epoch reports its
+// aggregate. A VSA epoch first pairs what it can as a rendezvous point
+// (threshold reached, or the tree's root) and reports the unpaired rest.
 //
 //lbvet:hotpath
-func (rd *round) lbiComplete(parent *lbiEdge, agg core.LBI) {
-	if parent != nil {
-		parent.sub = agg
-		rd.walkSend(MsgReportUp, parent.c, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
+func (rd *round) report(n *ktree.Node, col collector, parent *colEdge) {
+	var out reply
+	switch m := col.(type) {
+	case *lbnode.LBICollect:
+		out.agg = m.Aggregate()
+	case *lbnode.VSACollect:
+		for _, p := range m.Rendezvous(n.Parent == nil, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
+			rd.emitPair(n, p)
+		}
+		out.list = m.Lists()
+	}
+	if parent == nil {
+		rd.onRoot(out)
 		return
 	}
-	rd.onLBIRoot(agg)
+	rd.sendUp(parent, out)
 }
 
-type lbiDown struct{ e *lbiEdge }
+// sendUp sends a subtree's reply up edge e to the parent.
+//
+//lbvet:hotpath
+func (rd *round) sendUp(e *colEdge, out reply) {
+	e.sub = out
+	rd.walkSend(walkKinds[e.nd.ph].reply, e.c, e.chi, e.nd.ni, e.edge, &e.up, &e.up)
+}
+
+type colDown struct{ e *colEdge }
 
 // HandleMsg: the downward pull reached the child — start its epoch, or
 // at a root child of a forked phase, replay its worker's.
 //
 //lbvet:hotpath
-func (d *lbiDown) HandleMsg() bool {
+func (d *colDown) HandleMsg() bool {
 	e := d.e
-	rd := e.nd.rd
-	if e.nd.parent == nil && rd.forked(&rd.lbiFork, e.nd.n, startLBIWorker) {
-		rd.joinLBI(e)
+	nd := e.nd
+	if nd.parent == nil && nd.rd.forked(nd.ph, nd.n) {
+		nd.rd.join(e)
 		return true
 	}
-	rd.startLBI(e.c, e)
+	nd.rd.startCollect(nd.ph, e.c, e)
 	return true
 }
 
-func (d *lbiDown) SettleMsg(bool) {}
+func (d *colDown) SettleMsg(bool) {}
 
 // RunEvent is the pull's arrival on a lossless engine (see walkSend).
 //
 //lbvet:hotpath
-func (d *lbiDown) RunEvent() {
+func (d *colDown) RunEvent() {
 	e := d.e
 	rd := e.nd.rd
-	rd.walkArrive(d, MsgCollectDown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &rd.collectAck)
+	rd.walkArrive(d, walkKinds[e.nd.ph].pullAck, e.chi, e.nd.ni, e.edge, &rd.collectAck)
 }
 
-type lbiUp struct{ e *lbiEdge }
+type colUp struct{ e *colEdge }
 
-// HandleMsg: the child subtree's aggregate reached the parent. A reply
+// HandleMsg: the child subtree's reply reached the parent. A reply
 // after the epoch closed is absorbed by the machine — still acked so
-// the child stops resending. Replies are buffered under their child
-// index, so the fold order (and the global's float bits) is the same
-// no matter when each subtree answers.
+// the child stops resending. LBI replies are buffered under their child
+// index, so the fold order (and the global's float bits) is the same no
+// matter when each subtree answers.
 //
 //lbvet:hotpath
-func (u *lbiUp) HandleMsg() bool {
+func (u *colUp) HandleMsg() bool {
 	e := u.e
 	nd := e.nd
-	if nd.col.ChildReply(e.ci, e.sub) {
+	var done bool
+	switch m := nd.col.(type) {
+	case *lbnode.LBICollect:
+		done = m.ChildReply(e.ci, e.sub.agg)
+	case *lbnode.VSACollect:
+		done = m.ChildReply(e.sub.list)
+	}
+	if done {
 		nd.rd.cancel(nd.expire)
-		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
+		nd.rd.report(nd.n, nd.col, nd.parent)
 	}
 	return true
 }
 
-func (u *lbiUp) SettleMsg(bool) {}
+func (u *colUp) SettleMsg(bool) {}
 
 // RunEvent is the reply's arrival on a lossless engine (see walkSend).
 //
 //lbvet:hotpath
-func (u *lbiUp) RunEvent() {
+func (u *colUp) RunEvent() {
 	e := u.e
 	rd := e.nd.rd
-	rd.walkArrive(u, MsgReportUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &rd.collectAck)
+	rd.walkArrive(u, walkKinds[e.nd.ph].replyAck, e.nd.ni, e.chi, e.edge, &rd.collectAck)
 }
 
-// lbiExpire fires the epoch timeout: give up on the silent children
+// colExpire fires the epoch timeout: give up on the silent children
 // and report what arrived.
-type lbiExpire struct{ nd *lbiNode }
+type colExpire struct{ nd *colNode }
 
-func (x *lbiExpire) RunEvent() {
+func (x *colExpire) RunEvent() {
 	nd := x.nd
 	nd.rd.own--
 	if timedOut, expired := nd.col.Expire(); expired {
 		nd.rd.res.TimedOutChildren += timedOut
-		nd.rd.lbiComplete(nd.parent, nd.col.Aggregate())
+		nd.rd.report(nd.n, nd.col, nd.parent)
 	}
 }
 
@@ -1136,161 +1211,13 @@ func (rd *round) publishDone() {
 // startVSA runs the VSA converge-cast from the root.
 func (rd *round) startVSA() {
 	rd.res.HeavyBefore, rd.res.LightBefore, rd.res.NeutralBefore = rd.roster.Census()
-
-	rd.collectVSA(rd.r.tree.Root(), true, func(left *core.PairList) {
+	rd.collect(phaseVSA, func(out reply) {
 		rd.res.TimeVSAComplete = rd.r.eng.Now() - rd.start
-		rd.res.UnassignedOffers = left.Offers()
-		rd.res.UnassignedLoad = left.OfferLoad()
+		rd.res.UnassignedOffers = out.list.Offers()
+		rd.res.UnassignedLoad = out.list.OfferLoad()
 		rd.vsaDone = true
 		rd.maybeFinish()
 	})
-}
-
-// collectVSA is the bottom-up VSA sweep, one lbnode.VSACollect epoch
-// per node: children reply with their unpaired lists; rendezvous points
-// (threshold reached, or the root) pair and notify, and everything
-// unpaired flows upward. The root's child subtrees may run forked (see
-// parallel.go).
-func (rd *round) collectVSA(n *ktree.Node, isRoot bool, cb func(*core.PairList)) {
-	rd.startVSANode(n, isRoot, nil, cb)
-}
-
-// vsaNode drives one internal node's VSA epoch — the mirror of lbiNode
-// with a pair list flowing up instead of an LBI tuple, and a
-// rendezvous step on completion.
-type vsaNode struct {
-	rd       *round
-	n        *ktree.Node
-	ni       int
-	isRoot   bool
-	col      lbnode.VSACollect
-	parent   *vsaEdge
-	rootCb   func(*core.PairList) // only at the root
-	expire   sim.Timer
-	expireEv vsaExpire
-}
-
-// vsaEdge is one parent→child link of the VSA epoch.
-type vsaEdge struct {
-	nd   *vsaNode
-	c    *ktree.Node
-	chi  int
-	edge sim.Time
-	sub  *core.PairList
-	down vsaDown
-	up   vsaUp
-}
-
-// startVSANode begins n's epoch; exactly one of parent (interior) and
-// cb (root) is set. Leaves complete synchronously on the caller's
-// stack.
-//
-//lbvet:hotpath
-func (rd *round) startVSANode(n *ktree.Node, isRoot bool, parent *vsaEdge, cb func(*core.PairList)) {
-	owner := n.Host.Owner
-	if !owner.Alive {
-		return
-	}
-	ni := owner.Index
-	if parent != nil {
-		ni = parent.chi
-	}
-	col := lbnode.MakeVSACollect(rd.vsaInbox[n], len(n.Children))
-	if col.Done() {
-		rd.finishVSA(n, isRoot, &col, parent, cb)
-		return
-	}
-	nd := slabAlloc(&rd.vsaNodes)
-	nd.rd, nd.n, nd.ni, nd.isRoot, nd.col = rd, n, ni, isRoot, col
-	nd.parent, nd.rootCb = parent, cb
-	nd.expireEv.nd = nd
-	for _, c := range n.Children {
-		e := slabAlloc(&rd.vsaEdges)
-		e.nd, e.c, e.chi = nd, c, hostIdx(c)
-		e.edge = rd.r.tree.EdgeLatency(c)
-		e.down.e, e.up.e = e, e
-		rd.walkSend(MsgVSADown, c, ni, e.chi, e.edge, &e.down, &e.down)
-	}
-	// As in collectLBI: the last reply revokes the epoch timer.
-	nd.expire = rd.after(rd.epochWindow(n), &nd.expireEv)
-}
-
-// finishVSA closes n's epoch: rendezvous-pair what this subtree can,
-// then flow the unpaired remainder up the parent edge (or into the
-// round's continuation at the root).
-//
-//lbvet:hotpath
-func (rd *round) finishVSA(n *ktree.Node, isRoot bool, col *lbnode.VSACollect, parent *vsaEdge, cb func(*core.PairList)) {
-	for _, p := range col.Rendezvous(isRoot, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
-		rd.emitPair(n, p)
-	}
-	left := col.Lists()
-	if parent != nil {
-		parent.sub = left
-		rd.walkSend(MsgVSAUp, parent.c, parent.chi, parent.nd.ni, parent.edge, &parent.up, &parent.up)
-		return
-	}
-	cb(left)
-}
-
-type vsaDown struct{ e *vsaEdge }
-
-//lbvet:hotpath
-func (d *vsaDown) HandleMsg() bool {
-	e := d.e
-	rd := e.nd.rd
-	if e.nd.parent == nil && rd.forked(&rd.vsaFork, e.nd.n, startVSAWorker) {
-		rd.joinVSA(e)
-		return true
-	}
-	rd.startVSANode(e.c, false, e, nil)
-	return true
-}
-
-func (d *vsaDown) SettleMsg(bool) {}
-
-// RunEvent is the pull's arrival on a lossless engine (see walkSend).
-//
-//lbvet:hotpath
-func (d *vsaDown) RunEvent() {
-	e := d.e
-	rd := e.nd.rd
-	rd.walkArrive(d, MsgVSADown+MsgAckSuffix, e.chi, e.nd.ni, e.edge, &rd.collectAck)
-}
-
-type vsaUp struct{ e *vsaEdge }
-
-//lbvet:hotpath
-func (u *vsaUp) HandleMsg() bool {
-	e := u.e
-	nd := e.nd
-	if nd.col.ChildReply(e.sub) {
-		nd.rd.cancel(nd.expire)
-		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
-	}
-	return true
-}
-
-func (u *vsaUp) SettleMsg(bool) {}
-
-// RunEvent is the reply's arrival on a lossless engine (see walkSend).
-//
-//lbvet:hotpath
-func (u *vsaUp) RunEvent() {
-	e := u.e
-	rd := e.nd.rd
-	rd.walkArrive(u, MsgVSAUp+MsgAckSuffix, e.nd.ni, e.chi, e.edge, &rd.collectAck)
-}
-
-type vsaExpire struct{ nd *vsaNode }
-
-func (x *vsaExpire) RunEvent() {
-	nd := x.nd
-	nd.rd.own--
-	if timedOut, expired := nd.col.Expire(); expired {
-		nd.rd.res.TimedOutChildren += timedOut
-		nd.rd.finishVSA(nd.n, nd.isRoot, &nd.col, nd.parent, nd.rootCb)
-	}
 }
 
 // emitPair sends the pairing to both endpoints and starts the two-phase
