@@ -93,7 +93,10 @@ go test ./...
 echo "== go test -bench (one iteration each)"
 # Benchmarks are compiled and run by nothing above; one iteration each
 # makes a benchmark that no longer builds or panics fail here.
-go test -run '^$' -bench 'RoutedLookup|ExactSubset|Step|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/sim ./internal/protocol
+# Every sim benchmark runs: each drives one scheduling path of the
+# event queue.
+go test -run '^$' -bench 'RoutedLookup|ExactSubset|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/protocol
+go test -run '^$' -bench . -benchtime=1x ./internal/sim
 
 race_legs
 
@@ -105,7 +108,7 @@ go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=5s ./internal/wire/
 go test -run '^$' -fuzz '^FuzzHandshake$' -fuzztime=5s ./internal/wire/
 
 echo "== go test -fuzz (event queue against a reference heap, 5 s)"
-# Byte scripts of schedule/After/Cancel/Step/RunUntil, mutated from the
+# Byte scripts of schedule/AfterEv/Cancel/Step/RunUntil, mutated from the
 # seed corpus in internal/sim/testdata/fuzz: the timer wheel's chunked
 # buckets must fire in the reference heap's (at, seq) order.
 go test -run '^$' -fuzz '^FuzzQueueVsReference$' -fuzztime=5s ./internal/sim/

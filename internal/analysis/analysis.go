@@ -453,6 +453,16 @@ func methodOnType(fn *types.Func, recvPkgSuffix, recvType string) bool {
 	return isPkgType(rt, recvPkgSuffix, recvType)
 }
 
+// engineSinks are the sim.Engine methods that enqueue events: every
+// event a simulation schedules goes through one of them.
+var engineSinks = map[string]bool{"ScheduleEv": true, "AfterEv": true, "DeliverEv": true, "Every": true}
+
+// isEngineSink reports whether fn is a sim.Engine method that enqueues
+// events, where argument and call order become same-tick firing order.
+func isEngineSink(fn *types.Func) bool {
+	return fn != nil && engineSinks[fn.Name()] && methodOnType(fn, "internal/sim", "Engine")
+}
+
 // rootIdent walks to the leftmost identifier of a selector/index/paren
 // chain (v, v.f, v.f[i].g → v). It returns nil when the chain is rooted
 // in something else (call result, literal).

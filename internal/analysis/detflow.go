@@ -129,9 +129,7 @@ func detflowCheckCall(pass *Pass, call *ast.CallExpr, state taintState) {
 	}
 	var what string
 	switch {
-	case methodOn(fn, "internal/sim", "Engine", "Schedule"),
-		methodOn(fn, "internal/sim", "Engine", "Every"),
-		methodOn(fn, "internal/sim", "Engine", "Deliver"):
+	case isEngineSink(fn):
 		what = "sim.Engine." + fn.Name()
 	case fn.Pkg() != nil && hasPathSuffix(fn.Pkg().Path(), "internal/metrics"):
 		what = "metrics call " + fn.Name()

@@ -101,7 +101,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, stack []ast.Node) {
 			checkMapRangeAssign(pass, rng, fn, x)
 		case *ast.CallExpr:
 			cf := calleeFunc(pass.Info, x)
-			if methodOn(cf, "internal/sim", "Engine", "Schedule") || methodOn(cf, "internal/sim", "Engine", "Every") {
+			if isEngineSink(cf) {
 				pass.Reportf(x.Pos(), "%s inside `range` over a map schedules events in map-iteration order; iterate a sorted key slice instead", cf.Name())
 			}
 		}

@@ -36,7 +36,24 @@ func goodSendSorted(m map[string]int, ch chan []string) {
 func badSchedule(e *sim.Engine, m map[string]int) {
 	for _, v := range m {
 		d := v
-		e.Schedule(sim.Time(d), func() {}) // want "sim.Engine.Schedule"
+		e.ScheduleEv(sim.Time(d), sim.Func(func() {})) // want "sim.Engine.ScheduleEv"
+	}
+}
+
+// badDeliver sends one message per map entry, its cost taken from the
+// entry: copies of equal cost land on one tick in map order.
+func badDeliver(e *sim.Engine, m map[string]int, ev sim.Eventer) {
+	for _, v := range m {
+		cost := sim.Time(v)
+		e.DeliverEv("k", 0, 0, 1, cost, ev) // want "sim.Engine.DeliverEv"
+	}
+}
+
+// badAfter arms a timer per map entry with a map-derived timeout.
+func badAfter(e *sim.Engine, m map[string]int, ev sim.Eventer) {
+	for _, v := range m {
+		d := v
+		e.AfterEv(sim.Time(d), ev) // want "sim.Engine.AfterEv"
 	}
 }
 
@@ -48,7 +65,20 @@ func goodScheduleSorted(e *sim.Engine, m map[string]int) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		e.Schedule(sim.Time(m[k]), func() {})
+		e.ScheduleEv(sim.Time(m[k]), sim.Func(func() {}))
+	}
+}
+
+// goodDeliverSorted sends and arms timers in sorted key order.
+func goodDeliverSorted(e *sim.Engine, m map[string]int, ev sim.Eventer) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		e.DeliverEv("k", uint64(i), 0, 1, sim.Time(m[k]), ev)
+		e.AfterEv(sim.Time(m[k]), ev)
 	}
 }
 

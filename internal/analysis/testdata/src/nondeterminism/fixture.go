@@ -67,7 +67,14 @@ func goodIntSum(m map[string]int) int {
 // badSchedule enqueues engine events in map-iteration order.
 func badSchedule(eng *sim.Engine, m map[string]sim.Time) {
 	for _, d := range m {
-		eng.Schedule(d, func() {}) // want "map-iteration order"
+		eng.ScheduleEv(d, sim.Func(func() {})) // want "map-iteration order"
+	}
+}
+
+// badDeliver sends one message per entry in map-iteration order.
+func badDeliver(eng *sim.Engine, m map[string]sim.Time, ev sim.Eventer) {
+	for _, d := range m {
+		eng.DeliverEv("k", 0, 0, 1, d, ev) // want "map-iteration order"
 	}
 }
 

@@ -186,24 +186,24 @@ func TestCachedLookupEquivalenceUnderChurn(t *testing.T) {
 	}
 	for step := 0; step < steps; step++ {
 		at := sim.Time(step * 3)
-		eng.Schedule(at, func() { lookup(0) })
+		eng.ScheduleEv(at, sim.Func(func() { lookup(0) }))
 		// Transfers racing in-flight lookups (same tick, after issue).
 		if step%5 == 4 {
-			eng.Schedule(at, func() {
+			eng.ScheduleEv(at, sim.Func(func() {
 				vss := ring.VServers()
 				vs := vss[rng.Intn(len(vss))]
 				ring.Transfer(vs, ring.AliveNodes()[rng.Intn(len(ring.AliveNodes()))])
-			})
+			}))
 		}
 		// Churn: nodes leave and join between lookups.
 		if step%11 == 7 {
-			eng.Schedule(at+1, func() {
+			eng.ScheduleEv(at+1, sim.Func(func() {
 				nodes := ring.AliveNodes()
 				if len(nodes) > 8 {
 					ring.RemoveNode(nodes[rng.Intn(len(nodes))])
 				}
 				ring.AddNode(-1, 1+rng.Float64()*9, 4)
-			})
+			}))
 		}
 	}
 	for eng.Step() {

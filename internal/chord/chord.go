@@ -868,10 +868,6 @@ func (r *Ring) observeLookup(hops int, cost sim.Time) {
 	r.mLookupLat.Observe(int64(cost))
 }
 
-// LookupSync resolves the owner of key immediately without simulating
-// messages (setup and verification paths).
-func (r *Ring) LookupSync(key ident.ID) *VServer { return r.Successor(key) }
-
 // CheckInvariants verifies internal consistency (tests): ring order,
 // position indexes, owner back-links, that regions partition the
 // circle, and that live and free slots partition [0, NumSlots). It

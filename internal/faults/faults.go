@@ -1,5 +1,5 @@
 // Package faults is the deterministic fault-injection layer: it decides
-// the fate of every message the simulation offers to sim.Engine.Deliver
+// the fate of every message the simulation offers to sim.Engine.DeliverEv
 // — dropped, duplicated, delayed — and executes scheduled node
 // crash/restart plans and underlay partitions, all as a pure function of
 // (seed, Plan).
@@ -237,7 +237,7 @@ func (in *Injector) Attach(ring *chord.Ring) error {
 		if delay < 0 {
 			delay = 0
 		}
-		in.eng.Schedule(delay, func() { in.crash(c) })
+		in.eng.ScheduleEv(delay, sim.Func(func() { in.crash(c) }))
 	}
 	return nil
 }
@@ -363,9 +363,9 @@ func (in *Injector) crash(c Crash) {
 	if c.Restart == 0 {
 		return
 	}
-	in.eng.Schedule(c.Restart-c.At, func() {
+	in.eng.ScheduleEv(c.Restart-c.At, sim.Func(func() {
 		in.restart(underlay, capacity, numVS)
-	})
+	}))
 }
 
 // restart rejoins a crashed node's replacement: same underlay position

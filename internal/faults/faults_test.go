@@ -233,7 +233,7 @@ func TestEmptyPlanPassthrough(t *testing.T) {
 		var delivered int64
 		for i := 0; i < 50; i++ {
 			i := i
-			eng.Deliver("k", uint64(i), i%4, (i+1)%4, sim.Time(1+i%5), func() { delivered++ })
+			eng.DeliverEv("k", uint64(i), i%4, (i+1)%4, sim.Time(1+i%5), sim.Func(func() { delivered++ }))
 		}
 		eng.Run()
 		return eng, delivered
@@ -465,7 +465,7 @@ func TestInjectorPerTrialRace(t *testing.T) {
 				return
 			}
 			for i := 0; i < 200; i++ {
-				eng.Deliver("k", uint64(i), i%3, (i+1)%3, 2, func() {})
+				eng.DeliverEv("k", uint64(i), i%3, (i+1)%3, 2, sim.Func(func() {}))
 			}
 			eng.Run()
 		}()

@@ -320,7 +320,7 @@ func countedRounds(t *testing.T, plan faults.Plan, killRootAt int) (rounds, fail
 			// The root's host dies one tick into this round: the round
 			// fails by its deadline, and the next one starts on a tree
 			// its own Repair replanted.
-			eng.Schedule(1, func() { ring.RemoveNode(tree.Root().Host.Owner) })
+			eng.ScheduleEv(1, sim.Func(func() { ring.RemoveNode(tree.Root().Host.Owner) }))
 		}
 		return true
 	}

@@ -59,7 +59,7 @@ func TestScratchDroppedAfterUncleanRound(t *testing.T) {
 	if err := r.StartRound(func(res *Result, err error) { out = res }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Schedule(1, func() {
+	eng.ScheduleEv(1, sim.Func(func() {
 		alive := ring.AliveNodes()
 		for i := 0; i < 12; i++ {
 			victim := alive[len(alive)-1-i]
@@ -68,7 +68,7 @@ func TestScratchDroppedAfterUncleanRound(t *testing.T) {
 			}
 			ring.RemoveNode(victim)
 		}
-	})
+	}))
 	eng.Run()
 	if out == nil || out.TimedOutChildren == 0 {
 		t.Fatalf("crash round did not time out as intended: %+v", out)

@@ -91,12 +91,12 @@ func TestNoRepairWhileRoundInFlight(t *testing.T) {
 			alive := ring.AliveNodes()
 			ring.RemoveNode(alive[eng.Rand().Intn(len(alive))])
 			ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
-			eng.Schedule(3, func() {
+			eng.ScheduleEv(3, sim.Func(func() {
 				alive := ring.AliveNodes()
 				if v := alive[eng.Rand().Intn(len(alive))]; v != tree.Root().Host.Owner {
 					ring.RemoveNode(v)
 				}
-			})
+			}))
 			return true
 		}
 		start, dirty := guard(t, eng, r.StartRound)

@@ -47,7 +47,7 @@ func sequentialRound(t *testing.T, ring *chord.Ring, tree *ktree.Tree, cfg Confi
 			t.Fatal(err)
 		}
 		if crash > 0 {
-			ring.Engine().Schedule(1, func() { crashLast(ring, tree, crash) })
+			ring.Engine().ScheduleEv(1, sim.Func(func() { crashLast(ring, tree, crash) }))
 		}
 		ring.Engine().Run()
 	})

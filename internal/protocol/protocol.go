@@ -33,7 +33,7 @@
 // through lbnode and core's exported primitives, so on a static ring
 // they produce equivalent balancing outcomes.
 //
-// Every message is sent through sim.Engine.Deliver, so a fault plan
+// Every message is sent through sim.Engine.DeliverEv, so a fault plan
 // (internal/faults) can drop, duplicate or delay it. Under a filter,
 // every reliable message — converge-cast pulls and replies,
 // dissemination copies, pairing notifications and the handoff phases —
@@ -322,7 +322,7 @@ func (rd *round) after(delay sim.Time, ev sim.Eventer) sim.Timer {
 // must start with rd.own--.
 func (rd *round) schedule(delay sim.Time, fn func()) {
 	rd.own++
-	rd.r.eng.Schedule(delay, fn)
+	rd.r.eng.ScheduleEv(delay, sim.Func(fn))
 }
 
 // cancel revokes one of the round's timers.
@@ -413,10 +413,10 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// A completing round cancels it so the engine drains immediately.
 	rd.collectAck.rd = rd
 	rd.own++
-	rd.deadline = r.eng.After(8*rd.epochWindow(r.tree.Root()), func() {
+	rd.deadline = r.eng.AfterEv(8*rd.epochWindow(r.tree.Root()), sim.Func(func() {
 		rd.own--
 		rd.done(nil, fmt.Errorf("protocol: round deadline exceeded (root unreachable?)"))
-	})
+	}))
 	// Draw the round's placement before the first event, so where each
 	// report and advertisement enters the tree does not depend on
 	// delivery order. core.Balancer.RunRound draws the same placement

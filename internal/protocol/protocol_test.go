@@ -194,7 +194,7 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Schedule(1, func() {
+	eng.ScheduleEv(1, sim.Func(func() {
 		alive := ring.AliveNodes()
 		for i := 0; i < 16; i++ {
 			// Never kill the root's host (a dead root fails the round
@@ -205,7 +205,7 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 			}
 			ring.RemoveNode(victim)
 		}
-	})
+	}))
 	eng.Run()
 	if outErr != nil {
 		t.Fatal(outErr)
@@ -255,7 +255,7 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 		out = res
 	})
 	// LBI up+down takes ~4*height; strike during the VSA/VST window.
-	eng.Schedule(150, func() {
+	eng.ScheduleEv(150, sim.Func(func() {
 		alive := ring.AliveNodes()
 		for i := 0; i < 24; i++ {
 			victim := alive[len(alive)-1-i]
@@ -264,7 +264,7 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 			}
 			ring.RemoveNode(victim)
 		}
-	})
+	}))
 	eng.Run()
 	if out == nil {
 		t.Fatal("round did not complete")
@@ -299,9 +299,9 @@ func TestRootDeathFailsRoundByDeadline(t *testing.T) {
 		completed = true
 		roundErr = err
 	})
-	eng.Schedule(1, func() {
+	eng.ScheduleEv(1, sim.Func(func() {
 		ring.RemoveNode(tree.Root().Host.Owner)
-	})
+	}))
 	eng.Run()
 	if !completed {
 		t.Fatal("round never resolved")

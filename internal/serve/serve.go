@@ -346,7 +346,7 @@ func (s *Server) pump(r workload.Request) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.eng.Schedule(delay, func() {
+	s.eng.ScheduleEv(delay, sim.Func(func() {
 		s.handle(r)
 		if next, ok := s.plan.Next(); ok {
 			s.pump(next)
@@ -354,7 +354,7 @@ func (s *Server) pump(r workload.Request) {
 			s.planDone = true
 			s.maybeFinish()
 		}
-	})
+	}))
 }
 
 // handle issues one request: pick the routing target (owner key, or a

@@ -123,7 +123,7 @@ func TestServeInterleavesBalancerRounds(t *testing.T) {
 func TestServeFreezesMembership(t *testing.T) {
 	f := build(t, 1, Config{Plan: testPlan(), Work: 100}, true)
 	victim := f.ring.AliveNodes()[7]
-	f.eng.Schedule(200, func() { f.ring.RemoveNode(victim) })
+	f.eng.ScheduleEv(200, sim.Func(func() { f.ring.RemoveNode(victim) }))
 	func() {
 		defer func() {
 			msg, _ := recover().(string)

@@ -7,9 +7,9 @@ import "math/bits"
 // boxed closures:
 //
 //   - Events with at < now+wheelSize land in per-tick buckets, appended
-//     in Schedule order, so the (at, seq) firing order of the old heap
+//     in scheduling order, so the (at, seq) firing order of the old heap
 //     degenerates to FIFO within a bucket and costs O(1) per push with
-//     no interface boxing and no sift. Same-(dst, tick) Deliver
+//     no interface boxing and no sift. Same-(dst, tick) DeliverEv
 //     callbacks therefore coalesce into one contiguous bucket run
 //     instead of paying one heap op each.
 //   - A bucket is a FIFO list of fixed-size chunks borrowed from one
@@ -24,7 +24,7 @@ import "math/bits"
 //     direct bucket push for a tick T can only happen after the clock
 //     crossed T−wheelSize (when migration for T already ran), so
 //     bucket order remains globally seq-ordered per tick.
-//   - Cancelable timers (After/Cancel) live in a slot arena with
+//   - Cancelable timers (AfterEv/Cancel) live in a slot arena with
 //     generation counters. A parked far timer is removed from the heap
 //     eagerly on cancel (the arena tracks its heap index). A bucketed
 //     timer's slot records its tick, and each bucket counts its live
@@ -36,7 +36,7 @@ import "math/bits"
 //     this is what keeps their buckets from pinning chunks until their
 //     tick comes round.
 //   - Every vacated slot — bucket cursor advances, released buckets,
-//     far-heap tail after a pop or removal — is zeroed so dead closures
+//     far-heap tail after a pop or removal — is zeroed so dead callbacks
 //     are not pinned for the life of the run (the old eventHeap.Pop
 //     leaked its tail), and a chunk on the free list is all zero.
 //
@@ -48,41 +48,30 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// chunkEvents sizes a chunk: 64 events, 3 KB. Every occupied tick holds
+// chunkEvents sizes a chunk: 64 events, 2.5 KB. Every occupied tick holds
 // at least one chunk, and every engine that queues anything holds one
-// block of chunkBlock chunks (192 KB at 64), so the size is kept small.
+// block of chunkBlock chunks (160 KB at 64), so the size is kept small.
 // Its cost is the hop a pop makes into a bucket's next chunk, which is
 // rarely adjacent in memory: BenchmarkStep, whose ticks hold tens of
 // thousands of events, pops in 23 ns at 64, 21 ns at 256 and 20 ns when
 // each tick's chunks happen to be adjacent (2-vCPU Xeon, go1.24).
-// Schedule, AfterCancel and Deliver do not move between 32 and 256.
+// BenchmarkSchedule, AfterCancel and Deliver do not move between 32
+// and 256.
 const (
 	chunkEvents = 64
 	chunkBlock  = 64
 )
 
-// event is one scheduled callback slot. Plain events carry a closure in
-// fn or an object in ev (exactly one is set); timer-backed events (both
-// nil) resolve through the timer arena, where slot/gen decide at pop
-// time whether the timer is still armed.
+// event is one scheduled callback slot. Plain events carry their
+// callback in ev; timer-backed events (ev nil) resolve through the
+// timer arena, where slot/gen decide at pop time whether the timer is
+// still armed.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	ev   Eventer
 	slot int32 // timer arena index, -1 for plain events
 	gen  uint32
-}
-
-// fire runs the event callback, whichever form it took.
-//
-//lbvet:hotpath
-func (e *event) fire() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.ev.RunEvent()
 }
 
 // chunk is a fixed run of bucket slots; next links a bucket's chunks
@@ -105,7 +94,6 @@ type bucket struct {
 
 // timerSlot is one arena entry backing a cancelable timer.
 type timerSlot struct {
-	fn      func()
 	ev      Eventer
 	at      Time // firing time, which names the bucket while the timer is on the wheel
 	gen     uint32
@@ -138,17 +126,17 @@ func (q *eventQueue) init() {
 	q.occSum = make([]uint64, wheelSize/64/64)
 }
 
-// push enqueues a callback at absolute time at. Exactly one of fn /
-// (slot, gen) identifies the work: fn != nil for plain events, slot >= 0
-// for arena-backed timers.
+// push enqueues a callback at absolute time at. Exactly one of obj /
+// (slot, gen) identifies the work: obj for plain events, slot >= 0 for
+// arena-backed timers.
 //
 //lbvet:hotpath
-func (q *eventQueue) push(at Time, fn func(), obj Eventer, slot int32, gen uint32) {
+func (q *eventQueue) push(at Time, obj Eventer, slot int32, gen uint32) {
 	if q.buckets == nil {
 		q.init()
 	}
 	q.seq++
-	ev := event{at: at, seq: q.seq, fn: fn, ev: obj, slot: slot, gen: gen}
+	ev := event{at: at, seq: q.seq, ev: obj, slot: slot, gen: gen}
 	if at < q.now+wheelSize {
 		q.pushNear(ev)
 	} else {
@@ -342,8 +330,7 @@ func (q *eventQueue) pop() (event, bool) {
 		q.consumeFront(b)
 	}
 	if ev.slot >= 0 {
-		s := &q.timers[ev.slot]
-		ev.fn, ev.ev = s.fn, s.ev
+		ev.ev = q.timers[ev.slot].ev
 		q.releaseTimer(ev.slot)
 	}
 	q.pending--
@@ -466,7 +453,7 @@ func (q *eventQueue) growFar() {
 }
 
 // farRemove deletes the heap entry at index i, zeroing the vacated tail
-// slot so dead closures are not pinned.
+// slot so dead callbacks are not pinned.
 //
 //lbvet:hotpath
 func (q *eventQueue) farRemove(i int) {
@@ -485,9 +472,9 @@ func (q *eventQueue) farRemove(i int) {
 	}
 }
 
-// allocTimer arms a fresh arena slot holding the callback (closure or
-// object form) due at at, and returns its index.
-func (q *eventQueue) allocTimer(at Time, fn func(), ev Eventer) int32 {
+// allocTimer arms a fresh arena slot holding the callback due at at,
+// and returns its index.
+func (q *eventQueue) allocTimer(at Time, ev Eventer) int32 {
 	slot := q.freeTimer - 1
 	if slot >= 0 {
 		q.freeTimer = q.timers[slot].free
@@ -496,7 +483,6 @@ func (q *eventQueue) allocTimer(at Time, fn func(), ev Eventer) int32 {
 		slot = int32(len(q.timers) - 1)
 	}
 	s := &q.timers[slot]
-	s.fn = fn
 	s.ev = ev
 	s.at = at
 	s.armed = true
@@ -511,7 +497,6 @@ func (q *eventQueue) allocTimer(at Time, fn func(), ev Eventer) int32 {
 //lbvet:hotpath
 func (q *eventQueue) releaseTimer(slot int32) {
 	s := &q.timers[slot]
-	s.fn = nil
 	s.ev = nil
 	s.armed = false
 	s.gen++

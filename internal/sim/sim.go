@@ -4,8 +4,8 @@
 // lookups, K-nary tree maintenance, heartbeats, and internal/protocol's
 // message-level rounds (which drive the runtime-agnostic state machines
 // of internal/lbnode) all run as events on it, with delivery, loss and
-// retransmission expressed through Deliver and an optional
-// MessageFilter.
+// retransmission expressed through DeliverEv and an optional
+// MessageFilter. Every callback is an Eventer; Func adapts a closure.
 //
 // Virtual time is measured in the same latency units as topology
 // distances (an intradomain underlay hop is 1 unit). Events with equal
@@ -45,7 +45,7 @@ type Engine struct {
 	mMsg       map[string]msgCounters
 	queueDepth *metrics.Histogram
 
-	// Optional fault layer. nil means every Deliver call transmits
+	// Optional fault layer. nil means every DeliverEv call transmits
 	// exactly one copy with no extra latency.
 	filter  MessageFilter
 	dropped map[string]int64
@@ -62,17 +62,18 @@ type msgStat struct {
 	count, cost int64
 }
 
-// NoNode marks a Deliver endpoint with no physical-node identity (setup
+// NoNode marks a DeliverEv endpoint with no physical-node identity (setup
 // paths, broadcasts). Filters must pass such messages through verbatim —
 // they cannot place them on either side of a partition.
 const NoNode = -1
 
-// A MessageFilter decides the fate of every message offered to Deliver:
-// it returns the extra latency of each transmitted copy (empty means the
-// message is dropped; a reliable network returns one zero entry). key is
-// the message's identity, chosen by the sender: two offers with the same
-// kind and key are the same message, and a filter that decides by key
-// alone gives a message the same fate whenever and wherever it is sent.
+// A MessageFilter decides the fate of every message offered to
+// DeliverEv: it returns the extra latency of each transmitted copy
+// (empty means the message is dropped; a reliable network returns one
+// zero entry). key is the message's identity, chosen by the sender: two
+// offers with the same kind and key are the same message, and a filter
+// that decides by key alone gives a message the same fate whenever and
+// wherever it is sent.
 // The engine owns the filter — implementations follow the engine's
 // single-goroutine contract, like Rand.
 type MessageFilter interface {
@@ -152,47 +153,33 @@ func (e *Engine) SetMetrics(r *metrics.Registry) {
 // Metrics returns the attached registry (nil when none).
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// Eventer is the object form of an event callback: ScheduleEv,
-// DeliverEv and AfterEv enqueue it without materializing a closure, so
-// hot senders can embed small adapter structs in a pooled object and
-// schedule interior pointers at zero allocations. RunEvent fires when
-// the event's virtual time arrives.
+// Eventer is the engine's one callback form: ScheduleEv, AfterEv and
+// DeliverEv enqueue it, and RunEvent fires when the event's virtual
+// time arrives. Hot senders embed small adapter structs in a pooled
+// object and schedule interior pointers at zero allocations; the rest
+// wrap a closure in Func.
 type Eventer interface {
 	RunEvent()
 }
 
-// Schedule runs fn after delay units of virtual time. A zero delay runs
-// fn after all events already scheduled for the current instant.
+// Func adapts a closure to Eventer. A func value is pointer-shaped, so
+// converting one to Eventer does not allocate.
+type Func func()
+
+// RunEvent calls f.
+func (f Func) RunEvent() { f() }
+
+// ScheduleEv runs ev after delay units of virtual time. A zero delay
+// runs ev after all events already scheduled for the current instant.
 // Negative delays panic.
 //
 //lbvet:hotpath
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		//lbvet:ignore hotalloc panic guard, never taken on correct runs
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.q.push(e.q.now+delay, fn, nil, -1, 0)
-	if e.queueDepth != nil {
-		e.queueDepth.Observe(int64(e.q.pending))
-	}
-}
-
-// ScheduleEv is Schedule for an Eventer callback.
-//
-//lbvet:hotpath
 func (e *Engine) ScheduleEv(delay Time, ev Eventer) {
-	if delay < 0 {
-		//lbvet:ignore hotalloc panic guard, never taken on correct runs
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.q.push(e.q.now+delay, nil, ev, -1, 0)
-	if e.queueDepth != nil {
-		e.queueDepth.Observe(int64(e.q.pending))
-	}
+	e.push(delay, ev, false)
 }
 
-// Timer is a handle to a cancelable callback scheduled with After. The
-// zero Timer is invalid; Cancel on it is a no-op.
+// Timer is a handle to a cancelable callback scheduled with AfterEv.
+// The zero Timer is invalid; Cancel on it is a no-op.
 type Timer struct {
 	id  int32 // arena slot + 1; 0 = invalid
 	gen uint32
@@ -203,47 +190,43 @@ type Timer struct {
 // those by generation.
 func (t Timer) Zero() bool { return t.id == 0 }
 
-// After schedules fn to run after delay units of virtual time, like
-// Schedule, and returns a handle that Cancel accepts. Use it for
+// AfterEv schedules ev to run after delay units of virtual time, like
+// ScheduleEv, and returns a handle that Cancel accepts. Use it for
 // timeout/retransmission timers that are usually canceled before they
 // fire: a canceled timer is removed from the queue (or skipped) instead
 // of firing into a dead check.
 //
 //lbvet:hotpath
-func (e *Engine) After(delay Time, fn func()) Timer {
-	if delay < 0 {
-		//lbvet:ignore hotalloc panic guard, never taken on correct runs
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	at := e.q.now + delay
-	slot := e.q.allocTimer(at, fn, nil)
-	gen := e.q.timers[slot].gen
-	e.q.push(at, nil, nil, slot, gen)
-	if e.queueDepth != nil {
-		e.queueDepth.Observe(int64(e.q.pending))
-	}
-	return Timer{id: slot + 1, gen: gen}
+func (e *Engine) AfterEv(delay Time, ev Eventer) Timer {
+	return e.push(delay, ev, true)
 }
 
-// AfterEv is After for an Eventer callback.
+// push queues ev at now+delay — through the timer arena when timer is
+// set, returning its handle, else as a plain event (the zero Timer) —
+// and observes the queue depth.
 //
 //lbvet:hotpath
-func (e *Engine) AfterEv(delay Time, ev Eventer) Timer {
+func (e *Engine) push(delay Time, ev Eventer, timer bool) Timer {
 	if delay < 0 {
 		//lbvet:ignore hotalloc panic guard, never taken on correct runs
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
 	at := e.q.now + delay
-	slot := e.q.allocTimer(at, nil, ev)
-	gen := e.q.timers[slot].gen
-	e.q.push(at, nil, nil, slot, gen)
+	var t Timer
+	if timer {
+		slot := e.q.allocTimer(at, ev)
+		t = Timer{id: slot + 1, gen: e.q.timers[slot].gen}
+		e.q.push(at, nil, slot, t.gen)
+	} else {
+		e.q.push(at, ev, -1, 0)
+	}
 	if e.queueDepth != nil {
 		e.queueDepth.Observe(int64(e.q.pending))
 	}
-	return Timer{id: slot + 1, gen: gen}
+	return t
 }
 
-// Cancel revokes a timer scheduled with After. It reports whether the
+// Cancel revokes a timer scheduled with AfterEv. It reports whether the
 // timer was still pending: false means it already fired, was already
 // canceled, or the handle is zero. Canceling is idempotent and cheap:
 // the callback is released immediately and never fires. A timer parked
@@ -274,14 +257,14 @@ func (e *Engine) Every(interval Time, fn func()) (cancel func()) {
 	}
 	stopped := false
 	var t Timer
-	var tick func()
+	var tick Func
 	tick = func() {
 		fn()
 		if !stopped {
-			t = e.After(interval, tick)
+			t = e.AfterEv(interval, tick)
 		}
 	}
-	t = e.After(interval, tick)
+	t = e.AfterEv(interval, tick)
 	return func() {
 		if !stopped {
 			stopped = true
@@ -300,7 +283,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.executed++
-	ev.fire()
+	ev.ev.RunEvent()
 	return true
 }
 
@@ -379,34 +362,15 @@ func (e *Engine) Absorb(w *Engine) {
 // bandwidth-proxy totals.
 //
 //lbvet:hotpath
-func (e *Engine) CountMessage(kind string, cost Time) {
-	s := e.msgStats[kind]
-	if s == nil {
-		s = e.newMsgStat(kind)
-	}
-	s.count++
-	s.cost += int64(cost)
-	// Not a nil-safety guard (nil metrics are no-ops): without a registry
-	// this skips a map lookup per message and the name concatenation.
-	if e.reg != nil {
-		mc, ok := e.mMsg[kind]
-		if !ok {
-			mc = msgCounters{
-				count: e.reg.Counter("msg." + kind + ".count"),
-				cost:  e.reg.Counter("msg." + kind + ".cost"),
-			}
-			e.mMsg[kind] = mc
-		}
-		mc.count.Inc()
-		mc.cost.Add(int64(cost))
-	}
-}
+func (e *Engine) CountMessage(kind string, cost Time) { e.CountMessageN(kind, 1, cost) }
 
 // CountMessageN records n messages of kind with combined cost total, as
 // if CountMessage had been called n times. Bulk layers accumulate
 // tallies and commit them through here in one deterministic step: the
 // K-nary tree's sharded build (per worker), the closed-form round in
 // core (per phase) and Absorb (per side engine).
+//
+//lbvet:hotpath
 func (e *Engine) CountMessageN(kind string, n int64, total Time) {
 	if n <= 0 {
 		return
@@ -417,7 +381,9 @@ func (e *Engine) CountMessageN(kind string, n int64, total Time) {
 	}
 	s.count += n
 	s.cost += int64(total)
-	if e.reg != nil { // as in CountMessage: skips real work, not a nil check
+	// Not a nil-safety guard (nil metrics are no-ops): without a registry
+	// this skips a map lookup per message and the name concatenation.
+	if e.reg != nil {
 		mc, ok := e.mMsg[kind]
 		if !ok {
 			mc = msgCounters{
@@ -439,43 +405,19 @@ func (e *Engine) SetFilter(f MessageFilter) { e.filter = f }
 // Filter returns the installed message filter (nil when none).
 func (e *Engine) Filter() MessageFilter { return e.filter }
 
-// Deliver transmits one protocol message of the given kind and key from
-// node src to node dst (physical-node indexes, NoNode when
+// DeliverEv transmits one protocol message of the given kind and key
+// from node src to node dst (physical-node indexes, NoNode when
 // inapplicable): each transmitted copy is counted like CountMessage and
-// its callback scheduled after cost plus the copy's extra latency.
-// Without a filter exactly one copy is sent with no extra latency and
-// the key is unused, so fault-free runs stay deterministic down to the
-// event sequence. With a filter, the filter decides: no copies means the
-// message is dropped (counted per kind in DroppedCount, fn never runs),
-// several copies model duplication, extra latency models jitter.
-// Delivery, loss and retry are executor concerns — the lbnode state
-// machines this transports messages for never see the engine.
-//
-//lbvet:hotpath
-func (e *Engine) Deliver(kind string, key uint64, src, dst int, cost Time, fn func()) {
-	if e.filter == nil {
-		e.CountMessage(kind, cost)
-		e.Schedule(cost, fn)
-		return
-	}
-	copies := e.filter.Deliveries(kind, key, src, dst, e.q.now, cost)
-	if len(copies) == 0 {
-		e.countDrops(kind, 1)
-		return
-	}
-	for _, extra := range copies {
-		if extra < 0 {
-			extra = 0
-		}
-		e.CountMessage(kind, cost+extra)
-		e.Schedule(cost+extra, fn)
-	}
-}
-
-// DeliverEv is Deliver for an Eventer callback: same counting, fault
-// filtering and latency semantics, object-form scheduling. It returns
-// how many copies it scheduled, so a caller can count its own pending
-// events.
+// ev scheduled after cost plus the copy's extra latency. It returns how
+// many copies it scheduled, so a caller can count its own pending
+// events. Without a filter exactly one copy is sent with no extra
+// latency and the key is unused, so fault-free runs stay deterministic
+// down to the event sequence. With a filter, the filter decides: no
+// copies means the message is dropped (counted per kind in
+// DroppedCount, ev never runs), several copies model duplication, extra
+// latency models jitter. Delivery, loss and retry are executor
+// concerns — the lbnode state machines this transports messages for
+// never see the engine.
 //
 //lbvet:hotpath
 func (e *Engine) DeliverEv(kind string, key uint64, src, dst int, cost Time, ev Eventer) int {
