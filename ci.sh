@@ -94,9 +94,10 @@ echo "== go test -bench (one iteration each)"
 # Benchmarks are compiled and run by nothing above; one iteration each
 # makes a benchmark that no longer builds or panics fail here.
 # Every sim benchmark runs: each drives one scheduling path of the
-# event queue.
+# event queue. So does every ktree benchmark: Build, a quiescent Repair
+# and a 1 % churn Repair.
 go test -run '^$' -bench 'RoutedLookup|ExactSubset|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/protocol
-go test -run '^$' -bench . -benchtime=1x ./internal/sim
+go test -run '^$' -bench . -benchtime=1x ./internal/sim ./internal/ktree
 
 race_legs
 
@@ -112,6 +113,12 @@ echo "== go test -fuzz (event queue against a reference heap, 5 s)"
 # seed corpus in internal/sim/testdata/fuzz: the timer wheel's chunked
 # buckets must fire in the reference heap's (at, seq) order.
 go test -run '^$' -fuzz '^FuzzQueueVsReference$' -fuzztime=5s ./internal/sim/
+
+echo "== go test -fuzz (tree repair against a fresh build, 5 s)"
+# Byte scripts of joins, leaves and transfers, mutated from the seed
+# corpus in internal/ktree/testdata/fuzz: after every Repair the tree
+# must pass its invariants and equal a fresh Build of the same ring.
+go test -run '^$' -fuzz '^FuzzRepairVsBuild$' -fuzztime=5s ./internal/ktree/
 
 echo "== cluster chaos smoke (4 processes, time-boxed)"
 # A real multi-process run: four lbd daemons over TCP, one SIGKILL

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,6 +37,7 @@ type Supervisor struct {
 	kills    int
 	restarts int
 	reissues int
+	lastPoll []string // per rank: the last status or error poll saw
 
 	rng *rand.Rand // restart-backoff jitter
 }
@@ -72,6 +74,7 @@ func NewSupervisor(spec *Spec, bin, dataDir string) (*Supervisor, error) {
 		DataDir:  dataDir,
 		specPath: specPath,
 		rng:      rand.New(rand.NewSource(mixSeed(spec.Seed, "supervisor"))),
+		lastPoll: make([]string, spec.Procs),
 	}
 	for r := 0; r < spec.Procs; r++ {
 		s.procs = append(s.procs, &managed{rank: r})
@@ -292,7 +295,47 @@ func (s *Supervisor) Settle(r uint64, timeout time.Duration) ([]Status, error) {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	return nil, fmt.Errorf("cluster: round %d did not settle within %v", r, timeout)
+	return nil, fmt.Errorf("cluster: round %d did not settle within %v\n%s", r, timeout, s.settleReport())
+}
+
+// settleLogLines is how much of each rank's log a settle failure quotes.
+const settleLogLines = 50
+
+// settleReport explains a settle failure rank by rank: the last status
+// or error poll saw, and the tail of the rank's daemon log.
+func (s *Supervisor) settleReport() string {
+	s.mu.Lock()
+	last := append([]string(nil), s.lastPoll...)
+	s.mu.Unlock()
+	var b strings.Builder
+	for rank, seen := range last {
+		if seen == "" {
+			seen = "never polled"
+		}
+		fmt.Fprintf(&b, "rank %d: last poll: %s\n", rank, seen)
+		path := filepath.Join(s.DataDir, fmt.Sprintf("lbd-%d.log", rank))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintf(&b, "  no log: %v\n", err)
+			continue
+		}
+		lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+		if len(lines) > settleLogLines {
+			lines = lines[len(lines)-settleLogLines:]
+		}
+		fmt.Fprintf(&b, "  last %d lines of %s:\n", len(lines), path)
+		for _, l := range lines {
+			fmt.Fprintf(&b, "  | %s\n", l)
+		}
+	}
+	return b.String()
+}
+
+// notePoll records what poll saw of rank, for settleReport.
+func (s *Supervisor) notePoll(rank int, seen string) {
+	s.mu.Lock()
+	s.lastPoll[rank] = seen
+	s.mu.Unlock()
 }
 
 func (s *Supervisor) poll(r uint64) ([]Status, bool) {
@@ -301,8 +344,11 @@ func (s *Supervisor) poll(r uint64) ([]Status, bool) {
 	for rank := 0; rank < s.Spec.Procs; rank++ {
 		st, err := s.StatusOf(rank, 2*time.Second)
 		if err != nil {
+			s.notePoll(rank, "error: "+err.Error())
 			return nil, false
 		}
+		s.notePoll(rank, fmt.Sprintf("started=%d done=%d pending=%d active=%d vss=%d",
+			st.Started, st.Done, st.Pending, st.Active, len(st.VSs)))
 		if st.Done < r || st.Pending > 0 || st.Active > 0 {
 			ok = false
 		}

@@ -127,14 +127,14 @@ func RunCFSShedding(ring *chord.Ring, epsilon float64, maxRounds int) (CFSOutcom
 	var out CFSOutcome
 	for out.Rounds = 0; out.Rounds < maxRounds; out.Rounds++ {
 		global := centralLBI(ring)
-		heavySet := map[*chord.Node]bool{}
+		heavySet := make([]bool, len(ring.Nodes())) // by chord.Node.Index
 		var heavies []*chord.Node
 		for _, n := range ring.Nodes() {
 			if !n.Alive || len(n.VServers()) == 0 {
 				continue
 			}
 			if n.TotalLoad() > target(n, global, epsilon) {
-				heavySet[n] = true
+				heavySet[n.Index] = true
 				heavies = append(heavies, n)
 			}
 		}
@@ -156,7 +156,7 @@ func RunCFSShedding(ring *chord.Ring, epsilon float64, maxRounds int) (CFSOutcom
 					receiverBefore.TotalLoad() > target(receiverBefore, global, epsilon)
 				ring.RemoveVServer(lightest)
 				out.Shed++
-				if receiverBefore != nil && !wasHeavy && !heavySet[receiverBefore] &&
+				if receiverBefore != nil && !wasHeavy && !heavySet[receiverBefore.Index] &&
 					receiverBefore.TotalLoad() > target(receiverBefore, global, epsilon) {
 					out.ThrashEvents++
 				}

@@ -31,11 +31,11 @@ type lbiOutcome struct {
 // LBILeaf[i] receives the report of Nodes[i], deposited in ring order.
 // The report itself, NodeLBI(Nodes[i]), is read when the fold reaches
 // the leaf.
-func lbiInbox(place *Placement, root *ktree.Node) []deposit {
+func lbiInbox(place *Placement, tree *ktree.Tree, root ktree.Handle) []deposit {
 	in := make([]deposit, 0, len(place.Nodes))
 	for i, leaf := range place.LBILeaf {
-		if leaf != nil {
-			in = append(in, deposit{off: leafOffset(root, leaf), i: int32(i)})
+		if !leaf.IsNil() {
+			in = append(in, deposit{off: leafOffset(tree, root, leaf), i: int32(i)})
 		}
 	}
 	sortDeposits(in)
@@ -54,7 +54,7 @@ type lbiSub struct {
 // crossed, and the deposits it has yet to reach.
 type lbiWalk struct {
 	b        *Balancer
-	root     *ktree.Node
+	root     ktree.Handle
 	nodes    []*chord.Node // the placed nodes the deposits index
 	in       []deposit
 	edges    int64
@@ -65,14 +65,15 @@ type lbiWalk struct {
 // children's tuples in child order. kids, when non-nil, holds the
 // children's results already folded (the root step after the fork);
 // otherwise up recurses into them.
-func (w *lbiWalk) up(n *ktree.Node, kids []lbiSub) lbiSub {
+func (w *lbiWalk) up(n ktree.Handle, kids []lbiSub) lbiSub {
 	var s lbiSub
-	if n.IsLeaf() { // placement deposits only at leaves
-		for _, d := range leafRun(&w.in, w.root, n) {
+	if w.b.tree.IsLeaf(n) { // placement deposits only at leaves
+		for _, d := range leafRun(&w.in, w.b.tree, w.root, n) {
 			s.agg = s.agg.Merge(NodeLBI(w.nodes[d.i]))
 		}
 	}
-	for i, c := range n.Children {
+	i := 0
+	for c := w.b.tree.FirstChild(n); !c.IsNil(); c, i = w.b.tree.NextSibling(c), i+1 {
 		var k lbiSub
 		if kids != nil {
 			k = kids[i]
@@ -107,14 +108,15 @@ func (w *lbiWalk) up(n *ktree.Node, kids []lbiSub) lbiSub {
 // root-to-leaf latency. The pass forks at the root (see forkRoot), and
 // both kinds are counted in bulk once it is over.
 func (b *Balancer) aggregateLBI(place *Placement) lbiOutcome {
-	root := b.tree.Root()
-	kids := make([]lbiSub, len(root.Children))
-	walks := make([]lbiWalk, len(root.Children))
+	tree := b.tree
+	root := tree.Root()
+	kids := make([]lbiSub, tree.NumChildren(root))
+	walks := make([]lbiWalk, len(kids))
 	top := lbiWalk{b: b, root: root, nodes: place.Nodes}
-	top.in = forkRoot(root, lbiInbox(place, root), func(i int, run []deposit) {
+	top.in = forkRoot(tree, root, lbiInbox(place, tree, root), func(i int, c ktree.Handle, run []deposit) {
 		w := &walks[i]
 		*w = lbiWalk{b: b, root: root, nodes: place.Nodes, in: run}
-		kids[i] = w.up(root.Children[i], nil)
+		kids[i] = w.up(c, nil)
 		mustBeConsumed(w.in)
 	})
 	for i := range walks {

@@ -32,14 +32,15 @@ type Placement struct {
 	// Nodes lists the alive nodes in ring order.
 	Nodes []*chord.Node
 	// LBILeaf is aligned with Nodes: where each node's LBI report
-	// lands. nil means the chosen virtual server has no leaf yet (a
-	// fresh joiner between repairs) and the node sits the round out.
-	LBILeaf []*ktree.Node
+	// lands. A nil handle means the chosen virtual server has no leaf
+	// yet (a fresh joiner between repairs) and the node sits the round
+	// out.
+	LBILeaf []ktree.Handle
 	// VSALeaf is indexed by chord.Node.Index: where each alive node's
 	// advertisement lands if it turns out heavy or light. It is nil for
 	// dead nodes and for nodes whose chosen VS has no leaf; nodes that
 	// joined after the placement lie past its end.
-	VSALeaf []*ktree.Node
+	VSALeaf []ktree.Handle
 
 	tree *ktree.Tree
 	// leafOf is the per-VS leaf cache, indexed by chord.VServer.Slot.
@@ -52,7 +53,7 @@ type Placement struct {
 // (nil when vs has none).
 type vsLeaf struct {
 	vs   *chord.VServer
-	leaf *ktree.Node
+	leaf ktree.Handle
 }
 
 // PlaceRound draws the round's placement from rng: for every alive
@@ -75,7 +76,7 @@ func PlaceRound(ring *chord.Ring, tree *ktree.Tree, rng *rand.Rand, reuse *Place
 	p.LBILeaf = zeroed(p.LBILeaf, len(p.Nodes))
 	p.VSALeaf = zeroed(p.VSALeaf, len(ring.Nodes()))
 	p.leafOf = zeroed(p.leafOf, ring.NumSlots())
-	draw := func(n *chord.Node) *ktree.Node {
+	draw := func(n *chord.Node) ktree.Handle {
 		vs := n.RandomVS(rng)
 		if vs == nil {
 			// A node hosting no virtual servers reports through an
@@ -114,10 +115,10 @@ func zeroed[T any](s []T, n int) []T {
 // leaves. nil means vs has no leaf yet — it joined since the last
 // repair, or since the placement — and what would enter the tree there
 // sits the round out.
-func (p *Placement) LeafOf(vs *chord.VServer, rng *rand.Rand) *ktree.Node {
+func (p *Placement) LeafOf(vs *chord.VServer, rng *rand.Rand) ktree.Handle {
 	s := vs.Slot()
 	if s >= len(p.leafOf) {
-		return nil // joined since the placement, so unplanted
+		return ktree.Handle{} // joined since the placement, so unplanted
 	}
 	e := &p.leafOf[s]
 	if e.vs != vs {

@@ -21,14 +21,14 @@ func TestPlacementAfterMembershipChange(t *testing.T) {
 		t.Fatalf("late node %d lies inside VSALeaf (len %d)", late.Index, len(place.VSALeaf))
 	}
 	for _, vs := range late.VServers() {
-		if leaf := place.LeafOf(vs, rng); leaf != nil {
-			t.Errorf("VS %s joined after the placement but reports through leaf %v", vs.ID, leaf.Region)
+		if leaf := place.LeafOf(vs, rng); !leaf.IsNil() {
+			t.Errorf("VS %s joined after the placement but reports through leaf %v", vs.ID, tree.Region(leaf))
 		}
 	}
 
 	gone := ring.VServers()[5]
 	leaf := place.LeafOf(gone, rng)
-	if leaf == nil {
+	if leaf.IsNil() {
 		t.Fatal("a VS planted before the placement has no leaf")
 	}
 	ring.RemoveVServer(gone)
@@ -36,8 +36,8 @@ func TestPlacementAfterMembershipChange(t *testing.T) {
 	if joiner.Slot() != gone.Slot() {
 		t.Fatalf("joiner took slot %d, want the freed slot %d", joiner.Slot(), gone.Slot())
 	}
-	if got := place.LeafOf(joiner, rng); got != nil {
-		t.Errorf("joiner in a reused slot reports through leaf %v (the departed VS's is %v); want none", got.Region, leaf.Region)
+	if got := place.LeafOf(joiner, rng); !got.IsNil() {
+		t.Errorf("joiner in a reused slot reports through leaf %v (the departed VS's is %v); want none", tree.Region(got), tree.Region(leaf))
 	}
 
 	// The next round repairs the tree and plants every joiner.

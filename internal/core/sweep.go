@@ -41,8 +41,8 @@ type deposit struct {
 
 // leafOffset is a leaf's sort key in the inboxes: the clockwise
 // distance from the root's region start to the leaf's.
-func leafOffset(root, leaf *ktree.Node) uint64 {
-	return root.Region.Start.Dist(leaf.Region.Start)
+func leafOffset(tree *ktree.Tree, root, leaf ktree.Handle) uint64 {
+	return tree.Region(root).Start.Dist(tree.Region(leaf).Start)
 }
 
 // sortDeposits orders in by leaf offset and, within a leaf, by source
@@ -53,30 +53,33 @@ func sortDeposits(in []deposit) {
 	})
 }
 
-// forkRoot runs fold(i, run) for every child i of root, each on its
-// own goroutine, where run is the part of the sorted inbox in that
-// child's subtree, and returns once all have finished. It returns the
-// deposits left for the root itself: all of them when the root is a
-// leaf (no children), none otherwise.
-func forkRoot(root *ktree.Node, in []deposit, fold func(i int, run []deposit)) []deposit {
-	kids := root.Children
-	if len(kids) == 0 {
+// forkRoot runs fold(i, c, run) for every child c of root, the i-th
+// clockwise, each on its own goroutine, where run is the part of the
+// sorted inbox in that child's subtree, and returns once all have
+// finished. It returns the deposits left for the root itself: all of
+// them when the root is a leaf (no children), none otherwise.
+func forkRoot(tree *ktree.Tree, root ktree.Handle, in []deposit, fold func(i int, c ktree.Handle, run []deposit)) []deposit {
+	if tree.IsLeaf(root) {
 		return in
 	}
-	bounds := make([]int, len(kids)+1)
-	for i, c := range kids[1:] {
-		off := leafOffset(root, c)
-		bounds[i+1] = sort.Search(len(in), func(j int) bool { return in[j].off >= off })
+	kids := make([]ktree.Handle, 0, tree.NumChildren(root))
+	bounds := make([]int, 1, cap(kids)+1)
+	for c := tree.FirstChild(root); !c.IsNil(); c = tree.NextSibling(c) {
+		if len(kids) > 0 {
+			off := leafOffset(tree, root, c)
+			bounds = append(bounds, sort.Search(len(in), func(j int) bool { return in[j].off >= off }))
+		}
+		kids = append(kids, c)
 	}
-	bounds[len(kids)] = len(in)
-	par.For(len(kids), 0, func(i int) { fold(i, in[bounds[i]:bounds[i+1]]) })
+	bounds = append(bounds, len(in))
+	par.For(len(kids), 0, func(i int) { fold(i, kids[i], in[bounds[i]:bounds[i+1]]) })
 	return nil
 }
 
 // leafRun returns the deposits at the front of *in that wait at leaf
 // and advances *in past them.
-func leafRun(in *[]deposit, root, leaf *ktree.Node) []deposit {
-	off := leafOffset(root, leaf)
+func leafRun(in *[]deposit, tree *ktree.Tree, root, leaf ktree.Handle) []deposit {
+	off := leafOffset(tree, root, leaf)
 	s := *in
 	k := 0
 	for k < len(s) && s[k].off == off {

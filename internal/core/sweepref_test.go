@@ -19,7 +19,8 @@ import (
 // refBuildVSAInboxes and refDepositReports are those functions
 // verbatim, renamed, except that the ignorant-mode advertisement leaf
 // is read from Placement.VSALeaf by node index instead of by node
-// pointer. TestSweepsMatchReference holds the forked, sorted-inbox
+// pointer, and that KT nodes are ktree.Handles read through the tree.
+// TestSweepsMatchReference holds the forked, sorted-inbox
 // sweeps to them output for output.
 
 // sweepRun is what one placement's two sweeps produce, and what they
@@ -39,7 +40,7 @@ func runSweeps(b *Balancer, ref bool) sweepRun {
 	place := PlaceRound(b.ring, b.tree, eng.Rand(), nil)
 	var out sweepRun
 	if ref {
-		inbox := make(map[*ktree.Node][]LBI)
+		inbox := make(map[ktree.Handle][]LBI)
 		refDepositReports(place, inbox)
 		out.lbi = b.refAggregateLBI(inbox)
 	} else {
@@ -209,7 +210,7 @@ func TestSweepsMatchReference(t *testing.T) {
 						// advertisements, so a root with more children
 						// leaves some with none.
 						root := nb.tree.Root()
-						if sh.name == "one-vs" && !root.IsLeaf() || sh.name == "two-node" && k == 8 && len(root.Children) <= sh.nodes {
+						if sh.name == "one-vs" && !nb.tree.IsLeaf(root) || sh.name == "two-node" && k == 8 && nb.tree.NumChildren(root) <= sh.nodes {
 							t.Fatalf("%s: the ring does not have the shape the case names", name)
 						}
 						got := runSweeps(nb, false)
@@ -225,17 +226,18 @@ func TestSweepsMatchReference(t *testing.T) {
 }
 
 // refAggregateLBI is the reference aggregateLBI.
-func (b *Balancer) refAggregateLBI(inbox map[*ktree.Node][]LBI) lbiOutcome {
+func (b *Balancer) refAggregateLBI(inbox map[ktree.Handle][]LBI) lbiOutcome {
 	var edges int64
 	var edgeCost sim.Time
-	var up func(n *ktree.Node) (agg LBI, ready, deepest sim.Time)
-	up = func(n *ktree.Node) (agg LBI, ready, deepest sim.Time) {
-		if n.IsLeaf() { // placement deposits only at leaves
+	tree := b.tree
+	var up func(n ktree.Handle) (agg LBI, ready, deepest sim.Time)
+	up = func(n ktree.Handle) (agg LBI, ready, deepest sim.Time) {
+		if tree.IsLeaf(n) { // placement deposits only at leaves
 			for _, r := range inbox[n] {
 				agg = agg.Merge(r)
 			}
 		}
-		for _, c := range n.Children {
+		for c := tree.FirstChild(n); !c.IsNil(); c = tree.NextSibling(c) {
 			childAgg, childReady, childDeepest := up(c)
 			edge := b.tree.EdgeLatency(c)
 			edges++
@@ -266,16 +268,17 @@ func (b *Balancer) refRunVSA(place *Placement, states []*NodeState, global LBI, 
 
 	var reports, assigns int64
 	var reportCost, assignCost sim.Time
-	var up func(n *ktree.Node) (PairList, sim.Time)
-	up = func(n *ktree.Node) (PairList, sim.Time) {
+	tree := b.tree
+	var up func(n ktree.Handle) (PairList, sim.Time)
+	up = func(n ktree.Handle) (PairList, sim.Time) {
 		var lists PairList
 		ready := publishEnd
-		if n.IsLeaf() { // placement deposits only at leaves
+		if tree.IsLeaf(n) { // placement deposits only at leaves
 			if in := inbox[n]; in != nil {
 				lists = *in
 			}
 		}
-		for _, c := range n.Children {
+		for c := tree.FirstChild(n); !c.IsNil(); c = tree.NextSibling(c) {
 			childLists, childReady := up(c)
 			// Every child sends one (possibly empty) epoch report; empty
 			// reports still synchronize the converge-cast.
@@ -291,17 +294,17 @@ func (b *Balancer) refRunVSA(place *Placement, states []*NodeState, global LBI, 
 				lists.Merge(&childLists)
 			}
 		}
-		for _, p := range lists.Rendezvous(n.Parent == nil, b.cfg.RendezvousThreshold, global.Lmin) {
+		for _, p := range lists.Rendezvous(tree.Parent(n).IsNil(), b.cfg.RendezvousThreshold, global.Lmin) {
 			// Rendezvous notifies both endpoints directly.
 			assigns += 2
-			assignCost += b.ring.Latency(n.Host.Owner, p.From) + 1 + b.ring.Latency(n.Host.Owner, p.To) + 1
+			assignCost += b.ring.Latency(tree.Host(n).Owner, p.From) + 1 + b.ring.Latency(tree.Host(n).Owner, p.To) + 1
 			out.assignments = append(out.assignments, Assignment{
 				VS:         p.VS,
 				From:       p.From,
 				To:         p.To,
 				Load:       p.Load,
 				AssignedAt: ready,
-				Depth:      n.Depth,
+				Depth:      tree.Depth(n),
 			})
 		}
 		return lists, ready
@@ -314,9 +317,9 @@ func (b *Balancer) refRunVSA(place *Placement, states []*NodeState, global LBI, 
 }
 
 // refBuildVSAInboxes is the reference buildVSAInboxes.
-func (b *Balancer) refBuildVSAInboxes(place *Placement, states []*NodeState, start sim.Time) (map[*ktree.Node]*PairList, sim.Time) {
+func (b *Balancer) refBuildVSAInboxes(place *Placement, states []*NodeState, start sim.Time) (map[ktree.Handle]*PairList, sim.Time) {
 	eng := b.ring.Engine()
-	inbox := make(map[*ktree.Node]*PairList)
+	inbox := make(map[ktree.Handle]*PairList)
 	publishEnd := start
 	var publishes int64
 	var publishCost sim.Time
@@ -324,7 +327,7 @@ func (b *Balancer) refBuildVSAInboxes(place *Placement, states []*NodeState, sta
 		if st.Class == Neutral {
 			continue
 		}
-		var leaf *ktree.Node
+		var leaf ktree.Handle
 		var group uint64
 		switch b.cfg.Mode {
 		case ProximityIgnorant:
@@ -353,7 +356,7 @@ func (b *Balancer) refBuildVSAInboxes(place *Placement, states []*NodeState, sta
 			}
 			leaf = place.LeafOf(owner, eng.Rand())
 		}
-		if leaf == nil {
+		if leaf.IsNil() {
 			continue // fresh joiner: no leaf until the next repair
 		}
 		pl := inbox[leaf]
@@ -368,9 +371,9 @@ func (b *Balancer) refBuildVSAInboxes(place *Placement, states []*NodeState, sta
 }
 
 // refDepositReports is the reference Placement.DepositReports.
-func refDepositReports(p *Placement, inbox map[*ktree.Node][]LBI) {
+func refDepositReports(p *Placement, inbox map[ktree.Handle][]LBI) {
 	for i, n := range p.Nodes {
-		if leaf := p.LBILeaf[i]; leaf != nil {
+		if leaf := p.LBILeaf[i]; !leaf.IsNil() {
 			inbox[leaf] = append(inbox[leaf], NodeLBI(n))
 		}
 	}

@@ -221,7 +221,7 @@ type vsaSub struct {
 // reach.
 type vsaWalk struct {
 	b          *Balancer
-	root       *ktree.Node
+	root       ktree.Handle
 	states     []*NodeState // the classified nodes the deposits index
 	in         []deposit
 	start      sim.Time // when every advertisement is at its leaf
@@ -238,15 +238,16 @@ type vsaWalk struct {
 // PairList.Rendezvous. kids, when non-nil, holds the children's results
 // already folded (the root step after the fork); otherwise up recurses
 // into them.
-func (w *vsaWalk) up(n *ktree.Node, kids []vsaSub) vsaSub {
+func (w *vsaWalk) up(n ktree.Handle, kids []vsaSub) vsaSub {
 	var lists PairList
 	ready := w.start
-	if n.IsLeaf() { // placement deposits only at leaves
-		for _, d := range leafRun(&w.in, w.root, n) {
+	if w.b.tree.IsLeaf(n) { // placement deposits only at leaves
+		for _, d := range leafRun(&w.in, w.b.tree, w.root, n) {
 			lists.Deposit(w.states[d.i], d.group)
 		}
 	}
-	for i, c := range n.Children {
+	i := 0
+	for c := w.b.tree.FirstChild(n); !c.IsNil(); c, i = w.b.tree.NextSibling(c), i+1 {
 		var k vsaSub
 		if kids != nil {
 			k = kids[i]
@@ -268,17 +269,18 @@ func (w *vsaWalk) up(n *ktree.Node, kids []vsaSub) vsaSub {
 		}
 	}
 	ring := w.b.ring
-	for _, p := range lists.Rendezvous(n.Parent == nil, w.b.cfg.RendezvousThreshold, w.lmin) {
+	host := w.b.tree.Host(n).Owner
+	for _, p := range lists.Rendezvous(n == w.root, w.b.cfg.RendezvousThreshold, w.lmin) {
 		// Rendezvous notifies both endpoints directly.
 		w.assigns += 2
-		w.assignCost += ring.Latency(n.Host.Owner, p.From) + 1 + ring.Latency(n.Host.Owner, p.To) + 1
+		w.assignCost += ring.Latency(host, p.From) + 1 + ring.Latency(host, p.To) + 1
 		w.assigned = append(w.assigned, Assignment{
 			VS:         p.VS,
 			From:       p.From,
 			To:         p.To,
 			Load:       p.Load,
 			AssignedAt: ready,
-			Depth:      n.Depth,
+			Depth:      w.b.tree.Depth(n),
 		})
 	}
 	return vsaSub{lists: lists, ready: ready}
@@ -293,7 +295,8 @@ func (w *vsaWalk) up(n *ktree.Node, kids []vsaSub) vsaSub {
 // the root step takes the children's pairings in child order, which is
 // the order the post-order walk emits them in, and appends its own.
 func (b *Balancer) runVSA(place *Placement, states []*NodeState, global LBI, start sim.Time) vsaOutcome {
-	root := b.tree.Root()
+	tree := b.tree
+	root := tree.Root()
 	in, publishEnd := b.vsaInbox(place, states, start)
 	walk := func(run []deposit) vsaWalk {
 		// Every pairing consumes an offer, so the run's offers bound
@@ -305,12 +308,12 @@ func (b *Balancer) runVSA(place *Placement, states []*NodeState, global LBI, sta
 		return vsaWalk{b: b, root: root, states: states, in: run, start: publishEnd, lmin: global.Lmin,
 			assigned: make([]Assignment, 0, offers)}
 	}
-	kids := make([]vsaSub, len(root.Children))
-	walks := make([]vsaWalk, len(root.Children))
-	rest := forkRoot(root, in, func(i int, run []deposit) {
+	kids := make([]vsaSub, tree.NumChildren(root))
+	walks := make([]vsaWalk, len(kids))
+	rest := forkRoot(tree, root, in, func(i int, c ktree.Handle, run []deposit) {
 		w := &walks[i]
 		*w = walk(run)
-		kids[i] = w.up(root.Children[i], nil)
+		kids[i] = w.up(c, nil)
 		mustBeConsumed(w.in)
 	})
 	top := walk(rest)
@@ -347,7 +350,8 @@ func (b *Balancer) runVSA(place *Placement, states []*NodeState, global LBI, sta
 // publishes nothing).
 func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Time) ([]deposit, sim.Time) {
 	eng := b.ring.Engine()
-	root := b.tree.Root()
+	tree := b.tree
+	root := tree.Root()
 	in := make([]deposit, 0, len(states))
 	publishEnd := start
 	var publishes int64
@@ -356,7 +360,7 @@ func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Tim
 		if st.Class == Neutral {
 			continue
 		}
-		var leaf *ktree.Node
+		var leaf ktree.Handle
 		var group uint64
 		switch b.cfg.Mode {
 		case ProximityIgnorant:
@@ -385,10 +389,10 @@ func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Tim
 			}
 			leaf = place.LeafOf(owner, eng.Rand())
 		}
-		if leaf == nil {
+		if leaf.IsNil() {
 			continue // fresh joiner: no leaf until the next repair
 		}
-		in = append(in, deposit{off: leafOffset(root, leaf), i: int32(i), group: group})
+		in = append(in, deposit{off: leafOffset(tree, root, leaf), i: int32(i), group: group})
 	}
 	eng.CountMessageN(MsgVSAPublish, publishes, publishCost)
 	sortDeposits(in)

@@ -37,7 +37,7 @@ func TestBuildDefaults(t *testing.T) {
 	if inst.Ring.NumVServers() != 256*5 {
 		t.Fatalf("VS count %d", inst.Ring.NumVServers())
 	}
-	if inst.Tree.Root() == nil {
+	if inst.Tree.Root().IsNil() {
 		t.Fatal("tree not built")
 	}
 	if inst.Graph != nil || inst.Mapper != nil {

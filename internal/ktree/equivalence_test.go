@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/ident"
 	"p2plb/internal/sim"
 )
 
@@ -25,29 +26,30 @@ func requireTreesEqual(t *testing.T, repaired, fresh *Tree) {
 			repaired.NumNodes(), repaired.NumLeaves(), repaired.Height(),
 			fresh.NumNodes(), fresh.NumLeaves(), fresh.Height())
 	}
-	var rec func(a, b *Node)
-	rec = func(a, b *Node) {
-		if a.Region != b.Region || a.Key != b.Key {
-			t.Fatalf("region/key differ: %v/%v vs %v/%v", a.Region, a.Key, b.Region, b.Key)
+	var rec func(a, b Handle)
+	rec = func(a, b Handle) {
+		ra, rb := repaired.recs[a.i], fresh.recs[b.i]
+		if ra.region != rb.region || ra.key != rb.key {
+			t.Fatalf("region/key differ: %v/%v vs %v/%v", ra.region, ra.key, rb.region, rb.key)
 		}
-		if a.Host != b.Host {
-			t.Fatalf("host differs at %v: %s vs %s", a.Region, a.Host.ID, b.Host.ID)
+		if ra.host != rb.host {
+			t.Fatalf("host differs at %v: %s vs %s", ra.region, ra.host.ID, rb.host.ID)
 		}
-		if a.Depth != b.Depth {
-			t.Fatalf("depth differs at %v: %d vs %d", a.Region, a.Depth, b.Depth)
+		if ra.depth != rb.depth {
+			t.Fatalf("depth differs at %v: %d vs %d", ra.region, ra.depth, rb.depth)
 		}
-		if a.IsLeaf() != b.IsLeaf() || len(a.Children) != len(b.Children) {
-			t.Fatalf("shape differs at %v: %d vs %d children", a.Region, len(a.Children), len(b.Children))
+		if repaired.IsLeaf(a) != fresh.IsLeaf(b) || ra.kids != rb.kids {
+			t.Fatalf("shape differs at %v: %d vs %d children", ra.region, ra.kids, rb.kids)
 		}
-		for i := range a.Children {
-			rec(a.Children[i], b.Children[i])
+		for ca, cb := repaired.FirstChild(a), fresh.FirstChild(b); !ca.IsNil(); ca, cb = repaired.NextSibling(ca), fresh.NextSibling(cb) {
+			rec(ca, cb)
 		}
 	}
 	rec(repaired.Root(), fresh.Root())
 	leafStarts := func(tr *Tree, vs *chord.VServer) []uint32 {
 		var out []uint32
 		for _, l := range tr.LeavesOf(vs) {
-			out = append(out, uint32(l.Region.Start))
+			out = append(out, uint32(tr.Region(l).Start))
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
@@ -159,11 +161,11 @@ func TestRepairJournalOverflowRebuilds(t *testing.T) {
 // churnTrace builds a 96-node ring, runs six churn-and-Repair cycles on
 // procs cores with subtree tasks forced on, and records after each cycle
 // everything that must not depend on the core count: the tree in Walk
-// order, every virtual server's leaf list in stored order (the protocol
-// draws leaves[rng.Intn(len)] from it), the plant and heartbeat tallies
-// — and which *Node each place in the tree got, as a serial number given
-// to every pointer when first seen, so the free list's hand-out order is
-// pinned too. recycled counts nodes planted on a pointer seen before.
+// order with every node's slot, so which slot each node was planted in
+// is pinned too, every virtual server's leaf list in stored order (the
+// protocol draws leaves[rng.Intn(len)] from it), and the plant and
+// heartbeat tallies. recycled counts nodes planted in a slot that held
+// another node before.
 func churnTrace(t *testing.T, procs int) (trace []string, recycled int) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -180,15 +182,10 @@ func churnTrace(t *testing.T, procs int) (trace []string, recycled int) {
 	if err := tree.Build(); err != nil {
 		t.Fatal(err)
 	}
-	serial := map[*Node]int{}
 	for cycle := 0; cycle < 6; cycle++ {
-		inTree := map[*Node]bool{}
-		tree.Walk(func(n *Node) {
-			inTree[n] = true
-			if _, seen := serial[n]; !seen {
-				serial[n] = len(serial)
-			}
-		})
+		before := map[Handle]bool{}
+		used := tree.HandleBound()
+		tree.Walk(func(h Handle) { before[h] = true })
 		for _, n := range ring.AliveNodes()[:6] {
 			ring.RemoveNode(n)
 		}
@@ -200,20 +197,16 @@ func churnTrace(t *testing.T, procs int) (trace []string, recycled int) {
 		}
 		tree.CheckInvariants()
 		var sb strings.Builder
-		tree.Walk(func(n *Node) {
-			id, seen := serial[n]
-			if !seen {
-				id = len(serial)
-				serial[n] = id
-			} else if !inTree[n] {
+		tree.Walk(func(h Handle) {
+			if !before[h] && h.Index() < used {
 				recycled++
 			}
-			fmt.Fprintf(&sb, "%v@%s#%d ", n.Region, n.Host.ID, id)
+			fmt.Fprintf(&sb, "%v@%s#%d ", tree.Region(h), tree.Host(h).ID, h.Index())
 		})
 		for _, vs := range ring.VServers() {
 			fmt.Fprintf(&sb, "|%s:", vs.ID)
 			for _, l := range tree.LeavesOf(vs) {
-				fmt.Fprintf(&sb, "%s,", l.Region.Start)
+				fmt.Fprintf(&sb, "%s#%d,", tree.Region(l).Start, l.Index())
 			}
 		}
 		fmt.Fprintf(&sb, "|plant=%d/%d hb=%d/%d", eng.MessageCount(MsgPlant), eng.MessageCost(MsgPlant),
@@ -225,7 +218,7 @@ func churnTrace(t *testing.T, procs int) (trace []string, recycled int) {
 
 // TestRepairIndependentOfCoreCount: with recycling active, one core and
 // four produce the same tree, the same leaf-list order, the same
-// message tallies, and hand the same discarded node to the same place.
+// message tallies, and plant the same node in the same slot.
 func TestRepairIndependentOfCoreCount(t *testing.T) {
 	one, recycled := churnTrace(t, 1)
 	four, _ := churnTrace(t, 4)
@@ -235,7 +228,73 @@ func TestRepairIndependentOfCoreCount(t *testing.T) {
 		}
 	}
 	if recycled == 0 {
-		t.Fatal("no node was planted on a recycled pointer; the test covers no recycling")
+		t.Fatal("no node was planted in a recycled slot; the test covers no recycling")
 	}
-	t.Logf("%d nodes planted on recycled pointers over 6 cycles", recycled)
+	t.Logf("%d nodes planted in recycled slots over 6 cycles", recycled)
+}
+
+// FuzzRepairVsBuild decodes data into a script of joins, leaves and
+// transfers over a small ring and repairs after every step: each
+// repaired tree must pass CheckInvariants and equal a fresh Build over
+// the same ring. The first byte picks K from {2, 3, 8}; then each step
+// is three bytes, op, a and b. op%5 picks a random join of 1+a%4 virtual
+// servers, a join of one virtual server at identifier a<<24|b — placed
+// next to the ones beside multiples of 2^24 — a node leaving, a virtual
+// server leaving (the ring may shrink to one, and its tree to a root
+// leaf) or a transfer.
+func FuzzRepairVsBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := []int{2, 3, 8}[int(data[0])%3]
+		data = data[1:]
+		eng := sim.NewEngine(1)
+		ring := chord.NewRing(eng, chord.Config{})
+		for i := 0; i < 12; i++ {
+			ring.AddNode(-1, 100, 1+i%3)
+		}
+		tree, err := New(ring, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.taskDepth = 2 // shard even this small tree
+		if err := tree.Build(); err != nil {
+			t.Fatal(err)
+		}
+		for steps := 0; len(data) >= 3 && steps < 24; steps++ {
+			op, a, b := data[0], int(data[1]), int(data[2])
+			data = data[3:]
+			alive, vss := ring.AliveNodes(), ring.VServers()
+			switch op % 5 {
+			case 0:
+				ring.AddNode(-1, 100, 1+a%4)
+			case 1:
+				// A taken identifier is refused; the step changes nothing.
+				_, _ = ring.AddNodeWithIDs(-1, 100, []ident.ID{ident.ID(a<<24 | b)})
+			case 2:
+				if v := alive[a%len(alive)]; len(v.VServers()) < len(vss) {
+					ring.RemoveNode(v)
+				}
+			case 3:
+				if len(vss) > 1 {
+					ring.RemoveVServer(vss[a%len(vss)])
+				}
+			case 4:
+				ring.Transfer(vss[a%len(vss)], alive[b%len(alive)])
+			}
+			if _, err := tree.Repair(); err != nil {
+				t.Fatal(err)
+			}
+			tree.CheckInvariants()
+			fresh, err := New(ring, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Build(); err != nil {
+				t.Fatal(err)
+			}
+			requireTreesEqual(t, tree, fresh)
+		}
+	})
 }

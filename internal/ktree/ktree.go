@@ -21,47 +21,30 @@
 //   - Leaf merging: adjacent sibling leaves owned by the same virtual
 //     server coalesce into one leaf with the concatenated region.
 //
-// Children of an internal node are stored as a dense slice (no nil
-// slots) that tiles the node's region in clockwise order; because of the
-// compressions a node can have more than K children, but never fewer
-// than two. Leaves still tile the identifier circle and a leaf's region
-// always lies inside its hosting virtual server's region, so every
-// virtual server hosts at least one leaf — the property the reporting
-// protocols rely on ("it is guaranteed that a KT leaf node will be
-// planted in each virtual server").
+// The children of an internal node tile its region in clockwise order;
+// because of the compressions a node can have more than K children, but
+// never fewer than two. Leaves still tile the identifier circle and a
+// leaf's region always lies inside its hosting virtual server's region,
+// so every virtual server hosts at least one leaf — the property the
+// reporting protocols rely on ("it is guaranteed that a KT leaf node
+// will be planted in each virtual server").
 //
-// Memory. The tree costs what it holds. Nodes and child-pointer slices
-// are bump-allocated from arenas — pointer-stable blocks of Node and of
-// child slots, one arena per builder — and a block is sized for what it
-// is about to hold: a fresh subtree's first block from the number of
-// virtual servers in its region (two binary searches on the ring, 4.5
-// nodes and as many child slots per VS), any other first block a handful
-// of nodes, every later block a quarter of what the arena has allocated
-// so far. Whatever of its last block a builder leaves unused goes on the
-// tree's free list. Repair rewrites a node's child slice in place
-// whenever the new child count fits its capacity, and the nodes and
-// child slices a pass discards go on the free list too, from which later
-// passes plant before they touch an arena; so under steady churn the
-// heap is flat, and what a Repair allocates is proportional to what it
-// changes, not to the tree. The free list never shrinks short of a full
-// Build (which drops it with the old tree): a ring that halves keeps the
-// nodes it shed for the ring that grows back.
+// Memory. The tree is one table of fixed-size records addressed by
+// Handle — region, key, host, parent, first child, next sibling, child
+// count, depth and generation — and a leaf list per chord.VServer.Slot.
+// Repair relinks surviving children in place and plants in the slots
+// earlier passes freed (one stack, which only Build drops) before it
+// grows the table, so a Repair allocates what it changes.
 //
-// Stale holders. A *Node is valid for as long as the node is in the
-// tree. A holder that keeps one across a Repair — a protocol round in
-// flight while something else repairs the tree — may find it discarded
-// (no longer reachable from Root or LeavesOf). A discarded node, its
-// child slice and its discarded descendants stay exactly as that pass
-// left them until the next pass that finds the ring changed begins; from
-// then on the pointer may be handed out again as a different node
-// anywhere in the tree. So following discarded nodes across one Repair
-// reads a consistent, if outdated, subtree; across two it may read a
-// live node somewhere else, and whoever may hold nodes that long must
-// take them again from Root or LeavesOf. A surviving node's Host and Children change under
-// its holders, as they always have. The test-only switch in
-// internal/poison blanks nodes the moment they become reusable, which
-// turns a too-long hold into a crash; TestNoReaderOfDiscardedNodes runs
-// a round across a Repair under it.
+// Stale holders. A Handle carries the generation its slot had when it
+// was taken. A holder that keeps one across a Repair may find the node
+// discarded. A discarded node's record stays as that pass left it until
+// the next pass that finds the ring changed begins; then the slot is
+// freed, and its generation with it. So a handle held across one Repair
+// reads a consistent, if outdated, subtree; across two, Follow reports
+// it stale and counts it (StaleFollows). Holders check Follow where a
+// handle crosses an engine event; synchronous sweeps need not. A
+// surviving node's host and children change under its holders.
 //
 // The tree is soft state, maintained incrementally: the tree subscribes
 // to its ring as a chord.Listener and records the identifier arcs whose
@@ -74,27 +57,26 @@
 // round. A repair on a quiescent ring sends no messages at all.
 //
 // Build and the dirty portions of Repair shard across cores per subtree
-// (internal/par): the decomposition only reads the ring through
-// Successor — a pure binary search with no caches — and all message
-// accounting and leaf bookkeeping are accumulated per worker and applied
-// serially in deterministic task order, so the sharded sweep needs no
-// randomness and produces bit-identical trees regardless of core count.
+// (internal/par), reading only the ring's ID-sorted virtual servers.
+// Each subtree task stages what it plants and tallies; the merge gives
+// staged records their slots in task order, free stack first, so trees
+// are bit-identical, down to the handles, at any core count.
 //
-// Planting a KT node costs one DHT lookup; in this simulator the lookup
-// is resolved against the consistent ring and charged an estimated
-// O(log₂ V) hop cost (the chord package demonstrates routed lookups
-// match this).
+// Planting a KT node costs one DHT lookup, resolved against the
+// consistent ring and charged an estimated O(log₂ V) hops (the chord
+// package shows routed lookups match this).
 package ktree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ident"
-	"p2plb/internal/ktree/internal/poison"
 	"p2plb/internal/par"
 	"p2plb/internal/sim"
 )
@@ -110,64 +92,70 @@ const (
 // a whole-tree repair.
 const maxPendingArcs = 1 << 16
 
-// Arena block sizes, in nodes and in child-pointer slots. An arena's
-// first block is minNodeBlock nodes, or the one child slice asked for,
-// unless its builder sized it from the virtual servers it is about to
-// cover (nodesPerVS); every later block is a quarter of what the arena
-// has allocated so far — the last block, the only one that can be partly
-// unused, is at most a fifth of the arena — up to nodeChunk/childChunk.
-const (
-	minNodeBlock = 8
-	nodeChunk    = 4096
-	childChunk   = 8192
-)
+// nilRef is an absent link: no parent, first child or next sibling.
+const nilRef int32 = -1
 
-// nodesPerVS sizes a fresh subtree's first arena block: a region
-// holding v virtual servers decomposes into about 4.3·v KT nodes (2.0
-// internal), 4.1–4.7 across the subtree tasks of a 10k-VS ring, and as
-// many child slots less one.
-func nodesPerVS(v int) int { return v*9/2 + 1 }
+// maxDepth bounds a node's depth: every split at least halves a region,
+// and a region of one identifier is a leaf.
+const maxDepth = ident.Bits
 
-// Node is one KT node.
-type Node struct {
-	Region   ident.Region   // responsible portion of the identifier space
-	Key      ident.ID       // center of Region; the DHT key it is planted at
-	Host     *chord.VServer // virtual server currently hosting this KT node
-	Parent   *Node          // nil for the root
-	Children []*Node        // nil for leaves; dense, >= 2 entries, tiling Region clockwise
-	Depth    int            // root is 0
+// Handle names one KT node: its slot in the tree's record table and the
+// slot's generation when the handle was taken. The zero Handle names no
+// node.
+type Handle struct {
+	i   int32
+	gen uint32
 }
 
-// IsLeaf reports whether the node is a leaf.
-func (n *Node) IsLeaf() bool { return n.Children == nil }
+// Index returns h's slot, below HandleBound: per-node state can live in
+// a slice indexed by it.
+func (h Handle) Index() int { return int(h.i) }
+
+// IsNil reports whether h names no node.
+func (h Handle) IsNil() bool { return h.gen == 0 }
+
+// rec is one KT node's record; a free slot's has gen 0.
+type rec struct {
+	region              ident.Region
+	host                *chord.VServer
+	key                 ident.ID
+	parent, first, next int32
+	kids, depth         int32
+	gen                 uint32
+}
+
+// leafList is the leaves of the virtual server vs, in the entry its
+// Slot names; it answers only for vs.
+type leafList struct {
+	vs *chord.VServer
+	hs []Handle
+}
 
 // Tree is the distributed K-nary tree over a ring.
 type Tree struct {
 	ring       *chord.Ring
 	k          int
-	root       *Node
-	leavesByVS map[*chord.VServer][]*Node
-	numNodes   int
+	recs       []rec
+	root       int32
+	leaves     []leafList // by chord.VServer.Slot
 	numLeaves  int
-	depthCount []int // depthCount[d] = number of nodes at depth d
+	depthCount [maxDepth + 1]int // depthCount[d] = number of nodes at depth d
 
 	// taskDepth is the depth at which Build/Repair hand subtrees to
 	// parallel workers: shallow levels run serially, producing at most
 	// ~k^taskDepth independent subtree tasks.
 	taskDepth int
 
-	// Dirty-arc journal fed by the ring listener callbacks. overflow
-	// means the journal was dropped and the next Repair reconciles the
-	// whole tree.
+	// Dirty-arc journal fed by the ring listener callbacks; on overflow
+	// it is dropped and the next Repair reconciles the whole tree.
 	pending  []ident.Region
 	overflow bool
 
-	// free holds what earlier Repair passes discarded; a pass draws from
-	// it before touching an arena. What the latest pass discarded waits
-	// in heldNodes/heldKids and joins free when the next pass begins.
-	free      freeList
-	heldNodes []*Node
-	heldKids  [][]*Node
+	// free holds the slots earlier passes discarded; what the latest
+	// pass discarded waits in held until the next pass begins.
+	free, held []int32
+	gen        uint32 // the last generation handed out
+	stale      atomic.Int64
 }
 
 // New returns an unbuilt tree of branching factor k (k >= 2) over ring.
@@ -182,24 +170,65 @@ func New(ring *chord.Ring, k int) (*Tree, error) {
 	for n := 1; n < 256; n *= k {
 		d++
 	}
-	t := &Tree{
-		ring:       ring,
-		k:          k,
-		taskDepth:  d,
-		leavesByVS: make(map[*chord.VServer][]*Node),
-	}
+	t := &Tree{ring: ring, k: k, taskDepth: d, root: nilRef}
 	ring.Subscribe(t)
 	return t, nil
 }
 
-// K returns the branching factor.
-func (t *Tree) K() int { return t.k }
+// handle returns the handle of slot i, or the zero Handle for nilRef.
+func (t *Tree) handle(i int32) Handle {
+	if i == nilRef {
+		return Handle{}
+	}
+	return Handle{i: i, gen: t.recs[i].gen}
+}
 
-// Root returns the KT root node (nil before Build).
-func (t *Tree) Root() *Node { return t.root }
+// Root returns the KT root node (the zero Handle before Build).
+func (t *Tree) Root() Handle { return t.handle(t.root) }
 
-// NumNodes returns the number of KT nodes.
-func (t *Tree) NumNodes() int { return t.numNodes }
+// Region returns h's region; its center is the key h is planted at.
+func (t *Tree) Region(h Handle) ident.Region { return t.recs[h.i].region }
+
+// Host returns the virtual server currently hosting h.
+func (t *Tree) Host(h Handle) *chord.VServer { return t.recs[h.i].host }
+
+// Depth returns h's depth; the root is 0.
+func (t *Tree) Depth(h Handle) int { return int(t.recs[h.i].depth) }
+
+// Parent returns h's parent, the zero Handle for the root.
+func (t *Tree) Parent(h Handle) Handle { return t.handle(t.recs[h.i].parent) }
+
+// FirstChild returns h's first child clockwise; zero for a leaf.
+func (t *Tree) FirstChild(h Handle) Handle { return t.handle(t.recs[h.i].first) }
+
+// NextSibling returns the sibling clockwise after h; zero for the last.
+func (t *Tree) NextSibling(h Handle) Handle { return t.handle(t.recs[h.i].next) }
+
+// NumChildren returns how many children h has: 0 for a leaf, else >= 2.
+func (t *Tree) NumChildren(h Handle) int { return int(t.recs[h.i].kids) }
+
+// IsLeaf reports whether h is a leaf.
+func (t *Tree) IsLeaf(h Handle) bool { return t.recs[h.i].first == nilRef }
+
+// HandleBound bounds the slots the tree's handles name; Repair can raise it.
+func (t *Tree) HandleBound() int { return len(t.recs) }
+
+// Follow reports whether h still names the node it was taken for (in
+// the tree, or discarded by the latest pass). A stale handle is counted
+// and must not be read through.
+func (t *Tree) Follow(h Handle) bool {
+	if int(h.i) < len(t.recs) && t.recs[h.i].gen == h.gen {
+		return true
+	}
+	t.stale.Add(1)
+	return false
+}
+
+// StaleFollows returns how many times Follow has found a stale handle.
+func (t *Tree) StaleFollows() int64 { return t.stale.Load() }
+
+// NumNodes returns the number of KT nodes: the slots neither free nor held.
+func (t *Tree) NumNodes() int { return len(t.recs) - len(t.free) - len(t.held) }
 
 // NumLeaves returns the number of KT leaf nodes.
 func (t *Tree) NumLeaves() int { return t.numLeaves }
@@ -217,14 +246,20 @@ func (t *Tree) Height() int {
 // Ring returns the underlying ring.
 func (t *Tree) Ring() *chord.Ring { return t.ring }
 
-// LeavesOf returns the KT leaves planted in vs. The returned slice must
-// not be modified.
-func (t *Tree) LeavesOf(vs *chord.VServer) []*Node { return t.leavesByVS[vs] }
+// LeavesOf returns the KT leaves planted in vs: those that survived
+// every Repair since they were planted, in their order, then newer ones
+// in clockwise order. The returned slice must not be modified.
+func (t *Tree) LeavesOf(vs *chord.VServer) []Handle {
+	if s := vs.Slot(); s < len(t.leaves) && t.leaves[s].vs == vs {
+		return t.leaves[s].hs
+	}
+	return nil
+}
 
 // VSAdded implements chord.Listener: a join changes ownership exactly on
 // the new virtual server's region.
 func (t *Tree) VSAdded(vs *chord.VServer) {
-	if t.root == nil || t.overflow {
+	if t.root == nilRef || t.overflow {
 		return // unbuilt trees start from Build, which reconciles everything
 	}
 	t.markDirty(t.ring.RegionOf(vs))
@@ -235,7 +270,7 @@ func (t *Tree) VSAdded(vs *chord.VServer) {
 // owns. The successor's post-removal region is a superset of the
 // departed arc, so marking it dirty is always safe.
 func (t *Tree) VSRemoved(vs *chord.VServer) {
-	if t.root == nil || t.overflow {
+	if t.root == nilRef || t.overflow {
 		return
 	}
 	succ := t.ring.Successor(vs.ID)
@@ -248,10 +283,8 @@ func (t *Tree) VSRemoved(vs *chord.VServer) {
 	t.markDirty(t.ring.RegionOf(succ))
 }
 
-// VSTransferred implements chord.Listener: moving a virtual server
-// between physical nodes changes no key ownership, and Host pointers
-// reference the VServer object itself, so the tree structure is
-// untouched — nothing becomes dirty.
+// VSTransferred implements chord.Listener: a transfer changes no key
+// ownership, and hosts are the VServers themselves, so nothing is dirty.
 func (t *Tree) VSTransferred(vs *chord.VServer, from, to *chord.Node) {}
 
 func (t *Tree) markDirty(r ident.Region) {
@@ -273,37 +306,14 @@ func (t *Tree) plantCost() sim.Time {
 	return sim.Time(math.Ceil(math.Log2(float64(v))))
 }
 
-// heartbeatCost is the latency of one parent→child probe.
-func (t *Tree) heartbeatCost(parent, child *Node) sim.Time {
-	return t.ring.Latency(parent.Host.Owner, child.Host.Owner) + 1
-}
-
 // EdgeLatency returns the one-way message latency between a node and its
 // parent, used by the aggregation protocols running over the tree.
-func (t *Tree) EdgeLatency(n *Node) sim.Time {
-	if n.Parent == nil {
+func (t *Tree) EdgeLatency(h Handle) sim.Time {
+	r := &t.recs[h.i]
+	if r.parent == nilRef {
 		return 0
 	}
-	return t.ring.Latency(n.Host.Owner, n.Parent.Host.Owner) + 1
-}
-
-// owner returns the virtual server owning id. Ring.Successor is a pure
-// binary search (no position-cache writes), so owner is safe to call
-// from parallel build workers.
-func (t *Tree) owner(id ident.ID) *chord.VServer { return t.ring.Successor(id) }
-
-// coveredBy returns the single virtual server owning every identifier
-// of r, or nil if ownership is split. Ownership changes exactly at
-// virtual-server identifiers (when more than one exists), so r is
-// single-owner iff no VS identifier lies in r short of its last key —
-// and Successor(r.Start) is the only candidate. When no boundary cuts
-// r, that same successor owns all of it.
-func (t *Tree) coveredBy(r ident.Region) *chord.VServer {
-	first := t.owner(r.Start)
-	if t.ring.NumVServers() > 1 && r.Width > 1 && r.Start.Dist(first.ID) < r.Width-1 {
-		return nil
-	}
-	return first
+	return t.ring.Latency(r.host.Owner, t.recs[r.parent].host.Owner) + 1
 }
 
 // Build constructs the tree from scratch against the current ring state.
@@ -312,7 +322,7 @@ func (t *Tree) coveredBy(r ident.Region) *chord.VServer {
 // promises readers mid-round that the tree under them stays put. Repair
 // stays legal; a frozen ring's joins and leaves journal nothing for it.
 func (t *Tree) Build() error {
-	if t.root != nil && t.ring.MembershipFrozen() {
+	if t.root != nilRef && t.ring.MembershipFrozen() {
 		panic("ktree: Build of a built tree over a ring whose membership is frozen")
 	}
 	return t.build()
@@ -323,21 +333,17 @@ func (t *Tree) build() error {
 		return fmt.Errorf("ktree: cannot build over an empty ring")
 	}
 	t.pending, t.overflow = nil, false
-	t.root = nil
-	t.free, t.heldNodes, t.heldKids = freeList{}, nil, nil
-	t.leavesByVS = make(map[*chord.VServer][]*Node, t.ring.NumVServers())
-	t.numNodes, t.numLeaves = 0, 0
-	t.depthCount = t.depthCount[:0]
+	// Every slot is planted again under a new generation, so handles
+	// into the old tree read as stale.
+	t.recs, t.free, t.held = t.recs[:0], nil, nil
+	t.depthCount = [maxDepth + 1]int{}
 
 	b := t.newBuilder(nil)
-	full := ident.Full()
-	if host := t.coveredBy(full); host != nil {
-		root := b.newLeaf(full, host, nil)
-		t.root = root
-	} else {
-		root := b.newInternal(full, nil)
-		t.root = root
-		b.process(root, true, 0)
+	full := piece{region: ident.Full(), hi: len(b.vss)}
+	full.host = b.coveredBy(full.region, 0)
+	t.root = b.plant(full, nilRef)
+	if full.host == nil {
+		b.process(t.root, true, 0, len(b.vss), 0)
 	}
 	t.runTasks(b)
 	t.apply(b)
@@ -357,11 +363,11 @@ func (t *Tree) Repair() (changes int, err error) {
 	if t.ring.NumVServers() == 0 {
 		return 0, fmt.Errorf("ktree: cannot repair over an empty ring")
 	}
-	if t.root == nil || t.overflow {
+	if t.root == nilRef || t.overflow {
 		if err := t.build(); err != nil {
 			return 0, err
 		}
-		return t.numNodes, nil
+		return t.NumNodes(), nil
 	}
 	dirty := newDirtySet(t.pending)
 	t.pending = nil
@@ -370,22 +376,24 @@ func (t *Tree) Repair() (changes int, err error) {
 	}
 	t.release()
 	b := t.newBuilder(dirty)
-	full := ident.Full()
-	if host := t.coveredBy(full); host != nil {
+	root := t.recs[t.root]
+	if host := b.coveredBy(root.region, 0); host != nil {
 		// The whole ring has a single owner: the tree is one root leaf.
-		if t.root.IsLeaf() && t.root.Host == host {
+		if root.first == nilRef && root.host == host {
 			return 0, nil
 		}
 		old := t.root
-		t.root = b.newLeaf(full, host, nil)
-		b.discardSubtree(old)
+		t.root = b.plant(piece{region: root.region, host: host}, nilRef)
+		b.discard(old)
 	} else {
-		if t.root.IsLeaf() {
-			// Former single-VS ring grew: the root leaf becomes internal.
-			b.removeLeaf(t.root)
-			b.changes++ // the root is re-planted as an internal node
+		if root.first == nilRef {
+			// Former single-VS ring grew: the root leaf is re-planted as
+			// an internal node. It leaves its host's list now, before
+			// process re-resolves the host.
+			t.unregisterLeaf(t.root)
+			b.changes++
 		}
-		b.process(t.root, false, 0)
+		b.process(t.root, false, 0, len(b.vss), 0)
 	}
 	t.runTasks(b)
 	return t.apply(b), nil
@@ -393,22 +401,19 @@ func (t *Tree) Repair() (changes int, err error) {
 
 // Walk visits every node in depth-first preorder (clockwise child
 // order).
-func (t *Tree) Walk(visit func(*Node)) {
-	if t.root == nil {
+func (t *Tree) Walk(visit func(Handle)) {
+	if t.root == nilRef {
 		return
 	}
-	var rec func(*Node)
-	rec = func(n *Node) {
-		visit(n)
-		for _, c := range n.Children {
+	var rec func(i int32)
+	rec = func(i int32) {
+		visit(t.handle(i))
+		for c := t.recs[i].first; c != nilRef; c = t.recs[c].next {
 			rec(c)
 		}
 	}
 	rec(t.root)
 }
-
-// ---------------------------------------------------------------------
-// Dirty-arc bookkeeping
 
 // dirtySet is a sorted, disjoint set of linear identifier intervals
 // [lo, hi) over [0, SpaceSize); wrap-around arcs are split in two.
@@ -431,18 +436,11 @@ func newDirtySet(arcs []ident.Region) *dirtySet {
 			ivs = append(ivs, iv{lo, ident.SpaceSize}, iv{0, hi - ident.SpaceSize})
 		}
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].lo != ivs[j].lo {
-			return ivs[i].lo < ivs[j].lo
-		}
-		return ivs[i].hi < ivs[j].hi
-	})
+	slices.SortFunc(ivs, func(a, b iv) int { return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi)) })
 	d := &dirtySet{}
 	for _, v := range ivs {
 		if n := len(d.hi); n > 0 && v.lo <= d.hi[n-1] {
-			if v.hi > d.hi[n-1] {
-				d.hi[n-1] = v.hi
-			}
+			d.hi[n-1] = max(d.hi[n-1], v.hi)
 			continue
 		}
 		d.lo = append(d.lo, v.lo)
@@ -456,27 +454,6 @@ func (d *dirtySet) empty() bool { return len(d.lo) == 0 }
 func (d *dirtySet) overlapsLinear(lo, hi uint64) bool {
 	i := sort.Search(len(d.hi), func(i int) bool { return d.hi[i] > lo })
 	return i < len(d.lo) && d.lo[i] < hi
-}
-
-// count returns how many dirty intervals r overlaps (none for a nil set:
-// a full rebuild has no free list to share out).
-func (d *dirtySet) count(r ident.Region) int {
-	if d == nil || r.IsEmpty() {
-		return 0
-	}
-	lo := uint64(uint32(r.Start))
-	hi := lo + r.Width
-	n := 0
-	if hi > ident.SpaceSize {
-		n = d.countLinear(0, hi-ident.SpaceSize)
-		hi = ident.SpaceSize
-	}
-	return n + d.countLinear(lo, hi)
-}
-
-func (d *dirtySet) countLinear(lo, hi uint64) int {
-	first := sort.Search(len(d.hi), func(i int) bool { return d.hi[i] > lo })
-	return sort.Search(len(d.lo), func(i int) bool { return d.lo[i] >= hi }) - first
 }
 
 // overlaps reports whether the region shares an identifier with any
@@ -498,364 +475,249 @@ func (d *dirtySet) overlaps(r ident.Region) bool {
 	return d.overlapsLinear(lo, ident.SpaceSize) || d.overlapsLinear(0, hi-ident.SpaceSize)
 }
 
-// ---------------------------------------------------------------------
-// Arenas and the free list
-
-// arena bump-allocates nodes and child-pointer slices from blocks.
-// Blocks never move, so *Node pointers are stable for the lifetime of
-// the tree. Each builder (serial phase or parallel worker) owns one
-// arena, so allocation takes no locks.
-type arena struct {
-	nodes []Node  // unused rest of the current node block
-	kids  []*Node // unused rest of the current child-slot block
-
-	// Size of the next block when a builder set it (a fresh subtree's
-	// estimate); otherwise a quarter of nodeTotal/kidTotal, the slots
-	// allocated so far.
-	nodeNext, kidNext   int
-	nodeTotal, kidTotal int
-}
-
-// blockSize returns the size of an arena's next block: want when the
-// builder sized it, else a quarter of what the arena has allocated, at
-// most chunk — and never below need.
-func blockSize(want, total, chunk, need int) int {
-	if want == 0 {
-		want = min(total/4, chunk)
+// take puts a new record in the table under a new generation: in the
+// slot most recently freed, else in a new one at the end.
+func (t *Tree) take(r rec) int32 {
+	t.gen++
+	if t.gen == 0 {
+		t.gen = 1 // 0 marks a free slot
 	}
-	return max(want, need)
-}
-
-//lbvet:hotpath
-func (a *arena) node() *Node {
-	if len(a.nodes) == 0 {
-		//lbvet:ignore hotalloc cold block refill: an arena refills O(log nodes) times, each block at least a quarter of everything before it
-		a.nodes = make([]Node, blockSize(a.nodeNext, a.nodeTotal, nodeChunk, minNodeBlock))
-		a.nodeTotal += len(a.nodes)
-		a.nodeNext = 0
+	r.gen = t.gen
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.recs[i] = r
+		return i
 	}
-	n := &a.nodes[0]
-	a.nodes = a.nodes[1:]
-	return n
+	t.recs = append(t.recs, r)
+	return int32(len(t.recs) - 1)
 }
 
-// childSlice carves a zero-length slice with capacity n from the
-// current child block.
-//
-//lbvet:hotpath
-func (a *arena) childSlice(n int) []*Node {
-	if len(a.kids) < n {
-		//lbvet:ignore hotalloc cold block refill: an arena refills O(log slots) times, each block at least a quarter of everything before it
-		a.kids = make([]*Node, blockSize(a.kidNext, a.kidTotal, childChunk, n))
-		a.kidTotal += len(a.kids)
-		a.kidNext = 0
+// release frees what the previous pass discarded; until now those
+// records were exactly as that pass left them.
+func (t *Tree) release() {
+	for _, i := range t.held {
+		t.recs[i].gen = 0
 	}
-	s := a.kids[:0:n]
-	a.kids = a.kids[n:]
-	return s
+	t.free = append(t.free, t.held...)
+	t.held = nil
 }
-
-// freeList is what Repair passes discarded and later passes reuse: whole
-// nodes, and child slices by capacity. A pass only takes from it; what
-// the pass itself discards is held back until the next pass begins
-// (release), so a discarded node stays exactly as it was across one
-// Repair (see the package comment on stale holders).
-type freeList struct {
-	nodes []*Node
-	kids  [][][]*Node // kids[c] holds child slices of capacity c
-}
-
-// put adds a discarded child slice to its capacity class.
-func (f *freeList) put(s []*Node) {
-	for len(f.kids) <= cap(s) {
-		f.kids = append(f.kids, nil)
-	}
-	f.kids[cap(s)] = append(f.kids[cap(s)], s[:0])
-}
-
-// share returns the run of a free-list stack that builder idx may take
-// from. The runs are contiguous, in builder order, and as long as the
-// builders' weights (cum holds their prefix sums), so what a parallel
-// task is handed depends on its position in task order and never on
-// scheduling. The serial builder is alone (cum is {0, 1}) and sees the
-// whole stack.
-func share[E any](stack []E, idx int, cum []int) []E {
-	total := cum[len(cum)-1]
-	return stack[len(stack)*cum[idx]/total : len(stack)*cum[idx+1]/total]
-}
-
-// settleStack removes from a stack what each builder took, from the end
-// of its share, keeping the rest in order.
-func settleStack[E any](stack []E, cum []int, took func(idx int) int) []E {
-	w := 0
-	for idx := 0; idx < len(cum)-1; idx++ {
-		s := share(stack, idx, cum)
-		w += copy(stack[w:], s[:len(s)-took(idx)])
-	}
-	clear(stack[w:])
-	return stack[:w]
-}
-
-// settle removes from every stack what a pass's builders took; took
-// holds one row per builder (nodes, then child slices by capacity).
-func (f *freeList) settle(cum []int, took []int) {
-	classes := len(took) / (len(cum) - 1)
-	f.nodes = settleStack(f.nodes, cum, func(idx int) int { return took[idx*classes] })
-	for c := 1; c < classes; c++ {
-		f.kids[c] = settleStack(f.kids[c], cum, func(idx int) int { return took[idx*classes+c] })
-	}
-}
-
-// ---------------------------------------------------------------------
-// Builder: the shared Build/Repair machinery
 
 // piece is one element of a region's compressed decomposition: a leaf
-// (host != nil) or a subtree still straddling ownership boundaries.
+// (host != nil) or a subtree whose owners lie at ring positions [lo, hi].
 type piece struct {
 	region ident.Region
 	host   *chord.VServer
-}
-
-// leafEvent interleaves serially created leaves with deferred subtree
-// tasks so the final leavesByVS append order is the clockwise DFS
-// order, independent of worker count.
-type leafEvent struct {
-	leaf *Node
-	task int // valid when leaf == nil
+	lo, hi int
 }
 
 // task is a subtree handed to a parallel worker: expand a fresh node,
 // or repair an existing one.
 type task struct {
-	node  *Node
-	fresh bool
+	n      int32
+	fresh  bool
+	lo, hi int
 }
 
-// builder accumulates one Build/Repair pass's allocations, message
-// tallies, and leaf bookkeeping. The serial phase uses one builder;
-// each parallel subtree task gets its own, and the results merge in
-// deterministic task order.
+// builder accumulates one Build/Repair pass's plants, discards and
+// tallies. The serial phase's builder plants straight into the table; a
+// parallel subtree task's (a worker's) stages what it plants. A ref
+// names a table slot (>= 0), nilRef, or staged record j as -2-j.
 type builder struct {
 	t     *Tree
-	ar    arena
-	dirty *dirtySet // nil during Build (nothing can be reused)
-
-	// This builder's share of the tree's free list (see share) and how
-	// much of it is gone: took[0] counts nodes, took[c] child slices of
-	// capacity c (no child slice is shorter than two). freeNodes is
-	// what is left of its share of the nodes.
-	idx       int
-	cum       []int
-	took      []int
-	freeNodes []*Node
+	vss   []*chord.VServer // the ring's virtual servers, sorted by ID
+	dirty *dirtySet        // nil during Build (nothing can be reused)
 
 	// tasks is non-nil only on the serial builder: subtrees rooted at
 	// taskDepth are deferred here instead of recursed into.
 	tasks []task
 
-	plants  int64
-	hbCount int64
-	hbCost  sim.Time
-	changes int
+	// A worker's new records, and the table slots whose links it set
+	// and which may therefore name one.
+	staged  []rec
+	patched []int32
 
-	nodesDelta  int
-	leavesDelta int
-	depthDelta  []int
+	plants     int64
+	hbCount    int64
+	hbCost     sim.Time
+	changes    int
+	depthDelta [maxDepth + 1]int
 
-	events     []leafEvent
-	removed    []*Node       // leaves to unregister from leavesByVS
-	freedNodes []*Node       // discarded nodes and unused arena nodes, bound for the free list
-	freedKids  [][]*Node     // child slices of discarded or outgrown nodes, likewise
-	taskLeaves [][]leafEvent // per-task leaf events, filled by runTasks
+	leaves  []int32 // new leaves
+	removed []int32 // discarded leaves, to leave their hosts' lists
+	freed   []int32 // discarded slots, bound for the free stack
 
-	// Depth-indexed scratch for decompose and materialize, so
+	// Depth-indexed and per-split scratch for decompose, so
 	// steady-state decomposition allocates nothing.
 	bufs  [][]piece
-	olds  [][]*Node
 	parts []ident.Region
 	hosts []*chord.VServer
+	pos   []int
 	right []piece
 }
 
 func (t *Tree) newBuilder(dirty *dirtySet) *builder {
-	b := &builder{t: t, dirty: dirty, cum: []int{0, 1}, freeNodes: t.free.nodes}
-	b.took = make([]int, max(1, len(t.free.kids)))
-	b.tasks = make([]task, 0, 16)
-	return b
+	return &builder{t: t, vss: t.ring.VServers(), dirty: dirty, tasks: make([]task, 0, 16)}
 }
 
-// workerClone returns the builder for task idx; took is its row of the
-// pass's tally.
-func (b *builder) workerClone(idx int, cum, took []int) *builder {
-	return &builder{t: b.t, dirty: b.dirty, idx: idx, cum: cum, took: took, freeNodes: share(b.t.free.nodes, idx, cum)}
-}
-
-// node returns a blank node: one an earlier pass discarded if this
-// builder's share of the free list has any left, else a new one.
-func (b *builder) node() *Node {
-	last := len(b.freeNodes) - 1
-	if last < 0 {
-		return b.ar.node()
+// at returns the record ref names, valid until the builder plants again.
+func (b *builder) at(ref int32) *rec {
+	if ref >= 0 {
+		return &b.t.recs[ref]
 	}
-	n := b.freeNodes[last]
-	b.freeNodes = b.freeNodes[:last]
-	b.took[0]++
-	*n = Node{}
-	return n
+	return &b.staged[-2-ref]
 }
 
-// childSlice returns an empty child slice of capacity at least n. One
-// from the free list has exactly n and may still hold what its last
-// owner left there; materialize fills every slot.
-func (b *builder) childSlice(n int) []*Node {
-	if n < len(b.took) {
-		s := share(b.t.free.kids[n], b.idx, b.cum)
-		if b.took[n] < len(s) {
-			b.took[n]++
-			return s[len(s)-b.took[n]]
-		}
+// plant adds a new node for piece p under parent (nilRef for the root):
+// a leaf of p.host, or, when p.host is nil, an internal node planted in
+// the owner of its region's center.
+func (b *builder) plant(p piece, parent int32) int32 {
+	r := rec{region: p.region, key: p.region.Center(), host: p.host, parent: parent, first: nilRef, next: nilRef}
+	if r.host == nil {
+		r.host = b.owner(b.search(r.key, p.lo, p.hi))
 	}
-	return b.ar.childSlice(n)
-}
-
-func (b *builder) bumpDepth(d, delta int) {
-	for len(b.depthDelta) <= d {
-		b.depthDelta = append(b.depthDelta, 0)
-	}
-	b.depthDelta[d] += delta
-}
-
-func (b *builder) newLeaf(r ident.Region, host *chord.VServer, parent *Node) *Node {
-	n := b.node()
-	n.Region, n.Key, n.Host, n.Parent = r, r.Center(), host, parent
-	if parent != nil {
-		n.Depth = parent.Depth + 1
+	if parent != nilRef {
+		r.depth = b.at(parent).depth + 1
 	}
 	b.plants++
 	b.changes++
-	b.nodesDelta++
-	b.leavesDelta++
-	b.bumpDepth(n.Depth, 1)
-	b.events = append(b.events, leafEvent{leaf: n})
-	return n
-}
-
-func (b *builder) newInternal(r ident.Region, parent *Node) *Node {
-	n := b.node()
-	n.Region, n.Key, n.Parent = r, r.Center(), parent
-	n.Host = b.t.owner(n.Key)
-	if parent != nil {
-		n.Depth = parent.Depth + 1
-	}
-	b.plants++
-	b.changes++
-	b.nodesDelta++
-	b.bumpDepth(n.Depth, 1)
-	return n
-}
-
-func (b *builder) removeLeaf(n *Node) {
-	b.leavesDelta--
-	b.removed = append(b.removed, n)
-}
-
-// discard prunes one old node: it counts as one change, a leaf
-// unregisters from leavesByVS, and the node and its child slice are
-// bound for the free list. The node itself is left as it is.
-func (b *builder) discard(n *Node) {
-	b.changes++
-	b.nodesDelta--
-	b.bumpDepth(n.Depth, -1)
-	b.freedNodes = append(b.freedNodes, n)
-	if n.IsLeaf() {
-		b.removeLeaf(n)
+	b.depthDelta[r.depth]++
+	var n int32
+	if b.tasks == nil {
+		b.staged = append(b.staged, r)
+		n = -1 - int32(len(b.staged))
 	} else {
-		b.freedKids = append(b.freedKids, n.Children)
+		n = b.t.take(r)
 	}
+	if p.host != nil {
+		b.leaves = append(b.leaves, n)
+	}
+	return n
 }
 
-// discardSubtree prunes an entire old subtree.
+// search returns the ring position of id's owner, known to lie in
+// [lo, hi]: the first virtual server at or past id, len(vss) past them
+// all (the owner is then vss[0]). A split searches only the range of
+// positions its parent's region spans.
 //
 //lbvet:hotpath
-func (b *builder) discardSubtree(n *Node) {
-	b.discard(n)
-	for _, c := range n.Children {
-		b.discardSubtree(c)
+func (b *builder) search(id ident.ID, lo, hi int) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.vss[m].ID < id { //lbvet:ignore identcompare binary search over the ID-sorted ring array; the owner wraps at len(vss)
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// owner returns the virtual server at ring position p.
+func (b *builder) owner(p int) *chord.VServer { return b.vss[p%len(b.vss)] }
+
+// coveredBy returns the single virtual server owning every identifier
+// of r, or nil if ownership is split; p is the ring position of
+// r.Start's owner, the only candidate. Ownership changes exactly at
+// virtual-server identifiers (when more than one exists), so r is
+// single-owner iff no VS identifier lies in r short of its last key.
+func (b *builder) coveredBy(r ident.Region, p int) *chord.VServer {
+	first := b.owner(p)
+	if len(b.vss) > 1 && r.Width > 1 && r.Start.Dist(first.ID) < r.Width-1 {
+		return nil
+	}
+	return first
+}
+
+// discard prunes an old subtree: each node counts as one change, a leaf
+// leaves its host's list, and the slots are bound for the free stack.
+// The records are left as they are.
+func (b *builder) discard(n int32) {
+	r := &b.t.recs[n]
+	b.changes++
+	b.depthDelta[r.depth]--
+	b.freed = append(b.freed, n)
+	if r.first == nilRef {
+		b.removed = append(b.removed, n)
+	}
+	for c := r.first; c != nilRef; c = b.t.recs[c].next {
+		b.discard(c)
 	}
 }
 
 // schedule recurses into a subtree, or defers it as a parallel task
 // when the serial phase reaches taskDepth.
-func (b *builder) schedule(n *Node, fresh bool, lvl int) {
-	if b.tasks != nil && n.Depth >= b.t.taskDepth {
-		b.events = append(b.events, leafEvent{task: len(b.tasks)})
-		b.tasks = append(b.tasks, task{node: n, fresh: fresh})
+func (b *builder) schedule(n int32, fresh bool, lo, hi, lvl int) {
+	if b.tasks != nil && int(b.at(n).depth) >= b.t.taskDepth {
+		b.tasks = append(b.tasks, task{n: n, fresh: fresh, lo: lo, hi: hi})
 		return
 	}
-	b.process(n, fresh, lvl+1)
+	b.process(n, fresh, lo, hi, lvl+1)
 }
 
-// process decomposes internal node n and (re)materializes its children.
-// fresh marks nodes created during this pass, whose hosts are already
-// current; for surviving nodes the host is re-resolved first (a change
-// is a re-plant) and the parent's probe is priced against the current
-// host (not the possibly departed pre-repair one).
-func (b *builder) process(n *Node, fresh bool, lvl int) {
+// process decomposes internal node n, whose owners lie at ring
+// positions [lo, hi], and (re)materializes its children. A surviving
+// (not fresh) node's host is re-resolved first — a change is a
+// re-plant — so the parent's probe is priced against the current host.
+func (b *builder) process(n int32, fresh bool, lo, hi, lvl int) {
 	if !fresh {
-		if h := b.t.owner(n.Key); h != n.Host {
-			n.Host = h
+		r := b.at(n)
+		if h := b.owner(b.search(r.key, lo, hi)); h != r.host {
+			r.host = h
 			b.plants++
 			b.changes++
 		}
-		if n.Parent != nil {
-			b.heartbeat(n.Parent, n)
+		if r.parent != nilRef {
+			b.heartbeat(r.parent, n)
 		}
 	}
-	b.materialize(n, b.decompose(n.Region, lvl), lvl)
+	b.materialize(n, b.decompose(b.at(n).region, lo, hi, lvl), lvl)
 }
 
-func (b *builder) heartbeat(parent, child *Node) {
+func (b *builder) heartbeat(parent, child int32) {
 	b.hbCount++
-	b.hbCost += b.t.heartbeatCost(parent, child)
-}
-
-// scratch makes the depth-indexed buffers reach lvl and the per-split
-// ones hold k entries; after a builder's first few calls it does
-// nothing.
-func (b *builder) scratch(lvl int) {
-	for len(b.bufs) <= lvl {
-		b.bufs = append(b.bufs, nil)
-		b.olds = append(b.olds, nil)
-	}
-	if k := b.t.k; len(b.parts) < k {
-		b.parts = make([]ident.Region, k)
-		b.hosts = make([]*chord.VServer, k)
-	}
+	b.hbCost += b.t.ring.Latency(b.at(parent).host.Owner, b.at(child).host.Owner) + 1
 }
 
 // decompose computes the compressed child decomposition of a
-// non-covered region: K-way splits descend directly through
-// single-straddler levels (chain collapse), covered parts become leaf
-// pieces, and adjacent same-host leaf pieces merge. The result tiles R
-// clockwise and has at least two elements. The returned slice is
-// per-recursion-level scratch, valid until the next decompose at the
-// same level.
+// non-covered region whose owners lie at ring positions [lo, hi]: K-way
+// splits descend directly through single-straddler levels (chain
+// collapse), covered parts become leaf pieces, and adjacent same-host
+// leaf pieces merge. The result tiles R clockwise and has at least two
+// elements. The returned slice is per-recursion-level scratch, valid
+// until the next decompose at the same level.
 //
 //lbvet:hotpath
-func (b *builder) decompose(R ident.Region, lvl int) []piece {
-	b.scratch(lvl)
+func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 	k := b.t.k
-	out, right := b.bufs[lvl][:0], b.right[:0]
+	for len(b.bufs) <= lvl {
+		//lbvet:ignore hotalloc builder scratch: reaches its high-water mark within a builder's first calls, then only reused
+		b.bufs = append(b.bufs, nil)
+	}
+	if len(b.parts) < k {
+		//lbvet:ignore hotalloc builder scratch: made on a builder's first call, then only reused
+		b.parts, b.hosts, b.pos = make([]ident.Region, k), make([]*chord.VServer, k), make([]int, k+1)
+	}
+	out, right, pos := b.bufs[lvl][:0], b.right[:0], b.pos
 	cur := R
 	for {
 		parts := splitInto(cur, k, b.parts)
+		// pos[i] is the ring position of part i's start, pos[k] that of
+		// cur's end. Empty parts trail the split and end where cur does.
+		pos[0], pos[k] = lo, hi
+		for i := 1; i < k; i++ {
+			pos[i] = hi
+			if !parts[i].IsEmpty() {
+				pos[i] = b.search(parts[i].Start, pos[i-1], hi)
+			}
+		}
 		ncIdx, ncCount := -1, 0
 		for i, p := range parts {
 			if p.IsEmpty() {
 				b.hosts[i] = nil
 				continue
 			}
-			b.hosts[i] = b.t.coveredBy(p)
+			b.hosts[i] = b.coveredBy(p, pos[i])
 			if b.hosts[i] == nil {
 				ncCount++
 				ncIdx = i
@@ -872,19 +734,19 @@ func (b *builder) decompose(R ident.Region, lvl int) []piece {
 			for i := k - 1; i > ncIdx; i-- {
 				if !parts[i].IsEmpty() {
 					//lbvet:ignore hotalloc builder scratch: reaches its high-water mark within a builder's first calls, then only reused
-					right = append(right, piece{region: parts[i], host: b.hosts[i]})
+					right = append(right, piece{region: parts[i], host: b.hosts[i], lo: pos[i], hi: pos[i+1]})
 				}
 			}
 		}
 		for i := 0; i < last; i++ {
 			if !parts[i].IsEmpty() {
-				out = emit(out, piece{region: parts[i], host: b.hosts[i]})
+				out = emit(out, piece{region: parts[i], host: b.hosts[i], lo: pos[i], hi: pos[i+1]})
 			}
 		}
 		if ncCount != 1 {
 			break
 		}
-		cur = parts[ncIdx]
+		cur, lo, hi = parts[ncIdx], pos[ncIdx], pos[ncIdx+1]
 	}
 	for i := len(right) - 1; i >= 0; i-- {
 		out = emit(out, right[i])
@@ -925,45 +787,35 @@ func splitInto(r ident.Region, k int, out []ident.Region) []ident.Region {
 	return out[:k]
 }
 
-// materialize builds n's child list from pieces, reusing old children
-// that survive unchanged: a leaf with identical region and host, or an
+// materialize links n's children from pieces, reusing old children that
+// survive unchanged: a leaf with identical region and host, or an
 // internal child with identical region (spliced back whole if its
 // region is clean, repaired in place if dirty). Old children with no
 // surviving counterpart are discarded. Reuse matches by region start in
-// a single merge scan — both lists tile n.Region clockwise. The new list
-// is written over the old one when it fits its capacity; the scan reads
-// a copy, because its write index can overtake its read index.
-func (b *builder) materialize(n *Node, pieces []piece, lvl int) {
-	old := append(b.olds[lvl][:0], n.Children...)
-	b.olds[lvl] = old
-	kids := n.Children[:0]
-	if len(pieces) > cap(kids) {
-		kids = b.childSlice(len(pieces))
-		if n.Children != nil {
-			b.freedKids = append(b.freedKids, n.Children)
-		}
-	}
-	base := n.Region.Start
-	j := 0
+// a single merge scan — both lists tile n's region clockwise — and the
+// scan steps past an old child before the new list relinks it.
+func (b *builder) materialize(n int32, pieces []piece, lvl int) {
+	base := b.at(n).region.Start
+	old := b.at(n).first
+	prev := nilRef
 	for _, p := range pieces {
 		off := base.Dist(p.region.Start)
-		for j < len(old) && base.Dist(old[j].Region.Start) < off {
-			b.discardSubtree(old[j])
-			j++
+		for old != nilRef && base.Dist(b.t.recs[old].region.Start) < off {
+			next := b.t.recs[old].next
+			b.discard(old)
+			old = next
 		}
-		var c *Node
-		if j < len(old) && base.Dist(old[j].Region.Start) == off {
-			oc := old[j]
-			switch {
-			case p.host != nil && oc.IsLeaf() && oc.Region == p.region && oc.Host == p.host:
-				c = oc
-				j++
+		c := nilRef
+		if old != nilRef {
+			switch oc := &b.t.recs[old]; {
+			case base.Dist(oc.region.Start) != off:
+			case p.host != nil && oc.first == nilRef && oc.region == p.region && oc.host == p.host:
+				c, old = old, oc.next
 				b.heartbeat(n, c)
-			case p.host == nil && !oc.IsLeaf() && oc.Region == p.region:
-				c = oc
-				j++
+			case p.host == nil && oc.first != nilRef && oc.region == p.region:
+				c, old = old, oc.next
 				if b.dirty.overlaps(p.region) {
-					b.schedule(c, false, lvl)
+					b.schedule(c, false, p.lo, p.hi, lvl)
 				} else {
 					// Clean subtree: splice back whole; its own probe
 					// still happens (the parent checks it is alive).
@@ -971,100 +823,99 @@ func (b *builder) materialize(n *Node, pieces []piece, lvl int) {
 				}
 			}
 		}
-		if c == nil {
-			if p.host != nil {
-				c = b.newLeaf(p.region, p.host, n)
-			} else {
-				c = b.newInternal(p.region, n)
-				b.schedule(c, true, lvl)
+		if c == nilRef {
+			c = b.plant(p, n)
+			if p.host == nil {
+				b.schedule(c, true, p.lo, p.hi, lvl)
 			}
 		}
-		kids = append(kids, c)
+		if prev == nilRef {
+			b.link(n).first = c
+		} else {
+			b.link(prev).next = c
+		}
+		prev = c
 	}
-	for ; j < len(old); j++ {
-		b.discardSubtree(old[j])
+	for old != nilRef {
+		next := b.t.recs[old].next
+		b.discard(old)
+		old = next
 	}
-	if len(kids) < len(old) {
-		clear(kids[len(kids):len(old)]) // written in place and shorter: drop the old tail
-	}
-	n.Children = kids
+	b.link(prev).next = nilRef
+	b.at(n).kids = int32(len(pieces))
 }
 
-// runTasks executes the deferred subtree tasks across cores and merges
-// each worker's tallies into the serial builder in task order, so the
-// result is independent of scheduling and worker count. The free list
-// is settled the same way: first for what the serial phase took, then —
-// shared out among the tasks by how many dirty arcs each must reconcile,
-// the best cheap guess at what it will plant — for what the tasks took.
+// link returns the record ref names for a link to be written, noting a
+// table slot on a worker's patch list.
+func (b *builder) link(ref int32) *rec {
+	if ref >= 0 && b.tasks == nil {
+		b.patched = append(b.patched, ref)
+	}
+	return b.at(ref)
+}
+
+// runTasks runs the deferred subtree tasks across cores and merges the
+// workers in task order, so no slot depends on scheduling.
 func (t *Tree) runTasks(b *builder) {
-	b.releaseArena()
-	t.free.settle(b.cum, b.took)
-	b.taskLeaves = nil
-	if len(b.tasks) == 0 {
-		return
-	}
-	classes, of := len(b.took), len(b.tasks)
-	took := make([]int, classes*of)
-	cum := make([]int, of+1)
-	for i, tk := range b.tasks {
-		cum[i+1] = cum[i] + 1 + b.dirty.count(tk.node.Region)
-	}
-	workers := make([]*builder, of)
-	par.For(of, 0, func(idx int) {
+	workers := make([]*builder, len(b.tasks))
+	par.For(len(b.tasks), 0, func(idx int) {
 		tk := b.tasks[idx]
-		wb := b.workerClone(idx, cum, took[idx*classes:(idx+1)*classes])
-		if tk.fresh {
-			// A new subtree: size the arena from the virtual servers it
-			// covers, so its one block is mostly filled.
-			wb.ar.nodeNext = nodesPerVS(t.ring.NumVServersIn(tk.node.Region))
-			wb.ar.kidNext = wb.ar.nodeNext
-		}
-		wb.process(tk.node, tk.fresh, 0)
-		wb.releaseArena()
+		wb := &builder{t: t, vss: b.vss, dirty: b.dirty}
+		wb.process(tk.n, tk.fresh, tk.lo, tk.hi, 0)
 		workers[idx] = wb
 	})
-	t.free.settle(cum, took)
-	b.taskLeaves = make([][]leafEvent, len(workers))
-	for i, wb := range workers {
+	staged := 0
+	for _, wb := range workers {
+		staged += len(wb.staged)
+	}
+	if need := staged - len(t.free); need > cap(t.recs)-len(t.recs) {
+		// Leave room for what the next passes plant before their
+		// discards come free, so a churn Repair does not copy the table.
+		t.recs = slices.Grow(t.recs, need+(len(t.recs)+need)/16)
+	}
+	for _, wb := range workers {
+		t.adopt(wb)
 		b.plants += wb.plants
 		b.hbCount += wb.hbCount
 		b.hbCost += wb.hbCost
 		b.changes += wb.changes
-		b.nodesDelta += wb.nodesDelta
-		b.leavesDelta += wb.leavesDelta
 		for d, delta := range wb.depthDelta {
-			if delta != 0 {
-				b.bumpDepth(d, delta)
-			}
+			b.depthDelta[d] += delta
 		}
+		b.leaves = append(b.leaves, wb.leaves...)
 		b.removed = append(b.removed, wb.removed...)
-		b.freedNodes = append(b.freedNodes, wb.freedNodes...)
-		b.freedKids = append(b.freedKids, wb.freedKids...)
-		b.taskLeaves[i] = wb.events
+		b.freed = append(b.freed, wb.freed...)
 	}
 }
 
-// releaseArena hands what a finished builder's arena did not use to the
-// free list — the nodes one by one, the child slots as pairs, the size
-// most in demand — so no block is ever partly lost.
-func (b *builder) releaseArena() {
-	for i := range b.ar.nodes {
-		b.freedNodes = append(b.freedNodes, &b.ar.nodes[i])
+// adopt gives a worker's staged records their slots, in staging order,
+// and rewrites the refs to them in records, patched slots and leaves.
+func (t *Tree) adopt(wb *builder) {
+	slot := make([]int32, len(wb.staged))
+	for j, r := range wb.staged {
+		slot[j] = t.take(r)
 	}
-	for len(b.ar.kids) >= 2 {
-		n := 2
-		if len(b.ar.kids) == 3 {
-			n = 3
+	fix := func(ref int32) int32 {
+		if ref < nilRef {
+			return slot[-2-ref]
 		}
-		b.freedKids = append(b.freedKids, b.ar.childSlice(n))
+		return ref
 	}
-	b.ar = arena{}
+	for _, i := range slot {
+		r := &t.recs[i]
+		r.parent, r.first, r.next = fix(r.parent), fix(r.first), fix(r.next)
+	}
+	for _, i := range wb.patched {
+		r := &t.recs[i]
+		r.first, r.next = fix(r.first), fix(r.next)
+	}
+	for j, ref := range wb.leaves {
+		wb.leaves[j] = fix(ref)
+	}
 }
 
-// apply commits a finished pass: engine message tallies, node/leaf
-// counters, and the leavesByVS updates (removals first, then additions
-// in clockwise DFS order); what the pass discarded is held for the next
-// pass to release. It returns the pass's change count.
+// apply commits a finished pass — message tallies, depth histogram,
+// leaf lists — and holds what it discarded; it returns its changes.
 func (t *Tree) apply(b *builder) int {
 	eng := t.ring.Engine()
 	if b.plants > 0 {
@@ -1073,160 +924,166 @@ func (t *Tree) apply(b *builder) int {
 	if b.hbCount > 0 {
 		eng.CountMessageN(MsgHeartbeat, b.hbCount, b.hbCost)
 	}
-	t.numNodes += b.nodesDelta
-	t.numLeaves += b.leavesDelta
 	for d, delta := range b.depthDelta {
-		for len(t.depthCount) <= d {
-			t.depthCount = append(t.depthCount, 0)
-		}
 		t.depthCount[d] += delta
 	}
-	for _, n := range b.removed {
-		t.unregisterLeaf(n)
+	for _, i := range b.removed {
+		t.unregisterLeaf(i)
 	}
-	var add func(evs []leafEvent)
-	add = func(evs []leafEvent) {
-		for _, ev := range evs {
-			if ev.leaf != nil {
-				t.leavesByVS[ev.leaf.Host] = append(t.leavesByVS[ev.leaf.Host], ev.leaf)
-				continue
+	// New leaves join their hosts' lists in clockwise order, which is
+	// the order of their regions, since the leaves tile the circle from
+	// the root's start.
+	if b.dirty == nil {
+		t.carveLeafLists(b.leaves)
+		t.Walk(func(h Handle) {
+			if t.IsLeaf(h) {
+				t.registerLeaf(h.i)
 			}
-			if b.taskLeaves != nil {
-				add(b.taskLeaves[ev.task])
-			}
+		})
+	} else {
+		slices.SortFunc(b.leaves, func(x, y int32) int {
+			return cmp.Compare(t.recs[x].region.Start, t.recs[y].region.Start) //lbvet:ignore identcompare leaves tile the circle from identifier 0, so their starts order them clockwise
+		})
+		for _, i := range b.leaves {
+			t.registerLeaf(i)
 		}
 	}
-	add(b.events)
-	t.heldNodes, t.heldKids = b.freedNodes, b.freedKids
+	t.held = b.freed
 	return b.changes
 }
 
-// release puts what the previous pass discarded on the free list; until
-// now those nodes and child slices were exactly as that pass left them.
-func (t *Tree) release() {
-	for _, s := range t.heldKids {
-		if poison.Freed {
-			clear(s[:cap(s)])
-		}
-		t.free.put(s)
+// carveLeafLists gives every virtual server an empty leaf list with
+// room for exactly the leaves a Build planted in it, all in one array.
+func (t *Tree) carveLeafLists(leaves []int32) {
+	t.leaves, t.numLeaves = make([]leafList, t.ring.NumSlots()), 0
+	room := make([]int, len(t.leaves))
+	for _, i := range leaves {
+		room[t.recs[i].host.Slot()]++
 	}
-	if poison.Freed {
-		for _, n := range t.heldNodes {
-			*n = Node{}
-		}
+	all := make([]Handle, len(leaves))
+	for _, vs := range t.ring.VServers() {
+		n := room[vs.Slot()]
+		t.leaves[vs.Slot()] = leafList{vs: vs, hs: all[:0:n]}
+		all = all[n:]
 	}
-	t.free.nodes = append(t.free.nodes, t.heldNodes...)
-	t.heldNodes, t.heldKids = nil, nil
 }
 
-// unregisterLeaf removes n from its host's leaf list, leaving no
-// reference to it in the list's backing array.
-func (t *Tree) unregisterLeaf(n *Node) {
-	leaves := t.leavesByVS[n.Host]
-	if i := slices.Index(leaves, n); i >= 0 {
-		leaves = slices.Delete(leaves, i, i+1)
+// registerLeaf appends leaf i to its host's list.
+func (t *Tree) registerLeaf(i int32) {
+	vs := t.recs[i].host
+	s := vs.Slot()
+	if s >= len(t.leaves) {
+		t.leaves = append(t.leaves, make([]leafList, s+1-len(t.leaves))...)
 	}
-	if len(leaves) == 0 {
-		delete(t.leavesByVS, n.Host)
-	} else {
-		t.leavesByVS[n.Host] = leaves
+	l := &t.leaves[s]
+	if l.vs != vs {
+		l.vs, l.hs = vs, l.hs[:0]
+	}
+	l.hs = append(l.hs, t.handle(i))
+	t.numLeaves++
+}
+
+// unregisterLeaf removes leaf i from its host's list, keeping the
+// others in order and leaving no handle past the list's end.
+func (t *Tree) unregisterLeaf(i int32) {
+	l := &t.leaves[t.recs[i].host.Slot()]
+	if k := slices.IndexFunc(l.hs, func(h Handle) bool { return h.i == i }); k >= 0 {
+		l.hs = slices.Delete(l.hs, k, k+1)
+		t.numLeaves--
+	}
+	if len(l.hs) == 0 {
+		l.vs = nil // the next virtual server in this slot reuses the array
 	}
 }
 
 // CheckInvariants panics if the tree violates its structural
-// invariants: the root covers the full space, children are dense,
-// partition their parent's region clockwise and are at least two, no
-// adjacent sibling leaves share a host (they would have merged), every
-// leaf is covered by its host's region, every node's host owns its key,
-// internal regions straddle an ownership boundary, leaf bookkeeping and
-// the node/leaf/height counters match the tree, and every live virtual
-// server hosts at least one leaf.
+// invariants: the root covers the full space, children partition their
+// parent's region clockwise, are at least two and as many as the
+// parent's count, no adjacent sibling leaves share a host (they would
+// have merged), every leaf is covered by its host's region, every
+// node's host owns its key, internal regions straddle an ownership
+// boundary, leaf bookkeeping and the node/leaf/height counters match
+// the tree, and every live virtual server hosts at least one leaf.
 func (t *Tree) CheckInvariants() {
-	if t.root == nil {
+	if t.root == nilRef {
 		panic("ktree: no root")
 	}
-	if !t.root.Region.IsFull() {
+	if !t.recs[t.root].region.IsFull() {
 		panic("ktree: root does not cover the identifier space")
 	}
-	leaves, nodes, height := 0, 0, 0
-	depths := map[int]int{}
-	t.Walk(func(n *Node) {
+	leaves, nodes := 0, 0
+	var depths [maxDepth + 1]int
+	t.Walk(func(h Handle) {
+		n := &t.recs[h.i]
 		nodes++
-		depths[n.Depth]++
-		if n.Depth > height {
-			height = n.Depth
+		depths[n.depth]++
+		if n.gen == 0 {
+			panic("ktree: a node in the tree sits in a free slot")
 		}
-		if n.Key != n.Region.Center() {
+		if n.key != n.region.Center() {
 			panic("ktree: key is not the region center")
 		}
-		if t.ring.Successor(n.Key) != n.Host {
+		if t.ring.Successor(n.key) != n.host {
 			panic("ktree: host does not own the node's key")
 		}
-		covered := t.ring.RegionOf(n.Host).Covers(n.Region)
-		if n.IsLeaf() {
+		covered := t.ring.RegionOf(n.host).Covers(n.region)
+		if n.first == nilRef {
 			leaves++
 			if !covered {
 				panic(fmt.Sprintf("ktree: leaf region %v not covered by host region %v",
-					n.Region, t.ring.RegionOf(n.Host)))
+					n.region, t.ring.RegionOf(n.host)))
 			}
-			found := false
-			for _, l := range t.leavesByVS[n.Host] {
-				if l == n {
-					found = true
-					break
-				}
-			}
-			if !found {
-				panic("ktree: leaf missing from leavesByVS")
+			if !slices.Contains(t.LeavesOf(n.host), h) {
+				panic("ktree: leaf missing from its host's leaf list")
 			}
 			return
 		}
 		if covered {
-			panic(fmt.Sprintf("ktree: internal node %v is coverable and should be a leaf", n.Region))
+			panic(fmt.Sprintf("ktree: internal node %v is coverable and should be a leaf", n.region))
 		}
-		if len(n.Children) < 2 {
+		if n.kids < 2 {
 			panic("ktree: internal node with fewer than two children")
 		}
-		at := n.Region.Start
+		at := n.region.Start
 		var total uint64
-		for i, c := range n.Children {
-			if c == nil {
-				panic("ktree: nil child slot")
-			}
-			if c.Region.Start != at {
+		kids := int32(0)
+		var prev *rec
+		for ci := n.first; ci != nilRef; ci = t.recs[ci].next {
+			c := &t.recs[ci]
+			kids++
+			if c.region.Start != at {
 				panic("ktree: children do not tile parent region")
 			}
-			if c.Parent != n || c.Depth != n.Depth+1 {
+			if c.parent != h.i || c.depth != n.depth+1 {
 				panic("ktree: child linkage wrong")
 			}
-			if i > 0 && c.IsLeaf() && n.Children[i-1].IsLeaf() && c.Host == n.Children[i-1].Host {
+			if prev != nil && prev.first == nilRef && c.first == nilRef && prev.host == c.host {
 				panic("ktree: unmerged adjacent sibling leaves with one host")
 			}
-			at = c.Region.End()
-			total += c.Region.Width
+			prev = c
+			at = c.region.End()
+			total += c.region.Width
 		}
-		if total != n.Region.Width {
+		if kids != n.kids {
+			panic(fmt.Sprintf("ktree: node counts %d children, links %d", n.kids, kids))
+		}
+		if total != n.region.Width {
 			panic("ktree: child widths do not sum to parent width")
 		}
 	})
-	if nodes != t.numNodes || leaves != t.numLeaves || height != t.Height() {
-		panic(fmt.Sprintf("ktree: bookkeeping mismatch nodes %d/%d leaves %d/%d height %d/%d",
-			nodes, t.numNodes, leaves, t.numLeaves, height, t.Height()))
-	}
-	for d, c := range depths {
-		if t.depthCount[d] != c {
-			panic(fmt.Sprintf("ktree: depth histogram mismatch at depth %d: %d != %d", d, t.depthCount[d], c))
-		}
+	if nodes != t.NumNodes() || leaves != t.numLeaves || depths != t.depthCount {
+		panic(fmt.Sprintf("ktree: bookkeeping mismatch nodes %d/%d leaves %d/%d depths %v/%v",
+			nodes, t.NumNodes(), leaves, t.numLeaves, depths, t.depthCount))
 	}
 	registered := 0
-	for _, vsLeaves := range t.leavesByVS {
-		registered += len(vsLeaves)
+	for _, l := range t.leaves {
+		registered += len(l.hs)
 	}
 	if registered != t.numLeaves {
-		panic(fmt.Sprintf("ktree: leavesByVS registers %d leaves, tree has %d", registered, t.numLeaves))
+		panic(fmt.Sprintf("ktree: leaf lists register %d leaves, tree has %d", registered, t.numLeaves))
 	}
 	for _, vs := range t.ring.VServers() {
-		if len(t.leavesByVS[vs]) == 0 {
+		if len(t.LeavesOf(vs)) == 0 {
 			panic(fmt.Sprintf("ktree: virtual server %s hosts no leaf", vs.ID))
 		}
 	}

@@ -52,7 +52,7 @@ func TestBuildSingleVS(t *testing.T) {
 	ring := chord.NewRing(eng, chord.Config{})
 	ring.AddNodeWithIDs(-1, 10, []ident.ID{12345})
 	tree := buildTree(t, ring, 2)
-	if !tree.Root().IsLeaf() {
+	if !tree.IsLeaf(tree.Root()) {
 		t.Fatal("single-VS tree should be just a root leaf")
 	}
 	if tree.NumNodes() != 1 || tree.NumLeaves() != 1 || tree.Height() != 0 {
@@ -78,9 +78,9 @@ func TestLeavesTileTheCircle(t *testing.T) {
 	ring := buildRing(4, 32, 4)
 	tree := buildTree(t, ring, 2)
 	var total uint64
-	tree.Walk(func(n *Node) {
-		if n.IsLeaf() {
-			total += n.Region.Width
+	tree.Walk(func(n Handle) {
+		if tree.IsLeaf(n) {
+			total += tree.Region(n).Width
 		}
 	})
 	if total != ident.SpaceSize {
@@ -91,9 +91,9 @@ func TestLeavesTileTheCircle(t *testing.T) {
 func TestLeafRegionInsideHostRegion(t *testing.T) {
 	ring := buildRing(5, 48, 3)
 	tree := buildTree(t, ring, 2)
-	tree.Walk(func(n *Node) {
-		if n.IsLeaf() && !ring.RegionOf(n.Host).Covers(n.Region) {
-			t.Fatalf("leaf %v not inside host %v", n.Region, ring.RegionOf(n.Host))
+	tree.Walk(func(n Handle) {
+		if tree.IsLeaf(n) && !ring.RegionOf(tree.Host(n)).Covers(tree.Region(n)) {
+			t.Fatalf("leaf %v not inside host %v", tree.Region(n), ring.RegionOf(tree.Host(n)))
 		}
 	})
 }
@@ -193,10 +193,10 @@ func TestRepairAfterNodeRemoval(t *testing.T) {
 		t.Errorf("repaired tree shape %d/%d differs from fresh build %d/%d",
 			tree.NumNodes(), tree.NumLeaves(), fresh.NumNodes(), fresh.NumLeaves())
 	}
-	// Unregistering a leaf must not leave it behind in the vacated tail
-	// slot of its host's list, where it would pin its whole arena block.
-	// A join takes leaves from the virtual server it splits and gives it
-	// none back, so some list loses its last element.
+	// Unregistering a leaf must not leave its handle behind in the
+	// vacated tail slot of its host's list. A join takes leaves from the
+	// virtual server it splits and gives it none back, so some list
+	// loses its last element.
 	for i := 0; i < 8; i++ {
 		ring.AddNode(-1, 100, 4)
 	}
@@ -204,13 +204,13 @@ func TestRepairAfterNodeRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.CheckInvariants()
-	live := map[*Node]bool{}
-	tree.Walk(func(n *Node) { live[n] = true })
+	live := map[Handle]bool{}
+	tree.Walk(func(n Handle) { live[n] = true })
 	for _, vs := range ring.VServers() {
 		leaves := tree.LeavesOf(vs)
 		for _, l := range leaves[:cap(leaves)] {
-			if l != nil && !live[l] {
-				t.Fatalf("leavesByVS backing array of VS %s still holds discarded leaf %v", vs.ID, l.Region)
+			if !l.IsNil() && !live[l] {
+				t.Fatalf("leaf list backing array of VS %s still holds discarded leaf %v", vs.ID, tree.Region(l))
 			}
 		}
 	}
@@ -395,8 +395,8 @@ func TestEdgeLatency(t *testing.T) {
 	if tree.EdgeLatency(tree.Root()) != 0 {
 		t.Error("root edge latency should be 0")
 	}
-	tree.Walk(func(n *Node) {
-		if n.Parent != nil && tree.EdgeLatency(n) < 1 {
+	tree.Walk(func(n Handle) {
+		if !tree.Parent(n).IsNil() && tree.EdgeLatency(n) < 1 {
 			t.Error("child edge latency should be >= 1")
 		}
 	})
@@ -405,8 +405,8 @@ func TestEdgeLatency(t *testing.T) {
 func TestWalkVisitsAllNodesOnce(t *testing.T) {
 	ring := buildRing(16, 32, 3)
 	tree := buildTree(t, ring, 2)
-	seen := map[*Node]bool{}
-	tree.Walk(func(n *Node) {
+	seen := map[Handle]bool{}
+	tree.Walk(func(n Handle) {
 		if seen[n] {
 			t.Fatal("node visited twice")
 		}
@@ -417,7 +417,7 @@ func TestWalkVisitsAllNodesOnce(t *testing.T) {
 	}
 	// Walk on an unbuilt tree is a no-op.
 	empty, _ := New(ring, 2)
-	empty.Walk(func(*Node) { t.Fatal("unbuilt tree should not visit") })
+	empty.Walk(func(Handle) { t.Fatal("unbuilt tree should not visit") })
 }
 
 func TestTreeSizeReasonable(t *testing.T) {

@@ -47,8 +47,8 @@ func churnCycle(t testing.TB, ring *chord.Ring, tree *Tree) (changes int) {
 
 // TestRepairHeapFlat: a tree under steady churn costs what it holds.
 // Fifteen 1% churn cycles leave the live heap where the second cycle
-// left it (the free list fills during the first two), because every
-// later pass plants into what earlier passes discarded.
+// left it (the free stack fills during the first two), because every
+// later pass plants into the slots earlier passes discarded.
 func TestRepairHeapFlat(t *testing.T) {
 	ring := buildRing(1, 2048, 5)
 	tree := buildTree(t, ring, 2)
@@ -71,8 +71,7 @@ func TestRepairHeapFlat(t *testing.T) {
 }
 
 // TestBuildHeapProportional: what Build leaves reachable is the tree —
-// at most twice its nodes, plus the child pointers and the per-VS leaf
-// lists it must hold.
+// at most twice its records, plus the per-slot leaf lists it must hold.
 func TestBuildHeapProportional(t *testing.T) {
 	for _, nodes := range []int{256, 2048, 6400} {
 		ring := buildRing(1, nodes, 5)
@@ -86,16 +85,14 @@ func TestBuildHeapProportional(t *testing.T) {
 		}
 		built := int64(liveHeap()) - int64(before)
 
-		budget := int64(2*tree.NumNodes()) * int64(unsafe.Sizeof(Node{}))
-		budget += int64(tree.NumNodes()-1) * int64(unsafe.Sizeof((*Node)(nil))) // every node but the root sits in one child slice
+		budget := int64(2*tree.NumNodes()) * int64(unsafe.Sizeof(rec{}))
+		budget += int64(ring.NumSlots()) * int64(unsafe.Sizeof(leafList{}))
 		for _, vs := range ring.VServers() {
-			// One map entry (key, slice header, bucket overhead) and the
-			// list's backing array.
-			budget += 64 + int64(cap(tree.LeavesOf(vs)))*int64(unsafe.Sizeof((*Node)(nil)))
+			budget += int64(cap(tree.LeavesOf(vs))) * int64(unsafe.Sizeof(Handle{}))
 		}
-		t.Logf("%d nodes: Build holds %.2f MB for %d KT nodes (%.1f× their %d B), budget %.2f MB",
+		t.Logf("%d nodes: Build holds %.2f MB for %d KT nodes (%.1f× their %d B), budget %d B (%.2f MB)",
 			nodes, float64(built)/(1<<20), tree.NumNodes(),
-			float64(built)/float64(tree.NumNodes())/float64(unsafe.Sizeof(Node{})), unsafe.Sizeof(Node{}), float64(budget)/(1<<20))
+			float64(built)/float64(tree.NumNodes())/float64(unsafe.Sizeof(rec{})), unsafe.Sizeof(rec{}), budget, float64(budget)/(1<<20))
 		if built > budget {
 			t.Errorf("%d nodes: Build holds %d bytes, budget %d", nodes, built, budget)
 		}
@@ -103,7 +100,7 @@ func TestBuildHeapProportional(t *testing.T) {
 	}
 }
 
-// TestRepairReusesDiscarded: once the free list has filled, what a
+// TestRepairReusesDiscarded: once the free stack has filled, what a
 // Repair allocates is bounded by what it changes, not by the tree. The
 // same bound per change holds on a tree three times the size.
 func TestRepairReusesDiscarded(t *testing.T) {

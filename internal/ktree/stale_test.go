@@ -7,7 +7,6 @@ import (
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
-	"p2plb/internal/ktree/internal/poison"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
 	"p2plb/internal/workload"
@@ -15,10 +14,10 @@ import (
 
 // churn replaces n of ring's nodes and repairs tree, returning the nodes
 // the pass discarded (reachable before it, not after).
-func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded []*ktree.Node) {
+func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded []ktree.Handle) {
 	t.Helper()
-	var before []*ktree.Node
-	tree.Walk(func(nd *ktree.Node) { before = append(before, nd) })
+	var before []ktree.Handle
+	tree.Walk(func(h ktree.Handle) { before = append(before, h) })
 	profile := workload.GnutellaProfile()
 	for _, v := range ring.AliveNodes()[:n] {
 		ring.RemoveNode(v)
@@ -30,11 +29,11 @@ func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded [
 		t.Fatal(err)
 	}
 	tree.CheckInvariants()
-	live := make(map[*ktree.Node]bool, len(before))
-	tree.Walk(func(nd *ktree.Node) { live[nd] = true })
-	for _, nd := range before {
-		if !live[nd] {
-			discarded = append(discarded, nd)
+	live := make(map[ktree.Handle]bool, len(before))
+	tree.Walk(func(h ktree.Handle) { live[h] = true })
+	for _, h := range before {
+		if !live[h] {
+			discarded = append(discarded, h)
 		}
 	}
 	return discarded
@@ -44,7 +43,7 @@ func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded [
 // at tick at of the round, replaces eight nodes and repairs the tree
 // under it. It returns a fingerprint of everything the round and the
 // ring ended with, and the nodes the mid-round Repair discarded.
-func roundAcrossRepair(t *testing.T, at sim.Time) (fingerprint string, discarded []*ktree.Node, ring *chord.Ring, tree *ktree.Tree) {
+func roundAcrossRepair(t *testing.T, at sim.Time) (fingerprint string, discarded []ktree.Handle, ring *chord.Ring, tree *ktree.Tree) {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	ring = chord.NewRing(eng, chord.Config{})
@@ -96,64 +95,65 @@ func roundAcrossRepair(t *testing.T, at sim.Time) (fingerprint string, discarded
 	return fingerprint, discarded, ring, tree
 }
 
-// TestNoReaderOfDiscardedNodes is the proof recycling ships with. A
-// protocol round holds *ktree.Node pointers across engine events, so a
+// TestNoReaderOfDiscardedNodes is the proof that handles are safe to
+// hold. A protocol round holds ktree.Handles across engine events, so a
 // Repair under a round in flight discards nodes the round goes on
 // reading: at tick 22 of this round the LBI collect is deep in the
-// subtrees being replaced, at tick 80 the dissemination is, and blanking
-// nodes the moment they are discarded crashes the round at both (tried
-// while this was written). The contract (package comment, "Stale
-// holders") is therefore that a discarded node stays exactly as it was
-// until the next pass begins; the poison hook blanks it at that moment,
-// so whatever reads one later crashes or diverges instead of quietly
-// following a recycled node. The round must come out identical with the
-// hook on.
+// subtrees being replaced, at tick 80 the dissemination is. The contract
+// (package comment, "Stale holders") is that a discarded node's record
+// stays exactly as it was until the next pass begins, and that from then
+// on Follow reports its handle stale. So the round reads the outdated
+// subtrees whole — the fingerprints below are the ones the round made
+// when the tree was a graph of pointers — and never finds a stale
+// handle; and a handle held across a second pass reads as stale, and
+// is counted, instead of being followed into a recycled slot.
 func TestNoReaderOfDiscardedNodes(t *testing.T) {
-	var discardedP []*ktree.Node
+	pinned := map[sim.Time]string{
+		22: "global={25061.122868598235 20815 0 true} heavy=170/20 assign=511 unassigned=0 moved=13377.795887614657 times=1044/1068/1136/1144 timedout=37 aborted=0 retries=0 msgs=65574 now=1146 gini=0.6911421182561739 nodes=5520",
+		80: "global={25671.371563836958 21226 0 true} heavy=175/36 assign=503 unassigned=0 moved=13025.337056460803 times=60/86/152/160 timedout=0 aborted=0 retries=0 msgs=65610 now=162 gini=0.6857582477599016 nodes=5520",
+	}
+	var discarded []ktree.Handle
 	var ring *chord.Ring
 	var tree *ktree.Tree
 	for _, at := range []sim.Time{22, 80} {
-		plain, discarded, _, _ := roundAcrossRepair(t, at)
-		poison.Freed = true
-		var poisoned string
-		poisoned, discardedP, ring, tree = roundAcrossRepair(t, at)
-		poison.Freed = false
-		if len(discardedP) != len(discarded) {
-			t.Fatalf("tick %d: mid-round repair discarded %d nodes poisoned, %d plain", at, len(discardedP), len(discarded))
+		var fingerprint string
+		fingerprint, discarded, ring, tree = roundAcrossRepair(t, at)
+		if fingerprint != pinned[at] {
+			t.Errorf("tick %d: a round in flight across a Repair differs from the pointer-graph tree's:\n got    %s\n pinned %s", at, fingerprint, pinned[at])
 		}
-		if poisoned != plain {
-			t.Errorf("tick %d: a round in flight across a Repair differs under poison:\n plain    %s\n poisoned %s", at, plain, poisoned)
+		if n := tree.StaleFollows(); n != 0 {
+			t.Errorf("tick %d: the round found %d stale handles across one Repair", at, n)
 		}
 	}
-	poison.Freed = true
-	defer func() { poison.Freed = false }()
 
 	// Teeth: a deliberately stale reader. One pass on, the discarded
-	// nodes are still whole (the round's own end-of-round Repair found
-	// nothing dirty, so no pass has begun since); a second pass releases
-	// them, and the hook makes that visible on every one the pass did not
-	// at once plant again somewhere else.
-	for _, nd := range discardedP {
-		if nd.Host == nil || nd.Region.IsEmpty() {
-			t.Fatalf("node discarded by the latest pass was touched before the next pass began: %+v", *nd)
+	// nodes still read as what they were (the round's own end-of-round
+	// Repair found nothing dirty, so no pass has begun since); a second
+	// pass frees their slots, and every one reads as stale from then on,
+	// whether or not the pass planted another node in it.
+	for _, h := range discarded {
+		if !tree.Follow(h) {
+			t.Fatalf("handle %d discarded by the latest pass read as stale before the next pass began", h.Index())
 		}
 	}
 	churn(t, ring, tree, 4)
-	live := make(map[*ktree.Node]bool)
-	tree.Walk(func(nd *ktree.Node) { live[nd] = true })
-	blank := 0
-	for _, nd := range discardedP {
-		switch {
-		case live[nd]: // recycled: the stale reader now follows a different node
-		case nd.Host == nil && nd.Parent == nil && nd.Children == nil && nd.Region.IsEmpty():
-			blank++
-		default:
-			t.Fatalf("stale reader went uncaught: a node discarded two passes ago is neither blank nor replanted: %+v", *nd)
+	live := make(map[int]bool)
+	tree.Walk(func(h ktree.Handle) { live[h.Index()] = true })
+	replanted := 0
+	for _, h := range discarded {
+		if tree.Follow(h) {
+			t.Fatalf("stale reader went uncaught: handle %d, discarded two passes ago, still follows", h.Index())
+		}
+		if live[h.Index()] {
+			replanted++
 		}
 	}
-	if blank == 0 {
-		t.Fatalf("the second pass replanted all %d discarded nodes; none left to show the poison", len(discardedP))
+	if got := tree.StaleFollows(); got != int64(len(discarded)) {
+		t.Errorf("%d stale follows counted, want one per discarded handle (%d)", got, len(discarded))
 	}
-	t.Logf("mid-round repair discarded %d nodes the round went on reading; the next pass replanted %d and blanked %d",
-		len(discardedP), len(discardedP)-blank, blank)
+	if replanted == 0 {
+		t.Error("the second pass replanted none of the discarded slots; the test covers no recycling")
+	}
+	t.Logf("mid-round repair discarded %d nodes the round went on reading; the next pass replanted %d of their slots",
+		len(discarded), replanted)
 }

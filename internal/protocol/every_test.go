@@ -320,7 +320,7 @@ func countedRounds(t *testing.T, plan faults.Plan, killRootAt int) (rounds, fail
 			// The root's host dies one tick into this round: the round
 			// fails by its deadline, and the next one starts on a tree
 			// its own Repair replanted.
-			eng.ScheduleEv(1, sim.Func(func() { ring.RemoveNode(tree.Root().Host.Owner) }))
+			eng.ScheduleEv(1, sim.Func(func() { ring.RemoveNode(tree.Host(tree.Root()).Owner) }))
 		}
 		return true
 	}
@@ -399,7 +399,7 @@ func TestStartRoundRepairsFirst(t *testing.T) {
 	ring, tree := fixture(43, 64, 4)
 	var victim *chord.Node
 	for _, n := range ring.AliveNodes() {
-		if n != tree.Root().Host.Owner && len(tree.LeavesOf(n.VServers()[0])) > 0 {
+		if n != tree.Host(tree.Root()).Owner && len(tree.LeavesOf(n.VServers()[0])) > 0 {
 			victim = n
 			break
 		}

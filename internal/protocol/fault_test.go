@@ -63,7 +63,7 @@ func TestScratchDroppedAfterUncleanRound(t *testing.T) {
 		alive := ring.AliveNodes()
 		for i := 0; i < 12; i++ {
 			victim := alive[len(alive)-1-i]
-			if victim == tree.Root().Host.Owner {
+			if victim == tree.Host(tree.Root()).Owner {
 				continue
 			}
 			ring.RemoveNode(victim)

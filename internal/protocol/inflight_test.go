@@ -93,7 +93,7 @@ func TestNoRepairWhileRoundInFlight(t *testing.T) {
 			ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
 			eng.ScheduleEv(3, sim.Func(func() {
 				alive := ring.AliveNodes()
-				if v := alive[eng.Rand().Intn(len(alive))]; v != tree.Root().Host.Owner {
+				if v := alive[eng.Rand().Intn(len(alive))]; v != tree.Host(tree.Root()).Owner {
 					ring.RemoveNode(v)
 				}
 			}))

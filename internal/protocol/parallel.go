@@ -119,7 +119,7 @@ const (
 // with its offset from the phase's start on the worker engine.
 type timedPair struct {
 	at sim.Time
-	n  *ktree.Node
+	n  ktree.Handle
 	p  core.Pair
 }
 
@@ -173,11 +173,11 @@ func (w *subWorker) done(out reply) {
 // forked reports whether collect phase ph runs on the workers; root is
 // the walk's root. The phase's first root-child down-arrival decides,
 // and a fork runs every child's phase to completion before it returns.
-func (rd *round) forked(ph phase, root *ktree.Node) bool {
+func (rd *round) forked(ph phase, root ktree.Handle) bool {
 	state := &rd.fork[ph]
 	if *state == forkUndecided {
 		*state = forkOff
-		if rd.lookaheadSafe() && rd.makeWorkers(len(root.Children)) {
+		if rd.lookaheadSafe() && rd.makeWorkers(rd.r.tree.NumChildren(root)) {
 			*state = forkOn
 			rd.r.forks++
 			rd.runWorkers(ph, root)
@@ -224,11 +224,14 @@ func (rd *round) makeWorkers(children int) bool {
 
 // runWorkers simulates every root child's phase ph on its worker, in
 // parallel, and waits for all of them.
-func (rd *round) runWorkers(ph phase, root *ktree.Node) {
+func (rd *round) runWorkers(ph phase, root ktree.Handle) {
 	var wg sync.WaitGroup
-	for ci, c := range root.Children {
+	tree := rd.r.tree
+	ci := 0
+	for c := tree.FirstChild(root); !c.IsNil(); c, ci = tree.NextSibling(c), ci+1 {
 		w := rd.workers[ci]
-		w.sub.global = rd.global
+		// A deposit since the last phase may have grown the VSA inbox.
+		w.sub.global, w.sub.vsaInbox = rd.global, rd.vsaInbox
 		w.start, w.ok, w.pairs = w.eng.Now(), false, w.pairs[:0]
 		wg.Add(1)
 		go func() {
@@ -269,7 +272,9 @@ func (rd *round) join(e *colEdge) {
 	for _, tp := range w.pairs {
 		rd.schedule(tp.at, func() {
 			rd.own--
-			rd.emitPair(tp.n, tp.p)
+			if rd.r.tree.Follow(tp.n) {
+				rd.emitPair(tp.n, tp.p)
+			}
 		})
 	}
 	out := w.out

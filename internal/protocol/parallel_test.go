@@ -66,7 +66,7 @@ func forkReplays(res *Result, rootChildren, phases int) uint64 {
 func crashLast(ring *chord.Ring, tree *ktree.Tree, n int) {
 	alive := ring.AliveNodes()
 	for i := 0; i < n; i++ {
-		if victim := alive[len(alive)-1-i]; victim != tree.Root().Host.Owner {
+		if victim := alive[len(alive)-1-i]; victim != tree.Host(tree.Root()).Owner {
 			ring.RemoveNode(victim)
 		}
 	}
@@ -145,7 +145,7 @@ func TestParallelSubtreesEquivalence(t *testing.T) {
 							cfg.Core.Mapper = blockMapper{}
 						}
 						ringS, treeS := forkFixture(3, nodes, k)
-						rootChildren := len(treeS.Root().Children)
+						rootChildren := treeS.NumChildren(treeS.Root())
 						var seq *Result
 						sequentially(func() { seq = runOneRound(t, ringS, treeS, cfg) })
 						ringF, treeF := forkFixture(3, nodes, k)
@@ -464,7 +464,7 @@ func checkPinned(t *testing.T, res *Result, err error, eng *sim.Engine, want str
 func TestParallelSubtreesSequentialUnderRunUntil(t *testing.T) {
 	ring, tree := fixture(21, 256, 4)
 	eng := ring.Engine()
-	rootChildren := len(tree.Root().Children)
+	rootChildren := tree.NumChildren(tree.Root())
 	r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ChildTimeout: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -563,7 +563,7 @@ func TestParallelSubtreesBesideTraffic(t *testing.T) {
 						t.Fatal("round never completed")
 					}
 					ring.CheckInvariants()
-					return out, ring, landed, len(tree.Root().Children)
+					return out, ring, landed, tree.NumChildren(tree.Root())
 				}
 				var seq *Result
 				var ringS *chord.Ring

@@ -53,6 +53,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
@@ -129,43 +130,39 @@ type Runner struct {
 	forks, lateDrops int
 }
 
-// roundScratch holds the per-round maps (and the report slices inside
-// lbiInbox), and the placement whose slices the next PlaceRound takes
-// over, that periodic rounds (Every) would otherwise reallocate every
-// round. A round hands its scratch back only when it finished
-// clean: after a timeout or an aborted transfer, stale epoch events may
-// still read the maps (and a late VSA reply can even mutate its
-// PairList), so such rounds drop the scratch instead of recycling it.
+// roundScratch holds the per-round inboxes (and the report slices
+// inside lbiInbox), the states map, and the placement whose slices the
+// next PlaceRound takes over, that periodic rounds (Every) would
+// otherwise reallocate every round. The inboxes are indexed by
+// ktree.Handle.Index. A round hands its scratch back only when it
+// finished clean: after a timeout or an aborted transfer, stale epoch
+// events may still read the inboxes (and a late VSA reply can even
+// mutate its PairList), so such rounds drop the scratch instead of
+// recycling it.
 type roundScratch struct {
-	lbiInbox map[*ktree.Node][]core.LBI
+	lbiInbox [][]core.LBI
 	states   map[*chord.Node]*core.NodeState
-	vsaInbox map[*ktree.Node]*core.PairList
+	vsaInbox []*core.PairList
 	place    *core.Placement // nil until a round has drawn one
 }
 
-// takeScratch returns a cleared scratch for the next round, reusing the
-// previous round's maps when available.
+// takeScratch returns a cleared scratch for the next round, its inboxes
+// sized to the tree's handle bound, reusing the previous round's when
+// available.
 func (r *Runner) takeScratch() *roundScratch {
 	sc := r.scratch
 	r.scratch = nil
 	if sc == nil {
-		return &roundScratch{
-			lbiInbox: make(map[*ktree.Node][]core.LBI),
-			states:   make(map[*chord.Node]*core.NodeState),
-			vsaInbox: make(map[*ktree.Node]*core.PairList),
-		}
+		sc = &roundScratch{states: make(map[*chord.Node]*core.NodeState)}
 	}
-	// Tree repair retires KT nodes between rounds; once dead keys
-	// clearly dominate, a fresh map beats dragging their buckets along.
-	if len(sc.lbiInbox) > 2*r.tree.NumNodes()+16 {
-		sc.lbiInbox = make(map[*ktree.Node][]core.LBI)
-	} else {
-		for k, v := range sc.lbiInbox {
-			sc.lbiInbox[k] = v[:0]
-		}
+	bound := r.tree.HandleBound()
+	for i := range sc.lbiInbox {
+		sc.lbiInbox[i] = sc.lbiInbox[i][:0]
 	}
+	sc.lbiInbox = slices.Grow(sc.lbiInbox[:0], bound)[:bound]
 	clear(sc.states)
 	clear(sc.vsaInbox)
+	sc.vsaInbox = slices.Grow(sc.vsaInbox[:0], bound)[:bound]
 	return sc
 }
 
@@ -216,12 +213,12 @@ type round struct {
 	// the fork rule can tell the round's events from foreign ones.
 	own int
 
-	lbiInbox map[*ktree.Node][]core.LBI
+	lbiInbox [][]core.LBI // by ktree.Handle.Index, like vsaInbox
 	global   core.LBI
 	place    *core.Placement // the round's randomized placement, drawn before any event
 
 	roster     *lbnode.Roster // dissemination endpoint state (over scratch's states map)
-	vsaInbox   map[*ktree.Node]*core.PairList
+	vsaInbox   []*core.PairList
 	publishing int // outstanding routed publications
 
 	// Reliable-delivery state. seen is the receiver-side dedup set: a
@@ -378,7 +375,8 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 		retries = defaultMaxRetries
 	}
 	sc := r.takeScratch()
-	rd := &round{
+	var rd *round
+	rd = &round{
 		r:          r,
 		ord:        r.rounds,
 		timeout:    timeout,
@@ -400,7 +398,9 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 			if err == nil && res.TimedOutChildren == 0 && res.AbortedTransfers == 0 && res.Retries == 0 {
 				// The sweep merged each subtree's entries into lists its
 				// leaves' inboxes still point at; let them go now rather
-				// than at the next round.
+				// than at the next round. A deposit may have grown the
+				// inbox.
+				sc.vsaInbox = rd.vsaInbox
 				clear(sc.vsaInbox)
 				r.scratch = sc
 			}
@@ -413,7 +413,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// A completing round cancels it so the engine drains immediately.
 	rd.collectAck.rd = rd
 	rd.own++
-	rd.deadline = r.eng.AfterEv(8*rd.epochWindow(r.tree.Root()), sim.Func(func() {
+	rd.deadline = r.eng.AfterEv(8*rd.epochWindow(0), sim.Func(func() {
 		rd.own--
 		rd.done(nil, fmt.Errorf("protocol: round deadline exceeded (root unreachable?)"))
 	}))
@@ -427,8 +427,8 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	// Each placed node's report waits at its leaf, in ring order: the
 	// sequence both drivers aggregate.
 	for i, n := range rd.place.Nodes {
-		if leaf := rd.place.LBILeaf[i]; leaf != nil {
-			rd.lbiInbox[leaf] = append(rd.lbiInbox[leaf], core.NodeLBI(n))
+		if leaf := rd.place.LBILeaf[i]; !leaf.IsNil() {
+			rd.lbiInbox[leaf.Index()] = append(rd.lbiInbox[leaf.Index()], core.NodeLBI(n))
 		}
 	}
 	rd.collect(phaseLBI, func(out reply) {
@@ -473,11 +473,11 @@ func (r *Runner) recordRound(res *Result, err error) {
 	reg.Float("protocol.moved_load").Add(res.MovedLoad)
 }
 
-// epochWindow returns how long the KT node n waits for its children's
-// epoch replies: the per-level slack times the remaining subtree height,
-// so a parent's window always outlasts its children's.
-func (rd *round) epochWindow(n *ktree.Node) sim.Time {
-	levels := rd.r.tree.Height() - n.Depth + 1
+// epochWindow returns how long a KT node at the given depth waits for
+// its children's epoch replies: the per-level slack times the remaining
+// subtree height, so a parent's window always outlasts its children's.
+func (rd *round) epochWindow(depth int) sim.Time {
+	levels := rd.r.tree.Height() - depth + 1
 	if levels < 1 {
 		levels = 1
 	}
@@ -486,7 +486,16 @@ func (rd *round) epochWindow(n *ktree.Node) sim.Time {
 
 // hostIdx returns the physical-node index hosting a KT node, the
 // endpoint identity the fault layer partitions on.
-func hostIdx(n *ktree.Node) int { return n.Host.Owner.Index }
+func (rd *round) hostIdx(n ktree.Handle) int { return rd.r.tree.Host(n).Owner.Index }
+
+// inboxAt returns what waits for n in an inbox. A node planted since
+// the round sized the inbox (a Repair under the round) has nothing.
+func inboxAt[T any](inbox []T, n ktree.Handle) (v T) {
+	if i := n.Index(); i < len(inbox) {
+		v = inbox[i]
+	}
+	return v
+}
 
 // msgKey is a message's identity for the fault layer, which decides its
 // fate from the key alone (sim.MessageFilter). The key must name the
@@ -512,7 +521,10 @@ func msgKey(ord uint64, kind string, a, b uint64) uint64 {
 }
 
 // nodeKey names the tree edge that leads to n.
-func nodeKey(n *ktree.Node) uint64 { return uint64(n.Region.Start)<<32 ^ n.Region.Width }
+func (rd *round) nodeKey(n ktree.Handle) uint64 {
+	r := rd.r.tree.Region(n)
+	return uint64(r.Start)<<32 ^ r.Width
+}
 
 // handoffKey names a handoff phase's message by the virtual server it
 // moves and the receiver's index.
@@ -777,9 +789,9 @@ func (rd *round) late() { rd.r.lateDrops++ }
 // outcome are the same (TestLosslessDeliveryMatchesExchange).
 //
 //lbvet:hotpath
-func (rd *round) walkSend(kind string, to *ktree.Node, src, dst int, cost sim.Time, h rhandler, arrive sim.Eventer) {
+func (rd *round) walkSend(kind string, to ktree.Handle, src, dst int, cost sim.Time, h rhandler, arrive sim.Eventer) {
 	if rd.r.eng.Filter() != nil {
-		rd.reliableEv(kind, nodeKey(to), 0, src, dst, cost, h)
+		rd.reliableEv(kind, rd.nodeKey(to), 0, src, dst, cost, h)
 		return
 	}
 	if rd.finished {
@@ -858,7 +870,7 @@ func (rd *round) collect(ph phase, cb func(reply)) {
 // walk's root).
 type colNode struct {
 	rd       *round
-	n        *ktree.Node
+	n        ktree.Handle
 	ni       int
 	ph       phase
 	col      collector
@@ -873,7 +885,7 @@ type colNode struct {
 // arriving back at the parent) as embedded adapters.
 type colEdge struct {
 	nd   *colNode // parent's
-	c    *ktree.Node
+	c    ktree.Handle
 	ci   int
 	chi  int
 	edge sim.Time
@@ -886,13 +898,18 @@ type colEdge struct {
 // reply leaves on, nil at the walk's root. A childless node completes
 // synchronously on the caller's stack — no walk objects. An internal
 // node's machine moves into its phase's slab, so neither phase's walk
-// objects carry the other's machine.
+// objects carry the other's machine. A stale n (see ktree.Tree.Follow)
+// is silent, like a dead one.
 //
 //lbvet:hotpath
-func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
-	// One chase through Host.Owner serves the aliveness check and the
-	// endpoint index; the parent's edge already resolved ours.
-	owner := n.Host.Owner
+func (rd *round) startCollect(ph phase, n ktree.Handle, parent *colEdge) {
+	tree := rd.r.tree
+	if !tree.Follow(n) {
+		return
+	}
+	// One chase through the host's owner serves the aliveness check and
+	// the endpoint index; the parent's edge already resolved ours.
+	owner := tree.Host(n).Owner
 	if !owner.Alive {
 		return // a dead KT node never replies
 	}
@@ -900,10 +917,10 @@ func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
 	if parent != nil {
 		ni = parent.chi
 	}
-	k := len(n.Children)
+	k := tree.NumChildren(n)
 	var col collector
 	if ph == phaseLBI {
-		m := lbnode.MakeLBICollect(rd.lbiInbox[n], k)
+		m := lbnode.MakeLBICollect(inboxAt(rd.lbiInbox, n), k)
 		if k == 0 {
 			rd.report(n, &m, parent)
 			return
@@ -912,7 +929,7 @@ func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
 		*p = m
 		col = p
 	} else {
-		m := lbnode.MakeVSACollect(rd.vsaInbox[n], k)
+		m := lbnode.MakeVSACollect(inboxAt(rd.vsaInbox, n), k)
 		if k == 0 {
 			rd.report(n, &m, parent)
 			return
@@ -924,10 +941,11 @@ func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
 	nd := slabAlloc(&rd.colNodes)
 	nd.rd, nd.n, nd.ni, nd.ph, nd.col, nd.parent = rd, n, ni, ph, col, parent
 	nd.expireEv.nd = nd
-	for ci, c := range n.Children {
+	ci := 0
+	for c := tree.FirstChild(n); !c.IsNil(); c, ci = tree.NextSibling(c), ci+1 {
 		e := slabAlloc(&rd.colEdges)
-		e.nd, e.c, e.ci, e.chi = nd, c, ci, hostIdx(c)
-		e.edge = rd.r.tree.EdgeLatency(c)
+		e.nd, e.c, e.ci, e.chi = nd, c, ci, rd.hostIdx(c)
+		e.edge = tree.EdgeLatency(c)
 		e.down.e, e.up.e = e, e
 		// Under a filter both directions are acked and retransmitted: a
 		// lost pull would silence the child's whole subtree, compounding
@@ -937,22 +955,27 @@ func (rd *round) startCollect(ph phase, n *ktree.Node, parent *colEdge) {
 	}
 	// The epoch timer is canceled the moment the last child replies —
 	// on a healthy tree no epoch timer ever fires.
-	nd.expire = rd.after(rd.epochWindow(n), &nd.expireEv)
+	nd.expire = rd.after(rd.epochWindow(tree.Depth(n)), &nd.expireEv)
 }
 
 // report routes n's closed epoch: up the parent edge, or into the
 // round's continuation at the walk's root. An LBI epoch reports its
 // aggregate. A VSA epoch first pairs what it can as a rendezvous point
 // (threshold reached, or the tree's root) and reports the unpaired rest.
+// The epoch closed on an event, so a stale n reports nothing.
 //
 //lbvet:hotpath
-func (rd *round) report(n *ktree.Node, col collector, parent *colEdge) {
+func (rd *round) report(n ktree.Handle, col collector, parent *colEdge) {
+	tree := rd.r.tree
+	if !tree.Follow(n) {
+		return
+	}
 	var out reply
 	switch m := col.(type) {
 	case *lbnode.LBICollect:
 		out.agg = m.Aggregate()
 	case *lbnode.VSACollect:
-		for _, p := range m.Rendezvous(n.Parent == nil, rd.cfg().RendezvousThreshold, rd.global.Lmin) {
+		for _, p := range m.Rendezvous(tree.Parent(n).IsNil(), rd.cfg().RendezvousThreshold, rd.global.Lmin) {
 			rd.emitPair(n, p)
 		}
 		out.list = m.Lists()
@@ -1052,12 +1075,13 @@ func (x *colExpire) RunEvent() {
 
 // disseminate pushes the global tuple down the tree; each leaf delivery
 // classifies its host's owner node (once) and triggers publication.
+// A stale node passes nothing on, like a dead one.
 // Downward copies are acked and retransmitted: losing one would
 // silently leave a whole subtree unclassified for the round, a much
 // worse failure than the extra ack traffic. The publishing counter is
 // settled on the sender side — exactly once per edge, whether the copy
 // landed (ack) or the retries ran dry — so the VSA epoch always starts.
-func (rd *round) disseminate(n *ktree.Node) {
+func (rd *round) disseminate(n ktree.Handle) {
 	rd.publishing++ // guards VSA start until this subtree finishes
 	rd.dispWalk(n)
 	rd.publishDone()
@@ -1067,20 +1091,24 @@ func (rd *round) disseminate(n *ktree.Node) {
 // children over slab-pooled per-edge handlers.
 //
 //lbvet:hotpath
-func (rd *round) dispWalk(n *ktree.Node) {
-	owner := n.Host.Owner
+func (rd *round) dispWalk(n ktree.Handle) {
+	tree := rd.r.tree
+	if !tree.Follow(n) {
+		return
+	}
+	owner := tree.Host(n).Owner
 	if !owner.Alive {
 		return
 	}
-	if n.IsLeaf() {
+	if tree.IsLeaf(n) {
 		rd.classifyAndPublish(owner)
 		return
 	}
 	ni := owner.Index
-	for _, c := range n.Children {
+	for c := tree.FirstChild(n); !c.IsNil(); c = tree.NextSibling(c) {
 		e := slabAlloc(&rd.dispEdges)
 		e.rd, e.c = rd, c
-		e.src, e.dst, e.cost = ni, hostIdx(c), rd.r.tree.EdgeLatency(c)
+		e.src, e.dst, e.cost = ni, rd.hostIdx(c), tree.EdgeLatency(c)
 		e.ack.e = e
 		rd.publishing++
 		rd.walkSend(MsgDisperse, c, e.src, e.dst, e.cost, e, e)
@@ -1094,7 +1122,7 @@ func (rd *round) dispWalk(n *ktree.Node) {
 // does (see walkSend).
 type dispEdge struct {
 	rd       *round
-	c        *ktree.Node
+	c        ktree.Handle
 	src, dst int
 	cost     sim.Time
 	ack      dispAck
@@ -1149,7 +1177,7 @@ func (rd *round) classifyAndPublish(node *chord.Node) {
 		// which the global tuple reaches the nodes.
 		// A node that joined after the placement lies past VSALeaf's
 		// end and sits the round out.
-		if i := node.Index; i < len(rd.place.VSALeaf) && rd.place.VSALeaf[i] != nil {
+		if i := node.Index; i < len(rd.place.VSALeaf) && !rd.place.VSALeaf[i].IsNil() {
 			rd.depositAt(rd.place.VSALeaf[i], st, 0)
 		}
 	case core.ProximityAware:
@@ -1182,18 +1210,27 @@ func (rd *round) deposit(vs *chord.VServer, st *core.NodeState, group uint64) {
 	// (a restarted node rejoining mid-round) has no leaves until Repair
 	// plants them, so the advertisement waits for the next round.
 	leaf := rd.place.LeafOf(vs, rd.r.eng.Rand())
-	if leaf == nil {
+	if leaf.IsNil() {
 		return
 	}
 	rd.depositAt(leaf, st, group)
 }
 
-// depositAt stores a node's VSA entries at an already-resolved leaf.
-func (rd *round) depositAt(leaf *ktree.Node, st *core.NodeState, group uint64) {
-	pl := rd.vsaInbox[leaf]
+// depositAt stores a node's VSA entries at an already-resolved leaf,
+// drawn for the placement before any event: a stale one takes nothing.
+func (rd *round) depositAt(leaf ktree.Handle, st *core.NodeState, group uint64) {
+	if !rd.r.tree.Follow(leaf) {
+		return
+	}
+	i := leaf.Index()
+	if i >= len(rd.vsaInbox) {
+		// Planted by a Repair under the round, after the inbox was sized.
+		rd.vsaInbox = append(rd.vsaInbox, make([]*core.PairList, i+1-len(rd.vsaInbox))...)
+	}
+	pl := rd.vsaInbox[i]
 	if pl == nil {
 		pl = &core.PairList{}
-		rd.vsaInbox[leaf] = pl
+		rd.vsaInbox[i] = pl
 	}
 	pl.Deposit(st, group)
 }
@@ -1224,7 +1261,7 @@ func (rd *round) startVSA() {
 // handoff. The heavy endpoint's notification is reliable (it drives the
 // transfer); the light endpoint's copy is informational — the prepare
 // phase re-validates the receiver — so it rides an unreliable send.
-func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
+func (rd *round) emitPair(rendezvous ktree.Handle, p core.Pair) {
 	if w := rd.worker; w != nil {
 		// Forked subtree: pairing side effects (handoffs mutate the
 		// shared ring) are recorded at their offset into the phase and
@@ -1233,13 +1270,13 @@ func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
 		return
 	}
 	eng := rd.r.eng
-	host := rendezvous.Host.Owner
+	host := rd.r.tree.Host(rendezvous).Owner
 	costFrom := rd.r.ring.Latency(host, p.From) + 1
 	costTo := rd.r.ring.Latency(host, p.To) + 1
 	rd.outstandingTransfers++
-	h := &handoff{rd: rd, rendezvous: rendezvous, m: lbnode.NewHandoff(p), assignedAt: eng.Now() - rd.start}
+	h := &handoff{rd: rd, depth: rd.r.tree.Depth(rendezvous), m: lbnode.NewHandoff(p), assignedAt: eng.Now() - rd.start}
 	h.assign.h, h.prep.h, h.commitH.h, h.notice.h = h, h, h, h
-	from := nodeKey(rendezvous)
+	from := rd.nodeKey(rendezvous)
 	rd.deliver(MsgAssign, msgKey(rd.ord, MsgAssign, from, handoffKey(p, p.To.Index)), host.Index, p.To.Index, costTo, &h.notice)
 	rd.reliableEv(MsgAssign, from, handoffKey(p, p.From.Index), host.Index, p.From.Index, costFrom, &h.assign)
 }
@@ -1252,7 +1289,7 @@ func (rd *round) emitPair(rendezvous *ktree.Node, p core.Pair) {
 // or PhaseAborted), releasing the round's outstanding-transfer slot.
 type handoff struct {
 	rd         *round
-	rendezvous *ktree.Node
+	depth      int // the rendezvous point's
 	m          *lbnode.Handoff
 	assignedAt sim.Time
 	cost       sim.Time // heavy → light latency, fixed at prepare time
@@ -1358,7 +1395,7 @@ func (h *handoff) complete() {
 	hops := rd.transferCost(p.From, p.To)
 	rd.res.Assignments = append(rd.res.Assignments, core.Assignment{
 		VS: p.VS, From: p.From, To: p.To, Load: p.Load,
-		Hops: hops, AssignedAt: h.assignedAt, Depth: h.rendezvous.Depth,
+		Hops: hops, AssignedAt: h.assignedAt, Depth: h.depth,
 	})
 	rd.res.MovedLoad += p.Load
 	rd.res.MovedByHops.Add(hops, p.Load)

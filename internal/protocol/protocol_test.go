@@ -181,7 +181,7 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 	// completes with partial data.
 	ring, tree := fixture(8, 128, 4)
 	eng := ring.Engine()
-	rootChildren := len(tree.Root().Children)
+	rootChildren := tree.NumChildren(tree.Root())
 	r, err := NewRunner(ring, tree, Config{
 		Core:         core.Config{Epsilon: 0.05},
 		ChildTimeout: 500,
@@ -200,7 +200,7 @@ func TestCrashDuringLBIPhase(t *testing.T) {
 			// Never kill the root's host (a dead root fails the round
 			// by deadline; tested separately).
 			victim := alive[len(alive)-1-i]
-			if victim == tree.Root().Host.Owner {
+			if victim == tree.Host(tree.Root()).Owner {
 				continue
 			}
 			ring.RemoveNode(victim)
@@ -259,7 +259,7 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 		alive := ring.AliveNodes()
 		for i := 0; i < 24; i++ {
 			victim := alive[len(alive)-1-i]
-			if victim == tree.Root().Host.Owner {
+			if victim == tree.Host(tree.Root()).Owner {
 				continue
 			}
 			ring.RemoveNode(victim)
@@ -288,7 +288,7 @@ func TestCrashedTransferEndpointAborts(t *testing.T) {
 func TestRootDeathFailsRoundByDeadline(t *testing.T) {
 	ring, tree := fixture(10, 64, 4)
 	eng := ring.Engine()
-	rootChildren := len(tree.Root().Children)
+	rootChildren := tree.NumChildren(tree.Root())
 	r, _ := NewRunner(ring, tree, Config{
 		Core:         core.Config{Epsilon: 0.05},
 		ChildTimeout: 100,
@@ -300,7 +300,7 @@ func TestRootDeathFailsRoundByDeadline(t *testing.T) {
 		roundErr = err
 	})
 	eng.ScheduleEv(1, sim.Func(func() {
-		ring.RemoveNode(tree.Root().Host.Owner)
+		ring.RemoveNode(tree.Host(tree.Root()).Owner)
 	}))
 	eng.Run()
 	if !completed {
