@@ -40,8 +40,9 @@ race_legs() {
 	# core's oracle round forks its LBI and VSA sweeps and its
 	# classification onto goroutines. The whole package takes about 14 s
 	# under -race, so run the tests that drive the forked round: the sweep
-	# reference, the placement under churn and the small RunRound cases.
-	go test -race -run 'TestSweepsMatchReference|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$|TestPlacementAfterMembershipChange' ./internal/core/
+	# reference, in-place pairing on a stack's view, the placement under
+	# churn and the small RunRound cases.
+	go test -race -run 'TestSweepsMatchReference|TestPairInPlaceOnView|TestRunRound(Accounting|Deterministic|AfterUnrepairedJoins)$|TestPlacementAfterMembershipChange' ./internal/core/
 }
 
 if [ "${1:-}" = race ]; then

@@ -130,13 +130,29 @@ func (p *PairList) Entries() ([]LightEntry, []OfferEntry) {
 // returns the emitted pairings (nil when the node does not pair);
 // unpaired entries stay held for the parent.
 func (p *PairList) Rendezvous(isRoot bool, threshold int, lmin float64) []Pair {
-	if threshold == 0 {
-		threshold = DefaultRendezvousThreshold
-	}
-	if size := p.Size(); size == 0 || !(isRoot || (threshold > 0 && size >= threshold)) {
+	if !p.meets(isRoot, threshold) {
 		return nil
 	}
 	return p.Pair(lmin)
+}
+
+// rendezvous is Rendezvous appending the pairings to out, which it
+// returns (out itself when the node does not pair). Like every pairing
+// it works in place: the held lists keep their backing arrays.
+func (p *PairList) rendezvous(isRoot bool, threshold int, lmin float64, out []Pair) []Pair {
+	if !p.meets(isRoot, threshold) {
+		return out
+	}
+	return p.pair(lmin, out)
+}
+
+// meets reports whether the rendezvous rule pairs at this node.
+func (p *PairList) meets(isRoot bool, threshold int) bool {
+	if threshold == 0 {
+		threshold = DefaultRendezvousThreshold
+	}
+	size := p.Size()
+	return size > 0 && (isRoot || (threshold > 0 && size >= threshold))
 }
 
 // Pair runs the pairing unconditionally: proximity-local pairing first
@@ -154,7 +170,15 @@ func (p *PairList) Pair(lmin float64) []Pair {
 	if len(v.lights) == 0 {
 		n = 0
 	}
-	out := make([]Pair, 0, n)
+	return p.pair(lmin, make([]Pair, 0, n))
+}
+
+// pair is Pair appending the pairings to out. It never grows the held
+// lists: a pairing removes an offer and a light, and re-inserts at most
+// the light's residual, so the lists stay in their backing arrays and
+// leave every entry past their lengths as it was.
+func (p *PairList) pair(lmin float64, out []Pair) []Pair {
+	v := &p.lists
 	if v.oneCell() {
 		// Within one cell the local pass is the pooled rule, and it
 		// leaves nothing a second pass could pair: an offer was left

@@ -346,3 +346,50 @@ func TestPairOneCellAllocatesOnlyResult(t *testing.T) {
 		}
 	}
 }
+
+// TestPairInPlaceOnView: the sweep pairs a KT node's list where it lies,
+// as a view of the top of its walk's entry stack. Rendezvous on a view
+// of a larger backing array must leave the unpaired entries at the
+// view's front in that array, write nothing outside the view, and emit
+// the pairs and leftovers that Rendezvous gives on a fresh copy.
+func TestPairInPlaceOnView(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var scratch []Pair
+	for trial := 0; trial < 3000; trial++ {
+		lmin := float64(rng.Intn(4))
+		threshold := []int{0, 2, -1}[rng.Intn(3)]
+		isRoot := rng.Intn(2) == 0
+		preL, preO := randomEntries(rng, 0, 0)
+		viewL, viewO := randomEntries(rng, 100, 100)
+		postL, postO := randomEntries(rng, 200, 200)
+		lights := slices.Concat(preL, viewL, postL)
+		offers := slices.Concat(preO, viewO, postO)
+		before, beforeO := slices.Clone(lights), slices.Clone(offers)
+
+		view := PairList{lists: vsaLists{
+			lights: lights[len(preL) : len(preL)+len(viewL)],
+			offers: offers[len(preO) : len(preO)+len(viewO)],
+		}}
+		fresh := PairList{lists: vsaLists{lights: slices.Clone(viewL), offers: slices.Clone(viewO)}}
+		scratch = view.rendezvous(isRoot, threshold, lmin, scratch[:0])
+		want := fresh.Rendezvous(isRoot, threshold, lmin)
+
+		name := fmt.Sprintf("trial %d (root %v, threshold %d, lmin %v)", trial, isRoot, threshold, lmin)
+		if !slices.Equal(scratch, want) {
+			t.Fatalf("%s: pairs differ\ngot  %s\nwant %s", name, pairsString(scratch), pairsString(want))
+		}
+		if !slices.Equal(view.lists.lights, fresh.lists.lights) || !slices.Equal(view.lists.offers, fresh.lists.offers) {
+			t.Fatalf("%s: leftovers differ\ngot  %v %v\nwant %v %v", name,
+				view.lists.lights, view.lists.offers, fresh.lists.lights, fresh.lists.offers)
+		}
+		if len(view.lists.lights) > 0 && &view.lists.lights[0] != &lights[len(preL)] ||
+			len(view.lists.offers) > 0 && &view.lists.offers[0] != &offers[len(preO)] {
+			t.Fatalf("%s: the leftovers moved off the backing array", name)
+		}
+		vl, vo := len(preL)+len(viewL), len(preO)+len(viewO)
+		if !slices.Equal(lights[:len(preL)], before[:len(preL)]) || !slices.Equal(lights[vl:], before[vl:]) ||
+			!slices.Equal(offers[:len(preO)], beforeO[:len(preO)]) || !slices.Equal(offers[vo:], beforeO[vo:]) {
+			t.Fatalf("%s: pairing wrote outside its view", name)
+		}
+	}
+}

@@ -32,10 +32,13 @@ import (
 // deposit is one entry of a sorted inbox: entry i of the phase's
 // source list (a placed node's report, a classified node's
 // advertisement) waits at the leaf whose leafOffset is off. group is
-// the proximity cell an advertisement was published under.
+// the proximity cell an advertisement was published under, and ahead
+// the number of offers advertised by the deposits before it in the
+// sorted inbox, where a sweep's walk places its pairings.
 type deposit struct {
 	off   uint64
 	i     int32
+	ahead int32
 	group uint64
 }
 
@@ -78,6 +81,8 @@ func forkRoot(tree *ktree.Tree, root ktree.Handle, in []deposit, fold func(i int
 
 // leafRun returns the deposits at the front of *in that wait at leaf
 // and advances *in past them.
+//
+//lbvet:hotpath
 func leafRun(in *[]deposit, tree *ktree.Tree, root, leaf ktree.Handle) []deposit {
 	off := leafOffset(tree, root, leaf)
 	s := *in

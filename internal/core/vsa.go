@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ktree"
@@ -106,13 +105,11 @@ func (v *vsaLists) oneCell() bool {
 // compacted in place and left in canonical order for pairAll. Pairs
 // are appended to out. Pair skips this step when all entries share one
 // cell, where it is pairAll itself.
+//
+//lbvet:hotpath
 func (v *vsaLists) pairLocal(lmin float64, out []Pair) []Pair {
-	slices.SortFunc(v.lights, func(a, b lightEntry) int {
-		return cmp.Or(cmp.Compare(a.group, b.group), cmpLight(a, b))
-	})
-	slices.SortFunc(v.offers, func(a, b offerEntry) int {
-		return cmp.Or(cmp.Compare(a.group, b.group), cmpOffer(a, b))
-	})
+	slices.SortFunc(v.lights, cmpLightCell)
+	slices.SortFunc(v.offers, cmpOfferCell)
 	// nl and no count the leftovers compacted so far; li and oi are the
 	// starts of the next unvisited runs. A cell's run only shrinks while
 	// it pairs, so compaction never overtakes an unvisited run.
@@ -144,12 +141,34 @@ func (v *vsaLists) pairLocal(lmin float64, out []Pair) []Pair {
 	return out
 }
 
+// cmpLightCell orders lights by cell, then canonically.
+func cmpLightCell(a, b lightEntry) int {
+	return cmp.Or(cmp.Compare(a.group, b.group), cmpLight(a, b))
+}
+
+// cmpOfferCell orders offers by cell, then canonically.
+func cmpOfferCell(a, b offerEntry) int {
+	return cmp.Or(cmp.Compare(a.group, b.group), cmpOffer(a, b))
+}
+
+// cmpFit places an offer's load among deficit-sorted lights for
+// slices.BinarySearchFunc: a light that cannot take the load sorts
+// before it, so the search finds the first one that can.
+func cmpFit(l lightEntry, load float64) int {
+	if l.deficit >= load {
+		return 0
+	}
+	return -1
+}
+
 // pairAll runs the paper's pairing loop on sorted lists: repeatedly take
 // the heaviest offered VS, match it to the light node with the smallest
 // deficit that still fits (ΔL_j >= L_{i,k}), and re-insert the residual
 // deficit if it is at least lmin. Pairs are appended to out. Offers that
 // fit no light node are left in v.offers (to be propagated upward).
 // Lists must be sorted; they remain sorted on return.
+//
+//lbvet:hotpath
 func (v *vsaLists) pairAll(lmin float64, out []Pair) []Pair {
 	// Offers are taken heaviest first; one that fits nobody is written
 	// back at w, which walks down behind the read position, so
@@ -161,9 +180,7 @@ func (v *vsaLists) pairAll(lmin float64, out []Pair) []Pair {
 		o := v.offers[i]
 		// Feasible light nodes: deficit >= o.load (a suffix of the
 		// deficit-sorted list).
-		pos := sort.Search(len(v.lights), func(j int) bool {
-			return v.lights[j].deficit >= o.load
-		})
+		pos, _ := slices.BinarySearchFunc(v.lights, o.load, cmpFit)
 		if pos == len(v.lights) {
 			w--
 			v.offers[w] = o
@@ -182,7 +199,8 @@ func (v *vsaLists) pairAll(lmin float64, out []Pair) []Pair {
 			}
 		}
 		l := v.lights[pos]
-		v.lights = append(v.lights[:pos], v.lights[pos+1:]...)
+		v.lights = v.lights[:pos+copy(v.lights[pos:], v.lights[pos+1:])]
+		//lbvet:ignore hotalloc out has room for every pair: Pair sizes it by the offers, and a sweep's walk reuses one scratch that stops growing at its largest rendezvous
 		out = append(out, Pair{VS: o.vs, From: o.node, To: l.node, Load: o.load})
 		if residual := l.deficit - o.load; residual >= lmin && residual > 0 {
 			v.insertLight(lightEntry{deficit: residual, node: l.node, group: l.group})
@@ -209,14 +227,16 @@ type vsaOutcome struct {
 	completeTime sim.Time
 }
 
-// vsaSub is one subtree's sweep result: its unpaired entries and when
-// they are ready at the subtree's root.
+// vsaSub is one root child's sweep result: its subtree's unpaired
+// entries and when they are ready at the child.
 type vsaSub struct {
-	lists PairList
+	left  PairList
 	ready sim.Time
 }
 
-// vsaWalk folds one part of the VSA sweep: the pairings it emitted in
+// vsaWalk folds one part of the VSA sweep over one entry stack: the
+// unpaired entries of the subtrees it has folded, each on top of the
+// ones folded before it (see up). It keeps the pairings it emitted in
 // post-order, its message tallies, and the deposits it has yet to
 // reach.
 type vsaWalk struct {
@@ -226,6 +246,8 @@ type vsaWalk struct {
 	in         []deposit
 	start      sim.Time // when every advertisement is at its leaf
 	lmin       float64
+	stack      PairList
+	pairs      []Pair // one node's pairings, reused from node to node
 	assigned   []Assignment
 	reports    int64
 	reportCost sim.Time
@@ -233,57 +255,81 @@ type vsaWalk struct {
 	assignCost sim.Time
 }
 
-// up folds n's subtree: each KT node merges its own deposits, then its
-// children's unpaired lists in child order, and pairs by
-// PairList.Rendezvous. kids, when non-nil, holds the children's results
-// already folded (the root step after the fork); otherwise up recurses
-// into them.
-func (w *vsaWalk) up(n ktree.Handle, kids []vsaSub) vsaSub {
-	var lists PairList
+// up folds n's subtree and returns when its unpaired entries are ready
+// at n, leaving them on top of the stack. n's list is its own deposits
+// (a leaf) or its children's unpaired entries in child order (an
+// internal node), and that is what the stack holds above its height on
+// entry once n's deposits are pushed and its children folded: every
+// child leaves its entries on top of its elder siblings'. So the list
+// is the view stack[mark:], assembled without a copy; it pairs there
+// by the rendezvous rule, which only removes entries or puts a residual
+// in the place of a light it consumed, and the stack is cut back to
+// what stayed unpaired. A push may grow the stack, but pairing never
+// does, so the view pairs on the stack's own array. kids, when non-nil, holds the children's
+// results already folded on other walks (the root step after the
+// fork): their entries are copied onto this walk's stack, the one copy
+// the sweep makes.
+//
+//lbvet:hotpath
+func (w *vsaWalk) up(n ktree.Handle, kids []vsaSub) sim.Time {
+	tree := w.b.tree
+	ml, mo := w.stack.Lights(), w.stack.Offers()
 	ready := w.start
-	if w.b.tree.IsLeaf(n) { // placement deposits only at leaves
-		for _, d := range leafRun(&w.in, w.b.tree, w.root, n) {
-			lists.Deposit(w.states[d.i], d.group)
+	if tree.IsLeaf(n) { // placement deposits only at leaves
+		for _, d := range leafRun(&w.in, tree, w.root, n) {
+			w.stack.Deposit(w.states[d.i], d.group)
 		}
 	}
 	i := 0
-	for c := w.b.tree.FirstChild(n); !c.IsNil(); c, i = w.b.tree.NextSibling(c), i+1 {
-		var k vsaSub
+	for c := tree.FirstChild(n); !c.IsNil(); c, i = tree.NextSibling(c), i+1 {
+		var kr sim.Time
 		if kids != nil {
-			k = kids[i]
+			w.stack.Merge(&kids[i].left)
+			kr = kids[i].ready
 		} else {
-			k = w.up(c, nil)
+			kr = w.up(c, nil)
 		}
 		// Every child sends one (possibly empty) epoch report; empty
 		// reports still synchronize the converge-cast.
-		edge := w.b.tree.EdgeLatency(c)
+		edge := tree.EdgeLatency(c)
 		w.reports++
 		w.reportCost += edge
-		if t := k.ready + edge; t > ready {
+		if t := kr + edge; t > ready {
 			ready = t
 		}
-		if lists.Size() == 0 {
-			lists = k.lists // nothing to copy into: take the child's list over
-		} else {
-			lists.Merge(&k.lists)
-		}
 	}
-	ring := w.b.ring
-	host := w.b.tree.Host(n).Owner
-	for _, p := range lists.Rendezvous(n == w.root, w.b.cfg.RendezvousThreshold, w.lmin) {
+	s := &w.stack.lists
+	node := PairList{lists: vsaLists{lights: s.lights[ml:], offers: s.offers[mo:]}}
+	w.pairs = node.rendezvous(n == w.root, w.b.cfg.RendezvousThreshold, w.lmin, w.pairs[:0])
+	s.lights = settle(s.lights, node.lists.lights, ml)
+	s.offers = settle(s.offers, node.lists.offers, mo)
+	host := tree.Host(n).Owner
+	for _, p := range w.pairs {
 		// Rendezvous notifies both endpoints directly.
 		w.assigns += 2
-		w.assignCost += ring.Latency(host, p.From) + 1 + ring.Latency(host, p.To) + 1
+		w.assignCost += w.b.ring.Latency(host, p.From) + 1 + w.b.ring.Latency(host, p.To) + 1
+		//lbvet:ignore hotalloc assigned has room: every pairing consumes one of the offers deposited in the walk's run, and runVSA sizes the walk's window by them
 		w.assigned = append(w.assigned, Assignment{
 			VS:         p.VS,
 			From:       p.From,
 			To:         p.To,
 			Load:       p.Load,
 			AssignedAt: ready,
-			Depth:      w.b.tree.Depth(n),
+			Depth:      tree.Depth(n),
 		})
 	}
-	return vsaSub{lists: lists, ready: ready}
+	return ready
+}
+
+// settle cuts a walk's stack back to mark plus the unpaired part of a
+// node's list, view, which began as stack[mark:]. It panics if pairing
+// moved the view off the stack's backing array: the entries left
+// unpaired would then be lost.
+func settle[E any](stack, view []E, mark int) []E {
+	if len(view) > 0 && &view[0] != &stack[mark] {
+		panic("core: VSA pairing moved a node's list off its walk's stack")
+	}
+	return stack[:mark+len(view)]
 }
 
 // runVSA performs the virtual server assignment sweep. states is the
@@ -292,63 +338,70 @@ func (w *vsaWalk) up(n ktree.Handle, kids []vsaSub) vsaSub {
 // merges its own inbox, then its children's unpaired lists, and pairs
 // by PairList.Rendezvous — the rule lbnode.VSACollect applies in the
 // message-level driver. The sweep forks at the root (see forkRoot):
-// the root step takes the children's pairings in child order, which is
-// the order the post-order walk emits them in, and appends its own.
+// every root child's walk folds its subtree on its own stack, and the
+// root step takes the children's pairings in child order, which is the
+// order the post-order walk emits them in, and appends its own.
 func (b *Balancer) runVSA(place *Placement, states []*NodeState, global LBI, start sim.Time) vsaOutcome {
 	tree := b.tree
 	root := tree.Root()
-	in, publishEnd := b.vsaInbox(place, states, start)
-	walk := func(run []deposit) vsaWalk {
-		// Every pairing consumes an offer, so the run's offers bound
-		// the walk's pairings.
-		offers := 0
-		for _, d := range run {
-			offers += len(states[d.i].Offers)
-		}
-		return vsaWalk{b: b, root: root, states: states, in: run, start: publishEnd, lmin: global.Lmin,
-			assigned: make([]Assignment, 0, offers)}
+	in, offers, publishEnd := b.vsaInbox(place, states, start)
+	walk := func(run []deposit, assigned []Assignment) vsaWalk {
+		return vsaWalk{b: b, root: root, states: states, in: run, start: publishEnd, lmin: global.Lmin, assigned: assigned}
 	}
+	// Every pairing consumes an offer, so a run's offers bound the
+	// pairings of the walk over it. The round's assignments go in one
+	// slice: each root child's walk pairs into the window its run's
+	// offers span, the windows are closed up after the join, and the
+	// root step pairs on past them.
+	all := make([]Assignment, offers)
 	kids := make([]vsaSub, tree.NumChildren(root))
 	walks := make([]vsaWalk, len(kids))
 	rest := forkRoot(tree, root, in, func(i int, c ktree.Handle, run []deposit) {
+		var lo, hi int
+		if len(run) > 0 {
+			last := run[len(run)-1]
+			lo, hi = int(run[0].ahead), int(last.ahead)+len(states[last.i].Offers)
+		}
 		w := &walks[i]
-		*w = walk(run)
-		kids[i] = w.up(c, nil)
+		*w = walk(run, all[lo:lo:hi])
+		ready := w.up(c, nil)
 		mustBeConsumed(w.in)
+		kids[i] = vsaSub{left: w.stack, ready: ready}
 	})
-	top := walk(rest)
-	total := cap(top.assigned)
-	for i := range walks {
-		total += len(walks[i].assigned) + kids[i].lists.Offers()
-	}
-	top.assigned = make([]Assignment, 0, total)
+	top := walk(rest, nil)
+	var done, nl, no int
 	for i := range walks {
 		w := &walks[i]
-		top.assigned = append(top.assigned, w.assigned...)
+		done += copy(all[done:], w.assigned)
 		top.reports += w.reports
 		top.reportCost += w.reportCost
 		top.assigns += w.assigns
 		top.assignCost += w.assignCost
+		nl += kids[i].left.Lights()
+		no += kids[i].left.Offers()
 	}
-	last := top.up(root, kids)
+	top.assigned = all[:done]
+	// The root's list is its children's leftovers, copied in.
+	top.stack.lists = vsaLists{lights: make([]lightEntry, 0, nl), offers: make([]offerEntry, 0, no)}
+	ready := top.up(root, kids)
 	mustBeConsumed(top.in)
 	eng := b.ring.Engine()
 	eng.CountMessageN(MsgVSAReport, top.reports, top.reportCost)
 	eng.CountMessageN(MsgVSAAssign, top.assigns, top.assignCost)
 	return vsaOutcome{
 		assignments:  top.assigned,
-		left:         last.lists,
+		left:         top.stack,
 		publishTime:  publishEnd,
-		completeTime: last.ready,
+		completeTime: ready,
 	}
 }
 
 // vsaInbox deposits each heavy/light node's VSA information at the KT
 // leaf where it enters the tree, per the configured mode, and returns
-// the deposits as a sorted inbox with the virtual time at which the
-// slowest publish finished (equal to start in ignorant mode, which
-// publishes nothing).
-func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Time) ([]deposit, sim.Time) {
+// the deposits as a sorted inbox, the number of offers they bring, and
+// the virtual time at which the slowest publish finished (equal to
+// start in ignorant mode, which publishes nothing).
+func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Time) ([]deposit, int, sim.Time) {
 	eng := b.ring.Engine()
 	tree := b.tree
 	root := tree.Root()
@@ -392,9 +445,15 @@ func (b *Balancer) vsaInbox(place *Placement, states []*NodeState, start sim.Tim
 		if leaf.IsNil() {
 			continue // fresh joiner: no leaf until the next repair
 		}
-		in = append(in, deposit{off: leafOffset(tree, root, leaf), i: int32(i), group: group})
+		// ahead holds the node's own offers (none for a light node)
+		// until the inbox is sorted.
+		in = append(in, deposit{off: leafOffset(tree, root, leaf), i: int32(i), ahead: int32(len(st.Offers)), group: group})
 	}
 	eng.CountMessageN(MsgVSAPublish, publishes, publishCost)
 	sortDeposits(in)
-	return in, publishEnd
+	var offers int32
+	for j := range in {
+		in[j].ahead, offers = offers, offers+in[j].ahead
+	}
+	return in, int(offers), publishEnd
 }

@@ -99,6 +99,11 @@ const nilRef int32 = -1
 // and a region of one identifier is a leaf.
 const maxDepth = ident.Bits
 
+// nodesPerVS bounds the KT nodes a region holds per virtual server
+// owning part of it (chain collapse and leaf merging keep a K = 2 tree
+// near 4.3); a fresh subtree's stage is sized by it.
+const nodesPerVS = 5
+
 // Handle names one KT node: its slot in the tree's record table and the
 // slot's generation when the handle was taken. The zero Handle names no
 // node.
@@ -861,20 +866,31 @@ func (t *Tree) runTasks(b *builder) {
 	par.For(len(b.tasks), 0, func(idx int) {
 		tk := b.tasks[idx]
 		wb := &builder{t: t, vss: b.vss, dirty: b.dirty}
+		if tk.fresh {
+			// A fresh subtree plants all of itself. Staging it in one
+			// array spares the doubling copies; a repair task plants
+			// only what changed and keeps append's growth.
+			room := nodesPerVS * (tk.hi - tk.lo + 1)
+			wb.staged, wb.leaves = make([]rec, 0, room), make([]int32, 0, room)
+		}
 		wb.process(tk.n, tk.fresh, tk.lo, tk.hi, 0)
 		workers[idx] = wb
 	})
-	staged := 0
+	staged, most, leaves := 0, 0, 0
 	for _, wb := range workers {
 		staged += len(wb.staged)
+		most = max(most, len(wb.staged))
+		leaves += len(wb.leaves)
 	}
+	b.leaves = slices.Grow(b.leaves, leaves)
+	slot := make([]int32, most)
 	if need := staged - len(t.free); need > cap(t.recs)-len(t.recs) {
 		// Leave room for what the next passes plant before their
 		// discards come free, so a churn Repair does not copy the table.
 		t.recs = slices.Grow(t.recs, need+(len(t.recs)+need)/16)
 	}
 	for _, wb := range workers {
-		t.adopt(wb)
+		t.adopt(wb, slot)
 		b.plants += wb.plants
 		b.hbCount += wb.hbCount
 		b.hbCost += wb.hbCost
@@ -890,8 +906,9 @@ func (t *Tree) runTasks(b *builder) {
 
 // adopt gives a worker's staged records their slots, in staging order,
 // and rewrites the refs to them in records, patched slots and leaves.
-func (t *Tree) adopt(wb *builder) {
-	slot := make([]int32, len(wb.staged))
+// slot is scratch with room for every staged record.
+func (t *Tree) adopt(wb *builder, slot []int32) {
+	slot = slot[:len(wb.staged)]
 	for j, r := range wb.staged {
 		slot[j] = t.take(r)
 	}
