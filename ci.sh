@@ -4,8 +4,8 @@
 # Order matters: cheap static checks first (gofmt, vet, lbvet) so
 # formatting, vet or invariant findings surface before the minutes-long
 # test run. lbvet runs the project-specific analyzers — the syntactic
-# ones (randcontract, nondeterminism, identcompare, layercheck) and the
-# dataflow ones (detflow, lockguard, hotalloc, floatorder) — see
+# ones (randcontract, identcompare, layercheck) and the dataflow ones
+# (detflow, lockguard, hotalloc, floatorder) — see
 # DESIGN.md "Enforced invariants". The race pass covers the packages
 # that exercise real concurrency (par's worker pools, sim's engine contract, ktree's and faults'
 # goroutine-spawning tests, lbnode — whose machines are

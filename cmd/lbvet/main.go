@@ -1,10 +1,11 @@
 // Command lbvet runs the project's static-analysis suite: the
 // machine-checked invariants of internal/analysis — the syntactic
-// analyzers (randcontract, nondeterminism, identcompare, layercheck)
-// and the dataflow ones (detflow, lockguard, hotalloc, floatorder) —
-// over every package in the module, including test files. It prints findings as file:line:col (or a JSON array with
-// -json) and exits nonzero when any survive the //lbvet:ignore
-// annotations, so ci.sh can gate on it between vet and build.
+// analyzers (randcontract, identcompare, layercheck) and the dataflow
+// ones (detflow, lockguard, hotalloc, floatorder) — over every package
+// in the module, including test files. It prints findings as
+// file:line:col (or a JSON array with -json) and exits nonzero when any
+// survive the //lbvet:ignore annotations, so ci.sh can gate on it
+// between vet and build.
 //
 // Usage:
 //
@@ -19,8 +20,9 @@
 //
 //	//lbvet:ignore <analyzer> <reason>
 //
-// An ignore without a reason, or one naming an analyzer that is not
-// registered (a stale annotation), is itself a finding.
+// An ignore without a reason, one naming an analyzer that is not
+// registered (a stale annotation), or one that suppresses nothing while
+// its analyzer runs, is itself a finding.
 package main
 
 import (

@@ -18,16 +18,14 @@
 //     no engine RNG (or any captured *math/rand.Rand or
 //     *faults.Injector) used inside a `go` statement or a par worker
 //     callback.
-//   - nondeterminism: the deterministic packages (sim, core, lbnode,
-//     protocol, ktree, exp, workload, faults) must not read wall
-//     clocks, the global math/rand source, or feed results from
-//     unordered map iteration (syntactic layer).
-//   - detflow: the dataflow upgrade of nondeterminism — values derived
-//     from map-range order or pointer identity must not reach returns,
-//     channel sends, engine events or metric outputs unless they pass
-//     through a recognized canonicalizer (a sort, a canonicalizing
-//     helper) first, even when laundered through locals and in-package
-//     helper calls.
+//   - detflow: the deterministic packages (sim, core, lbnode,
+//     protocol, ktree, exp, workload, faults, serve) must not read wall
+//     clocks or the global math/rand source, and values derived from
+//     map-range order or pointer identity must not reach returns,
+//     channel sends, stores outside the function's locals, engine
+//     events or metric outputs unless they pass through a recognized
+//     canonicalizer (a sort, a canonicalizing helper) first, even when
+//     laundered through locals and in-package helper calls.
 //   - identcompare: no raw </>/- arithmetic on ident.ID outside
 //     internal/ident — it silently breaks at the 2^32 ring wrap; use
 //     Dist/Between/Region instead.
@@ -55,8 +53,9 @@
 //
 //	//lbvet:ignore <analyzer> <reason>
 //
-// The reason is mandatory; an ignore without one, or one naming an
-// analyzer that is not registered, is itself reported.
+// The reason is mandatory; an ignore without one, one naming an
+// analyzer that is not registered, or one whose analyzer ran and found
+// nothing on its lines, is itself reported.
 package analysis
 
 import (
@@ -200,7 +199,6 @@ func (f Finding) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		RandContract,
-		Nondeterminism,
 		Detflow,
 		IdentCompare,
 		Layercheck,
@@ -276,9 +274,10 @@ func registeredNames() map[string]bool {
 
 // Filter drops findings suppressed by lbvet:ignore annotations in files
 // and reports malformed annotations — missing reason, unknown analyzer
-// name — as findings of the pseudo-analyzer "lbvet" (those cannot be
-// suppressed). It returns the surviving findings sorted by position.
-func Filter(fset *token.FileSet, files []*ast.File, findings []Finding) []Finding {
+// name — and annotations of an analyzer in ran that suppress nothing as
+// findings of the pseudo-analyzer "lbvet" (those cannot be suppressed).
+// It returns the surviving findings sorted by position.
+func Filter(fset *token.FileSet, files []*ast.File, findings []Finding, ran map[string]bool) []Finding {
 	var directives []*ignoreDirective
 	for _, f := range files {
 		directives = append(directives, collectIgnores(fset, f)...)
@@ -306,26 +305,20 @@ func Filter(fset *token.FileSet, files []*ast.File, findings []Finding) []Findin
 	}
 	known := registeredNames()
 	for _, d := range directives {
+		var msg string
 		switch {
 		case d.analyzer == "":
-			out = append(out, Finding{
-				Analyzer: "lbvet",
-				Pos:      d.pos,
-				Message:  "lbvet:ignore needs an analyzer name and a reason",
-			})
+			msg = "lbvet:ignore needs an analyzer name and a reason"
 		case !known[d.analyzer]:
-			out = append(out, Finding{
-				Analyzer: "lbvet",
-				Pos:      d.pos,
-				Message:  fmt.Sprintf("lbvet:ignore names unknown analyzer %q (see lbvet -list); stale annotations must be deleted or renamed", d.analyzer),
-			})
+			msg = fmt.Sprintf("lbvet:ignore names unknown analyzer %q (see lbvet -list); stale annotations must be deleted or renamed", d.analyzer)
 		case d.reason == "":
-			out = append(out, Finding{
-				Analyzer: "lbvet",
-				Pos:      d.pos,
-				Message:  fmt.Sprintf("lbvet:ignore %s needs a justification (//lbvet:ignore %s <reason>)", d.analyzer, d.analyzer),
-			})
+			msg = fmt.Sprintf("lbvet:ignore %s needs a justification (//lbvet:ignore %s <reason>)", d.analyzer, d.analyzer)
+		case ran[d.analyzer] && !d.used:
+			msg = fmt.Sprintf("lbvet:ignore %s suppresses nothing: %s reports no finding on this line or the next; delete it", d.analyzer, d.analyzer)
+		default:
+			continue
 		}
+		out = append(out, Finding{Analyzer: "lbvet", Pos: d.pos, Message: msg})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
@@ -346,10 +339,12 @@ func Filter(fset *token.FileSet, files []*ast.File, findings []Finding) []Findin
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 	var raw []Finding
 	facts := newFacts()
+	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		if !a.appliesTo(pkg.Path) {
 			continue
 		}
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -362,21 +357,10 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
 		}
 		a.Run(pass)
 	}
-	return Filter(pkg.Fset, pkg.Files, raw)
+	return Filter(pkg.Fset, pkg.Files, raw, ran)
 }
 
 // ---- shared type helpers ----
-
-// isPtrToPkgType reports whether t is a pointer to a named type
-// declared in the package whose import path ends with pkgSuffix.
-// An empty name matches any type of that package.
-func isPtrToPkgType(t types.Type, pkgSuffix, name string) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isPkgType(ptr.Elem(), pkgSuffix, name)
-}
 
 // isPkgType reports whether t is the named type pkgSuffix.name (the
 // package is matched by import-path suffix so testdata fixtures and
@@ -395,6 +379,9 @@ func isPkgType(t types.Type, pkgSuffix, name string) bool {
 	}
 	return name == "" || obj.Name() == name
 }
+
+// exprString renders an expression in source form for messages.
+func exprString(e ast.Expr) string { return types.ExprString(e) }
 
 // hasPathSuffix reports whether path equals suffix or ends in
 // "/"+suffix (import-path-segment-aware suffix match).

@@ -6,17 +6,32 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	loaderOnce   sync.Once
+	sharedLoader *Loader
+	loaderErr    error
+)
+
+// testLoader returns the one Loader every test in this package shares,
+// so the standard library and the module's packages are type-checked
+// once per test binary rather than once per fixture.
+func testLoader(t *testing.T) *Loader {
+	t.Helper()
+	loaderOnce.Do(func() { sharedLoader, loaderErr = NewLoader(".") })
+	if loaderErr != nil {
+		t.Fatalf("NewLoader: %v", loaderErr)
+	}
+	return sharedLoader
+}
 
 // loadFixture loads one testdata package through the real loader.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.LoadDir(filepath.Join("testdata", "src", name))
+	pkgs, err := testLoader(t).LoadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", name, err)
 	}
@@ -48,12 +63,20 @@ func collectWants(pkg *Package) map[string][]string {
 
 // runGolden checks an analyzer against its fixture: every `// want`
 // line must produce a matching finding, and no other line may produce
-// any (that is the clean-case half of the golden file).
+// any (that is the clean-case half of the golden file). The fixture
+// must hold at least one want (a flagged case) and at least one good*
+// function (a clean case), or the golden check proves nothing.
 func runGolden(t *testing.T, a *Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, a.Name)
 	findings := RunAnalyzers(pkg, []*Analyzer{a})
 	wants := collectWants(pkg)
+	if len(wants) == 0 {
+		t.Errorf("%s fixture has no flagged cases", a.Name)
+	}
+	if !hasCleanCase(pkg) {
+		t.Errorf("%s fixture has no good* clean cases", a.Name)
+	}
 	matched := make(map[string]int)
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
@@ -79,33 +102,35 @@ func runGolden(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestRandContractGolden(t *testing.T)   { runGolden(t, RandContract) }
-func TestNondeterminismGolden(t *testing.T) { runGolden(t, Nondeterminism) }
-func TestDetflowGolden(t *testing.T)        { runGolden(t, Detflow) }
-func TestIdentCompareGolden(t *testing.T)   { runGolden(t, IdentCompare) }
-func TestLayercheckGolden(t *testing.T)     { runGolden(t, Layercheck) }
-func TestLockguardGolden(t *testing.T)      { runGolden(t, Lockguard) }
-func TestHotallocGolden(t *testing.T)       { runGolden(t, Hotalloc) }
-func TestFloatorderGolden(t *testing.T)     { runGolden(t, Floatorder) }
-
-// TestDetflowCatchesLaunderedFlow is the reason detflow exists: the
-// laundered.go case routes a map-range key through a local and an
-// in-package helper before the return, which the syntactic
-// nondeterminism analyzer (builtin-append-under-range only) cannot
-// see. The dataflow analyzer must catch it; the old one must not.
-func TestDetflowCatchesLaunderedFlow(t *testing.T) {
-	pkg := loadFixture(t, "detflow")
-	inLaundered := func(f Finding) bool {
-		return strings.HasSuffix(f.Pos.Filename, "laundered.go")
-	}
-	for _, f := range RunAnalyzers(pkg, []*Analyzer{Nondeterminism}) {
-		if inLaundered(f) {
-			t.Errorf("nondeterminism unexpectedly sees the laundered flow: %s", f)
+// hasCleanCase reports whether a fixture declares a good* function.
+func hasCleanCase(pkg *Package) bool {
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "good") {
+				return true
+			}
 		}
 	}
+	return false
+}
+
+func TestRandContractGolden(t *testing.T) { runGolden(t, RandContract) }
+func TestDetflowGolden(t *testing.T)      { runGolden(t, Detflow) }
+func TestIdentCompareGolden(t *testing.T) { runGolden(t, IdentCompare) }
+func TestLayercheckGolden(t *testing.T)   { runGolden(t, Layercheck) }
+func TestLockguardGolden(t *testing.T)    { runGolden(t, Lockguard) }
+func TestHotallocGolden(t *testing.T)     { runGolden(t, Hotalloc) }
+func TestFloatorderGolden(t *testing.T)   { runGolden(t, Floatorder) }
+
+// TestDetflowCatchesLaunderedFlow is the reason detflow is a dataflow
+// analysis: the laundered.go case routes a map-range key through a
+// local and an in-package helper before the return, which no match on
+// a builtin append under the range can see.
+func TestDetflowCatchesLaunderedFlow(t *testing.T) {
+	pkg := loadFixture(t, "detflow")
 	caught := 0
 	for _, f := range RunAnalyzers(pkg, []*Analyzer{Detflow}) {
-		if inLaundered(f) && strings.Contains(f.Message, "map-iteration order") {
+		if strings.HasSuffix(f.Pos.Filename, "laundered.go") && strings.Contains(f.Message, "map-iteration order") {
 			caught++
 		}
 	}
@@ -116,13 +141,14 @@ func TestDetflowCatchesLaunderedFlow(t *testing.T) {
 
 // TestIgnoreDirectives covers the annotation machinery beyond the
 // suppression already exercised by the identcompare fixture: a
-// reasonless ignore suppresses nothing and is itself reported, and an
+// reasonless ignore suppresses nothing and is itself reported, an
 // ignore naming an unregistered analyzer (a stale annotation) is
-// reported too.
+// reported, and so is a reasoned ignore that suppresses nothing — but
+// only when its analyzer ran.
 func TestIgnoreDirectives(t *testing.T) {
 	pkg := loadFixture(t, "ignores")
 	findings := RunAnalyzers(pkg, []*Analyzer{IdentCompare})
-	var identHits, reasonless, stale int
+	var identHits, reasonless, stale, unused int
 	for _, f := range findings {
 		switch f.Analyzer {
 		case "identcompare":
@@ -136,6 +162,11 @@ func TestIgnoreDirectives(t *testing.T) {
 				if !strings.Contains(f.Message, `"idcompare"`) {
 					t.Errorf("stale-name finding should quote the bad name: %s", f)
 				}
+			case strings.Contains(f.Message, "suppresses nothing"):
+				unused++
+				if !strings.Contains(f.Message, "identcompare") {
+					t.Errorf("unused-ignore finding should name identcompare: %s", f)
+				}
 			default:
 				t.Errorf("unexpected lbvet finding: %s", f)
 			}
@@ -144,8 +175,9 @@ func TestIgnoreDirectives(t *testing.T) {
 		}
 	}
 	// One raw comparison under a reasonless ignore (still reported),
-	// one under a reasoned ignore (suppressed), plus the reasonless
-	// directive and the stale-name directive themselves.
+	// one under a reasoned ignore (suppressed), plus the reasonless,
+	// stale-name and unused identcompare directives themselves; the
+	// detflow directive is left alone because detflow did not run.
 	if identHits != 1 {
 		t.Errorf("identcompare findings = %d, want 1 (reasonless ignore must not suppress)", identHits)
 	}
@@ -155,6 +187,9 @@ func TestIgnoreDirectives(t *testing.T) {
 	if stale != 1 {
 		t.Errorf("stale-name findings = %d, want 1", stale)
 	}
+	if unused != 1 {
+		t.Errorf("unused-directive findings = %d, want 1", unused)
+	}
 }
 
 // TestLoadModule smoke-tests the module walker: it must find the
@@ -163,11 +198,7 @@ func TestLoadModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadModule()
+	pkgs, err := testLoader(t).LoadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,34 +230,5 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("ByName(nope) should error")
-	}
-}
-
-// assertNoLintIn keeps the fixture wants honest: each fixture must
-// contain at least one want (flagged case) and at least one function
-// with none (clean case) — guaranteed structurally by runGolden plus
-// this sanity check on the fixtures themselves.
-func TestFixturesHaveFlaggedAndCleanCases(t *testing.T) {
-	for _, a := range All() {
-		pkg := loadFixture(t, a.Name)
-		wants := collectWants(pkg)
-		if len(wants) == 0 {
-			t.Errorf("%s fixture has no flagged cases", a.Name)
-		}
-		cleanFuncs := 0
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if strings.HasPrefix(fd.Name.Name, "good") {
-					cleanFuncs++
-				}
-			}
-		}
-		if cleanFuncs == 0 {
-			t.Errorf("%s fixture has no good* clean cases", a.Name)
-		}
 	}
 }

@@ -5,10 +5,29 @@ import (
 	"go/types"
 )
 
-// Detflow is the dataflow upgrade of nondeterminism: instead of
-// matching forbidden constructs at their use site, it follows values
-// with the taint engine (taint.go) over the per-function CFG (cfg.go),
-// so nondeterminism laundered through locals and in-package helpers is
+// DeterministicPkgs are the packages whose behaviour must be a pure
+// function of the seed: the simulation engine and everything that runs
+// on it. Matched by import-path suffix.
+var DeterministicPkgs = []string{
+	"internal/sim",
+	"internal/core",
+	"internal/lbnode",
+	"internal/protocol",
+	"internal/ktree",
+	"internal/exp",
+	"internal/workload",
+	"internal/faults",
+	"internal/serve",
+}
+
+// Detflow keeps the deterministic packages a pure function of the
+// seed. It forbids two inputs outright: wall-clock reads (time.Now,
+// time.Since; virtual time comes from sim.Engine.Now, and a deliberate
+// wall-clock span carries a //lbvet:ignore detflow annotation, which is
+// the allowlist) and the global math/rand source (randomness flows from
+// a seeded *rand.Rand). The third input, iteration and identity order,
+// it follows with the taint engine (taint.go) over the per-function CFG
+// (cfg.go), so order laundered through locals and in-package helpers is
 // still caught:
 //
 //	var out []ident.ID
@@ -23,28 +42,62 @@ import (
 // accumulation — append (direct or through a summarized helper), string
 // concatenation, float accumulation — so commutative reductions over
 // map values stay clean. Sinks: returns and channel sends of
-// sequence-tainted values, and sim.Engine scheduling or metrics calls
-// whose arguments carry either taint kind. Sorting (sort.*, slices'
-// Sort*, or an in-package helper whose name contains "sort" or "canon")
-// cleanses.
+// sequence-tainted values; sim.Engine scheduling or metrics calls whose
+// arguments carry either taint kind; and sequence-tainted stores into
+// anything but a function-local variable (a field, an element, a
+// pointer target, a package variable) still unsorted when the function
+// returns. Sorting (sort.*, slices' Sort*, or an in-package helper
+// whose name contains "sort" or "canon") cleanses.
 var Detflow = &Analyzer{
 	Name:  "detflow",
-	Doc:   "track map-order and pointer-identity taint through locals and helpers to returns, sends, engine events and metrics",
+	Doc:   "forbid wall clocks and global math/rand, and track map-order and pointer-identity taint to returns, sends, stores, engine events and metrics",
 	Scope: DeterministicPkgs,
 	Run:   runDetflow,
 }
 
 func runDetflow(pass *Pass) {
+	hooks := taintHooks{
+		sourceCall: detflowSource(pass),
+		sink:       detflowSink(pass),
+		exit:       detflowExit(pass),
+	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				checkForbiddenCall(pass, x)
+			case *ast.FuncDecl, *ast.FuncLit:
+				if funcBody(x) != nil {
+					pass.taintFunc(x, hooks)
+				}
 			}
-			pass.taintFunc(fd, taintHooks{
-				sourceCall: detflowSource(pass),
-				sink:       detflowSink(pass),
-			})
+			return true
+		})
+	}
+}
+
+// globalRandAllowed are the math/rand top-level functions that do not
+// touch the package-global source.
+var globalRandAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
+
+// checkForbiddenCall flags wall-clock reads and global math/rand use.
+func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
+	fn := calleeFunc(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() != nil {
+		return // methods (e.g. (*rand.Rand).Intn) are fine
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if fn.Name() == "Now" || fn.Name() == "Since" {
+			pass.Reportf(call.Pos(), "time.%s in a deterministic package: use sim.Engine.Now virtual time (annotate deliberate wall-clock metric spans with //lbvet:ignore detflow <reason>)", fn.Name())
+		}
+	case "math/rand", "math/rand/v2":
+		if !globalRandAllowed[fn.Name()] {
+			pass.Reportf(call.Pos(), "rand.%s uses the global math/rand source: draw from a seeded *rand.Rand (sim.Engine.Rand or rand.New) so runs stay reproducible", fn.Name())
 		}
 	}
 }
@@ -88,8 +141,8 @@ func isPointerish(t types.Type) bool {
 // detflowSink inspects each CFG node against the taint state in force
 // before it and reports sequence-tainted returns and channel sends, and
 // tainted arguments (either kind) to engine scheduling and metrics
-// calls. Closure interiors are skipped: their bodies execute under a
-// different state.
+// calls. Closure interiors are skipped: they are analyzed as functions
+// of their own.
 func detflowSink(pass *Pass) func(n ast.Node, state taintState) {
 	return func(n ast.Node, state taintState) {
 		// The RangeStmt head node contains its whole body; the body
@@ -116,6 +169,19 @@ func detflowSink(pass *Pass) func(n ast.Node, state taintState) {
 			}
 			return true
 		})
+	}
+}
+
+// detflowExit reports the stores a function leaves behind: a sequence
+// built in nondeterministic order, put where its caller or a later call
+// reads it, and not sorted before the function returned.
+func detflowExit(pass *Pass) func(state taintState) {
+	return func(state taintState) {
+		for _, f := range state {
+			if f.store.IsValid() {
+				pass.Reportf(f.store, "stores a value %s outside the function's locals and leaves it unsorted: later reads see a run-dependent order; sort it before returning or iterate a sorted key slice", f.why)
+			}
+		}
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 // mod 2^32: `a < b` and `a - b` silently give the wrong answer when the
 // arc between a and b crosses zero, which is exactly the case overlay
 // maintenance must survive. Callers should use ident.ID.Dist/Between
-// and the Region helpers; deliberate total-order uses (canonical
-// sorting, dedup tiebreaks) are annotated, not rewritten.
+// and the Region helpers; deliberate total-order uses (sorting,
+// searching and merging ID-sorted arrays, tiebreaks) go through
+// ident.Compare, so cmp.Compare and cmp.Less on IDs are flagged too.
 var IdentCompare = &Analyzer{
 	Name: "identcompare",
-	Doc:  "flag raw </>/− arithmetic on ident.ID outside internal/ident (breaks at ring wrap-around)",
+	Doc:  "flag raw </>/− arithmetic and cmp.Compare/Less on ident.ID outside internal/ident (breaks at ring wrap-around)",
 	// The one package allowed to do raw ID arithmetic.
 	Exclude: []string{"internal/ident"},
 	Run:     runIdentCompare,
@@ -23,28 +24,42 @@ var IdentCompare = &Analyzer{
 func runIdentCompare(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok {
-				return true
+			switch x := n.(type) {
+			case *ast.BinaryExpr:
+				checkIdentBinary(pass, x)
+			case *ast.CallExpr:
+				fn := calleeFunc(pass.Info, x)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "cmp" || (fn.Name() != "Compare" && fn.Name() != "Less") {
+					return true
+				}
+				for _, arg := range x.Args {
+					if isIdentID(pass, arg) {
+						pass.Reportf(x.Pos(), "cmp.%s on ident.ID orders identifiers as plain integers; use ident.Compare for a deliberate total order, or ident.ID.Dist/Between or Region.Contains for ring order", fn.Name())
+						break
+					}
+				}
 			}
-			switch be.Op {
-			case token.LSS, token.LEQ, token.GTR, token.GEQ, token.SUB:
-			default:
-				return true
-			}
-			if !isIdentID(pass, be.X) && !isIdentID(pass, be.Y) {
-				return true
-			}
-			verb := "comparison"
-			hint := "ident.ID.Dist/Between or Region.Contains"
-			if be.Op == token.SUB {
-				verb = "subtraction"
-				hint = "ident.ID.Dist (clockwise distance)"
-			}
-			pass.Reportf(be.OpPos, "raw ident.ID %s %q wraps incorrectly at the ring boundary; use %s, or annotate a deliberate total-order use with //lbvet:ignore identcompare <reason>", verb, exprString(be), hint)
 			return true
 		})
 	}
+}
+
+func checkIdentBinary(pass *Pass, be *ast.BinaryExpr) {
+	switch be.Op {
+	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.SUB:
+	default:
+		return
+	}
+	if !isIdentID(pass, be.X) && !isIdentID(pass, be.Y) {
+		return
+	}
+	verb := "comparison"
+	hint := "ident.ID.Dist/Between or Region.Contains, or ident.Compare for a deliberate total order"
+	if be.Op == token.SUB {
+		verb = "subtraction"
+		hint = "ident.ID.Dist (clockwise distance)"
+	}
+	pass.Reportf(be.OpPos, "raw ident.ID %s %q wraps incorrectly at the ring boundary; use %s", verb, exprString(be), hint)
 }
 
 func isIdentID(pass *Pass, e ast.Expr) bool {

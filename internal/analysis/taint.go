@@ -41,6 +41,10 @@ const (
 type taintFact struct {
 	kind taintKind
 	why  string
+	// store is where a sequence was stored into something other than a
+	// function-local variable (a field, an element, a pointer target, a
+	// package variable); taintHooks.exit reports it if it survives.
+	store token.Pos
 }
 
 // taintState maps tainted objects to facts. States are small; copying
@@ -92,6 +96,9 @@ type taintHooks struct {
 	// sink is invoked for every node with the state in force before
 	// it, in a final pass after the fixpoint; policies report there.
 	sink func(n ast.Node, state taintState)
+	// exit, when set, is invoked once with the state at the function's
+	// exit.
+	exit func(state taintState)
 }
 
 // taintFunc runs the forward taint fixpoint over one function and then
@@ -132,6 +139,9 @@ func (p *Pass) taintFunc(fn ast.Node, hooks taintHooks) {
 			p.taintTransfer(n, work, hooks)
 		}
 	}
+	if hooks.exit != nil {
+		hooks.exit(in[g.Exit.Index])
+	}
 }
 
 // taintTransfer applies one node's effect to state.
@@ -150,9 +160,7 @@ func (p *Pass) taintTransfer(n ast.Node, state taintState, hooks taintHooks) {
 		}
 		if call, ok := m.(*ast.CallExpr); ok {
 			for _, cleansed := range p.sanitizerTargets(call) {
-				if obj := p.exprObj(cleansed); obj != nil {
-					delete(state, obj)
-				}
+				p.cleanse(cleansed, state)
 			}
 		}
 		return true
@@ -228,17 +236,14 @@ func (p *Pass) taintAssign(as *ast.AssignStmt, state taintState, hooks taintHook
 			return
 		}
 		if b, ok := t.Type.Underlying().(*types.Basic); ok {
-			why := f.why
-			if f.kind == kindSeq {
-				// already described; keep the original construction
-				state[obj] = taintFact{kind: kindSeq, why: why}
-				return
-			}
 			switch {
+			case f.kind == kindSeq:
+				// already described; keep the original construction
+				p.setTaint(lhs, obj, f, state)
 			case b.Info()&types.IsFloat != 0:
-				state[obj] = taintFact{kind: kindSeq, why: "float-accumulated in " + why}
+				p.setTaint(lhs, obj, taintFact{kind: kindSeq, why: "float-accumulated in " + f.why}, state)
 			case b.Info()&types.IsString != 0 && as.Tok == token.ADD_ASSIGN:
-				state[obj] = taintFact{kind: kindSeq, why: "concatenated in " + why}
+				p.setTaint(lhs, obj, taintFact{kind: kindSeq, why: "concatenated in " + f.why}, state)
 			}
 		}
 		return
@@ -259,25 +264,34 @@ func (p *Pass) taintAssign(as *ast.AssignStmt, state taintState, hooks taintHook
 }
 
 // taintBind assigns rhs's taint to the lvalue lhs: a tainted rhs
-// taints it, an untainted rhs strong-updates (kills) a plain variable.
-// Index lvalues (x[i] = v) neither taint nor kill the container — the
-// positions written are a deterministic set even when the loop order
-// is not.
+// taints it (setTaint), an untainted rhs strong-updates (kills) it
+// unless it is an index lvalue.
 func (p *Pass) taintBind(lhs, rhs ast.Expr, state taintState, hooks taintHooks, tuple bool) {
-	switch ast.Unparen(lhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr:
-	default:
-		return
-	}
 	obj := p.exprObj(lhs)
 	if obj == nil {
 		return
 	}
 	if f, tainted := p.taintOfRHS(rhs, state, hooks); tainted {
-		state[obj] = f
-	} else if !tuple {
+		p.setTaint(lhs, obj, f, state)
+	} else if _, index := ast.Unparen(lhs).(*ast.IndexExpr); !index && !tuple {
 		delete(state, obj) // strong update
 	}
+}
+
+// setTaint binds f to obj, the object of the lvalue lhs. A sequence
+// stored anywhere but a function-local variable records where, for
+// taintHooks.exit. Other index lvalues (x[i] = v) leave the container
+// as it was: the positions written are a deterministic set even when
+// the loop order is not.
+func (p *Pass) setTaint(lhs ast.Expr, obj types.Object, f taintFact, state taintState) {
+	_, plain := ast.Unparen(lhs).(*ast.Ident)
+	f.store = token.NoPos
+	if f.kind == kindSeq && (!plain || obj.Parent() == p.Pkg.Scope()) {
+		f.store = lhs.Pos()
+	} else if _, index := ast.Unparen(lhs).(*ast.IndexExpr); index {
+		return
+	}
+	state[obj] = f
 }
 
 // taintOfRHS decides the taint of an assigned value: a source call, a
@@ -459,6 +473,27 @@ func (p *Pass) sanitizerTargets(call *ast.CallExpr) []ast.Expr {
 		targets = append(targets, sel.X)
 	}
 	return targets
+}
+
+// cleanse kills the taint of a sanitizer's target and, when the target
+// is a struct or a pointer to one, of its fields: a method that sorts
+// its receiver (v.sort()) sorts what the receiver holds.
+func (p *Pass) cleanse(e ast.Expr, state taintState) {
+	if obj := p.exprObj(e); obj != nil {
+		delete(state, obj)
+	}
+	t := p.Info.TypeOf(e)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if t == nil {
+		return
+	}
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			delete(state, st.Field(i))
+		}
+	}
 }
 
 func (p *Pass) isBuiltin(call *ast.CallExpr, name string) bool {

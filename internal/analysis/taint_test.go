@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"strings"
 	"testing"
@@ -129,16 +127,18 @@ func mapRangeCommutes(m map[int]int) {
 }
 `
 
-// loadTaintCases parses and type-checks the test package in memory.
+// loadTaintCases parses and type-checks the test package in memory,
+// importing through the package's shared loader.
 func loadTaintCases(t *testing.T) *Pass {
 	t.Helper()
-	fset := token.NewFileSet()
+	loader := testLoader(t)
+	fset := loader.Fset
 	f, err := parser.ParseFile(fset, "taintcase.go", taintTestSrc, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: loader}
 	pkg, err := conf.Check("lbvet.test/taintcase", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)

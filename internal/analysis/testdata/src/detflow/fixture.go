@@ -1,6 +1,6 @@
 // Fixture for the detflow analyzer (testdata packages are always in
-// the deterministic scope). The laundered helper-call case that the
-// syntactic nondeterminism analyzer cannot see lives in laundered.go.
+// the deterministic scope). The direct cases live in direct.go, the
+// laundered helper-call case in laundered.go.
 package detflow
 
 import (

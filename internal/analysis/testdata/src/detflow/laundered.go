@@ -1,9 +1,8 @@
 // The laundered case: map-iteration order flows through a local and an
-// in-package helper call before reaching the return. The syntactic
-// nondeterminism analyzer only recognizes a builtin append assigned
-// directly under the range — push hides it — so this file must produce
-// zero nondeterminism findings and exactly the detflow ones below
-// (asserted by TestDetflowCatchesLaunderedFlow).
+// in-package helper call before reaching the return. No builtin append
+// sits under the range — push hides it — so only the dataflow sees it;
+// this file must produce exactly the detflow findings below (asserted
+// by TestDetflowCatchesLaunderedFlow).
 package detflow
 
 import "sort"

@@ -1,7 +1,11 @@
 // Fixture for the identcompare analyzer.
 package identcompare
 
-import "p2plb/internal/ident"
+import (
+	"cmp"
+
+	"p2plb/internal/ident"
+)
 
 // badLess orders identifiers with <, which inverts across the wrap.
 func badLess(a, b ident.ID) bool {
@@ -29,6 +33,23 @@ func goodEqual(a, b ident.ID) bool { return a == b }
 
 // goodUint64 compares plain integers, not IDs.
 func goodUint64(a, b uint64) bool { return a < b }
+
+// badCmpCompare orders IDs through cmp.Compare, which reads the same
+// as ring order at the call site.
+func badCmpCompare(a, b ident.ID) int {
+	return cmp.Compare(a, b) // want "cmp.Compare on ident.ID"
+}
+
+// badCmpLess likewise through cmp.Less.
+func badCmpLess(a, b ident.ID) bool {
+	return cmp.Less(a, b) // want "cmp.Less on ident.ID"
+}
+
+// goodIdentCompare names the integer order it uses.
+func goodIdentCompare(a, b ident.ID) int { return ident.Compare(a, b) }
+
+// goodCmpPlain compares plain integers.
+func goodCmpPlain(a, b uint64) int { return cmp.Compare(a, b) }
 
 // sortKey is a deliberate, annotated total-order use: suppressed.
 func sortKey(a, b ident.ID) bool {

@@ -403,7 +403,7 @@ func (r *Ring) firstFreeFrom(start ident.ID) ident.ID {
 // (len(r.vss) if none), the shared binary search under every positional
 // operation.
 func (r *Ring) searchID(id ident.ID) int {
-	return sort.Search(len(r.vss), func(i int) bool { return r.vss[i].ID >= id }) //lbvet:ignore identcompare binary search over the canonical ID-sorted ring array; wrap is a caller concern
+	return sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, id) >= 0 }) // wrap is a caller concern
 }
 
 // pos returns vs's index in the ID-sorted array, revalidating a stale
@@ -495,12 +495,12 @@ func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.Node
 		return nodes
 	}
 	sorted := append([]*VServer(nil), fresh...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID }) //lbvet:ignore identcompare canonical sorted order of the ring array, not ring distance
+	sort.Slice(sorted, func(i, j int) bool { return ident.Compare(sorted[i].ID, sorted[j].ID) < 0 })
 
 	merged := make([]*VServer, 0, len(r.vss)+len(sorted))
 	i, j := 0, 0
 	for i < len(r.vss) && j < len(sorted) {
-		if r.vss[i].ID < sorted[j].ID { //lbvet:ignore identcompare sorted-merge order of the canonical ring array
+		if ident.Compare(r.vss[i].ID, sorted[j].ID) < 0 {
 			merged = append(merged, r.vss[i])
 			i++
 		} else {
@@ -621,7 +621,7 @@ func (r *Ring) Transfer(vs *VServer, to *Node) {
 
 // findVS returns the VS with exactly the given identifier.
 func (r *Ring) findVS(id ident.ID) (*VServer, bool) {
-	pos := sort.Search(len(r.vss), func(i int) bool { return r.vss[i].ID >= id }) //lbvet:ignore identcompare exact-match binary search over the ID-sorted ring array
+	pos := sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, id) >= 0 })
 
 	if pos < len(r.vss) && r.vss[pos].ID == id {
 		return r.vss[pos], true
@@ -639,7 +639,7 @@ func (r *Ring) Successor(key ident.ID) *VServer {
 		return nil
 	}
 	//lbvet:ignore hotalloc the sort.Search closure does not escape (Search inlines); no per-call allocation
-	pos := sort.Search(len(r.vss), func(i int) bool { return r.vss[i].ID >= key }) //lbvet:ignore identcompare binary search in the ID-sorted array; pos%len below is the wrap
+	pos := sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, key) >= 0 }) // pos%len below is the wrap
 	return r.vss[pos%len(r.vss)]
 }
 
@@ -895,7 +895,7 @@ func (r *Ring) CheckInvariants() {
 		if p := r.pos(vs); p != i {
 			panic(fmt.Sprintf("chord: vs %s resolves to position %d != %d", vs.ID, p, i))
 		}
-		if i > 0 && r.vss[i-1].ID >= vs.ID { //lbvet:ignore identcompare asserts the canonical sorted-array invariant, a total-order property
+		if i > 0 && ident.Compare(r.vss[i-1].ID, vs.ID) >= 0 {
 			panic(fmt.Sprintf("chord: ring out of order at %d", i))
 		}
 		if !vs.Owner.Alive {
@@ -964,7 +964,7 @@ func (r *Ring) CheckConservation(base Conservation) error {
 	hostings := make(map[*VServer]int, len(r.vss))
 	var total float64
 	for i, vs := range r.vss {
-		if i > 0 && r.vss[i-1].ID >= vs.ID { //lbvet:ignore identcompare asserts the canonical sorted-array invariant, a total-order property
+		if i > 0 && ident.Compare(r.vss[i-1].ID, vs.ID) >= 0 {
 			return fmt.Errorf("chord: ring order violated at position %d", i)
 		}
 		if vs.Owner == nil {

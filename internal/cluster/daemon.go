@@ -331,7 +331,7 @@ func (d *Daemon) appendSnap() error {
 	for id, load := range d.store {
 		snap.VSs = append(snap.VSs, VSRec{ID: id, Load: load})
 	}
-	sort.Slice(snap.VSs, func(i, j int) bool { return snap.VSs[i].ID < snap.VSs[j].ID }) //lbvet:ignore identcompare canonical serialization order, not a ring-distance comparison
+	sort.Slice(snap.VSs, func(i, j int) bool { return ident.Compare(snap.VSs[i].ID, snap.VSs[j].ID) < 0 })
 	for p := range d.applied {
 		snap.Applied = append(snap.Applied, p)
 	}
@@ -351,7 +351,7 @@ func (d *Daemon) standaloneNode() *chord.Node {
 	for id, load := range d.store {
 		vss = append(vss, &chord.VServer{ID: id, Load: load})
 	}
-	sort.Slice(vss, func(i, j int) bool { return vss[i].ID < vss[j].ID }) //lbvet:ignore identcompare deterministic shed-subset input order, not a ring-distance comparison
+	sort.Slice(vss, func(i, j int) bool { return ident.Compare(vss[i].ID, vss[j].ID) < 0 })
 	return chord.NewStandaloneNode(d.rank, d.capacity, vss)
 }
 
@@ -395,7 +395,7 @@ func (d *Daemon) serveReq(kind string, body json.RawMessage) (any, error) {
 			st.VSs = append(st.VSs, VSRec{ID: id, Load: load})
 		}
 		d.mu.Unlock()
-		sort.Slice(st.VSs, func(i, j int) bool { return st.VSs[i].ID < st.VSs[j].ID }) //lbvet:ignore identcompare stable status output order, not a ring-distance comparison
+		sort.Slice(st.VSs, func(i, j int) bool { return ident.Compare(st.VSs[i].ID, st.VSs[j].ID) < 0 })
 		return st, nil
 	case "quit":
 		d.quitOnce.Do(func() { close(d.quitCh) })

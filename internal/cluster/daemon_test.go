@@ -222,7 +222,7 @@ func injectAssign(t *testing.T, d *Daemon, seq uint64, to int) (string, ident.ID
 	var id ident.ID
 	var found bool
 	for vid := range d.store {
-		if !found || vid < id { //lbvet:ignore identcompare deterministic pick of the smallest id, not a ring-distance comparison
+		if !found || ident.Compare(vid, id) < 0 {
 			id, found = vid, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/ident"
 )
 
 // This file keeps the pairing rule as it was first written — one
@@ -44,7 +45,7 @@ func (v *refLists) sort() {
 		if v.offers[i].load != v.offers[j].load {
 			return v.offers[i].load < v.offers[j].load
 		}
-		return v.offers[i].vs.ID < v.offers[j].vs.ID //lbvet:ignore identcompare deterministic tiebreak wants a total order, not ring distance
+		return ident.Compare(v.offers[i].vs.ID, v.offers[j].vs.ID) < 0
 	})
 }
 

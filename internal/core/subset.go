@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/ident"
 )
 
 // SubsetStrategy selects the algorithm a heavy node uses to pick the
@@ -66,7 +67,7 @@ func sortedByLoad(vss []*chord.VServer) []*chord.VServer {
 		if sorted[i].Load != sorted[j].Load {
 			return sorted[i].Load > sorted[j].Load
 		}
-		return sorted[i].ID < sorted[j].ID //lbvet:ignore identcompare deterministic tiebreak wants a total order, not ring distance
+		return ident.Compare(sorted[i].ID, sorted[j].ID) < 0
 	})
 	return sorted
 }

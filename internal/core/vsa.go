@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/ident"
 	"p2plb/internal/ktree"
 	"p2plb/internal/sim"
 )
@@ -57,7 +58,7 @@ func cmpOffer(a, b offerEntry) int {
 	if c := cmp.Compare(a.load, b.load); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.vs.ID, b.vs.ID)
+	return ident.Compare(a.vs.ID, b.vs.ID)
 }
 
 // merge absorbs o's entries (both lists stay unsorted until sort()).

@@ -9,6 +9,7 @@
 package ident
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 )
@@ -42,6 +43,13 @@ func HashString(s string) ID { return Hash([]byte(s)) }
 // needed to reach b from a moving in increasing-identifier direction.
 // Dist(a, a) == 0.
 func (a ID) Dist(b ID) uint64 { return uint64(uint32(b) - uint32(a)) }
+
+// Compare returns -1, 0 or +1 as a is less than, equal to or greater
+// than b as plain integers. This is integer order, not ring order: it
+// is the one total order for sorting, searching and merging ID-sorted
+// arrays and for tiebreaks, and it says nothing about where a and b lie
+// on the circle relative to each other (Dist, Between and Region do).
+func Compare(a, b ID) int { return cmp.Compare(a, b) }
 
 // Add returns a advanced clockwise by d (mod 2^32).
 func (a ID) Add(d uint64) ID { return ID(uint32(a) + uint32(d)) }

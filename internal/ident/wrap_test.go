@@ -30,6 +30,20 @@ func TestDistAcrossWrap(t *testing.T) {
 	}
 }
 
+// TestCompareIsIntegerOrder: Compare is the plain integer order the
+// sorted arrays use, so at the seam it says the opposite of Dist.
+func TestCompareIsIntegerOrder(t *testing.T) {
+	if got := Compare(top, 0); got != 1 {
+		t.Errorf("Compare(top, 0) = %d, want 1 although 0 is top's clockwise neighbor", got)
+	}
+	if got := Compare(0, top); got != -1 {
+		t.Errorf("Compare(0, top) = %d, want -1", got)
+	}
+	if got := Compare(7, 7); got != 0 {
+		t.Errorf("Compare(7, 7) = %d, want 0", got)
+	}
+}
+
 func TestBetweenAcrossWrap(t *testing.T) {
 	// Arc (0xFFFFFF00, 0x100] crosses zero; membership must hold on
 	// both sides of the seam and fail outside it.

@@ -609,7 +609,7 @@ func (b *builder) plant(p piece, parent int32) int32 {
 func (b *builder) search(id ident.ID, lo, hi int) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if b.vss[m].ID < id { //lbvet:ignore identcompare binary search over the ID-sorted ring array; the owner wraps at len(vss)
+		if ident.Compare(b.vss[m].ID, id) < 0 { // the owner wraps at len(vss)
 			lo = m + 1
 		} else {
 			hi = m
@@ -959,7 +959,7 @@ func (t *Tree) apply(b *builder) int {
 		})
 	} else {
 		slices.SortFunc(b.leaves, func(x, y int32) int {
-			return cmp.Compare(t.recs[x].region.Start, t.recs[y].region.Start) //lbvet:ignore identcompare leaves tile the circle from identifier 0, so their starts order them clockwise
+			return ident.Compare(t.recs[x].region.Start, t.recs[y].region.Start) // leaves tile the circle from identifier 0, so their starts order them clockwise
 		})
 		for _, i := range b.leaves {
 			t.registerLeaf(i)

@@ -101,7 +101,7 @@ func TestBulkInsertLeavesBatchAlone(t *testing.T) {
 	}
 	objs := s.Objects()
 	for i := 1; i < len(objs); i++ {
-		if objs[i].Key < objs[i-1].Key { //lbvet:ignore identcompare asserting the canonical Key-sorted invariant
+		if ident.Compare(objs[i].Key, objs[i-1].Key) < 0 {
 			t.Fatalf("store not key-sorted at %d", i)
 		}
 	}

@@ -63,7 +63,7 @@ func (s *Store) Insert(o Object) error {
 	if vs == nil {
 		return fmt.Errorf("objects: empty ring")
 	}
-	pos := sort.Search(len(s.objs), func(i int) bool { return s.objs[i].Key >= o.Key }) //lbvet:ignore identcompare insertion point in the canonical Key-sorted object array
+	pos := sort.Search(len(s.objs), func(i int) bool { return ident.Compare(s.objs[i].Key, o.Key) >= 0 })
 	s.objs = append(s.objs, Object{})
 	copy(s.objs[pos+1:], s.objs[pos:])
 	s.objs[pos] = o
@@ -99,7 +99,7 @@ func (s *Store) BulkInsert(objs []Object) error {
 	}
 	batch := make([]Object, len(objs))
 	copy(batch, objs)
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Key < batch[j].Key }) //lbvet:ignore identcompare canonical Key-sorted order for the object array
+	sort.Slice(batch, func(i, j int) bool { return ident.Compare(batch[i].Key, batch[j].Key) < 0 })
 	if len(s.objs) == 0 {
 		s.objs = batch
 		return nil
@@ -107,7 +107,7 @@ func (s *Store) BulkInsert(objs []Object) error {
 	merged := make([]Object, 0, len(s.objs)+len(batch))
 	i, j := 0, 0
 	for i < len(s.objs) && j < len(batch) {
-		if s.objs[i].Key <= batch[j].Key { //lbvet:ignore identcompare sorted merge of two canonically Key-sorted arrays
+		if ident.Compare(s.objs[i].Key, batch[j].Key) <= 0 {
 			merged = append(merged, s.objs[i])
 			i++
 		} else {
@@ -158,7 +158,7 @@ func (s *Store) SyncLoads() {
 	// Object o belongs to the first VS with ID >= o.Key (wrapping).
 	i := 0
 	for _, o := range s.objs {
-		for i < len(vss) && vss[i].ID < o.Key { //lbvet:ignore identcompare sorted-merge scan over two canonically sorted arrays; i==len wrap handled below
+		for i < len(vss) && ident.Compare(vss[i].ID, o.Key) < 0 { // i==len wrap handled below
 			i++
 		}
 		if i == len(vss) {
@@ -202,7 +202,7 @@ func (s *Store) Populate(rng *rand.Rand, n int, loadFn func(*rand.Rand) float64)
 		}
 		s.objs = append(s.objs, Object{Key: ident.ID(rng.Uint32()), Load: load})
 	}
-	sort.Slice(s.objs, func(i, j int) bool { return s.objs[i].Key < s.objs[j].Key }) //lbvet:ignore identcompare canonical Key-sorted order for the object array
+	sort.Slice(s.objs, func(i, j int) bool { return ident.Compare(s.objs[i].Key, s.objs[j].Key) < 0 })
 	s.SyncLoads()
 	return nil
 }

@@ -84,7 +84,7 @@ func TestObjectsSortedByKey(t *testing.T) {
 	}
 	objs := s.Objects()
 	for i := 1; i < len(objs); i++ {
-		if objs[i].Key < objs[i-1].Key { //lbvet:ignore identcompare asserts the store's canonical sorted order, a total-order property
+		if ident.Compare(objs[i].Key, objs[i-1].Key) < 0 {
 			t.Fatal("objects not sorted")
 		}
 	}

@@ -286,11 +286,11 @@ func TestKeyScalingCoversSpace(t *testing.T) {
 	m, _ := NewMapper(lm, DefaultBitsPerDimension)
 	var maxKey ident.ID
 	for _, n := range g.StubNodes()[:500] {
-		if k := m.Key(n); k > maxKey { //lbvet:ignore identcompare max over keys as plain integers to check Hilbert scaling
+		if k := m.Key(n); ident.Compare(k, maxKey) > 0 {
 			maxKey = k
 		}
 	}
-	if maxKey < 1<<28 { //lbvet:ignore identcompare plain integer magnitude bound, not ring arithmetic
+	if ident.Compare(maxKey, 1<<28) < 0 {
 		t.Errorf("keys cluster low (max %s); scaling wrong?", maxKey)
 	}
 }

@@ -417,6 +417,13 @@ func TestRestartedSenderIsNotADuplicate(t *testing.T) {
 	}
 	wait("still-current")
 	rawPeer(t, t1, 0, 3)
+	// The listener acknowledges the hello before it records the new
+	// life; the restart hook fires after it has.
+	select {
+	case <-restarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("third life of rank 0 not reported")
+	}
 	if acked(t, redial, Msg{Seq: 3, Src: 0, Kind: "stale-frame"}) {
 		t.Fatal("frame on a replaced life's connection was acknowledged")
 	}
