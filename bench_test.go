@@ -355,16 +355,10 @@ func BenchmarkProtocolRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		before := inst.Engine.Executed()
-		var res *protocol.Result
-		if err := r.StartRound(func(out *protocol.Result, err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			res = out
-		}); err != nil {
+		res, err := r.RunRound()
+		if err != nil {
 			b.Fatal(err)
 		}
-		inst.Engine.Run()
 		heavyAfter += float64(res.HeavyAfter)
 		events += float64(inst.Engine.Executed() - before)
 	}
@@ -410,13 +404,7 @@ func BenchmarkBaselineRaoManyToMany(b *testing.B) { benchRao(b, rao.ManyToMany) 
 // buildBulkRing populates a fresh ring the way exp.Build does: bulk
 // insertion with Gnutella capacities drawn from the engine RNG.
 func buildBulkRing(seed int64, nodes, vsPerNode int) *chord.Ring {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	ring.BulkAddNodes(nodes, vsPerNode,
-		func(int) topology.NodeID { return -1 },
-		func(int) float64 { return profile.Sample(eng.Rand()) })
-	return ring
+	return workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPerNode})
 }
 
 // BenchmarkRingBuild100k pins the cost of populating a 100 000-VS ring
@@ -476,11 +464,7 @@ func BenchmarkDriftMaintenance(b *testing.B) {
 	var giniPre, giniPost float64
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(int64(i) + 1)
-		ring := chord.NewRing(eng, chord.Config{})
-		profile := workload.GnutellaProfile()
-		for j := 0; j < 512; j++ {
-			ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-		}
+		ring := workload.NewRing(eng, workload.RingSpec{Nodes: 512, VSPerNode: 5})
 		store := objects.NewStore(ring)
 		rng := rand.New(rand.NewSource(int64(i) + 1))
 		loadFn := func(r *rand.Rand) float64 { return r.Float64() * 2 }

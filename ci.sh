@@ -76,6 +76,17 @@ echo "== lbvet"
 echo "== go build"
 go build ./...
 
+echo "== examples (smoke)"
+# Nothing else runs the example mains: run the fast ones to completion,
+# and fail on a nonzero exit. Each takes under a second (quickstart
+# 7 ms, heterogeneous 54 ms, churn 65 ms, proximity 0.8 s). storage is
+# left out: twelve message-level rounds over 100k drifting objects take
+# about 22 s.
+for ex in quickstart heterogeneous churn proximity; do
+	go build -o "$bin/$ex" "./examples/$ex"
+	"$bin/$ex" >/dev/null
+done
+
 echo "== no orphan packages"
 # Every internal package must be reachable from something that ships: a
 # command, the benchmark or an example. A package that only tests import

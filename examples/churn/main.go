@@ -22,19 +22,12 @@ import (
 func main() {
 	eng := sim.NewEngine(99)
 	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
 	mu := 256.0 * 100
 	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
-
-	addNode := func() *chord.Node {
-		n := ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-		for _, vs := range n.VServers() {
-			vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-		}
-		return n
-	}
+	// Every node, initial or joining later, arrives with its virtual
+	// servers' loads drawn on arrival.
 	for i := 0; i < 256; i++ {
-		addNode()
+		workload.Join(ring, -1, 5, model)
 	}
 
 	tree, err := ktree.New(ring, 2)
@@ -62,7 +55,7 @@ func main() {
 			ring.RemoveNode(victim)
 			churnEvents++
 		}
-		addNode()
+		workload.Join(ring, -1, 5, model)
 		churnEvents++
 	})
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
 	"p2plb/internal/sim"
@@ -24,20 +23,12 @@ func main() {
 
 	// A ring of 64 physical nodes, each hosting 5 virtual servers with
 	// random identifiers. Capacities follow the paper's Gnutella-like
-	// profile: a few powerful nodes, many weak ones.
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < 64; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-	}
-
-	// Draw each virtual server's load from the Gaussian model: mean
-	// proportional to the identifier-space fraction it owns.
+	// profile: a few powerful nodes, many weak ones. Each virtual
+	// server's load comes from the Gaussian model: mean proportional to
+	// the identifier-space fraction it owns.
 	mu := 64.0 * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(eng, workload.RingSpec{Nodes: 64, VSPerNode: 5,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 200}})
 
 	// The distributed K-nary tree (K=2) is the aggregation and
 	// rendezvous infrastructure for load balancing.

@@ -14,7 +14,6 @@ import (
 	"log"
 	"math/rand"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
 	"p2plb/internal/objects"
@@ -25,11 +24,7 @@ import (
 
 func main() {
 	eng := sim.NewEngine(2024)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < 256; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-	}
+	ring := workload.NewRing(eng, workload.RingSpec{Nodes: 256, VSPerNode: 5})
 
 	// 100k objects with Zipf popularity: a few hot items, a long tail.
 	store := objects.NewStore(ring)

@@ -18,17 +18,9 @@ import (
 // buildLoadedRing creates a heterogeneous ring with Gaussian loads, the
 // standard small-scale test fixture.
 func buildLoadedRing(seed int64, nodes, vsPer int) (*chord.Ring, *ktree.Tree) {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), vsPer)
-	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPer,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 400}})
 	tree, err := ktree.New(ring, 2)
 	if err != nil {
 		panic(err)
@@ -261,17 +253,12 @@ func topoFixture(t *testing.T, seed int64, nodes int) (*chord.Ring, *ktree.Tree,
 	}
 	dist := topology.NewDistances(g)
 	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{Latency: chord.TopologyLatency(dist)})
-	profile := workload.GnutellaProfile()
 	underlays := g.SampleStubNodes(eng.Rand(), nodes)
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(underlays[i], profile.Sample(eng.Rand()), 5)
-	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(eng, workload.RingSpec{Nodes: nodes, VSPerNode: 5,
+		Loads:    workload.Gaussian{Mu: mu, Sigma: mu / 400},
+		Underlay: func(i int) topology.NodeID { return underlays[i] },
+		Latency:  chord.TopologyLatency(dist)})
 	tree, err := ktree.New(ring, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -531,10 +518,8 @@ func TestRunRoundAfterUnrepairedJoins(t *testing.T) {
 	if _, err := b.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	eng := ring.Engine()
-	profile := workload.GnutellaProfile()
 	for i := 0; i < 8; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
+		workload.Join(ring, -1, 4, nil)
 	}
 	res, err := b.RunRound()
 	if err != nil {

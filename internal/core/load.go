@@ -1,20 +1,15 @@
 package core
 
-import (
-	"math/rand"
+import "p2plb/internal/chord"
 
-	"p2plb/internal/chord"
-	"p2plb/internal/workload"
-)
-
-// LoadSource is where the balancer's per-VS loads come from. Historically
-// vs.Load was a scalar sampled once from a workload.LoadModel at build
-// time; the serving layer instead *observes* load as a decayed request
-// rate that drifts between rounds (Mirrezaei–Shahparian's regime). The
-// abstraction keeps both: a Balancer whose Config carries a LoadSource
-// calls Refresh at the top of every round so classification sees the
-// source's current view; a nil LoadSource means vs.Load is maintained
-// externally, exactly the pre-refactor contract.
+// LoadSource is where the balancer's per-VS loads come from. The
+// paper's figures sample vs.Load once from a workload.LoadModel at build
+// time (workload.NewRing); the serving layer instead *observes* load as
+// a decayed request rate that drifts between rounds
+// (Mirrezaei–Shahparian's regime). A Balancer whose Config carries a
+// LoadSource calls Refresh at the top of every round so classification
+// sees the source's current view; a nil LoadSource means vs.Load is
+// maintained externally: sampled once, or kept by an object store.
 //
 // Refresh must be deterministic given the source's own state: it runs
 // on the engine goroutine and may only iterate the ring in its
@@ -26,29 +21,3 @@ type LoadSource interface {
 	// Name identifies the source in reports.
 	Name() string
 }
-
-// SampledLoads is the classic one-shot model: the first Refresh assigns
-// each virtual server a load drawn from Model, in ring order, from Rng —
-// byte-for-byte the draws the old exp.Build assignment loop made — and
-// later Refreshes are no-ops (the sample does not drift; transfers move
-// the sampled values around, and re-sampling mid-experiment would
-// destroy the figures' meaning).
-type SampledLoads struct {
-	Model workload.LoadModel
-	Rng   *rand.Rand
-	done  bool
-}
-
-// Refresh implements LoadSource.
-func (s *SampledLoads) Refresh(ring *chord.Ring) {
-	if s.done {
-		return
-	}
-	s.done = true
-	for _, vs := range ring.VServers() {
-		vs.Load = s.Model.Load(s.Rng, ring.RegionOf(vs).Fraction())
-	}
-}
-
-// Name implements LoadSource.
-func (s *SampledLoads) Name() string { return "sampled/" + s.Model.Name() }

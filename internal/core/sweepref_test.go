@@ -147,16 +147,12 @@ func sweepBalancer(t *testing.T, w sweepWorld, seed int64, k, nodes int, vsPer [
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	ring := chord.NewRing(eng, chord.Config{Latency: chord.TopologyLatency(w.dist)})
-	profile := workload.GnutellaProfile()
 	under := w.g.SampleStubNodes(eng.Rand(), nodes)
 	for i := 0; i < nodes; i++ {
-		ring.AddNode(under[i], profile.Sample(eng.Rand()), vsPer[i%len(vsPer)])
+		workload.Join(ring, under[i], vsPer[i%len(vsPer)], nil)
 	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	workload.AssignLoads(ring, workload.Gaussian{Mu: mu, Sigma: mu / 400})
 	tree, err := ktree.New(ring, k)
 	if err != nil {
 		t.Fatal(err)

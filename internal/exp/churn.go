@@ -8,6 +8,7 @@ import (
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
 	"p2plb/internal/topology"
+	"p2plb/internal/workload"
 )
 
 // ChurnRow is one churn-rate operating point of the robustness
@@ -68,10 +69,6 @@ func churnRow(s Setup, rate, rounds int) (ChurnRow, error) {
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	// Build fills defaults (sentinels resolved, profile set) into the
-	// instance's Setup copy; read the resolved values from there.
-	profile := inst.Setup.Profile
-	vsPerNode := inst.Setup.VSPerNode
 	// Joiners on a topology-backed instance must occupy real underlay
 	// positions — the latency model rejects the -1 sentinel.
 	var stubs []topology.NodeID
@@ -115,7 +112,7 @@ func churnRow(s Setup, rate, rounds int) (ChurnRow, error) {
 			// joiners start with whatever falls into their new regions
 			// (zero until objects/loads move), which is exactly the
 			// imbalance the next round fixes.
-			inst.Ring.AddNode(u, profile.Sample(inst.Engine.Rand()), vsPerNode)
+			workload.Join(inst.Ring, u, s.VSPerNode, nil)
 		}
 		return true
 	}

@@ -48,8 +48,6 @@ type Setup struct {
 	// Pareto selects the Pareto(α=1.5) load model instead of Gaussian.
 	Pareto bool
 
-	Profile workload.Profile // nil → Gnutella-like profile
-
 	// Epsilon is the target slack. Negative (UseDefault) becomes the
 	// paper's 0.05; an explicit 0 is honoured — perfect-proportionality
 	// targets.
@@ -94,9 +92,6 @@ func (s *Setup) fill() {
 	if s.Sigma < 0 {
 		s.Sigma = s.Mu / 200
 	}
-	if s.Profile == nil {
-		s.Profile = workload.GnutellaProfile()
-	}
 	if s.Landmarks == 0 {
 		s.Landmarks = proximity.DefaultLandmarkCount
 	}
@@ -130,9 +125,9 @@ type Instance struct {
 }
 
 // Build assembles an Instance: generate the underlay (if any), create
-// the ring with capacities from the profile, draw virtual-server loads
-// from the load model using each VS's actual identifier-space fraction,
-// build the K-nary tree, choose landmarks, and wire up the balancer.
+// the loaded ring (workload.NewRing: Gnutella-like capacities, loads
+// from the load model by each VS's identifier-space fraction), build the
+// K-nary tree, choose landmarks, and wire up the balancer.
 func Build(s Setup) (*Instance, error) {
 	s.fill()
 	if s.Nodes < 1 || s.VSPerNode < 1 {
@@ -142,7 +137,7 @@ func Build(s Setup) (*Instance, error) {
 	inst.Engine = sim.NewEngine(s.Seed)
 	inst.Engine.SetMetrics(s.Metrics)
 
-	ringCfg := chord.Config{}
+	spec := workload.RingSpec{Nodes: s.Nodes, VSPerNode: s.VSPerNode}
 	var underlays []topology.NodeID
 	if s.Topology != nil {
 		p := *s.Topology
@@ -158,39 +153,20 @@ func Build(s Setup) (*Instance, error) {
 		inst.Graph = g
 		inst.HopDistances = topology.NewDistances(g)
 		inst.LatDistances = topology.NewDistancesMetric(g, topology.LatencyMetric)
-		ringCfg.Latency = chord.TopologyLatency(inst.LatDistances)
+		spec.Latency = chord.TopologyLatency(inst.LatDistances)
 		underlays = g.SampleStubNodes(inst.Engine.Rand(), s.Nodes)
+		spec.Underlay = func(i int) topology.NodeID { return underlays[i] }
 	}
-
-	inst.Ring = chord.NewRing(inst.Engine, ringCfg)
-	// Bulk population sorts the VS identifiers once instead of paying an
-	// incremental insert per node; the RNG draw order (capacity, then
-	// identifiers, per node) matches the AddNode loop exactly, so runs
-	// stay byte-identical across both paths at the same seed.
-	inst.Ring.BulkAddNodes(s.Nodes, s.VSPerNode,
-		func(i int) topology.NodeID {
-			if underlays != nil {
-				return underlays[i]
-			}
-			return -1
-		},
-		func(i int) float64 { return s.Profile.Sample(inst.Engine.Rand()) })
-
-	var model workload.LoadModel
 	if s.Pareto {
-		model = workload.Pareto{Alpha: 1.5, Mu: s.Mu}
+		spec.Loads = workload.Pareto{Alpha: 1.5, Mu: s.Mu}
 	} else {
-		model = workload.Gaussian{Mu: s.Mu, Sigma: s.Sigma}
+		spec.Loads = workload.Gaussian{Mu: s.Mu, Sigma: s.Sigma}
 	}
-	// Loads come from a core.LoadSource. The sampled source's one-shot
-	// Refresh makes exactly the draws the historical assignment loop
-	// made here (ring order, engine RNG), so figures at a given seed are
-	// unchanged; refreshing eagerly keeps vs.Load populated for code
-	// that reads it between Build and the first round (the before-LB
-	// scatter of fig 4). Serving experiments override Loads with the
-	// observed-request-rate source instead.
-	loads := &core.SampledLoads{Model: model, Rng: inst.Engine.Rand()}
-	loads.Refresh(inst.Ring)
+	// The loads are drawn once, here, so vs.Load is populated for code
+	// that reads it before the first round (the before-LB scatter of
+	// fig 4), and the balancer's Config.Loads stays nil. Serving
+	// experiments hand their runner the observed-request-rate source.
+	inst.Ring = workload.NewRing(inst.Engine, spec)
 
 	tree, err := ktree.New(inst.Ring, s.K)
 	if err != nil {
@@ -205,7 +181,6 @@ func Build(s Setup) (*Instance, error) {
 		Mode:                s.Mode,
 		Epsilon:             s.Epsilon,
 		RendezvousThreshold: s.RendezvousThreshold,
-		Loads:               loads,
 	}
 	if inst.Graph != nil {
 		hops := inst.HopDistances

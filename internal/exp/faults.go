@@ -39,17 +39,6 @@ type FaultRow struct {
 	FinalGini float64 `json:"final_gini"`
 }
 
-// runProtocolRound drives one message-level round to completion.
-func runProtocolRound(r *protocol.Runner, eng *sim.Engine) (*protocol.Result, error) {
-	var out *protocol.Result
-	var outErr error
-	if err := r.StartRound(func(res *protocol.Result, err error) { out, outErr = res, err }); err != nil {
-		return nil, err
-	}
-	eng.Run()
-	return out, outErr
-}
-
 // FaultSweep measures graceful degradation under uniform message loss
 // on the default no-underlay setup: for each drop rate it runs `rounds`
 // message-level rounds on a fresh system and reports imbalance,
@@ -100,7 +89,7 @@ func faultRow(s Setup, rate float64, rounds int) (FaultRow, error) {
 	}
 	row := FaultRow{DropRate: rate, Rounds: rounds}
 	for i := 0; i < rounds; i++ {
-		out, roundErr := runProtocolRound(r, inst.Engine)
+		out, roundErr := r.RunRound()
 		if roundErr != nil {
 			row.Failed++
 		} else {
@@ -171,7 +160,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 	if err != nil {
 		return row, err
 	}
-	if _, err := runProtocolRound(rc, clean.Engine); err != nil {
+	if _, err := rc.RunRound(); err != nil {
 		return row, err
 	}
 	row.BaselineGini = core.UnitLoadGini(clean.Ring)
@@ -205,7 +194,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 		return row, err
 	}
 	for i := 0; i < duringRounds; i++ {
-		out, roundErr := runProtocolRound(r, inst.Engine)
+		out, roundErr := r.RunRound()
 		row.PartitionRounds++
 		if roundErr != nil {
 			row.FailedDuring++
@@ -221,7 +210,7 @@ func PartitionRecovery(seed int64, nodes, duringRounds, maxRecover int) (Partiti
 	healAt := inst.Engine.Now()
 	threshold := row.BaselineGini*1.25 + 1e-6
 	for i := 0; i < maxRecover; i++ {
-		out, roundErr := runProtocolRound(r, inst.Engine)
+		out, roundErr := r.RunRound()
 		if roundErr != nil {
 			continue
 		}

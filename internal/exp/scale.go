@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
 	"p2plb/internal/metrics"
 	"p2plb/internal/sim"
-	"p2plb/internal/topology"
 	"p2plb/internal/workload"
 )
 
@@ -68,26 +66,18 @@ func ScaleSweep(seed int64, nodes []int, clock metrics.Clock) ([]ScaleRow, error
 		return clock()
 	}
 	msSince := func(start int64) int64 { return (now() - start) / 1e6 }
-	profile := workload.GnutellaProfile()
 	var rows []ScaleRow
 	for _, n := range nodes {
 		if n < 1 {
 			return nil, fmt.Errorf("exp: scale needs at least one node, got %d", n)
 		}
-		eng := sim.NewEngine(seed)
-		ring := chord.NewRing(eng, chord.Config{})
 		start := now()
-		ring.BulkAddNodes(n, vsPerNode,
-			func(int) topology.NodeID { return -1 },
-			func(int) float64 { return profile.Sample(eng.Rand()) })
+		ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: n, VSPerNode: vsPerNode})
 		row := ScaleRow{VServers: ring.NumVServers(), Nodes: n, BuildMS: msSince(start)}
 
 		mu := float64(n) * 100
-		model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
 		start = now()
-		for _, vs := range ring.VServers() {
-			vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-		}
+		workload.AssignLoads(ring, workload.Gaussian{Mu: mu, Sigma: mu / 200})
 		row.LoadMS = msSince(start)
 
 		start = now()
@@ -126,7 +116,7 @@ func ScaleSweep(seed int64, nodes []int, clock metrics.Clock) ([]ScaleRow, error
 			ring.RemoveNode(alive[i])
 		}
 		for i := 0; i < churn; i++ {
-			ring.AddNode(-1, profile.Sample(eng.Rand()), vsPerNode)
+			workload.Join(ring, -1, vsPerNode, nil)
 		}
 		start = now()
 		row.RepairChanges, err = tree.Repair()

@@ -18,12 +18,11 @@ func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded [
 	t.Helper()
 	var before []ktree.Handle
 	tree.Walk(func(h ktree.Handle) { before = append(before, h) })
-	profile := workload.GnutellaProfile()
 	for _, v := range ring.AliveNodes()[:n] {
 		ring.RemoveNode(v)
 	}
 	for i := 0; i < n; i++ {
-		ring.AddNode(-1, profile.Sample(ring.Engine().Rand()), 5)
+		workload.Join(ring, -1, 5, nil)
 	}
 	if _, err := tree.Repair(); err != nil {
 		t.Fatal(err)
@@ -46,15 +45,8 @@ func churn(t *testing.T, ring *chord.Ring, tree *ktree.Tree, n int) (discarded [
 func roundAcrossRepair(t *testing.T, at sim.Time) (fingerprint string, discarded []ktree.Handle, ring *chord.Ring, tree *ktree.Tree) {
 	t.Helper()
 	eng := sim.NewEngine(11)
-	ring = chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < 256; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-	}
-	model := workload.Gaussian{Mu: 25600, Sigma: 64}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring = workload.NewRing(eng, workload.RingSpec{Nodes: 256, VSPerNode: 5,
+		Loads: workload.Gaussian{Mu: 25600, Sigma: 64}})
 	tree, err := ktree.New(ring, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,6 @@ import (
 	"p2plb/internal/ktree"
 	"p2plb/internal/protocol"
 	"p2plb/internal/sim"
-	"p2plb/internal/topology"
 	"p2plb/internal/workload"
 )
 
@@ -37,17 +36,9 @@ import (
 // and its K-nary tree on a fresh engine, identical for a given seed.
 func buildRing(t *testing.T, seed int64, nodes, vsPer, k int) (*chord.Ring, *ktree.Tree) {
 	t.Helper()
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), vsPer)
-	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPer,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 400}})
 	tree, err := ktree.New(ring, k)
 	if err != nil {
 		t.Fatal(err)
@@ -125,17 +116,9 @@ func runRound(t *testing.T, build func() (*chord.Ring, *ktree.Tree), cfg core.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res *protocol.Result
-	var resErr error
-	if err := r.StartRound(func(out *protocol.Result, err error) { res, resErr = out, err }); err != nil {
+	res, err := r.RunRound()
+	if err != nil {
 		t.Fatal(err)
-	}
-	ring.Engine().Run()
-	if resErr != nil {
-		t.Fatal(resErr)
-	}
-	if res == nil {
-		t.Fatal("protocol round never completed")
 	}
 	pairs := make(map[string]float64)
 	for _, a := range res.Assignments {
@@ -278,17 +261,9 @@ func buildBenchRing(t *testing.T, seed int64, vsCount, k int) (*chord.Ring, *ktr
 	t.Helper()
 	const vsPerNode = 5
 	n := vsCount / vsPerNode
-	profile := workload.GnutellaProfile()
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	ring.BulkAddNodes(n, vsPerNode,
-		func(int) topology.NodeID { return -1 },
-		func(int) float64 { return profile.Sample(eng.Rand()) })
 	mu := float64(n) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: n, VSPerNode: vsPerNode,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 200}})
 	tree, err := ktree.New(ring, k)
 	if err != nil {
 		t.Fatal(err)

@@ -14,13 +14,7 @@ import (
 )
 
 func ringFixture(seed int64, nodes, vsPer int) *chord.Ring {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), vsPer)
-	}
-	return ring
+	return workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPer})
 }
 
 func TestInsertRemoveAccounting(t *testing.T) {

@@ -19,12 +19,7 @@ import (
 // tree: each virtual server's load is the sum of its objects' loads.
 func storeFixture(t *testing.T, seed int64, nodes, objCount int) (*chord.Ring, *ktree.Tree, *objects.Store, *rand.Rand) {
 	t.Helper()
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: 5})
 	store := objects.NewStore(ring)
 	rng := rand.New(rand.NewSource(seed))
 	if err := store.Populate(rng, objCount, func(r *rand.Rand) float64 { return r.Float64() * 2 }); err != nil {
@@ -153,8 +148,6 @@ func TestEveryDriftingWorkloadStaysContained(t *testing.T) {
 // starts.
 func TestEveryMembershipChurn(t *testing.T) {
 	ring, tree, store, rng := storeFixture(t, 4, 96, 10000)
-	eng := ring.Engine()
-	profile := workload.GnutellaProfile()
 	rounds := runPeriodic(t, ring, tree, Config{Core: core.Config{Epsilon: 0.05}}, 6000, 40000, func() {
 		// One node dies and one joins before every round; the store
 		// re-derives loads from object ownership.
@@ -162,7 +155,7 @@ func TestEveryMembershipChurn(t *testing.T) {
 		if len(alive) > 16 {
 			ring.RemoveNode(alive[rng.Intn(len(alive))])
 		}
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 5)
+		workload.Join(ring, -1, 5, nil)
 		store.SyncLoads()
 	})
 	if len(rounds) < 5 {

@@ -14,20 +14,6 @@ import (
 	"p2plb/internal/sim"
 )
 
-// runFaultyRound starts one round and drains the engine, tolerating
-// round errors (a deadline under heavy faults is legitimate) but always
-// returning the result when one was produced.
-func runFaultyRound(t *testing.T, r *Runner) (*Result, error) {
-	t.Helper()
-	var out *Result
-	var outErr error
-	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err }); err != nil {
-		t.Fatal(err)
-	}
-	r.ring.Engine().Run()
-	return out, outErr
-}
-
 // TestScratchDroppedAfterUncleanRound is the regression test for the
 // recycling condition: per-round maps may be reused only after a round
 // with no timeouts, no aborted transfers and no retransmissions.
@@ -39,14 +25,14 @@ func TestScratchDroppedAfterUncleanRound(t *testing.T) {
 	}
 
 	// Clean round: the scratch is handed back and reused.
-	if _, err := runFaultyRound(t, r); err != nil {
+	if _, err := r.RunRound(); err != nil {
 		t.Fatal(err)
 	}
 	first := r.scratch
 	if first == nil {
 		t.Fatal("clean round did not recycle its scratch")
 	}
-	if _, err := runFaultyRound(t, r); err != nil {
+	if _, err := r.RunRound(); err != nil {
 		t.Fatal(err)
 	}
 	if r.scratch != first {
@@ -91,8 +77,8 @@ func TestScratchDroppedAfterUncleanRound(t *testing.T) {
 	}
 	defer in.Detach()
 	for i := 0; i < 10; i++ {
-		out, roundErr := runFaultyRound(t, r)
-		if roundErr != nil || out == nil {
+		out, roundErr := r.RunRound()
+		if roundErr != nil {
 			if _, err := tree.Repair(); err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +138,7 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, roundErr := runFaultyRound(t, r)
+			out, roundErr := r.RunRound()
 			if roundErr != nil {
 				t.Fatal(roundErr)
 			}
@@ -196,7 +182,7 @@ func TestCommitLossNeverLosesVS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, roundErr := runFaultyRound(t, r)
+	out, roundErr := r.RunRound()
 	if roundErr != nil {
 		t.Fatal(roundErr)
 	}
@@ -234,7 +220,7 @@ func TestDuplicatedCommitsAreIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, roundErr := runFaultyRound(t, r)
+	out, roundErr := r.RunRound()
 	if roundErr != nil {
 		t.Fatal(roundErr)
 	}
@@ -268,7 +254,7 @@ func TestLossAndCrashesConvergeWithConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < rounds; i++ {
-		if _, err := runFaultyRound(t, rClean); err != nil {
+		if _, err := rClean.RunRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +283,7 @@ func TestLossAndCrashesConvergeWithConservation(t *testing.T) {
 	}
 	completed := 0
 	for i := 0; i < rounds; i++ {
-		out, roundErr := runFaultyRound(t, r)
+		out, roundErr := r.RunRound()
 		if roundErr != nil {
 			// A failed round must still leave the books consistent; the
 			// tree may need a repair before the next attempt.

@@ -3,7 +3,6 @@ package protocol_test
 import (
 	"testing"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/ktree"
 	"p2plb/internal/protocol"
@@ -70,15 +69,8 @@ func TestNoRepairWhileRoundInFlight(t *testing.T) {
 		// them (a crash three ticks into every round), so a Repair
 		// that ran mid-round would always find something to change.
 		eng := sim.NewEngine(7)
-		ring := chord.NewRing(eng, chord.Config{})
-		profile := workload.GnutellaProfile()
-		for i := 0; i < 128; i++ {
-			ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
-		}
-		model := workload.Gaussian{Mu: 12800, Sigma: 32}
-		for _, vs := range ring.VServers() {
-			vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-		}
+		ring := workload.NewRing(eng, workload.RingSpec{Nodes: 128, VSPerNode: 4,
+			Loads: workload.Gaussian{Mu: 12800, Sigma: 32}})
 		tree, err := ktree.New(ring, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +82,7 @@ func TestNoRepairWhileRoundInFlight(t *testing.T) {
 		churn := func() bool {
 			alive := ring.AliveNodes()
 			ring.RemoveNode(alive[eng.Rand().Intn(len(alive))])
-			ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
+			workload.Join(ring, -1, 4, nil)
 			eng.ScheduleEv(3, sim.Func(func() {
 				alive := ring.AliveNodes()
 				if v := alive[eng.Rand().Intn(len(alive))]; v != tree.Host(tree.Root()).Owner {
@@ -124,11 +116,7 @@ func TestNoRepairWhileRoundInFlight(t *testing.T) {
 		// serve.Server.Run freezes the membership, so no Repair under
 		// its rounds can find work; the probe holds it to that.
 		eng := sim.NewEngine(1)
-		ring := chord.NewRing(eng, chord.Config{})
-		profile := workload.GnutellaProfile()
-		for i := 0; i < 48; i++ {
-			ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
-		}
+		ring := workload.NewRing(eng, workload.RingSpec{Nodes: 48, VSPerNode: 4})
 		srv, err := serve.New(eng, ring, serve.Config{Plan: workload.PlanSpec{
 			Seed: 1, Requests: 8000, Objects: 1000, Rate: 2, PutFraction: 0.1, Origins: 48,
 		}, Work: 100})

@@ -124,12 +124,7 @@ func BenchmarkLosslessRound(b *testing.B) {
 		eng := ring.Engine()
 		before := eng.Executed()
 		b.StartTimer()
-		sequentially(func() {
-			if err := r.StartRound(func(_ *Result, err error) { roundErr = err }); err != nil {
-				b.Fatal(err)
-			}
-			eng.Run()
-		})
+		sequentially(func() { _, roundErr = r.RunRound() })
 		b.StopTimer()
 		if roundErr != nil {
 			b.Fatal(roundErr)
@@ -160,12 +155,7 @@ func TestLosslessRoundAllocations(t *testing.T) {
 	var roundErr error
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sequentially(func() {
-		if err := r.StartRound(func(_ *Result, err error) { roundErr = err }); err != nil {
-			t.Fatal(err)
-		}
-		ring.Engine().Run()
-	})
+	sequentially(func() { _, roundErr = r.RunRound() })
 	runtime.ReadMemStats(&after)
 	if roundErr != nil {
 		t.Fatal(roundErr)

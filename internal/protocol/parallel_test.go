@@ -89,17 +89,10 @@ func (blockMapper) Key(n topology.NodeID) ident.ID { return ident.ID(uint32(n/16
 // forkFixture is a bulk-built loaded ring and K-nary tree whose nodes
 // sit at distinct underlay positions (for blockMapper).
 func forkFixture(seed int64, nodes, k int) (*chord.Ring, *ktree.Tree) {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	ring.BulkAddNodes(nodes, 5,
-		func(i int) topology.NodeID { return topology.NodeID(i) },
-		func(int) float64 { return profile.Sample(eng.Rand()) })
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 200}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: 5,
+		Loads:    workload.Gaussian{Mu: mu, Sigma: mu / 200},
+		Underlay: func(i int) topology.NodeID { return topology.NodeID(i) }})
 	tree, err := ktree.New(ring, k)
 	if err != nil {
 		panic(err)
@@ -272,7 +265,7 @@ func lossyRound(t *testing.T, nodes, k int, plan faults.Plan) (*Runner, *Result,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, roundErr := runFaultyRound(t, r)
+	res, roundErr := r.RunRound()
 	if roundErr != nil {
 		t.Fatal(roundErr)
 	}
@@ -430,7 +423,7 @@ func TestParallelSubtreesSequentialWithTimedFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, roundErr := runFaultyRound(t, r)
+				res, roundErr := r.RunRound()
 				return fingerprint(res, roundErr, ring.Engine()), r.forks
 			}
 			var ref string

@@ -447,6 +447,23 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	return nil
 }
 
+// RunRound runs one round to completion, the synchronous twin of
+// core.Balancer.RunRound: it starts the round, drains the engine and
+// returns the round's outcome. The drain runs every event on the
+// engine, so nothing periodic may be scheduled beside the round.
+func (r *Runner) RunRound() (*Result, error) {
+	var out *Result
+	var outErr error
+	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err }); err != nil {
+		return nil, err
+	}
+	r.eng.Run()
+	if out == nil && outErr == nil {
+		return nil, fmt.Errorf("protocol: the engine drained before the round completed")
+	}
+	return out, outErr
+}
+
 // recordRound publishes one round's outcome to the engine's metrics
 // registry (no-op without one): measured per-phase durations in virtual
 // latency units plus the failure evidence a message-level round can

@@ -16,17 +16,9 @@ import (
 
 // fixture builds a loaded heterogeneous ring + tree on a fresh engine.
 func fixture(seed int64, nodes, vsPer int) (*chord.Ring, *ktree.Tree) {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), vsPer)
-	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPer,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 400}})
 	tree, err := ktree.New(ring, 2)
 	if err != nil {
 		panic(err)
@@ -43,19 +35,11 @@ func runOneRound(t *testing.T, ring *chord.Ring, tree *ktree.Tree, cfg Config) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out *Result
-	var outErr error
-	if err := r.StartRound(func(res *Result, err error) { out, outErr = res, err }); err != nil {
+	res, err := r.RunRound()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ring.Engine().Run()
-	if outErr != nil {
-		t.Fatal(outErr)
-	}
-	if out == nil {
-		t.Fatal("round never completed")
-	}
-	return out
+	return res
 }
 
 func TestNewRunnerValidation(t *testing.T) {
@@ -348,16 +332,10 @@ func TestRepeatedRoundsConverge(t *testing.T) {
 	r, _ := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}})
 	var lastMoved float64
 	for i := 0; i < 3; i++ {
-		var out *Result
-		if err := r.StartRound(func(res *Result, err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = res
-		}); err != nil {
+		out, err := r.RunRound()
+		if err != nil {
 			t.Fatal(err)
 		}
-		ring.Engine().Run()
 		if i == 0 {
 			lastMoved = out.MovedLoad
 		} else if out.MovedLoad > lastMoved/4 {
@@ -385,17 +363,12 @@ func TestAwareRoundRoutedPublication(t *testing.T) {
 	}
 	lat := topology.NewDistancesMetric(g, topology.LatencyMetric)
 	eng := sim.NewEngine(55)
-	ring := chord.NewRing(eng, chord.Config{Latency: chord.TopologyLatency(lat)})
-	profile := workload.GnutellaProfile()
 	underlays := g.SampleStubNodes(eng.Rand(), 256)
-	for i := 0; i < 256; i++ {
-		ring.AddNode(underlays[i], profile.Sample(eng.Rand()), 5)
-	}
 	mu := 256.0 * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
+	ring := workload.NewRing(eng, workload.RingSpec{Nodes: 256, VSPerNode: 5,
+		Loads:    workload.Gaussian{Mu: mu, Sigma: mu / 400},
+		Underlay: func(i int) topology.NodeID { return underlays[i] },
+		Latency:  chord.TopologyLatency(lat)})
 	tree, err := ktree.New(ring, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -415,18 +388,9 @@ func TestAwareRoundRoutedPublication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out *Result
-	if err := r.StartRound(func(res *Result, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = res
-	}); err != nil {
+	out, err := r.RunRound()
+	if err != nil {
 		t.Fatal(err)
-	}
-	eng.Run()
-	if out == nil {
-		t.Fatal("round never completed")
 	}
 	if out.HeavyBefore == 0 || out.HeavyAfter != 0 {
 		t.Errorf("heavy %d -> %d, want some -> 0", out.HeavyBefore, out.HeavyAfter)

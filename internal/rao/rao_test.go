@@ -9,18 +9,9 @@ import (
 )
 
 func fixture(seed int64, nodes, vsPer int) *chord.Ring {
-	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < nodes; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), vsPer)
-	}
 	mu := float64(nodes) * 100
-	model := workload.Gaussian{Mu: mu, Sigma: mu / 400}
-	for _, vs := range ring.VServers() {
-		vs.Load = model.Load(eng.Rand(), ring.RegionOf(vs).Fraction())
-	}
-	return ring
+	return workload.NewRing(sim.NewEngine(seed), workload.RingSpec{Nodes: nodes, VSPerNode: vsPer,
+		Loads: workload.Gaussian{Mu: mu, Sigma: mu / 400}})
 }
 
 func TestValidation(t *testing.T) {

@@ -36,11 +36,7 @@ type fixture struct {
 func build(t *testing.T, seed int64, cfg Config, balanced bool) *fixture {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	ring := chord.NewRing(eng, chord.Config{})
-	profile := workload.GnutellaProfile()
-	for i := 0; i < 48; i++ {
-		ring.AddNode(-1, profile.Sample(eng.Rand()), 4)
-	}
+	ring := workload.NewRing(eng, workload.RingSpec{Nodes: 48, VSPerNode: 4})
 	srv, err := New(eng, ring, cfg)
 	if err != nil {
 		t.Fatal(err)

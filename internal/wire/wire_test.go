@@ -319,7 +319,10 @@ func acked(t *testing.T, c *conn, m Msg) bool {
 // its messages from 1 again. The receiver, which stayed up and has seen
 // the first life's 1, must hand the second life's 1 to its handler
 // exactly once; a redial within one life must still be deduplicated; and
-// whatever is left of a replaced life is neither handled nor acked.
+// whatever is left of a replaced life is neither handled nor acked. A
+// life whose ack is slower than RetryBase retransmits its 1, and the
+// receiver counts each such copy as a duplicate of that life's message,
+// so the duplicates are the redial's one plus the lives' retries.
 func TestRestartedSenderIsNotADuplicate(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	cfg := Config{ClusterID: "test", Addrs: addrs, Seed: 1,
@@ -361,10 +364,19 @@ func TestRestartedSenderIsNotADuplicate(t *testing.T) {
 			t.Fatalf("%q never reached the handler", kind)
 		}
 	}
+	var retries []*metrics.Counter // wire.retries of each sending life
+	retried := func() (n int64) {
+		for _, c := range retries {
+			n += c.Value()
+		}
+		return n
+	}
 	life := func(inc uint64, kind string) *Transport {
 		t.Helper()
 		c0 := cfg
 		c0.Rank, c0.Incarnation = 0, inc
+		c0.Metrics = metrics.NewRegistry()
+		retries = append(retries, c0.Metrics.Counter("wire.retries"))
 		t0, err := NewTransport(c0)
 		if err != nil {
 			t.Fatal(err)
@@ -375,6 +387,16 @@ func TestRestartedSenderIsNotADuplicate(t *testing.T) {
 		}
 		wait(kind)
 		waitClosed(t, ackedCh, kind+" never acknowledged")
+		// The life wrote every retransmission before it saw the ack.
+		// Once the receiver has counted each as a duplicate, none is
+		// left unread to meet a later life (as stale) or a close.
+		deadline := time.Now().Add(5 * time.Second)
+		for reg.Counter("wire.dups").Value() != retried() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d duplicates counted, want its lives' %d retries", kind, reg.Counter("wire.dups").Value(), retried())
+			}
+			time.Sleep(time.Millisecond)
+		}
 		return t0
 	}
 
@@ -431,9 +453,9 @@ func TestRestartedSenderIsNotADuplicate(t *testing.T) {
 		t.Fatal("frame from a lower incarnation reached the handler")
 	}
 	snap := reg.Snapshot().Counters
-	if snap["wire.peer_restarts"] != 2 || snap["wire.stale_incarnation"] != 2 || snap["wire.dups"] != 1 {
-		t.Fatalf("peer_restarts %d stale_incarnation %d dups %d, want 2 2 1",
-			snap["wire.peer_restarts"], snap["wire.stale_incarnation"], snap["wire.dups"])
+	if want := 1 + retried(); snap["wire.peer_restarts"] != 2 || snap["wire.stale_incarnation"] != 2 || snap["wire.dups"] != want {
+		t.Fatalf("peer_restarts %d stale_incarnation %d dups %d, want 2 2 %d (the redial's 1 + the lives' retries)",
+			snap["wire.peer_restarts"], snap["wire.stale_incarnation"], snap["wire.dups"], want)
 	}
 }
 
