@@ -132,6 +132,13 @@ echo "== go test -fuzz (tree repair against a fresh build, 5 s)"
 # must pass its invariants and equal a fresh Build of the same ring.
 go test -run '^$' -fuzz '^FuzzRepairVsBuild$' -fuzztime=5s ./internal/ktree/
 
+echo "== go test -fuzz (ring against a sorted-slice model, 5 s)"
+# Byte scripts of joins (some beside the 0 / 2^32-1 seam), leaves and
+# transfers on a ring of 4- to 16-entry blocks, mutated from the seed
+# corpus in internal/chord/testdata/fuzz: after every step the blocked
+# ring must answer every positional query as one sorted slice does.
+go test -run '^$' -fuzz '^FuzzRingVsModel$' -fuzztime=5s ./internal/chord/
+
 echo "== cluster chaos smoke (4 processes, time-boxed)"
 # A real multi-process run: four lbd daemons over TCP, one SIGKILL
 # mid-round, supervisor restart, conservation + settle gates inside the

@@ -223,11 +223,11 @@ func scale(seed int64, sizes []int) error {
 	}
 	fmt.Println("Scaling — ring build, loads, KT build, one round, 1% churn + Repair; 5 VSs per node")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "  nodes\tVSs\tring ms\tloads ms\ttree ms\tKT nodes\theight\tround ms\theavy before\theavy after\trepair ms\trepair changes")
+	fmt.Fprintln(w, "  nodes\tVSs\tring ms\tloads ms\ttree ms\tKT nodes\theight\tround ms\theavy before\theavy after\tchurn ms\trepair ms\trepair changes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			r.Nodes, r.VServers, r.BuildMS, r.LoadMS, r.TreeMS, r.TreeNodes, r.TreeHeight,
-			r.RoundMS, r.HeavyBefore, r.HeavyAfter, r.RepairMS, r.RepairChanges)
+			r.RoundMS, r.HeavyBefore, r.HeavyAfter, r.ChurnMS, r.RepairMS, r.RepairChanges)
 	}
 	return w.Flush()
 }

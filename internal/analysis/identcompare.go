@@ -12,7 +12,8 @@ import (
 // maintenance must survive. Callers should use ident.ID.Dist/Between
 // and the Region helpers; deliberate total-order uses (sorting,
 // searching and merging ID-sorted arrays, tiebreaks) go through
-// ident.Compare, so cmp.Compare and cmp.Less on IDs are flagged too.
+// ident.Compare or ident.Less, so cmp.Compare and cmp.Less on IDs are
+// flagged too.
 var IdentCompare = &Analyzer{
 	Name: "identcompare",
 	Doc:  "flag raw </>/− arithmetic and cmp.Compare/Less on ident.ID outside internal/ident (breaks at ring wrap-around)",
@@ -34,7 +35,7 @@ func runIdentCompare(pass *Pass) {
 				}
 				for _, arg := range x.Args {
 					if isIdentID(pass, arg) {
-						pass.Reportf(x.Pos(), "cmp.%s on ident.ID orders identifiers as plain integers; use ident.Compare for a deliberate total order, or ident.ID.Dist/Between or Region.Contains for ring order", fn.Name())
+						pass.Reportf(x.Pos(), "cmp.%s on ident.ID orders identifiers as plain integers; use ident.Compare or ident.Less for a deliberate total order, or ident.ID.Dist/Between or Region.Contains for ring order", fn.Name())
 						break
 					}
 				}
@@ -54,7 +55,7 @@ func checkIdentBinary(pass *Pass, be *ast.BinaryExpr) {
 		return
 	}
 	verb := "comparison"
-	hint := "ident.ID.Dist/Between or Region.Contains, or ident.Compare for a deliberate total order"
+	hint := "ident.ID.Dist/Between or Region.Contains, or ident.Compare or ident.Less for a deliberate total order"
 	if be.Op == token.SUB {
 		verb = "subtraction"
 		hint = "ident.ID.Dist (clockwise distance)"

@@ -48,6 +48,9 @@ func badCmpLess(a, b ident.ID) bool {
 // goodIdentCompare names the integer order it uses.
 func goodIdentCompare(a, b ident.ID) int { return ident.Compare(a, b) }
 
+// goodIdentLess names it too, as a bool.
+func goodIdentLess(a, b ident.ID) bool { return ident.Less(a, b) }
+
 // goodCmpPlain compares plain integers.
 func goodCmpPlain(a, b uint64) int { return cmp.Compare(a, b) }
 

@@ -10,7 +10,7 @@
 // followed by a join with the same identifier — so the ring structure is
 // unchanged; only the hosting changes.
 //
-// The simulator keeps a globally consistent ring (sorted VS list) and
+// The simulator keeps a globally consistent ring (sorted VS blocks) and
 // models the *cost* of distributed operation explicitly: lookups are
 // routed hop by hop through finger tables read off the sorted ring when
 // probed (from the farthest finger that can still precede the key, not
@@ -44,12 +44,12 @@ type VServer struct {
 	Owner *Node   // hosting physical node; changes on transfer
 	Load  float64 // current load attributed to this VS's region
 
-	// ringPos caches this VS's index in Ring.vss; it is only valid while
-	// posEpoch equals the ring's current epoch. Ring.pos revalidates a
-	// stale cache with a binary search on ID, so membership changes cost
-	// O(log n) amortized per affected VS instead of an eager O(n)
-	// suffix rewrite per insert/delete.
-	ringPos  int
+	// blk and off cache this VS's position in the ring's blocks; they
+	// are only valid while posEpoch equals the ring's current epoch.
+	// Ring.pos revalidates a stale cache with a binary search on ID, so
+	// membership changes cost O(log n) amortized per affected VS instead
+	// of an eager rewrite per insert/delete.
+	blk, off int32
 	posEpoch uint64
 }
 
@@ -179,14 +179,26 @@ type Ring struct {
 	eng       *sim.Engine
 	cfg       Config
 	nodes     []*Node
-	vss       []*VServer // alive virtual servers, sorted by ID
 	listeners []Listener
+
+	// The numVS live virtual servers in ring (ID) order, cut into
+	// blocks of at most blockMax (blockSize; tests shrink it to cross
+	// splits and merges); mins[b] is block b's first ID (see blocks.go).
+	blocks   []block
+	mins     []ident.ID
+	numVS    int
+	blockMax int
 
 	// epoch counts membership changes (VS insertions and removals). It
 	// starts at 1 and only grows, so a VServer whose posEpoch matches it
-	// is guaranteed to be on the ring with a correct ringPos; everything
+	// is guaranteed to be on the ring at its cached position; everything
 	// else revalidates lazily (see pos).
 	epoch uint64
+
+	// flat is VServers' ring-order view, current while flatEpoch equals
+	// epoch.
+	flat      []*VServer
+	flatEpoch uint64
 
 	// numSlots is the high-water mark of VServer slots; freeSlots holds
 	// the slots departed virtual servers returned, the latest last.
@@ -222,7 +234,7 @@ func NewRing(eng *sim.Engine, cfg Config) *Ring {
 	if cfg.MinHopLatency == 0 {
 		cfg.MinHopLatency = 1
 	}
-	return &Ring{eng: eng, cfg: cfg, epoch: 1}
+	return &Ring{eng: eng, cfg: cfg, epoch: 1, blockMax: blockSize}
 }
 
 // Engine returns the simulation engine driving the ring.
@@ -249,13 +261,6 @@ func (r *Ring) AliveNodes() []*Node {
 	return out
 }
 
-// VServers returns the live virtual servers in ring order. The returned
-// slice must not be modified.
-func (r *Ring) VServers() []*VServer { return r.vss }
-
-// NumVServers returns the number of live virtual servers.
-func (r *Ring) NumVServers() int { return len(r.vss) }
-
 // NumSlots returns the number of VServer slots the ring has handed out:
 // every live virtual server's Slot is below it. It is the peak live
 // count, since a join reuses a freed slot before it opens a new one, and
@@ -275,12 +280,13 @@ func (r *Ring) takeSlot(vs *VServer) {
 }
 
 // NumVServersIn returns the number of live virtual servers whose
-// identifier lies in reg: two binary searches, no caches written, so it
-// is safe to call from parallel tree-build workers.
+// identifier lies in reg: two ranks read off the blocks, no caches
+// written (not the position caches, not the flat view), so it is safe
+// to call from parallel tree-build workers.
 func (r *Ring) NumVServersIn(reg ident.Region) int {
-	lo, hi := r.searchID(reg.Start), r.searchID(reg.End())
+	lo, hi := r.rank(reg.Start), r.rank(reg.End())
 	if uint64(uint32(reg.Start))+reg.Width >= ident.SpaceSize {
-		return len(r.vss) - lo + hi // reg runs through the top of the space
+		return r.NumVServers() - lo + hi // reg runs through the top of the space
 	}
 	return hi - lo
 }
@@ -364,7 +370,7 @@ func (r *Ring) AddNodeWithIDs(underlay topology.NodeID, capacity float64, ids []
 const maxIDDraws = 64
 
 func (r *Ring) randomFreeID() ident.ID {
-	if uint64(len(r.vss)) >= ident.SpaceSize {
+	if uint64(r.NumVServers()) >= ident.SpaceSize {
 		panic("chord: identifier space exhausted")
 	}
 	for i := 0; i < maxIDDraws; i++ {
@@ -382,44 +388,35 @@ func (r *Ring) randomFreeID() ident.ID {
 // start that no virtual server holds. The caller guarantees the space
 // is not exhausted.
 func (r *Ring) firstFreeFrom(start ident.ID) ident.ID {
-	n := len(r.vss)
+	n := r.NumVServers()
 	if n == 0 {
 		return start
 	}
-	pos := r.searchID(start)
+	b, i := r.seek(start)
+	if b == len(r.blocks) {
+		b, i = 0, 0
+	}
 	cand := start
 	// Walk the occupied identifiers clockwise from start; the first one
 	// that does not match the running candidate leaves a gap.
-	for i := 0; i < n; i++ {
-		if r.vss[(pos+i)%n].ID != cand {
+	for k := 0; k < n; k++ {
+		if r.blocks[b].ids[i] != cand {
 			return cand
 		}
 		cand = cand.Add(1)
+		b, i = r.next(b, i)
 	}
 	return cand
 }
 
-// searchID returns the index of the first VS with identifier >= id
-// (len(r.vss) if none), the shared binary search under every positional
-// operation.
-func (r *Ring) searchID(id ident.ID) int {
-	return sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, id) >= 0 }) // wrap is a caller concern
-}
-
-// pos returns vs's index in the ID-sorted array, revalidating a stale
-// cache with a binary search. It panics if vs is not on the ring —
-// positional queries on departed virtual servers are caller bugs.
-func (r *Ring) pos(vs *VServer) int {
-	if vs.posEpoch == r.epoch {
-		return vs.ringPos
-	}
-	p := r.searchID(vs.ID)
-	if p >= len(r.vss) || r.vss[p] != vs {
+// pos returns vs's position in the blocks, revalidating a stale cache
+// with a binary search. It panics if vs is not on the ring — positional
+// queries on departed virtual servers are caller bugs.
+func (r *Ring) pos(vs *VServer) (int, int) {
+	if !r.onRing(vs) {
 		panic(fmt.Sprintf("chord: position query for VS %s which is not on the ring", vs.ID))
 	}
-	vs.ringPos = p
-	vs.posEpoch = r.epoch
-	return p
+	return int(vs.blk), int(vs.off)
 }
 
 // onRing reports whether vs is currently a ring member, refreshing its
@@ -429,25 +426,20 @@ func (r *Ring) onRing(vs *VServer) bool {
 	if vs.posEpoch == r.epoch {
 		return true
 	}
-	p := r.searchID(vs.ID)
-	if p >= len(r.vss) || r.vss[p] != vs {
+	b, i := r.seek(vs.ID)
+	if b == len(r.blocks) || r.at(b, i) != vs {
 		return false
 	}
-	vs.ringPos = p
-	vs.posEpoch = r.epoch
+	r.place(vs, b, i)
 	return true
 }
 
 func (r *Ring) addVS(n *Node, id ident.ID) *VServer {
 	vs := &VServer{ID: id, Owner: n}
 	r.takeSlot(vs)
-	pos := r.searchID(id)
-	r.vss = append(r.vss, nil)
-	copy(r.vss[pos+1:], r.vss[pos:])
-	r.vss[pos] = vs
+	b, i := r.insert(vs)
 	r.epoch++
-	vs.ringPos = pos
-	vs.posEpoch = r.epoch
+	r.place(vs, b, i)
 	n.vservers = append(n.vservers, vs)
 	for _, l := range r.listeners {
 		l.VSAdded(vs)
@@ -457,17 +449,19 @@ func (r *Ring) addVS(n *Node, id ident.ID) *VServer {
 
 // BulkAddNodes creates count physical nodes, each hosting numVS virtual
 // servers with identifiers drawn from the engine RNG, and joins them to
-// the ring with a single sorted merge — O(m log m + n) for m new VSs
-// over n existing ones, against O(n·m) for the incremental AddNode
-// loop. The underlay and capacity callbacks are invoked once per node
+// the ring with a single sorted merge that rebuilds the blocks —
+// O(m log m + n) for m new VSs over n existing ones, against
+// O(m·(blockSize + log n)) for the incremental AddNode loop. The
+// underlay and capacity callbacks are invoked once per node
 // in index order; capacity draws and identifier draws interleave in
 // exactly the order the equivalent AddNode loop consumes the engine
 // RNG, so a bulk-built ring is identical to an incrementally built one
 // at the same seed.
 func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.NodeID, capacity func(i int) float64) []*Node {
 	r.mustBeThawed("BulkAddNodes")
-	used := make(map[ident.ID]struct{}, len(r.vss)+count*numVS)
-	for _, vs := range r.vss {
+	old := r.VServers()
+	used := make(map[ident.ID]struct{}, len(old)+count*numVS)
+	for _, vs := range old {
 		used[vs.ID] = struct{}{}
 	}
 	nodes := make([]*Node, 0, count)
@@ -495,27 +489,23 @@ func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.Node
 		return nodes
 	}
 	sorted := append([]*VServer(nil), fresh...)
-	sort.Slice(sorted, func(i, j int) bool { return ident.Compare(sorted[i].ID, sorted[j].ID) < 0 })
+	sort.Slice(sorted, func(i, j int) bool { return ident.Less(sorted[i].ID, sorted[j].ID) })
 
-	merged := make([]*VServer, 0, len(r.vss)+len(sorted))
+	merged := make([]*VServer, 0, len(old)+len(sorted))
 	i, j := 0, 0
-	for i < len(r.vss) && j < len(sorted) {
-		if ident.Compare(r.vss[i].ID, sorted[j].ID) < 0 {
-			merged = append(merged, r.vss[i])
+	for i < len(old) && j < len(sorted) {
+		if ident.Less(old[i].ID, sorted[j].ID) {
+			merged = append(merged, old[i])
 			i++
 		} else {
 			merged = append(merged, sorted[j])
 			j++
 		}
 	}
-	merged = append(merged, r.vss[i:]...)
+	merged = append(merged, old[i:]...)
 	merged = append(merged, sorted[j:]...)
-	r.vss = merged
 	r.epoch++
-	for p, vs := range r.vss {
-		vs.ringPos = p
-		vs.posEpoch = r.epoch
-	}
+	r.fill(merged)
 	// Listeners observe the same joins the incremental path would fire,
 	// in draw order, each against the fully merged ring.
 	for _, vs := range fresh {
@@ -567,15 +557,13 @@ func (r *Ring) RemoveNode(n *Node) {
 }
 
 func (r *Ring) removeVS(vs *VServer) {
-	pos := r.pos(vs)
-	r.vss = append(r.vss[:pos], r.vss[pos+1:]...)
+	r.delete(r.pos(vs))
 	r.epoch++
 	vs.posEpoch = 0 // departed: every future pos query must fail
 	r.freeSlots = append(r.freeSlots, vs.slot)
 	// The successor absorbs the departed region's load.
-	if len(r.vss) > 0 && vs.Load > 0 {
-		succ := r.vss[pos%len(r.vss)]
-		succ.Load += vs.Load
+	if r.NumVServers() > 0 && vs.Load > 0 {
+		r.Successor(vs.ID).Load += vs.Load
 	}
 	for _, l := range r.listeners {
 		l.VSRemoved(vs)
@@ -621,10 +609,9 @@ func (r *Ring) Transfer(vs *VServer, to *Node) {
 
 // findVS returns the VS with exactly the given identifier.
 func (r *Ring) findVS(id ident.ID) (*VServer, bool) {
-	pos := sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, id) >= 0 })
-
-	if pos < len(r.vss) && r.vss[pos].ID == id {
-		return r.vss[pos], true
+	b, i := r.seek(id)
+	if b < len(r.blocks) && r.blocks[b].ids[i] == id {
+		return r.at(b, i), true
 	}
 	return nil, false
 }
@@ -635,18 +622,20 @@ func (r *Ring) findVS(id ident.ID) (*VServer, bool) {
 //
 //lbvet:hotpath
 func (r *Ring) Successor(key ident.ID) *VServer {
-	if len(r.vss) == 0 {
+	if len(r.blocks) == 0 {
 		return nil
 	}
-	//lbvet:ignore hotalloc the sort.Search closure does not escape (Search inlines); no per-call allocation
-	pos := sort.Search(len(r.vss), func(i int) bool { return ident.Compare(r.vss[i].ID, key) >= 0 }) // pos%len below is the wrap
-	return r.vss[pos%len(r.vss)]
+	b, i := r.seek(key)
+	if b == len(r.blocks) {
+		b = 0 // past the last identifier: wrap to the first (i is 0)
+	}
+	return r.at(b, i)
 }
 
 // Predecessor returns the virtual server immediately counterclockwise of
 // vs on the ring (itself if it is alone).
 func (r *Ring) Predecessor(vs *VServer) *VServer {
-	return r.vss[(r.pos(vs)+len(r.vss)-1)%len(r.vss)]
+	return r.at(r.prev(r.pos(vs)))
 }
 
 // RegionOf returns the arc of the identifier space owned by vs:
@@ -670,7 +659,7 @@ func (r *Ring) RegionOf(vs *VServer) ident.Region {
 //lbvet:hotpath
 func (r *Ring) closestPreceding(cur *VServer, key ident.ID) *VServer {
 	// If key is in (cur, successor(cur)], routing terminates.
-	succ := r.vss[(r.pos(cur)+1)%len(r.vss)]
+	succ := r.at(r.next(r.pos(cur)))
 	if key.Between(cur.ID, succ.ID) {
 		return nil
 	}
@@ -709,7 +698,7 @@ func (r *Ring) Lookup(from *Node, key ident.ID, cb func(LookupResult)) {
 // lookup is Lookup that, when learn is non-nil, records the resolved
 // owner in learn before the callback runs (CachedLookup's miss path).
 func (r *Ring) lookup(from *Node, key ident.ID, learn *LookupCache, cb func(LookupResult)) {
-	if len(r.vss) == 0 {
+	if r.NumVServers() == 0 {
 		panic("chord: lookup on empty ring")
 	}
 	start := from.vservers
@@ -775,7 +764,7 @@ func (r *Ring) lookupStep(h *lookupHop, cur *VServer) {
 	next := r.closestPreceding(cur, h.key)
 	h.kind = hopForward
 	if next == nil {
-		next = r.vss[(r.pos(cur)+1)%len(r.vss)]
+		next = r.at(r.next(r.pos(cur)))
 		h.kind = hopFinal
 	}
 	r.sendHop(h, cur.Owner, next)
@@ -868,11 +857,12 @@ func (r *Ring) observeLookup(hops int, cost sim.Time) {
 	r.mLookupLat.Observe(int64(cost))
 }
 
-// CheckInvariants verifies internal consistency (tests): ring order,
-// position indexes, owner back-links, that regions partition the
-// circle, and that live and free slots partition [0, NumSlots). It
-// panics on violation.
+// CheckInvariants verifies internal consistency (tests): the block
+// layout and ring order, position caches, owner back-links, that
+// regions partition the circle, and that live and free slots partition
+// [0, NumSlots). It panics on violation.
 func (r *Ring) CheckInvariants() {
+	r.checkBlocks()
 	var total uint64
 	held := make([]bool, r.numSlots)
 	for _, s := range r.freeSlots {
@@ -881,43 +871,40 @@ func (r *Ring) CheckInvariants() {
 		}
 		held[s] = true
 	}
-	for i, vs := range r.vss {
-		if s := vs.Slot(); s >= r.numSlots || held[s] {
-			panic(fmt.Sprintf("chord: vs %s holds slot %d, out of range or not its own", vs.ID, s))
-		}
-		held[vs.slot] = true
-		if vs.posEpoch == r.epoch && vs.ringPos != i {
-			panic(fmt.Sprintf("chord: vs %s caches current-epoch ringPos %d != %d", vs.ID, vs.ringPos, i))
-		}
-		if vs.posEpoch > r.epoch {
-			panic(fmt.Sprintf("chord: vs %s posEpoch %d ahead of ring epoch %d", vs.ID, vs.posEpoch, r.epoch))
-		}
-		if p := r.pos(vs); p != i {
-			panic(fmt.Sprintf("chord: vs %s resolves to position %d != %d", vs.ID, p, i))
-		}
-		if i > 0 && ident.Compare(r.vss[i-1].ID, vs.ID) >= 0 {
-			panic(fmt.Sprintf("chord: ring out of order at %d", i))
-		}
-		if !vs.Owner.Alive {
-			panic("chord: VS owned by dead node")
-		}
-		found := false
-		for _, v := range vs.Owner.vservers {
-			if v == vs {
-				found = true
-				break
+	for b, blk := range r.blocks {
+		for i, vs := range blk.vss {
+			if s := vs.Slot(); s >= r.numSlots || held[s] {
+				panic(fmt.Sprintf("chord: vs %s holds slot %d, out of range or not its own", vs.ID, s))
 			}
+			held[vs.slot] = true
+			if vs.posEpoch > r.epoch {
+				panic(fmt.Sprintf("chord: vs %s posEpoch %d ahead of ring epoch %d", vs.ID, vs.posEpoch, r.epoch))
+			}
+			if pb, pi := r.pos(vs); pb != b || pi != i {
+				panic(fmt.Sprintf("chord: vs %s resolves to position (%d, %d) != (%d, %d)", vs.ID, pb, pi, b, i))
+			}
+			if !vs.Owner.Alive {
+				panic("chord: VS owned by dead node")
+			}
+			found := false
+			for _, v := range vs.Owner.vservers {
+				if v == vs {
+					found = true
+					break
+				}
+			}
+			if !found {
+				panic("chord: owner does not list VS")
+			}
+			total += r.RegionOf(vs).Width
 		}
-		if !found {
-			panic("chord: owner does not list VS")
-		}
-		total += r.RegionOf(vs).Width
 	}
-	if len(r.vss) > 0 && total != ident.SpaceSize {
+	n := r.NumVServers()
+	if n > 0 && total != ident.SpaceSize {
 		panic(fmt.Sprintf("chord: regions cover %d of %d", total, ident.SpaceSize))
 	}
-	if len(r.vss)+len(r.freeSlots) != r.numSlots {
-		panic(fmt.Sprintf("chord: %d live and %d free slots, want %d", len(r.vss), len(r.freeSlots), r.numSlots))
+	if n+len(r.freeSlots) != r.numSlots {
+		panic(fmt.Sprintf("chord: %d live and %d free slots, want %d", n, len(r.freeSlots), r.numSlots))
 	}
 }
 
@@ -933,10 +920,11 @@ type Conservation struct {
 // SnapshotConservation captures the current load books.
 func (r *Ring) SnapshotConservation() Conservation {
 	var total float64
-	for _, vs := range r.vss {
+	vss := r.VServers()
+	for _, vs := range vss {
 		total += vs.Load
 	}
-	return Conservation{TotalLoad: total, NumVS: len(r.vss)}
+	return Conservation{TotalLoad: total, NumVS: len(vss)}
 }
 
 // CheckConservation verifies the fault-tolerance contract against a
@@ -961,10 +949,11 @@ func (r *Ring) SnapshotConservation() Conservation {
 // CheckInvariants this returns an error instead of panicking, so fault
 // experiments can attribute the failing round.
 func (r *Ring) CheckConservation(base Conservation) error {
-	hostings := make(map[*VServer]int, len(r.vss))
+	vss := r.VServers()
+	hostings := make(map[*VServer]int, len(vss))
 	var total float64
-	for i, vs := range r.vss {
-		if i > 0 && ident.Compare(r.vss[i-1].ID, vs.ID) >= 0 {
+	for i, vs := range vss {
+		if i > 0 && !ident.Less(vss[i-1].ID, vs.ID) {
 			return fmt.Errorf("chord: ring order violated at position %d", i)
 		}
 		if vs.Owner == nil {
@@ -995,7 +984,7 @@ func (r *Ring) CheckConservation(base Conservation) error {
 			hostings[vs] = count + 1
 		}
 	}
-	for _, vs := range r.vss {
+	for _, vs := range vss {
 		switch c := hostings[vs]; {
 		case c == 0:
 			return fmt.Errorf("chord: vs %s is on the ring but hosted by no node (lost)", vs.ID)

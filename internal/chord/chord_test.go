@@ -514,7 +514,7 @@ func BenchmarkRoutedLookupCached(b *testing.B) {
 // fullScanPreceding is closestPreceding probing all 32 fingers, from
 // the farthest down: the reference for where the scan starts.
 func fullScanPreceding(r *Ring, cur *VServer, key ident.ID) *VServer {
-	succ := r.vss[(r.pos(cur)+1)%len(r.vss)]
+	succ := r.Successor(cur.ID.Add(1))
 	if key.Between(cur.ID, succ.ID) {
 		return nil
 	}

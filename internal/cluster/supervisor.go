@@ -102,6 +102,7 @@ func (s *Supervisor) spawn(m *managed) error {
 	cmd := exec.Command(s.Bin, "-spec", s.specPath, "-rank", fmt.Sprint(m.rank), "-data", s.DataDir)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
+	dieWithSupervisor(cmd)
 	if err := cmd.Start(); err != nil {
 		logf.Close()
 		return err

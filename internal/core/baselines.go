@@ -173,18 +173,13 @@ func RunCFSShedding(ring *chord.Ring, epsilon float64, maxRounds int) (CFSOutcom
 }
 
 // successorNodeAfterRemoval returns the node that will absorb vs's
-// region when vs leaves the ring (nil if vs is the last VS).
+// region when vs leaves the ring (nil if vs is the last VS): the owner
+// of the first virtual server clockwise after vs.
 func successorNodeAfterRemoval(ring *chord.Ring, vs *chord.VServer) *chord.Node {
-	vss := ring.VServers()
-	if len(vss) < 2 {
+	if ring.NumVServers() < 2 {
 		return nil
 	}
-	for i, v := range vss {
-		if v == vs {
-			return vss[(i+1)%len(vss)].Owner
-		}
-	}
-	return nil
+	return ring.Successor(vs.ID.Add(1)).Owner
 }
 
 // centralLBI computes the global <L, C, Lmin> directly (omniscient

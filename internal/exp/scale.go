@@ -19,7 +19,7 @@ var ScaleSizes = []int{12_800, 51_200, 200_000}
 // ScaleRow is one system size of the scaling experiment: the shape of
 // the tree and the outcome of one closed-form balancing round and one
 // incremental repair after ~1% of the nodes churn, plus the wall time
-// of each phase. The *MS fields come from the caller's clock and are 0
+// of each phase, the churn itself included. The *MS fields come from the caller's clock and are 0
 // without one; everything else is a function of (seed, nodes).
 type ScaleRow struct {
 	VServers      int   `json:"vservers"`
@@ -32,6 +32,7 @@ type ScaleRow struct {
 	HeavyAfter    int   `json:"heavy_after"`
 	TreeNodes     int   `json:"tree_nodes"`
 	TreeHeight    int   `json:"tree_height"`
+	ChurnMS       int64 `json:"churn_ms"`
 	RepairMS      int64 `json:"repair_ms"`
 	RepairChanges int   `json:"repair_changes"`
 }
@@ -111,6 +112,7 @@ func ScaleSweep(seed int64, nodes []int, clock metrics.Clock) ([]ScaleRow, error
 		// Incremental-repair probe: churn ~1% of the nodes, repair, and
 		// verify the repaired tree is structurally sound.
 		churn := max(n/100, 1)
+		start = now()
 		alive := ring.AliveNodes()
 		for i := 0; i < churn && i < len(alive); i++ {
 			ring.RemoveNode(alive[i])
@@ -118,6 +120,7 @@ func ScaleSweep(seed int64, nodes []int, clock metrics.Clock) ([]ScaleRow, error
 		for i := 0; i < churn; i++ {
 			workload.Join(ring, -1, vsPerNode, nil)
 		}
+		row.ChurnMS = msSince(start)
 		start = now()
 		row.RepairChanges, err = tree.Repair()
 		if err != nil {

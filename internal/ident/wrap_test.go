@@ -44,6 +44,30 @@ func TestCompareIsIntegerOrder(t *testing.T) {
 	}
 }
 
+// TestLessIsIntegerOrder: Less is Compare's order as a bool, so it
+// too says top is not less than its clockwise neighbor 0.
+func TestLessIsIntegerOrder(t *testing.T) {
+	for _, c := range []struct {
+		a, b ID
+		want bool
+	}{
+		{0, top, true},
+		{top, 0, false},
+		{top - 1, top, true},
+		{top, top - 1, false},
+		{0, 1, true},
+		{7, 7, false},
+		{top, top, false},
+	} {
+		if got := Less(c.a, c.b); got != c.want {
+			t.Errorf("Less(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.a, c.b) < 0; got != c.want {
+			t.Errorf("Compare(%s, %s) < 0 = %v, Less says %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestBetweenAcrossWrap(t *testing.T) {
 	// Arc (0xFFFFFF00, 0x100] crosses zero; membership must hold on
 	// both sides of the seam and fail outside it.

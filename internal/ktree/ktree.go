@@ -609,7 +609,7 @@ func (b *builder) plant(p piece, parent int32) int32 {
 func (b *builder) search(id ident.ID, lo, hi int) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ident.Compare(b.vss[m].ID, id) < 0 { // the owner wraps at len(vss)
+		if ident.Less(b.vss[m].ID, id) { // the owner wraps at len(vss)
 			lo = m + 1
 		} else {
 			hi = m

@@ -63,7 +63,7 @@ func (s *Store) Insert(o Object) error {
 	if vs == nil {
 		return fmt.Errorf("objects: empty ring")
 	}
-	pos := sort.Search(len(s.objs), func(i int) bool { return ident.Compare(s.objs[i].Key, o.Key) >= 0 })
+	pos := sort.Search(len(s.objs), func(i int) bool { return !ident.Less(s.objs[i].Key, o.Key) })
 	s.objs = append(s.objs, Object{})
 	copy(s.objs[pos+1:], s.objs[pos:])
 	s.objs[pos] = o

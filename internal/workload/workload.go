@@ -95,35 +95,6 @@ func GnutellaProfile() Profile {
 	}
 }
 
-// UniformProfile returns a degenerate profile where every node has
-// capacity c — the homogeneous assumption classic DHTs make, useful as a
-// control in experiments.
-func UniformProfile(c float64) Profile {
-	return Profile{{Capacity: c, Prob: 1}}
-}
-
-// Validate checks that probabilities are non-negative and sum to 1
-// (within 1e-9) and capacities are positive.
-func (p Profile) Validate() error {
-	if len(p) == 0 {
-		return fmt.Errorf("workload: empty capacity profile")
-	}
-	var sum float64
-	for _, c := range p {
-		if c.Prob < 0 {
-			return fmt.Errorf("workload: negative probability %v", c.Prob)
-		}
-		if c.Capacity <= 0 {
-			return fmt.Errorf("workload: non-positive capacity %v", c.Capacity)
-		}
-		sum += c.Prob
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("workload: probabilities sum to %v, want 1", sum)
-	}
-	return nil
-}
-
 // Sample draws one capacity from the profile.
 func (p Profile) Sample(rng *rand.Rand) float64 {
 	u := rng.Float64()
@@ -136,29 +107,4 @@ func (p Profile) Sample(rng *rand.Rand) float64 {
 	}
 	// Floating-point slack: fall through to the last class.
 	return p[len(p)-1].Capacity
-}
-
-// MeanCapacity returns the expected capacity under the profile.
-func (p Profile) MeanCapacity() float64 {
-	var m float64
-	for _, c := range p {
-		m += c.Capacity * c.Prob
-	}
-	return m
-}
-
-// ExpFraction draws an identifier-space fraction for one of n ring
-// participants. Spacings of n uniformly random points on a circle are
-// (jointly) distributed so that each is approximately Exp(mean 1/n) for
-// large n; the paper states f is exponentially distributed in both Chord
-// and CAN. The draw is truncated at 1.
-func ExpFraction(rng *rand.Rand, n int) float64 {
-	if n <= 0 {
-		panic("workload: ExpFraction with non-positive n")
-	}
-	f := rng.ExpFloat64() / float64(n)
-	if f > 1 {
-		return 1
-	}
-	return f
 }

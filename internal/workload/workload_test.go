@@ -96,13 +96,20 @@ func TestModelNames(t *testing.T) {
 }
 
 func TestGnutellaProfileValid(t *testing.T) {
-	p := GnutellaProfile()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	var sum, mean float64
+	for _, c := range GnutellaProfile() {
+		if c.Prob < 0 || c.Capacity <= 0 {
+			t.Errorf("class %+v: want a positive capacity and a non-negative probability", c)
+		}
+		sum += c.Prob
+		mean += c.Capacity * c.Prob
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("probabilities sum to %v, want 1", sum)
 	}
 	// Expected mean: 1·.2 + 10·.45 + 100·.3 + 1000·.049 + 10000·.001 = 93.7
-	if m := p.MeanCapacity(); math.Abs(m-93.7) > 1e-9 {
-		t.Errorf("mean capacity = %v, want 93.7", m)
+	if math.Abs(mean-93.7) > 1e-9 {
+		t.Errorf("mean capacity = %v, want 93.7", mean)
 	}
 }
 
@@ -120,61 +127,6 @@ func TestProfileSampleFrequencies(t *testing.T) {
 			t.Errorf("capacity %v sampled at %v, want %v", c.Capacity, frac, c.Prob)
 		}
 	}
-}
-
-func TestProfileValidateErrors(t *testing.T) {
-	cases := []Profile{
-		nil,
-		{{Capacity: 1, Prob: 0.5}}, // sums to 0.5
-		{{Capacity: -1, Prob: 1}},  // negative capacity
-		{{Capacity: 1, Prob: -0.1}, {Capacity: 2, Prob: 1.1}}, // negative prob
-	}
-	for i, p := range cases {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d should fail validation", i)
-		}
-	}
-}
-
-func TestUniformProfile(t *testing.T) {
-	p := UniformProfile(50)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100; i++ {
-		if p.Sample(rng) != 50 {
-			t.Fatal("uniform profile sampled wrong capacity")
-		}
-	}
-}
-
-func TestExpFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 4096
-	trials := 300000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		f := ExpFraction(rng, n)
-		if f <= 0 || f > 1 {
-			t.Fatalf("fraction %v out of range", f)
-		}
-		sum += f
-	}
-	mean := sum / float64(trials)
-	want := 1.0 / float64(n)
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Errorf("ExpFraction mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestExpFractionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExpFraction(0) should panic")
-		}
-	}()
-	ExpFraction(rand.New(rand.NewSource(1)), 0)
 }
 
 func BenchmarkGaussianLoad(b *testing.B) {
