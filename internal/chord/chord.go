@@ -28,7 +28,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"p2plb/internal/ident"
 	"p2plb/internal/metrics"
@@ -488,22 +488,34 @@ func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.Node
 	if len(fresh) == 0 {
 		return nodes
 	}
-	sorted := append([]*VServer(nil), fresh...)
-	sort.Slice(sorted, func(i, j int) bool { return ident.Less(sorted[i].ID, sorted[j].ID) })
+	// Sort after every draw, so the RNG order and the slots stay those of
+	// an AddNode loop. The sort compares IDs carried beside their
+	// VServers, not through them; IDs are unique, so the order is total.
+	type entry struct {
+		id ident.ID
+		vs *VServer
+	}
+	sorted := make([]entry, len(fresh))
+	for i, vs := range fresh {
+		sorted[i] = entry{vs.ID, vs}
+	}
+	slices.SortFunc(sorted, func(a, b entry) int { return ident.Compare(a.id, b.id) })
 
 	merged := make([]*VServer, 0, len(old)+len(sorted))
 	i, j := 0, 0
 	for i < len(old) && j < len(sorted) {
-		if ident.Less(old[i].ID, sorted[j].ID) {
+		if ident.Less(old[i].ID, sorted[j].id) {
 			merged = append(merged, old[i])
 			i++
 		} else {
-			merged = append(merged, sorted[j])
+			merged = append(merged, sorted[j].vs)
 			j++
 		}
 	}
 	merged = append(merged, old[i:]...)
-	merged = append(merged, sorted[j:]...)
+	for _, e := range sorted[j:] {
+		merged = append(merged, e.vs)
+	}
 	r.epoch++
 	r.fill(merged)
 	// Listeners observe the same joins the incremental path would fire,

@@ -32,8 +32,8 @@ func requireTreesEqual(t *testing.T, repaired, fresh *Tree) {
 		if ra.region != rb.region || ra.key != rb.key {
 			t.Fatalf("region/key differ: %v/%v vs %v/%v", ra.region, ra.key, rb.region, rb.key)
 		}
-		if ra.host != rb.host {
-			t.Fatalf("host differs at %v: %s vs %s", ra.region, ra.host.ID, rb.host.ID)
+		if ha, hb := repaired.Host(a), fresh.Host(b); ha != hb || ra.slot != rb.slot {
+			t.Fatalf("host differs at %v: %s (slot %d) vs %s (slot %d)", ra.region, ha.ID, ra.slot, hb.ID, rb.slot)
 		}
 		if ra.depth != rb.depth {
 			t.Fatalf("depth differs at %v: %d vs %d", ra.region, ra.depth, rb.depth)

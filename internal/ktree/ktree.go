@@ -29,19 +29,25 @@
 // reporting protocols rely on ("it is guaranteed that a KT leaf node
 // will be planted in each virtual server").
 //
-// Memory. The tree is one table of fixed-size records addressed by
-// Handle — region, key, host, parent, first child, next sibling, child
-// count, depth and generation — and a leaf list per chord.VServer.Slot.
-// Repair relinks surviving children in place and plants in the slots
-// earlier passes freed (one stack, which only Build drops) before it
-// grows the table, so a Repair allocates what it changes.
+// Memory. The tree is one table of 48-byte records addressed by Handle —
+// region, key, the host's chord.VServer.Slot, parent, first child, next
+// sibling, child count, depth and generation — beside one array of host
+// pointers in the same slots, and a leaf list per chord.VServer.Slot.
+// The records hold no pointer, so the garbage collector never scans the
+// table and copying a record pays no write barrier; the host array is
+// written only where a record is planted or re-planted. Repair relinks
+// surviving children in place and plants in the slots earlier passes
+// freed (one stack, which only Build drops) before it grows the table,
+// so a Repair allocates what it changes.
 //
 // Stale holders. A Handle carries the generation its slot had when it
 // was taken. A holder that keeps one across a Repair may find the node
-// discarded. A discarded node's record stays as that pass left it until
-// the next pass that finds the ring changed begins; then the slot is
-// freed, and its generation with it. So a handle held across one Repair
-// reads a consistent, if outdated, subtree; across two, Follow reports
+// discarded. A discarded node's record and host stay as that pass left
+// them until the next pass that finds the ring changed begins; then the
+// slot is freed, and its generation with it. So a handle held across
+// one Repair reads a consistent, if outdated, subtree, whose hosts may
+// have left the ring (a joiner that reuses a departed host's
+// chord.VServer.Slot does not replace it); across two, Follow reports
 // it stale and counts it (StaleFollows). Holders check Follow where a
 // handle crosses an engine event; synchronous sweeps need not. A
 // surviving node's host and children change under its holders.
@@ -119,11 +125,16 @@ func (h Handle) Index() int { return int(h.i) }
 // IsNil reports whether h names no node.
 func (h Handle) IsNil() bool { return h.gen == 0 }
 
-// rec is one KT node's record; a free slot's has gen 0.
+// rec is one KT node's record; a free slot's has gen 0. It holds no
+// pointer (TestRecordHoldsNoPointers): its host is Tree.hosts at the
+// same index, and slot is that host's chord.VServer.Slot, which a
+// virtual server keeps after it leaves. A record a worker stages has no
+// generation yet; until adopt stamps one, gen holds the ring position
+// of its host.
 type rec struct {
 	region              ident.Region
-	host                *chord.VServer
 	key                 ident.ID
+	slot                int32
 	parent, first, next int32
 	kids, depth         int32
 	gen                 uint32
@@ -141,6 +152,7 @@ type Tree struct {
 	ring       *chord.Ring
 	k          int
 	recs       []rec
+	hosts      []*chord.VServer // hosts[i] is the host recs[i] was last planted in
 	root       int32
 	leaves     []leafList // by chord.VServer.Slot
 	numLeaves  int
@@ -195,7 +207,7 @@ func (t *Tree) Root() Handle { return t.handle(t.root) }
 func (t *Tree) Region(h Handle) ident.Region { return t.recs[h.i].region }
 
 // Host returns the virtual server currently hosting h.
-func (t *Tree) Host(h Handle) *chord.VServer { return t.recs[h.i].host }
+func (t *Tree) Host(h Handle) *chord.VServer { return t.hosts[h.i] }
 
 // Depth returns h's depth; the root is 0.
 func (t *Tree) Depth(h Handle) int { return int(t.recs[h.i].depth) }
@@ -318,7 +330,7 @@ func (t *Tree) EdgeLatency(h Handle) sim.Time {
 	if r.parent == nilRef {
 		return 0
 	}
-	return t.ring.Latency(r.host.Owner, t.recs[r.parent].host.Owner) + 1
+	return t.ring.Latency(t.hosts[h.i].Owner, t.hosts[r.parent].Owner) + 1
 }
 
 // Build constructs the tree from scratch against the current ring state.
@@ -340,19 +352,49 @@ func (t *Tree) build() error {
 	t.pending, t.overflow = nil, false
 	// Every slot is planted again under a new generation, so handles
 	// into the old tree read as stale.
-	t.recs, t.free, t.held = t.recs[:0], nil, nil
+	clear(t.hosts) // no departed virtual server stays reachable past the new tree's end
+	t.recs, t.hosts, t.free, t.held = t.recs[:0], t.hosts[:0], nil, nil
 	t.depthCount = [maxDepth + 1]int{}
 
 	b := t.newBuilder(nil)
 	full := piece{region: ident.Full(), hi: len(b.vss)}
 	full.host = b.coveredBy(full.region, 0)
 	t.root = b.plant(full, nilRef)
-	if full.host == nil {
+	if full.host < 0 {
 		b.process(t.root, true, 0, len(b.vss), 0)
 	}
+	serial := len(b.leaves)
 	t.runTasks(b)
+	t.mergeLeaves(b.leaves, serial)
 	t.apply(b)
 	return nil
+}
+
+// mergeLeaves puts a Build's new leaves in clockwise order: the serial
+// phase's, leaves[:serial], and after them the workers', which run
+// clockwise already (each worker plants its subtree depth-first and the
+// tasks are in clockwise order). The few serial leaves are merged into
+// the workers' run in place; the leaves tile the circle from identifier
+// 0, so their starts order them.
+func (t *Tree) mergeLeaves(leaves []int32, serial int) {
+	head := slices.Clone(leaves[:serial])
+	slices.SortFunc(head, t.byStart)
+	rest := leaves[serial:]
+	k, j := 0, 0
+	for _, i := range head {
+		for ; j < len(rest) && t.byStart(rest[j], i) < 0; j++ {
+			leaves[k] = rest[j] // k < serial+j: the write stays behind the read
+			k++
+		}
+		leaves[k] = i
+		k++
+	}
+	// rest[j:] is already in place, at leaves[k:].
+}
+
+// byStart orders records x and y by region start.
+func (t *Tree) byStart(x, y int32) int {
+	return ident.Compare(t.recs[x].region.Start, t.recs[y].region.Start)
 }
 
 // Repair reconciles the tree with the current ring after membership or
@@ -382,9 +424,9 @@ func (t *Tree) Repair() (changes int, err error) {
 	t.release()
 	b := t.newBuilder(dirty)
 	root := t.recs[t.root]
-	if host := b.coveredBy(root.region, 0); host != nil {
+	if host := b.coveredBy(root.region, 0); host >= 0 {
 		// The whole ring has a single owner: the tree is one root leaf.
-		if root.first == nilRef && root.host == host {
+		if root.first == nilRef && t.hosts[t.root] == b.vss[host] {
 			return 0, nil
 		}
 		old := t.root
@@ -480,22 +522,29 @@ func (d *dirtySet) overlaps(r ident.Region) bool {
 	return d.overlapsLinear(lo, ident.SpaceSize) || d.overlapsLinear(0, hi-ident.SpaceSize)
 }
 
-// take puts a new record in the table under a new generation: in the
-// slot most recently freed, else in a new one at the end.
-func (t *Tree) take(r rec) int32 {
+// take puts a new record, planted in host, in the table under a new
+// generation: in the slot most recently freed, else in a new one at the
+// end.
+func (t *Tree) take(r rec, host *chord.VServer) int32 {
+	r.gen = t.nextGen()
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.recs[i], t.hosts[i] = r, host
+		return i
+	}
+	t.recs = append(t.recs, r)
+	t.hosts = append(t.hosts, host)
+	return int32(len(t.recs) - 1)
+}
+
+// nextGen hands out a new generation.
+func (t *Tree) nextGen() uint32 {
 	t.gen++
 	if t.gen == 0 {
 		t.gen = 1 // 0 marks a free slot
 	}
-	r.gen = t.gen
-	if n := len(t.free); n > 0 {
-		i := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.recs[i] = r
-		return i
-	}
-	t.recs = append(t.recs, r)
-	return int32(len(t.recs) - 1)
+	return t.gen
 }
 
 // release frees what the previous pass discarded; until now those
@@ -509,10 +558,12 @@ func (t *Tree) release() {
 }
 
 // piece is one element of a region's compressed decomposition: a leaf
-// (host != nil) or a subtree whose owners lie at ring positions [lo, hi].
+// of the virtual server at ring position host, or (host < 0) a subtree
+// whose owners lie at ring positions [lo, hi]. It names its host by
+// position, so decomposing writes no pointer.
 type piece struct {
 	region ident.Region
-	host   *chord.VServer
+	host   int
 	lo, hi int
 }
 
@@ -556,7 +607,7 @@ type builder struct {
 	// steady-state decomposition allocates nothing.
 	bufs  [][]piece
 	parts []ident.Region
-	hosts []*chord.VServer
+	hosts []int
 	pos   []int
 	right []piece
 }
@@ -573,14 +624,24 @@ func (b *builder) at(ref int32) *rec {
 	return &b.staged[-2-ref]
 }
 
+// host returns the virtual server the record ref names is planted in.
+func (b *builder) host(ref int32) *chord.VServer {
+	if ref >= 0 {
+		return b.t.hosts[ref]
+	}
+	return b.vss[b.staged[-2-ref].gen] // a staged record's gen is its host's position
+}
+
 // plant adds a new node for piece p under parent (nilRef for the root):
-// a leaf of p.host, or, when p.host is nil, an internal node planted in
+// a leaf of p.host, or, when p.host < 0, an internal node planted in
 // the owner of its region's center.
 func (b *builder) plant(p piece, parent int32) int32 {
-	r := rec{region: p.region, key: p.region.Center(), host: p.host, parent: parent, first: nilRef, next: nilRef}
-	if r.host == nil {
-		r.host = b.owner(b.search(r.key, p.lo, p.hi))
+	r := rec{region: p.region, key: p.region.Center(), parent: parent, first: nilRef, next: nilRef}
+	at := p.host
+	if at < 0 {
+		at = b.search(r.key, p.lo, p.hi) % len(b.vss)
 	}
+	r.slot = int32(b.vss[at].Slot())
 	if parent != nilRef {
 		r.depth = b.at(parent).depth + 1
 	}
@@ -589,12 +650,13 @@ func (b *builder) plant(p piece, parent int32) int32 {
 	b.depthDelta[r.depth]++
 	var n int32
 	if b.tasks == nil {
+		r.gen = uint32(at)
 		b.staged = append(b.staged, r)
 		n = -1 - int32(len(b.staged))
 	} else {
-		n = b.t.take(r)
+		n = b.t.take(r, b.vss[at])
 	}
-	if p.host != nil {
+	if p.host >= 0 {
 		b.leaves = append(b.leaves, n)
 	}
 	return n
@@ -621,17 +683,18 @@ func (b *builder) search(id ident.ID, lo, hi int) int {
 // owner returns the virtual server at ring position p.
 func (b *builder) owner(p int) *chord.VServer { return b.vss[p%len(b.vss)] }
 
-// coveredBy returns the single virtual server owning every identifier
-// of r, or nil if ownership is split; p is the ring position of
-// r.Start's owner, the only candidate. Ownership changes exactly at
-// virtual-server identifiers (when more than one exists), so r is
-// single-owner iff no VS identifier lies in r short of its last key.
-func (b *builder) coveredBy(r ident.Region, p int) *chord.VServer {
-	first := b.owner(p)
-	if len(b.vss) > 1 && r.Width > 1 && r.Start.Dist(first.ID) < r.Width-1 {
-		return nil
+// coveredBy returns the ring position, below len(vss), of the single
+// virtual server owning every identifier of r, or -1 if ownership is
+// split; p is the ring position of r.Start's owner, the only candidate.
+// Ownership changes exactly at virtual-server identifiers (when more
+// than one exists), so r is single-owner iff no VS identifier lies in r
+// short of its last key.
+func (b *builder) coveredBy(r ident.Region, p int) int {
+	p %= len(b.vss)
+	if len(b.vss) > 1 && r.Width > 1 && r.Start.Dist(b.vss[p].ID) < r.Width-1 {
+		return -1
 	}
-	return first
+	return p
 }
 
 // discard prunes an old subtree: each node counts as one change, a leaf
@@ -662,13 +725,14 @@ func (b *builder) schedule(n int32, fresh bool, lo, hi, lvl int) {
 
 // process decomposes internal node n, whose owners lie at ring
 // positions [lo, hi], and (re)materializes its children. A surviving
-// (not fresh) node's host is re-resolved first — a change is a
-// re-plant — so the parent's probe is priced against the current host.
+// (not fresh) node, always a table slot, has its host re-resolved first
+// — a change is a re-plant — so the parent's probe is priced against
+// the current host.
 func (b *builder) process(n int32, fresh bool, lo, hi, lvl int) {
 	if !fresh {
 		r := b.at(n)
-		if h := b.owner(b.search(r.key, lo, hi)); h != r.host {
-			r.host = h
+		if h := b.owner(b.search(r.key, lo, hi)); h != b.t.hosts[n] {
+			b.t.hosts[n], r.slot = h, int32(h.Slot())
 			b.plants++
 			b.changes++
 		}
@@ -681,7 +745,7 @@ func (b *builder) process(n int32, fresh bool, lo, hi, lvl int) {
 
 func (b *builder) heartbeat(parent, child int32) {
 	b.hbCount++
-	b.hbCost += b.t.ring.Latency(b.at(parent).host.Owner, b.at(child).host.Owner) + 1
+	b.hbCost += b.t.ring.Latency(b.host(parent).Owner, b.host(child).Owner) + 1
 }
 
 // decompose computes the compressed child decomposition of a
@@ -701,7 +765,7 @@ func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 	}
 	if len(b.parts) < k {
 		//lbvet:ignore hotalloc builder scratch: made on a builder's first call, then only reused
-		b.parts, b.hosts, b.pos = make([]ident.Region, k), make([]*chord.VServer, k), make([]int, k+1)
+		b.parts, b.hosts, b.pos = make([]ident.Region, k), make([]int, k), make([]int, k+1)
 	}
 	out, right, pos := b.bufs[lvl][:0], b.right[:0], b.pos
 	cur := R
@@ -719,11 +783,11 @@ func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 		ncIdx, ncCount := -1, 0
 		for i, p := range parts {
 			if p.IsEmpty() {
-				b.hosts[i] = nil
+				b.hosts[i] = -1
 				continue
 			}
 			b.hosts[i] = b.coveredBy(p, pos[i])
-			if b.hosts[i] == nil {
+			if b.hosts[i] < 0 {
 				ncCount++
 				ncIdx = i
 			}
@@ -761,12 +825,12 @@ func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 }
 
 // emit appends p to a clockwise run of pieces, merging it into the last
-// one when both are leaves of one host (internal pieces have nil hosts
+// one when both are leaves of one host (internal pieces have no host
 // and never merge; the run tiles a region, so neighbors are adjacent).
 //
 //lbvet:hotpath
 func emit(out []piece, p piece) []piece {
-	if n := len(out); n > 0 && p.host != nil && out[n-1].host == p.host {
+	if n := len(out); n > 0 && p.host >= 0 && out[n-1].host == p.host {
 		out[n-1].region.Width += p.region.Width
 		return out
 	}
@@ -814,10 +878,10 @@ func (b *builder) materialize(n int32, pieces []piece, lvl int) {
 		if old != nilRef {
 			switch oc := &b.t.recs[old]; {
 			case base.Dist(oc.region.Start) != off:
-			case p.host != nil && oc.first == nilRef && oc.region == p.region && oc.host == p.host:
+			case p.host >= 0 && oc.first == nilRef && oc.region == p.region && b.t.hosts[old] == b.vss[p.host]:
 				c, old = old, oc.next
 				b.heartbeat(n, c)
-			case p.host == nil && oc.first != nilRef && oc.region == p.region:
+			case p.host < 0 && oc.first != nilRef && oc.region == p.region:
 				c, old = old, oc.next
 				if b.dirty.overlaps(p.region) {
 					b.schedule(c, false, p.lo, p.hi, lvl)
@@ -830,7 +894,7 @@ func (b *builder) materialize(n int32, pieces []piece, lvl int) {
 		}
 		if c == nilRef {
 			c = b.plant(p, n)
-			if p.host == nil {
+			if p.host < 0 {
 				b.schedule(c, true, p.lo, p.hi, lvl)
 			}
 		}
@@ -884,11 +948,8 @@ func (t *Tree) runTasks(b *builder) {
 	}
 	b.leaves = slices.Grow(b.leaves, leaves)
 	slot := make([]int32, most)
-	if need := staged - len(t.free); need > cap(t.recs)-len(t.recs) {
-		// Leave room for what the next passes plant before their
-		// discards come free, so a churn Repair does not copy the table.
-		t.recs = slices.Grow(t.recs, need+(len(t.recs)+need)/16)
-	}
+	need := staged - len(t.free)
+	t.recs, t.hosts = roomFor(t.recs, need), roomFor(t.hosts, need)
 	for _, wb := range workers {
 		t.adopt(wb, slot)
 		b.plants += wb.plants
@@ -904,23 +965,46 @@ func (t *Tree) runTasks(b *builder) {
 	}
 }
 
-// adopt gives a worker's staged records their slots, in staging order,
+// roomFor returns s with room for need more entries and, when it must
+// grow, for what the next passes plant before their discards come free,
+// so a churn Repair does not copy the table.
+func roomFor[T any](s []T, need int) []T {
+	if need <= cap(s)-len(s) {
+		return s
+	}
+	return slices.Grow(s, need+(len(s)+need)/16)
+}
+
+// adopt gives a worker's staged records their slots, in staging order
+// (as take would: the free stack's first, then new ones at the end),
 // and rewrites the refs to them in records, patched slots and leaves.
-// slot is scratch with room for every staged record.
+// Knowing every slot first, it rewrites a record's refs as it copies
+// it. slot is scratch with room for every staged record, and the table
+// has room for those the free stack cannot take.
 func (t *Tree) adopt(wb *builder, slot []int32) {
 	slot = slot[:len(wb.staged)]
-	for j, r := range wb.staged {
-		slot[j] = t.take(r)
+	reuse := min(len(t.free), len(slot))
+	for j := range reuse {
+		slot[j] = t.free[len(t.free)-1-j]
 	}
+	t.free = t.free[:len(t.free)-reuse]
+	end := len(t.recs)
+	for j := reuse; j < len(slot); j++ {
+		slot[j] = int32(end + j - reuse)
+	}
+	end += len(slot) - reuse
+	t.recs, t.hosts = t.recs[:end], t.hosts[:end]
 	fix := func(ref int32) int32 {
 		if ref < nilRef {
 			return slot[-2-ref]
 		}
 		return ref
 	}
-	for _, i := range slot {
-		r := &t.recs[i]
+	for j, r := range wb.staged {
+		t.hosts[slot[j]] = wb.vss[r.gen] // the host's position, until now
+		r.gen = t.nextGen()
 		r.parent, r.first, r.next = fix(r.parent), fix(r.first), fix(r.next)
+		t.recs[slot[j]] = r
 	}
 	for _, i := range wb.patched {
 		r := &t.recs[i]
@@ -949,18 +1033,11 @@ func (t *Tree) apply(b *builder) int {
 	}
 	// New leaves join their hosts' lists in clockwise order, which is
 	// the order of their regions, since the leaves tile the circle from
-	// the root's start.
+	// identifier 0. A Build's are in that order already (mergeLeaves).
 	if b.dirty == nil {
-		t.carveLeafLists(b.leaves)
-		t.Walk(func(h Handle) {
-			if t.IsLeaf(h) {
-				t.registerLeaf(h.i)
-			}
-		})
+		t.listLeaves(b.leaves)
 	} else {
-		slices.SortFunc(b.leaves, func(x, y int32) int {
-			return ident.Compare(t.recs[x].region.Start, t.recs[y].region.Start) // leaves tile the circle from identifier 0, so their starts order them clockwise
-		})
+		slices.SortFunc(b.leaves, t.byStart)
 		for _, i := range b.leaves {
 			t.registerLeaf(i)
 		}
@@ -969,26 +1046,36 @@ func (t *Tree) apply(b *builder) int {
 	return b.changes
 }
 
-// carveLeafLists gives every virtual server an empty leaf list with
-// room for exactly the leaves a Build planted in it, all in one array.
-func (t *Tree) carveLeafLists(leaves []int32) {
-	t.leaves, t.numLeaves = make([]leafList, t.ring.NumSlots()), 0
-	room := make([]int, len(t.leaves))
-	for _, i := range leaves {
-		room[t.recs[i].host.Slot()]++
-	}
+// listLeaves gives every virtual server the list of a Build's leaves,
+// which come in clockwise order. A leaf lies in its host's region and
+// the regions are arcs, so each host's leaves are one run of that order,
+// carved from one array with room for exactly that run. The exception is
+// the host whose region wraps past identifier 0: its leaves are the
+// first run and the last, and its list is their concatenation.
+func (t *Tree) listLeaves(leaves []int32) {
+	t.leaves, t.numLeaves = make([]leafList, t.ring.NumSlots()), len(leaves)
 	all := make([]Handle, len(leaves))
-	for _, vs := range t.ring.VServers() {
-		n := room[vs.Slot()]
-		t.leaves[vs.Slot()] = leafList{vs: vs, hs: all[:0:n]}
-		all = all[n:]
+	for j, i := range leaves {
+		all[j] = t.handle(i)
+	}
+	for j := 0; j < len(leaves); {
+		s := t.recs[leaves[j]].slot
+		k := j + 1
+		for k < len(leaves) && t.recs[leaves[k]].slot == s {
+			k++
+		}
+		if l := &t.leaves[s]; l.vs == nil {
+			l.vs, l.hs = t.hosts[leaves[j]], all[j:k:k]
+		} else {
+			l.hs = append(l.hs, all[j:k]...) // the wrapping host's last run
+		}
+		j = k
 	}
 }
 
 // registerLeaf appends leaf i to its host's list.
 func (t *Tree) registerLeaf(i int32) {
-	vs := t.recs[i].host
-	s := vs.Slot()
+	vs, s := t.hosts[i], int(t.recs[i].slot)
 	if s >= len(t.leaves) {
 		t.leaves = append(t.leaves, make([]leafList, s+1-len(t.leaves))...)
 	}
@@ -1003,7 +1090,7 @@ func (t *Tree) registerLeaf(i int32) {
 // unregisterLeaf removes leaf i from its host's list, keeping the
 // others in order and leaving no handle past the list's end.
 func (t *Tree) unregisterLeaf(i int32) {
-	l := &t.leaves[t.recs[i].host.Slot()]
+	l := &t.leaves[t.recs[i].slot]
 	if k := slices.IndexFunc(l.hs, func(h Handle) bool { return h.i == i }); k >= 0 {
 		l.hs = slices.Delete(l.hs, k, k+1)
 		t.numLeaves--
@@ -1040,17 +1127,21 @@ func (t *Tree) CheckInvariants() {
 		if n.key != n.region.Center() {
 			panic("ktree: key is not the region center")
 		}
-		if t.ring.Successor(n.key) != n.host {
+		host := t.hosts[h.i]
+		if t.ring.Successor(n.key) != host {
 			panic("ktree: host does not own the node's key")
 		}
-		covered := t.ring.RegionOf(n.host).Covers(n.region)
+		if int(n.slot) != host.Slot() {
+			panic("ktree: record's slot is not its host's")
+		}
+		covered := t.ring.RegionOf(host).Covers(n.region)
 		if n.first == nilRef {
 			leaves++
 			if !covered {
 				panic(fmt.Sprintf("ktree: leaf region %v not covered by host region %v",
-					n.region, t.ring.RegionOf(n.host)))
+					n.region, t.ring.RegionOf(host)))
 			}
-			if !slices.Contains(t.LeavesOf(n.host), h) {
+			if !slices.Contains(t.LeavesOf(host), h) {
 				panic("ktree: leaf missing from its host's leaf list")
 			}
 			return
@@ -1064,7 +1155,7 @@ func (t *Tree) CheckInvariants() {
 		at := n.region.Start
 		var total uint64
 		kids := int32(0)
-		var prev *rec
+		prev := nilRef
 		for ci := n.first; ci != nilRef; ci = t.recs[ci].next {
 			c := &t.recs[ci]
 			kids++
@@ -1074,10 +1165,10 @@ func (t *Tree) CheckInvariants() {
 			if c.parent != h.i || c.depth != n.depth+1 {
 				panic("ktree: child linkage wrong")
 			}
-			if prev != nil && prev.first == nilRef && c.first == nilRef && prev.host == c.host {
+			if prev != nilRef && t.recs[prev].first == nilRef && c.first == nilRef && t.hosts[prev] == t.hosts[ci] {
 				panic("ktree: unmerged adjacent sibling leaves with one host")
 			}
-			prev = c
+			prev = ci
 			at = c.region.End()
 			total += c.region.Width
 		}

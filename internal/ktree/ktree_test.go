@@ -3,11 +3,13 @@ package ktree
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"p2plb/internal/chord"
 	"p2plb/internal/ident"
 	"p2plb/internal/sim"
+	"p2plb/internal/workload"
 )
 
 func buildRing(seed int64, nodes, vsPerNode int) *chord.Ring {
@@ -213,6 +215,44 @@ func TestRepairAfterNodeRemoval(t *testing.T) {
 				t.Fatalf("leaf list backing array of VS %s still holds discarded leaf %v", vs.ID, tree.Region(l))
 			}
 		}
+	}
+}
+
+// TestStaleHostSurvivesSlotReuse: a handle held across a Repair reads
+// the host its node was planted in, even after that host left and a
+// joiner took its chord.VServer.Slot. A host resolved through the slot
+// would name the joiner.
+func TestStaleHostSurvivesSlotReuse(t *testing.T) {
+	ring := buildRing(18, 64, 3)
+	tree := buildTree(t, ring, 2)
+	vs := ring.VServers()[17]
+	held := tree.LeavesOf(vs)[0]
+	departed := vs.Owner
+	vsPer := len(departed.VServers())
+	ring.RemoveNode(departed)
+	joiner := ring.AddNode(-1, 100, vsPer) // takes every slot departed freed
+	var reuser *chord.VServer
+	for _, j := range joiner.VServers() {
+		if j.Slot() == vs.Slot() {
+			reuser = j
+		}
+	}
+	if reuser == nil {
+		t.Fatalf("no joiner took slot %d; the test covers no reuse", vs.Slot())
+	}
+	mustRepair(t, tree)
+	tree.CheckInvariants()
+	if !tree.Follow(held) {
+		t.Fatal("a handle held across one Repair reads as stale")
+	}
+	if got := tree.Host(held); got != vs {
+		t.Fatalf("held leaf's host is %s (slot %d), want the departed %s", got.ID, got.Slot(), vs.ID)
+	}
+	if tree.Host(held).Owner.Alive {
+		t.Fatal("held leaf's host's owner is alive; it left the ring")
+	}
+	if slices.Contains(tree.LeavesOf(reuser), held) {
+		t.Fatal("the joiner in the reused slot lists the held leaf")
 	}
 }
 
@@ -435,6 +475,20 @@ func TestTreeSizeReasonable(t *testing.T) {
 
 func BenchmarkBuild256x5K2(b *testing.B) {
 	ring := buildRing(1, 256, 5)
+	tree, _ := New(ring, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuild128k is Build at the round-oracle-128k fixture's size:
+// 25,600 nodes × 5 virtual servers, bulk-built, K = 2.
+func BenchmarkBuild128k(b *testing.B) {
+	ring := workload.NewRing(sim.NewEngine(1), workload.RingSpec{Nodes: 25600, VSPerNode: 5})
 	tree, _ := New(ring, 2)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package ktree
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -70,8 +71,34 @@ func TestRepairHeapFlat(t *testing.T) {
 	runtime.KeepAlive(tree)
 }
 
+// TestRecordHoldsNoPointers: the record table is never scanned by the
+// garbage collector and a record copy pays no write barrier, because
+// no field of rec is or holds a pointer. Hosts live in Tree.hosts.
+func TestRecordHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the GC would scan every record", path, ty.Kind())
+		}
+	}
+	walk("rec", reflect.TypeOf(rec{}))
+	if got := unsafe.Sizeof(rec{}); got != 48 {
+		t.Errorf("rec is %d bytes, want 48", got)
+	}
+}
+
 // TestBuildHeapProportional: what Build leaves reachable is the tree —
-// at most twice its records, plus the per-slot leaf lists it must hold.
+// at most twice its records and host pointers, plus the per-slot leaf
+// lists it must hold.
 func TestBuildHeapProportional(t *testing.T) {
 	for _, nodes := range []int{256, 2048, 6400} {
 		ring := buildRing(1, nodes, 5)
@@ -85,14 +112,15 @@ func TestBuildHeapProportional(t *testing.T) {
 		}
 		built := int64(liveHeap()) - int64(before)
 
-		budget := int64(2*tree.NumNodes()) * int64(unsafe.Sizeof(rec{}))
+		perNode := int64(unsafe.Sizeof(rec{}) + unsafe.Sizeof((*chord.VServer)(nil))) // a record and its Tree.hosts entry
+		budget := int64(2*tree.NumNodes()) * perNode
 		budget += int64(ring.NumSlots()) * int64(unsafe.Sizeof(leafList{}))
 		for _, vs := range ring.VServers() {
 			budget += int64(cap(tree.LeavesOf(vs))) * int64(unsafe.Sizeof(Handle{}))
 		}
 		t.Logf("%d nodes: Build holds %.2f MB for %d KT nodes (%.1f× their %d B), budget %d B (%.2f MB)",
 			nodes, float64(built)/(1<<20), tree.NumNodes(),
-			float64(built)/float64(tree.NumNodes())/float64(unsafe.Sizeof(rec{})), unsafe.Sizeof(rec{}), budget, float64(budget)/(1<<20))
+			float64(built)/float64(tree.NumNodes())/float64(perNode), perNode, budget, float64(budget)/(1<<20))
 		if built > budget {
 			t.Errorf("%d nodes: Build holds %d bytes, budget %d", nodes, built, budget)
 		}
