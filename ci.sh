@@ -108,7 +108,7 @@ echo "== go test -bench (one iteration each)"
 # Every sim benchmark runs: each drives one scheduling path of the
 # event queue. So does every ktree benchmark: Build, a quiescent Repair
 # and a 1 % churn Repair.
-go test -run '^$' -bench 'RoutedLookup|ExactSubset|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/protocol
+go test -run '^$' -bench 'RoutedLookup|BulkAdd|ExactSubset|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/protocol
 go test -run '^$' -bench . -benchtime=1x ./internal/sim ./internal/ktree
 
 race_legs

@@ -182,6 +182,7 @@ func (r *Ring) merge(b int) {
 	if n <= r.blockMax {
 		left.ids = append(left.ids, right.ids...)
 		left.vss = append(left.vss, right.vss...)
+		clear(right.vss) // its array may outlive the block (fill)
 		r.mins[l] = left.ids[0]
 		r.dropBlock(l + 1)
 		return
@@ -203,16 +204,20 @@ func (r *Ring) merge(b int) {
 
 // fill replaces the blocks with vss, which is in ring order, filling
 // each block to about three quarters so that the joins that follow
-// shift a block before they split one. vss becomes the flat view of the
-// new epoch, which the caller has bumped.
+// shift a block before they split one. Each block's arrays are
+// full-capacity windows of one array per field, so a fill allocates the
+// same few arrays at any size. vss becomes the flat view of the new
+// epoch, which the caller has bumped.
 func (r *Ring) fill(vss []*VServer) {
 	per := max(r.blockMax*3/4, 1)
 	nb := (len(vss) + per - 1) / per
 	r.blocks = make([]block, nb)
 	r.mins = make([]ident.ID, nb)
+	ids, ptrs := make([]ident.ID, nb*r.blockMax), make([]*VServer, nb*r.blockMax)
 	for b := range r.blocks {
 		lo, hi := b*len(vss)/nb, (b+1)*len(vss)/nb
-		blk := block{ids: make([]ident.ID, hi-lo, r.blockMax), vss: make([]*VServer, hi-lo, r.blockMax)}
+		w := b * r.blockMax
+		blk := block{ids: ids[w : w+hi-lo : w+r.blockMax], vss: ptrs[w : w+hi-lo : w+r.blockMax]}
 		copy(blk.vss, vss[lo:hi])
 		for i, vs := range blk.vss {
 			blk.ids[i] = vs.ID

@@ -450,72 +450,71 @@ func (r *Ring) addVS(n *Node, id ident.ID) *VServer {
 // BulkAddNodes creates count physical nodes, each hosting numVS virtual
 // servers with identifiers drawn from the engine RNG, and joins them to
 // the ring with a single sorted merge that rebuilds the blocks —
-// O(m log m + n) for m new VSs over n existing ones, against
+// O(m + n) for m new VSs over n existing ones (a radix sort), against
 // O(m·(blockSize + log n)) for the incremental AddNode loop. The
 // underlay and capacity callbacks are invoked once per node
 // in index order; capacity draws and identifier draws interleave in
 // exactly the order the equivalent AddNode loop consumes the engine
 // RNG, so a bulk-built ring is identical to an incrementally built one
-// at the same seed.
+// at the same seed. The nodes, their virtual servers and the nodes'
+// VServers lists are carved from one array each, so the allocations
+// do not grow with count.
 func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.NodeID, capacity func(i int) float64) []*Node {
 	r.mustBeThawed("BulkAddNodes")
 	old := r.VServers()
-	used := make(map[ident.ID]struct{}, len(old)+count*numVS)
+	used := newIDSet(len(old) + count*numVS)
 	for _, vs := range old {
-		used[vs.ID] = struct{}{}
+		used.add(vs.ID)
 	}
-	nodes := make([]*Node, 0, count)
-	fresh := make([]*VServer, 0, count*numVS) // draw order
-	for i := 0; i < count; i++ {
+	nodes := make([]*Node, count)
+	slab := make([]Node, count)
+	vslab := make([]VServer, count*numVS)
+	fresh := make([]*VServer, count*numVS) // draw order: node i's are fresh[i*numVS:][:numVS]
+	r.nodes = slices.Grow(r.nodes, count)
+	for i := range slab {
+		n := &slab[i]
 		u := underlay(i)
 		c := capacity(i)
-		n := &Node{
+		*n = Node{
 			Index:    len(r.nodes),
 			Underlay: u,
 			Capacity: c,
 			Alive:    true,
+			// A full-capacity window: a transfer in reallocates the list
+			// rather than write over the next node's.
+			vservers: fresh[i*numVS : (i+1)*numVS : (i+1)*numVS],
 		}
 		r.nodes = append(r.nodes, n)
-		nodes = append(nodes, n)
-		for v := 0; v < numVS; v++ {
-			vs := &VServer{ID: r.drawFreeID(used), Owner: n}
+		nodes[i] = n
+		for j := i * numVS; j < (i+1)*numVS; j++ {
+			vs := &vslab[j]
+			vs.ID, vs.Owner = r.drawFreeID(used), n
 			r.takeSlot(vs)
-			used[vs.ID] = struct{}{}
-			n.vservers = append(n.vservers, vs)
-			fresh = append(fresh, vs)
+			used.add(vs.ID)
+			fresh[j] = vs
 		}
 	}
 	if len(fresh) == 0 {
 		return nodes
 	}
 	// Sort after every draw, so the RNG order and the slots stay those of
-	// an AddNode loop. The sort compares IDs carried beside their
-	// VServers, not through them; IDs are unique, so the order is total.
-	type entry struct {
-		id ident.ID
-		vs *VServer
+	// an AddNode loop. A key is an ID over its draw index; IDs are
+	// unique, so ordering the keys by ID alone orders them totally.
+	keys := make([]uint64, len(fresh))
+	for j, vs := range fresh {
+		keys[j] = uint64(vs.ID)<<32 | uint64(j)
 	}
-	sorted := make([]entry, len(fresh))
-	for i, vs := range fresh {
-		sorted[i] = entry{vs.ID, vs}
-	}
-	slices.SortFunc(sorted, func(a, b entry) int { return ident.Compare(a.id, b.id) })
+	keys = sortByID(keys, make([]uint64, len(keys)))
 
-	merged := make([]*VServer, 0, len(old)+len(sorted))
-	i, j := 0, 0
-	for i < len(old) && j < len(sorted) {
-		if ident.Less(old[i].ID, sorted[j].id) {
+	merged := make([]*VServer, 0, len(old)+len(fresh))
+	i := 0
+	for _, k := range keys {
+		for id := ident.ID(k >> 32); i < len(old) && ident.Less(old[i].ID, id); i++ {
 			merged = append(merged, old[i])
-			i++
-		} else {
-			merged = append(merged, sorted[j].vs)
-			j++
 		}
+		merged = append(merged, fresh[uint32(k)])
 	}
 	merged = append(merged, old[i:]...)
-	for _, e := range sorted[j:] {
-		merged = append(merged, e.vs)
-	}
 	r.epoch++
 	r.fill(merged)
 	// Listeners observe the same joins the incremental path would fire,
@@ -528,26 +527,101 @@ func (r *Ring) BulkAddNodes(count, numVS int, underlay func(i int) topology.Node
 	return nodes
 }
 
+// sortByID sorts keys, each an ID in its upper 32 bits, by that ID: a
+// least-significant-digit radix sort, a byte a pass, through tmp, which
+// is as long as keys. It returns whichever of the two holds the result.
+func sortByID(keys, tmp []uint64) []uint64 {
+	for shift := 32; shift < 64; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		if at[byte(keys[0]>>shift)] == len(keys) {
+			continue // one digit throughout: the pass would move nothing
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[at[d]] = k
+			at[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
 // drawFreeID is randomFreeID against a pending-membership set: bulk
 // population checks candidate identifiers against both the ring and the
 // batch being built, consuming the engine RNG in the same accept/reject
 // sequence the incremental path would.
-func (r *Ring) drawFreeID(used map[ident.ID]struct{}) ident.ID {
-	if uint64(len(used)) >= ident.SpaceSize {
+func (r *Ring) drawFreeID(used *idSet) ident.ID {
+	if uint64(used.n) >= ident.SpaceSize {
 		panic("chord: identifier space exhausted")
 	}
 	for i := 0; i < maxIDDraws; i++ {
 		id := ident.ID(r.eng.Rand().Uint32())
-		if _, ok := used[id]; !ok {
+		if !used.has(id) {
 			return id
 		}
 	}
 	cand := ident.ID(r.eng.Rand().Uint32())
-	for {
-		if _, ok := used[cand]; !ok {
-			return cand
-		}
+	for used.has(cand) {
 		cand = cand.Add(1)
+	}
+	return cand
+}
+
+// idSet is a set of identifiers sized once for the most it will hold:
+// open addressing with linear probing in a power-of-two table kept at
+// most half full. A slot holds an identifier, 0 marks it empty, and
+// identifier 0 itself is the flag zero.
+type idSet struct {
+	slots []uint32
+	zero  bool
+	n     int  // members
+	shift uint // 32 - log2(len(slots)): a hash's top bits pick the home slot
+}
+
+func newIDSet(most int) *idSet {
+	bits := uint(1)
+	for bits < 32 && 1<<bits < 2*most {
+		bits++
+	}
+	return &idSet{slots: make([]uint32, 1<<bits), shift: 32 - bits}
+}
+
+// find returns the slot that holds id, or the empty slot where its probe
+// sequence ends. id is not 0.
+//
+//lbvet:hotpath
+func (s *idSet) find(id uint32) int {
+	mask := len(s.slots) - 1
+	i := int((id * 0x9e3779b9) >> s.shift) // Fibonacci hashing
+	for s.slots[i] != id && s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (s *idSet) has(id ident.ID) bool {
+	if id == 0 {
+		return s.zero
+	}
+	return s.slots[s.find(uint32(id))] != 0
+}
+
+func (s *idSet) add(id ident.ID) {
+	if id == 0 {
+		if !s.zero {
+			s.zero, s.n = true, s.n+1
+		}
+		return
+	}
+	if i := s.find(uint32(id)); s.slots[i] == 0 {
+		s.slots[i], s.n = uint32(id), s.n+1
 	}
 }
 

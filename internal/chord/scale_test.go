@@ -2,6 +2,7 @@ package chord
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"p2plb/internal/ident"
@@ -63,6 +64,126 @@ func TestBulkAddMatchesIncremental(t *testing.T) {
 				t.Fatalf("node %d hosts different VS order", i)
 			}
 		}
+	}
+}
+
+// TestBulkAddRejectsTakenIDs drives the bulk join's rejection path: at
+// seed 1057 the engine's 1,441st draw repeats an earlier one, and the
+// ring already holds three of the first draws (AddNodeWithIDs draws
+// nothing). BulkAddNodes and an AddNode loop must both reject each of
+// those four draws and draw again — so each consumes exactly four draws
+// more than it joins — and end with identical rings.
+func TestBulkAddRejectsTakenIDs(t *testing.T) {
+	const seed, nodes, vsPer = 1057, 300, 5
+	replay := sim.NewEngine(seed)
+	draws := make([]ident.ID, nodes*vsPer+4+1)
+	for i := range draws {
+		draws[i] = ident.ID(replay.Rand().Uint32())
+	}
+	taken := []ident.ID{draws[0], draws[7], draws[8]}
+	repeat := -1
+	for i := range draws[:nodes*vsPer] {
+		if slices.Contains(draws[:i], draws[i]) {
+			repeat = i
+			break
+		}
+	}
+	if repeat < 0 || slices.Contains(taken, draws[repeat]) {
+		t.Fatalf("seed %d repeats no draw the join accepted (repeat at %d); the test covers no in-batch rejection", seed, repeat)
+	}
+	build := func(bulk bool) (*Ring, *sim.Engine) {
+		eng := sim.NewEngine(seed)
+		r := NewRing(eng, Config{})
+		if _, err := r.AddNodeWithIDs(-1, 100, taken); err != nil {
+			t.Fatal(err)
+		}
+		if bulk {
+			r.BulkAddNodes(nodes, vsPer, func(int) topology.NodeID { return -1 }, func(int) float64 { return 100 })
+		} else {
+			for range nodes {
+				r.AddNode(-1, 100, vsPer)
+			}
+		}
+		r.CheckInvariants()
+		return r, eng
+	}
+	a, engA := build(false)
+	b, engB := build(true)
+	va, vb := a.VServers(), b.VServers()
+	if len(va) != len(taken)+nodes*vsPer || len(vb) != len(va) {
+		t.Fatalf("rings hold %d and %d virtual servers, want %d", len(va), len(vb), len(taken)+nodes*vsPer)
+	}
+	for i := range va {
+		if va[i].ID != vb[i].ID || va[i].Owner.Index != vb[i].Owner.Index || va[i].Slot() != vb[i].Slot() {
+			t.Fatalf("VS %d: %s on node %d in slot %d incrementally, %s on node %d in slot %d in bulk",
+				i, va[i].ID, va[i].Owner.Index, va[i].Slot(), vb[i].ID, vb[i].Owner.Index, vb[i].Slot())
+		}
+	}
+	next := draws[nodes*vsPer+4]
+	if ga, gb := ident.ID(engA.Rand().Uint32()), ident.ID(engB.Rand().Uint32()); ga != next || gb != next {
+		t.Fatalf("next draw %s incrementally and %s in bulk, want %s: the joins did not reject exactly four draws", ga, gb, next)
+	}
+}
+
+// TestIDSetHoldsEveryKey: the bulk join's identifier set answers for
+// every key it was given, 0 and 2^32-1 among them, and for no other,
+// across keys that share a home slot.
+func TestIDSetHoldsEveryKey(t *testing.T) {
+	s := newIDSet(64)
+	var in []ident.ID
+	for i := 0; i < 64; i++ {
+		id := ident.ID(uint32(i) << 26) // top bits vary little: homes collide
+		if i%2 == 1 {
+			id = ident.ID(uint32(i) * 0x01000193)
+		}
+		s.add(id)
+		in = append(in, id)
+	}
+	s.add(math.MaxUint32)
+	s.add(in[3]) // a second add counts once
+	in = append(in, math.MaxUint32)
+	if s.n != len(in) {
+		t.Fatalf("set counts %d members, want %d", s.n, len(in))
+	}
+	for _, id := range in {
+		if !s.has(id) {
+			t.Fatalf("set lost %s", id)
+		}
+	}
+	for _, id := range []ident.ID{1, 1 << 25, math.MaxUint32 - 1} {
+		if s.has(id) {
+			t.Fatalf("set holds %s, never added", id)
+		}
+	}
+}
+
+// TestBulkAddAllocsPerCall: a bulk join allocates a fixed set of arrays,
+// however many nodes join; one allocation a node or a virtual server
+// would show as a tenfold larger join allocating more.
+func TestBulkAddAllocsPerCall(t *testing.T) {
+	allocs := func(count int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			r := NewRing(sim.NewEngine(1), Config{})
+			r.BulkAddNodes(count, 5, func(int) topology.NodeID { return -1 }, func(int) float64 { return 100 })
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	t.Logf("%.0f allocations joining 5,000 virtual servers, %.0f joining 50,000", small, large)
+	if large > small {
+		t.Errorf("joining 50,000 virtual servers made %.0f allocations, 5,000 made %.0f: the count grows with the join", large, small)
+	}
+}
+
+// BenchmarkBulkAdd128k is the bulk join at the round-oracle-128k
+// fixture's size: 25,600 nodes × 5 virtual servers join an empty ring,
+// each node's capacity drawn from the engine between its identifiers.
+func BenchmarkBulkAdd128k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine(int64(i))
+		r := NewRing(eng, Config{})
+		r.BulkAddNodes(25600, 5, func(int) topology.NodeID { return -1 },
+			func(int) float64 { return 100 + float64(eng.Rand().Intn(900)) })
 	}
 }
 
@@ -184,9 +305,9 @@ func TestRandomFreeIDBoundedRetries(t *testing.T) {
 	// pending set.
 	eng2 := sim.NewEngine(seed)
 	r2 := NewRing(eng2, Config{})
-	used := make(map[ident.ID]struct{}, len(occupied))
+	used := newIDSet(len(occupied))
 	for id := range occupied {
-		used[id] = struct{}{}
+		used.add(id)
 	}
 	if got := r2.drawFreeID(used); got != want {
 		t.Fatalf("drawFreeID = %s, want %s", got, want)

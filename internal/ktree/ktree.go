@@ -21,6 +21,10 @@
 //   - Leaf merging: adjacent sibling leaves owned by the same virtual
 //     server coalesce into one leaf with the concatenated region.
 //
+// Together they turn a region holding a single ownership boundary x
+// into exactly two leaves, [start, x] and the rest; the decomposition
+// emits those at once instead of descending to them.
+//
 // The children of an internal node tile its region in clockwise order;
 // because of the compressions a node can have more than K children, but
 // never fewer than two. Leaves still tile the identifier circle and a
@@ -35,10 +39,11 @@
 // pointers in the same slots, and a leaf list per chord.VServer.Slot.
 // The records hold no pointer, so the garbage collector never scans the
 // table and copying a record pays no write barrier; the host array is
-// written only where a record is planted or re-planted. Repair relinks
-// surviving children in place and plants in the slots earlier passes
-// freed (one stack, which only Build drops) before it grows the table,
-// so a Repair allocates what it changes.
+// written only where a record is planted or re-planted. Build grows the
+// table once, by the count of what it will plant, and writes each record
+// where it stays. Repair relinks surviving children in place and plants
+// in the slots earlier passes freed (one stack, which only Build drops)
+// before it grows the table, so a Repair allocates what it changes.
 //
 // Stale holders. A Handle carries the generation its slot had when it
 // was taken. A holder that keeps one across a Repair may find the node
@@ -66,7 +71,10 @@
 // (internal/par), reading only the ring's ID-sorted virtual servers.
 // Each subtree task stages what it plants and tallies; the merge gives
 // staged records their slots in task order, free stack first, so trees
-// are bit-identical, down to the handles, at any core count.
+// are bit-identical, down to the handles, at any core count. A fresh
+// task counts its nodes first; in a Build every task is fresh and no
+// slot is free, so each stages straight into the window of the table
+// its slots will be.
 //
 // Planting a KT node costs one DHT lookup, resolved against the
 // consistent ring and charged an estimated O(log₂ V) hops (the chord
@@ -104,11 +112,6 @@ const nilRef int32 = -1
 // maxDepth bounds a node's depth: every split at least halves a region,
 // and a region of one identifier is a leaf.
 const maxDepth = ident.Bits
-
-// nodesPerVS bounds the KT nodes a region holds per virtual server
-// owning part of it (chain collapse and leaf merging keep a K = 2 tree
-// near 4.3); a fresh subtree's stage is sized by it.
-const nodesPerVS = 5
 
 // Handle names one KT node: its slot in the tree's record table and the
 // slot's generation when the handle was taken. The zero Handle names no
@@ -589,9 +592,11 @@ type builder struct {
 	tasks []task
 
 	// A worker's new records, and the table slots whose links it set
-	// and which may therefore name one.
-	staged  []rec
-	patched []int32
+	// and which may therefore name one. A fresh task counts what it will
+	// plant first (count), and its stage has room for exactly that.
+	staged           []rec
+	patched          []int32
+	want, wantLeaves int
 
 	plants     int64
 	hbCount    int64
@@ -770,6 +775,16 @@ func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 	out, right, pos := b.bufs[lvl][:0], b.right[:0], b.pos
 	cur := R
 	for {
+		if b.lone(cur, lo, hi) {
+			// One ownership boundary, at x, the ID at position lo: every
+			// split below keeps it in one part and leaves the others
+			// covered, and what the chain emits merges into two leaves,
+			// [cur.Start, x] of lo's and the rest of (lo+1)'s.
+			left := ident.Region{Start: cur.Start, Width: cur.Start.Dist(b.vss[lo].ID) + 1}
+			out = emit(out, piece{region: left, host: lo})
+			out = emit(out, piece{region: ident.Region{Start: left.End(), Width: cur.Width - left.Width}, host: (lo + 1) % len(b.vss)})
+			break
+		}
 		parts := splitInto(cur, k, b.parts)
 		// pos[i] is the ring position of part i's start, pos[k] that of
 		// cur's end. Empty parts trail the split and end where cur does.
@@ -822,6 +837,20 @@ func (b *builder) decompose(R ident.Region, lo, hi, lvl int) []piece {
 	}
 	b.bufs[lvl], b.right = out, right
 	return out
+}
+
+// lone reports whether exactly one virtual-server ID lies in the
+// non-covered region r short of its last key, r's owners lying at ring
+// positions [lo, hi]: positions lo..hi-1 hold the IDs in r, and an ID on
+// r's last key marks no boundary inside it.
+//
+//lbvet:hotpath
+func (b *builder) lone(r ident.Region, lo, hi int) bool {
+	n := hi - lo
+	if b.vss[hi-1].ID == r.Start.Add(r.Width-1) {
+		n--
+	}
+	return n == 1
 }
 
 // emit appends p to a clockwise run of pieces, merging it into the last
@@ -924,34 +953,64 @@ func (b *builder) link(ref int32) *rec {
 }
 
 // runTasks runs the deferred subtree tasks across cores and merges the
-// workers in task order, so no slot depends on scheduling.
+// workers in task order, so no slot depends on scheduling. Each fresh
+// task first counts what it will plant. In a fresh pass (a Build: every
+// task fresh, no slot free) the table then grows once, and each task
+// stages straight into its window of it, the slots adopt would give it,
+// next to a window of the leaf list; otherwise each fresh task's stage
+// is sized to its count.
 func (t *Tree) runTasks(b *builder) {
 	workers := make([]*builder, len(b.tasks))
 	par.For(len(b.tasks), 0, func(idx int) {
 		tk := b.tasks[idx]
 		wb := &builder{t: t, vss: b.vss, dirty: b.dirty}
 		if tk.fresh {
-			// A fresh subtree plants all of itself. Staging it in one
-			// array spares the doubling copies; a repair task plants
-			// only what changed and keeps append's growth.
-			room := nodesPerVS * (tk.hi - tk.lo + 1)
-			wb.staged, wb.leaves = make([]rec, 0, room), make([]int32, 0, room)
+			wb.want, wb.wantLeaves = wb.count(t.recs[tk.n].region, tk.lo, tk.hi, 0)
 		}
-		wb.process(tk.n, tk.fresh, tk.lo, tk.hi, 0)
 		workers[idx] = wb
 	})
-	staged, most, leaves := 0, 0, 0
+	if b.dirty == nil && len(t.free) == 0 {
+		recs, leaves := 0, 0
+		for _, wb := range workers {
+			recs += wb.want
+			leaves += wb.wantLeaves
+		}
+		t.recs, t.hosts = roomFor(t.recs, recs), roomFor(t.hosts, recs)
+		b.leaves = slices.Grow(b.leaves, leaves)
+		r, l := len(t.recs), len(b.leaves)
+		for _, wb := range workers {
+			wb.staged = t.recs[r : r : r+wb.want]
+			wb.leaves = b.leaves[l : l : l+wb.wantLeaves]
+			r, l = r+wb.want, l+wb.wantLeaves
+		}
+	} else {
+		for _, wb := range workers {
+			if wb.want > 0 {
+				wb.staged, wb.leaves = make([]rec, 0, wb.want), make([]int32, 0, wb.wantLeaves)
+			}
+		}
+	}
+	par.For(len(b.tasks), 0, func(idx int) {
+		tk := b.tasks[idx]
+		wb := workers[idx]
+		wb.process(tk.n, tk.fresh, tk.lo, tk.hi, 0)
+		if tk.fresh && (len(wb.staged) != wb.want || len(wb.leaves) != wb.wantLeaves) {
+			// A stage that outgrew its window left the table; one that
+			// fell short left slots no record fills.
+			panic(fmt.Sprintf("ktree: a subtree task planted %d nodes and %d leaves, its count said %d and %d",
+				len(wb.staged), len(wb.leaves), wb.want, wb.wantLeaves))
+		}
+	})
+	staged, leaves := 0, 0
 	for _, wb := range workers {
 		staged += len(wb.staged)
-		most = max(most, len(wb.staged))
 		leaves += len(wb.leaves)
 	}
 	b.leaves = slices.Grow(b.leaves, leaves)
-	slot := make([]int32, most)
 	need := staged - len(t.free)
 	t.recs, t.hosts = roomFor(t.recs, need), roomFor(t.hosts, need)
 	for _, wb := range workers {
-		t.adopt(wb, slot)
+		t.adopt(wb)
 		b.plants += wb.plants
 		b.hbCount += wb.hbCount
 		b.hbCost += wb.hbCost
@@ -959,10 +1018,26 @@ func (t *Tree) runTasks(b *builder) {
 		for d, delta := range wb.depthDelta {
 			b.depthDelta[d] += delta
 		}
-		b.leaves = append(b.leaves, wb.leaves...)
+		b.leaves = append(b.leaves, wb.leaves...) // in a fresh pass, onto itself
 		b.removed = append(b.removed, wb.removed...)
 		b.freed = append(b.freed, wb.freed...)
 	}
+}
+
+// count returns how many nodes, and how many of them leaves, a fresh
+// node of region r, whose owners lie at ring positions [lo, hi], plants
+// below itself: what process will stage for it.
+func (b *builder) count(r ident.Region, lo, hi, lvl int) (nodes, leaves int) {
+	for _, p := range b.decompose(r, lo, hi, lvl) {
+		nodes++
+		if p.host >= 0 {
+			leaves++
+			continue
+		}
+		n, l := b.count(p.region, p.lo, p.hi, lvl+1)
+		nodes, leaves = nodes+n, leaves+l
+	}
+	return nodes, leaves
 }
 
 // roomFor returns s with room for need more entries and, when it must
@@ -979,32 +1054,32 @@ func roomFor[T any](s []T, need int) []T {
 // (as take would: the free stack's first, then new ones at the end),
 // and rewrites the refs to them in records, patched slots and leaves.
 // Knowing every slot first, it rewrites a record's refs as it copies
-// it. slot is scratch with room for every staged record, and the table
-// has room for those the free stack cannot take.
-func (t *Tree) adopt(wb *builder, slot []int32) {
-	slot = slot[:len(wb.staged)]
-	reuse := min(len(t.free), len(slot))
-	for j := range reuse {
-		slot[j] = t.free[len(t.free)-1-j]
-	}
+// it; a stage that is already the table's next window is rewritten in
+// place. The table has room for the records the free stack cannot take.
+func (t *Tree) adopt(wb *builder) {
+	reuse := min(len(t.free), len(wb.staged))
+	free := t.free[len(t.free)-reuse:] // staged record j < reuse takes free[reuse-1-j]
 	t.free = t.free[:len(t.free)-reuse]
-	end := len(t.recs)
-	for j := reuse; j < len(slot); j++ {
-		slot[j] = int32(end + j - reuse)
+	at := int32(len(t.recs) - reuse) // staged record j >= reuse takes slot at+j
+	t.recs, t.hosts = t.recs[:int(at)+len(wb.staged)], t.hosts[:int(at)+len(wb.staged)]
+	slot := func(j int) int32 {
+		if j < reuse {
+			return free[reuse-1-j]
+		}
+		return at + int32(j)
 	}
-	end += len(slot) - reuse
-	t.recs, t.hosts = t.recs[:end], t.hosts[:end]
 	fix := func(ref int32) int32 {
 		if ref < nilRef {
-			return slot[-2-ref]
+			return slot(int(-2 - ref))
 		}
 		return ref
 	}
 	for j, r := range wb.staged {
-		t.hosts[slot[j]] = wb.vss[r.gen] // the host's position, until now
+		s := slot(j)
+		t.hosts[s] = wb.vss[r.gen] // the host's position, until now
 		r.gen = t.nextGen()
 		r.parent, r.first, r.next = fix(r.parent), fix(r.first), fix(r.next)
-		t.recs[slot[j]] = r
+		t.recs[s] = r
 	}
 	for _, i := range wb.patched {
 		r := &t.recs[i]

@@ -2,11 +2,13 @@ package ktree_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/ident"
 	"p2plb/internal/ktree"
 	"p2plb/internal/sim"
 )
@@ -164,4 +166,96 @@ func matchReference(t *testing.T, seed int64, k int) {
 		}
 		requireSameTree(t, at, ref, refTree, got, tree)
 	}
+}
+
+// TestLoneBoundaryMatchesReference pins the edges of decompose's
+// one-boundary shortcut to the reference tree, on hand-placed
+// identifiers at K ∈ {2, 3, 8}: an ID on a region's last key, alone and
+// beside one inside it (the last key marks no boundary inside the
+// region), IDs 0 and 2^32−1, and two-VS rings. Each ring is built whole,
+// and grown from its first two IDs through one Repair.
+func TestLoneBoundaryMatchesReference(t *testing.T) {
+	last := func(r ident.Region) ident.ID { return r.Start.Add(r.Width - 1) }
+	for _, k := range []int{2, 3, 8} {
+		top := ident.Full().Split(k)
+		inner := top[0].Split(k)[1] // a region two splits down
+		for _, c := range []struct {
+			name string
+			ids  []ident.ID
+		}{
+			{"last-key-alone", []ident.ID{last(top[0]), top[k-1].Start.Add(17), top[1].Center()}},
+			{"last-key-beside-one", []ident.ID{inner.Start.Add(5), last(inner), top[k-1].Center()}},
+			{"last-key-beside-next", []ident.ID{last(inner).Add(math.MaxUint32), last(inner), top[1].Center(), 0}},
+			{"zero-and-top", []ident.ID{0, math.MaxUint32, top[1].Center()}},
+			{"two-vs-zero-and-top", []ident.ID{0, math.MaxUint32}},
+			{"two-vs-adjacent", []ident.ID{top[1].Center(), top[1].Center().Add(1)}},
+			{"two-vs-apart", []ident.ID{0x12345678, 0x9abcdef0}},
+			{"two-vs-last-keys", []ident.ID{last(top[0]), last(top[k-1])}},
+		} {
+			name, ids := c.name, c.ids
+			t.Run(fmt.Sprintf("K=%d/%s", k, name), func(t *testing.T) {
+				ref, got := placedTwin(t, ids), placedTwin(t, ids)
+				refTree, tree := buildBoth(t, ref, got, k)
+				requireSameTree(t, "build", ref, refTree, got, tree)
+
+				ref, got = placedTwin(t, ids[:2]), placedTwin(t, ids[:2])
+				refTree, tree = buildBoth(t, ref, got, k)
+				for _, w := range []twin{ref, got} {
+					for _, id := range ids[2:] {
+						if _, err := w.ring.AddNodeWithIDs(-1, 100, []ident.ID{id}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want, err := refTree.Repair()
+				if err != nil {
+					t.Fatal(err)
+				}
+				changes, err := tree.Repair()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree.CheckInvariants()
+				if changes != want {
+					t.Fatalf("repair: %d changes, reference %d", changes, want)
+				}
+				requireSameTree(t, "repair", ref, refTree, got, tree)
+			})
+		}
+	}
+}
+
+// placedTwin is a ring of one node per identifier.
+func placedTwin(t *testing.T, ids []ident.ID) twin {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	ring := chord.NewRing(eng, chord.Config{})
+	for _, id := range ids {
+		if _, err := ring.AddNodeWithIDs(-1, 100, []ident.ID{id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return twin{eng, ring}
+}
+
+// buildBoth builds the reference tree over ref and the tree under test
+// over got.
+func buildBoth(t *testing.T, ref, got twin, k int) (*Tree, *ktree.Tree) {
+	t.Helper()
+	refTree, err := New(ref.ring, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := ktree.New(got.ring, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := refTree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	tree.CheckInvariants()
+	return refTree, tree
 }

@@ -7,6 +7,8 @@ import (
 	"unsafe"
 
 	"p2plb/internal/chord"
+	"p2plb/internal/sim"
+	"p2plb/internal/workload"
 )
 
 // liveHeap returns the bytes reachable after a forced collection.
@@ -125,6 +127,36 @@ func TestBuildHeapProportional(t *testing.T) {
 			t.Errorf("%d nodes: Build holds %d bytes, budget %d", nodes, built, budget)
 		}
 		runtime.KeepAlive(tree)
+	}
+}
+
+// TestBuildAllocProportional: a fresh Build allocates little beyond the
+// tree it keeps. Each fresh subtree task counts its nodes and plants
+// them straight into its window of the table, which grows once, so what
+// the build allocates per KT node is a record and a host pointer (56 B)
+// with the table's slack, the leaf lists, and the workers' scratch —
+// not a staged copy of every record. The fixture is round-oracle-128k's
+// ring: 25,600 bulk-built nodes × 5 virtual servers, K = 2.
+func TestBuildAllocProportional(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const bytesPerNode = 96
+	ring := workload.NewRing(sim.NewEngine(1), workload.RingSpec{Nodes: 25600, VSPerNode: 5})
+	tree, err := New(ring, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := tree.Build(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	perNode := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(tree.NumNodes())
+	t.Logf("Build allocated %.1f MB for %d KT nodes: %.0f B a node", float64(m1.TotalAlloc-m0.TotalAlloc)/(1<<20), tree.NumNodes(), perNode)
+	if perNode > bytesPerNode {
+		t.Errorf("Build allocated %.0f B per KT node, want <= %d", perNode, bytesPerNode)
 	}
 }
 
