@@ -79,7 +79,7 @@ go build ./...
 echo "== examples (smoke)"
 # Nothing else runs the example mains: run the fast ones to completion,
 # and fail on a nonzero exit. Each takes under a second (quickstart
-# 7 ms, heterogeneous 54 ms, churn 65 ms, proximity 0.8 s). storage is
+# 7 ms, heterogeneous 54 ms, churn 65 ms, proximity 0.11 s). storage is
 # left out: twelve message-level rounds over 100k drifting objects take
 # about 22 s.
 for ex in quickstart heterogeneous churn proximity; do
@@ -107,9 +107,10 @@ echo "== go test -bench (one iteration each)"
 # makes a benchmark that no longer builds or panics fail here.
 # Every sim benchmark runs: each drives one scheduling path of the
 # event queue. So does every ktree benchmark: Build, a quiescent Repair
-# and a 1 % churn Repair.
+# and a 1 % churn Repair; and every topology one: generation, the
+# distance tables per preset and metric, and a query.
 go test -run '^$' -bench 'RoutedLookup|BulkAdd|ExactSubset|LosslessRound|RunRound' -benchtime=1x ./internal/chord ./internal/core ./internal/protocol
-go test -run '^$' -bench . -benchtime=1x ./internal/sim ./internal/ktree
+go test -run '^$' -bench . -benchtime=1x ./internal/sim ./internal/ktree ./internal/topology
 
 race_legs
 
@@ -138,6 +139,13 @@ echo "== go test -fuzz (ring against a sorted-slice model, 5 s)"
 # corpus in internal/chord/testdata/fuzz: after every step the blocked
 # ring must answer every positional query as one sorted slice does.
 go test -run '^$' -fuzz '^FuzzRingVsModel$' -fuzztime=5s ./internal/chord/
+
+echo "== go test -fuzz (distance tables against Dijkstra, 5 s)"
+# Small transit-stub shapes (1-4 transit domains of 1-4 nodes, 0-3 stub
+# domains a transit node, any edge probabilities and seed), mutated from
+# the seed corpus in internal/topology/testdata/fuzz: every pair's
+# Distances.Between must equal a whole-graph Dijkstra under both metrics.
+go test -run '^$' -fuzz '^FuzzDistancesVsDijkstra$' -fuzztime=5s ./internal/topology/
 
 echo "== cluster chaos smoke (4 processes, time-boxed)"
 # A real multi-process run: four lbd daemons over TCP, one SIGKILL

@@ -149,8 +149,8 @@ func ConstantLatency(c sim.Time) LatencyFunc {
 // TopologyLatency charges the underlay shortest-path distance between
 // the hosting nodes' positions. Every node on a topology-backed ring
 // must have a real underlay position: a negative Underlay (the "no
-// underlay" sentinel) would silently index garbage in the distance
-// cache, so it panics with a diagnosable message instead.
+// underlay" sentinel) would index outside the distance tables, so it
+// panics with a diagnosable message instead.
 func TopologyLatency(d *topology.Distances) LatencyFunc {
 	return func(a, b *Node) sim.Time {
 		if a == b || a.Underlay == b.Underlay {

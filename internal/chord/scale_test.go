@@ -371,7 +371,7 @@ func TestPosPanicsOffRing(t *testing.T) {
 
 // TestTopologyLatencyRejectsNegativeUnderlay pins the churn-joiner bug:
 // a node carrying the -1 "no underlay" sentinel must be rejected with a
-// clear panic instead of indexing garbage in the distance cache.
+// clear panic instead of indexing outside the distance tables.
 func TestTopologyLatencyRejectsNegativeUnderlay(t *testing.T) {
 	lat := TopologyLatency(nil) // panics before touching the distances
 	a := &Node{Index: 0, Underlay: -1}

@@ -160,6 +160,70 @@ func TestMovedLoadDistributionSmall(t *testing.T) {
 	if dist.Aware.FractionWithin(2) <= dist.Ignorant.FractionWithin(2) {
 		t.Error("aware does not dominate within 2 hops")
 	}
+
+	// Small twins of figs 7 and 8: the same drivers on both presets at
+	// 256 nodes over two graphs. Their PDFs are pinned bucket for bucket,
+	// so a change to the distance oracle, the landmark mapping or the
+	// round that moves either figure fails here.
+	twins := []struct {
+		name            string
+		topo            func(int64) topology.Params
+		aware, ignorant []float64
+	}{
+		{
+			"ts5k-large", topology.TS5kLarge,
+			[]float64{
+				0, 0.05925073306339919, 0.10344184186913871, 0, 0, 0, 0, 0.0022315236928279625,
+				0.04258556739938581, 0.13280947747171554, 0.1499763918136869, 0.06555271692947415,
+				0.09643099139008704, 0.11410524570523019, 0.10205492053446824, 0.04260431773114472,
+				0.02597385251741725, 0.0492682553003389, 0.011005025458460362, 0.0027091391232249864,
+			},
+			[]float64{
+				0, 0.005463060386558712, 0.0026305537585584685, 0, 0, 0, 0, 0.0009045552274382123,
+				0.024568584009882495, 0.03776156137240651, 0.07988772438575852, 0.046280375794288446,
+				0.11534562036373415, 0.17967430200036716, 0.2282113262246297, 0.06270093691299457,
+				0.0768635553932122, 0.09106762641808373, 0.03844450794906671, 0.010195709803020307,
+			},
+		},
+		{
+			"ts5k-small", topology.TS5kSmall,
+			[]float64{
+				0, 0.004711127926603918, 0, 0, 0, 0, 0.002818657902808421, 0.012351175295948447,
+				0.018384843973656004, 0.019481685303199707, 0.010227399502232367,
+				0.022711873869152598, 0.040565211703884885, 0.03416981408224644, 0.03971600072437041,
+				0.03060130848088566, 0.05473585682529414, 0.06211743912731475, 0.04350930422850176,
+				0.05810755348929794, 0.09636264739072037, 0.07184151017503777, 0.06249872340598713,
+				0.07470156959077591, 0.0808777618480571, 0.0632244355469056, 0.0310389280491636,
+				0.012904586666873757, 0.018279917593149436, 0.010505922888658295,
+				0.007340505086363486, 0.0052112715670516955, 0.0038272499772548678,
+				0.0014307089251289061, 0.0005674401870624971, 0.0010552597117058765,
+				0.0027755859575089767, 0.0013467229971972318,
+			},
+			[]float64{
+				0, 0.002403222691830261, 0, 0, 0, 0, 0, 0.0005923102830602075, 0.0008911485567836818,
+				0.001589243726013337, 0.006020673285119759, 0.003365691406600892,
+				0.007565327544882466, 0.00759576929124851, 0.014761410304099713, 0.01401087918726681,
+				0.04471804959334217, 0.045098599493895754, 0.06506531569515858, 0.07331575939888209,
+				0.1220093888348497, 0.07079435994895217, 0.10497814690429177, 0.08959719571825325,
+				0.08124120270491554, 0.0594947793964999, 0.05325253595784611, 0.03757545705651328,
+				0.026283489049269318, 0.02180228098814007, 0.018931582617857982,
+				0.010888301330555818, 0.007913332310713086, 0.0049650353450676355,
+				0.003279511378090244,
+			},
+		},
+	}
+	for _, tw := range twins {
+		dist, err := MovedLoadDistribution(tw.topo, 2, 1, 256, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dist.Aware.PDF(); !reflect.DeepEqual(got, tw.aware) {
+			t.Errorf("%s aware PDF = %#v, want %#v", tw.name, got, tw.aware)
+		}
+		if got := dist.Ignorant.PDF(); !reflect.DeepEqual(got, tw.ignorant) {
+			t.Errorf("%s ignorant PDF = %#v, want %#v", tw.name, got, tw.ignorant)
+		}
+	}
 }
 
 func TestMovedLoadDistributionErrors(t *testing.T) {

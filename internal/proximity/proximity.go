@@ -81,7 +81,10 @@ func ChooseSpread(g *topology.Graph, dist *topology.Distances, rng *rand.Rand, m
 	ids := make([]topology.NodeID, 0, m)
 	first := topology.NodeID(rng.Intn(n))
 	ids = append(ids, first)
-	minDist := append([]int32(nil), dist.From(first)...)
+	minDist := make([]int32, n)
+	for v := range minDist {
+		minDist[v] = dist.Between(first, topology.NodeID(v))
+	}
 	for len(ids) < m {
 		best, bestD := topology.NodeID(-1), int32(-1)
 		for v := 0; v < n; v++ {
@@ -90,8 +93,8 @@ func ChooseSpread(g *topology.Graph, dist *topology.Distances, rng *rand.Rand, m
 			}
 		}
 		ids = append(ids, best)
-		for v, d := range dist.From(best) {
-			if d < minDist[v] {
+		for v := range minDist {
+			if d := dist.Between(best, topology.NodeID(v)); d < minDist[v] {
 				minDist[v] = d
 			}
 		}
@@ -113,11 +116,11 @@ func newLandmarks(g *topology.Graph, dist *topology.Distances, ids []topology.No
 		minPerDim: make([]int32, len(ids)),
 		maxPerDim: make([]int32, len(ids)),
 	}
-	dist.Precompute(ids)
 	for i, id := range ids {
-		vec := dist.From(id)
-		min, max := vec[0], vec[0]
-		for _, d := range vec {
+		min := dist.Between(id, 0)
+		max := min
+		for v := 0; v < g.NumNodes(); v++ {
+			d := dist.Between(id, topology.NodeID(v))
 			if d < min {
 				min = d
 			}
@@ -169,7 +172,7 @@ func (l *Landmarks) DimRange(i int) (min, max int32) {
 func (l *Landmarks) Vector(n topology.NodeID) []int32 {
 	v := make([]int32, len(l.ids))
 	for i, lm := range l.ids {
-		v[i] = l.dist.From(lm)[n]
+		v[i] = l.dist.Between(lm, n)
 	}
 	return v
 }
@@ -213,9 +216,8 @@ func (m *Mapper) UseQuantileGrid(sample []topology.NodeID) error {
 	m.edges = make([][]int32, m.lm.Count())
 	dists := make([]int32, len(sample))
 	for dim, lmID := range m.lm.ids {
-		vec := m.lm.dist.From(lmID)
 		for i, n := range sample {
-			dists[i] = vec[n]
+			dists[i] = m.lm.dist.Between(lmID, n)
 		}
 		sort.Slice(dists, func(i, j int) bool { return dists[i] < dists[j] })
 		edges := make([]int32, levels-1)

@@ -59,7 +59,7 @@ func TestShortestLatencyAgainstBellmanFord(t *testing.T) {
 	}
 	n := g.NumNodes()
 	for src := 0; src < n; src += 2 {
-		got := g.ShortestFromMetric(NodeID(src), LatencyMetric)
+		got := shortestFrom(g, NodeID(src), LatencyMetric)
 		want := bellmanFordMetric(g, NodeID(src), LatencyMetric)
 		for v := 0; v < n; v++ {
 			if got[v] != want[v] {
@@ -157,13 +157,5 @@ func TestLatencyCorrelatesWithHops(t *testing.T) {
 	// agreement is impossible; require clear correlation.
 	if frac := float64(agree) / float64(total); frac < 0.65 {
 		t.Errorf("metrics agree on only %.0f%% of pair orderings", frac*100)
-	}
-}
-
-func BenchmarkShortestLatencyTS5kLarge(b *testing.B) {
-	g, _ := Generate(TS5kLarge(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ShortestFromMetric(NodeID(i%g.NumNodes()), LatencyMetric)
 	}
 }

@@ -18,10 +18,6 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-
-	"p2plb/internal/par"
 )
 
 // NodeID identifies an underlay node.
@@ -152,6 +148,11 @@ func (p Params) Validate() error {
 
 // Generate builds the transit-stub graph described by p. The result is
 // always connected. Generation is deterministic in p (including Seed).
+//
+// The transit nodes take IDs [0, T); each stub domain follows as one
+// contiguous ID run and hangs from its transit node by exactly one edge.
+// Distances relies on that single attachment: no shortest path enters a
+// stub domain it neither starts nor ends in.
 func Generate(p Params) (*Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -377,66 +378,23 @@ func edgeCost(e Edge, m Metric) int32 {
 	return e.Weight
 }
 
-// ShortestFrom computes single-source shortest-path distances under the
-// hop metric. The result slice is indexed by NodeID.
-func (g *Graph) ShortestFrom(src NodeID) []int32 {
-	return g.ShortestFromMetric(src, HopMetric)
-}
-
-// ShortestFromMetric computes single-source shortest-path distances from
-// src to every node under the chosen metric, using Dial's bucket
-// algorithm for the small-integer hop metric and a binary heap for the
-// latency metric.
-func (g *Graph) ShortestFromMetric(src NodeID, m Metric) []int32 {
-	if m == HopMetric {
-		return g.shortestDial(src)
-	}
-	return g.shortestHeap(src, m)
-}
-
-func (g *Graph) shortestDial(src NodeID) []int32 {
-	const unreached = int32(-1)
-	dist := make([]int32, len(g.nodes))
-	for i := range dist {
-		dist[i] = unreached
-	}
-	// Max possible distance bounds the bucket array.
-	maxDist := InterDomainWeight * len(g.nodes)
-	buckets := make([][]NodeID, maxDist+1)
-	dist[src] = 0
-	buckets[0] = append(buckets[0], src)
-	for d := 0; d <= maxDist; d++ {
-		for len(buckets[d]) > 0 {
-			v := buckets[d][len(buckets[d])-1]
-			buckets[d] = buckets[d][:len(buckets[d])-1]
-			if dist[v] != int32(d) {
-				continue // stale entry
-			}
-			for _, e := range g.adj[v] {
-				nd := int32(d) + e.Weight
-				if dist[e.To] == unreached || nd < dist[e.To] {
-					dist[e.To] = nd
-					buckets[nd] = append(buckets[nd], e.To)
-				}
-			}
-		}
-	}
-	return dist
-}
-
 // pqItem is a binary-heap entry for Dijkstra.
 type pqItem struct {
 	node NodeID
 	dist int32
 }
 
-func (g *Graph) shortestHeap(src NodeID, m Metric) []int32 {
+// dijkstra fills dist[v-lo] with the shortest-path distance from src to
+// every node v in [lo, lo+len(dist)) under m, over paths that stay inside
+// that ID range (-1 where there is none). Over the whole graph it is the
+// reference the tests hold Distances to.
+func (g *Graph) dijkstra(src NodeID, m Metric, lo NodeID, dist []int32) {
 	const unreached = int32(-1)
-	dist := make([]int32, len(g.nodes))
 	for i := range dist {
 		dist[i] = unreached
 	}
-	dist[src] = 0
+	hi := lo + NodeID(len(dist))
+	dist[src-lo] = 0
 	heap := []pqItem{{src, 0}}
 	pop := func() pqItem {
 		top := heap[0]
@@ -475,78 +433,111 @@ func (g *Graph) shortestHeap(src NodeID, m Metric) []int32 {
 	}
 	for len(heap) > 0 {
 		it := pop()
-		if it.dist != dist[it.node] {
+		if it.dist != dist[it.node-lo] {
 			continue // stale
 		}
 		for _, e := range g.adj[it.node] {
+			if e.To < lo || e.To >= hi {
+				continue
+			}
 			nd := it.dist + edgeCost(e, m)
-			if dist[e.To] == unreached || nd < dist[e.To] {
-				dist[e.To] = nd
+			if d := &dist[e.To-lo]; *d == unreached || nd < *d {
+				*d = nd
 				push(pqItem{e.To, nd})
 			}
 		}
 	}
-	return dist
 }
 
-// Distances caches per-source shortest-path vectors under one metric and
-// computes them in parallel on demand. It is safe for concurrent use.
+// Distances answers shortest-path queries under one metric from tables
+// that NewDistancesMetric builds once and nothing writes after, so it is
+// safe for concurrent use. A block is the transit tier (IDs [0, T)) or
+// one stub domain, with an all-pairs table over paths inside it. Generate
+// hangs each stub domain from one transit node, its gate, by one edge,
+// and every edge weight is positive, so a path between blocks runs up to
+// the gates and across the tier: up[a] + tier[gate[a]][gate[b]] + up[b].
 type Distances struct {
-	g      *Graph
 	metric Metric
-	cache  []atomic.Pointer[[]int32] // indexed by source; nil until computed
-	locks  []sync.Mutex
+	start  []NodeID  // block b holds the IDs [start[b], start[b+1]); block 0 is the tier
+	tables [][]int32 // per block, row-major over its IDs
+	block  []int32   // per node
+	gate   []NodeID  // per node
+	up     []int32   // per node: distance to its gate, attaching edge included
 }
 
 // NewDistances returns a hop-metric distance oracle over g.
 func NewDistances(g *Graph) *Distances { return NewDistancesMetric(g, HopMetric) }
 
 // NewDistancesMetric returns a distance oracle over g under the chosen
-// metric.
+// metric. It panics if a stub domain does not hang from the transit tier
+// by exactly one edge, which only a generator bug can cause.
 func NewDistancesMetric(g *Graph, m Metric) *Distances {
-	return &Distances{
-		g:      g,
+	n := NodeID(len(g.nodes))
+	d := &Distances{
 		metric: m,
-		cache:  make([]atomic.Pointer[[]int32], g.NumNodes()),
-		locks:  make([]sync.Mutex, g.NumNodes()),
+		start:  []NodeID{0},
+		block:  make([]int32, n),
+		gate:   make([]NodeID, n),
+		up:     make([]int32, n),
 	}
+	tier := NodeID(0)
+	for tier < n && g.nodes[tier].Kind == Transit {
+		tier++
+	}
+	for v := tier; v < n; v++ {
+		if v == tier || g.nodes[v].Domain != g.nodes[v-1].Domain {
+			d.start = append(d.start, v)
+		}
+	}
+	d.start = append(d.start, n)
+	for b := 0; b+1 < len(d.start); b++ {
+		lo, hi := d.start[b], d.start[b+1]
+		size := int(hi - lo)
+		table := make([]int32, size*size)
+		for v := lo; v < hi; v++ {
+			g.dijkstra(v, m, lo, table[int(v-lo)*size:][:size])
+			d.block[v] = int32(b)
+			d.gate[v] = v // a stub node's gate is set below
+		}
+		d.tables = append(d.tables, table)
+		if b == 0 {
+			continue
+		}
+		// The domain's one edge out gives its gate, the member at its
+		// near end and its cost, hence every member's distance up.
+		exits := 0
+		var member, gate NodeID
+		var cost int32
+		for v := lo; v < hi; v++ {
+			for _, e := range g.adj[v] {
+				if e.To < lo || e.To >= hi {
+					exits++
+					member, gate, cost = v, e.To, edgeCost(e, m)
+				}
+			}
+		}
+		if exits != 1 || gate >= tier {
+			panic(fmt.Sprintf("topology: stub domain at node %d has %d edges out, want one to the transit tier", lo, exits))
+		}
+		for v := lo; v < hi; v++ {
+			d.gate[v] = gate
+			d.up[v] = table[int(member-lo)*size+int(v-lo)] + cost
+		}
+	}
+	return d
 }
 
 // Metric returns the oracle's metric.
 func (d *Distances) Metric() Metric { return d.metric }
 
-// From returns the distance vector from src, computing and caching it on
-// first use. Concurrent callers for the same source compute it once.
-// The returned slice must not be modified.
-func (d *Distances) From(src NodeID) []int32 {
-	if p := d.cache[src].Load(); p != nil {
-		return *p
-	}
-	d.locks[src].Lock()
-	defer d.locks[src].Unlock()
-	if p := d.cache[src].Load(); p != nil {
-		return *p
-	}
-	v := d.g.ShortestFromMetric(src, d.metric)
-	d.cache[src].Store(&v)
-	return v
-}
-
-// Between returns the shortest-path distance between a and b in latency
-// units.
+// Between returns the shortest-path distance between a and b under the
+// oracle's metric.
 func (d *Distances) Between(a, b NodeID) int32 {
-	if p := d.cache[a].Load(); p != nil {
-		return (*p)[b]
+	if blk := d.block[a]; blk == d.block[b] {
+		lo := d.start[blk]
+		size := int(d.start[blk+1] - lo)
+		return d.tables[blk][int(a-lo)*size+int(b-lo)]
 	}
-	if p := d.cache[b].Load(); p != nil {
-		return (*p)[a]
-	}
-	return d.From(a)[b]
-}
-
-// Precompute fills the cache for every source in srcs, in parallel.
-func (d *Distances) Precompute(srcs []NodeID) {
-	par.For(len(srcs), 0, func(i int) {
-		d.From(srcs[i])
-	})
+	tier := int(d.start[1])
+	return d.up[a] + d.tables[0][int(d.gate[a])*tier+int(d.gate[b])] + d.up[b]
 }

@@ -164,7 +164,7 @@ func TestShortestFromAgainstBellmanFord(t *testing.T) {
 	}
 	n := g.NumNodes()
 	for src := 0; src < n; src += 3 {
-		got := g.ShortestFrom(NodeID(src))
+		got := shortestFrom(g, NodeID(src), HopMetric)
 		want := bellmanFord(g, NodeID(src))
 		for v := 0; v < n; v++ {
 			if got[v] != want[v] {
@@ -204,7 +204,7 @@ func bellmanFord(g *Graph, src NodeID) []int32 {
 
 func TestShortestPathProperties(t *testing.T) {
 	g, _ := Generate(TS5kLarge(5))
-	d := g.ShortestFrom(0)
+	d := shortestFrom(g, 0, HopMetric)
 	if d[0] != 0 {
 		t.Fatal("self distance nonzero")
 	}
@@ -225,6 +225,7 @@ func TestIntraStubDistancesShort(t *testing.T) {
 	// The ts5k-large reproduction hinges on nodes in the same stub domain
 	// being a couple of hops apart (dense stub domains).
 	g, _ := Generate(TS5kLarge(6))
+	dist := NewDistances(g)
 	rng := rand.New(rand.NewSource(1))
 	stubs := g.StubNodes()
 	within2 := 0
@@ -245,7 +246,7 @@ func TestIntraStubDistancesShort(t *testing.T) {
 			continue
 		}
 		trials++
-		if g.ShortestFrom(a)[b] <= 2 {
+		if dist.Between(a, b) <= 2 {
 			within2++
 		}
 	}
@@ -276,33 +277,6 @@ func TestInterDomainDistancesLong(t *testing.T) {
 	}
 	if frac := float64(far) / float64(trials); frac < 0.6 {
 		t.Errorf("only %.0f%% of cross-domain pairs are >=10 units apart", frac*100)
-	}
-}
-
-func TestDistancesCacheConsistency(t *testing.T) {
-	g, _ := Generate(TS5kSmall(9))
-	d := NewDistances(g)
-	// Concurrent access to overlapping sources must agree with direct
-	// computation (run with -race to check synchronization).
-	srcs := []NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	d.Precompute(srcs)
-	for _, s := range srcs {
-		want := g.ShortestFrom(s)
-		got := d.From(s)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("cached dist(%d,%d) = %d, want %d", s, v, got[v], want[v])
-			}
-		}
-	}
-	if d.Between(3, 100) != d.From(3)[100] {
-		t.Error("Between disagrees with From")
-	}
-	// Between with only the second argument cached.
-	d2 := NewDistances(g)
-	d2.Precompute([]NodeID{50})
-	if d2.Between(40, 50) != g.ShortestFrom(50)[40] {
-		t.Error("Between with reversed cache lookup wrong (undirected graphs are symmetric)")
 	}
 }
 
@@ -393,13 +367,5 @@ func BenchmarkGenerateTS5kLarge(b *testing.B) {
 		if _, err := Generate(TS5kLarge(int64(i))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkShortestFromTS5kLarge(b *testing.B) {
-	g, _ := Generate(TS5kLarge(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ShortestFrom(NodeID(i % g.NumNodes()))
 	}
 }
