@@ -76,7 +76,7 @@ echo "== lbvet"
 echo "== go build"
 go build ./...
 
-echo "== examples (smoke)"
+echo "== examples and lbsim (smoke)"
 # Nothing else runs the example mains: run the fast ones to completion,
 # and fail on a nonzero exit. Each takes under a second (quickstart
 # 7 ms, heterogeneous 54 ms, churn 65 ms, proximity 0.11 s). storage is
@@ -85,6 +85,12 @@ echo "== examples (smoke)"
 for ex in quickstart heterogeneous churn proximity; do
 	go build -o "$bin/$ex" "./examples/$ex"
 	"$bin/$ex" >/dev/null
+done
+# Nor does anything run lbsim's main: print figures 4-6 from a small
+# ring (each about 10 ms at 256 nodes).
+go build -o "$bin/lbsim" ./cmd/lbsim
+for fig in 4 5 6; do
+	"$bin/lbsim" -fig "$fig" -nodes 256 >/dev/null
 done
 
 echo "== no orphan packages"

@@ -45,7 +45,6 @@ func main() {
 		os.Exit(1)
 	}
 	lat := topology.NewDistancesMetric(g, topology.LatencyMetric)
-	hops := topology.NewDistances(g)
 	rng := rand.New(rand.NewSource(*seed))
 	lm, err := proximity.ChooseSpread(g, lat, rng, *lmCount)
 	if err != nil {
@@ -86,6 +85,7 @@ func main() {
 		"same region (<=9 hops)":      {},
 		"far (>=10 hops)":             {},
 	}
+	hops := topology.NewDistances(g)
 	stubs := g.StubNodes()
 	for sampled := 0; sampled < 20000; {
 		a := stubs[rng.Intn(len(stubs))]

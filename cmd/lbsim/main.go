@@ -290,16 +290,11 @@ func setupWith(seed int64, nodes int, eps float64) exp.Setup {
 func fig4(seed int64, nodes int, eps float64, csvOut string, reg *metrics.Registry) error {
 	s := setupWith(seed, nodes, eps)
 	s.Metrics = reg
-	inst, err := exp.Build(s)
+	ba, err := exp.Fig4(s)
 	if err != nil {
 		return err
 	}
-	before := inst.Balancer.UnitLoads()
-	res, err := inst.Balancer.RunRound()
-	if err != nil {
-		return err
-	}
-	after := inst.Balancer.UnitLoads()
+	before, after, res := ba.UnitBefore, ba.UnitAfter, ba.Result
 
 	fmt.Printf("Figure 4 — unit load (load/capacity) per node, Gaussian, N=%d, eps=%.2f\n", nodes, eps)
 	fmt.Printf("  heavy before: %d (%.0f%%)   heavy after: %d\n",
@@ -340,16 +335,10 @@ func fig56(seed int64, nodes int, eps float64, pareto bool, csvOut string, reg *
 	s := setupWith(seed, nodes, eps)
 	s.Pareto = pareto
 	s.Metrics = reg
-	inst, err := exp.Build(s)
+	classes, res, err := exp.LoadByCapacity(s)
 	if err != nil {
 		return err
 	}
-	before := inst.Balancer.LoadByCapacityClass()
-	res, err := inst.Balancer.RunRound()
-	if err != nil {
-		return err
-	}
-	after := inst.Balancer.LoadByCapacityClass()
 
 	fmt.Printf("Figure %s — load by node capacity class, %s, N=%d\n", figNo, name, nodes)
 	fmt.Printf("  heavy before: %d, after: %d; moved %.1f%% of total load\n",
@@ -357,14 +346,13 @@ func fig56(seed int64, nodes int, eps float64, pareto bool, csvOut string, reg *
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  capacity\tnodes\tmean load before\tmean load after\tunit before\tunit after")
 	rows := [][]string{{"capacity", "nodes", "mean_before", "mean_after", "unit_before", "unit_after"}}
-	for _, c := range before.Classes() {
+	for _, c := range classes {
 		fmt.Fprintf(w, "  %.0f\t%d\t%.1f\t%.1f\t%.2f\t%.2f\n",
-			c, before.Count(c), before.Mean(c), after.Mean(c),
-			before.Mean(c)/c, after.Mean(c)/c)
+			c.Capacity, c.Nodes, c.MeanBefore, c.MeanAfter, c.UnitBefore, c.UnitAfter)
 		rows = append(rows, []string{
-			fmtF(c), strconv.Itoa(before.Count(c)),
-			fmtF(before.Mean(c)), fmtF(after.Mean(c)),
-			fmtF(before.Mean(c) / c), fmtF(after.Mean(c) / c),
+			fmtF(c.Capacity), strconv.Itoa(c.Nodes),
+			fmtF(c.MeanBefore), fmtF(c.MeanAfter),
+			fmtF(c.UnitBefore), fmtF(c.UnitAfter),
 		})
 	}
 	w.Flush()

@@ -169,10 +169,11 @@ type Config struct {
 	// Latency is the inter-node message latency model. nil means
 	// ConstantLatency(1).
 	Latency LatencyFunc
-	// MinHopLatency is added to every overlay hop so that co-located
-	// nodes still spend nonzero time per hop. Default 1.
-	MinHopLatency sim.Time
 }
+
+// minHopLatency is added to every overlay hop so that co-located nodes
+// still spend nonzero time per hop.
+const minHopLatency sim.Time = 1
 
 // Ring is the Chord overlay.
 type Ring struct {
@@ -230,9 +231,6 @@ const (
 func NewRing(eng *sim.Engine, cfg Config) *Ring {
 	if cfg.Latency == nil {
 		cfg.Latency = ConstantLatency(1)
-	}
-	if cfg.MinHopLatency == 0 {
-		cfg.MinHopLatency = 1
 	}
 	return &Ring{eng: eng, cfg: cfg, epoch: 1, blockMax: blockSize}
 }
@@ -776,7 +774,7 @@ type LookupResult struct {
 // Lookup routes a lookup for key starting at the physical node from,
 // delivering the result asynchronously after the routed path's latency.
 // Each overlay hop costs the underlay latency between consecutive
-// hosting nodes (plus MinHopLatency) and is counted as a message.
+// hosting nodes (plus minHopLatency) and is counted as a message.
 func (r *Ring) Lookup(from *Node, key ident.ID, cb func(LookupResult)) {
 	r.lookup(from, key, nil, cb)
 }
@@ -861,7 +859,7 @@ func (r *Ring) lookupStep(h *lookupHop, cur *VServer) {
 //
 //lbvet:hotpath
 func (r *Ring) sendHop(h *lookupHop, from *Node, to *VServer) {
-	hop := r.cfg.Latency(from, to.Owner) + r.cfg.MinHopLatency
+	hop := r.cfg.Latency(from, to.Owner) + minHopLatency
 	r.eng.CountMessage(MsgLookupHop, hop)
 	h.to = to
 	h.hops++

@@ -20,31 +20,21 @@ type ChaosConfig struct {
 	DataDir string
 	Seed    int64
 	Procs   int
-	VSPer   int
 	Rounds  int
 	Kills   int
-	// DriftSigma is the per-round load drift (default 0.15).
-	DriftSigma float64
-	// RoundTimeout bounds one round's settle (default 30s).
-	RoundTimeout time.Duration
-	// HoldPerRound converts a KillEvent's RestartAfter rounds into a
-	// wall-clock restart hold (default 600ms).
-	HoldPerRound time.Duration
 }
 
+// The chaos cluster's fixed shape: virtual servers per daemon, the
+// per-round load drift, the bound on one round's settle, and the
+// wall-clock restart hold a KillEvent's RestartAfter rounds convert to.
+const (
+	chaosVSPer        = 5
+	chaosDriftSigma   = 0.15
+	chaosRoundTimeout = 30 * time.Second
+	chaosHoldPerRound = 600 * time.Millisecond
+)
+
 func (c *ChaosConfig) withDefaults() {
-	if c.DriftSigma == 0 {
-		c.DriftSigma = 0.15
-	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 30 * time.Second
-	}
-	if c.HoldPerRound <= 0 {
-		c.HoldPerRound = 600 * time.Millisecond
-	}
-	if c.VSPer <= 0 {
-		c.VSPer = 5
-	}
 	if c.Rounds <= 0 {
 		c.Rounds = 8
 	}
@@ -151,10 +141,10 @@ func runChaosOnce(cfg ChaosConfig, name string, plan *faults.KillPlan) (*ChaosRe
 		ClusterID:  fmt.Sprintf("chaos-%d-%s", cfg.Seed, name),
 		Seed:       cfg.Seed,
 		Procs:      cfg.Procs,
-		VSPerNode:  cfg.VSPer,
+		VSPerNode:  chaosVSPer,
 		Addrs:      addrs,
 		HTTPAddrs:  httpAddrs,
-		DriftSigma: cfg.DriftSigma,
+		DriftSigma: chaosDriftSigma,
 	}
 	sup, err := NewSupervisor(spec, cfg.Bin, dir)
 	if err != nil {
@@ -184,13 +174,13 @@ func runChaosOnce(cfg ChaosConfig, name string, plan *faults.KillPlan) (*ChaosRe
 			// Let the round reach mid-flight before pulling the trigger.
 			time.Sleep(200 * time.Millisecond)
 			for _, ev := range evs {
-				hold := time.Duration(ev.RestartAfter) * cfg.HoldPerRound
+				hold := time.Duration(ev.RestartAfter) * chaosHoldPerRound
 				if err := sup.Kill(ev.Victim, hold); err != nil {
 					return nil, fmt.Errorf("cluster: round %d kill rank %d: %w", r, ev.Victim, err)
 				}
 			}
 		}
-		sts, err = sup.Settle(r, cfg.RoundTimeout)
+		sts, err = sup.Settle(r, chaosRoundTimeout)
 		if err != nil {
 			return nil, err
 		}

@@ -124,11 +124,44 @@ type Instance struct {
 	Mapper       *proximity.Mapper // nil unless proximity-aware
 }
 
+// underlay is a generated topology with its two distance tables.
+// Nothing writes to it once made, so instances can share it.
+type underlay struct {
+	graph    *topology.Graph
+	hop, lat *topology.Distances
+}
+
+// newUnderlay generates p at seed and builds both distance tables.
+// Generate draws from the seed alone, never from an engine's stream, so
+// every instance of one seed can share what this returns.
+func newUnderlay(p topology.Params, seed int64) (*underlay, error) {
+	p.Seed = seed
+	g, err := topology.Generate(p)
+	if err != nil {
+		return nil, err
+	}
+	return &underlay{graph: g, hop: topology.NewDistances(g),
+		lat: topology.NewDistancesMetric(g, topology.LatencyMetric)}, nil
+}
+
 // Build assembles an Instance: generate the underlay (if any), create
 // the loaded ring (workload.NewRing: Gnutella-like capacities, loads
 // from the load model by each VS's identifier-space fraction), build the
 // K-nary tree, choose landmarks, and wire up the balancer.
 func Build(s Setup) (*Instance, error) {
+	var u *underlay
+	if s.Topology != nil {
+		var err error
+		if u, err = newUnderlay(*s.Topology, s.Seed); err != nil {
+			return nil, err
+		}
+	}
+	return build(s, u)
+}
+
+// build is Build over u, the underlay s.Topology generates at s.Seed
+// (nil without one).
+func build(s Setup, u *underlay) (*Instance, error) {
 	s.fill()
 	if s.Nodes < 1 || s.VSPerNode < 1 {
 		return nil, fmt.Errorf("exp: need at least one node and one VS per node")
@@ -139,20 +172,15 @@ func Build(s Setup) (*Instance, error) {
 
 	spec := workload.RingSpec{Nodes: s.Nodes, VSPerNode: s.VSPerNode}
 	var underlays []topology.NodeID
-	if s.Topology != nil {
-		p := *s.Topology
-		p.Seed = s.Seed
-		g, err := topology.Generate(p)
-		if err != nil {
-			return nil, err
-		}
+	if u != nil {
+		g := u.graph
 		if len(g.StubNodes()) < s.Nodes {
 			return nil, fmt.Errorf("exp: topology has %d stub nodes, need %d",
 				len(g.StubNodes()), s.Nodes)
 		}
 		inst.Graph = g
-		inst.HopDistances = topology.NewDistances(g)
-		inst.LatDistances = topology.NewDistancesMetric(g, topology.LatencyMetric)
+		inst.HopDistances = u.hop
+		inst.LatDistances = u.lat
 		spec.Latency = chord.TopologyLatency(inst.LatDistances)
 		underlays = g.SampleStubNodes(inst.Engine.Rand(), s.Nodes)
 		spec.Underlay = func(i int) topology.NodeID { return underlays[i] }

@@ -94,7 +94,7 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestFig4ShapeSmall(t *testing.T) {
-	ba, err := beforeAfter(smallSetup(4))
+	ba, err := Fig4(smallSetup(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,8 @@ func TestVSATimesScaling(t *testing.T) {
 }
 
 func TestFig4Driver(t *testing.T) {
-	// The public Fig4 entry point at reduced scale via DefaultSetup is
-	// too slow for unit tests, so drive the same path through
-	// beforeAfter (Fig4 is a thin wrapper) — plus sanity on the
-	// percentage helper.
-	ba, err := beforeAfter(smallSetup(20))
+	// Fig4 at reduced scale, plus sanity on the percentage helper.
+	ba, err := Fig4(smallSetup(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +275,8 @@ func TestFig4Driver(t *testing.T) {
 }
 
 func TestLoadByCapacityDriver(t *testing.T) {
-	// Exercise the exported LoadByCapacity through a full (small) run by
-	// temporarily standing in for the default scale via VSATimes-style
-	// setup; the full-scale path is covered by cmd/lbsim and benches.
-	rows, res, err := LoadByCapacity(21, false)
+	// LoadByCapacity at the paper's scale, the run `lbsim -fig 5` prints.
+	rows, res, err := LoadByCapacity(DefaultSetup(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,10 @@ func (b *BeforeAfter) PercentHeavyBefore() float64 {
 	return float64(b.Result.HeavyBefore) / float64(total)
 }
 
-// Fig4 reproduces Figure 4: the unit-load scatter before/after load
-// balancing under the Gaussian load model (no underlay needed).
-func Fig4(seed int64) (*BeforeAfter, error) {
-	return beforeAfter(DefaultSetup(seed))
-}
-
-func beforeAfter(s Setup) (*BeforeAfter, error) {
+// Fig4 reproduces Figure 4 on s: the per-node unit loads before and
+// after one load-balancing round (the paper's Gaussian load model and
+// no underlay, at DefaultSetup).
+func Fig4(s Setup) (*BeforeAfter, error) {
 	inst, err := Build(s)
 	if err != nil {
 		return nil, err
@@ -62,12 +59,10 @@ type CapacityClassRow struct {
 	UnitAfter  float64
 }
 
-// LoadByCapacity reproduces Figures 5 (Gaussian) and 6 (Pareto): the
-// distribution of load across node-capacity classes before and after
-// load balancing.
-func LoadByCapacity(seed int64, pareto bool) ([]CapacityClassRow, *core.Result, error) {
-	s := DefaultSetup(seed)
-	s.Pareto = pareto
+// LoadByCapacity reproduces Figures 5 (Gaussian) and 6 (s.Pareto) on
+// s: the distribution of load across node-capacity classes before and
+// after one load-balancing round.
+func LoadByCapacity(s Setup) ([]CapacityClassRow, *core.Result, error) {
 	inst, err := Build(s)
 	if err != nil {
 		return nil, nil, err
@@ -124,57 +119,55 @@ func (m *MovedLoadDist) MeanHops() (aware, ignorant float64) {
 // MovedLoadDistribution reproduces Figures 7 and 8: run one
 // load-balancing round per mode on `graphs` independent topology
 // instances (the paper runs 10 graphs per topology) and aggregate the
-// moved-load-versus-distance histograms. Instances run in parallel; a
+// moved-load-versus-distance histograms. Both modes of one seed share
+// its generated graph and distance tables. Instances run in parallel; a
 // non-nil registry is shared across all of them (its primitives are
 // concurrency-safe), so one snapshot covers the whole sweep.
 func MovedLoadDistribution(topo func(seed int64) topology.Params, graphs int, seedBase int64, nodes int, reg *metrics.Registry) (*MovedLoadDist, error) {
 	if graphs < 1 {
 		return nil, fmt.Errorf("exp: need at least one graph instance")
 	}
-	type trial struct {
-		mode core.Mode
-		seed int64
+	seeds := make([]int64, graphs)
+	for g := range seeds {
+		seeds[g] = seedBase + int64(g)
 	}
-	var trials []trial
-	for g := 0; g < graphs; g++ {
-		seed := seedBase + int64(g)
-		trials = append(trials, trial{core.ProximityAware, seed}, trial{core.ProximityIgnorant, seed})
-	}
-	type trialOut struct {
-		mode core.Mode
-		res  *core.Result
-		err  error
-	}
-	results := par.Map(trials, 0, func(tr trial) trialOut {
-		p := topo(tr.seed)
-		s := DefaultSetup(tr.seed)
-		s.Nodes = nodes
-		s.Topology = &p
-		s.Mode = tr.mode
-		s.Metrics = reg
-		inst, err := Build(s)
+	modes := [2]core.Mode{core.ProximityAware, core.ProximityIgnorant}
+	results, err := par.MapErr(seeds, 0, func(seed int64) (out [2]*core.Result, err error) {
+		p := topo(seed)
+		u, err := newUnderlay(p, seed)
 		if err != nil {
-			return trialOut{tr.mode, nil, err}
+			return out, err
 		}
-		res, err := inst.Balancer.RunRound()
-		return trialOut{tr.mode, res, err}
+		for i, mode := range modes {
+			s := DefaultSetup(seed)
+			s.Nodes = nodes
+			s.Topology = &p
+			s.Mode = mode
+			s.Metrics = reg
+			inst, err := build(s, u)
+			if err != nil {
+				return out, err
+			}
+			if out[i], err = inst.Balancer.RunRound(); err != nil {
+				return out, err
+			}
+		}
+		return out, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	out := &MovedLoadDist{
 		Aware:    &stats.WeightedHistogram{},
 		Ignorant: &stats.WeightedHistogram{},
 		Graphs:   graphs,
 	}
 	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.mode == core.ProximityAware {
-			out.Aware.Merge(r.res.MovedByHops)
-			out.HeavyResidualAware += r.res.HeavyAfter
-		} else {
-			out.Ignorant.Merge(r.res.MovedByHops)
-			out.HeavyResidualIgnorant += r.res.HeavyAfter
-		}
+		aware, ignorant := r[0], r[1]
+		out.Aware.Merge(aware.MovedByHops)
+		out.HeavyResidualAware += aware.HeavyAfter
+		out.Ignorant.Merge(ignorant.MovedByHops)
+		out.HeavyResidualIgnorant += ignorant.HeavyAfter
 	}
 	return out, nil
 }

@@ -44,9 +44,10 @@ type KillPlanConfig struct {
 	// the harness wants guaranteed round triggers, or rank 0 when it
 	// doubles as a coordinator).
 	Protect []int
-	// MaxRestartRounds caps RestartAfter (default 2).
-	MaxRestartRounds int
 }
+
+// maxRestartRounds caps a KillEvent's RestartAfter.
+const maxRestartRounds = 2
 
 // NewKillPlan draws a deterministic schedule from the seed. Events are
 // sorted by (Round, Victim) and no victim is killed twice in the same
@@ -55,9 +56,6 @@ type KillPlanConfig struct {
 func NewKillPlan(seed int64, cfg KillPlanConfig) (*KillPlan, error) {
 	if cfg.Rounds < 4 {
 		return nil, fmt.Errorf("faults: kill plan needs at least 4 rounds, got %d", cfg.Rounds)
-	}
-	if cfg.MaxRestartRounds <= 0 {
-		cfg.MaxRestartRounds = 2
 	}
 	protected := make(map[int]bool, len(cfg.Protect))
 	for _, r := range cfg.Protect {
@@ -80,7 +78,7 @@ func NewKillPlan(seed int64, cfg KillPlanConfig) (*KillPlan, error) {
 		ev := KillEvent{
 			Round:        1 + rng.Intn(lastRound),
 			Victim:       victims[rng.Intn(len(victims))],
-			RestartAfter: 1 + rng.Intn(cfg.MaxRestartRounds),
+			RestartAfter: 1 + rng.Intn(maxRestartRounds),
 		}
 		key := [2]int{ev.Round, ev.Victim}
 		if used[key] {

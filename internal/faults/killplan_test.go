@@ -33,7 +33,7 @@ func TestKillPlanDeterministic(t *testing.T) {
 }
 
 func TestKillPlanRespectsBounds(t *testing.T) {
-	cfg := KillPlanConfig{Rounds: 10, Procs: 6, Kills: 12, Protect: []int{0, 3}, MaxRestartRounds: 2}
+	cfg := KillPlanConfig{Rounds: 10, Procs: 6, Kills: 12, Protect: []int{0, 3}}
 	p, err := NewKillPlan(7, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestKillPlanRespectsBounds(t *testing.T) {
 		if ev.Round < 1 || ev.Round > cfg.Rounds-2 {
 			t.Fatalf("round %d outside [1,%d]", ev.Round, cfg.Rounds-2)
 		}
-		if ev.RestartAfter < 1 || ev.RestartAfter > cfg.MaxRestartRounds {
-			t.Fatalf("restart-after %d outside [1,%d]", ev.RestartAfter, cfg.MaxRestartRounds)
+		if ev.RestartAfter < 1 || ev.RestartAfter > maxRestartRounds {
+			t.Fatalf("restart-after %d outside [1,%d]", ev.RestartAfter, maxRestartRounds)
 		}
 		key := [2]int{ev.Round, ev.Victim}
 		if seen[key] {

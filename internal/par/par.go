@@ -1,9 +1,10 @@
 // Package par provides small parallel-execution helpers used across the
 // simulator: bounded parallel for-loops over index ranges and work items,
 // and a map helper that preserves result order. They exist so that the
-// embarrassingly parallel parts of the reproduction — per-node workload
-// generation, multi-graph experiment trials — saturate the available
-// cores without each call site re-implementing a worker pool.
+// embarrassingly parallel parts of the reproduction — the KT tree's
+// build and repair sweeps, the oracle round's sweeps, multi-trial
+// experiment runs — saturate the available cores without each call site
+// re-implementing a worker pool.
 package par
 
 import (

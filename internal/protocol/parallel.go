@@ -151,15 +151,14 @@ func (rd *round) newWorker(seed int64, filter sim.MessageFilter) *subWorker {
 	w := &subWorker{eng: sim.NewEngine(seed)}
 	w.eng.SetFilter(filter)
 	w.sub = &round{
-		r:          &Runner{ring: rd.r.ring, tree: rd.r.tree, cfg: rd.r.cfg, eng: w.eng},
-		ord:        rd.ord,
-		timeout:    rd.timeout,
-		lbiInbox:   rd.lbiInbox,
-		vsaInbox:   rd.vsaInbox,
-		maxRetries: rd.maxRetries,
-		res:        &w.res,
-		worker:     w,
-		fork:       [2]forkState{forkOff, forkOff},
+		r:        &Runner{ring: rd.r.ring, tree: rd.r.tree, cfg: rd.r.cfg, eng: w.eng},
+		ord:      rd.ord,
+		timeout:  rd.timeout,
+		lbiInbox: rd.lbiInbox,
+		vsaInbox: rd.vsaInbox,
+		res:      &w.res,
+		worker:   w,
+		fork:     [2]forkState{forkOff, forkOff},
 	}
 	w.sub.onRoot = w.done
 	w.sub.collectAck.rd = w.sub

@@ -95,23 +95,19 @@ type Config struct {
 	// default of 5000 time units per level. It only affects rounds in
 	// which something actually failed.
 	ChildTimeout sim.Time
-	// MaxRetries bounds how often a reliable message (converge-cast
-	// replies, dissemination, pairing notifications, the two-phase
-	// handoff) is retransmitted when its ack does not arrive. The
-	// retransmission timer starts at one round trip plus slack and
-	// doubles per attempt (exponential backoff). 0 means the default of
-	// 5; lossless runs never retransmit, so the knob only matters under
-	// a fault plan.
-	MaxRetries int
 }
 
 // defaultChildTimeout is the per-level slack used when Config leaves
 // ChildTimeout zero.
 const defaultChildTimeout = 5000
 
-// defaultMaxRetries is the retransmission bound used when Config leaves
-// MaxRetries zero. Five doublings from one round trip tolerate ~30%
-// loss with high probability without stretching timed-out epochs.
+// defaultMaxRetries bounds how often a reliable message (converge-cast
+// replies, dissemination, pairing notifications, the two-phase handoff)
+// is retransmitted when its ack does not arrive. The retransmission
+// timer starts at one round trip plus slack and doubles per attempt
+// (exponential backoff). Five doublings from one round trip tolerate
+// ~30% loss with high probability without stretching timed-out epochs;
+// lossless runs never retransmit.
 const defaultMaxRetries = 5
 
 // Runner executes rounds over a ring and its tree.
@@ -177,9 +173,6 @@ func NewRunner(ring *chord.Ring, tree *ktree.Tree, cfg Config) (*Runner, error) 
 	if cfg.ChildTimeout < 0 {
 		return nil, fmt.Errorf("protocol: negative child timeout")
 	}
-	if cfg.MaxRetries < 0 {
-		return nil, fmt.Errorf("protocol: negative retry bound")
-	}
 	return &Runner{ring: ring, tree: tree, cfg: cfg, eng: ring.Engine()}, nil
 }
 
@@ -229,9 +222,8 @@ type round struct {
 	// delivered copy. It starts fresh every round (never recycled through
 	// roundScratch); late retransmits from a previous round are fenced by
 	// their own round's finished flag, not by this set.
-	nextSeq    uint64
-	seen       seqSet
-	maxRetries int
+	nextSeq uint64
+	seen    seqSet
 
 	deadline sim.Timer // round-failure backstop, canceled on completion
 
@@ -370,21 +362,16 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 	if timeout == 0 {
 		timeout = defaultChildTimeout
 	}
-	retries := r.cfg.MaxRetries
-	if retries == 0 {
-		retries = defaultMaxRetries
-	}
 	sc := r.takeScratch()
 	var rd *round
 	rd = &round{
-		r:          r,
-		ord:        r.rounds,
-		timeout:    timeout,
-		start:      r.eng.Now(),
-		lbiInbox:   sc.lbiInbox,
-		roster:     lbnode.NewRoster(sc.states),
-		vsaInbox:   sc.vsaInbox,
-		maxRetries: retries,
+		r:        r,
+		ord:      r.rounds,
+		timeout:  timeout,
+		start:    r.eng.Now(),
+		lbiInbox: sc.lbiInbox,
+		roster:   lbnode.NewRoster(sc.states),
+		vsaInbox: sc.vsaInbox,
 		res: &Result{Result: core.Result{
 			Mode:        r.cfg.Core.Mode,
 			MovedByHops: &stats.WeightedHistogram{},
@@ -615,7 +602,7 @@ func (rd *round) newExchange(kind string, key uint64, src, dst int, cost sim.Tim
 		rd: rd, kind: kind, ackKind: ackKindOf(kind), key: key,
 		src: src, dst: dst, cost: cost,
 		seq:          rd.nextSeq,
-		attemptsLeft: rd.maxRetries + 1,
+		attemptsLeft: defaultMaxRetries + 1,
 		backoff:      2*cost + 2,
 	}
 	// Wire the three embedded event adapters once: interior pointers

@@ -65,25 +65,18 @@ type Config struct {
 	Scheme Scheme
 	// Epsilon is the target slack, as in core.Config.
 	Epsilon float64
-	// ProbesPerLight is how many random probes each light node issues
-	// per round (OneToOne). Default 16.
-	ProbesPerLight int
-	// Directories is the number of directory nodes (OneToMany,
-	// ManyToMany). Default 16.
-	Directories int
 	// TransferCost reports transfer distance for the histogram (same
 	// semantics as core.Config.TransferCost). nil uses ring latency.
 	TransferCost func(from, to *chord.Node) int
 }
 
-func (c *Config) fill() {
-	if c.ProbesPerLight == 0 {
-		c.ProbesPerLight = 16
-	}
-	if c.Directories == 0 {
-		c.Directories = 16
-	}
-}
+// probesPerLight is how many random probes each light node sends per
+// round (OneToOne); numDirectories is the number of directory nodes
+// (OneToMany, ManyToMany).
+const (
+	probesPerLight = 16
+	numDirectories = 16
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -92,9 +85,6 @@ func (c Config) Validate() error {
 	}
 	if c.Scheme < OneToOne || c.Scheme > ManyToMany {
 		return fmt.Errorf("rao: unknown scheme %d", int(c.Scheme))
-	}
-	if c.ProbesPerLight < 0 || c.Directories < 0 {
-		return fmt.Errorf("rao: negative probe/directory count")
 	}
 	return nil
 }
@@ -123,7 +113,6 @@ func Run(ring *chord.Ring, cfg Config, maxRounds int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.fill()
 	if ring.NumVServers() == 0 {
 		return nil, fmt.Errorf("rao: ring has no virtual servers")
 	}
@@ -237,7 +226,7 @@ func (r *runner) oneToOneRound(res *Result) {
 	probeCost := sim.Time(math.Ceil(math.Log2(float64(r.ring.NumVServers() + 1))))
 	for _, light := range r.lightNodes(g) {
 		deficit := r.target(light, g) - light.TotalLoad()
-		for p := 0; p < r.cfg.ProbesPerLight && deficit >= g.Lmin; p++ {
+		for p := 0; p < probesPerLight && deficit >= g.Lmin; p++ {
 			res.Probes++
 			r.eng.CountMessage(MsgProbe, probeCost)
 			key := ident.ID(r.eng.Rand().Uint32())
@@ -260,7 +249,7 @@ func (r *runner) oneToOneRound(res *Result) {
 // (deterministically random distinct alive nodes).
 func (r *runner) directories() []*chord.Node {
 	alive := r.ring.AliveNodes()
-	k := r.cfg.Directories
+	k := numDirectories
 	if k > len(alive) {
 		k = len(alive)
 	}

@@ -29,9 +29,6 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(empty, Config{}, 5); err == nil {
 		t.Error("empty ring should fail")
 	}
-	if _, err := Run(ring, Config{ProbesPerLight: -1}, 5); err == nil {
-		t.Error("negative probes should fail")
-	}
 }
 
 func TestSchemeStrings(t *testing.T) {
@@ -65,7 +62,7 @@ func TestManyToManyConvergesFast(t *testing.T) {
 
 func TestOneToManyConverges(t *testing.T) {
 	ring := fixture(3, 160, 5)
-	res, err := Run(ring, Config{Scheme: OneToMany, Epsilon: 0.05, Directories: 8}, 50)
+	res, err := Run(ring, Config{Scheme: OneToMany, Epsilon: 0.05}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +77,7 @@ func TestOneToManyConverges(t *testing.T) {
 
 func TestOneToOneProgressesSlowly(t *testing.T) {
 	ring := fixture(4, 160, 5)
-	res, err := Run(ring, Config{Scheme: OneToOne, Epsilon: 0.05, ProbesPerLight: 8}, 30)
+	res, err := Run(ring, Config{Scheme: OneToOne, Epsilon: 0.05}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 //   - a chord.LookupCache turns repeat lookups of hot keys into single
 //     overlay hops (invalidated on transfer/churn, validated at
 //     arrival — see internal/chord/cache.go);
-//   - the head of the Zipf curve is replicated: every PromoteEvery
+//   - the head of the Zipf curve is replicated: every promoteEvery
 //     ticks the most-requested objects get rate-sized replica sets on
 //     distinct ring successors, and hot requests spread across the
 //     slots by capacity-weighted round-robin (puts multi-master with a
@@ -55,60 +55,19 @@ type Config struct {
 	// of capacity C serves it in Work/C ticks. Default 1000 (the
 	// Gnutella profile's dial-up peers are then genuinely slow).
 	Work float64
-	// PutWorkFactor scales Work for puts (and their replica writes).
-	// Default 2.
-	PutWorkFactor float64
 	// CacheSize is the per-origin-node lookup cache capacity. 0 means
 	// the chord default (128); negative disables the cache entirely
 	// (the uncached baseline the hops claim is pinned against).
 	CacheSize int
-	// HotCount is how many of the most-requested objects hold replicas
-	// after each promotion pass. It must reach past the Zipf ranks
-	// whose single-object rate exceeds what the balancer can place as
-	// one virtual server (see ReplicaCapacity). 0 means 64; negative
-	// disables replication.
-	HotCount int
-	// Replicas caps the replica-set size per hot object beyond the
-	// owner, placed on distinct-node ring successors. Sets are sized
-	// per object from its observed rate (see ReplicaCapacity); the head
-	// of a strong Zipf curve legitimately needs tens of read replicas —
-	// no single node, however capable, can absorb 10%+ of all traffic
-	// within its fair share. Default 64.
-	Replicas int
-	// ReplicaCapacity is the capacity class replica slots are sized
-	// for: each hot object gets enough slots that one slot's get rate
-	// is about the fair-share load of a node with this capacity. Too
-	// small wastes replicas; too large recreates the unassignable-VS
-	// problem replication exists to solve. Default 1000 (the Gnutella
-	// profile's "server-class" tier, 4.9% of nodes).
-	ReplicaCapacity float64
-	// PromoteEvery is the interval between hot-set promotions. Default
-	// 2000 ticks.
-	PromoteEvery sim.Time
-	// Window is the observation window: per-VS work credits are folded
-	// into the EWMA rate once per Window. Default 500 ticks.
-	Window sim.Time
-	// Alpha is the EWMA smoothing factor in (0, 1]. Default 0.3.
-	Alpha float64
-	// RoundInterval starts a balancing round every so many ticks while
-	// the plan is still emitting (skipped while one is in flight). 0
-	// disables balancing — the balancer-off baseline.
-	RoundInterval sim.Time
 	// Warmup excludes requests arriving before this virtual time from
 	// the latency summaries (they are still served, still occupy queues
 	// and still feed the observed rates). Every variant shares the same
 	// initial placement, so the transient before the balancer and the
-	// hot-set promotion can possibly react — the first PromoteEvery and
-	// the first few RoundIntervals — measures the same queues in every
+	// hot-set promotion can possibly react — the first promoteEvery and
+	// the first few round intervals — measures the same queues in every
 	// variant; the steady-state tail is where they differ. Default 0
 	// (measure everything).
 	Warmup sim.Time
-	// NoPrime skips seeding the object store with the plan's analytic
-	// popularity weights (load = weight·Rate·Work per object). Priming
-	// starts virtual-server loads and observed rates at the
-	// expectation instead of zero, and warm-starts the hot replica
-	// sets before the first arrival (see primePromote).
-	NoPrime bool
 }
 
 func (c *Config) fill() error {
@@ -121,32 +80,40 @@ func (c *Config) fill() error {
 	if c.Work < 0 {
 		return fmt.Errorf("serve: negative work %v", c.Work)
 	}
-	if c.PutWorkFactor == 0 {
-		c.PutWorkFactor = 2
-	}
-	if c.HotCount == 0 {
-		c.HotCount = 64
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 64
-	}
-	if c.ReplicaCapacity == 0 {
-		c.ReplicaCapacity = 1000
-	}
-	if c.PromoteEvery == 0 {
-		c.PromoteEvery = 2000
-	}
-	if c.Window == 0 {
-		c.Window = 500
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("serve: EWMA alpha %v outside (0,1]", c.Alpha)
-	}
 	return nil
 }
+
+// The serving layer's fixed tuning.
+const (
+	// putWorkFactor scales Work for puts (and their replica writes).
+	putWorkFactor = 2
+	// hotCount is how many of the most-requested objects hold replicas
+	// after each promotion pass. It must reach past the Zipf ranks
+	// whose single-object rate exceeds what the balancer can place as
+	// one virtual server (see replicaCapacity).
+	hotCount = 64
+	// maxReplicas caps the replica-set size per hot object beyond the
+	// owner, placed on distinct-node ring successors. Sets are sized
+	// per object from its observed rate (see replicaCapacity); the head
+	// of a strong Zipf curve legitimately needs tens of read replicas —
+	// no single node, however capable, can absorb 10%+ of all traffic
+	// within its fair share.
+	maxReplicas = 64
+	// replicaCapacity is the capacity class replica slots are sized
+	// for: each hot object gets enough slots that one slot's get rate
+	// is about the fair-share load of a node with this capacity. Too
+	// small wastes replicas; too large recreates the unassignable-VS
+	// problem replication exists to solve. 1000 is the Gnutella
+	// profile's "server-class" tier, 4.9% of nodes.
+	replicaCapacity = 1000
+	// promoteEvery is the interval between hot-set promotions.
+	promoteEvery sim.Time = 2000
+	// window is the observation window: per-VS work credits are folded
+	// into the EWMA rate once per window.
+	window sim.Time = 500
+	// ewmaAlpha is the EWMA smoothing factor in (0, 1].
+	ewmaAlpha = 0.3
+)
 
 // writeReplicas bounds how many replicas a put writes through to —
 // durability fan-out, independent of the read set's size.
@@ -168,7 +135,8 @@ type Server struct {
 	cache *chord.LookupCache
 	keys  []ident.ID // object index -> identifier-space key
 
-	runner RoundRunner
+	runner        RoundRunner
+	roundInterval sim.Time
 
 	nodes  []*chord.Node
 	busy   []float64 // per node Index: queue drain time (fractional ticks); sized at New
@@ -250,20 +218,18 @@ func New(eng *sim.Engine, ring *chord.Ring, cfg Config) (*Server, error) {
 	if cfg.CacheSize >= 0 {
 		s.cache = chord.NewLookupCache(ring, cfg.CacheSize)
 	}
-	if !cfg.NoPrime {
-		w := plan.ExpectedWeights()
-		objs := make([]objects.Object, len(s.keys))
-		for i, k := range s.keys {
-			objs[i] = objects.Object{Key: k, Load: w[i] * cfg.Plan.Rate * cfg.Work}
-		}
-		if err := s.store.BulkInsert(objs); err != nil {
-			return nil, err
-		}
-		// The store credited each VS its expected absorbed rate; start
-		// the observation from that prior rather than from zero.
-		for _, vs := range ring.VServers() {
-			s.ew[vs] = vs.Load
-		}
+	w := plan.ExpectedWeights()
+	objs := make([]objects.Object, len(s.keys))
+	for i, k := range s.keys {
+		objs[i] = objects.Object{Key: k, Load: w[i] * cfg.Plan.Rate * cfg.Work}
+	}
+	if err := s.store.BulkInsert(objs); err != nil {
+		return nil, err
+	}
+	// The store credited each VS its expected absorbed rate; start the
+	// observation from that prior rather than from zero.
+	for _, vs := range ring.VServers() {
+		s.ew[vs] = vs.Load
 	}
 	return s, nil
 }
@@ -280,7 +246,7 @@ func (s *Server) Cache() *chord.LookupCache { return s.cache }
 // against observed rates.
 func (s *Server) UseBalancer(r RoundRunner, interval sim.Time) {
 	s.runner = r
-	s.cfg.RoundInterval = interval
+	s.roundInterval = interval
 }
 
 // Refresh implements core.LoadSource: each virtual server's Load
@@ -315,15 +281,11 @@ func (s *Server) Run() (*Report, error) {
 		return nil, fmt.Errorf("serve: empty plan")
 	}
 	s.pump(first)
-	s.cancels = append(s.cancels, s.eng.Every(s.cfg.Window, s.windowTick))
-	if s.cfg.HotCount > 0 && s.cfg.Replicas > 0 {
-		if !s.cfg.NoPrime {
-			s.primePromote()
-		}
-		s.cancels = append(s.cancels, s.eng.Every(s.cfg.PromoteEvery, s.promoteTick))
-	}
-	if s.runner != nil && s.cfg.RoundInterval > 0 {
-		s.cancels = append(s.cancels, protocol.Every(s.eng, s.cfg.RoundInterval, s.runner.StartRound, s.roundDue, s.roundDone))
+	s.cancels = append(s.cancels, s.eng.Every(window, s.windowTick))
+	s.primePromote()
+	s.cancels = append(s.cancels, s.eng.Every(promoteEvery, s.promoteTick))
+	if s.runner != nil && s.roundInterval > 0 {
+		s.cancels = append(s.cancels, protocol.Every(s.eng, s.roundInterval, s.runner.StartRound, s.roundDue, s.roundDone))
 	}
 	thaw := s.ring.FreezeMembership()
 	defer thaw()
@@ -420,7 +382,7 @@ func (s *Server) complete(r workload.Request, res chord.LookupResult) {
 	now := float64(s.eng.Now())
 	work := s.cfg.Work
 	if r.Op == workload.OpPut {
-		work *= s.cfg.PutWorkFactor
+		work *= putWorkFactor
 	}
 
 	node := res.VS.Owner
@@ -513,8 +475,10 @@ func (s *Server) enqueue(node *chord.Node, now float64, work float64) float64 {
 // windowTick folds the window's work credits into the decayed observed
 // rates, in canonical ring order.
 func (s *Server) windowTick() {
-	w := float64(s.cfg.Window)
-	a := s.cfg.Alpha
+	w := float64(window)
+	// a stays a float64 variable: folded as a constant, 1-ewmaAlpha
+	// would be exact and could round differently from 1-a.
+	a := float64(ewmaAlpha)
 	for _, vs := range s.ring.VServers() {
 		rate := s.win[vs] / w
 		s.ew[vs] = a*rate + (1-a)*s.ew[vs]
@@ -524,7 +488,7 @@ func (s *Server) windowTick() {
 	}
 }
 
-// promoteTick recomputes the hot set: the HotCount most-requested
+// promoteTick recomputes the hot set: the hotCount most-requested
 // objects since the last promotion get replicas on distinct-node ring
 // successors, with the set sized to the object's observed rate.
 func (s *Server) promoteTick() {
@@ -539,7 +503,7 @@ func (s *Server) promoteTick() {
 
 // primePromote warm-starts the hot set from the plan's analytic
 // popularity weights before the first arrival. Without it, every
-// variant spends the first PromoteEvery ticks funnelling the whole
+// variant spends the first promoteEvery ticks funnelling the whole
 // Zipf head into the one virtual server that happens to own each hot
 // key; if that is a dial-up peer, the queue built during that blind
 // window takes millions of ticks to drain and buries every later
@@ -551,7 +515,7 @@ func (s *Server) primePromote() {
 	w := s.plan.ExpectedWeights()
 	cand := make([]candidate, len(w))
 	for i, wi := range w {
-		cand[i] = candidate{i, wi * s.cfg.Plan.Rate * float64(s.cfg.PromoteEvery)}
+		cand[i] = candidate{i, wi * s.cfg.Plan.Rate * float64(promoteEvery)}
 	}
 	s.promote(cand)
 }
@@ -571,14 +535,14 @@ func (s *Server) promote(cand []candidate) {
 		}
 		return cand[i].obj < cand[j].obj
 	})
-	if len(cand) > s.cfg.HotCount {
-		cand = cand[:s.cfg.HotCount]
+	if len(cand) > hotCount {
+		cand = cand[:hotCount]
 	}
-	// Per-slot work budget: the fair-share load of a ReplicaCapacity
+	// Per-slot work budget: the fair-share load of a replicaCapacity
 	// node at the ring's current work-per-capacity ratio. A hot object
 	// gets enough slots that each carries about one budget's worth.
 	ratio := s.totalObserved() / s.sumCap
-	chunk := ratio * s.cfg.ReplicaCapacity
+	chunk := ratio * replicaCapacity
 	reps := make(map[int][]*chord.VServer, len(cand))
 	for _, c := range cand {
 		want := s.wantReplicas(c.n, chunk)
@@ -602,9 +566,9 @@ func (s *Server) promote(cand []candidate) {
 
 // wantReplicas sizes one hot object's replica set: its observed get
 // work rate divided into chunk-sized slots (owner holds one), capped
-// by cfg.Replicas.
+// by maxReplicas.
 func (s *Server) wantReplicas(requests float64, chunk float64) int {
-	rate := requests / float64(s.cfg.PromoteEvery)
+	rate := requests / float64(promoteEvery)
 	want := 1
 	if chunk > 0 {
 		want = int(math.Ceil(rate * s.cfg.Work / chunk))
@@ -612,8 +576,8 @@ func (s *Server) wantReplicas(requests float64, chunk float64) int {
 	if want < 1 {
 		want = 1
 	}
-	if want > s.cfg.Replicas {
-		want = s.cfg.Replicas
+	if want > maxReplicas {
+		want = maxReplicas
 	}
 	return want
 }

@@ -196,24 +196,22 @@ func TestServePrimedStore(t *testing.T) {
 	if got < want*0.99 || got > want*1.01 {
 		t.Fatalf("primed store totals %v, want ≈ %v", got, want)
 	}
-
-	noprime := build(t, 1, Config{Plan: testPlan(), Work: 100, NoPrime: true}, false)
-	if noprime.srv.Store().Len() != 0 {
-		t.Fatal("NoPrime still populated the store")
-	}
 }
 
 // Hot objects get replicas; replicated gets spread across distinct
 // nodes, visible as replica sets after a promotion pass.
 func TestServeHotReplication(t *testing.T) {
-	f := build(t, 1, Config{Plan: testPlan(), Work: 100, HotCount: 8, Replicas: 2, PromoteEvery: 500}, false)
+	f := build(t, 1, Config{Plan: testPlan(), Work: 100}, false)
 	if _, err := f.srv.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.srv.reps) == 0 {
-		t.Fatal("no hot object was promoted")
+	if len(f.srv.reps) == 0 || len(f.srv.reps) > hotCount {
+		t.Fatalf("%d hot objects promoted, want 1..%d", len(f.srv.reps), hotCount)
 	}
 	for obj, set := range f.srv.reps {
+		if len(set) > maxReplicas {
+			t.Fatalf("object %d: %d replicas, cap %d", obj, len(set), maxReplicas)
+		}
 		owner := f.ring.Successor(f.srv.keys[obj])
 		seen := map[*chord.Node]bool{owner.Owner: true}
 		for _, rep := range set {
@@ -263,9 +261,6 @@ func TestServeConfigErrors(t *testing.T) {
 	ring.AddNode(-1, 10, 4)
 	if _, err := New(eng, ring, Config{}); err == nil {
 		t.Fatal("expected invalid-plan error")
-	}
-	if _, err := New(eng, ring, Config{Plan: testPlan(), Alpha: 2}); err == nil {
-		t.Fatal("expected alpha error")
 	}
 	srv, err := New(eng, ring, Config{Plan: testPlan(), Work: 100})
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // over the whole graph.
 func shortestFrom(g *Graph, src NodeID, m Metric) []int32 {
 	dist := make([]int32, g.NumNodes())
-	g.dijkstra(src, m, 0, dist)
+	g.dijkstra(src, m, 0, dist, nil)
 	return dist
 }
 
@@ -111,6 +111,23 @@ var (
 	sinkDistances *Distances
 	sinkDistance  int32
 )
+
+// TestNewDistancesAllocsPerBlock holds a table build to one allocation
+// per block, plus a few dozen for the per-node arrays, the block lists'
+// growth and the one heap every source's Dijkstra reuses. A heap started
+// afresh per source would add at least one allocation per node.
+func TestNewDistancesAllocsPerBlock(t *testing.T) {
+	g, err := Generate(TS5kSmall(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(NewDistances(g).tables)
+	allocs := testing.AllocsPerRun(2, func() { sinkDistances = NewDistances(g) })
+	if limit := float64(blocks + 64); allocs > limit {
+		t.Fatalf("NewDistances allocates %.0f times for %d blocks over %d nodes, want at most %.0f",
+			allocs, blocks, g.NumNodes(), limit)
+	}
+}
 
 func BenchmarkNewDistances(b *testing.B) {
 	for _, preset := range []struct {

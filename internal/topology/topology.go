@@ -387,15 +387,16 @@ type pqItem struct {
 // dijkstra fills dist[v-lo] with the shortest-path distance from src to
 // every node v in [lo, lo+len(dist)) under m, over paths that stay inside
 // that ID range (-1 where there is none). Over the whole graph it is the
-// reference the tests hold Distances to.
-func (g *Graph) dijkstra(src NodeID, m Metric, lo NodeID, dist []int32) {
+// reference the tests hold Distances to. heap is scratch: dijkstra
+// empties it and returns it, grown as needed, for the next call to reuse.
+func (g *Graph) dijkstra(src NodeID, m Metric, lo NodeID, dist []int32, heap []pqItem) []pqItem {
 	const unreached = int32(-1)
 	for i := range dist {
 		dist[i] = unreached
 	}
 	hi := lo + NodeID(len(dist))
 	dist[src-lo] = 0
-	heap := []pqItem{{src, 0}}
+	heap = append(heap[:0], pqItem{src, 0})
 	pop := func() pqItem {
 		top := heap[0]
 		last := len(heap) - 1
@@ -447,6 +448,7 @@ func (g *Graph) dijkstra(src NodeID, m Metric, lo NodeID, dist []int32) {
 			}
 		}
 	}
+	return heap
 }
 
 // Distances answers shortest-path queries under one metric from tables
@@ -490,12 +492,13 @@ func NewDistancesMetric(g *Graph, m Metric) *Distances {
 		}
 	}
 	d.start = append(d.start, n)
+	var heap []pqItem
 	for b := 0; b+1 < len(d.start); b++ {
 		lo, hi := d.start[b], d.start[b+1]
 		size := int(hi - lo)
 		table := make([]int32, size*size)
 		for v := lo; v < hi; v++ {
-			g.dijkstra(v, m, lo, table[int(v-lo)*size:][:size])
+			heap = g.dijkstra(v, m, lo, table[int(v-lo)*size:][:size], heap)
 			d.block[v] = int32(b)
 			d.gate[v] = v // a stub node's gate is set below
 		}
