@@ -42,12 +42,10 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/cluster"
 	"p2plb/internal/core"
 	"p2plb/internal/exp"
 	"p2plb/internal/metrics"
-	"p2plb/internal/rao"
 	"p2plb/internal/stats"
 	"p2plb/internal/topology"
 )
@@ -463,67 +461,16 @@ func cfs(seed int64, nodes int, eps float64) error {
 // scheme on identical workloads over a ts5k-large underlay and compares
 // convergence and transfer cost.
 func raoComparison(seed int64, nodes int, eps float64) error {
+	rows, err := exp.RaoComparison(setupWith(seed, nodes, eps), topology.TS5kLarge(seed))
+	if err != nil {
+		return err
+	}
 	fmt.Printf("Rao et al. schemes vs the tree scheme, ts5k-large, N=%d, eps=%.2f\n", nodes, eps)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  scheme\trounds\theavy start\theavy end\ttransfers\tmoved load\tmean distance")
-
-	build := func(mode core.Mode) (*exp.Instance, error) {
-		p := topology.TS5kLarge(seed)
-		s := setupWith(seed, nodes, eps)
-		s.Topology = &p
-		s.Mode = mode
-		return exp.Build(s)
-	}
-	meanDist := func(h interface {
-		Total() float64
-		MaxBucket() int
-		Weight(int) float64
-	}) float64 {
-		if h.Total() == 0 {
-			return 0
-		}
-		var hw float64
-		for b := 0; b <= h.MaxBucket(); b++ {
-			hw += float64(b) * h.Weight(b)
-		}
-		return hw / h.Total()
-	}
-
-	for _, scheme := range []rao.Scheme{rao.OneToOne, rao.OneToMany, rao.ManyToMany} {
-		inst, err := build(core.ProximityIgnorant)
-		if err != nil {
-			return err
-		}
-		hops := inst.HopDistances
-		res, err := rao.Run(inst.Ring, rao.Config{
-			Scheme:  scheme,
-			Epsilon: eps,
-			TransferCost: func(from, to *chord.Node) int {
-				if from == to || from.Underlay == to.Underlay {
-					return 0
-				}
-				return int(hops.Between(from.Underlay, to.Underlay))
-			},
-		}, 50)
-		if err != nil {
-			return err
-		}
+	for _, r := range rows {
 		fmt.Fprintf(w, "  %s\t%d\t%d\t%d\t%d\t%.0f\t%.1f\n",
-			scheme, res.Rounds, res.HeavyStart, res.HeavyEnd,
-			res.Transfers, res.MovedLoad, meanDist(res.MovedByHops))
-	}
-	for _, mode := range []core.Mode{core.ProximityIgnorant, core.ProximityAware} {
-		inst, err := build(mode)
-		if err != nil {
-			return err
-		}
-		res, err := inst.Balancer.RunRound()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  tree (%s)\t%d\t%d\t%d\t%d\t%.0f\t%.1f\n",
-			mode, 1, res.HeavyBefore, res.HeavyAfter,
-			len(res.Assignments), res.MovedLoad, meanDist(res.MovedByHops))
+			r.Scheme, r.Rounds, r.HeavyStart, r.HeavyEnd, r.Transfers, r.MovedLoad, r.MeanHops)
 	}
 	w.Flush()
 	fmt.Println("  (Rao et al. schemes ignore proximity: their mean transfer distance")

@@ -15,10 +15,11 @@ import (
 // Correctness is pinned by two rules (see DESIGN.md "Serving layer"):
 //
 //   - Invalidation on transfer/churn: the cache subscribes to ring
-//     events and bumps a per-VServer version on VSRemoved and
-//     VSTransferred. A cached entry is only usable while its recorded
-//     version matches — a departed or re-homed virtual server can never
-//     be returned from the cache alone.
+//     events and bumps a per-slot version (VServer.Slot) on VSRemoved
+//     and VSTransferred. A cached entry is only usable while the version
+//     it recorded matches its server's slot — a departed or re-homed
+//     virtual server can never be returned from the cache alone, even
+//     after a joiner takes its slot.
 //   - Validation at arrival: even a version-matched entry is re-checked
 //     when the single hop lands — the target must still be on the ring
 //     AND still own the key (VSAdded region splits shrink regions
@@ -49,7 +50,7 @@ type cacheShard struct {
 type LookupCache struct {
 	perNode int
 	shards  []cacheShard
-	ver     map[*VServer]uint32
+	ver     []uint32 // by VServer.Slot, one per slot the ring has handed out
 
 	hits   int64 // cache hit, validated at arrival
 	misses int64 // no usable entry; full routed lookup
@@ -62,10 +63,7 @@ func NewLookupCache(ring *Ring, perNode int) *LookupCache {
 	if perNode <= 0 {
 		perNode = 128
 	}
-	c := &LookupCache{
-		perNode: perNode,
-		ver:     make(map[*VServer]uint32),
-	}
+	c := &LookupCache{perNode: perNode, ver: make([]uint32, ring.NumSlots())}
 	ring.Subscribe(c)
 	return c
 }
@@ -73,15 +71,21 @@ func NewLookupCache(ring *Ring, perNode int) *LookupCache {
 // VSAdded implements Listener. A join splits the region of the new VS's
 // successor; cached entries for that successor stay version-valid but
 // fail arrival validation for keys the split took away, so no bump is
-// needed — the arrival check is the guard.
-func (c *LookupCache) VSAdded(vs *VServer) {}
+// needed — the arrival check is the guard. A join that opens a new slot
+// gives it a version.
+func (c *LookupCache) VSAdded(vs *VServer) {
+	for vs.Slot() >= len(c.ver) {
+		c.ver = append(c.ver, 0)
+	}
+}
 
-// VSRemoved implements Listener: entries naming vs become unusable.
-func (c *LookupCache) VSRemoved(vs *VServer) { c.ver[vs]++ }
+// VSRemoved implements Listener: entries naming vs become unusable,
+// and so stay when a joiner takes its slot.
+func (c *LookupCache) VSRemoved(vs *VServer) { c.ver[vs.Slot()]++ }
 
 // VSTransferred implements Listener: vs now lives on a different node,
 // so a cached single hop would go to the wrong host.
-func (c *LookupCache) VSTransferred(vs *VServer, from, to *Node) { c.ver[vs]++ }
+func (c *LookupCache) VSTransferred(vs *VServer, from, to *Node) { c.ver[vs.Slot()]++ }
 
 // Stats returns the cache's hit / miss / stale-arrival counters.
 func (c *LookupCache) Stats() (hits, misses, stale int64) {
@@ -89,7 +93,7 @@ func (c *LookupCache) Stats() (hits, misses, stale int64) {
 }
 
 // get returns origin's cached owner for key if a version-valid entry
-// exists. Point map reads only — no allocation on the hit path.
+// exists. Point reads only — no allocation on the hit path.
 //
 //lbvet:hotpath
 func (c *LookupCache) get(origin *Node, key ident.ID) (*VServer, bool) {
@@ -97,7 +101,7 @@ func (c *LookupCache) get(origin *Node, key ident.ID) (*VServer, bool) {
 		return nil, false
 	}
 	e, ok := c.shards[origin.Index].m[key]
-	if !ok || e.ver != c.ver[e.vs] {
+	if !ok || e.ver != c.ver[e.vs.Slot()] {
 		return nil, false
 	}
 	return e.vs, true
@@ -125,7 +129,7 @@ func (c *LookupCache) put(origin *Node, key ident.ID, vs *VServer) {
 		}
 		sh.fifo = append(sh.fifo, key)
 	}
-	sh.m[key] = cacheEntry{vs: vs, ver: c.ver[vs]}
+	sh.m[key] = cacheEntry{vs: vs, ver: c.ver[vs.Slot()]}
 }
 
 // invalidate drops origin's entry for key (after a stale arrival).

@@ -100,6 +100,39 @@ func TestCacheInvalidatedOnRemoveAndTransfer(t *testing.T) {
 	}
 }
 
+// A departed VS's entries stay dead after a joiner takes its slot: the
+// version lives in the slot, and the joiner's entries start from the
+// version the departure left there.
+func TestCacheMissesDepartedVSInReusedSlot(t *testing.T) {
+	eng, ring := cacheRing(4, 16)
+	cache := NewLookupCache(ring, 64)
+	key := ident.ID(123456789)
+	owner := ring.Successor(key)
+	from := otherNode(t, ring, owner.Owner)
+	ring.CachedLookup(cache, from, key, func(LookupResult) {})
+	eng.Run()
+	if vs, ok := cache.get(from, key); !ok || vs != owner {
+		t.Fatal("the lookup did not teach the cache its owner")
+	}
+
+	ring.RemoveVServer(owner)
+	joiner := ring.AddNode(-1, 1, 1).VServers()[0]
+	if joiner.Slot() != owner.Slot() {
+		t.Fatalf("joiner took slot %d, want the departed VS's %d", joiner.Slot(), owner.Slot())
+	}
+	if vs, ok := cache.get(from, key); ok {
+		t.Fatalf("cache answered %s for the departed VS's key after its slot was reused", vs.ID)
+	}
+	ring.CachedLookup(cache, from, joiner.ID, func(LookupResult) {})
+	eng.Run()
+	if vs, ok := cache.get(from, joiner.ID); !ok || vs != joiner {
+		t.Fatal("the joiner's own entry does not hit")
+	}
+	if len(cache.ver) > ring.NumSlots() {
+		t.Fatalf("%d versions for %d slots", len(cache.ver), ring.NumSlots())
+	}
+}
+
 func stats3(c *LookupCache) (int64, int64, int64) { return c.Stats() }
 
 // A version-valid hit whose owner departs while the hop is in flight

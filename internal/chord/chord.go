@@ -1034,7 +1034,12 @@ func (r *Ring) SnapshotConservation() Conservation {
 // experiments can attribute the failing round.
 func (r *Ring) CheckConservation(base Conservation) error {
 	vss := r.VServers()
-	hostings := make(map[*VServer]int, len(vss))
+	// Hosts per ring member, by slot; a departed server matches no entry.
+	type hosting struct {
+		vs    *VServer
+		count int
+	}
+	hostings := make([]hosting, r.numSlots)
 	var total float64
 	for i, vs := range vss {
 		if i > 0 && !ident.Less(vss[i-1].ID, vs.ID) {
@@ -1049,7 +1054,7 @@ func (r *Ring) CheckConservation(base Conservation) error {
 		if vs.Load < 0 {
 			return fmt.Errorf("chord: vs %s has negative load %v", vs.ID, vs.Load)
 		}
-		hostings[vs] = 0
+		hostings[vs.slot] = hosting{vs: vs}
 		total += vs.Load
 	}
 	for _, n := range r.nodes {
@@ -1057,19 +1062,19 @@ func (r *Ring) CheckConservation(base Conservation) error {
 			if !n.Alive {
 				return fmt.Errorf("chord: dead node %d still hosts vs %s", n.Index, vs.ID)
 			}
-			count, onRing := hostings[vs]
-			if !onRing {
+			s := vs.Slot()
+			if s >= len(hostings) || hostings[s].vs != vs {
 				return fmt.Errorf("chord: node %d hosts vs %s which is not on the ring", n.Index, vs.ID)
 			}
 			if vs.Owner != n {
 				return fmt.Errorf("chord: vs %s hosted by node %d but owned by node %d (double-hosted)",
 					vs.ID, n.Index, vs.Owner.Index)
 			}
-			hostings[vs] = count + 1
+			hostings[s].count++
 		}
 	}
 	for _, vs := range vss {
-		switch c := hostings[vs]; {
+		switch c := hostings[vs.slot].count; {
 		case c == 0:
 			return fmt.Errorf("chord: vs %s is on the ring but hosted by no node (lost)", vs.ID)
 		case c > 1:

@@ -758,4 +758,17 @@ func TestCheckConservationViolations(t *testing.T) {
 	if err := r5.CheckConservation(base); err == nil {
 		t.Error("dead owner not detected")
 	}
+
+	// A book still lists a departed VS whose slot a joiner now holds.
+	r6 := build()
+	n6 := r6.Nodes()[0]
+	gone := n6.vservers[0]
+	r6.RemoveVServer(gone)
+	if joiner := r6.AddNode(-1, 100, 1).VServers()[0]; joiner.Slot() != gone.Slot() {
+		t.Fatalf("joiner took slot %d, want %d", joiner.Slot(), gone.Slot())
+	}
+	n6.vservers = append(n6.vservers, gone)
+	if err := r6.CheckConservation(base); err == nil || !strings.Contains(err.Error(), "not on the ring") {
+		t.Errorf("departed VS in a reused slot: got %v, want it reported not on the ring", err)
+	}
 }

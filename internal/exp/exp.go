@@ -144,6 +144,17 @@ func newUnderlay(p topology.Params, seed int64) (*underlay, error) {
 		lat: topology.NewDistancesMetric(g, topology.LatencyMetric)}, nil
 }
 
+// transferCost charges a transfer its underlay hop distance; a move
+// within one underlay node is free.
+func transferCost(hops *topology.Distances) func(from, to *chord.Node) int {
+	return func(from, to *chord.Node) int {
+		if from == to || from.Underlay == to.Underlay {
+			return 0
+		}
+		return int(hops.Between(from.Underlay, to.Underlay))
+	}
+}
+
 // Build assembles an Instance: generate the underlay (if any), create
 // the loaded ring (workload.NewRing: Gnutella-like capacities, loads
 // from the load model by each VS's identifier-space fraction), build the
@@ -211,13 +222,7 @@ func build(s Setup, u *underlay) (*Instance, error) {
 		RendezvousThreshold: s.RendezvousThreshold,
 	}
 	if inst.Graph != nil {
-		hops := inst.HopDistances
-		cfg.TransferCost = func(from, to *chord.Node) int {
-			if from == to || from.Underlay == to.Underlay {
-				return 0
-			}
-			return int(hops.Between(from.Underlay, to.Underlay))
-		}
+		cfg.TransferCost = transferCost(inst.HopDistances)
 	}
 	if s.Mode == core.ProximityAware {
 		if inst.Graph == nil {

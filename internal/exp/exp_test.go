@@ -102,7 +102,7 @@ func TestFig4ShapeSmall(t *testing.T) {
 		t.Fatalf("unit load lengths %d/%d", len(ba.UnitBefore), len(ba.UnitAfter))
 	}
 	// The paper's headline numbers: ~75% heavy before, none after.
-	if p := ba.PercentHeavyBefore(); p < 0.5 || p > 0.95 {
+	if p := heavyShare(ba.Result); p < 0.5 || p > 0.95 {
 		t.Errorf("percent heavy before = %.2f, want ~0.75", p)
 	}
 	if ba.Result.HeavyAfter != 0 {
@@ -226,6 +226,29 @@ func TestMovedLoadDistributionSmall(t *testing.T) {
 	}
 }
 
+// The Rao comparison runs five schemes over one shared underlay: the
+// tree's two modes agree on everything but distance, and only the
+// aware mode shortens it.
+func TestRaoComparisonSmall(t *testing.T) {
+	rows, err := RaoComparison(smallSetup(3), smallTopo(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"one-to-one", "one-to-many", "many-to-many", "tree (proximity-ignorant)", "tree (proximity-aware)"}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r.Scheme != want[i] || r.HeavyStart != rows[0].HeavyStart || r.Transfers == 0 {
+			t.Errorf("row %d = %+v, want scheme %q from the shared start with transfers", i, r, want[i])
+		}
+	}
+	ign, aware := rows[3], rows[4]
+	if ign.Rounds != 1 || ign.HeavyEnd != aware.HeavyEnd || aware.MeanHops >= ign.MeanHops {
+		t.Errorf("tree rows %+v / %+v: want one round each, equal outcome, aware nearer", ign, aware)
+	}
+}
+
 func TestMovedLoadDistributionErrors(t *testing.T) {
 	if _, err := MovedLoadDistribution(smallTopo, 0, 1, 128, nil); err == nil {
 		t.Error("zero graphs should fail")
@@ -258,19 +281,20 @@ func TestVSATimesScaling(t *testing.T) {
 	}
 }
 
+// heavyShare is the share of classified nodes that were heavy before
+// the round (the paper reports about 75%).
+func heavyShare(res *core.Result) float64 {
+	return float64(res.HeavyBefore) / float64(res.HeavyBefore+res.LightBefore+res.NeutralBefore)
+}
+
 func TestFig4Driver(t *testing.T) {
-	// Fig4 at reduced scale, plus sanity on the percentage helper.
+	// Fig4 at reduced scale: some but not all nodes start heavy.
 	ba, err := Fig4(smallSetup(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ba.PercentHeavyBefore()
-	if p <= 0 || p >= 1 {
-		t.Fatalf("PercentHeavyBefore = %v", p)
-	}
-	empty := &BeforeAfter{Result: &core.Result{}}
-	if empty.PercentHeavyBefore() != 0 {
-		t.Fatal("empty census should report 0")
+	if p := heavyShare(ba.Result); p <= 0 || p >= 1 {
+		t.Fatalf("heavy share before = %v", p)
 	}
 }
 

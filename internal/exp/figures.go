@@ -6,6 +6,7 @@ import (
 	"p2plb/internal/core"
 	"p2plb/internal/metrics"
 	"p2plb/internal/par"
+	"p2plb/internal/rao"
 	"p2plb/internal/stats"
 	"p2plb/internal/topology"
 )
@@ -16,16 +17,6 @@ type BeforeAfter struct {
 	UnitBefore []float64
 	UnitAfter  []float64
 	Result     *core.Result
-}
-
-// PercentHeavyBefore returns the share of nodes that were heavy before
-// the round (the paper reports about 75%).
-func (b *BeforeAfter) PercentHeavyBefore() float64 {
-	total := b.Result.HeavyBefore + b.Result.LightBefore + b.Result.NeutralBefore
-	if total == 0 {
-		return 0
-	}
-	return float64(b.Result.HeavyBefore) / float64(total)
 }
 
 // Fig4 reproduces Figure 4 on s: the per-node unit loads before and
@@ -103,17 +94,19 @@ type MovedLoadDist struct {
 
 // MeanHops returns the load-weighted mean transfer distance per mode.
 func (m *MovedLoadDist) MeanHops() (aware, ignorant float64) {
-	mean := func(h *stats.WeightedHistogram) float64 {
-		if h.Total() == 0 {
-			return 0
-		}
-		var hw float64
-		for b := 0; b <= h.MaxBucket(); b++ {
-			hw += float64(b) * h.Weight(b)
-		}
-		return hw / h.Total()
+	return meanHops(m.Aware), meanHops(m.Ignorant)
+}
+
+// meanHops is h's load-weighted mean distance, 0 if nothing moved.
+func meanHops(h *stats.WeightedHistogram) float64 {
+	if h.Total() == 0 {
+		return 0
 	}
-	return mean(m.Aware), mean(m.Ignorant)
+	var hw float64
+	for b := 0; b <= h.MaxBucket(); b++ {
+		hw += float64(b) * h.Weight(b)
+	}
+	return hw / h.Total()
 }
 
 // MovedLoadDistribution reproduces Figures 7 and 8: run one
@@ -170,6 +163,56 @@ func MovedLoadDistribution(topo func(seed int64) topology.Params, graphs int, se
 		out.HeavyResidualIgnorant += ignorant.HeavyAfter
 	}
 	return out, nil
+}
+
+// RaoRow is one scheme's line of the Rao et al. comparison.
+type RaoRow struct {
+	Scheme               string
+	Rounds               int
+	HeavyStart, HeavyEnd int
+	Transfers            int
+	MovedLoad            float64
+	MeanHops             float64 // load-weighted mean transfer distance
+}
+
+// RaoComparison runs the three Rao et al. schemes (up to 50 rounds
+// each) and one round of the paper's tree scheme in each mode on
+// identical workloads over topo, which it generates once at s.Seed and
+// every run shares. Each row's ring is built afresh from s.
+func RaoComparison(s Setup, topo topology.Params) ([]RaoRow, error) {
+	s.Topology = &topo
+	u, err := newUnderlay(topo, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	var rows []RaoRow
+	s.Mode = core.ProximityIgnorant
+	for _, scheme := range []rao.Scheme{rao.OneToOne, rao.OneToMany, rao.ManyToMany} {
+		inst, err := build(s, u)
+		if err != nil {
+			return nil, err
+		}
+		res, err := rao.Run(inst.Ring, rao.Config{Scheme: scheme, Epsilon: inst.Setup.Epsilon, TransferCost: transferCost(u.hop)}, 50)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, RaoRow{scheme.String(), res.Rounds, res.HeavyStart, res.HeavyEnd,
+			res.Transfers, res.MovedLoad, meanHops(res.MovedByHops)})
+	}
+	for _, mode := range []core.Mode{core.ProximityIgnorant, core.ProximityAware} {
+		s.Mode = mode
+		inst, err := build(s, u)
+		if err != nil {
+			return nil, err
+		}
+		res, err := inst.Balancer.RunRound()
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, RaoRow{fmt.Sprintf("tree (%s)", mode), 1, res.HeavyBefore, res.HeavyAfter,
+			len(res.Assignments), res.MovedLoad, meanHops(res.MovedByHops)})
+	}
+	return rows, nil
 }
 
 // PhaseTimes is one row of the VSA-time experiment (§5.2's

@@ -211,27 +211,6 @@ func TestVSACollectHoldsOnlyWhatArrives(t *testing.T) {
 	}
 }
 
-func TestRosterClassifiesOnce(t *testing.T) {
-	global := lbi(10, 50, 50) // L=100 C=10 Lmin=50
-	n := &chord.Node{Alive: true, Capacity: 1}
-	dead := &chord.Node{Alive: false, Capacity: 1}
-	ro := lbnode.NewRoster(nil)
-	st, ok := ro.Classify(n, global, 0, core.SubsetAuto)
-	if !ok || st == nil {
-		t.Fatal("first delivery did not classify")
-	}
-	if _, ok := ro.Classify(n, global, 0, core.SubsetAuto); ok {
-		t.Error("duplicate delivery classified again")
-	}
-	if _, ok := ro.Classify(dead, global, 0, core.SubsetAuto); ok {
-		t.Error("dead node classified")
-	}
-	h, l, u := ro.Census()
-	if h+l+u != 1 {
-		t.Errorf("census = %d/%d/%d, want exactly one node", h, l, u)
-	}
-}
-
 func handoffFixture() (*lbnode.Handoff, *chord.Node, *chord.Node, *chord.VServer) {
 	from := &chord.Node{Index: 0, Alive: true}
 	to := &chord.Node{Index: 1, Alive: true}

@@ -175,14 +175,14 @@ func (s *Store) SyncLoads() {
 // first mismatch. Tests and long-running simulations call it to catch
 // accounting drift.
 func (s *Store) CheckLoads(eps float64) error {
-	want := make(map[*chord.VServer]float64)
+	want := make([]float64, s.ring.NumSlots()) // by Slot: every server here is on the ring
 	for _, o := range s.objs {
-		want[s.ring.Successor(o.Key)] += o.Load
+		want[s.ring.Successor(o.Key).Slot()] += o.Load
 	}
 	for _, vs := range s.ring.VServers() {
-		diff := vs.Load - want[vs]
-		if diff < -eps || diff > eps {
-			return fmt.Errorf("objects: VS %s load %v, objects sum to %v", vs.ID, vs.Load, want[vs])
+		w := want[vs.Slot()]
+		if diff := vs.Load - w; diff < -eps || diff > eps {
+			return fmt.Errorf("objects: VS %s load %v, objects sum to %v", vs.ID, vs.Load, w)
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ package protocol
 import (
 	"testing"
 
-	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/sim"
 )
@@ -63,14 +62,16 @@ func TestScratchReuseAndShrink(t *testing.T) {
 	// entry and last round's placement — sized for a tree larger than
 	// this one.
 	bound := tree.HandleBound()
+	numNodes := len(ring.Nodes())
 	place := core.PlaceRound(ring, tree, ring.Engine().Rand(), nil)
 	sc := &roundScratch{
 		lbiInbox: make([][]core.LBI, bound+10),
-		states:   map[*chord.Node]*core.NodeState{ring.Nodes()[0]: {}},
+		states:   make([]*core.NodeState, numNodes+10),
 		vsaInbox: make([]*core.PairList, bound+10),
 		place:    place,
 	}
 	sc.lbiInbox[0], sc.lbiInbox[bound+5] = make([]core.LBI, 3, 8), make([]core.LBI, 1)
+	sc.states[0] = &core.NodeState{}
 	sc.vsaInbox[1] = &core.PairList{}
 	r.scratch = sc
 
@@ -91,7 +92,10 @@ func TestScratchReuseAndShrink(t *testing.T) {
 	if tail := got.lbiInbox[:bound+10]; len(tail[bound+5]) != 0 {
 		t.Error("shrinking the inbox left a report past the bound for a later round to find")
 	}
-	if len(got.states) != 0 || got.vsaInbox[1] != nil {
+	if len(got.states) != numNodes {
+		t.Errorf("states sized %d, want one per node (%d)", len(got.states), numNodes)
+	}
+	if got.states[0] != nil || got.vsaInbox[1] != nil {
 		t.Error("reuse path must clear states and the VSA lists")
 	}
 	if got.place != place {
@@ -106,8 +110,8 @@ func TestScratchReuseAndShrink(t *testing.T) {
 	// A runner with no recycled scratch allocates a complete fresh set.
 	r.scratch = nil
 	blank := r.takeScratch()
-	if blank == nil || len(blank.lbiInbox) != bound || blank.states == nil || len(blank.vsaInbox) != bound {
-		t.Fatal("cold takeScratch must allocate the states map and both inboxes")
+	if blank == nil || len(blank.lbiInbox) != bound || len(blank.states) != numNodes || len(blank.vsaInbox) != bound {
+		t.Fatal("cold takeScratch must allocate the states and both inboxes")
 	}
 	if blank.place != nil {
 		t.Fatal("cold takeScratch has no placement to recycle")

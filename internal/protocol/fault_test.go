@@ -11,6 +11,7 @@ import (
 	"p2plb/internal/chord"
 	"p2plb/internal/core"
 	"p2plb/internal/faults"
+	"p2plb/internal/ktree"
 	"p2plb/internal/sim"
 )
 
@@ -238,6 +239,113 @@ func TestDuplicatedCommitsAreIdempotent(t *testing.T) {
 		t.Errorf("conservation violated: %v", err)
 	}
 	ring.CheckInvariants()
+}
+
+// disperseKiller is a MessageFilter that delivers everything verbatim
+// but kills victim as the first global-tuple copy is sent: the LBI
+// collection counted it, and dissemination finds it dead.
+type disperseKiller struct {
+	ring   *chord.Ring
+	victim *chord.Node
+	killed bool
+}
+
+func (f *disperseKiller) Deliveries(kind string, key uint64, src, dst int, now, cost sim.Time) []sim.Time {
+	if kind == MsgDisperse && !f.killed {
+		f.killed = true
+		f.ring.RemoveNode(f.victim)
+	}
+	return []sim.Time{0}
+}
+
+// TestClassifiesEachAliveNodeOnce holds dissemination's endpoint rule
+// (§3.3): every alive node is classified exactly once however many
+// copies of the global tuple reach it, one per leaf it hosts or per
+// duplicate, a node dead by the time its copy lands is never
+// classified, and the before-census counts exactly the classified nodes.
+func TestClassifiesEachAliveNodeOnce(t *testing.T) {
+	checkCensus := func(t *testing.T, out *Result) {
+		t.Helper()
+		if sum := out.HeavyBefore + out.LightBefore + out.NeutralBefore; sum != out.NodesClassified {
+			t.Errorf("before-census %d/%d/%d sums to %d, want NodesClassified %d",
+				out.HeavyBefore, out.LightBefore, out.NeutralBefore, sum, out.NodesClassified)
+		}
+	}
+
+	t.Run("duplicated", func(t *testing.T) {
+		ring, tree := fixture(24, 96, 4)
+		in, err := faults.New(24, faults.Plan{Duplicate: 0.8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Attach(ring); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ChildTimeout: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := r.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Duplicated() == 0 {
+			t.Fatal("the filter duplicated nothing")
+		}
+		if alive := len(ring.AliveNodes()); out.NodesClassified != alive {
+			t.Errorf("classified %d nodes, want each of the %d alive nodes once", out.NodesClassified, alive)
+		}
+		checkCensus(t, out)
+	})
+
+	t.Run("killed-before-dissemination", func(t *testing.T) {
+		ring, tree := fixture(26, 96, 4)
+		victim := ring.Nodes()[7]
+		// The walk stops at every tree node the victim hosts, so the
+		// nodes classified are the owners of the leaves reached without
+		// passing through one; the victim hosts some such leaf.
+		reached := make([]bool, len(ring.Nodes()))
+		want, victimLeaf := 0, false
+		var walk func(n ktree.Handle)
+		walk = func(n ktree.Handle) {
+			owner := tree.Host(n).Owner
+			if owner == victim {
+				victimLeaf = victimLeaf || tree.IsLeaf(n)
+				return
+			}
+			if tree.IsLeaf(n) {
+				if !reached[owner.Index] {
+					reached[owner.Index] = true
+					want++
+				}
+				return
+			}
+			for c := tree.FirstChild(n); !c.IsNil(); c = tree.NextSibling(c) {
+				walk(c)
+			}
+		}
+		walk(tree.Root())
+		if !victimLeaf {
+			t.Fatal("the dissemination walk reaches no leaf of the victim")
+		}
+		filter := &disperseKiller{ring: ring, victim: victim}
+		ring.Engine().SetFilter(filter)
+		r, err := NewRunner(ring, tree, Config{Core: core.Config{Epsilon: 0.05}, ChildTimeout: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := r.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !filter.killed || victim.Alive {
+			t.Fatal("the victim did not die at dissemination")
+		}
+		if out.NodesClassified != want {
+			t.Errorf("classified %d nodes, want the %d live owners of reached leaves", out.NodesClassified, want)
+		}
+		checkCensus(t, out)
+	})
 }
 
 // TestLossAndCrashesConvergeWithConservation is the acceptance

@@ -2,14 +2,15 @@
 // messages on the discrete-event engine — the fully distributed
 // counterpart of core.Balancer's closed-form round.
 //
-// The per-node protocol logic itself — LBI epoch merging, the
-// classification roster, VSA rendezvous pairing, the two-phase VST
-// handoff — lives in internal/lbnode as pure state machines shared with
-// the deployed daemon (internal/cluster). This package is the
-// deterministic-sim driver for those machines: it owns everything the
-// machines deliberately do not — delivery through sim.Engine (so a
-// fault plan can interfere), per-child epoch timers, sequence-numbered
-// acks with retransmission, and the per-round scratch recycling. LBI
+// The per-node protocol logic itself — LBI epoch merging, VSA
+// rendezvous pairing, the two-phase VST handoff — lives in
+// internal/lbnode as pure state machines shared with the deployed
+// daemon (internal/cluster); classification is core.ClassifyNode,
+// once per node. This package is the deterministic-sim driver for
+// those machines: it owns everything the machines deliberately do not
+// — delivery through sim.Engine (so a fault plan can interfere),
+// per-child epoch timers, sequence-numbered acks with retransmission,
+// and the per-round scratch recycling. LBI
 // collection is a pull converge-cast with per-child timeouts, the
 // global tuple is disseminated hop by hop, proximity-aware
 // advertisements are published through routed Chord lookups, the VSA
@@ -127,9 +128,9 @@ type Runner struct {
 }
 
 // roundScratch holds the per-round inboxes (and the report slices
-// inside lbiInbox), the states map, and the placement whose slices the
-// next PlaceRound takes over, that periodic rounds (Every) would
-// otherwise reallocate every round. The inboxes are indexed by
+// inside lbiInbox), the classified states, and the placement whose
+// slices the next PlaceRound takes over, that periodic rounds (Every)
+// would otherwise reallocate every round. The inboxes are indexed by
 // ktree.Handle.Index. A round hands its scratch back only when it
 // finished clean: after a timeout or an aborted transfer, stale epoch
 // events may still read the inboxes (and a late VSA reply can even
@@ -137,7 +138,7 @@ type Runner struct {
 // recycling it.
 type roundScratch struct {
 	lbiInbox [][]core.LBI
-	states   map[*chord.Node]*core.NodeState
+	states   []*core.NodeState // by chord.Node.Index; nil until classified
 	vsaInbox []*core.PairList
 	place    *core.Placement // nil until a round has drawn one
 }
@@ -149,13 +150,15 @@ func (r *Runner) takeScratch() *roundScratch {
 	sc := r.scratch
 	r.scratch = nil
 	if sc == nil {
-		sc = &roundScratch{states: make(map[*chord.Node]*core.NodeState)}
+		sc = &roundScratch{}
 	}
 	bound := r.tree.HandleBound()
 	for i := range sc.lbiInbox {
 		sc.lbiInbox[i] = sc.lbiInbox[i][:0]
 	}
 	sc.lbiInbox = slices.Grow(sc.lbiInbox[:0], bound)[:bound]
+	nodes := len(r.ring.Nodes())
+	sc.states = slices.Grow(sc.states[:0], nodes)[:nodes]
 	clear(sc.states)
 	clear(sc.vsaInbox)
 	sc.vsaInbox = slices.Grow(sc.vsaInbox[:0], bound)[:bound]
@@ -210,7 +213,7 @@ type round struct {
 	global   core.LBI
 	place    *core.Placement // the round's randomized placement, drawn before any event
 
-	roster     *lbnode.Roster // dissemination endpoint state (over scratch's states map)
+	states     []*core.NodeState // by chord.Node.Index, like the scratch's
 	vsaInbox   []*core.PairList
 	publishing int // outstanding routed publications
 
@@ -370,7 +373,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 		timeout:  timeout,
 		start:    r.eng.Now(),
 		lbiInbox: sc.lbiInbox,
-		roster:   lbnode.NewRoster(sc.states),
+		states:   sc.states,
 		vsaInbox: sc.vsaInbox,
 		res: &Result{Result: core.Result{
 			Mode:        r.cfg.Core.Mode,
@@ -389,6 +392,7 @@ func (r *Runner) StartRound(done func(*Result, error)) error {
 				// inbox.
 				sc.vsaInbox = rd.vsaInbox
 				clear(sc.vsaInbox)
+				sc.states = rd.states
 				r.scratch = sc
 			}
 			r.recordRound(res, err)
@@ -1158,14 +1162,19 @@ func (a *dispAck) RunEvent() {
 	a.e.rd.publishDone()
 }
 
-// classifyAndPublish runs classification on a node the first time the
-// global tuple reaches it (the roster machine absorbs duplicates), and
-// publishes its VSA information.
+// classifyAndPublish classifies a node the first time the global tuple
+// reaches it and publishes its VSA information (§3.3). A duplicate copy,
+// or one reaching a dead node, is absorbed without effect.
 func (rd *round) classifyAndPublish(node *chord.Node) {
-	st, ok := rd.roster.Classify(node, rd.global, rd.cfg().Epsilon, rd.cfg().Subset)
-	if !ok {
+	i := node.Index
+	if i >= len(rd.states) { // joined after the scratch was sized
+		rd.states = append(rd.states, make([]*core.NodeState, i+1-len(rd.states))...)
+	}
+	if rd.states[i] != nil || !node.Alive {
 		return
 	}
+	st := core.ClassifyNode(node, rd.global, rd.cfg().Epsilon, rd.cfg().Subset)
+	rd.states[i] = st
 	rd.res.NodesClassified++
 	if t := rd.r.eng.Now() - rd.start; t > rd.res.TimeLBIDisseminate {
 		rd.res.TimeLBIDisseminate = t
@@ -1251,7 +1260,13 @@ func (rd *round) publishDone() {
 
 // startVSA runs the VSA converge-cast from the root.
 func (rd *round) startVSA() {
-	rd.res.HeavyBefore, rd.res.LightBefore, rd.res.NeutralBefore = rd.roster.Census()
+	var census [3]int // by core.Class, over the nodes the tuple reached
+	for _, st := range rd.states {
+		if st != nil {
+			census[st.Class]++
+		}
+	}
+	rd.res.HeavyBefore, rd.res.LightBefore, rd.res.NeutralBefore = census[core.Heavy], census[core.Light], census[core.Neutral]
 	rd.collect(phaseVSA, func(out reply) {
 		rd.res.TimeVSAComplete = rd.r.eng.Now() - rd.start
 		rd.res.UnassignedOffers = out.list.Offers()

@@ -142,13 +142,13 @@ type Server struct {
 	busy   []float64 // per node Index: queue drain time (fractional ticks); sized at New
 	sumCap float64   // total ring capacity, for replica-slot sizing
 
-	// Observation state. Maps are keyed by pointer and only ever read
-	// through point lookups or in ring/sorted order.
-	win     map[*chord.VServer]float64 // work credited this window
-	ew      map[*chord.VServer]float64 // decayed observed rate
-	touched map[int]float64            // object -> requests since last promotion
-	reps    map[int][]*chord.VServer   // hot object -> replica set
-	wrr     map[int][]float64          // hot object -> smooth-WRR credits per slot
+	// Observation state. obs is indexed by chord.VServer.Slot and sized
+	// at New, like busy; the maps are only ever read through point
+	// lookups or in sorted order.
+	obs     []vsObs
+	touched map[int]float64          // object -> requests since last promotion
+	reps    map[int][]*chord.VServer // hot object -> replica set
+	wrr     map[int][]float64        // hot object -> smooth-WRR credits per slot
 
 	// Per-request samples, in completion order.
 	lookupLat  []float64
@@ -172,6 +172,13 @@ type Server struct {
 	movedLoad float64
 
 	mService *metrics.Histogram
+}
+
+// vsObs is one virtual server's observed load: the work credited this
+// window and the decayed observed rate.
+type vsObs struct {
+	vs      *chord.VServer
+	win, ew float64
 }
 
 // New builds a Server over ring: draws the object keys, bulk-loads the
@@ -202,8 +209,7 @@ func New(eng *sim.Engine, ring *chord.Ring, cfg Config) (*Server, error) {
 		store:   objects.NewStore(ring),
 		nodes:   ring.Nodes(),
 		busy:    make([]float64, maxIdx+1),
-		win:     make(map[*chord.VServer]float64, ring.NumVServers()),
-		ew:      make(map[*chord.VServer]float64, ring.NumVServers()),
+		obs:     make([]vsObs, ring.NumSlots()),
 		touched: make(map[int]float64),
 		reps:    make(map[int][]*chord.VServer),
 		wrr:     make(map[int][]float64),
@@ -229,7 +235,7 @@ func New(eng *sim.Engine, ring *chord.Ring, cfg Config) (*Server, error) {
 	// The store credited each VS its expected absorbed rate; start the
 	// observation from that prior rather than from zero.
 	for _, vs := range ring.VServers() {
-		s.ew[vs] = vs.Load
+		s.obs[vs.Slot()] = vsObs{vs: vs, ew: vs.Load}
 	}
 	return s, nil
 }
@@ -254,8 +260,18 @@ func (s *Server) UseBalancer(r RoundRunner, interval sim.Time) {
 // canonical ring order.
 func (s *Server) Refresh(ring *chord.Ring) {
 	for _, vs := range ring.VServers() {
-		vs.Load = s.ew[vs]
+		vs.Load = s.obsOf(vs).ew
 	}
+}
+
+// obsOf returns vs's observation. The server sizes it at New and Run
+// freezes membership, so a virtual server that joined since is a bug.
+func (s *Server) obsOf(vs *chord.VServer) *vsObs {
+	o := &s.obs[vs.Slot()]
+	if o.vs != vs {
+		panic("serve: virtual server joined after New")
+	}
+	return o
 }
 
 // Name implements core.LoadSource.
@@ -407,7 +423,7 @@ func (s *Server) complete(r workload.Request, res chord.LookupResult) {
 		s.gets++
 	}
 
-	s.win[res.VS] += work
+	s.obsOf(res.VS).win += work
 	s.touched[r.Object]++
 	s.served++
 
@@ -480,11 +496,10 @@ func (s *Server) windowTick() {
 	// would be exact and could round differently from 1-a.
 	a := float64(ewmaAlpha)
 	for _, vs := range s.ring.VServers() {
-		rate := s.win[vs] / w
-		s.ew[vs] = a*rate + (1-a)*s.ew[vs]
-		if s.win[vs] != 0 {
-			s.win[vs] = 0
-		}
+		o := s.obsOf(vs)
+		rate := o.win / w
+		o.ew = a*rate + (1-a)*o.ew
+		o.win = 0
 	}
 }
 
@@ -587,7 +602,7 @@ func (s *Server) wantReplicas(requests float64, chunk float64) int {
 func (s *Server) totalObserved() float64 {
 	var t float64
 	for _, vs := range s.ring.VServers() {
-		t += s.ew[vs]
+		t += s.obsOf(vs).ew
 	}
 	return t
 }

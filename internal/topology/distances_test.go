@@ -112,20 +112,24 @@ var (
 	sinkDistance  int32
 )
 
-// TestNewDistancesAllocsPerBlock holds a table build to one allocation
-// per block, plus a few dozen for the per-node arrays, the block lists'
-// growth and the one heap every source's Dijkstra reuses. A heap started
-// afresh per source would add at least one allocation per node.
+// TestNewDistancesAllocsPerBlock holds a table build to a constant
+// number of allocations, however many blocks the graph has: the
+// per-node arrays, the block lists, one array for every block's table
+// and the growth of the one heap every source's Dijkstra reuses. A
+// table or a heap per block or per source would exceed it on
+// ts5k-small's thousands of stub domains.
 func TestNewDistancesAllocsPerBlock(t *testing.T) {
-	g, err := Generate(TS5kSmall(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := len(NewDistances(g).tables)
-	allocs := testing.AllocsPerRun(2, func() { sinkDistances = NewDistances(g) })
-	if limit := float64(blocks + 64); allocs > limit {
-		t.Fatalf("NewDistances allocates %.0f times for %d blocks over %d nodes, want at most %.0f",
-			allocs, blocks, g.NumNodes(), limit)
+	for _, p := range []Params{TS5kSmall(1), TS5kLarge(1)} {
+		g, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const limit = 24
+		blocks := len(NewDistances(g).off)
+		if allocs := testing.AllocsPerRun(2, func() { sinkDistances = NewDistances(g) }); allocs > limit {
+			t.Fatalf("NewDistances allocates %.0f times for %d blocks over %d nodes, want at most %d",
+				allocs, blocks, g.NumNodes(), limit)
+		}
 	}
 }
 

@@ -460,11 +460,12 @@ func (g *Graph) dijkstra(src NodeID, m Metric, lo NodeID, dist []int32, heap []p
 // the gates and across the tier: up[a] + tier[gate[a]][gate[b]] + up[b].
 type Distances struct {
 	metric Metric
-	start  []NodeID  // block b holds the IDs [start[b], start[b+1]); block 0 is the tier
-	tables [][]int32 // per block, row-major over its IDs
-	block  []int32   // per node
-	gate   []NodeID  // per node
-	up     []int32   // per node: distance to its gate, attaching edge included
+	start  []NodeID // block b holds the IDs [start[b], start[b+1]); block 0 is the tier
+	off    []int    // block b's table, row-major over its IDs, starts at table[off[b]]
+	table  []int32  // every block's table, back to back
+	block  []int32  // per node
+	gate   []NodeID // per node
+	up     []int32  // per node: distance to its gate, attaching edge included
 }
 
 // NewDistances returns a hop-metric distance oracle over g.
@@ -477,7 +478,6 @@ func NewDistancesMetric(g *Graph, m Metric) *Distances {
 	n := NodeID(len(g.nodes))
 	d := &Distances{
 		metric: m,
-		start:  []NodeID{0},
 		block:  make([]int32, n),
 		gate:   make([]NodeID, n),
 		up:     make([]int32, n),
@@ -486,23 +486,33 @@ func NewDistancesMetric(g *Graph, m Metric) *Distances {
 	for tier < n && g.nodes[tier].Kind == Transit {
 		tier++
 	}
+	// Every list and the one table array are sized once, so the build's
+	// allocations do not grow with the number of blocks.
+	d.start = make([]NodeID, 1, int(n-tier)+2)
 	for v := tier; v < n; v++ {
 		if v == tier || g.nodes[v].Domain != g.nodes[v-1].Domain {
 			d.start = append(d.start, v)
 		}
 	}
 	d.start = append(d.start, n)
+	d.off = make([]int, len(d.start)-1)
+	cells := 0
+	for b := range d.off {
+		d.off[b] = cells
+		size := int(d.start[b+1] - d.start[b])
+		cells += size * size
+	}
+	d.table = make([]int32, cells)
 	var heap []pqItem
-	for b := 0; b+1 < len(d.start); b++ {
+	for b := range d.off {
 		lo, hi := d.start[b], d.start[b+1]
 		size := int(hi - lo)
-		table := make([]int32, size*size)
+		table := d.table[d.off[b]:][:size*size]
 		for v := lo; v < hi; v++ {
 			heap = g.dijkstra(v, m, lo, table[int(v-lo)*size:][:size], heap)
 			d.block[v] = int32(b)
 			d.gate[v] = v // a stub node's gate is set below
 		}
-		d.tables = append(d.tables, table)
 		if b == 0 {
 			continue
 		}
@@ -539,8 +549,8 @@ func (d *Distances) Between(a, b NodeID) int32 {
 	if blk := d.block[a]; blk == d.block[b] {
 		lo := d.start[blk]
 		size := int(d.start[blk+1] - lo)
-		return d.tables[blk][int(a-lo)*size+int(b-lo)]
+		return d.table[d.off[blk]+int(a-lo)*size+int(b-lo)]
 	}
-	tier := int(d.start[1])
-	return d.up[a] + d.tables[0][int(d.gate[a])*tier+int(d.gate[b])] + d.up[b]
+	tier := int(d.start[1]) // the tier's table opens the array
+	return d.up[a] + d.table[int(d.gate[a])*tier+int(d.gate[b])] + d.up[b]
 }
